@@ -4,8 +4,9 @@
 One withheld record seals the secret: the players' joint state is exactly a
 maximally mixed qubit in the withheld slot, tensored with the partial trace
 of the original state - it carries no information at all about the missing
-qubit.  We compute that state by exact branch enumeration and compare it to
-the closed-form prediction.
+qubit.  We compute that state exactly, as a product of per-slot swap
+channels derived from the forced Bell-measurement branches of each swap,
+and compare it to the closed-form prediction.
 """
 
 import numpy as np

@@ -28,10 +28,9 @@ module; tensor positions inside :mod:`cqss.qubits` are 0-based.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Mapping, Sized
 
 import numpy as np
 
@@ -55,7 +54,9 @@ from .qubits import (
     QuantumRegister,
     QubitId,
     RandomSource,
+    apply_single_qubit_channel,
     insert_product_qubits,
+    pure_density,
 )
 from .security import DecoyPlan, DetectionReport, EveModel, eve_tap
 
@@ -68,6 +69,24 @@ def encode_bits(kind: BellKind) -> tuple[int, int]:
 def decode_bits(bits: tuple[int, int]) -> BellKind:
     """Inverse of :func:`encode_bits`."""
     return BellKind.from_bits(*bits)
+
+
+def peak_live_qubits(
+    width: int, decoys: int, record_to_controller: Mapping[int, Sized]
+) -> int:
+    """Most qubits a run holds at once: distribution, then ``transport_all``.
+
+    Distribution peaks at ``width + decoys + 2``.  Transport in index order
+    then adds four qubits at a time on top of what earlier records left
+    behind: a classical record holds two pad links at once and leaves
+    nothing, a split record holds its fresh pair plus one teleport link and
+    leaves its two teleported halves.  The last record therefore sets the
+    peak.  ``record_to_controller`` maps record indices 1..width to their
+    holders; only how many holders each record has matters.
+    """
+    n_split = sum(1 for h in record_to_controller.values() if len(h) == 2)
+    last_split = len(record_to_controller[width]) == 2
+    return width + decoys + 2 * n_split + (2 if last_split else 4)
 
 
 class Role(Enum):
@@ -379,9 +398,12 @@ class ProtocolRun:
         plan = decoy_plan if decoy_plan is not None else DecoyPlan()
         plan.validate(secret_width)
         total = secret_width + plan.count
-        if total + 2 > MAX_LIVE_QUBITS:
+        peak = peak_live_qubits(
+            secret_width, plan.count, policy.record_to_controller
+        )
+        if peak > MAX_LIVE_QUBITS:
             raise CapacityError(
-                f"distributing {total} qubits peaks at {total + 2} live qubits "
+                f"a run over {total} slots peaks at {peak} live qubits "
                 f"(cap {MAX_LIVE_QUBITS})"
             )
 
@@ -756,10 +778,13 @@ class ProtocolRun:
     def withheld_state(self, withheld_indices: Iterable[int]) -> DensityMatrix:
         """Players' exact state when the given records never arrive.
 
-        Computed by enumerating the measurement branches of a fresh
-        distribution with exact probabilities - no sampling: non-withheld
-        slots are forced to the outcomes actually recorded and corrected,
-        withheld slots range over all four outcomes uncorrected.
+        Each swap of the distribution is an exact one-qubit channel from the
+        secret qubit to the player's link half, whose Kraus operators are
+        read off forced ``project_bell`` branches of the swap gadget (see
+        :func:`_swap_kraus`).  Withheld slots get the sum over all four
+        uncorrected branches; every other slot gets the single branch
+        actually recorded, followed by its correction.  No sampling is
+        involved, and the cost is one 4**width-sized product per slot.
         """
         if not self.distribution_complete:
             raise IncompleteRun("distribution must complete first")
@@ -768,25 +793,17 @@ class ProtocolRun:
             if not 1 <= i <= self.secret_width:
                 raise ProtocolError(f"withheld index {i} outside 1..{self.secret_width}")
         width = self.secret_width
-        dim = 2**width
-        acc = np.zeros((dim, dim), dtype=complex)
-        total_weight = 0.0
-        for combo in itertools.product(list(BellKind), repeat=len(withheld)):
-            forced = dict(zip(withheld, combo))
-            reg = QuantumRegister()
-            ids = list(reg.alloc_state(self.secret))
-            weight = 1.0
-            for index in range(1, width + 1):
-                mu, nu = reg.alloc_bell_pair(BellKind.PHI_MINUS)
-                kind = forced.get(index, self.transcript.bell_record[index])
-                weight *= reg.project_bell(ids[index - 1], mu, kind)
-                ids[index - 1] = nu
-                if index not in forced:
-                    reg.apply_pauli(nu, CORRECTION_FOR_OUTCOME[kind])
-            vec = reg.state_vector(order=ids)
-            acc += weight * np.outer(vec, vec.conj())
-            total_weight += weight
-        return DensityMatrix(acc / total_weight, tuple(range(1, width + 1)))
+        uncorrected, corrected = _swap_kraus()
+        rho = pure_density(self.secret)
+        for index in range(1, width + 1):
+            if index in withheld:
+                kraus = list(uncorrected.values())
+            else:
+                kraus = [corrected[self.transcript.bell_record[index]]]
+            rho = apply_single_qubit_channel(rho, index - 1, kraus)
+        # The trace is the total probability of the forced branches.
+        total_weight = float(np.real(np.trace(rho)))
+        return DensityMatrix(rho / total_weight, tuple(range(1, width + 1)))
 
     # -- accounting ---------------------------------------------------------------------
 
@@ -845,6 +862,29 @@ class ProtocolRun:
         )
 
 
+def _swap_kraus() -> tuple[dict[BellKind, np.ndarray], dict[BellKind, np.ndarray]]:
+    """Kraus operators of one distribution swap, per dealer outcome.
+
+    Each operator maps the source qubit to the receiving link half.  It is
+    read off its Choi state: a reference qubit maximally entangled with the
+    source goes through the swap gadget (fresh singlet link, ``project_bell``
+    forced onto the outcome), and the normalized state over (reference,
+    link half) is ``vec(K^T) / sqrt(2 p)``.  Returns the uncorrected
+    operators and the ones followed by ``CORRECTION_FOR_OUTCOME``.
+    """
+    uncorrected: dict[BellKind, np.ndarray] = {}
+    corrected: dict[BellKind, np.ndarray] = {}
+    for kind in BellKind:
+        reg = QuantumRegister()
+        reference, source = reg.alloc_bell_pair(BellKind.VARPHI_PLUS)
+        mu, nu = reg.alloc_bell_pair(BellKind.PHI_MINUS)
+        scale = np.sqrt(2.0 * reg.project_bell(source, mu, kind))
+        uncorrected[kind] = scale * reg.state_vector([reference, nu]).reshape(2, 2).T
+        reg.apply_pauli(nu, CORRECTION_FOR_OUTCOME[kind])
+        corrected[kind] = scale * reg.state_vector([reference, nu]).reshape(2, 2).T
+    return uncorrected, corrected
+
+
 def setup(
     n: int,
     m: int,
@@ -857,9 +897,8 @@ def setup(
 ) -> ProtocolRun:
     """Validate the roster and policy and stage a run.
 
-    Entangled links are allocated lazily, one per swap, so a run peaks at
-    ``width + decoys + 2`` live qubits during distribution rather than
-    holding all links at once.
+    Entangled links are allocated lazily, one per swap or pad, so a run
+    peaks at :func:`peak_live_qubits` rather than holding all links at once.
     """
     return ProtocolRun(
         n, m, secret_width, secret, policy, rng, decoy_plan=decoy_plan, eve=eve

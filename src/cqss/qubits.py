@@ -274,6 +274,8 @@ class QuantumRegister:
         self._pos: dict[QubitId, int] = {}
         self.owner: dict[QubitId, object] = {}
         self._next_id = 0
+        # High-water mark of live qubits over the register's lifetime.
+        self.peak_qubits = 0
 
     # -- introspection -------------------------------------------------------
 
@@ -309,6 +311,7 @@ class QuantumRegister:
         dup._pos = dict(self._pos)
         dup.owner = dict(self.owner)
         dup._next_id = self._next_id
+        dup.peak_qubits = self.peak_qubits
         return dup
 
     # -- allocation -----------------------------------------------------------
@@ -358,6 +361,7 @@ class QuantumRegister:
             if owner is not None:
                 self.owner[q] = owner
             ids.append(q)
+        self.peak_qubits = max(self.peak_qubits, len(self._order))
         return tuple(ids)
 
     # -- unitaries ------------------------------------------------------------
@@ -557,6 +561,28 @@ def replace_with_mixed(rho: np.ndarray, position: int) -> np.ndarray:
     return np.moveaxis(full, (0, n), (position, n + position)).reshape(dim, dim)
 
 
+def apply_single_qubit_channel(
+    rho: np.ndarray, position: int, kraus: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Apply the channel ``rho -> sum_k K rho K^dagger`` to one qubit.
+
+    The 2x2 Kraus operators ``kraus`` act on tensor position ``position``;
+    they need not be trace preserving.  The channel is applied as one
+    superoperator ``S = sum_k K (x) conj(K)`` on the (row, column) index pair
+    of that qubit, a single (4, 4) x (4, 4**(n-1)) matrix product.
+    """
+    dim = rho.shape[0]
+    n = int(np.log2(dim))
+    if not 0 <= position < n:
+        raise ValueError(f"position {position} out of range for {n} qubits")
+    sup = sum(np.kron(k, np.conj(k)) for k in kraus)
+    axes = (position, n + position)
+    t = np.asarray(rho, dtype=complex).reshape((2,) * (2 * n))
+    t = np.moveaxis(t, axes, (0, 1))
+    out = (sup @ t.reshape(4, -1)).reshape(t.shape)
+    return np.moveaxis(out, (0, 1), axes).reshape(dim, dim)
+
+
 def sealed_mixture(psi: np.ndarray, positions: Iterable[int]) -> np.ndarray:
     """Knowledge state when the records for ``positions`` are all withheld.
 
@@ -571,9 +597,8 @@ def sealed_mixture(psi: np.ndarray, positions: Iterable[int]) -> np.ndarray:
 
 
 def expected_withheld_density(psi: np.ndarray, withheld_position: int) -> DensityMatrix:
-    """Prediction for a single withheld slot: (1/2)I on the replacement qubit,
-    tensored with the partial trace of ``|psi><psi|`` over that slot, the
-    replacement occupying the withheld slot's tensor position."""
+    """Prediction for a single withheld slot: :func:`sealed_mixture` of
+    ``psi`` over that one slot, as a density matrix over all its qubits."""
     vec = np.asarray(psi, dtype=complex).reshape(-1)
     n = int(np.log2(vec.size))
     if 2**n != vec.size:
@@ -582,10 +607,7 @@ def expected_withheld_density(psi: np.ndarray, withheld_position: int) -> Densit
         raise NotNormalized(f"state norm {np.linalg.norm(vec)}")
     if not 0 <= withheld_position < n:
         raise ValueError(f"position {withheld_position} out of range for {n} qubits")
-    return DensityMatrix(
-        replace_with_mixed(pure_density(vec), withheld_position),
-        tuple(range(n)),
-    )
+    return DensityMatrix(sealed_mixture(vec, [withheld_position]), tuple(range(n)))
 
 
 def insert_product_qubits(

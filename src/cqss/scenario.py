@@ -48,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioError
+from .protocol import peak_live_qubits
 from .qubits import MAX_LIVE_QUBITS
 
 SCHEMA_TAG = "cqss-scenario v1"
@@ -152,10 +153,7 @@ class ScenarioConfig:
             raise bad("cooperating_players", f"player indices must lie in 1..{self.n}")
         if self.decoys < 0:
             raise bad("decoys", "must be >= 0")
-        n_split = sum(
-            1 for h in self.record_to_controller.values() if len(h) == 2
-        )
-        peak = self.N + self.decoys + 2 * n_split + 2
+        peak = peak_live_qubits(self.N, self.decoys, self.record_to_controller)
         if peak > MAX_LIVE_QUBITS:
             raise bad(
                 "decoys",

@@ -1,15 +1,20 @@
 """Protocol-level tests: distribution, record transport, gating, accounting."""
 
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cqss.errors import (
+    CapacityError,
     ControllerRefusal,
     IncompleteRun,
     InsufficientLinks,
     PolicyError,
     ProtocolError,
 )
+from cqss.harness import build_run
 from cqss.protocol import (
     AccessPolicy,
     ClassicalShare,
@@ -18,16 +23,23 @@ from cqss.protocol import (
     Sealed,
     decode_bits,
     encode_bits,
+    peak_live_qubits,
     setup,
 )
 from cqss.qubits import (
+    CORRECTION_FOR_OUTCOME,
     BellKind,
+    QuantumRegister,
     RandomSource,
     expected_withheld_density,
     fidelity,
     pure_density,
     trace_distance,
 )
+from cqss.scenario import load_scenario
+from cqss.security import DecoyPlan
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def haar(width, seed):
@@ -74,6 +86,16 @@ class TestSetup:
         assert run.controller_link_budget == 6
         complete(run)
         assert run._controller_links_used == 6
+
+    def test_pad_links_count_toward_capacity(self):
+        # Distribution alone peaks at 3 + 18 + 2 = 23 live qubits, but
+        # classical transport holds four pad qubits on top of the 21 slots.
+        width, decoys = 3, 18
+        plan = DecoyPlan.random(width, decoys, RandomSource(5))
+        policy = AccessPolicy.round_robin(width, width, width)
+        with pytest.raises(CapacityError):
+            setup(width, width, width, haar(width, 1), policy, RandomSource(0),
+                  decoy_plan=plan)
 
     def test_unnormalized_secret_rejected(self):
         from cqss.errors import NotNormalized
@@ -410,10 +432,94 @@ class TestReconstruct:
         assert run.reconstruct() is first
 
 
-# -- withheld-state enumeration --------------------------------------------------------------
+# -- peak live qubits -----------------------------------------------------------------------
+
+
+def measured_peak(run):
+    run.distribute_all()
+    run.transport_all()
+    return run.register.peak_qubits
+
+
+class TestPeakLiveQubits:
+    @pytest.mark.parametrize(
+        "name",
+        ["full_release_demo", "single_withheld", "veto_controller", "split_share",
+         "eve_curve"],
+    )
+    def test_bundled_scenarios(self, name):
+        cfg = load_scenario(SCENARIOS / f"{name}.scn")
+        want = peak_live_qubits(cfg.N, cfg.decoys, cfg.record_to_controller)
+        assert measured_peak(build_run(cfg, 0)) == want
+
+    @pytest.mark.parametrize(
+        "split_records",
+        [(2,), (1, 3), (4,), (2, 4)],
+        ids=["ends-classical", "ends-classical-2", "ends-split", "ends-split-2"],
+    )
+    def test_mixed_layouts(self, split_records):
+        width = 4
+        policy = AccessPolicy.round_robin(width, width, width)
+        for i in split_records:
+            policy.record_to_controller[i] = (
+                PartyId.controller(i),
+                PartyId.controller(i % width + 1),
+            )
+        plan = DecoyPlan.random(width, 1, RandomSource(64))
+        run = setup(width, width, width, haar(width, 62), policy, RandomSource(63),
+                    decoy_plan=plan)
+        want = peak_live_qubits(width, 1, policy.record_to_controller)
+        assert measured_peak(run) == want
+
+
+# -- withheld state -------------------------------------------------------------------------
+
+
+def brute_force_withheld_state(run, withheld):
+    """Reference for ``withheld_state``: enumerate every forced-branch history.
+
+    Each of the 4**|withheld| combinations of outcomes on the withheld slots
+    rebuilds a fresh register and re-runs all swaps with exact branch
+    probabilities; other slots are forced to their recorded outcome and
+    corrected.  Returns the probability-weighted mixture of the results.
+    """
+    withheld = sorted(set(withheld))
+    width = run.secret_width
+    acc = np.zeros((2**width, 2**width), dtype=complex)
+    total_weight = 0.0
+    for combo in itertools.product(list(BellKind), repeat=len(withheld)):
+        forced = dict(zip(withheld, combo))
+        reg = QuantumRegister()
+        ids = list(reg.alloc_state(run.secret))
+        weight = 1.0
+        for index in range(1, width + 1):
+            mu, nu = reg.alloc_bell_pair(BellKind.PHI_MINUS)
+            kind = forced.get(index, run.transcript.bell_record[index])
+            weight *= reg.project_bell(ids[index - 1], mu, kind)
+            ids[index - 1] = nu
+            if index not in forced:
+                reg.apply_pauli(nu, CORRECTION_FOR_OUTCOME[kind])
+        vec = reg.state_vector(order=ids)
+        acc += weight * np.outer(vec, vec.conj())
+        total_weight += weight
+    return acc / total_weight
 
 
 class TestWithheldState:
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_channel_form_matches_branch_enumeration(self, width):
+        rng = RandomSource(60 + width)
+        plan = DecoyPlan.random(width, 2, rng)
+        policy = AccessPolicy.round_robin(width, width, width)
+        run = setup(width, width, width, haar(width, 70 + width), policy, rng,
+                    decoy_plan=plan)
+        run.distribute_all()
+        for r in range(width + 1):
+            for withheld in itertools.combinations(range(1, width + 1), r):
+                got = run.withheld_state(withheld)
+                want = brute_force_withheld_state(run, withheld)
+                assert trace_distance(got.entries, want) <= 1e-12, withheld
+
     def test_single_index_matches_prediction(self):
         run = fresh_run(seed=40, secret_seed=41)
         run.distribute_all()

@@ -19,6 +19,7 @@ from cqss.qubits import (
     Pauli,
     QuantumRegister,
     RandomSource,
+    apply_single_qubit_channel,
     born_sample,
     expected_withheld_density,
     fidelity,
@@ -456,6 +457,20 @@ class TestWithheldPrediction:
     def test_position_validation(self):
         with pytest.raises(ValueError):
             expected_withheld_density(random_state(2, 1), 2)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_channel_matches_full_width_kraus(self, position):
+        rho = pure_density(random_state(3, 61))
+        rng = RandomSource(62 + position)
+        kraus = [rng.complex_normals(4).reshape(2, 2) for _ in range(2)]
+        want = np.zeros((8, 8), dtype=complex)
+        for k in kraus:
+            factors = [np.eye(2)] * 3
+            factors[position] = k
+            full = np.kron(np.kron(factors[0], factors[1]), factors[2])
+            want += full @ rho @ full.conj().T
+        got = apply_single_qubit_channel(rho, position, kraus)
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 # -- product insertion -----------------------------------------------------------------

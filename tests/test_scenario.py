@@ -143,6 +143,12 @@ class TestErrors:
         self.assert_names_field(MINIMAL.replace("decoys = 0", "")
                                 + "\ndecoys = 30", "decoys")
 
+    def test_decoy_capacity_counts_pad_links(self):
+        # 3 + 18 slots distribute at 23 live qubits; classical transport
+        # of the last record holds four pad qubits on top of them.
+        self.assert_names_field(MINIMAL.replace("decoys = 0", "")
+                                + "\ndecoys = 18", "decoys")
+
     def test_eve_fields(self):
         self.assert_names_field(MINIMAL + "\neve = lurking", "eve")
         self.assert_names_field(MINIMAL + "\neve_probability = 1.5",

@@ -313,6 +313,17 @@ class TestNoInformationAudit:
         got = run.withheld_state({1, 2, 3})
         np.testing.assert_allclose(got.entries, np.eye(8) / 8, atol=1e-10)
 
+    def test_all_withheld_at_width_eight(self):
+        run = self.run_for_audit(width=8, seed=86)
+        assert no_information_audit(run, range(1, 9)).passed
+        got = run.withheld_state(range(1, 9))
+        assert trace_distance(got.entries, np.eye(256) / 256) <= 1e-10
+
+    def test_mixed_withheld_at_width_eight(self):
+        run = self.run_for_audit(width=8, seed=87)
+        audit = no_information_audit(run, {2, 5, 7})
+        assert audit.passed, audit
+
     def test_audit_is_exact_not_statistical(self):
         # same audit from two different measurement histories agrees
         a = no_information_audit(self.run_for_audit(seed=84), {2})
