@@ -9,14 +9,13 @@ of the configuration and seed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DecodeError, NotNormalized, SweepError
 from .protocol import (
-    AccessPolicy,
-    PartyId,
     ProtocolRun,
     Recovered,
     ResourceReport,
@@ -74,21 +73,6 @@ def haar_random_state(width: int, rng: RandomSource) -> np.ndarray:
 # -- scenario plumbing ----------------------------------------------------------------
 
 
-def policy_from_config(cfg: ScenarioConfig) -> AccessPolicy:
-    return AccessPolicy(
-        qubit_to_player={
-            i: PartyId.player(p) for i, p in cfg.qubit_to_player.items()
-        },
-        record_to_controller={
-            i: tuple(PartyId.controller(c) for c in holders)
-            for i, holders in cfg.record_to_controller.items()
-        },
-        threshold_k=cfg.threshold_k,
-        release={PartyId.controller(c): flag for c, flag in cfg.release.items()},
-        cooperating_players={PartyId.player(p) for p in cfg.cooperating_players},
-    )
-
-
 def eve_from_config(cfg: ScenarioConfig) -> EveModel:
     return EveModel(cfg.eve, cfg.eve_probability)
 
@@ -109,17 +93,10 @@ def expected_outcome(cfg: ScenarioConfig) -> str:
     Coverage does not depend on any measurement randomness, so the outcome
     of every trial of a scenario is decided by its configuration alone.
     """
-    available = {
-        i
-        for i, holders in cfg.record_to_controller.items()
-        if all(cfg.release[c] for c in holders)
-    }
-    eligible = [
-        p
-        for p in cfg.cooperating_players
-        if {i for i, q in cfg.qubit_to_player.items() if q == p} <= available
-    ]
-    return "recovered" if len(eligible) >= cfg.threshold_k else "sealed"
+    policy = cfg.policy()
+    available = [i for i in policy.record_to_controller if policy.record_released(i)]
+    eligible = policy.eligible_players(available)
+    return "recovered" if len(eligible) >= policy.threshold_k else "sealed"
 
 
 # -- trial execution -----------------------------------------------------------------
@@ -208,7 +185,7 @@ def build_run(cfg: ScenarioConfig, entropy: int | tuple[int, ...]) -> ProtocolRu
         cfg.m,
         cfg.N,
         secret,
-        policy_from_config(cfg),
+        cfg.policy(),
         rng,
         decoy_plan=plan,
         eve=eve_from_config(cfg),
@@ -350,11 +327,7 @@ def mstar_sweep(cfg: ScenarioConfig) -> SweepTable:
 
 
 def _release_subsets(m: int, r: int, rng: RandomSource) -> list[tuple[int, ...]]:
-    if m <= SWEEP_EXHAUSTIVE_LIMIT:
-        return list(itertools.combinations(range(1, m + 1), r))
-    import math
-
-    if math.comb(m, r) <= SWEEP_SAMPLES:
+    if m <= SWEEP_EXHAUSTIVE_LIMIT or math.comb(m, r) <= SWEEP_SAMPLES:
         return list(itertools.combinations(range(1, m + 1), r))
     picked: set[tuple[int, ...]] = set()
     while len(picked) < SWEEP_SAMPLES:

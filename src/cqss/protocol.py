@@ -55,20 +55,9 @@ from .qubits import (
     QubitId,
     RandomSource,
     apply_single_qubit_channel,
-    insert_product_qubits,
     pure_density,
 )
-from .security import DecoyPlan, DetectionReport, EveModel, eve_tap
-
-
-def encode_bits(kind: BellKind) -> tuple[int, int]:
-    """Two classical bits naming a Bell state."""
-    return kind.bits
-
-
-def decode_bits(bits: tuple[int, int]) -> BellKind:
-    """Inverse of :func:`encode_bits`."""
-    return BellKind.from_bits(*bits)
+from .security import DecoyPlan, DetectionReport, EveModel, eve_tap, insert_decoys
 
 
 def peak_live_qubits(
@@ -121,17 +110,6 @@ class PartyId:
         return cls(Role.CONTROLLER, index)
 
 
-@dataclass
-class EprLink:
-    """One singlet shared between the dealer and a remote party."""
-
-    dealer_qubit: QubitId
-    remote_qubit: QubitId
-    remote_party: PartyId
-    purpose: str  # "player" | "controller"
-    consumed: bool = False
-
-
 @dataclass(frozen=True)
 class ClassicalShare:
     """Two-bit record about one secret qubit and the controllers holding it."""
@@ -159,51 +137,66 @@ class AccessPolicy:
     cooperating_players: set[PartyId]
 
     def validate(self, n: int, m: int, width: int) -> None:
+        """Check the policy against ``n`` players, ``m`` controllers and a
+        ``width``-qubit secret.  Each message starts with the field at fault."""
+
+        def bad(fieldname: str, message: str) -> PolicyError:
+            return PolicyError(f"{fieldname}: {message}")
+
         players = {PartyId.player(i) for i in range(1, n + 1)}
         controllers = {PartyId.controller(i) for i in range(1, m + 1)}
+        if not 1 <= self.threshold_k <= n:
+            raise bad("threshold_k", f"{self.threshold_k} outside 1..{n}")
         if sorted(self.qubit_to_player) != list(range(1, width + 1)):
-            raise PolicyError(
-                f"qubit_to_player must map exactly 1..{width}, got "
-                f"{sorted(self.qubit_to_player)}"
+            raise bad(
+                "qubit_to_player",
+                f"must map exactly 1..{width}, got {sorted(self.qubit_to_player)}",
             )
         assigned = set(self.qubit_to_player.values())
         if not assigned <= players:
-            raise PolicyError("qubit_to_player references unknown players")
+            raise bad("qubit_to_player", f"references players outside 1..{n}")
         if assigned != players:
-            raise PolicyError(
-                f"every one of the {n} players must hold at least one qubit "
-                f"(width {width})"
-            )
+            raise bad("qubit_to_player", "every player must hold at least one qubit")
         if sorted(self.record_to_controller) != list(range(1, width + 1)):
-            raise PolicyError(
-                f"record_to_controller must map exactly 1..{width}, got "
-                f"{sorted(self.record_to_controller)}"
+            raise bad(
+                "record_to_controller",
+                f"must map exactly 1..{width}, got {sorted(self.record_to_controller)}",
             )
         holding = set()
         for i, holders in self.record_to_controller.items():
-            if len(holders) not in (1, 2):
-                raise PolicyError(
-                    f"record_to_controller[{i}] must name one or two controllers"
-                )
-            if len(set(holders)) != len(holders):
-                raise PolicyError(
-                    f"record_to_controller[{i}] names the same controller twice"
+            if len(holders) not in (1, 2) or len(set(holders)) != len(holders):
+                raise bad(
+                    "record_to_controller",
+                    f"record {i} must name one or two distinct controllers",
                 )
             if not set(holders) <= controllers:
-                raise PolicyError(
-                    f"record_to_controller[{i}] references unknown controllers"
+                raise bad(
+                    "record_to_controller",
+                    f"record {i} references controllers outside 1..{m}",
                 )
             holding |= set(holders)
         if holding != controllers:
-            raise PolicyError(
-                f"every one of the {m} controllers must hold at least one share"
+            raise bad(
+                "record_to_controller", "every controller must hold at least one share"
             )
-        if not 1 <= self.threshold_k <= n:
-            raise PolicyError(f"threshold_k={self.threshold_k} outside 1..{n}")
         if set(self.release) != controllers:
-            raise PolicyError("release must flag every controller exactly once")
+            raise bad("release", f"must flag every controller 1..{m} exactly once")
         if not self.cooperating_players <= players:
-            raise PolicyError("cooperating_players references unknown players")
+            raise bad("cooperating_players", f"references players outside 1..{n}")
+
+    def record_released(self, index: int) -> bool:
+        """Whether every holder of record ``index`` releases it."""
+        return all(self.release[c] for c in self.record_to_controller[index])
+
+    def eligible_players(self, available: Iterable[int]) -> list[PartyId]:
+        """Cooperating players whose qubits all have a record in ``available``,
+        sorted.  Reconstruction needs at least ``threshold_k`` of them."""
+        have = set(available)
+        return sorted(
+            p
+            for p in self.cooperating_players
+            if set(self.qubits_held_by(p)) <= have
+        )
 
     def qubits_held_by(self, player: PartyId) -> tuple[int, ...]:
         return tuple(
@@ -339,9 +332,13 @@ class ResourceReport:
     epr_controller: int
     dealer_measurements: int
     controller_measurements: int
-    decoy_overhead: int
     dealer_distribution_measurements: int
     dealer_transport_measurements: int
+
+    @property
+    def decoy_overhead(self) -> int:
+        """One extra player link and distribution measurement per decoy."""
+        return self.decoys
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (
@@ -435,22 +432,15 @@ class ProtocolRun:
                 self._secret_of_slot[slot] = next_index
                 next_index += 1
 
-        initial = secret
-        if plan.count:
-            initial = insert_product_qubits(
-                secret,
-                [p - 1 for p in plan.placements],
-                [s.vector for s in plan.states],
-            )
         self.register = QuantumRegister()
-        ids = self.register.alloc_state(initial, owner=self.dealer)
+        ids = self.register.alloc_state(
+            insert_decoys(secret, plan), owner=self.dealer
+        )
         self.slot_qubits: dict[int, QubitId] = {
             slot: ids[slot - 1] for slot in range(1, total + 1)
         }
 
         self.transcript = Transcript()
-        self.links: list[EprLink] = []
-        self.decoy_outcomes: dict[int, BellKind] = {}
         self.shares: dict[int, ClassicalShare] = {}
         self.decoded_bits: dict[int, tuple[int, int]] = {}
         self.split_holdings: dict[
@@ -458,7 +448,6 @@ class ProtocolRun:
         ] = {}
         self.identified: dict[int, BellKind] = {}
         self.detection: DetectionReport | None = None
-        self.decoys_verified = plan.count == 0
         self._undistributed = set(range(1, total + 1))
         self._controller_links_used = 0
         self._outcome: Recovered | Sealed | None = None
@@ -472,6 +461,10 @@ class ProtocolRun:
     @property
     def distribution_complete(self) -> bool:
         return not self._undistributed
+
+    @property
+    def decoys_verified(self) -> bool:
+        return self.decoy_plan.count == 0 or self.detection is not None
 
     @property
     def transport_complete(self) -> bool:
@@ -522,18 +515,14 @@ class ProtocolRun:
         mu, nu = self.register.alloc_bell_pair(
             BellKind.PHI_MINUS, owners=(self.dealer, receiver)
         )
-        link = EprLink(mu, nu, receiver, "player")
-        self.links.append(link)
         self.transcript.epr_player += 1
         eve_tap(self.register, nu, self.eve, self.rng)
         source = self.slot_qubits[slot]
         kind = self.register.bell_measure(source, mu, self.rng)
-        link.consumed = True
         self.transcript.dealer_distribution_measurements += 1
         if slot in self._secret_of_slot:
             self.transcript.bell_record[self._secret_of_slot[slot]] = kind
         else:
-            self.decoy_outcomes[slot] = kind
             self.transcript.decoy_record[slot] = kind
         self.slot_qubits[slot] = nu
         self._undistributed.discard(slot)
@@ -574,8 +563,6 @@ class ProtocolRun:
             BellKind.PHI_MINUS, owners=(self.dealer, controller)
         )
         self.transcript.epr_controller += 2
-        self.links.append(EprLink(a1, b1, controller, "controller", consumed=True))
-        self.links.append(EprLink(a2, b2, controller, "controller", consumed=True))
         dealer_draw = self.register.bell_measure(a1, a2, self.rng)
         self.transcript.dealer_transport_measurements += 1
         controller_draw = self.register.bell_measure(b1, b2, self.rng)
@@ -627,7 +614,6 @@ class ProtocolRun:
             BellKind.PHI_MINUS, owners=(self.dealer, controller)
         )
         self.transcript.epr_controller += 1
-        self.links.append(EprLink(alpha, beta, controller, "controller", consumed=True))
         outcome = self.register.bell_measure(qubit, alpha, self.rng)
         self.transcript.dealer_transport_measurements += 1
         correction = CORRECTION_FOR_OUTCOME[outcome]
@@ -681,8 +667,8 @@ class ProtocolRun:
             raise ProtocolError(
                 f"record {record_index} is not an unread split share of {ca}, {cb}"
             )
-        if not (self.policy.release.get(ca) and self.policy.release.get(cb)):
-            refusers = [c for c in (ca, cb) if not self.policy.release.get(c)]
+        if not self.policy.record_released(record_index):
+            refusers = [c for c in (ca, cb) if not self.policy.release[c]]
             raise ControllerRefusal(
                 f"{', '.join(str(c) for c in refusers)} withheld cooperation"
             )
@@ -701,24 +687,21 @@ class ProtocolRun:
         """Records whose holders have all released, as the players see them."""
         available: dict[int, BellKind] = {}
         for index in sorted(self.shares):
-            share = self.shares[index]
-            if len(share.holders) == 1:
-                holder = share.holders[0]
-                if self.policy.release.get(holder):
-                    bits = self.decoded_bits[index]
-                    self.log_message(
-                        str(holder),
-                        "public",
-                        f"release record={index} bits={bits[0]}{bits[1]}",
-                    )
-                    available[index] = decode_bits(bits)
+            if not self.policy.record_released(index):
+                continue
+            holders = self.shares[index].holders
+            if len(holders) == 1:
+                bits = self.decoded_bits[index]
+                self.log_message(
+                    str(holders[0]),
+                    "public",
+                    f"release record={index} bits={bits[0]}{bits[1]}",
+                )
+                available[index] = BellKind.from_bits(*bits)
+            elif index in self.identified:
+                available[index] = self.identified[index]
             else:
-                ca, cb = share.holders
-                if self.policy.release.get(ca) and self.policy.release.get(cb):
-                    if index in self.identified:
-                        available[index] = self.identified[index]
-                    else:
-                        available[index] = self.joint_identify(ca, cb, index)
+                available[index] = self.joint_identify(*holders, index)
         return available
 
     def reconstruct(self) -> Recovered | Sealed:
@@ -737,11 +720,7 @@ class ProtocolRun:
             raise IncompleteRun("decoy verification is still pending")
         available = self.available_records()
         k = self.policy.threshold_k
-        eligible = sorted(
-            p
-            for p in self.policy.cooperating_players
-            if set(self.policy.qubits_held_by(p)) <= set(available)
-        )
+        eligible = self.policy.eligible_players(available)
         if len(eligible) < k:
             self._outcome = Sealed(
                 f"released records cover only {len(eligible)} cooperating "
@@ -856,7 +835,6 @@ class ProtocolRun:
             epr_controller=t.epr_controller,
             dealer_measurements=t.dealer_measurements,
             controller_measurements=t.controller_measurements,
-            decoy_overhead=decoys,
             dealer_distribution_measurements=t.dealer_distribution_measurements,
             dealer_transport_measurements=t.dealer_transport_measurements,
         )

@@ -289,9 +289,6 @@ class QuantumRegister:
     def is_live(self, q: QubitId) -> bool:
         return q in self._pos
 
-    def position_of(self, q: QubitId) -> int:
-        return self._position(q)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self._amps))
 

@@ -47,8 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScenarioError
-from .protocol import peak_live_qubits
+from .errors import PolicyError, ScenarioError
+from .protocol import AccessPolicy, PartyId, peak_live_qubits
 from .qubits import MAX_LIVE_QUBITS
 
 SCHEMA_TAG = "cqss-scenario v1"
@@ -67,7 +67,12 @@ class SecretSpec:
 
 @dataclass
 class ScenarioConfig:
-    """Everything needed to reproduce a batch of protocol runs."""
+    """Everything needed to reproduce a batch of protocol runs.
+
+    The assignment, threshold, release and cooperation fields are the parsed
+    form of an :class:`~cqss.protocol.AccessPolicy` (see :meth:`policy`),
+    with parties named by their 1-based indices; the policy validates them.
+    """
 
     name: str
     N: int
@@ -98,6 +103,21 @@ class ScenarioConfig:
             cooperating_players=set(self.cooperating_players),
         )
 
+    def policy(self) -> AccessPolicy:
+        """The access policy these fields describe, with indices as parties."""
+        return AccessPolicy(
+            qubit_to_player={
+                i: PartyId.player(p) for i, p in self.qubit_to_player.items()
+            },
+            record_to_controller={
+                i: tuple(PartyId.controller(c) for c in holders)
+                for i, holders in self.record_to_controller.items()
+            },
+            threshold_k=self.threshold_k,
+            release={PartyId.controller(c): flag for c, flag in self.release.items()},
+            cooperating_players={PartyId.player(p) for p in self.cooperating_players},
+        )
+
     def validate(self) -> None:
         def bad(fieldname: str, message: str) -> ScenarioError:
             return ScenarioError(f"{fieldname}: {message}")
@@ -110,47 +130,19 @@ class ScenarioConfig:
             raise bad("m", f"must satisfy 1 <= m <= 2N={2 * self.N}, got {self.m}")
         if self.mode not in MODES:
             raise bad("mode", f"must be one of {MODES}, got {self.mode!r}")
-        if not 1 <= self.threshold_k <= self.n:
-            raise bad("threshold_k", f"outside 1..{self.n}")
-        if sorted(self.qubit_to_player) != list(range(1, self.N + 1)):
-            raise bad("qubit_to_player", f"must map exactly 1..{self.N}")
-        if any(not 1 <= p <= self.n for p in self.qubit_to_player.values()):
-            raise bad("qubit_to_player", f"player indices must lie in 1..{self.n}")
-        if set(self.qubit_to_player.values()) != set(range(1, self.n + 1)):
-            raise bad("qubit_to_player", "every player must hold at least one qubit")
-        if sorted(self.record_to_controller) != list(range(1, self.N + 1)):
-            raise bad("record_to_controller", f"must map exactly 1..{self.N}")
-        held: set[int] = set()
-        arities: set[int] = set()
-        for i, holders in self.record_to_controller.items():
-            if len(holders) not in (1, 2) or len(set(holders)) != len(holders):
-                raise bad(
-                    "record_to_controller",
-                    f"record {i} must name one or two distinct controllers",
-                )
-            if any(not 1 <= c <= self.m for c in holders):
-                raise bad(
-                    "record_to_controller",
-                    f"record {i} references controllers outside 1..{self.m}",
-                )
-            held |= set(holders)
-            arities.add(len(holders))
-        if held != set(range(1, self.m + 1)):
-            raise bad(
-                "record_to_controller",
-                "every controller must hold at least one share",
-            )
-        expected_arities = {"classical": {1}, "split": {2}}.get(self.mode)
-        if expected_arities is not None and arities - expected_arities:
+        try:
+            self.policy().validate(self.n, self.m, self.N)
+        except PolicyError as exc:
+            raise ScenarioError(str(exc)) from None
+        expected_arity = {"classical": 1, "split": 2}.get(self.mode)
+        if expected_arity is not None and any(
+            len(h) != expected_arity for h in self.record_to_controller.values()
+        ):
             raise bad(
                 "mode",
                 f"{self.mode} mode requires every record to name "
                 f"{'one controller' if self.mode == 'classical' else 'two controllers'}",
             )
-        if sorted(self.release) != list(range(1, self.m + 1)):
-            raise bad("release", f"must flag every controller 1..{self.m}")
-        if not self.cooperating_players <= set(range(1, self.n + 1)):
-            raise bad("cooperating_players", f"player indices must lie in 1..{self.n}")
         if self.decoys < 0:
             raise bad("decoys", "must be >= 0")
         peak = peak_live_qubits(self.N, self.decoys, self.record_to_controller)

@@ -210,7 +210,6 @@ def verify_decoys(run: "ProtocolRun", plan: DecoyPlan) -> DetectionReport:
     if plan != run.decoy_plan:
         raise PolicyError("plan does not match the one used at setup")
     if plan.count == 0:
-        run.decoys_verified = True
         report = DetectionReport(0, 0)
         run.detection = report
         return report
@@ -223,7 +222,7 @@ def verify_decoys(run: "ProtocolRun", plan: DecoyPlan) -> DetectionReport:
     mismatches = 0
     for slot in plan.placements:
         state = plan.record[slot]
-        outcome = run.decoy_outcomes[slot]
+        outcome = run.transcript.decoy_record[slot]
         x, y = outcome.bits
         run.log_message(
             "dealer", "public", f"decoy-open slot={slot} bits={x}{y} basis={state.basis}"
@@ -236,7 +235,6 @@ def verify_decoys(run: "ProtocolRun", plan: DecoyPlan) -> DetectionReport:
         if bit != state.expected_bit:
             mismatches += 1
     report = DetectionReport(plan.count, mismatches)
-    run.decoys_verified = True
     run.detection = report
     return report
 

@@ -1,6 +1,8 @@
 """Demo encoding, trial batches, reports, consent sweep, detection curve."""
 
+import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from cqss.harness import (
     run_trial,
 )
 from cqss.qubits import QuantumRegister, RandomSource, fidelity
-from cqss.scenario import parse_scenario_text
+from cqss.scenario import load_scenario, parse_scenario_text
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 BASE = """
 cqss-scenario v1
@@ -195,6 +199,40 @@ class TestVetoInvariant:
         report = run_scenario(cfg)
         # records 1 and 2 cover players 1 and 2: threshold met
         assert report.recovered == 10
+
+
+class TestExpectedOutcome:
+    """``expected_outcome`` predicts ``run_trial`` under every release subset."""
+
+    @staticmethod
+    def assert_matches_every_release(cfg):
+        for r in range(cfg.m + 1):
+            for released in itertools.combinations(range(1, cfg.m + 1), r):
+                trial_cfg = cfg.with_release(set(released))
+                got = run_trial(trial_cfg, 0).outcome
+                assert expected_outcome(trial_cfg) == got, (cfg.name, released)
+
+    @pytest.mark.parametrize(
+        "name", ["full_release_demo", "veto_controller", "split_share"]
+    )
+    def test_bundled_scenarios(self, name):
+        self.assert_matches_every_release(load_scenario(SCENARIOS / f"{name}.scn"))
+
+    def test_threshold_below_player_count(self):
+        # Only players 1 and 3 cooperate, so recovery needs records 1, 2
+        # (both of player 1's qubits) and 4; record 3 makes no difference.
+        cfg = config(
+            N=4,
+            n=3,
+            m=4,
+            threshold_k=2,
+            qubit_to_player={1: 1, 2: 1, 3: 2, 4: 3},
+            record_to_controller={1: (1,), 2: (2,), 3: (3,), 4: (4,)},
+            release={1: True, 2: True, 3: True, 4: True},
+            cooperating_players={1, 3},
+            trials=1,
+        )
+        self.assert_matches_every_release(cfg)
 
 
 # -- consent sweep -----------------------------------------------------------------------

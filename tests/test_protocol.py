@@ -21,8 +21,6 @@ from cqss.protocol import (
     PartyId,
     Recovered,
     Sealed,
-    decode_bits,
-    encode_bits,
     peak_live_qubits,
     setup,
 )
@@ -237,10 +235,10 @@ class TestEndToEndRandomPolicies:
 
 
 def test_encode_decode_round_trip():
-    assert encode_bits(BellKind.PHI_MINUS) == (0, 0)
-    assert encode_bits(BellKind.VARPHI_PLUS) == (1, 1)
+    assert BellKind.PHI_MINUS.bits == (0, 0)
+    assert BellKind.VARPHI_PLUS.bits == (1, 1)
     for kind in BellKind:
-        assert decode_bits(encode_bits(kind)) is kind
+        assert BellKind.from_bits(*kind.bits) is kind
 
 
 # -- classical record transport -----------------------------------------------------------

@@ -2,9 +2,10 @@
 
 import pytest
 
-from cqss.errors import ScenarioError
+from cqss.errors import PolicyError, ScenarioError
 from cqss.scenario import (
     SCHEMA_TAG,
+    ScenarioConfig,
     SecretSpec,
     parse_scenario_text,
     scenario_to_text,
@@ -158,6 +159,37 @@ class TestErrors:
         self.assert_names_field(
             MINIMAL + "\nqubit_to_player = 1-1 2-2 3-3", "qubit_to_player"
         )
+
+
+# One malformed value per access-policy field, set on MINIMAL (n = m = N = 3).
+POLICY_FIELD_CASES = [
+    ("qubit_to_player", "1:1 2:1 3:2"),  # player 3 holds no qubit
+    ("record_to_controller", "1:1 2:2 3:3+3"),  # one controller named twice
+    ("threshold_k", "0"),
+    ("release", "1:yes 2:yes 3:yes 4:no"),  # controller 4 does not exist
+    ("cooperating_players", "1 2 4"),  # player 4 does not exist
+]
+
+
+def with_field(text, key, value):
+    kept = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    return "\n".join(kept + [f"{key} = {value}"]) + "\n"
+
+
+@pytest.mark.parametrize("fieldname,value", POLICY_FIELD_CASES)
+def test_policy_fields_rejected_by_access_policy(fieldname, value, monkeypatch):
+    text = with_field(MINIMAL, fieldname, value)
+    with pytest.raises(ScenarioError) as scenario_err:
+        parse_scenario_text(text)
+    assert str(scenario_err.value).startswith(fieldname + ":"), str(scenario_err.value)
+
+    # The same maps, parsed without validation, fail the policy's own check
+    # with the same message.
+    monkeypatch.setattr(ScenarioConfig, "validate", lambda self: None)
+    policy = parse_scenario_text(text).policy()
+    with pytest.raises(PolicyError) as policy_err:
+        policy.validate(3, 3, 3)
+    assert str(policy_err.value) == str(scenario_err.value)
 
 
 class TestWithRelease:
