@@ -78,6 +78,19 @@ def peak_live_qubits(
     return width + decoys + 2 * n_split + (2 if last_split else 4)
 
 
+def check_capacity(
+    width: int, decoys: int, record_to_controller: Mapping[int, Sized]
+) -> None:
+    """Raise :class:`CapacityError` if a run would exceed ``MAX_LIVE_QUBITS``
+    at its :func:`peak_live_qubits`."""
+    peak = peak_live_qubits(width, decoys, record_to_controller)
+    if peak > MAX_LIVE_QUBITS:
+        raise CapacityError(
+            f"a run over {width + decoys} slots peaks at {peak} live qubits "
+            f"(cap {MAX_LIVE_QUBITS})"
+        )
+
+
 class Role(Enum):
     DEALER = "dealer"
     PLAYER = "player"
@@ -304,15 +317,16 @@ class Transcript:
 class Recovered:
     """Reconstruction succeeded for at least one authorized player set.
 
-    ``state_vector`` is the full corrected state over all secret qubits in
-    index order; it is present only when every record was available, which
-    is the case where the original state is restored exactly.
-    ``share_state`` is the corrected register restricted to the covered
-    qubits (labelled by secret index).
+    On full recovery (every secret qubit covered and nothing else live) the
+    original state is restored exactly: ``state_vector`` holds it over all
+    secret qubits in index order and is the one fact, so ``share_state`` is
+    None; its projector is ``pure_density(state_vector)``.  Otherwise
+    ``state_vector`` is None and ``share_state`` is the corrected register
+    restricted to the covered qubits (labelled by secret index).
     """
 
     state_vector: np.ndarray | None
-    share_state: DensityMatrix
+    share_state: DensityMatrix | None
     covered_qubits: tuple[int, ...]
     players: tuple[PartyId, ...]
 
@@ -394,15 +408,8 @@ class ProtocolRun:
         policy.validate(n, m, secret_width)
         plan = decoy_plan if decoy_plan is not None else DecoyPlan()
         plan.validate(secret_width)
+        check_capacity(secret_width, plan.count, policy.record_to_controller)
         total = secret_width + plan.count
-        peak = peak_live_qubits(
-            secret_width, plan.count, policy.record_to_controller
-        )
-        if peak > MAX_LIVE_QUBITS:
-            raise CapacityError(
-                f"a run over {total} slots peaks at {peak} live qubits "
-                f"(cap {MAX_LIVE_QUBITS})"
-            )
 
         self.n = n
         self.m = m
@@ -544,9 +551,8 @@ class ProtocolRun:
         two bits.  The dealer publicly announces the record XORed with her
         draw; only the controller can strip the pad.
         """
-        if controller.role is not Role.CONTROLLER:
-            raise PolicyError(f"{controller} is not a controller")
         index = share.about_qubit
+        self._check_holders(index, (controller,))
         if share.holders != (controller,):
             raise PolicyError(
                 f"share holders {share.holders} do not match {controller}"
@@ -590,11 +596,7 @@ class ProtocolRun:
         Afterwards the pair jointly holds the Bell state named by the
         record, and neither half alone carries any of it.
         """
-        if ca == cb:
-            raise PolicyError("a split share needs two distinct controllers")
-        for c in (ca, cb):
-            if c.role is not Role.CONTROLLER:
-                raise PolicyError(f"{c} is not a controller")
+        self._check_holders(record_index, (ca, cb))
         if record_index not in self.transcript.bell_record:
             raise IncompleteRun(f"record {record_index} has not been produced yet")
         if record_index in self.shares:
@@ -605,6 +607,16 @@ class ProtocolRun:
         qb = self._teleport_to_controller(h, cb, record_index)
         self.split_holdings[record_index] = ((ca, qa), (cb, qb))
         self.shares[record_index] = ClassicalShare(kind.bits, record_index, (ca, cb))
+
+    def _check_holders(self, index: int, holders: tuple[PartyId, ...]) -> None:
+        """The policy must assign record ``index`` to exactly ``holders``."""
+        assigned = tuple(self.policy.record_to_controller.get(index, ()))
+        if assigned != holders:
+            raise PolicyError(
+                f"record {index} is assigned to "
+                f"{', '.join(map(str, assigned)) or 'no controller'}, "
+                f"not {', '.join(map(str, holders))}"
+            )
 
     def _teleport_to_controller(
         self, qubit: QubitId, controller: PartyId, record_index: int
@@ -735,10 +747,6 @@ class ProtocolRun:
             op = CORRECTION_FOR_OUTCOME[available[index]]
             self.register.apply_pauli(qubit, op)
             self.transcript.corrections.append((qubit, op))
-        share_ids = [self.slot_qubits[self._slot_of_secret[i]] for i in covered]
-        reduced = self.register.reduced_density(share_ids)
-        share_state = DensityMatrix(reduced.entries, tuple(covered))
-        state_vector = None
         secret_ids = [
             self.slot_qubits[self._slot_of_secret[i]]
             for i in range(1, self.secret_width + 1)
@@ -747,6 +755,12 @@ class ProtocolRun:
             self.register.live_qubits()
         ) == sorted(secret_ids):
             state_vector = self.register.state_vector(order=secret_ids)
+            share_state = None
+        else:
+            state_vector = None
+            share_ids = [self.slot_qubits[self._slot_of_secret[i]] for i in covered]
+            reduced = self.register.reduced_density(share_ids)
+            share_state = DensityMatrix(reduced.entries, tuple(covered))
         self._outcome = Recovered(
             state_vector, share_state, tuple(covered), tuple(eligible)
         )

@@ -47,9 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PolicyError, ScenarioError
-from .protocol import AccessPolicy, PartyId, peak_live_qubits
-from .qubits import MAX_LIVE_QUBITS
+from .errors import CapacityError, PolicyError, ScenarioError
+from .protocol import AccessPolicy, PartyId, check_capacity
 
 SCHEMA_TAG = "cqss-scenario v1"
 
@@ -145,12 +144,10 @@ class ScenarioConfig:
             )
         if self.decoys < 0:
             raise bad("decoys", "must be >= 0")
-        peak = peak_live_qubits(self.N, self.decoys, self.record_to_controller)
-        if peak > MAX_LIVE_QUBITS:
-            raise bad(
-                "decoys",
-                f"configuration peaks at {peak} live qubits (cap {MAX_LIVE_QUBITS})",
-            )
+        try:
+            check_capacity(self.N, self.decoys, self.record_to_controller)
+        except CapacityError as exc:
+            raise bad("decoys", str(exc)) from None
         if self.eve not in EVE_STRATEGIES:
             raise bad("eve", f"must be one of {EVE_STRATEGIES}, got {self.eve!r}")
         if not 0.0 <= self.eve_probability <= 1.0:

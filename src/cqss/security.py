@@ -164,11 +164,14 @@ class DetectionReport:
 
 def insert_decoys(secret: np.ndarray, plan: DecoyPlan) -> np.ndarray:
     """Product of the secret state with the decoy qubits, decoys sitting at
-    the planned slots and the secret qubits filling the rest in order."""
+    the planned slots and the secret qubits filling the rest in order.
+
+    ``plan`` is taken as validated (``ProtocolRun`` runs ``DecoyPlan.validate``
+    before its capacity check); placements that cannot be inserted still
+    raise ``ValueError`` in :func:`insert_product_qubits`."""
     vec = np.asarray(secret, dtype=complex).reshape(-1)
     if plan.count == 0:
         return vec.copy()
-    plan.validate(int(np.log2(vec.size)))
     return insert_product_qubits(
         vec,
         [p - 1 for p in plan.placements],

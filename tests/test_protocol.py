@@ -14,6 +14,7 @@ from cqss.errors import (
     PolicyError,
     ProtocolError,
 )
+from cqss import harness
 from cqss.harness import build_run
 from cqss.protocol import (
     AccessPolicy,
@@ -27,6 +28,7 @@ from cqss.protocol import (
 from cqss.qubits import (
     CORRECTION_FOR_OUTCOME,
     BellKind,
+    DensityMatrix,
     QuantumRegister,
     RandomSource,
     expected_withheld_density,
@@ -34,8 +36,8 @@ from cqss.qubits import (
     pure_density,
     trace_distance,
 )
-from cqss.scenario import load_scenario
-from cqss.security import DecoyPlan
+from cqss.scenario import load_scenario, parse_scenario_text
+from cqss.security import DecoyPlan, DecoyState
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -94,6 +96,26 @@ class TestSetup:
         with pytest.raises(CapacityError):
             setup(width, width, width, haar(width, 1), policy, RandomSource(0),
                   decoy_plan=plan)
+
+    def test_invalid_decoy_plan_rejected_before_capacity(self):
+        # 30 duplicate placements would also exceed the cap; the plan is
+        # checked first
+        plan = DecoyPlan((1,) * 30, (DecoyState.ZERO,) * 30)
+        policy = AccessPolicy.round_robin(3, 3, 3)
+        with pytest.raises(PolicyError):
+            setup(3, 3, 3, haar(3, 1), policy, RandomSource(0), decoy_plan=plan)
+
+    def test_decoy_plan_validated_once(self, monkeypatch):
+        calls = []
+        validate = DecoyPlan.validate
+        monkeypatch.setattr(
+            DecoyPlan, "validate",
+            lambda plan, width: (calls.append(width), validate(plan, width)),
+        )
+        plan = DecoyPlan.random(3, 2, RandomSource(5))
+        policy = AccessPolicy.round_robin(3, 3, 3)
+        setup(3, 3, 3, haar(3, 1), policy, RandomSource(0), decoy_plan=plan)
+        assert calls == [3]
 
     def test_unnormalized_secret_rejected(self):
         from cqss.errors import NotNormalized
@@ -301,6 +323,15 @@ class TestClassicalTransport:
         with pytest.raises(IncompleteRun):
             run.send_bits_classical(c, ClassicalShare((0, 0), 1, (c,)))
 
+    def test_record_sent_to_unassigned_controller_rejected(self):
+        # round robin gives record 1 to controller 1
+        run = fresh_run(width=2, policy=AccessPolicy.round_robin(2, 2, 2))
+        run.distribute_all()
+        c2 = PartyId.controller(2)
+        with pytest.raises(PolicyError):
+            run.send_bits_classical(c2, ClassicalShare((1, 1), 1, (c2,)))
+        assert run.shares == {} and run.transcript.epr_controller == 0
+
 
 # -- split transport -------------------------------------------------------------------
 
@@ -368,6 +399,19 @@ class TestSplitTransport:
         rho = run.register.reduced_density([qa])
         assert trace_distance(rho.entries, np.eye(2) / 2) <= 1e-10
 
+    def test_split_record_sent_to_wrong_pair_rejected(self):
+        # round robin with split_all gives record 1 to (controller 1, controller 2)
+        policy = AccessPolicy.round_robin(2, 3, 2, split_all=True)
+        run = setup(2, 3, 2, haar(2, 1), policy, RandomSource(0))
+        run.distribute_all()
+        c1, c2, c3 = (PartyId.controller(i) for i in (1, 2, 3))
+        for ca, cb in ((c2, c1), (c1, c3), (c3, c2)):
+            with pytest.raises(PolicyError):
+                run.split_bell_between_controllers(ca, cb, 1)
+        assert run.shares == {} and run.transcript.epr_controller == 0
+        run.split_bell_between_controllers(c1, c2, 1)
+        assert run.shares[1].holders == (c1, c2)
+
     def test_identity_branch_preserves_singlet(self):
         # teleporting half of a singlet through a singlet, forcing the
         # no-correction branch, leaves the singlet intact
@@ -391,9 +435,45 @@ class TestReconstruct:
         assert isinstance(out, Recovered)
         assert fidelity(out.state_vector, run.secret) >= 1 - 1e-10
         assert out.covered_qubits == (1, 2, 3)
-        out.share_state.validate()
-        assert trace_distance(out.share_state.entries, pure_density(run.secret)) \
-            <= 1e-10
+        assert out.share_state is None
+        projector = DensityMatrix(pure_density(out.state_vector), (1, 2, 3))
+        projector.validate()
+        assert trace_distance(projector.entries, pure_density(run.secret)) <= 1e-10
+
+    def test_full_release_at_width_16(self, monkeypatch):
+        # The recovered state is returned as a 2^16 vector; no 2^16 x 2^16
+        # density matrix is built on the way.
+        width = 16
+        cfg = parse_scenario_text(
+            f"""
+            cqss-scenario v1
+            name = wide-release
+            N = {width}
+            n = {width}
+            m = {width}
+            mode = classical
+            threshold_k = {width}
+            secret = haar 5
+            trials = 1
+            master_seed = 2026
+            """
+        )
+        runs = []
+
+        def recording_build_run(*args):
+            runs.append(build_run(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(harness, "build_run", recording_build_run)
+        result = harness.run_trial(cfg, 0)
+        assert result.outcome == "recovered"
+        assert result.fidelity >= 1 - 1e-10
+        (run,) = runs
+        out = run.reconstruct()  # the outcome run_trial already computed
+        assert isinstance(out, Recovered) and out.share_state is None
+        assert run.register.peak_qubits == peak_live_qubits(
+            width, 0, cfg.record_to_controller
+        )
 
     def test_single_withheld_seals(self):
         policy = AccessPolicy.round_robin(3, 3, 3)
@@ -418,6 +498,19 @@ class TestReconstruct:
         assert out.covered_qubits == (1, 2)
         assert out.state_vector is None  # qubit 3 stays uncorrected
         out.share_state.validate()
+
+    def test_partial_share_state_is_reduced_density_of_covered(self):
+        policy = AccessPolicy.round_robin(3, 3, 3, threshold_k=2)
+        policy.release[PartyId.controller(2)] = False
+        run = complete(fresh_run(policy=policy, seed=22, secret_seed=23))
+        out = run.reconstruct()
+        assert isinstance(out, Recovered)
+        assert out.state_vector is None
+        assert out.covered_qubits == (1, 3)
+        out.share_state.validate()
+        assert out.share_state.subset == (1, 3)
+        rho = run.register.reduced_density([run.slot_qubits[i] for i in (1, 3)])
+        assert np.max(np.abs(out.share_state.entries - rho.entries)) <= 1e-12
 
     def test_reconstruct_before_distribution_rejected(self):
         run = fresh_run()

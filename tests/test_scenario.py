@@ -1,8 +1,11 @@
 """Scenario file format: parsing, defaults, round trips, and field errors."""
 
+import numpy as np
 import pytest
 
-from cqss.errors import PolicyError, ScenarioError
+from cqss.errors import CapacityError, PolicyError, ScenarioError
+from cqss.protocol import AccessPolicy, setup
+from cqss.qubits import RandomSource
 from cqss.scenario import (
     SCHEMA_TAG,
     ScenarioConfig,
@@ -10,6 +13,7 @@ from cqss.scenario import (
     parse_scenario_text,
     scenario_to_text,
 )
+from cqss.security import DecoyPlan
 
 MINIMAL = """
 cqss-scenario v1
@@ -149,6 +153,15 @@ class TestErrors:
         # of the last record holds four pad qubits on top of them.
         self.assert_names_field(MINIMAL.replace("decoys = 0", "")
                                 + "\ndecoys = 18", "decoys")
+
+    def test_decoy_capacity_reports_protocol_check(self):
+        # the scenario error is the protocol's CapacityError under "decoys: "
+        with pytest.raises(ScenarioError) as scenario_err:
+            parse_scenario_text(MINIMAL + "\ndecoys = 18")
+        with pytest.raises(CapacityError) as capacity_err:
+            setup(3, 3, 3, np.eye(8)[0], AccessPolicy.round_robin(3, 3, 3),
+                  RandomSource(0), decoy_plan=DecoyPlan.random(3, 18, RandomSource(1)))
+        assert str(scenario_err.value) == f"decoys: {capacity_err.value}"
 
     def test_eve_fields(self):
         self.assert_names_field(MINIMAL + "\neve = lurking", "eve")
