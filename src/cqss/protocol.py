@@ -57,7 +57,7 @@ from .qubits import (
     apply_single_qubit_channel,
     pure_density,
 )
-from .security import DecoyPlan, DetectionReport, EveModel, eve_tap, insert_decoys
+from .security import DecoyPlan, DetectionReport, EveModel, eve_tap
 
 
 def peak_live_qubits(
@@ -424,28 +424,26 @@ class ProtocolRun:
         self.players = [PartyId.player(i) for i in range(1, n + 1)]
         self.controllers = [PartyId.controller(i) for i in range(1, m + 1)]
 
-        # Slot layout: decoys sit at the planned slots, secret qubits fill
-        # the remaining slots in index order.
-        decoy_slots = set(plan.placements)
+        # Slot layout: decoys sit at the planned slots, each its own block;
+        # secret qubits fill the remaining slots in index order.
+        self.register = QuantumRegister()
+        secret_ids = self.register.alloc_state(secret, owner=self.dealer)
+        decoys = plan.record
+        self._decoy_ordinal: dict[int, int] = {}
         self._slot_of_secret: dict[int, int] = {}
         self._secret_of_slot: dict[int, int] = {}
-        self._decoy_ordinal: dict[int, int] = {
-            slot: j + 1 for j, slot in enumerate(plan.placements)
-        }
-        next_index = 1
+        self.slot_qubits: dict[int, QubitId] = {}
         for slot in range(1, total + 1):
-            if slot not in decoy_slots:
-                self._slot_of_secret[next_index] = slot
-                self._secret_of_slot[slot] = next_index
-                next_index += 1
-
-        self.register = QuantumRegister()
-        ids = self.register.alloc_state(
-            insert_decoys(secret, plan), owner=self.dealer
-        )
-        self.slot_qubits: dict[int, QubitId] = {
-            slot: ids[slot - 1] for slot in range(1, total + 1)
-        }
+            if slot in decoys:
+                self._decoy_ordinal[slot] = len(self._decoy_ordinal) + 1
+                (self.slot_qubits[slot],) = self.register.alloc_state(
+                    decoys[slot].vector, owner=self.dealer
+                )
+            else:
+                index = len(self._slot_of_secret) + 1
+                self._slot_of_secret[index] = slot
+                self._secret_of_slot[slot] = index
+                self.slot_qubits[slot] = secret_ids[index - 1]
 
         self.transcript = Transcript()
         self.shares: dict[int, ClassicalShare] = {}

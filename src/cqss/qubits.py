@@ -1,9 +1,13 @@
 """Exact state-vector simulation of small qubit registers.
 
-The register stores a dense complex amplitude vector over the live qubits
-plus a label table mapping stable qubit ids to tensor positions.  Measured
-qubits are compacted out of the vector immediately, so long protocols stay
-within the hard cap of 24 live qubits.
+The register stores its state as a product of blocks: each block is a
+complex amplitude vector over its own ordered qubits.  Allocation adds a
+block; a Bell measurement merges the two blocks of its pair (one outer
+product) only when they differ; a measurement shrinks one block, and a block
+measured down to no qubits folds its leftover scalar into a register phase.
+Qubits that never meet the secret (pad links, split shares) therefore never
+multiply its vector.  ``state_vector`` and ``reduced_density`` multiply
+blocks out on demand.  The hard cap of 24 counts all live qubits.
 
 Conventions
 -----------
@@ -259,8 +263,27 @@ class DensityMatrix:
             raise InternalInconsistency(f"negative eigenvalue {eigs.min()}")
 
 
+@dataclass(eq=False, slots=True)
+class _Block:
+    """One factor of the register's product state: ``amps`` over ``qubits``,
+    tensor position j holding ``qubits[j]``.  Compared by identity."""
+
+    amps: np.ndarray
+    qubits: list[QubitId]
+
+
+def _product(blocks: Iterable[_Block]) -> tuple[np.ndarray, list[QubitId]]:
+    """Tensor product of ``blocks`` and its qubit order (for one block, that
+    block's own array)."""
+    amps, qubits = None, []
+    for block in blocks:
+        amps = block.amps if amps is None else (amps[:, None] * block.amps).reshape(-1)
+        qubits += block.qubits
+    return (np.ones(1, dtype=complex) if amps is None else amps), qubits
+
+
 class QuantumRegister:
-    """Dense state vector over live qubits with stable integer handles.
+    """Product of blocks over live qubits with stable integer handles.
 
     Qubit ids are never reused within one register's lifetime.  Every
     measurement helper exists in a forced-branch form (``project_*``), which
@@ -269,159 +292,166 @@ class QuantumRegister:
     """
 
     def __init__(self) -> None:
-        self._amps = np.ones(1, dtype=complex)
-        self._order: list[QubitId] = []
-        self._pos: dict[QubitId, int] = {}
+        self._blocks: list[_Block] = []
+        self._block_of: dict[QubitId, _Block] = {}
+        # Scalars of blocks measured down to no qubits: the global phase.
+        self._phase = 1.0 + 0.0j
         self.owner: dict[QubitId, object] = {}
         self._next_id = 0
-        # High-water mark of live qubits over the register's lifetime.
+        # High-water marks of live qubits and of the largest block.
         self.peak_qubits = 0
+        self.peak_block_qubits = 0
 
     # -- introspection -------------------------------------------------------
 
     @property
     def num_qubits(self) -> int:
-        return len(self._order)
+        return len(self._block_of)
 
     def live_qubits(self) -> tuple[QubitId, ...]:
-        return tuple(self._order)
+        """Live qubit ids in allocation order."""
+        return tuple(sorted(self._block_of))
 
     def is_live(self, q: QubitId) -> bool:
-        return q in self._pos
+        return q in self._block_of
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._amps))
+        norms = [np.linalg.norm(b.amps) for b in self._blocks]
+        return float(abs(self._phase) * np.prod(norms))
 
     def state_vector(self, order: Sequence[QubitId] | None = None) -> np.ndarray:
-        """Amplitudes, optionally permuted to put ``order[j]`` at position j."""
+        """Amplitudes over all live qubits, ``order[j]`` at position j
+        (allocation order by default); the blocks are multiplied out here."""
         if order is None:
-            return self._amps.copy()
-        if sorted(order) != sorted(self._order):
+            order = self.live_qubits()
+        elif sorted(order) != sorted(self._block_of):
             raise UnknownQubit(f"order {order} is not a permutation of live qubits")
-        perm = [self._pos[q] for q in order]
-        return np.transpose(self._tensor(), perm).reshape(-1).copy()
+        amps, qubits = _product(self._blocks)
+        perm = [qubits.index(q) for q in order]
+        amps = self._phase * amps  # a new array, never a block's own
+        return np.transpose(amps.reshape((2,) * len(qubits)), perm).reshape(-1)
 
     def copy(self) -> "QuantumRegister":
         dup = QuantumRegister()
-        dup._amps = self._amps.copy()
-        dup._order = list(self._order)
-        dup._pos = dict(self._pos)
+        dup._blocks = [_Block(b.amps.copy(), list(b.qubits)) for b in self._blocks]
+        dup._block_of = {q: b for b in dup._blocks for q in b.qubits}
+        dup._phase = self._phase
         dup.owner = dict(self.owner)
         dup._next_id = self._next_id
         dup.peak_qubits = self.peak_qubits
+        dup.peak_block_qubits = self.peak_block_qubits
         return dup
 
     # -- allocation -----------------------------------------------------------
 
     def alloc_qubit(self, value: int, owner: object = None) -> QubitId:
-        """Append one qubit in |0> or |1>."""
+        """Add one qubit in |0> or |1>."""
         if value not in (0, 1):
             raise ValueError(f"basis value must be 0 or 1, got {value}")
         vec = np.zeros(2, dtype=complex)
         vec[value] = 1.0
-        return self._grow(vec, 1, (owner,))[0]
+        return self._grow(vec, (owner,))[0]
 
     def alloc_bell_pair(
         self, kind: BellKind, owners: tuple[object, object] = (None, None)
     ) -> tuple[QubitId, QubitId]:
-        """Append two qubits in the exact Bell state of ``kind``."""
-        ids = self._grow(kind.vector, 2, owners)
+        """Add two qubits in the exact Bell state of ``kind``."""
+        ids = self._grow(kind.vector, owners)
         return ids[0], ids[1]
 
     def alloc_state(
         self, vector: np.ndarray, owner: object = None
     ) -> tuple[QubitId, ...]:
-        """Append a block of qubits carrying an arbitrary normalized state."""
-        vec = np.asarray(vector, dtype=complex).reshape(-1)
+        """Add qubits carrying an arbitrary normalized state, as one block."""
+        vec = np.array(vector, dtype=complex).reshape(-1)
         n = int(np.log2(vec.size))
         if 2**n != vec.size or vec.size < 2:
             raise DimensionMismatch(f"state length {vec.size} is not a power of two")
         if abs(np.linalg.norm(vec) - 1.0) > NORM_ATOL:
             raise NotNormalized(f"state norm {np.linalg.norm(vec)}")
-        return self._grow(vec, n, (owner,) * n)
+        return self._grow(vec, (owner,) * n)
 
-    def _grow(
-        self, vec: np.ndarray, count: int, owners: tuple[object, ...]
-    ) -> tuple[QubitId, ...]:
+    def _grow(self, vec: np.ndarray, owners: tuple[object, ...]) -> tuple[QubitId, ...]:
+        """Add a new block over fresh ids; the cap counts every live qubit."""
+        count = len(owners)
         if self.num_qubits + count > MAX_LIVE_QUBITS:
             raise CapacityError(
                 f"register would hold {self.num_qubits + count} qubits "
                 f"(cap {MAX_LIVE_QUBITS})"
             )
-        self._amps = (self._amps[:, None] * vec[None, :]).reshape(-1)
-        ids = []
-        for owner in owners:
-            q = self._next_id
-            self._next_id += 1
-            self._pos[q] = len(self._order)
-            self._order.append(q)
+        ids = list(range(self._next_id, self._next_id + count))
+        self._next_id += count
+        block = _Block(vec, ids)
+        self._blocks.append(block)
+        for q, owner in zip(ids, owners):
+            self._block_of[q] = block
             if owner is not None:
                 self.owner[q] = owner
-            ids.append(q)
-        self.peak_qubits = max(self.peak_qubits, len(self._order))
+        self.peak_qubits = max(self.peak_qubits, self.num_qubits)
+        self.peak_block_qubits = max(self.peak_block_qubits, count)
         return tuple(ids)
 
     # -- unitaries ------------------------------------------------------------
 
     def apply_pauli(self, q: QubitId, op: Pauli) -> None:
-        p = self._position(q)
+        block, p = self._locate(q)
         if op is Pauli.I:
             return
-        t = self._amps.reshape(1 << p, 2, -1)
+        t = block.amps.reshape(1 << p, 2, -1)
         # X, Z and ZX are signed permutations; slice instead of multiplying.
         if op is Pauli.X:
-            self._amps = t[:, ::-1, :].reshape(-1)
+            block.amps = t[:, ::-1, :].reshape(-1)
         elif op is Pauli.Z:
             flipped = t.copy()
             flipped[:, 1, :] *= -1.0
-            self._amps = flipped.reshape(-1)
+            block.amps = flipped.reshape(-1)
         else:  # ZX: X first, then Z
             swapped = t[:, ::-1, :].copy()
             swapped[:, 1, :] *= -1.0
-            self._amps = swapped.reshape(-1)
+            block.amps = swapped.reshape(-1)
 
     # -- Bell-basis measurement -------------------------------------------------
 
     def bell_probabilities(self, qa: QubitId, qb: QubitId) -> np.ndarray:
         """Probabilities of the four Bell outcomes on the pair (qa, qb)."""
-        comps = self._pair_components(qa, qb)
+        _, comps = self._pair_components(qa, qb)
         return (np.abs(comps) ** 2).sum(axis=1)
 
     def project_bell(self, qa: QubitId, qb: QubitId, kind: BellKind) -> float:
         """Collapse (qa, qb) onto one Bell state; remove them; return the probability."""
-        comps = self._pair_components(qa, qb)
+        block, comps = self._pair_components(qa, qb)
         branch = comps[kind.value]
         prob = float(np.real(np.vdot(branch, branch)))
         if prob <= PROB_FLOOR:
             raise InternalInconsistency(
                 f"projected onto a zero-probability branch ({kind.label}, p={prob})"
             )
-        self._amps = (branch / np.sqrt(prob)).reshape(-1)
-        self._drop(qa, qb)
+        self._shrink(block, branch / np.sqrt(prob), qa, qb)
         return prob
 
     def bell_measure(self, qa: QubitId, qb: QubitId, rng: RandomSource) -> BellKind:
         """Sample a Bell outcome on (qa, qb), collapse, and remove the pair."""
-        comps = self._pair_components(qa, qb)
+        block, comps = self._pair_components(qa, qb)
         probs = (np.abs(comps) ** 2).sum(axis=1)
         k = born_sample(probs, rng)
         prob = float(probs[k])
         if prob <= PROB_FLOOR:
             raise InternalInconsistency("sampled a zero-probability Bell branch")
-        self._amps = (comps[k] / np.sqrt(prob)).reshape(-1)
-        self._drop(qa, qb)
+        self._shrink(block, comps[k] / np.sqrt(prob), qa, qb)
         return BellKind(k)
 
-    def _pair_components(self, qa: QubitId, qb: QubitId) -> np.ndarray:
+    def _pair_components(self, qa: QubitId, qb: QubitId) -> tuple[_Block, np.ndarray]:
+        """The block holding both qubits (merged if they were apart) and its
+        Bell components: row k is outcome k's branch over the other qubits."""
         if qa == qb:
             raise ValueError(f"need two distinct qubits, got {qa} twice")
-        pa = self._position(qa)
-        pb = self._position(qb)
-        axes = (pa, pb) + tuple(
-            i for i in range(self.num_qubits) if i != pa and i != pb
-        )
-        t = self._tensor().transpose(axes).reshape(4, -1)
-        return _BELL_CONJ @ t
+        block = self._merge(self._locate(qa)[0], self._locate(qb)[0])
+        n = len(block.qubits)
+        pa = block.qubits.index(qa)
+        pb = block.qubits.index(qb)
+        axes = (pa, pb) + tuple(i for i in range(n) if i != pa and i != pb)
+        t = block.amps.reshape((2,) * n).transpose(axes).reshape(4, -1)
+        return block, _BELL_CONJ @ t
 
     # -- single-qubit measurement ------------------------------------------------
 
@@ -453,15 +483,14 @@ class QuantumRegister:
                 f"projected onto a zero-probability outcome ({basis}={outcome})"
             )
         residual = branch / np.sqrt(prob)
+        block, p = self._locate(q)
         if remove:
-            self._amps = residual.reshape(-1)
-            self._drop(q)
+            self._shrink(block, residual, q)
         else:
-            p = self._position(q)
             pre = 1 << p
             basis_vec = _BASIS_MATRIX[basis][outcome]
             full = basis_vec[:, None] * residual[None, :]
-            self._amps = full.reshape(2, pre, -1).transpose(1, 0, 2).reshape(-1)
+            block.amps = full.reshape(2, pre, -1).transpose(1, 0, 2).reshape(-1)
         return prob
 
     def measure_single(
@@ -476,42 +505,62 @@ class QuantumRegister:
 
     def _single_components(self, q: QubitId, basis: str) -> np.ndarray:
         _check_basis(basis)
-        p = self._position(q)
-        t = self._amps.reshape(1 << p, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+        block, p = self._locate(q)
+        t = block.amps.reshape(1 << p, 2, -1).transpose(1, 0, 2).reshape(2, -1)
         return _BASIS_CONJ[basis] @ t
 
     # -- density matrices ----------------------------------------------------------
 
     def reduced_density(self, subset: Sequence[QubitId]) -> DensityMatrix:
-        """Partial trace over the complement of ``subset`` (given order kept)."""
+        """Partial trace over the complement of ``subset`` (given order kept).
+
+        Only the blocks holding ``subset`` are multiplied out; every other
+        block is normalized and traces out to 1.
+        """
         ids = list(subset)
         if not ids:
             raise ValueError("subset must be nonempty")
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate qubit ids in subset {ids}")
-        keep = [self._position(q) for q in ids]
-        rest = [i for i in range(self.num_qubits) if i not in keep]
-        mat = np.transpose(self._tensor(), keep + rest).reshape(2 ** len(keep), -1)
+        amps, qubits = _product(dict.fromkeys(self._locate(q)[0] for q in ids))
+        keep = [qubits.index(q) for q in ids]
+        rest = [i for i in range(len(qubits)) if i not in keep]
+        mat = np.transpose(amps.reshape((2,) * len(qubits)), keep + rest)
+        mat = mat.reshape(2 ** len(keep), -1)
         rho = mat @ mat.conj().T
         return DensityMatrix(rho, tuple(ids))
 
     # -- internals -------------------------------------------------------------
 
-    def _tensor(self) -> np.ndarray:
-        return self._amps.reshape((2,) * self.num_qubits)
-
-    def _position(self, q: QubitId) -> int:
+    def _locate(self, q: QubitId) -> tuple[_Block, int]:
+        """The block holding ``q`` and its tensor position there."""
         try:
-            return self._pos[q]
+            block = self._block_of[q]
         except KeyError:
             raise UnknownQubit(f"qubit {q} is not live in this register") from None
+        return block, block.qubits.index(q)
 
-    def _drop(self, *qs: QubitId) -> None:
-        dead = set(qs)
-        self._order = [q for q in self._order if q not in dead]
-        self._pos = {q: i for i, q in enumerate(self._order)}
-        for q in dead:
+    def _merge(self, a: _Block, b: _Block) -> _Block:
+        """Fold block ``b`` into ``a`` (one outer product) unless they are one."""
+        if a is not b:
+            a.amps, a.qubits = _product((a, b))
+            for q in b.qubits:
+                self._block_of[q] = a
+            self._blocks.remove(b)
+            self.peak_block_qubits = max(self.peak_block_qubits, len(a.qubits))
+        return a
+
+    def _shrink(self, block: _Block, residual: np.ndarray, *qs: QubitId) -> None:
+        """Set ``block`` to ``residual`` over its qubits other than ``qs``,
+        which leave the register; an emptied block folds into the phase."""
+        block.amps = residual.reshape(-1)
+        for q in qs:
+            block.qubits.remove(q)
+            del self._block_of[q]
             self.owner.pop(q, None)
+        if not block.qubits:
+            self._phase *= complex(block.amps[0])
+            self._blocks.remove(block)
 
 
 # -- state comparison metrics ----------------------------------------------------
@@ -605,35 +654,3 @@ def expected_withheld_density(psi: np.ndarray, withheld_position: int) -> Densit
     if not 0 <= withheld_position < n:
         raise ValueError(f"position {withheld_position} out of range for {n} qubits")
     return DensityMatrix(sealed_mixture(vec, [withheld_position]), tuple(range(n)))
-
-
-def insert_product_qubits(
-    state: np.ndarray,
-    placements: Sequence[int],
-    factors: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Tensor extra single-qubit factors into ``state`` at given 0-based slots.
-
-    The original qubits keep their relative order and fill the remaining
-    slots; ``placements`` must be distinct and inside the extended width.
-    """
-    vec = np.asarray(state, dtype=complex).reshape(-1)
-    n = int(np.log2(vec.size))
-    m = len(placements)
-    if len(factors) != m:
-        raise ValueError(f"{m} placements but {len(factors)} factors")
-    total = n + m
-    if len(set(placements)) != m or any(not 0 <= p < total for p in placements):
-        raise ValueError(f"placements {placements} invalid for width {total}")
-    ext = vec
-    for f in factors:
-        factor = np.asarray(f, dtype=complex).reshape(2)
-        ext = (ext[:, None] * factor[None, :]).reshape(-1)
-    src_of_dest: list[int] = []
-    inserted = {int(p): n + j for j, p in enumerate(placements)}
-    original = iter(range(n))
-    for dest in range(total):
-        src_of_dest.append(inserted.get(dest, -1))
-        if src_of_dest[-1] == -1:
-            src_of_dest[-1] = next(original)
-    return np.transpose(ext.reshape((2,) * total), src_of_dest).reshape(-1)

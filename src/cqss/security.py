@@ -26,7 +26,6 @@ from .qubits import (
     QuantumRegister,
     QubitId,
     RandomSource,
-    insert_product_qubits,
     sealed_mixture,
     trace_distance,
 )
@@ -160,23 +159,6 @@ class DetectionReport:
     @property
     def clean(self) -> bool:
         return self.mismatches == 0
-
-
-def insert_decoys(secret: np.ndarray, plan: DecoyPlan) -> np.ndarray:
-    """Product of the secret state with the decoy qubits, decoys sitting at
-    the planned slots and the secret qubits filling the rest in order.
-
-    ``plan`` is taken as validated (``ProtocolRun`` runs ``DecoyPlan.validate``
-    before its capacity check); placements that cannot be inserted still
-    raise ``ValueError`` in :func:`insert_product_qubits`."""
-    vec = np.asarray(secret, dtype=complex).reshape(-1)
-    if plan.count == 0:
-        return vec.copy()
-    return insert_product_qubits(
-        vec,
-        [p - 1 for p in plan.placements],
-        [s.vector for s in plan.states],
-    )
 
 
 def eve_tap(

@@ -474,6 +474,7 @@ class TestReconstruct:
         assert run.register.peak_qubits == peak_live_qubits(
             width, 0, cfg.record_to_controller
         )
+        assert run.register.peak_block_qubits == width + 2
 
     def test_single_withheld_seals(self):
         policy = AccessPolicy.round_robin(3, 3, 3)
@@ -526,10 +527,17 @@ class TestReconstruct:
 # -- peak live qubits -----------------------------------------------------------------------
 
 
-def measured_peak(run):
+def check_peaks(run, width, decoys, record_to_controller):
+    """Distribute and transport, then check both high-water marks: live
+    qubits against the peak rule, and the largest block against
+    max(N + 2, 4).  A swap merges the secret's block with a 2-qubit link
+    (N + 2); pads and teleports merge two links (4), larger only at N = 1."""
     run.distribute_all()
     run.transport_all()
-    return run.register.peak_qubits
+    assert run.register.peak_qubits == peak_live_qubits(
+        width, decoys, record_to_controller
+    )
+    assert run.register.peak_block_qubits == max(width + 2, 4)
 
 
 class TestPeakLiveQubits:
@@ -540,8 +548,7 @@ class TestPeakLiveQubits:
     )
     def test_bundled_scenarios(self, name):
         cfg = load_scenario(SCENARIOS / f"{name}.scn")
-        want = peak_live_qubits(cfg.N, cfg.decoys, cfg.record_to_controller)
-        assert measured_peak(build_run(cfg, 0)) == want
+        check_peaks(build_run(cfg, 0), cfg.N, cfg.decoys, cfg.record_to_controller)
 
     @pytest.mark.parametrize(
         "split_records",
@@ -556,11 +563,11 @@ class TestPeakLiveQubits:
                 PartyId.controller(i),
                 PartyId.controller(i % width + 1),
             )
-        plan = DecoyPlan.random(width, 1, RandomSource(64))
-        run = setup(width, width, width, haar(width, 62), policy, RandomSource(63),
-                    decoy_plan=plan)
-        want = peak_live_qubits(width, 1, policy.record_to_controller)
-        assert measured_peak(run) == want
+        for decoys in (0, 1):
+            plan = DecoyPlan.random(width, decoys, RandomSource(64))
+            run = setup(width, width, width, haar(width, 62), policy,
+                        RandomSource(63), decoy_plan=plan)
+            check_peaks(run, width, decoys, policy.record_to_controller)
 
 
 # -- withheld state -------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from cqss.qubits import (
     born_sample,
     expected_withheld_density,
     fidelity,
-    insert_product_qubits,
     pure_density,
     sealed_mixture,
     trace_distance,
@@ -473,33 +472,149 @@ class TestWithheldPrediction:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-# -- product insertion -----------------------------------------------------------------
+# -- factored register against a dense reference ----------------------------------------
 
 
-class TestInsertProduct:
-    def test_append(self):
-        plus = np.array([1, 1]) / np.sqrt(2)
-        got = insert_product_qubits(np.array([1.0, 0.0]), [1], [plus])
-        np.testing.assert_allclose(got, [INV_SQRT2, INV_SQRT2, 0, 0])
+_BASIS_ROWS = {
+    "Z": np.eye(2, dtype=complex),
+    "X": np.array([[1, 1], [1, -1]], dtype=complex) * INV_SQRT2,
+}
 
-    def test_prepend(self):
-        plus = np.array([1, 1]) / np.sqrt(2)
-        got = insert_product_qubits(np.array([1.0, 0.0]), [0], [plus])
-        np.testing.assert_allclose(got, [INV_SQRT2, 0, INV_SQRT2, 0])
 
-    def test_interleave_keeps_secret_order(self):
-        secret = random_state(2, 66)
-        one = np.array([0.0, 1.0])
-        got = insert_product_qubits(secret, [1], [one])
-        tensor = got.reshape(2, 2, 2)
-        # slot 1 (axis 1) is |1>, axes (0, 2) carry the secret
-        np.testing.assert_allclose(tensor[:, 0, :], np.zeros((2, 2)))
-        np.testing.assert_allclose(tensor[:, 1, :].reshape(-1), secret)
+class DenseReference:
+    """One dense vector over every live qubit in allocation order, with the
+    same sampling calls: the register as it was before it held blocks."""
 
-    def test_rejects_bad_placements(self):
-        with pytest.raises(ValueError):
-            insert_product_qubits(np.array([1.0, 0.0]), [0, 0],
-                                  [np.array([1.0, 0]), np.array([1.0, 0])])
+    def __init__(self):
+        self.amps = np.ones(1, dtype=complex)
+        self.order = []
+        self.next_id = 0
+
+    def alloc(self, vec):
+        vec = np.asarray(vec, dtype=complex).reshape(-1)
+        count = int(np.log2(vec.size))
+        self.amps = np.kron(self.amps, vec)
+        ids = list(range(self.next_id, self.next_id + count))
+        self.next_id += count
+        self.order += ids
+        return tuple(ids)
+
+    def _front(self, qs):
+        """Amplitudes with ``qs`` moved to the front, shape (2**len(qs), -1)."""
+        n = len(self.order)
+        pos = [self.order.index(q) for q in qs]
+        rest = [i for i in range(n) if i not in pos]
+        t = self.amps.reshape((2,) * n).transpose(pos + rest)
+        return t.reshape(2 ** len(qs), -1)
+
+    def apply_pauli(self, q, op):
+        p = self.order.index(q)
+        n = len(self.order)
+        full = np.kron(np.kron(np.eye(2**p), op.matrix), np.eye(2 ** (n - p - 1)))
+        self.amps = full @ self.amps
+
+    def bell_components(self, qa, qb):
+        rows = np.array([kind.vector for kind in BellKind])
+        return rows.conj() @ self._front([qa, qb])
+
+    def _collapse(self, comps, k, removed):
+        branch = comps[k]
+        self.amps = branch / np.sqrt(np.real(np.vdot(branch, branch)))
+        self.order = [q for q in self.order if q not in removed]
+
+    def bell_measure(self, qa, qb, rng):
+        comps = self.bell_components(qa, qb)
+        k = born_sample((np.abs(comps) ** 2).sum(axis=1), rng)
+        self._collapse(comps, k, (qa, qb))
+        return BellKind(k)
+
+    def project_bell(self, qa, qb, kind):
+        self._collapse(self.bell_components(qa, qb), kind.value, (qa, qb))
+
+    def measure_single(self, q, basis, rng, remove):
+        comps = _BASIS_ROWS[basis].conj() @ self._front([q])
+        k = born_sample((np.abs(comps) ** 2).sum(axis=1), rng)
+        p = self.order.index(q)
+        self._collapse(comps, k, (q,))
+        if not remove:
+            n = len(self.order) + 1
+            t = np.outer(_BASIS_ROWS[basis][k], self.amps).reshape((2,) * n)
+            self.amps = np.moveaxis(t, 0, p).reshape(-1)
+            self.order.insert(p, q)
+        return k
+
+
+_STEP = st.tuples(
+    st.integers(0, 7), st.integers(0, 2**16), st.integers(0, 2**16), st.integers(0, 3)
+)
+
+
+class TestFactoredRegister:
+    @given(st.integers(0, 2**32 - 1), st.lists(_STEP, max_size=30))
+    def test_matches_dense_reference(self, seed, program):
+        reg, ref = QuantumRegister(), DenseReference()
+        rng_reg, rng_ref = RandomSource(seed), RandomSource(seed)
+        for op, x, y, k in program:
+            live = list(ref.order)
+            if op == 0 and len(live) < 10:
+                assert reg.alloc_qubit(k % 2) == ref.alloc([1 - k % 2, k % 2])[0]
+            elif op == 1 and len(live) < 9:
+                kind = BellKind(k)
+                assert reg.alloc_bell_pair(kind) == ref.alloc(kind.vector)
+            elif op == 2 and len(live) < 8:
+                vec = random_state(1 + x % 3, y)
+                assert reg.alloc_state(vec) == ref.alloc(vec)
+            elif op == 3 and live:
+                reg.apply_pauli(live[x % len(live)], list(Pauli)[k])
+                ref.apply_pauli(live[x % len(live)], list(Pauli)[k])
+            elif op in (4, 5) and len(live) >= 2:
+                qa = live.pop(x % len(live))
+                qb = live[y % len(live)]
+                if op == 4:
+                    got = reg.bell_measure(qa, qb, rng_reg)
+                    assert got is ref.bell_measure(qa, qb, rng_ref)
+                else:
+                    probs = (np.abs(ref.bell_components(qa, qb)) ** 2).sum(axis=1)
+                    kinds = [kind for kind in BellKind if probs[kind.value] > 1e-6]
+                    kind = kinds[k % len(kinds)]
+                    assert reg.project_bell(qa, qb, kind) == pytest.approx(
+                        probs[kind.value], abs=1e-12
+                    )
+                    ref.project_bell(qa, qb, kind)
+            elif op in (6, 7) and live:
+                q = live[x % len(live)]
+                basis = "ZX"[k % 2]
+                remove = op == 6
+                got = reg.measure_single(q, basis, rng_reg, remove=remove)
+                assert got == ref.measure_single(q, basis, rng_ref, remove)
+            assert reg.live_qubits() == tuple(ref.order)
+            np.testing.assert_allclose(reg.state_vector(), ref.amps, rtol=0, atol=1e-12)
+        assert reg.peak_block_qubits <= reg.peak_qubits
+
+        before = reg.state_vector()
+        dup = reg.copy()
+        extra = dup.alloc_bell_pair(BellKind.PHI_PLUS)
+        for q in reg.live_qubits():
+            dup.apply_pauli(q, Pauli.ZX)
+            dup.bell_measure(q, extra[0], rng_reg)
+            extra = (extra[1], dup.alloc_qubit(0))
+        assert reg.live_qubits() == tuple(ref.order)
+        np.testing.assert_array_equal(reg.state_vector(), before)
+
+    def test_blocks_merge_only_across(self):
+        reg = QuantumRegister()
+        secret = reg.alloc_state(random_state(3, 12))
+        a1, b1 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
+        a2, b2 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
+        rng = RandomSource(5)
+        assert reg.bell_measure(a1, a2, rng) is reg.bell_measure(b1, b2, rng)
+        assert reg.peak_block_qubits == 4  # the pads never met the secret
+        mu, nu = reg.alloc_bell_pair(BellKind.PHI_MINUS)
+        reg.bell_measure(secret[0], mu, rng)
+        assert reg.peak_block_qubits == 5
+        assert reg.peak_qubits == 7
+        rho = reg.reduced_density([nu])
+        rho.validate()
 
 
 # -- invariants ------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from cqss.security import (
     EveModel,
     controller_channel_check,
     eve_tap,
-    insert_decoys,
     no_information_audit,
     verify_decoys,
 )
@@ -77,23 +76,72 @@ class TestDecoyPlan:
 
     def test_insert_no_decoys_is_identity(self):
         secret = haar(2, 3)
-        np.testing.assert_allclose(insert_decoys(secret, DecoyPlan()), secret)
+        _, got = slot_state(secret, DecoyPlan())
+        np.testing.assert_allclose(got, secret, atol=1e-12)
 
     def test_insert_explicit_product(self):
-        secret = np.array([1.0, 0.0])
         plan = DecoyPlan((2,), (DecoyState.PLUS_X,))
-        got = insert_decoys(secret, plan)
+        _, got = slot_state(np.array([1.0, 0.0]), plan)
         s = 1 / np.sqrt(2)
-        np.testing.assert_allclose(got, [s, s, 0, 0])
+        np.testing.assert_allclose(got, [s, s, 0, 0], atol=1e-12)
 
     def test_insert_preserves_secret_block(self):
         secret = haar(2, 4)
         plan = DecoyPlan((1, 3), (DecoyState.MINUS_X, DecoyState.ONE))
-        extended = insert_decoys(secret, plan)
-        reg = QuantumRegister()
-        ids = reg.alloc_state(extended)
-        rho = reg.reduced_density([ids[1], ids[3]])  # slots 2 and 4
+        run, _ = slot_state(secret, plan)
+        rho = run.register.reduced_density([run.slot_qubits[2], run.slot_qubits[4]])
         assert trace_distance(rho.entries, pure_density(secret)) < 1e-12
+
+    def test_decoys_are_own_blocks_in_slot_order(self):
+        s = 1 / np.sqrt(2)
+        _, got = slot_state(np.array([1.0, 0.0]), DecoyPlan((1,), (DecoyState.PLUS_X,)))
+        np.testing.assert_allclose(got, [s, 0, s, 0], atol=1e-12)  # prepended
+        secret = haar(2, 66)
+        _, got = slot_state(secret, DecoyPlan((2,), (DecoyState.ONE,)))
+        tensor = got.reshape(2, 2, 2)  # slot 2 is |1>, slots 1 and 3 the secret
+        np.testing.assert_allclose(tensor[:, 0, :], np.zeros((2, 2)), atol=1e-12)
+        np.testing.assert_allclose(tensor[:, 1, :].reshape(-1), secret, atol=1e-12)
+        plan = DecoyPlan((1, 2, 6), (DecoyState.ZERO, DecoyState.PLUS_X, DecoyState.ONE))
+        slot_state(haar(3, 5), plan)
+        with pytest.raises(PolicyError):
+            slot_state(secret, DecoyPlan((1, 1), (DecoyState.ZERO, DecoyState.ONE)))
+
+
+def slot_state(secret, plan):
+    """Set up a run hiding ``plan``'s decoys among the qubits of ``secret``;
+    return it and its register's state over the slots in order, checked
+    against :func:`interleave_reference`.  The secret and each decoy are
+    separate blocks, so the largest block is the secret's."""
+    width = int(np.log2(secret.size))
+    run = setup(1, 1, width, secret, AccessPolicy.round_robin(1, 1, width),
+                RandomSource(0), decoy_plan=plan)
+    slots = range(1, run.total_slots + 1)
+    got = run.register.state_vector(order=[run.slot_qubits[k] for k in slots])
+    np.testing.assert_allclose(got, interleave_reference(secret, plan), atol=1e-12)
+    assert run.register.peak_block_qubits == width
+    return run, got
+
+
+def interleave_reference(secret, plan):
+    """Slot-order product of ``secret`` with the decoys of ``plan``, built
+    amplitude by amplitude: each decoy slot carries its decoy state, and the
+    secret qubits fill the other slots in index order (slot 1 is the most
+    significant bit)."""
+    width = int(np.log2(secret.size))
+    total = width + plan.count
+    decoys = plan.record
+    out = np.zeros(2**total, dtype=complex)
+    for index in range(2**total):
+        amp = 1.0 + 0j
+        secret_index = 0
+        for slot in range(1, total + 1):
+            bit = (index >> (total - slot)) & 1
+            if slot in decoys:
+                amp *= decoys[slot].vector[bit]
+            else:
+                secret_index = 2 * secret_index + bit
+        out[index] = amp * secret[secret_index]
+    return out
 
 
 # -- the attacker itself --------------------------------------------------------------
