@@ -324,7 +324,7 @@ class QuantumRegister:
         (allocation order by default); the blocks are multiplied out here."""
         if order is None:
             order = self.live_qubits()
-        elif sorted(order) != sorted(self._block_of):
+        elif len(order) != len(self._block_of) or set(order) != set(self._block_of):
             raise UnknownQubit(f"order {order} is not a permutation of live qubits")
         amps, qubits = _product(self._blocks)
         perm = [qubits.index(q) for q in order]

@@ -472,6 +472,54 @@ class TestWithheldPrediction:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+# -- product qubits inserted among a state's qubits ----------------------------------
+
+
+def insert_product(secret, placements, states):
+    """Allocate ``secret`` as one block and each of ``states`` as a block of
+    its own, then read the register with ``states[i]`` at output position
+    ``placements[i]`` and the secret's qubits filling the other positions in
+    order; the register must never merge the blocks."""
+    reg = QuantumRegister()
+    secret_ids = list(reg.alloc_state(secret))
+    decoy_ids = [reg.alloc_state(s)[0] for s in states]
+    order = [None] * (len(secret_ids) + len(decoy_ids))
+    for position, q in zip(placements, decoy_ids):
+        order[position] = q
+    fill = iter(secret_ids)
+    order = [q if q is not None else next(fill, None) for q in order]
+    got = reg.state_vector(order=order)
+    assert reg.peak_block_qubits == len(secret_ids)
+    return got
+
+
+class TestInsertProduct:
+    def test_append(self):
+        plus = np.array([1, 1]) / np.sqrt(2)
+        got = insert_product(np.array([1.0, 0.0]), [1], [plus])
+        np.testing.assert_allclose(got, [INV_SQRT2, INV_SQRT2, 0, 0])
+
+    def test_prepend(self):
+        plus = np.array([1, 1]) / np.sqrt(2)
+        got = insert_product(np.array([1.0, 0.0]), [0], [plus])
+        np.testing.assert_allclose(got, [INV_SQRT2, 0, INV_SQRT2, 0])
+
+    def test_interleave_keeps_secret_order(self):
+        secret = random_state(2, 66)
+        one = np.array([0.0, 1.0])
+        got = insert_product(secret, [1], [one])
+        tensor = got.reshape(2, 2, 2)
+        # slot 1 (axis 1) is |1>, axes (0, 2) carry the secret
+        np.testing.assert_allclose(tensor[:, 0, :], np.zeros((2, 2)))
+        np.testing.assert_allclose(tensor[:, 1, :].reshape(-1), secret)
+
+    def test_rejects_bad_placements(self):
+        # two decoys on one position leave a secret qubit out of the order
+        with pytest.raises(UnknownQubit):
+            insert_product(np.array([1.0, 0.0]), [0, 0],
+                           [np.array([1.0, 0]), np.array([1.0, 0])])
+
+
 # -- factored register against a dense reference ----------------------------------------
 
 
