@@ -45,10 +45,6 @@ class IncompleteRun(ProtocolError):
     """Operation requires an earlier protocol phase to have finished."""
 
 
-class InsufficientLinks(ProtocolError):
-    """Dealer/receiver entangled-link budget exhausted."""
-
-
 class ControllerRefusal(ProtocolError):
     """A controller whose cooperation is required has withheld it."""
 

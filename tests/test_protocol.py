@@ -10,11 +10,10 @@ from cqss.errors import (
     CapacityError,
     ControllerRefusal,
     IncompleteRun,
-    InsufficientLinks,
     PolicyError,
     ProtocolError,
 )
-from cqss import harness
+from cqss import harness, protocol
 from cqss.harness import build_run
 from cqss.protocol import (
     AccessPolicy,
@@ -83,9 +82,8 @@ class TestSetup:
 
     def test_link_budget_reserves_two_per_record(self):
         run = fresh_run()
-        assert run.controller_link_budget == 6
         complete(run)
-        assert run._controller_links_used == 6
+        assert run.resource_report().epr_controller == 6
 
     def test_pad_links_count_toward_capacity(self):
         # Distribution alone peaks at 3 + 18 + 2 = 23 live qubits, but
@@ -301,21 +299,6 @@ class TestClassicalTransport:
         with pytest.raises(ProtocolError):
             # record already transported
             run.send_bits_classical(c, ClassicalShare((1, 0), 1, (c,)))
-
-    def test_insufficient_links(self):
-        # a split record consumes 2 links; afterwards a 1-qubit run has none left
-        policy = AccessPolicy(
-            qubit_to_player={1: PartyId.player(1)},
-            record_to_controller={1: (PartyId.controller(1), PartyId.controller(2))},
-            threshold_k=1,
-            release={PartyId.controller(1): True, PartyId.controller(2): True},
-            cooperating_players={PartyId.player(1)},
-        )
-        run = setup(1, 2, 1, haar(1, 4), policy, RandomSource(5))
-        run.distribute_all()
-        run.transport_all()
-        with pytest.raises(InsufficientLinks):
-            run._controller_links(1)
 
     def test_transport_before_distribution_rejected(self):
         run = fresh_run()
@@ -654,6 +637,19 @@ class TestWithheldState:
         run.distribute_all()
         with pytest.raises(ProtocolError):
             run.withheld_state({4})
+
+    def test_swap_superoperators_are_read_only_constants(self):
+        uncorrected, corrected = protocol._swap_kraus()
+        withheld = protocol._WITHHELD_SUPEROP
+        assert not withheld.flags.writeable
+        np.testing.assert_array_equal(
+            withheld, sum(np.kron(k, k.conj()) for k in uncorrected.values())
+        )
+        assert set(protocol._CORRECTED_SUPEROPS) == set(BellKind)
+        for kind, k in corrected.items():
+            superop = protocol._CORRECTED_SUPEROPS[kind]
+            assert not superop.flags.writeable
+            np.testing.assert_array_equal(superop, np.kron(k, k.conj()))
 
 
 # -- resource accounting -------------------------------------------------------------------

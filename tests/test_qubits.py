@@ -1,5 +1,7 @@
 """Register-level tests: allocation, gates, measurement, density metrics."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -411,6 +413,17 @@ class TestDensity:
 # -- withheld-record predictions ----------------------------------------------------------
 
 
+def replace_with_mixed(rho, position):
+    """Reference for one step of ``sealed_mixture``: trace out one qubit and
+    put a maximally mixed qubit back in its slot, by kron and moveaxis."""
+    dim = rho.shape[0]
+    n = int(np.log2(dim))
+    t = np.asarray(rho, dtype=complex).reshape((2,) * (2 * n))
+    rest = np.trace(t, axis1=position, axis2=n + position).reshape(dim // 2, dim // 2)
+    full = np.kron(np.eye(2, dtype=complex) / 2.0, rest).reshape((2,) * (2 * n))
+    return np.moveaxis(full, (0, n), (position, n + position)).reshape(dim, dim)
+
+
 class TestWithheldPrediction:
     def test_product_state(self):
         vec = np.zeros(8, dtype=complex)
@@ -468,8 +481,20 @@ class TestWithheldPrediction:
             factors[position] = k
             full = np.kron(np.kron(factors[0], factors[1]), factors[2])
             want += full @ rho @ full.conj().T
-        got = apply_single_qubit_channel(rho, position, kraus)
+        superop = sum(np.kron(k, k.conj()) for k in kraus)
+        got = apply_single_qubit_channel(rho, position, superop)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sealed_mixture_matches_replace_with_mixed(self, n):
+        psi = random_state(n, 90 + n)
+        for r in range(n + 1):
+            for positions in itertools.combinations(range(n), r):
+                want = pure_density(psi)
+                for p in positions:
+                    want = replace_with_mixed(want, p)
+                got = sealed_mixture(psi, positions)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 # -- product qubits inserted among a state's qubits ----------------------------------

@@ -5,11 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+from cqss import protocol
 from cqss.errors import PolicyError
 from cqss.protocol import AccessPolicy, setup
 from cqss.qubits import (
     CORRECTION_FOR_OUTCOME,
     BellKind,
+    Pauli,
     QuantumRegister,
     RandomSource,
     fidelity,
@@ -17,6 +19,7 @@ from cqss.qubits import (
     trace_distance,
 )
 from cqss.security import (
+    AUDIT_TOLERANCE,
     DecoyPlan,
     DecoyState,
     EveModel,
@@ -378,6 +381,22 @@ class TestNoInformationAudit:
         b = no_information_audit(self.run_for_audit(seed=85), {2})
         assert a.passed and b.passed
         assert a.distance < 1e-12 and b.distance < 1e-12
+
+    @pytest.mark.parametrize("slot", [1, 2, 3])
+    def test_wrong_correction_fails(self, monkeypatch, slot):
+        # A released slot goes through its recorded branch and correction, so
+        # any other Pauli in the correction table must show as a leak.
+        run = self.run_for_audit(seed=88)
+        kind = run.transcript.bell_record[slot]
+        uncorrected, _ = protocol._swap_kraus()
+        for wrong in Pauli:
+            if wrong is CORRECTION_FOR_OUTCOME[kind]:
+                continue
+            k = wrong.matrix @ uncorrected[kind]
+            table = {**protocol._CORRECTED_SUPEROPS, kind: np.kron(k, k.conj())}
+            monkeypatch.setattr(protocol, "_CORRECTED_SUPEROPS", table)
+            audit = no_information_audit(run, set())
+            assert audit.distance > AUDIT_TOLERANCE, (kind, wrong)
 
 
 # -- controller-link variant -------------------------------------------------------------------
