@@ -16,9 +16,9 @@ from cqss import (
     PartyId,
     RandomSource,
     Sealed,
-    expected_withheld_density,
     haar_random_state,
     no_information_audit,
+    sealed_mixture,
     setup,
     trace_distance,
 )
@@ -37,7 +37,7 @@ print("reconstruction outcome:", outcome.reason)
 print()
 
 players_state = run.withheld_state({2})
-prediction = expected_withheld_density(secret, 1)
+prediction = sealed_mixture(secret, [1])
 print("players' exact state vs closed-form prediction:")
 print("  trace distance =", f"{trace_distance(players_state, prediction):.3e}")
 print()

@@ -12,7 +12,7 @@ class SimulationError(CqssError):
 
 
 class CapacityError(SimulationError):
-    """Register would exceed the hard live-qubit cap."""
+    """An array would span more than ``MAX_ARRAY_QUBITS`` qubits."""
 
 
 class UnknownQubit(SimulationError):

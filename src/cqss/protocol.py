@@ -30,13 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, partial
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sized
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .errors import (
-    CapacityError,
     ControllerRefusal,
     IncompleteRun,
     NotNormalized,
@@ -46,7 +46,6 @@ from .errors import (
 )
 from .qubits import (
     CORRECTION_FOR_OUTCOME,
-    MAX_LIVE_QUBITS,
     NORM_ATOL,
     BellKind,
     DensityMatrix,
@@ -55,40 +54,25 @@ from .qubits import (
     QubitId,
     RandomSource,
     apply_single_qubit_channel,
+    check_array_qubits,
     pure_density,
 )
 from .security import DecoyPlan, DetectionReport, EveModel, eve_tap
 
 
-def peak_live_qubits(
-    width: int, decoys: int, record_to_controller: Mapping[int, Sized]
-) -> int:
-    """Most qubits a run holds at once: distribution, then ``transport_all``.
+def peak_block_qubits(width: int) -> int:
+    """Qubits of the largest array a run over a ``width``-qubit secret holds,
+    checked against the memory rule (:func:`~cqss.qubits.check_array_qubits`).
 
-    Distribution peaks at ``width + decoys + 2``.  Transport in index order
-    then adds four qubits at a time on top of what earlier records left
-    behind: a classical record holds two pad links at once and leaves
-    nothing, a split record holds its fresh pair plus one teleport link and
-    leaves its two teleported halves.  The last record therefore sets the
-    peak.  ``record_to_controller`` maps record indices 1..width to their
-    holders; only how many holders each record has matters.
+    A distribution swap merges the secret's block with a two-qubit link
+    (``width + 2``); a pad or teleport merges two links (4).  Decoys, pads
+    and split shares never share a block with the secret, so this is the
+    register's ``peak_block_qubits`` after ``distribute_all`` and
+    ``transport_all``.
     """
-    n_split = sum(1 for h in record_to_controller.values() if len(h) == 2)
-    last_split = len(record_to_controller[width]) == 2
-    return width + decoys + 2 * n_split + (2 if last_split else 4)
-
-
-def check_capacity(
-    width: int, decoys: int, record_to_controller: Mapping[int, Sized]
-) -> None:
-    """Raise :class:`CapacityError` if a run would exceed ``MAX_LIVE_QUBITS``
-    at its :func:`peak_live_qubits`."""
-    peak = peak_live_qubits(width, decoys, record_to_controller)
-    if peak > MAX_LIVE_QUBITS:
-        raise CapacityError(
-            f"a run over {width + decoys} slots peaks at {peak} live qubits "
-            f"(cap {MAX_LIVE_QUBITS})"
-        )
+    peak = max(width + 2, 4)
+    check_array_qubits(peak, f"a {width}-qubit secret's largest block")
+    return peak
 
 
 class Role(Enum):
@@ -322,13 +306,24 @@ class Recovered:
     secret qubits in index order and is the one fact, so ``share_state`` is
     None; its projector is ``pure_density(state_vector)``.  Otherwise
     ``state_vector`` is None and ``share_state`` is the corrected register
-    restricted to the covered qubits (labelled by secret index).
+    restricted to the covered qubits (labelled by secret index).  That
+    density matrix is computed from the run's register when first read, so
+    a caller that never reads it never pays for it; read it before
+    measuring that register any further.
     """
 
     state_vector: np.ndarray | None
-    share_state: DensityMatrix | None
     covered_qubits: tuple[int, ...]
     players: tuple[PartyId, ...]
+    _reduced_density: Callable[[], DensityMatrix] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def share_state(self) -> DensityMatrix | None:
+        if self._reduced_density is None:
+            return None
+        return DensityMatrix(self._reduced_density().entries, self.covered_qubits)
 
 
 @dataclass(frozen=True)
@@ -398,6 +393,7 @@ class ProtocolRun:
                 f"need at least one player, one controller and one qubit "
                 f"(got n={n}, m={m}, width={secret_width})"
             )
+        peak_block_qubits(secret_width)
         secret = np.asarray(secret, dtype=complex).reshape(-1)
         if secret.size != 2**secret_width:
             raise PolicyError(
@@ -408,7 +404,6 @@ class ProtocolRun:
         policy.validate(n, m, secret_width)
         plan = decoy_plan if decoy_plan is not None else DecoyPlan()
         plan.validate(secret_width)
-        check_capacity(secret_width, plan.count, policy.record_to_controller)
         total = secret_width + plan.count
 
         self.n = n
@@ -469,10 +464,6 @@ class ProtocolRun:
     @property
     def decoys_verified(self) -> bool:
         return self.decoy_plan.count == 0 or self.detection is not None
-
-    @property
-    def transport_complete(self) -> bool:
-        return all(i in self.shares for i in range(1, self.secret_width + 1))
 
     def log_message(self, sender: str, receiver: str, payload: str) -> None:
         self.transcript.messages.append(Message(sender, receiver, payload))
@@ -735,16 +726,19 @@ class ProtocolRun:
         if len(covered) == self.secret_width and sorted(
             self.register.live_qubits()
         ) == sorted(secret_ids):
-            state_vector = self.register.state_vector(order=secret_ids)
-            share_state = None
+            self._outcome = Recovered(
+                self.register.state_vector(order=secret_ids),
+                tuple(covered),
+                tuple(eligible),
+            )
         else:
-            state_vector = None
             share_ids = [self.slot_qubits[self._slot_of_secret[i]] for i in covered]
-            reduced = self.register.reduced_density(share_ids)
-            share_state = DensityMatrix(reduced.entries, tuple(covered))
-        self._outcome = Recovered(
-            state_vector, share_state, tuple(covered), tuple(eligible)
-        )
+            self._outcome = Recovered(
+                None,
+                tuple(covered),
+                tuple(eligible),
+                partial(self.register.reduced_density, share_ids),
+            )
         return self._outcome
 
     # -- exact knowledge-state computation --------------------------------------------
@@ -899,8 +893,8 @@ def setup(
 ) -> ProtocolRun:
     """Validate the roster and policy and stage a run.
 
-    Entangled links are allocated lazily, one per swap or pad, so a run
-    peaks at :func:`peak_live_qubits` rather than holding all links at once.
+    Entangled links are allocated lazily, one per swap or pad, each as its
+    own block, so the largest array is :func:`peak_block_qubits`.
     """
     return ProtocolRun(
         n, m, secret_width, secret, policy, rng, decoy_plan=decoy_plan, eve=eve

@@ -7,7 +7,13 @@ product) only when they differ; a measurement shrinks one block, and a block
 measured down to no qubits folds its leftover scalar into a register phase.
 Qubits that never meet the secret (pad links, split shares) therefore never
 multiply its vector.  ``state_vector`` and ``reduced_density`` multiply
-blocks out on demand.  The hard cap of 24 counts all live qubits.
+blocks out on demand.
+
+One memory rule bounds every array: none may span more than
+``MAX_ARRAY_QUBITS`` (24) qubits, where a density matrix over k qubits spans
+2k.  :func:`check_array_qubits` applies it before anything is allocated, to
+a new block, to a product of blocks and to a density matrix, so 2**24
+complex entries (256 MiB) bound both a block and a 2**12 x 2**12 matrix.
 
 Conventions
 -----------
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -43,7 +49,7 @@ from .errors import (
     UnknownQubit,
 )
 
-MAX_LIVE_QUBITS = 24
+MAX_ARRAY_QUBITS = 24
 
 # Norm / probability-sum drift beyond this signals an internal error.
 NORM_ATOL = 1e-9
@@ -162,6 +168,27 @@ for _m in _BASIS_CONJ.values():
     _m.setflags(write=False)
 
 
+def check_array_qubits(qubits: int, what: str) -> None:
+    """Raise :class:`CapacityError` if ``what`` would span more than
+    ``MAX_ARRAY_QUBITS`` qubits; called before the array is allocated."""
+    if qubits > MAX_ARRAY_QUBITS:
+        raise CapacityError(
+            f"{what} would span {qubits} qubits (cap {MAX_ARRAY_QUBITS})"
+        )
+
+
+def _as_state(vector: np.ndarray) -> tuple[np.ndarray, int]:
+    """A flat complex copy of ``vector`` and its qubit count, checked to be a
+    normalized vector of power-of-two length (at least two)."""
+    vec = np.array(vector, dtype=complex).reshape(-1)
+    n = vec.size.bit_length() - 1
+    if vec.size < 2 or vec.size != 1 << n:
+        raise DimensionMismatch(f"state length {vec.size} is not a power of two")
+    if abs(np.linalg.norm(vec) - 1.0) > NORM_ATOL:
+        raise NotNormalized(f"state norm {np.linalg.norm(vec)}")
+    return vec, n
+
+
 def _check_basis(basis: str) -> str:
     if basis not in _BASIS_MATRIX:
         raise ValueError(f"unknown basis {basis!r}; expected 'Z' or 'X'")
@@ -272,13 +299,14 @@ class _Block:
     qubits: list[QubitId]
 
 
-def _product(blocks: Iterable[_Block]) -> tuple[np.ndarray, list[QubitId]]:
+def _product(blocks: Collection[_Block]) -> tuple[np.ndarray, list[QubitId]]:
     """Tensor product of ``blocks`` and its qubit order (for one block, that
     block's own array)."""
-    amps, qubits = None, []
+    qubits = [q for block in blocks for q in block.qubits]
+    check_array_qubits(len(qubits), "a product of blocks")
+    amps = None
     for block in blocks:
         amps = block.amps if amps is None else (amps[:, None] * block.amps).reshape(-1)
-        qubits += block.qubits
     return (np.ones(1, dtype=complex) if amps is None else amps), qubits
 
 
@@ -363,22 +391,13 @@ class QuantumRegister:
         self, vector: np.ndarray, owner: object = None
     ) -> tuple[QubitId, ...]:
         """Add qubits carrying an arbitrary normalized state, as one block."""
-        vec = np.array(vector, dtype=complex).reshape(-1)
-        n = int(np.log2(vec.size))
-        if 2**n != vec.size or vec.size < 2:
-            raise DimensionMismatch(f"state length {vec.size} is not a power of two")
-        if abs(np.linalg.norm(vec) - 1.0) > NORM_ATOL:
-            raise NotNormalized(f"state norm {np.linalg.norm(vec)}")
+        vec, n = _as_state(vector)
         return self._grow(vec, (owner,) * n)
 
     def _grow(self, vec: np.ndarray, owners: tuple[object, ...]) -> tuple[QubitId, ...]:
-        """Add a new block over fresh ids; the cap counts every live qubit."""
+        """Add a new block over fresh ids."""
         count = len(owners)
-        if self.num_qubits + count > MAX_LIVE_QUBITS:
-            raise CapacityError(
-                f"register would hold {self.num_qubits + count} qubits "
-                f"(cap {MAX_LIVE_QUBITS})"
-            )
+        check_array_qubits(count, "a new block")
         ids = list(range(self._next_id, self._next_id + count))
         self._next_id += count
         block = _Block(vec, ids)
@@ -522,6 +541,7 @@ class QuantumRegister:
             raise ValueError("subset must be nonempty")
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate qubit ids in subset {ids}")
+        check_array_qubits(2 * len(ids), f"a density matrix over {len(ids)} qubits")
         amps, qubits = _product(dict.fromkeys(self._locate(q)[0] for q in ids))
         keep = [qubits.index(q) for q in ids]
         rest = [i for i in range(len(qubits)) if i not in keep]
@@ -589,6 +609,8 @@ def trace_distance(
 
 def pure_density(vector: np.ndarray) -> np.ndarray:
     vec = np.asarray(vector, dtype=complex).reshape(-1)
+    n = (vec.size - 1).bit_length()  # qubits, rounded up
+    check_array_qubits(2 * n, f"a density matrix over {n} qubits")
     return np.outer(vec, vec.conj())
 
 
@@ -627,15 +649,18 @@ def sealed_mixture(psi: np.ndarray, positions: Iterable[int]) -> np.ndarray:
     Starting from the pure projector of ``psi``, each withheld slot is
     replaced by a maximally mixed qubit tensored with the partial trace over
     that slot; the replacements commute, so the order does not matter.
+    ``psi`` must be a normalized state and every position one of its qubits.
     """
-    # A fresh contiguous matrix, so each reshape below is a view written in
-    # place.
-    rho = pure_density(psi)
-    dim = rho.shape[0]
-    n = int(np.log2(dim))
-    for p in sorted(set(positions)):
+    vec, n = _as_state(psi)
+    positions = sorted(set(positions))
+    for p in positions:
         if not 0 <= p < n:
             raise ValueError(f"position {p} out of range for {n} qubits")
+    # A fresh contiguous matrix, so each reshape below is a view written in
+    # place.
+    rho = pure_density(vec)
+    dim = rho.shape[0]
+    for p in positions:
         left = 2**p
         right = dim // (2 * left)
         t = rho.reshape(left, 2, right, left, 2, right)
@@ -645,17 +670,3 @@ def sealed_mixture(psi: np.ndarray, positions: Iterable[int]) -> np.ndarray:
         t[:, 0, :, :, 0, :] = half
         t[:, 1, :, :, 1, :] = half
     return rho
-
-
-def expected_withheld_density(psi: np.ndarray, withheld_position: int) -> DensityMatrix:
-    """Prediction for a single withheld slot: :func:`sealed_mixture` of
-    ``psi`` over that one slot, as a density matrix over all its qubits."""
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    n = int(np.log2(vec.size))
-    if 2**n != vec.size:
-        raise DimensionMismatch(f"state length {vec.size} is not a power of two")
-    if abs(np.linalg.norm(vec) - 1.0) > NORM_ATOL:
-        raise NotNormalized(f"state norm {np.linalg.norm(vec)}")
-    if not 0 <= withheld_position < n:
-        raise ValueError(f"position {withheld_position} out of range for {n} qubits")
-    return DensityMatrix(sealed_mixture(vec, [withheld_position]), tuple(range(n)))

@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, PolicyError, ScenarioError
-from .protocol import AccessPolicy, PartyId, check_capacity
+from .protocol import AccessPolicy, PartyId, peak_block_qubits
 
 SCHEMA_TAG = "cqss-scenario v1"
 
@@ -123,6 +123,10 @@ class ScenarioConfig:
 
         if self.N < 1:
             raise bad("N", f"must be >= 1, got {self.N}")
+        try:
+            peak_block_qubits(self.N)
+        except CapacityError as exc:
+            raise bad("N", str(exc)) from None
         if self.n < 1 or self.n > self.N:
             raise bad("n", f"must satisfy 1 <= n <= N={self.N}, got {self.n}")
         if self.m < 1 or self.m > 2 * self.N:
@@ -144,10 +148,6 @@ class ScenarioConfig:
             )
         if self.decoys < 0:
             raise bad("decoys", "must be >= 0")
-        try:
-            check_capacity(self.N, self.decoys, self.record_to_controller)
-        except CapacityError as exc:
-            raise bad("decoys", str(exc)) from None
         if self.eve not in EVE_STRATEGIES:
             raise bad("eve", f"must be one of {EVE_STRATEGIES}, got {self.eve!r}")
         if not 0.0 <= self.eve_probability <= 1.0:

@@ -22,7 +22,6 @@ from .qubits import (
     BASIS_X,
     BASIS_Z,
     CORRECTION_FOR_OUTCOME,
-    BellKind,
     QuantumRegister,
     QubitId,
     RandomSource,
@@ -244,31 +243,3 @@ def no_information_audit(run: "ProtocolRun", withheld: Iterable[int]) -> AuditRe
     expected = sealed_mixture(run.secret, [i - 1 for i in indices])
     distance = trace_distance(actual.entries, expected)
     return AuditReport(indices, distance, AUDIT_TOLERANCE)
-
-
-def controller_channel_check(
-    decoys: int,
-    model: EveModel,
-    master_seed: int,
-) -> DetectionReport:
-    """The same decoy mechanism pointed at a dealer-to-controller link.
-
-    Runs in isolation: each round teleports one random decoy through a fresh
-    singlet link to a controller, who corrects, measures in the announced
-    basis and reports.  Provided as an optional extra check; it is not part
-    of the standard run pipeline and does not touch link accounting.
-    """
-    rng = RandomSource((int(master_seed), 0x0C))
-    mismatches = 0
-    for _ in range(decoys):
-        state = list(DecoyState)[rng.integers(4)]
-        reg = QuantumRegister()
-        (source,) = reg.alloc_state(state.vector)
-        alpha, beta = reg.alloc_bell_pair(BellKind.PHI_MINUS)
-        eve_tap(reg, beta, model, rng)
-        outcome = reg.bell_measure(source, alpha, rng)
-        reg.apply_pauli(beta, CORRECTION_FOR_OUTCOME[outcome])
-        bit = reg.measure_single(beta, state.basis, rng)
-        if bit != state.expected_bit:
-            mismatches += 1
-    return DetectionReport(decoys, mismatches)

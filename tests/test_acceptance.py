@@ -27,8 +27,8 @@ from cqss.protocol import (
 )
 from cqss.qubits import (
     RandomSource,
-    expected_withheld_density,
     fidelity,
+    sealed_mixture,
     trace_distance,
 )
 from cqss.scenario import load_scenario, parse_scenario_text
@@ -87,7 +87,7 @@ def test_criterion_2_no_information():
             run.distribute_all()
             for index in range(1, width + 1):
                 got = run.withheld_state({index})
-                want = expected_withheld_density(secret, index - 1)
+                want = sealed_mixture(secret, [index - 1])
                 worst = max(worst, trace_distance(got, want))
     elapsed = time.monotonic() - started
     _verdict(2, "no information from withheld records",

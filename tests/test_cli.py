@@ -146,6 +146,49 @@ class TestBundledScenarios:
         assert code == 2 and "eve" in err
 
 
+def wide_scenario(tmp_path, width, threshold_k, withholding=()):
+    """A classical round-robin scenario over ``width`` players and
+    controllers, with the given controllers withholding."""
+    release = " ".join(
+        f"{c}:{'no' if c in withholding else 'yes'}" for c in range(1, width + 1)
+    )
+    path = tmp_path / "wide.scn"
+    path.write_text(
+        FAST_SCENARIO.lstrip()
+        .replace("N = 2", f"N = {width}")
+        .replace("n = 2", f"n = {width}")
+        .replace("m = 2", f"m = {width}")
+        .replace("threshold_k = 2", f"threshold_k = {threshold_k}")
+        .replace("secret = demo 0.6 0.8", f"secret = haar 3\nrelease = {release}")
+        .replace("trials = 5", "trials = 1")
+    )
+    return path
+
+
+class TestMemoryRule:
+    def test_noinfo_rejects_too_wide_audit_before_distribution(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The dense audit over 13 qubits spans 26; nothing is distributed.
+        from cqss import harness
+
+        calls = []
+        monkeypatch.setattr(harness, "build_run", lambda *args: calls.append(args))
+        code, out, err = invoke(capsys, "noinfo", wide_scenario(tmp_path, 13, 13))
+        assert code == 2 and out == ""
+        assert err.startswith("error: N: ") and "26 qubits" in err
+        assert not calls
+
+    def test_run_with_partial_coverage_at_width_18(self, capsys, tmp_path):
+        # Controller 1 withholds record 1, so 17 of 18 players recover.  The
+        # covered qubits' 2^17 x 2^17 density matrix is never built.
+        code, out, _ = invoke(
+            capsys, "run", wide_scenario(tmp_path, 18, 17, withholding={1})
+        )
+        assert code == 0
+        assert "recovered" in out
+
+
 class TestEveCurve:
     def test_small_curve_passes(self, capsys, tmp_path):
         path = tmp_path / "eve_small.scn"

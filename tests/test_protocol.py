@@ -21,7 +21,7 @@ from cqss.protocol import (
     PartyId,
     Recovered,
     Sealed,
-    peak_live_qubits,
+    peak_block_qubits,
     setup,
 )
 from cqss.qubits import (
@@ -30,9 +30,9 @@ from cqss.qubits import (
     DensityMatrix,
     QuantumRegister,
     RandomSource,
-    expected_withheld_density,
     fidelity,
     pure_density,
+    sealed_mixture,
     trace_distance,
 )
 from cqss.scenario import load_scenario, parse_scenario_text
@@ -85,19 +85,18 @@ class TestSetup:
         complete(run)
         assert run.resource_report().epr_controller == 6
 
-    def test_pad_links_count_toward_capacity(self):
-        # Distribution alone peaks at 3 + 18 + 2 = 23 live qubits, but
-        # classical transport holds four pad qubits on top of the 21 slots.
-        width, decoys = 3, 18
-        plan = DecoyPlan.random(width, decoys, RandomSource(5))
-        policy = AccessPolicy.round_robin(width, width, width)
-        with pytest.raises(CapacityError):
-            setup(width, width, width, haar(width, 1), policy, RandomSource(0),
-                  decoy_plan=plan)
+    def test_too_wide_secret_rejected_first(self):
+        # A 23-qubit secret's swap would merge into a 25-qubit block.  The
+        # width is rejected before the secret (here a stand-in of the wrong
+        # size) is checked or any register is allocated.
+        width = 23
+        policy = AccessPolicy.round_robin(1, 1, width)
+        with pytest.raises(CapacityError, match="25 qubits"):
+            setup(1, 1, width, np.zeros(1), policy, RandomSource(0))
 
     def test_invalid_decoy_plan_rejected_before_capacity(self):
-        # 30 duplicate placements would also exceed the cap; the plan is
-        # checked first
+        # 30 duplicate placements; the plan is checked before any register
+        # is allocated
         plan = DecoyPlan((1,) * 30, (DecoyState.ZERO,) * 30)
         policy = AccessPolicy.round_robin(3, 3, 3)
         with pytest.raises(PolicyError):
@@ -454,10 +453,7 @@ class TestReconstruct:
         (run,) = runs
         out = run.reconstruct()  # the outcome run_trial already computed
         assert isinstance(out, Recovered) and out.share_state is None
-        assert run.register.peak_qubits == peak_live_qubits(
-            width, 0, cfg.record_to_controller
-        )
-        assert run.register.peak_block_qubits == width + 2
+        assert run.register.peak_block_qubits == peak_block_qubits(width) == width + 2
 
     def test_single_withheld_seals(self):
         policy = AccessPolicy.round_robin(3, 3, 3)
@@ -507,20 +503,18 @@ class TestReconstruct:
         assert run.reconstruct() is first
 
 
-# -- peak live qubits -----------------------------------------------------------------------
+# -- largest block ---------------------------------------------------------------------------
 
 
-def check_peaks(run, width, decoys, record_to_controller):
-    """Distribute and transport, then check both high-water marks: live
-    qubits against the peak rule, and the largest block against
-    max(N + 2, 4).  A swap merges the secret's block with a 2-qubit link
-    (N + 2); pads and teleports merge two links (4), larger only at N = 1."""
+def check_peaks(run, width):
+    """Distribute and transport, then check the largest block against the
+    prediction of the memory rule.  A swap merges the secret's block with a
+    2-qubit link (N + 2); pads and teleports merge two links (4), larger
+    only at N = 1."""
     run.distribute_all()
     run.transport_all()
-    assert run.register.peak_qubits == peak_live_qubits(
-        width, decoys, record_to_controller
-    )
-    assert run.register.peak_block_qubits == max(width + 2, 4)
+    assert run.register.peak_block_qubits == peak_block_qubits(width)
+    assert peak_block_qubits(width) == max(width + 2, 4)
 
 
 class TestPeakLiveQubits:
@@ -531,7 +525,7 @@ class TestPeakLiveQubits:
     )
     def test_bundled_scenarios(self, name):
         cfg = load_scenario(SCENARIOS / f"{name}.scn")
-        check_peaks(build_run(cfg, 0), cfg.N, cfg.decoys, cfg.record_to_controller)
+        check_peaks(build_run(cfg, 0), cfg.N)
 
     @pytest.mark.parametrize(
         "split_records",
@@ -550,7 +544,7 @@ class TestPeakLiveQubits:
             plan = DecoyPlan.random(width, decoys, RandomSource(64))
             run = setup(width, width, width, haar(width, 62), policy,
                         RandomSource(63), decoy_plan=plan)
-            check_peaks(run, width, decoys, policy.record_to_controller)
+            check_peaks(run, width)
 
 
 # -- withheld state -------------------------------------------------------------------------
@@ -606,7 +600,7 @@ class TestWithheldState:
         run.distribute_all()
         for index in (1, 2, 3):
             got = run.withheld_state({index})
-            want = expected_withheld_density(run.secret, index - 1)
+            want = sealed_mixture(run.secret, [index - 1])
             assert trace_distance(got, want) <= 1e-10
 
     def test_empty_set_gives_projector(self):
@@ -624,8 +618,6 @@ class TestWithheldState:
         np.testing.assert_allclose(slot2, np.eye(2) / 2, atol=1e-10)
 
     def test_multiple_withheld_matches_chain(self):
-        from cqss.qubits import sealed_mixture
-
         run = fresh_run(seed=46, secret_seed=47)
         run.distribute_all()
         got = run.withheld_state({1, 3})

@@ -11,11 +11,12 @@ from cqss.errors import (
     CapacityError,
     DimensionMismatch,
     InternalInconsistency,
+    NotNormalized,
     UnknownQubit,
 )
 from cqss.qubits import (
     CORRECTION_FOR_OUTCOME,
-    MAX_LIVE_QUBITS,
+    MAX_ARRAY_QUBITS,
     BellKind,
     DensityMatrix,
     Pauli,
@@ -23,7 +24,6 @@ from cqss.qubits import (
     RandomSource,
     apply_single_qubit_channel,
     born_sample,
-    expected_withheld_density,
     fidelity,
     pure_density,
     sealed_mixture,
@@ -69,11 +69,13 @@ class TestAllocation:
         assert not reg.is_live(q)
 
     def test_capacity_cap(self):
+        # The cap bounds arrays, not live qubits: blocks of one qubit each
+        # are fine, multiplying them all out is not.
         reg = QuantumRegister()
-        for _ in range(MAX_LIVE_QUBITS):
+        for _ in range(MAX_ARRAY_QUBITS + 1):
             reg.alloc_qubit(0)
         with pytest.raises(CapacityError):
-            reg.alloc_qubit(0)
+            reg.state_vector()
 
     def test_bell_pair_phi_minus_amplitudes(self):
         reg = QuantumRegister()
@@ -99,6 +101,32 @@ class TestAllocation:
 
 
 # -- Pauli operators -----------------------------------------------------------
+
+
+class TestMemoryRule:
+    def test_bell_measurement_across_oversized_blocks(self):
+        # Merging a 12-qubit block with a 13-qubit one would span 25 qubits.
+        reg = QuantumRegister()
+        a = reg.alloc_state(random_state(12, 1))
+        b = reg.alloc_state(random_state(13, 2))
+        before = [(list(blk.qubits), blk.amps.copy()) for blk in reg._blocks]
+        with pytest.raises(CapacityError, match="25 qubits"):
+            reg.bell_measure(a[0], b[0], RandomSource(3))
+        # 25 live qubits cannot be multiplied out either, so compare blocks.
+        after = reg._blocks
+        assert [qubits for qubits, _ in before] == [blk.qubits for blk in after]
+        for (_, amps), blk in zip(before, after):
+            np.testing.assert_array_equal(amps, blk.amps)
+        assert reg.num_qubits == 25 and reg.peak_block_qubits == 13
+
+    def test_density_matrices_over_13_qubits(self):
+        psi = random_state(13, 4)
+        with pytest.raises(CapacityError, match="26 qubits"):
+            pure_density(psi)
+        reg = QuantumRegister()
+        ids = reg.alloc_state(psi)
+        with pytest.raises(CapacityError, match="26 qubits"):
+            reg.reduced_density(ids)
 
 
 class TestPaulis:
@@ -428,15 +456,15 @@ class TestWithheldPrediction:
     def test_product_state(self):
         vec = np.zeros(8, dtype=complex)
         vec[0] = 1.0  # |000>
-        got = expected_withheld_density(vec, 0)
+        got = sealed_mixture(vec, [0])
         rest = np.zeros((4, 4), dtype=complex)
         rest[0, 0] = 1.0
-        np.testing.assert_allclose(got.entries, np.kron(np.eye(2) / 2, rest),
+        np.testing.assert_allclose(got, np.kron(np.eye(2) / 2, rest),
                                    atol=1e-14)
 
     def test_structure(self):
         vec = random_state(3, 55)
-        got = expected_withheld_density(vec, 1)
+        got = DensityMatrix(sealed_mixture(vec, [1]), (0, 1, 2))
         got.validate()
         tensor = got.entries.reshape(2, 2, 2, 2, 2, 2)
         replaced = np.trace(
@@ -458,8 +486,8 @@ class TestWithheldPrediction:
             np.concatenate([-a1, a0]),
         ]
         oracle = sum(pure_density(b) for b in branches) / 4
-        got = expected_withheld_density(psi, 0)
-        assert trace_distance(got.entries, oracle) <= 1e-10
+        got = sealed_mixture(psi, [0])
+        assert trace_distance(got, oracle) <= 1e-10
 
     def test_sealed_mixture_all_positions(self):
         psi = random_state(3, 4)
@@ -468,7 +496,15 @@ class TestWithheldPrediction:
 
     def test_position_validation(self):
         with pytest.raises(ValueError):
-            expected_withheld_density(random_state(2, 1), 2)
+            sealed_mixture(random_state(2, 1), [2])
+        with pytest.raises(ValueError):
+            sealed_mixture(random_state(2, 1), [0, -1])
+
+    def test_state_validation(self):
+        with pytest.raises(DimensionMismatch):
+            sealed_mixture(np.ones(3) / np.sqrt(3), [0])
+        with pytest.raises(NotNormalized):
+            sealed_mixture(2 * random_state(2, 1), [0])
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_channel_matches_full_width_kraus(self, position):

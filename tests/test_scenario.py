@@ -1,11 +1,10 @@
 """Scenario file format: parsing, defaults, round trips, and field errors."""
 
-import numpy as np
 import pytest
 
 from cqss.errors import CapacityError, PolicyError, ScenarioError
-from cqss.protocol import AccessPolicy, setup
-from cqss.qubits import RandomSource
+from cqss.harness import build_run, run_trial
+from cqss.protocol import peak_block_qubits
 from cqss.scenario import (
     SCHEMA_TAG,
     ScenarioConfig,
@@ -13,7 +12,6 @@ from cqss.scenario import (
     parse_scenario_text,
     scenario_to_text,
 )
-from cqss.security import DecoyPlan
 
 MINIMAL = """
 cqss-scenario v1
@@ -145,23 +143,25 @@ class TestErrors:
         self.assert_names_field(text, "secret")
 
     def test_decoy_capacity(self):
-        self.assert_names_field(MINIMAL.replace("decoys = 0", "")
-                                + "\ndecoys = 30", "decoys")
+        # Decoys are blocks of their own, so 3 + 30 slots stay within the
+        # memory rule: the largest block is the secret's swap, 3 + 2.
+        cfg = parse_scenario_text(MINIMAL + "\ndecoys = 30")
+        result = run_trial(cfg, 0)
+        assert (result.outcome, result.detection) == ("recovered", "clean")
+        run = build_run(cfg, (cfg.master_seed, 0))
+        run.distribute_all()
+        run.transport_all()
+        assert run.register.peak_block_qubits == peak_block_qubits(3) == 5
 
-    def test_decoy_capacity_counts_pad_links(self):
-        # 3 + 18 slots distribute at 23 live qubits; classical transport
-        # of the last record holds four pad qubits on top of them.
-        self.assert_names_field(MINIMAL.replace("decoys = 0", "")
-                                + "\ndecoys = 18", "decoys")
-
-    def test_decoy_capacity_reports_protocol_check(self):
-        # the scenario error is the protocol's CapacityError under "decoys: "
+    def test_capacity_reports_protocol_check(self):
+        # the scenario error is the protocol's CapacityError under "N: "
+        text = (MINIMAL.replace("N = 3", "N = 23").replace("n = 3", "n = 1")
+                .replace("m = 3", "m = 1").replace("threshold_k = 3", "threshold_k = 1"))
         with pytest.raises(ScenarioError) as scenario_err:
-            parse_scenario_text(MINIMAL + "\ndecoys = 18")
+            parse_scenario_text(text)
         with pytest.raises(CapacityError) as capacity_err:
-            setup(3, 3, 3, np.eye(8)[0], AccessPolicy.round_robin(3, 3, 3),
-                  RandomSource(0), decoy_plan=DecoyPlan.random(3, 18, RandomSource(1)))
-        assert str(scenario_err.value) == f"decoys: {capacity_err.value}"
+            peak_block_qubits(23)
+        assert str(scenario_err.value) == f"N: {capacity_err.value}"
 
     def test_eve_fields(self):
         self.assert_names_field(MINIMAL + "\neve = lurking", "eve")

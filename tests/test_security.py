@@ -23,7 +23,6 @@ from cqss.security import (
     DecoyPlan,
     DecoyState,
     EveModel,
-    controller_channel_check,
     eve_tap,
     no_information_audit,
     verify_decoys,
@@ -397,19 +396,3 @@ class TestNoInformationAudit:
             monkeypatch.setattr(protocol, "_CORRECTED_SUPEROPS", table)
             audit = no_information_audit(run, set())
             assert audit.distance > AUDIT_TOLERANCE, (kind, wrong)
-
-
-# -- controller-link variant -------------------------------------------------------------------
-
-
-class TestControllerChannelCheck:
-    def test_clean_channel_no_mismatches(self):
-        report = controller_channel_check(32, EveModel.off(), master_seed=1)
-        assert report.mismatches == 0
-
-    def test_attacked_channel_detects(self):
-        report = controller_channel_check(
-            400, EveModel.intercept_resend(1.0), master_seed=2
-        )
-        sigma = np.sqrt(0.25 * 0.75 / 400)
-        assert abs(report.mismatches / 400 - 0.25) < 4 * sigma
