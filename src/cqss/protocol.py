@@ -39,14 +39,12 @@ import numpy as np
 from .errors import (
     ControllerRefusal,
     IncompleteRun,
-    NotNormalized,
     PolicyError,
     ProtocolError,
     ResourceAccountingError,
 )
 from .qubits import (
     CORRECTION_FOR_OUTCOME,
-    NORM_ATOL,
     BellKind,
     DensityMatrix,
     Pauli,
@@ -66,7 +64,7 @@ def peak_block_qubits(width: int) -> int:
 
     A distribution swap merges the secret's block with a two-qubit link
     (``width + 2``); a pad or teleport merges two links (4).  Decoys, pads
-    and split shares never share a block with the secret, so this is the
+    and split-record halves never join the secret's block, so this is the
     register's ``peak_block_qubits`` after ``distribute_all`` and
     ``transport_all``.
     """
@@ -76,7 +74,6 @@ def peak_block_qubits(width: int) -> int:
 
 
 class Role(Enum):
-    DEALER = "dealer"
     PLAYER = "player"
     CONTROLLER = "controller"
 
@@ -90,13 +87,7 @@ class PartyId:
         return (self.role.value, self.index) < (other.role.value, other.index)
 
     def __str__(self) -> str:
-        if self.role is Role.DEALER:
-            return "dealer"
         return f"{self.role.value}-{self.index}"
-
-    @classmethod
-    def dealer(cls) -> "PartyId":
-        return cls(Role.DEALER, 0)
 
     @classmethod
     def player(cls, index: int) -> "PartyId":
@@ -105,15 +96,6 @@ class PartyId:
     @classmethod
     def controller(cls, index: int) -> "PartyId":
         return cls(Role.CONTROLLER, index)
-
-
-@dataclass(frozen=True)
-class ClassicalShare:
-    """Two-bit record about one secret qubit and the controllers holding it."""
-
-    bits: tuple[int, int]
-    about_qubit: int
-    holders: tuple[PartyId, ...]
 
 
 @dataclass
@@ -399,15 +381,11 @@ class ProtocolRun:
             raise PolicyError(
                 f"secret has {secret.size} amplitudes, expected {2 ** secret_width}"
             )
-        if abs(np.linalg.norm(secret) - 1.0) > NORM_ATOL:
-            raise NotNormalized(f"secret norm {np.linalg.norm(secret)}")
         policy.validate(n, m, secret_width)
         plan = decoy_plan if decoy_plan is not None else DecoyPlan()
         plan.validate(secret_width)
         total = secret_width + plan.count
 
-        self.n = n
-        self.m = m
         self.secret_width = secret_width
         self.secret = secret.copy()
         self.policy = policy
@@ -415,38 +393,37 @@ class ProtocolRun:
         self.eve = eve if eve is not None else EveModel.off()
         self.decoy_plan = plan
 
-        self.dealer = PartyId.dealer()
-        self.players = [PartyId.player(i) for i in range(1, n + 1)]
-        self.controllers = [PartyId.controller(i) for i in range(1, m + 1)]
-
         # Slot layout: decoys sit at the planned slots, each its own block;
-        # secret qubits fill the remaining slots in index order.
+        # secret qubits fill the remaining slots in index order.  Secret qubit
+        # i goes to the player the policy names; decoy number j goes to
+        # player (j - 1) % n + 1.
         self.register = QuantumRegister()
-        secret_ids = self.register.alloc_state(secret, owner=self.dealer)
+        secret_ids = self.register.alloc_state(secret)
         decoys = plan.record
-        self._decoy_ordinal: dict[int, int] = {}
         self._slot_of_secret: dict[int, int] = {}
         self._secret_of_slot: dict[int, int] = {}
         self.slot_qubits: dict[int, QubitId] = {}
+        self.slot_receiver: dict[int, PartyId] = {}
         for slot in range(1, total + 1):
             if slot in decoys:
-                self._decoy_ordinal[slot] = len(self._decoy_ordinal) + 1
+                j = slot - len(self._slot_of_secret)
                 (self.slot_qubits[slot],) = self.register.alloc_state(
-                    decoys[slot].vector, owner=self.dealer
+                    decoys[slot].vector
                 )
+                self.slot_receiver[slot] = PartyId.player((j - 1) % n + 1)
             else:
                 index = len(self._slot_of_secret) + 1
                 self._slot_of_secret[index] = slot
                 self._secret_of_slot[slot] = index
                 self.slot_qubits[slot] = secret_ids[index - 1]
+                self.slot_receiver[slot] = policy.qubit_to_player[index]
 
         self.transcript = Transcript()
-        self.shares: dict[int, ClassicalShare] = {}
-        self.decoded_bits: dict[int, tuple[int, int]] = {}
-        self.split_holdings: dict[
-            int, tuple[tuple[PartyId, QubitId], tuple[PartyId, QubitId]]
-        ] = {}
-        self.identified: dict[int, BellKind] = {}
+        # Each record once read: a classical one when its controller strips
+        # the pad, a split one when its two controllers identify it jointly.
+        self.decoded: dict[int, BellKind] = {}
+        # The two controllers' halves of each split record not yet identified.
+        self.split_halves: dict[int, tuple[QubitId, QubitId]] = {}
         self.detection: DetectionReport | None = None
         self._undistributed = set(range(1, total + 1))
         self._outcome: Recovered | Sealed | None = None
@@ -492,10 +469,7 @@ class ProtocolRun:
     def _distribute_slot(self, slot: int) -> BellKind:
         if slot not in self._undistributed:
             raise ProtocolError(f"slot {slot} already distributed")
-        receiver = self._slot_receiver(slot)
-        mu, nu = self.register.alloc_bell_pair(
-            BellKind.PHI_MINUS, owners=(self.dealer, receiver)
-        )
+        mu, nu = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
         self.transcript.epr_player += 1
         eve_tap(self.register, nu, self.eve, self.rng)
         source = self.slot_qubits[slot]
@@ -509,44 +483,29 @@ class ProtocolRun:
         self._undistributed.discard(slot)
         return kind
 
-    def _slot_receiver(self, slot: int) -> PartyId:
-        if slot in self._decoy_ordinal:
-            j = self._decoy_ordinal[slot]
-            return PartyId.player((j - 1) % self.n + 1)
-        return self.policy.qubit_to_player[self._secret_of_slot[slot]]
-
     # -- record transport ----------------------------------------------------------
 
-    def send_bits_classical(self, controller: PartyId, share: ClassicalShare) -> None:
-        """Deliver a two-bit record to one controller, one-time padded.
+    def send_bits_classical(
+        self, controller: PartyId, index: int, bits: tuple[int, int]
+    ) -> None:
+        """Deliver two bits about record ``index`` to its one controller,
+        one-time padded; what the controller decodes lands in ``decoded``.
 
         Dealer and controller consume a pair of singlet links; each
         Bell-measures its two halves, obtaining the same uniformly random
-        two bits.  The dealer publicly announces the record XORed with her
-        draw; only the controller can strip the pad.
+        two bits.  The dealer publicly announces ``bits`` XORed with her
+        draw; only the controller can strip the pad.  ``transport_record``
+        sends the recorded bits; any others may be sent to test the pad.
         """
-        index = share.about_qubit
-        self._check_holders(index, (controller,))
-        if share.holders != (controller,):
-            raise PolicyError(
-                f"share holders {share.holders} do not match {controller}"
-            )
-        if index not in self.transcript.bell_record:
-            raise IncompleteRun(f"record {index} has not been produced yet")
-        if index in self.shares:
-            raise ProtocolError(f"record {index} already transported")
-        a1, b1 = self.register.alloc_bell_pair(
-            BellKind.PHI_MINUS, owners=(self.dealer, controller)
-        )
-        a2, b2 = self.register.alloc_bell_pair(
-            BellKind.PHI_MINUS, owners=(self.dealer, controller)
-        )
+        self._check_transport(index, (controller,))
+        a1, b1 = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
+        a2, b2 = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
         self.transcript.epr_controller += 2
         dealer_draw = self.register.bell_measure(a1, a2, self.rng)
         self.transcript.dealer_transport_measurements += 1
         controller_draw = self.register.bell_measure(b1, b2, self.rng)
         self.transcript.controller_measurements += 1
-        x, y = share.bits
+        x, y = bits
         xp, yp = dealer_draw.bits
         announced = (x ^ xp, y ^ yp)
         self.log_message(
@@ -555,34 +514,33 @@ class ProtocolRun:
             f"announce record={index} bits={announced[0]}{announced[1]}",
         )
         xc, yc = controller_draw.bits
-        self.decoded_bits[index] = (announced[0] ^ xc, announced[1] ^ yc)
-        self.shares[index] = share
+        self.decoded[index] = BellKind.from_bits(announced[0] ^ xc, announced[1] ^ yc)
 
     def split_bell_between_controllers(
         self, ca: PartyId, cb: PartyId, record_index: int
     ) -> None:
         """Encode a record as a fresh Bell pair and split it between two
-        controllers, one teleported half each.
+        controllers, one teleported half each; the halves wait in
+        ``split_halves`` until :meth:`joint_identify` reads them.
 
         Each half rides a singlet link; the dealer sends the teleportation
         correction to the receiving controller, who applies it immediately.
         Afterwards the pair jointly holds the Bell state named by the
         record, and neither half alone carries any of it.
         """
-        self._check_holders(record_index, (ca, cb))
-        if record_index not in self.transcript.bell_record:
-            raise IncompleteRun(f"record {record_index} has not been produced yet")
-        if record_index in self.shares:
-            raise ProtocolError(f"record {record_index} already transported")
+        self._check_transport(record_index, (ca, cb))
         kind = self.transcript.bell_record[record_index]
-        g, h = self.register.alloc_bell_pair(kind, owners=(self.dealer, self.dealer))
+        g, h = self.register.alloc_bell_pair(kind)
         qa = self._teleport_to_controller(g, ca, record_index)
         qb = self._teleport_to_controller(h, cb, record_index)
-        self.split_holdings[record_index] = ((ca, qa), (cb, qb))
-        self.shares[record_index] = ClassicalShare(kind.bits, record_index, (ca, cb))
+        self.split_halves[record_index] = (qa, qb)
 
-    def _check_holders(self, index: int, holders: tuple[PartyId, ...]) -> None:
-        """The policy must assign record ``index`` to exactly ``holders``."""
+    def _transported(self, index: int) -> bool:
+        return index in self.decoded or index in self.split_halves
+
+    def _check_transport(self, index: int, holders: tuple[PartyId, ...]) -> None:
+        """Record ``index`` must be assigned to exactly ``holders``, produced
+        by distribution, and not transported yet."""
         assigned = tuple(self.policy.record_to_controller.get(index, ()))
         if assigned != holders:
             raise PolicyError(
@@ -590,13 +548,15 @@ class ProtocolRun:
                 f"{', '.join(map(str, assigned)) or 'no controller'}, "
                 f"not {', '.join(map(str, holders))}"
             )
+        if index not in self.transcript.bell_record:
+            raise IncompleteRun(f"record {index} has not been produced yet")
+        if self._transported(index):
+            raise ProtocolError(f"record {index} already transported")
 
     def _teleport_to_controller(
         self, qubit: QubitId, controller: PartyId, record_index: int
     ) -> QubitId:
-        alpha, beta = self.register.alloc_bell_pair(
-            BellKind.PHI_MINUS, owners=(self.dealer, controller)
-        )
+        alpha, beta = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
         self.transcript.epr_controller += 1
         outcome = self.register.bell_measure(qubit, alpha, self.rng)
         self.transcript.dealer_transport_measurements += 1
@@ -614,14 +574,13 @@ class ProtocolRun:
         holders = self.policy.record_to_controller[record_index]
         if len(holders) == 1:
             kind = self.transcript.bell_record[record_index]
-            share = ClassicalShare(kind.bits, record_index, holders)
-            self.send_bits_classical(holders[0], share)
+            self.send_bits_classical(holders[0], record_index, kind.bits)
         else:
             self.split_bell_between_controllers(holders[0], holders[1], record_index)
 
     def transport_all(self) -> None:
         for index in range(1, self.secret_width + 1):
-            if index not in self.shares:
+            if not self._transported(index):
                 self.transport_record(index)
 
     # -- identification and reconstruction ------------------------------------------
@@ -629,16 +588,18 @@ class ProtocolRun:
     def joint_identify(
         self, ca: PartyId, cb: PartyId, record_index: int | None = None
     ) -> BellKind:
-        """Two controllers read their split share by a joint Bell measurement.
+        """Two controllers read a split record of theirs by a joint Bell
+        measurement, moving it from ``split_halves`` to ``decoded``.
 
-        Refuses (raising :class:`ControllerRefusal`) when either controller
-        withholds; a lone cooperative controller learns nothing, since its
-        half alone is maximally mixed.
+        Without ``record_index`` the pair must hold exactly one unread split
+        record.  Refuses (raising :class:`ControllerRefusal`) when either
+        controller withholds; a lone cooperative controller learns nothing,
+        since its half alone is maximally mixed.
         """
         candidates = [
             i
-            for i, ((pa, _), (pb, _)) in sorted(self.split_holdings.items())
-            if {pa, pb} == {ca, cb} and i not in self.identified
+            for i in sorted(self.split_halves)
+            if set(self.policy.record_to_controller[i]) == {ca, cb}
         ]
         if record_index is None:
             if len(candidates) != 1:
@@ -656,10 +617,11 @@ class ProtocolRun:
             raise ControllerRefusal(
                 f"{', '.join(str(c) for c in refusers)} withheld cooperation"
             )
-        (pa, qa), (pb, qb) = self.split_holdings[record_index]
+        pa, pb = self.policy.record_to_controller[record_index]
+        qa, qb = self.split_halves.pop(record_index)
         kind = self.register.bell_measure(qa, qb, self.rng)
         self.transcript.controller_measurements += 1
-        self.identified[record_index] = kind
+        self.decoded[record_index] = kind
         self.log_message(
             f"{pa}+{pb}",
             "public",
@@ -668,24 +630,23 @@ class ProtocolRun:
         return kind
 
     def available_records(self) -> dict[int, BellKind]:
-        """Records whose holders have all released, as the players see them."""
+        """Transported records whose holders have all released, as the
+        players see them.  A classical record's controller announces its
+        decoded bits; a split record not yet identified is identified now."""
         available: dict[int, BellKind] = {}
-        for index in sorted(self.shares):
+        for index in sorted(self.decoded.keys() | self.split_halves.keys()):
             if not self.policy.record_released(index):
                 continue
-            holders = self.shares[index].holders
+            holders = self.policy.record_to_controller[index]
             if len(holders) == 1:
-                bits = self.decoded_bits[index]
                 self.log_message(
                     str(holders[0]),
                     "public",
-                    f"release record={index} bits={bits[0]}{bits[1]}",
+                    f"release record={index} bits={_bits_str(self.decoded[index])}",
                 )
-                available[index] = BellKind.from_bits(*bits)
-            elif index in self.identified:
-                available[index] = self.identified[index]
-            else:
-                available[index] = self.joint_identify(*holders, index)
+            elif index not in self.decoded:
+                self.joint_identify(*holders, index)
+            available[index] = self.decoded[index]
         return available
 
     def reconstruct(self) -> Recovered | Sealed:
@@ -784,7 +745,7 @@ class ProtocolRun:
         if not self.distribution_complete:
             raise IncompleteRun("distribution incomplete")
         missing = [
-            i for i in range(1, self.secret_width + 1) if i not in self.shares
+            i for i in range(1, self.secret_width + 1) if not self._transported(i)
         ]
         if missing:
             raise IncompleteRun(f"records not transported yet: {missing}")
@@ -806,10 +767,7 @@ class ProtocolRun:
                 t.dealer_transport_measurements,
                 n_classical + 2 * n_split,
             ),
-            "controller_measurements": (
-                t.controller_measurements,
-                n_classical + len(self.identified),
-            ),
+            "controller_measurements": (t.controller_measurements, len(self.decoded)),
         }
         bad = [
             f"{name}: counted {got}, expected {want}"

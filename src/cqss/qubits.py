@@ -5,9 +5,9 @@ complex amplitude vector over its own ordered qubits.  Allocation adds a
 block; a Bell measurement merges the two blocks of its pair (one outer
 product) only when they differ; a measurement shrinks one block, and a block
 measured down to no qubits folds its leftover scalar into a register phase.
-Qubits that never meet the secret (pad links, split shares) therefore never
-multiply its vector.  ``state_vector`` and ``reduced_density`` multiply
-blocks out on demand.
+Qubits that never meet the secret (pad links, split-record halves)
+therefore never multiply its vector.  ``state_vector`` and
+``reduced_density`` multiply blocks out on demand.
 
 One memory rule bounds every array: none may span more than
 ``MAX_ARRAY_QUBITS`` (24) qubits, where a density matrix over k qubits spans
@@ -324,7 +324,6 @@ class QuantumRegister:
         self._block_of: dict[QubitId, _Block] = {}
         # Scalars of blocks measured down to no qubits: the global phase.
         self._phase = 1.0 + 0.0j
-        self.owner: dict[QubitId, object] = {}
         self._next_id = 0
         # High-water marks of live qubits and of the largest block.
         self.peak_qubits = 0
@@ -364,7 +363,6 @@ class QuantumRegister:
         dup._blocks = [_Block(b.amps.copy(), list(b.qubits)) for b in self._blocks]
         dup._block_of = {q: b for b in dup._blocks for q in b.qubits}
         dup._phase = self._phase
-        dup.owner = dict(self.owner)
         dup._next_id = self._next_id
         dup.peak_qubits = self.peak_qubits
         dup.peak_block_qubits = self.peak_block_qubits
@@ -372,40 +370,35 @@ class QuantumRegister:
 
     # -- allocation -----------------------------------------------------------
 
-    def alloc_qubit(self, value: int, owner: object = None) -> QubitId:
-        """Add one qubit in |0> or |1>."""
+    def alloc_qubit(self, value: int) -> QubitId:
+        """Add one qubit in |0> or |1>, as its own block."""
         if value not in (0, 1):
             raise ValueError(f"basis value must be 0 or 1, got {value}")
         vec = np.zeros(2, dtype=complex)
         vec[value] = 1.0
-        return self._grow(vec, (owner,))[0]
+        return self._grow(vec, 1)[0]
 
-    def alloc_bell_pair(
-        self, kind: BellKind, owners: tuple[object, object] = (None, None)
-    ) -> tuple[QubitId, QubitId]:
-        """Add two qubits in the exact Bell state of ``kind``."""
-        ids = self._grow(kind.vector, owners)
+    def alloc_bell_pair(self, kind: BellKind) -> tuple[QubitId, QubitId]:
+        """Add two qubits in the exact Bell state of ``kind``, as one block."""
+        ids = self._grow(kind.vector, 2)
         return ids[0], ids[1]
 
-    def alloc_state(
-        self, vector: np.ndarray, owner: object = None
-    ) -> tuple[QubitId, ...]:
-        """Add qubits carrying an arbitrary normalized state, as one block."""
+    def alloc_state(self, vector: np.ndarray) -> tuple[QubitId, ...]:
+        """Add qubits carrying an arbitrary state, as one block.  The vector
+        must be normalized (``NotNormalized``) and of power-of-two length
+        (``DimensionMismatch``)."""
         vec, n = _as_state(vector)
-        return self._grow(vec, (owner,) * n)
+        return self._grow(vec, n)
 
-    def _grow(self, vec: np.ndarray, owners: tuple[object, ...]) -> tuple[QubitId, ...]:
-        """Add a new block over fresh ids."""
-        count = len(owners)
+    def _grow(self, vec: np.ndarray, count: int) -> tuple[QubitId, ...]:
+        """Add a new block of ``count`` qubits over fresh ids."""
         check_array_qubits(count, "a new block")
         ids = list(range(self._next_id, self._next_id + count))
         self._next_id += count
         block = _Block(vec, ids)
         self._blocks.append(block)
-        for q, owner in zip(ids, owners):
+        for q in ids:
             self._block_of[q] = block
-            if owner is not None:
-                self.owner[q] = owner
         self.peak_qubits = max(self.peak_qubits, self.num_qubits)
         self.peak_block_qubits = max(self.peak_block_qubits, count)
         return tuple(ids)
@@ -577,7 +570,6 @@ class QuantumRegister:
         for q in qs:
             block.qubits.remove(q)
             del self._block_of[q]
-            self.owner.pop(q, None)
         if not block.qubits:
             self._phase *= complex(block.amps[0])
             self._blocks.remove(block)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -265,17 +266,19 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         mode=mode,
         threshold_k=_parse_int("threshold_k", require("threshold_k")),
         qubit_to_player=(
-            _parse_index_map("qubit_to_player", fields["qubit_to_player"])
+            _parse_map("qubit_to_player", fields["qubit_to_player"], _parse_int)
             if "qubit_to_player" in fields
             else _default_qubit_map(N, n)
         ),
         record_to_controller=(
-            _parse_holder_map("record_to_controller", fields["record_to_controller"])
+            _parse_map(
+                "record_to_controller", fields["record_to_controller"], _parse_holders
+            )
             if "record_to_controller" in fields
             else _default_record_map(N, m, mode)
         ),
         release=(
-            _parse_release("release", fields["release"], m)
+            _parse_map("release", fields["release"], _parse_flag)
             if "release" in fields
             else {c: True for c in range(1, m + 1)}
         ),
@@ -371,8 +374,29 @@ def _parse_complex(key: str, token: str) -> complex:
         ) from None
 
 
-def _parse_index_map(key: str, value: str) -> dict[int, int]:
-    result: dict[int, int] = {}
+_V = TypeVar("_V")
+
+_RELEASE_FLAGS = {
+    "yes": True, "true": True, "1": True, "no": False, "false": False, "0": False
+}
+
+
+def _parse_holders(key: str, value: str) -> tuple[int, ...]:
+    return tuple(_parse_int(key, tok) for tok in value.split("+"))
+
+
+def _parse_flag(key: str, value: str) -> bool:
+    if value.lower() not in _RELEASE_FLAGS:
+        raise ScenarioError(f"{key}: expected yes/no, got {value!r}")
+    return _RELEASE_FLAGS[value.lower()]
+
+
+def _parse_map(
+    key: str, value: str, parse_value: Callable[[str, str], _V]
+) -> dict[int, _V]:
+    """``index:value`` entries, each value read by ``parse_value``; an empty
+    map or a repeated index is an error."""
+    result: dict[int, _V] = {}
     for pair in value.split():
         if ":" not in pair:
             raise ScenarioError(f"{key}: expected 'index:value' pairs, got {pair!r}")
@@ -380,39 +404,9 @@ def _parse_index_map(key: str, value: str) -> dict[int, int]:
         idx = _parse_int(key, left)
         if idx in result:
             raise ScenarioError(f"{key}: duplicate index {idx}")
-        result[idx] = _parse_int(key, right)
+        result[idx] = parse_value(key, right)
     if not result:
         raise ScenarioError(f"{key}: no entries")
-    return result
-
-
-def _parse_holder_map(key: str, value: str) -> dict[int, tuple[int, ...]]:
-    result: dict[int, tuple[int, ...]] = {}
-    for pair in value.split():
-        if ":" not in pair:
-            raise ScenarioError(f"{key}: expected 'index:holders' pairs, got {pair!r}")
-        left, right = pair.split(":", 1)
-        idx = _parse_int(key, left)
-        if idx in result:
-            raise ScenarioError(f"{key}: duplicate index {idx}")
-        holders = tuple(_parse_int(key, tok) for tok in right.split("+"))
-        result[idx] = holders
-    if not result:
-        raise ScenarioError(f"{key}: no entries")
-    return result
-
-
-def _parse_release(key: str, value: str, m: int) -> dict[int, bool]:
-    flags = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
-    result: dict[int, bool] = {}
-    for pair in value.split():
-        if ":" not in pair:
-            raise ScenarioError(f"{key}: expected 'controller:yes|no', got {pair!r}")
-        left, right = pair.split(":", 1)
-        idx = _parse_int(key, left)
-        if right.lower() not in flags:
-            raise ScenarioError(f"{key}: expected yes/no, got {right!r}")
-        result[idx] = flags[right.lower()]
     return result
 
 

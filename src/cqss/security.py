@@ -212,7 +212,7 @@ def verify_decoys(run: "ProtocolRun", plan: DecoyPlan) -> DetectionReport:
             "dealer", "public", f"decoy-open slot={slot} bits={x}{y} basis={state.basis}"
         )
         qubit = run.slot_qubits[slot]
-        holder = run.register.owner.get(qubit, "player")
+        holder = run.slot_receiver[slot]
         run.register.apply_pauli(qubit, CORRECTION_FOR_OUTCOME[outcome])
         bit = run.register.measure_single(qubit, state.basis, run.rng)
         run.log_message(str(holder), "dealer", f"decoy-report slot={slot} bit={bit}")

@@ -20,7 +20,6 @@ from cqss.harness import (
 )
 from cqss.protocol import (
     AccessPolicy,
-    ClassicalShare,
     PartyId,
     Recovered,
     setup,
@@ -110,8 +109,8 @@ def test_criterion_3_classical_share_transport():
             run = setup(1, 1, 1, secret, policy,
                         RandomSource((3, bits[0], bits[1], t)))
             run.distribute_all()
-            run.send_bits_classical(controller, ClassicalShare(bits, 1, (controller,)))
-            decode_ok &= run.decoded_bits[1] == bits
+            run.send_bits_classical(controller, 1, bits)
+            decode_ok &= run.decoded[1].bits == bits
             announce = next(
                 m.payload for m in run.transcript.messages
                 if m.payload.startswith("announce")
@@ -158,7 +157,7 @@ def test_criterion_4_split_share_privacy():
         if kind not in kinds_seen:
             kinds_seen.add(kind)
             run.transport_all()
-            for _, qubit in run.split_holdings[1]:
+            for qubit in run.split_halves[1]:
                 rho = run.register.reduced_density([qubit])
                 privacy_ok &= (
                     trace_distance(rho.entries, np.eye(2) / 2) <= DISTANCE_CEILING

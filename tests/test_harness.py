@@ -1,5 +1,6 @@
 """Demo encoding, trial batches, reports, consent sweep, detection curve."""
 
+import hashlib
 import itertools
 from dataclasses import replace
 from pathlib import Path
@@ -174,6 +175,34 @@ class TestRunScenario:
         report = run_scenario(cfg)
         assert report.detections > 0
         assert np.mean(report.fidelities) < 0.97
+
+
+# SHA-256 over the outcome, detection and transcript text of trials 0..19 of
+# each bundled scenario.  None of these fields holds a float, so the digest
+# is the same on every platform; a change that alters a random stream or a
+# logged byte has to say so and update the constant.
+PINNED_DIGESTS = {
+    "eve_curve": "08b144a8ea0fb59528bb2ff154914feb8e509573278db646b48e02083a9492c2",
+    "full_release_demo": "929e8beb02f71590488e866e47be2dce2ff9271fc5396ae800a06b31d98e051b",
+    "single_withheld": "cbcd58b3738f001c2611fb434b6b509f235567be5ff4f0e015cbd63a96085c5b",
+    "split_share": "e52549d40998adeb5d38e1c28dff3f8fcf938da6d13664f34c7e134093f9957a",
+    "veto_controller": "ed90284f28f36bb1ee2e159bcc4ae6f9b702a07f120d39a1e57f4d02b05d86cc",
+}
+
+
+class TestSameBytes:
+    def test_pins_every_bundled_scenario(self):
+        assert sorted(PINNED_DIGESTS) == sorted(p.stem for p in SCENARIOS.glob("*.scn"))
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_first_trials_digest(self, name):
+        cfg = load_scenario(SCENARIOS / f"{name}.scn")
+        digest = hashlib.sha256()
+        for trial in range(20):
+            result = run_trial(cfg, trial)
+            for part in (result.outcome, result.detection, result.transcript_text):
+                digest.update(part.encode() + b"\0")
+        assert digest.hexdigest() == PINNED_DIGESTS[name]
 
 
 class TestVetoInvariant:

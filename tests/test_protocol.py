@@ -17,7 +17,6 @@ from cqss import harness, protocol
 from cqss.harness import build_run
 from cqss.protocol import (
     AccessPolicy,
-    ClassicalShare,
     PartyId,
     Recovered,
     Sealed,
@@ -36,7 +35,7 @@ from cqss.qubits import (
     trace_distance,
 )
 from cqss.scenario import load_scenario, parse_scenario_text
-from cqss.security import DecoyPlan, DecoyState
+from cqss.security import DecoyPlan, DecoyState, verify_decoys
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -165,11 +164,24 @@ class TestDistribution:
         with pytest.raises(ProtocolError):
             run.distribute_qubit(4)
 
-    def test_ownership_transfers_to_player(self):
-        run = fresh_run()
-        run.distribute_qubit(1)
-        holder = run.register.owner[run.slot_qubits[1]]
-        assert holder == PartyId.player(1)
+    def test_slot_receivers_and_decoy_reporters(self):
+        # n = 2 with three decoys, so the decoy rotation wraps back to
+        # player 1; the policy deals the secret qubits out in reverse.
+        p1, p2 = PartyId.player(1), PartyId.player(2)
+        policy = AccessPolicy.round_robin(2, 2, 2)
+        policy.qubit_to_player = {1: p2, 2: p1}
+        plan = DecoyPlan((1, 3, 5), (DecoyState.ZERO, DecoyState.PLUS_X, DecoyState.ONE))
+        run = setup(2, 2, 2, haar(2, 1), policy, RandomSource(0), decoy_plan=plan)
+        assert run.slot_receiver == {1: p1, 2: p2, 3: p2, 4: p1, 5: p1}
+        run.distribute_all()
+        verify_decoys(run, plan)
+        reports = [
+            m for m in run.transcript.messages if m.payload.startswith("decoy-report")
+        ]
+        assert len(reports) == 3
+        for message in reports:
+            slot = int(message.payload.split("slot=")[1].split()[0])
+            assert message.sender == str(run.slot_receiver[slot])
 
     def test_full_distribution_plus_corrections_restores_state(self):
         for seed in (0, 1, 2):
@@ -268,8 +280,7 @@ class TestClassicalTransport:
         run = fresh_run(seed=7)
         run.distribute_all()
         controller = PartyId.controller(1)
-        share = ClassicalShare((0, 1), 1, (controller,))
-        run.send_bits_classical(controller, share)
+        run.send_bits_classical(controller, 1, (0, 1))
 
         announce = [m for m in run.transcript.messages
                     if m.payload.startswith("announce")]
@@ -277,7 +288,7 @@ class TestClassicalTransport:
         u, v = (int(c) for c in announce[0].payload.split("bits=")[1])
         # the announcement is the record XOR the dealer's draw; the
         # controller's identical draw strips it
-        assert run.decoded_bits[1] == (0, 1)
+        assert run.decoded[1].bits == (0, 1)
         xp, yp = (u ^ 0, v ^ 1)
         assert (u, v) == (0 ^ xp, 1 ^ yp)
 
@@ -287,23 +298,23 @@ class TestClassicalTransport:
             run.distribute_all()
             controller = PartyId.controller(1)
             bits = (seed & 1, (seed >> 1) & 1)
-            run.send_bits_classical(controller, ClassicalShare(bits, 1, (controller,)))
-            assert run.decoded_bits[1] == bits
+            run.send_bits_classical(controller, 1, bits)
+            assert run.decoded[1].bits == bits
 
     def test_link_budget_enforced(self):
         run = fresh_run(width=1, seed=3)
         run.distribute_all()
         c = PartyId.controller(1)
-        run.send_bits_classical(c, ClassicalShare((1, 0), 1, (c,)))
+        run.send_bits_classical(c, 1, (1, 0))
         with pytest.raises(ProtocolError):
             # record already transported
-            run.send_bits_classical(c, ClassicalShare((1, 0), 1, (c,)))
+            run.send_bits_classical(c, 1, (1, 0))
 
     def test_transport_before_distribution_rejected(self):
         run = fresh_run()
         c = PartyId.controller(1)
         with pytest.raises(IncompleteRun):
-            run.send_bits_classical(c, ClassicalShare((0, 0), 1, (c,)))
+            run.send_bits_classical(c, 1, (0, 0))
 
     def test_record_sent_to_unassigned_controller_rejected(self):
         # round robin gives record 1 to controller 1
@@ -311,8 +322,8 @@ class TestClassicalTransport:
         run.distribute_all()
         c2 = PartyId.controller(2)
         with pytest.raises(PolicyError):
-            run.send_bits_classical(c2, ClassicalShare((1, 1), 1, (c2,)))
-        assert run.shares == {} and run.transcript.epr_controller == 0
+            run.send_bits_classical(c2, 1, (1, 1))
+        assert run.decoded == {} and run.transcript.epr_controller == 0
 
 
 # -- split transport -------------------------------------------------------------------
@@ -346,7 +357,7 @@ class TestSplitTransport:
     def test_lone_controller_sees_nothing(self):
         for kind, run in self.collect_runs_by_kind().items():
             run.transport_all()
-            (ca, qa), (cb, qb) = run.split_holdings[1]
+            qa, qb = run.split_halves[1]
             for q in (qa, qb):
                 rho = run.register.reduced_density([q])
                 assert trace_distance(rho.entries, np.eye(2) / 2) <= 1e-10, kind
@@ -377,7 +388,7 @@ class TestSplitTransport:
         with pytest.raises(ControllerRefusal):
             run.joint_identify(PartyId.controller(1), PartyId.controller(2))
         # the cooperative controller's half is still maximally mixed
-        (_, qa), _ = run.split_holdings[1]
+        qa, _ = run.split_halves[1]
         rho = run.register.reduced_density([qa])
         assert trace_distance(rho.entries, np.eye(2) / 2) <= 1e-10
 
@@ -390,9 +401,9 @@ class TestSplitTransport:
         for ca, cb in ((c2, c1), (c1, c3), (c3, c2)):
             with pytest.raises(PolicyError):
                 run.split_bell_between_controllers(ca, cb, 1)
-        assert run.shares == {} and run.transcript.epr_controller == 0
+        assert run.split_halves == {} and run.transcript.epr_controller == 0
         run.split_bell_between_controllers(c1, c2, 1)
-        assert run.shares[1].holders == (c1, c2)
+        assert list(run.split_halves) == [1]
 
     def test_identity_branch_preserves_singlet(self):
         # teleporting half of a singlet through a singlet, forcing the

@@ -127,6 +127,18 @@ class TestErrors:
     def test_release_must_cover_all(self):
         self.assert_names_field(MINIMAL + "\nrelease = 1:yes 2:yes", "release")
 
+    @pytest.mark.parametrize(
+        "key,entries,index",
+        [
+            ("release", "1:yes 1:no 2:yes 3:yes", 1),
+            ("qubit_to_player", "1:1 2:2 2:3 3:3", 2),
+            ("record_to_controller", "1:1 2:2 3:3 3:1", 3),
+        ],
+    )
+    def test_duplicate_index(self, key, entries, index):
+        with pytest.raises(ScenarioError, match=f"^{key}: duplicate index {index}$"):
+            parse_scenario_text(f"{MINIMAL}\n{key} = {entries}")
+
     def test_unnormalized_demo_secret(self):
         self.assert_names_field(
             MINIMAL.replace("secret = demo 0.6 0.8", "secret = demo 1 1"),
