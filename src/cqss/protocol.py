@@ -62,13 +62,14 @@ def peak_block_qubits(width: int) -> int:
     """Qubits of the largest array a run over a ``width``-qubit secret holds,
     checked against the memory rule (:func:`~cqss.qubits.check_array_qubits`).
 
-    A distribution swap merges the secret's block with a two-qubit link
-    (``width + 2``); a pad or teleport merges two links (4).  Decoys, pads
-    and split-record halves never join the secret's block, so this is the
-    register's ``peak_block_qubits`` after ``distribute_all`` and
-    ``transport_all``.
+    A distribution swap Bell-measures a secret qubit against a two-qubit
+    link without multiplying the two blocks out: its residual replaces the
+    secret's block at the same width.  Links, pads and teleports stay at two
+    qubits, and decoys, pads and split-record halves never join the secret's
+    block, so this is the register's ``peak_block_qubits`` after
+    ``distribute_all`` and ``transport_all``.
     """
-    peak = max(width + 2, 4)
+    peak = max(width, 2)
     check_array_qubits(peak, f"a {width}-qubit secret's largest block")
     return peak
 
@@ -498,6 +499,10 @@ class ProtocolRun:
         sends the recorded bits; any others may be sent to test the pad.
         """
         self._check_transport(index, (controller,))
+        self._send_bits(controller, index, bits)
+
+    def _send_bits(self, controller: PartyId, index: int, bits: tuple[int, int]) -> None:
+        """:meth:`send_bits_classical` once the record has been checked."""
         a1, b1 = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
         a2, b2 = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
         self.transcript.epr_controller += 2
@@ -570,11 +575,18 @@ class ProtocolRun:
         return beta
 
     def transport_record(self, record_index: int) -> None:
-        """Send one record the way the policy assigns it."""
-        holders = self.policy.record_to_controller[record_index]
+        """Send one record the way the policy assigns it.  An index outside
+        the secret raises ``ProtocolError``, a record not yet distributed
+        ``IncompleteRun``."""
+        holders = self.policy.record_to_controller.get(record_index)
+        if holders is None:
+            raise ProtocolError(
+                f"record index {record_index} outside 1..{self.secret_width}"
+            )
         if len(holders) == 1:
+            self._check_transport(record_index, holders)
             kind = self.transcript.bell_record[record_index]
-            self.send_bits_classical(holders[0], record_index, kind.bits)
+            self._send_bits(holders[0], record_index, kind.bits)
         else:
             self.split_bell_between_controllers(holders[0], holders[1], record_index)
 
@@ -852,7 +864,9 @@ def setup(
     """Validate the roster and policy and stage a run.
 
     Entangled links are allocated lazily, one per swap or pad, each as its
-    own block, so the largest array is :func:`peak_block_qubits`.
+    own block, and a Bell measurement across two blocks builds only its
+    residual, so the largest array is the secret's own block
+    (:func:`peak_block_qubits`).
     """
     return ProtocolRun(
         n, m, secret_width, secret, policy, rng, decoy_plan=decoy_plan, eve=eve

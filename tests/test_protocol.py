@@ -85,10 +85,10 @@ class TestSetup:
         assert run.resource_report().epr_controller == 6
 
     def test_too_wide_secret_rejected_first(self):
-        # A 23-qubit secret's swap would merge into a 25-qubit block.  The
-        # width is rejected before the secret (here a stand-in of the wrong
-        # size) is checked or any register is allocated.
-        width = 23
+        # A 25-qubit secret's own block is over the cap.  The width is
+        # rejected before the secret (here a stand-in of the wrong size) is
+        # checked or any register is allocated.
+        width = 25
         policy = AccessPolicy.round_robin(1, 1, width)
         with pytest.raises(CapacityError, match="25 qubits"):
             setup(1, 1, width, np.zeros(1), policy, RandomSource(0))
@@ -325,6 +325,19 @@ class TestClassicalTransport:
             run.send_bits_classical(c2, 1, (1, 1))
         assert run.decoded == {} and run.transcript.epr_controller == 0
 
+    def test_transport_record_checks_before_reading(self):
+        # A record not yet distributed, or an index outside the secret, is
+        # a typed error, and no link is spent on it.
+        run = fresh_run(width=2, policy=AccessPolicy.round_robin(2, 2, 2))
+        with pytest.raises(IncompleteRun, match="record 1 has not been produced"):
+            run.transport_record(1)
+        run.distribute_all()
+        with pytest.raises(ProtocolError, match=r"record index 5 outside 1\.\.2"):
+            run.transport_record(5)
+        assert run.decoded == {} and run.transcript.epr_controller == 0
+        run.transport_record(1)
+        assert run.decoded[1] is run.transcript.bell_record[1]
+
 
 # -- split transport -------------------------------------------------------------------
 
@@ -464,7 +477,7 @@ class TestReconstruct:
         (run,) = runs
         out = run.reconstruct()  # the outcome run_trial already computed
         assert isinstance(out, Recovered) and out.share_state is None
-        assert run.register.peak_block_qubits == peak_block_qubits(width) == width + 2
+        assert run.register.peak_block_qubits == peak_block_qubits(width) == width
 
     def test_single_withheld_seals(self):
         policy = AccessPolicy.round_robin(3, 3, 3)
@@ -519,13 +532,13 @@ class TestReconstruct:
 
 def check_peaks(run, width):
     """Distribute and transport, then check the largest block against the
-    prediction of the memory rule.  A swap merges the secret's block with a
-    2-qubit link (N + 2); pads and teleports merge two links (4), larger
-    only at N = 1."""
+    prediction of the memory rule.  A swap's residual keeps the secret's
+    block at N qubits; links, pads and teleports stay at 2, the peak only
+    at N = 1."""
     run.distribute_all()
     run.transport_all()
     assert run.register.peak_block_qubits == peak_block_qubits(width)
-    assert peak_block_qubits(width) == max(width + 2, 4)
+    assert peak_block_qubits(width) == max(width, 2)
 
 
 class TestPeakLiveQubits:

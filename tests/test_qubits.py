@@ -17,6 +17,8 @@ from cqss.errors import (
 from cqss.qubits import (
     CORRECTION_FOR_OUTCOME,
     MAX_ARRAY_QUBITS,
+    NORM_ATOL,
+    PROB_FLOOR,
     BellKind,
     DensityMatrix,
     Pauli,
@@ -105,10 +107,11 @@ class TestAllocation:
 
 class TestMemoryRule:
     def test_bell_measurement_across_oversized_blocks(self):
-        # Merging a 12-qubit block with a 13-qubit one would span 25 qubits.
+        # Measuring across a 13-qubit and a 14-qubit block would leave a
+        # 25-qubit residual.
         reg = QuantumRegister()
-        a = reg.alloc_state(random_state(12, 1))
-        b = reg.alloc_state(random_state(13, 2))
+        a = reg.alloc_state(random_state(13, 1))
+        b = reg.alloc_state(random_state(14, 2))
         before = [(list(blk.qubits), blk.amps.copy()) for blk in reg._blocks]
         with pytest.raises(CapacityError, match="25 qubits"):
             reg.bell_measure(a[0], b[0], RandomSource(3))
@@ -117,7 +120,7 @@ class TestMemoryRule:
         assert [qubits for qubits, _ in before] == [blk.qubits for blk in after]
         for (_, amps), blk in zip(before, after):
             np.testing.assert_array_equal(amps, blk.amps)
-        assert reg.num_qubits == 25 and reg.peak_block_qubits == 13
+        assert reg.num_qubits == 27 and reg.peak_block_qubits == 14
 
     def test_density_matrices_over_13_qubits(self):
         psi = random_state(13, 4)
@@ -710,20 +713,151 @@ class TestFactoredRegister:
         assert reg.live_qubits() == tuple(ref.order)
         np.testing.assert_array_equal(reg.state_vector(), before)
 
-    def test_blocks_merge_only_across(self):
+    def test_cross_block_measurement_builds_only_the_residual(self):
         reg = QuantumRegister()
-        secret = reg.alloc_state(random_state(3, 12))
         a1, b1 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
         a2, b2 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
         rng = RandomSource(5)
         assert reg.bell_measure(a1, a2, rng) is reg.bell_measure(b1, b2, rng)
-        assert reg.peak_block_qubits == 4  # the pads never met the secret
+        assert reg.peak_block_qubits == 2  # a pad never spans more than a link
+        secret = reg.alloc_state(random_state(3, 12))
         mu, nu = reg.alloc_bell_pair(BellKind.PHI_MINUS)
         reg.bell_measure(secret[0], mu, rng)
-        assert reg.peak_block_qubits == 5
-        assert reg.peak_qubits == 7
+        assert reg.peak_block_qubits == 3  # the swap keeps the secret's width
+        assert reg.peak_qubits == 5
         rho = reg.reduced_density([nu])
         rho.validate()
+
+
+class TestCrossBlockKernel:
+    """A Bell measurement across two blocks, against the dense reference:
+    the blocks merged with ``np.kron`` and projected onto the Bell rows."""
+
+    @given(
+        st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1), st.data()
+    )
+    def test_matches_merged_reference(self, n_a, n_b, seed, data):
+        pa = data.draw(st.integers(0, n_a - 1), label="pa")
+        pb = data.draw(st.integers(0, n_b - 1), label="pb")
+        a_vec, b_vec = random_state(n_a, seed), random_state(n_b, seed + 1)
+        reg, ref = QuantumRegister(), DenseReference()
+        ids_a, ids_b = reg.alloc_state(a_vec), reg.alloc_state(b_vec)
+        assert (ref.alloc(a_vec), ref.alloc(b_vec)) == (ids_a, ids_b)
+        qa, qb = ids_a[pa], ids_b[pb]
+        comps = ref.bell_components(qa, qb)  # rows over A's rest, then B's
+        probs = (np.abs(comps) ** 2).sum(axis=1)
+        np.testing.assert_allclose(
+            reg.bell_probabilities(qa, qb), probs, rtol=0, atol=1e-13
+        )
+        order = [q for q in ids_a if q != qa] + [q for q in ids_b if q != qb]
+        for kind in BellKind:
+            branch = reg.copy()
+            assert branch.project_bell(qa, qb, kind) == pytest.approx(
+                probs[kind.value], abs=1e-13
+            )
+            want = comps[kind.value] / np.sqrt(probs[kind.value])
+            if order:
+                (block,) = branch._blocks
+                assert block.qubits == order  # A's other qubits, then B's
+                got = branch._phase * block.amps
+            else:
+                assert branch._blocks == []
+                got = np.array([branch._phase])
+            phase = np.vdot(got, want)
+            phase /= abs(phase)
+            np.testing.assert_allclose(got * phase, want, rtol=0, atol=1e-12)
+            assert branch.peak_block_qubits == max(n_a, n_b, n_a + n_b - 2)
+
+    def test_measurement_across_11_and_12_qubits(self):
+        reg = QuantumRegister()
+        a = reg.alloc_state(random_state(11, 3))
+        b = reg.alloc_state(random_state(12, 4))
+        reg.bell_measure(a[5], b[7], RandomSource(9))
+        assert reg.num_qubits == 21
+        assert reg.peak_block_qubits == 21
+        assert abs(reg.norm() - 1.0) <= 1e-12
+
+
+def born_sample_loop(probs, rng):
+    """``born_sample`` as a Python loop over a list, kept as its reference."""
+    p = [float(x) for x in probs]
+    total = 0.0
+    for i, x in enumerate(p):
+        if x < 0.0:
+            if x < -PROB_FLOOR:
+                raise InternalInconsistency(f"negative branch probability: {p}")
+            p[i] = 0.0
+            x = 0.0
+        total += x
+    if abs(total - 1.0) > NORM_ATOL:
+        raise InternalInconsistency(f"branch probabilities sum to {total}")
+    u = rng.random() * total
+    acc = 0.0
+    for i, x in enumerate(p):
+        acc += x
+        if u < acc:
+            return i
+    return len(p) - 1
+
+
+class FixedDraw:
+    """A stand-in random source whose draw is ``r``."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+class TestBornSample:
+    def vectors(self, count):
+        """Random 2- and 4-outcome vectors, with exact zeros, ties and
+        negatives inside and outside the clamp."""
+        gen = np.random.default_rng(2026)
+        for i in range(count):
+            size = (2, 4)[i % 2]
+            p = gen.dirichlet(np.ones(size))
+            shape = i % 5
+            if shape == 1:
+                p[gen.integers(size)] = 0.0
+                p /= p.sum()
+            elif shape == 2:
+                p[:] = 1.0 / size  # every boundary a tie
+            elif shape == 3:
+                j = gen.integers(size)
+                p[j] = -gen.uniform(0.0, 2 * PROB_FLOOR)  # some clamp, some raise
+            elif shape == 4:
+                p *= 1.0 + gen.uniform(-2 * NORM_ATOL, 2 * NORM_ATOL)
+            yield p
+
+    def test_matches_loop_on_random_vectors(self):
+        outcomes = set()
+        for i, p in enumerate(self.vectors(4000)):
+            try:
+                want = born_sample_loop(p, RandomSource(i))
+            except InternalInconsistency as exc:
+                with pytest.raises(InternalInconsistency) as got:
+                    born_sample(p, RandomSource(i))
+                assert str(got.value) == str(exc)
+                outcomes.add("raised")
+                continue
+            assert born_sample(p, RandomSource(i)) == want
+            assert born_sample(list(p), RandomSource(i)) == want
+            outcomes.add(want)
+        assert outcomes == {0, 1, 2, 3, "raised"}
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.25] * 4, [0.5, 0.0, 0.5, 0.0], [0.0, 1.0], [1.0 - 5e-13, -5e-13, 0.0, 5e-13]],
+    )
+    def test_matches_loop_at_boundaries(self, probs):
+        # u landing exactly on a running sum, and draws next to 0 and 1
+        acc = np.add.accumulate(np.maximum(probs, 0.0))
+        draws = [0.0, 1e-300, 1.0 - 2**-53] + [x / acc[-1] for x in acc]
+        for r in draws:
+            want = born_sample_loop(probs, FixedDraw(r))
+            assert born_sample(np.array(probs), FixedDraw(r)) == want
 
 
 # -- invariants ------------------------------------------------------------------------

@@ -156,23 +156,23 @@ class TestErrors:
 
     def test_decoy_capacity(self):
         # Decoys are blocks of their own, so 3 + 30 slots stay within the
-        # memory rule: the largest block is the secret's swap, 3 + 2.
+        # memory rule: the largest block is the secret's own, 3 qubits.
         cfg = parse_scenario_text(MINIMAL + "\ndecoys = 30")
         result = run_trial(cfg, 0)
         assert (result.outcome, result.detection) == ("recovered", "clean")
         run = build_run(cfg, (cfg.master_seed, 0))
         run.distribute_all()
         run.transport_all()
-        assert run.register.peak_block_qubits == peak_block_qubits(3) == 5
+        assert run.register.peak_block_qubits == peak_block_qubits(3) == 3
 
     def test_capacity_reports_protocol_check(self):
         # the scenario error is the protocol's CapacityError under "N: "
-        text = (MINIMAL.replace("N = 3", "N = 23").replace("n = 3", "n = 1")
+        text = (MINIMAL.replace("N = 3", "N = 25").replace("n = 3", "n = 1")
                 .replace("m = 3", "m = 1").replace("threshold_k = 3", "threshold_k = 1"))
         with pytest.raises(ScenarioError) as scenario_err:
             parse_scenario_text(text)
         with pytest.raises(CapacityError) as capacity_err:
-            peak_block_qubits(23)
+            peak_block_qubits(25)
         assert str(scenario_err.value) == f"N: {capacity_err.value}"
 
     def test_eve_fields(self):
