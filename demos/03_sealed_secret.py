@@ -13,7 +13,6 @@ import numpy as np
 
 from cqss import (
     AccessPolicy,
-    PartyId,
     RandomSource,
     Sealed,
     haar_random_state,
@@ -25,7 +24,7 @@ from cqss import (
 
 secret = haar_random_state(3, RandomSource(99))
 policy = AccessPolicy.round_robin(3, 3, 3)
-policy.release[PartyId.controller(2)] = False  # record 2 never arrives
+policy.release[2] = False  # record 2 never arrives
 
 run = setup(3, 3, 3, secret, policy, RandomSource(4))
 run.distribute_all()

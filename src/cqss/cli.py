@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .errors import CapacityError, CqssError, ScenarioError, SweepError
 from .harness import (
+    build_run,
     detection_curve,
     expected_outcome,
     mstar_sweep,
@@ -60,10 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:
-    path = Path(args.scenario)
-    if not path.exists():
-        raise ScenarioError(f"scenario_path: file not found: {path}")
-    cfg = load_scenario(path)
+    cfg = load_scenario(args.scenario)
     if args.seed is not None:
         if args.seed < 0:
             raise ScenarioError("master_seed: must be a non-negative integer")
@@ -105,8 +103,6 @@ def _cmd_run(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_noinfo(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
-    from .harness import build_run
-
     try:
         check_array_qubits(2 * cfg.N, f"the audit's density matrix over {cfg.N} qubits")
     except CapacityError as exc:

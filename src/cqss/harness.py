@@ -200,28 +200,21 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
     detection = verify_decoys(run, run.decoy_plan)
     outcome = run.reconstruct()
     resources = run.resource_report()
-    if isinstance(outcome, Recovered):
+    if isinstance(outcome, Sealed):
+        kind, detail, fid = "sealed", outcome.reason, None
+    else:
+        kind = "recovered"
+        detail = f"covered={','.join(str(i) for i in outcome.covered_qubits)}"
         fid = (
             fidelity(outcome.state_vector, run.secret)
             if outcome.state_vector is not None
             else None
         )
-        return TrialResult(
-            index=trial_index,
-            outcome="recovered",
-            detail=f"covered={','.join(str(i) for i in outcome.covered_qubits)}",
-            fidelity=fid,
-            detection=detection.verdict,
-            decoy_mismatches=detection.mismatches,
-            resources=resources,
-            transcript_text=run.transcript.to_text(),
-        )
-    assert isinstance(outcome, Sealed)
     return TrialResult(
         index=trial_index,
-        outcome="sealed",
-        detail=outcome.reason,
-        fidelity=None,
+        outcome=kind,
+        detail=detail,
+        fidelity=fid,
         detection=detection.verdict,
         decoy_mismatches=detection.mismatches,
         resources=resources,
@@ -246,10 +239,6 @@ class SweepRow:
     released: int
     subsets_tested: int
     recovered_subsets: int
-
-    @property
-    def any_success(self) -> bool:
-        return self.recovered_subsets > 0
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,15 @@ reconstruction time: the per-branch algebra is unchanged because
 corrections on distinct qubits commute, and deferral matches the fact that
 players do not know the records until controllers release them.
 
-Qubit indices, record indices and slot numbers are 1-based throughout this
-module; tensor positions inside :mod:`cqss.qubits` are 0-based.
+Qubit indices, record indices, slot numbers and parties (players 1..n,
+controllers 1..m) are 1-based throughout this module; tensor positions
+inside :mod:`cqss.qubits` are 0-based.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -74,47 +75,24 @@ def peak_block_qubits(width: int) -> int:
     return peak
 
 
-class Role(Enum):
-    PLAYER = "player"
-    CONTROLLER = "controller"
-
-
-@dataclass(frozen=True)
-class PartyId:
-    role: Role
-    index: int
-
-    def __lt__(self, other: "PartyId") -> bool:
-        return (self.role.value, self.index) < (other.role.value, other.index)
-
-    def __str__(self) -> str:
-        return f"{self.role.value}-{self.index}"
-
-    @classmethod
-    def player(cls, index: int) -> "PartyId":
-        return cls(Role.PLAYER, index)
-
-    @classmethod
-    def controller(cls, index: int) -> "PartyId":
-        return cls(Role.CONTROLLER, index)
-
-
 @dataclass
 class AccessPolicy:
     """Who holds what, and who has agreed to what.
 
-    ``record_to_controller`` maps each record index to one controller
-    (classical transport) or an ordered pair of controllers (split
-    transport).  ``release`` marks each controller as releasing or
-    withholding; ``cooperating_players`` lists the players willing to take
-    part in reconstruction.
+    A party is its 1-based index and the field it sits in says its role:
+    players in ``qubit_to_player`` and ``cooperating_players``, controllers
+    in ``record_to_controller`` and ``release``.  ``record_to_controller``
+    maps each record index to one controller (classical transport) or an
+    ordered pair of controllers (split transport).  ``release`` marks each
+    controller as releasing or withholding; ``cooperating_players`` lists
+    the players willing to take part in reconstruction.
     """
 
-    qubit_to_player: dict[int, PartyId]
-    record_to_controller: dict[int, tuple[PartyId, ...]]
+    qubit_to_player: dict[int, int]
+    record_to_controller: dict[int, tuple[int, ...]]
     threshold_k: int
-    release: dict[PartyId, bool]
-    cooperating_players: set[PartyId]
+    release: dict[int, bool]
+    cooperating_players: set[int]
 
     def validate(self, n: int, m: int, width: int) -> None:
         """Check the policy against ``n`` players, ``m`` controllers and a
@@ -123,8 +101,8 @@ class AccessPolicy:
         def bad(fieldname: str, message: str) -> PolicyError:
             return PolicyError(f"{fieldname}: {message}")
 
-        players = {PartyId.player(i) for i in range(1, n + 1)}
-        controllers = {PartyId.controller(i) for i in range(1, m + 1)}
+        players = set(range(1, n + 1))
+        controllers = set(range(1, m + 1))
         if not 1 <= self.threshold_k <= n:
             raise bad("threshold_k", f"{self.threshold_k} outside 1..{n}")
         if sorted(self.qubit_to_player) != list(range(1, width + 1)):
@@ -149,12 +127,12 @@ class AccessPolicy:
                     "record_to_controller",
                     f"record {i} must name one or two distinct controllers",
                 )
-            if not set(holders) <= controllers:
+            if not controllers.issuperset(holders):
                 raise bad(
                     "record_to_controller",
                     f"record {i} references controllers outside 1..{m}",
                 )
-            holding |= set(holders)
+            holding.update(holders)
         if holding != controllers:
             raise bad(
                 "record_to_controller", "every controller must hold at least one share"
@@ -168,7 +146,7 @@ class AccessPolicy:
         """Whether every holder of record ``index`` releases it."""
         return all(self.release[c] for c in self.record_to_controller[index])
 
-    def eligible_players(self, available: Iterable[int]) -> list[PartyId]:
+    def eligible_players(self, available: Iterable[int]) -> list[int]:
         """Cooperating players whose qubits all have a record in ``available``,
         sorted.  Reconstruction needs at least ``threshold_k`` of them."""
         have = set(available)
@@ -178,7 +156,7 @@ class AccessPolicy:
             if set(self.qubits_held_by(p)) <= have
         )
 
-    def qubits_held_by(self, player: PartyId) -> tuple[int, ...]:
+    def qubits_held_by(self, player: int) -> tuple[int, ...]:
         return tuple(
             sorted(i for i, p in self.qubit_to_player.items() if p == player)
         )
@@ -192,25 +170,20 @@ class AccessPolicy:
         threshold_k: int | None = None,
         split_all: bool = False,
     ) -> "AccessPolicy":
-        """Convenience policy: qubits and records dealt out cyclically,
-        everything released, everyone cooperating."""
-        qubit_to_player = {
-            i: PartyId.player((i - 1) % n + 1) for i in range(1, width + 1)
-        }
-        record_to_controller: dict[int, tuple[PartyId, ...]] = {}
-        for i in range(1, width + 1):
-            if split_all:
-                a = (2 * (i - 1)) % m + 1
-                b = (2 * (i - 1) + 1) % m + 1
-                record_to_controller[i] = (PartyId.controller(a), PartyId.controller(b))
-            else:
-                record_to_controller[i] = (PartyId.controller((i - 1) % m + 1),)
+        """Qubits dealt out to players 1..n and records to controllers 1..m
+        in turn (two consecutive controllers per record if ``split_all``),
+        everything released, everyone cooperating.  With no players or no
+        controllers the matching map is empty, for ``validate`` to reject."""
+        indices = range(1, width + 1)
+        controllers = itertools.cycle(range(1, m + 1))
+        # zip(c, c) takes two consecutive turns of the same cycle per record.
+        holders = zip(controllers, controllers) if split_all else zip(controllers)
         return cls(
-            qubit_to_player=qubit_to_player,
-            record_to_controller=record_to_controller,
+            qubit_to_player=dict(zip(indices, itertools.cycle(range(1, n + 1)))),
+            record_to_controller=dict(zip(indices, holders)),
             threshold_k=n if threshold_k is None else threshold_k,
-            release={PartyId.controller(i): True for i in range(1, m + 1)},
-            cooperating_players={PartyId.player(i) for i in range(1, n + 1)},
+            release=dict.fromkeys(range(1, m + 1), True),
+            cooperating_players=set(range(1, n + 1)),
         )
 
 
@@ -297,7 +270,7 @@ class Recovered:
 
     state_vector: np.ndarray | None
     covered_qubits: tuple[int, ...]
-    players: tuple[PartyId, ...]
+    players: tuple[int, ...]
     _reduced_density: Callable[[], DensityMatrix] | None = field(
         default=None, repr=False, compare=False
     )
@@ -396,22 +369,22 @@ class ProtocolRun:
 
         # Slot layout: decoys sit at the planned slots, each its own block;
         # secret qubits fill the remaining slots in index order.  Secret qubit
-        # i goes to the player the policy names; decoy number j goes to
-        # player (j - 1) % n + 1.
+        # i goes to the player the policy names; the decoys go to players
+        # 1..n in turn.
         self.register = QuantumRegister()
         secret_ids = self.register.alloc_state(secret)
         decoys = plan.record
+        decoy_players = itertools.cycle(range(1, n + 1))
         self._slot_of_secret: dict[int, int] = {}
         self._secret_of_slot: dict[int, int] = {}
         self.slot_qubits: dict[int, QubitId] = {}
-        self.slot_receiver: dict[int, PartyId] = {}
+        self.slot_receiver: dict[int, int] = {}
         for slot in range(1, total + 1):
             if slot in decoys:
-                j = slot - len(self._slot_of_secret)
                 (self.slot_qubits[slot],) = self.register.alloc_state(
                     decoys[slot].vector
                 )
-                self.slot_receiver[slot] = PartyId.player((j - 1) % n + 1)
+                self.slot_receiver[slot] = next(decoy_players)
             else:
                 index = len(self._slot_of_secret) + 1
                 self._slot_of_secret[index] = slot
@@ -487,7 +460,7 @@ class ProtocolRun:
     # -- record transport ----------------------------------------------------------
 
     def send_bits_classical(
-        self, controller: PartyId, index: int, bits: tuple[int, int]
+        self, controller: int, index: int, bits: tuple[int, int]
     ) -> None:
         """Deliver two bits about record ``index`` to its one controller,
         one-time padded; what the controller decodes lands in ``decoded``.
@@ -501,7 +474,7 @@ class ProtocolRun:
         self._check_transport(index, (controller,))
         self._send_bits(controller, index, bits)
 
-    def _send_bits(self, controller: PartyId, index: int, bits: tuple[int, int]) -> None:
+    def _send_bits(self, controller: int, index: int, bits: tuple[int, int]) -> None:
         """:meth:`send_bits_classical` once the record has been checked."""
         a1, b1 = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
         a2, b2 = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
@@ -522,7 +495,7 @@ class ProtocolRun:
         self.decoded[index] = BellKind.from_bits(announced[0] ^ xc, announced[1] ^ yc)
 
     def split_bell_between_controllers(
-        self, ca: PartyId, cb: PartyId, record_index: int
+        self, ca: int, cb: int, record_index: int
     ) -> None:
         """Encode a record as a fresh Bell pair and split it between two
         controllers, one teleported half each; the halves wait in
@@ -543,15 +516,15 @@ class ProtocolRun:
     def _transported(self, index: int) -> bool:
         return index in self.decoded or index in self.split_halves
 
-    def _check_transport(self, index: int, holders: tuple[PartyId, ...]) -> None:
+    def _check_transport(self, index: int, holders: tuple[int, ...]) -> None:
         """Record ``index`` must be assigned to exactly ``holders``, produced
         by distribution, and not transported yet."""
         assigned = tuple(self.policy.record_to_controller.get(index, ()))
         if assigned != holders:
             raise PolicyError(
                 f"record {index} is assigned to "
-                f"{', '.join(map(str, assigned)) or 'no controller'}, "
-                f"not {', '.join(map(str, holders))}"
+                f"{', '.join(f'controller-{c}' for c in assigned) or 'no controller'}, "
+                f"not {', '.join(f'controller-{c}' for c in holders)}"
             )
         if index not in self.transcript.bell_record:
             raise IncompleteRun(f"record {index} has not been produced yet")
@@ -559,7 +532,7 @@ class ProtocolRun:
             raise ProtocolError(f"record {index} already transported")
 
     def _teleport_to_controller(
-        self, qubit: QubitId, controller: PartyId, record_index: int
+        self, qubit: QubitId, controller: int, record_index: int
     ) -> QubitId:
         alpha, beta = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
         self.transcript.epr_controller += 1
@@ -568,7 +541,7 @@ class ProtocolRun:
         correction = CORRECTION_FOR_OUTCOME[outcome]
         self.log_message(
             "dealer",
-            str(controller),
+            f"controller-{controller}",
             f"correction record={record_index} pauli={correction.value}",
         )
         self.register.apply_pauli(beta, correction)
@@ -598,7 +571,7 @@ class ProtocolRun:
     # -- identification and reconstruction ------------------------------------------
 
     def joint_identify(
-        self, ca: PartyId, cb: PartyId, record_index: int | None = None
+        self, ca: int, cb: int, record_index: int | None = None
     ) -> BellKind:
         """Two controllers read a split record of theirs by a joint Bell
         measurement, moving it from ``split_halves`` to ``decoded``.
@@ -616,18 +589,21 @@ class ProtocolRun:
         if record_index is None:
             if len(candidates) != 1:
                 raise ProtocolError(
-                    f"{ca} and {cb} hold {len(candidates)} unread split shares; "
+                    f"controller-{ca} and controller-{cb} hold "
+                    f"{len(candidates)} unread split shares; "
                     f"pass record_index"
                 )
             record_index = candidates[0]
         elif record_index not in candidates:
             raise ProtocolError(
-                f"record {record_index} is not an unread split share of {ca}, {cb}"
+                f"record {record_index} is not an unread split share of "
+                f"controller-{ca}, controller-{cb}"
             )
         if not self.policy.record_released(record_index):
             refusers = [c for c in (ca, cb) if not self.policy.release[c]]
             raise ControllerRefusal(
-                f"{', '.join(str(c) for c in refusers)} withheld cooperation"
+                f"{', '.join(f'controller-{c}' for c in refusers)} "
+                f"withheld cooperation"
             )
         pa, pb = self.policy.record_to_controller[record_index]
         qa, qb = self.split_halves.pop(record_index)
@@ -635,7 +611,7 @@ class ProtocolRun:
         self.transcript.controller_measurements += 1
         self.decoded[record_index] = kind
         self.log_message(
-            f"{pa}+{pb}",
+            f"controller-{pa}+controller-{pb}",
             "public",
             f"identify record={record_index} bits={_bits_str(kind)}",
         )
@@ -652,7 +628,7 @@ class ProtocolRun:
             holders = self.policy.record_to_controller[index]
             if len(holders) == 1:
                 self.log_message(
-                    str(holders[0]),
+                    f"controller-{holders[0]}",
                     "public",
                     f"release record={index} bits={_bits_str(self.decoded[index])}",
                 )

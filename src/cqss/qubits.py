@@ -287,10 +287,6 @@ class DensityMatrix:
     entries: np.ndarray
     subset: tuple[int, ...]
 
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
     def validate(self, atol: float = NORM_ATOL) -> None:
         m = self.entries
         if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -49,7 +49,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .errors import CapacityError, PolicyError, ScenarioError
-from .protocol import AccessPolicy, PartyId, peak_block_qubits
+from .protocol import AccessPolicy, peak_block_qubits
 
 SCHEMA_TAG = "cqss-scenario v1"
 
@@ -69,9 +69,9 @@ class SecretSpec:
 class ScenarioConfig:
     """Everything needed to reproduce a batch of protocol runs.
 
-    The assignment, threshold, release and cooperation fields are the parsed
-    form of an :class:`~cqss.protocol.AccessPolicy` (see :meth:`policy`),
-    with parties named by their 1-based indices; the policy validates them.
+    The assignment, threshold, release and cooperation fields are those of
+    an :class:`~cqss.protocol.AccessPolicy` (see :meth:`policy`), with
+    parties named by their 1-based indices; the policy validates them.
     """
 
     name: str
@@ -104,18 +104,14 @@ class ScenarioConfig:
         )
 
     def policy(self) -> AccessPolicy:
-        """The access policy these fields describe, with indices as parties."""
+        """The access policy these fields describe, over fresh copies of
+        their containers: editing the policy leaves the config as it is."""
         return AccessPolicy(
-            qubit_to_player={
-                i: PartyId.player(p) for i, p in self.qubit_to_player.items()
-            },
-            record_to_controller={
-                i: tuple(PartyId.controller(c) for c in holders)
-                for i, holders in self.record_to_controller.items()
-            },
+            qubit_to_player=dict(self.qubit_to_player),
+            record_to_controller=dict(self.record_to_controller),
             threshold_k=self.threshold_k,
-            release={PartyId.controller(c): flag for c, flag in self.release.items()},
-            cooperating_players={PartyId.player(p) for p in self.cooperating_players},
+            release=dict(self.release),
+            cooperating_players=set(self.cooperating_players),
         )
 
     def validate(self) -> None:
@@ -186,22 +182,6 @@ class ScenarioConfig:
             raise bad("secret", "haar seed must be a non-negative integer")
 
 
-# -- defaults -----------------------------------------------------------------
-
-
-def _default_qubit_map(N: int, n: int) -> dict[int, int]:
-    return {i: (i - 1) % n + 1 for i in range(1, N + 1)}
-
-
-def _default_record_map(N: int, m: int, mode: str) -> dict[int, tuple[int, ...]]:
-    if mode == "split":
-        return {
-            i: ((2 * (i - 1)) % m + 1, (2 * (i - 1) + 1) % m + 1)
-            for i in range(1, N + 1)
-        }
-    return {i: ((i - 1) % m + 1,) for i in range(1, N + 1)}
-
-
 # -- parsing --------------------------------------------------------------------
 
 
@@ -258,6 +238,21 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     m = _parse_int("m", require("m"))
     mode = require("mode")
 
+    policy_keys = {
+        "qubit_to_player", "record_to_controller", "release", "cooperating_players"
+    }
+    default = (
+        AccessPolicy.round_robin(n, m, N, split_all=mode == "split")
+        if policy_keys - fields.keys()
+        else None
+    )
+
+    def policy_field(key: str, parse: Callable, *args):
+        """``key`` parsed, or the round-robin policy's value if it is omitted."""
+        if key in fields:
+            return parse(key, fields[key], *args)
+        return getattr(default, key)
+
     cfg = ScenarioConfig(
         name=fields.get("name", "scenario"),
         N=N,
@@ -265,28 +260,12 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         m=m,
         mode=mode,
         threshold_k=_parse_int("threshold_k", require("threshold_k")),
-        qubit_to_player=(
-            _parse_map("qubit_to_player", fields["qubit_to_player"], _parse_int)
-            if "qubit_to_player" in fields
-            else _default_qubit_map(N, n)
+        qubit_to_player=policy_field("qubit_to_player", _parse_map, _parse_int),
+        record_to_controller=policy_field(
+            "record_to_controller", _parse_map, _parse_holders
         ),
-        record_to_controller=(
-            _parse_map(
-                "record_to_controller", fields["record_to_controller"], _parse_holders
-            )
-            if "record_to_controller" in fields
-            else _default_record_map(N, m, mode)
-        ),
-        release=(
-            _parse_map("release", fields["release"], _parse_flag)
-            if "release" in fields
-            else {c: True for c in range(1, m + 1)}
-        ),
-        cooperating_players=(
-            _parse_index_set("cooperating_players", fields["cooperating_players"])
-            if "cooperating_players" in fields
-            else set(range(1, n + 1))
-        ),
+        release=policy_field("release", _parse_map, _parse_flag),
+        cooperating_players=policy_field("cooperating_players", _parse_index_set),
         decoys=_parse_int("decoys", fields.get("decoys", "0")),
         eve=fields.get("eve", "none"),
         eve_probability=_parse_float("eve_probability", fields.get("eve_probability", "0")),

@@ -133,10 +133,6 @@ class EveModel:
                 f"intercept probability {self.intercept_probability} outside [0, 1]"
             )
 
-    @property
-    def active(self) -> bool:
-        return self.strategy != "none" and self.intercept_probability > 0.0
-
     @classmethod
     def off(cls) -> "EveModel":
         return cls()
@@ -204,18 +200,19 @@ def verify_decoys(run: "ProtocolRun", plan: DecoyPlan) -> DetectionReport:
         "decoy-positions slots=" + ",".join(str(s) for s in plan.placements),
     )
     mismatches = 0
-    for slot in plan.placements:
-        state = plan.record[slot]
+    for slot, state in zip(plan.placements, plan.states):
         outcome = run.transcript.decoy_record[slot]
         x, y = outcome.bits
         run.log_message(
             "dealer", "public", f"decoy-open slot={slot} bits={x}{y} basis={state.basis}"
         )
         qubit = run.slot_qubits[slot]
-        holder = run.slot_receiver[slot]
+        player = run.slot_receiver[slot]
         run.register.apply_pauli(qubit, CORRECTION_FOR_OUTCOME[outcome])
         bit = run.register.measure_single(qubit, state.basis, run.rng)
-        run.log_message(str(holder), "dealer", f"decoy-report slot={slot} bit={bit}")
+        run.log_message(
+            f"player-{player}", "dealer", f"decoy-report slot={slot} bit={bit}"
+        )
         if bit != state.expected_bit:
             mismatches += 1
     report = DetectionReport(plan.count, mismatches)

@@ -20,7 +20,6 @@ from cqss.harness import (
 )
 from cqss.protocol import (
     AccessPolicy,
-    PartyId,
     Recovered,
     setup,
 )
@@ -97,7 +96,7 @@ def test_criterion_3_classical_share_transport():
     """Padded record transport: always decodable, announcements uniform."""
     started = time.monotonic()
     trials = 10_000
-    controller = PartyId.controller(1)
+    controller = 1
     policy = AccessPolicy.round_robin(1, 1, 1)
     secret = np.array([1.0, 0.0])
     chi2_ok = True
@@ -135,11 +134,11 @@ def test_criterion_3_classical_share_transport():
 
 def _split_policy():
     return AccessPolicy(
-        qubit_to_player={1: PartyId.player(1)},
-        record_to_controller={1: (PartyId.controller(1), PartyId.controller(2))},
+        qubit_to_player={1: 1},
+        record_to_controller={1: (1, 2)},
         threshold_k=1,
-        release={PartyId.controller(1): True, PartyId.controller(2): True},
-        cooperating_players={PartyId.player(1)},
+        release={1: True, 2: True},
+        cooperating_players={1},
     )
 
 
@@ -168,7 +167,7 @@ def test_criterion_4_split_share_privacy():
         run = setup(1, 2, 1, secret, _split_policy(), RandomSource((44, t)))
         run.distribute_all()
         run.transport_all()
-        got = run.joint_identify(PartyId.controller(1), PartyId.controller(2))
+        got = run.joint_identify(1, 2)
         identify_ok &= got is run.transcript.bell_record[1]
     _verdict(4, "split share privacy and identification",
              privacy_ok and identify_ok, started)

@@ -39,7 +39,7 @@ class TestUsageErrors:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = invoke(capsys, "run", "definitely_missing.scn")
         assert code == 2
-        assert "definitely_missing.scn" in err
+        assert err == "error: scenario_path: file not found: definitely_missing.scn\n"
 
     def test_malformed_scenario_names_field(self, capsys, tmp_path):
         path = tmp_path / "broken.scn"
@@ -47,6 +47,21 @@ class TestUsageErrors:
         code, _, err = invoke(capsys, "run", path)
         assert code == 2
         assert "trials" in err
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("n = 2", "n: must satisfy 1 <= n <= N=2, got 0"),
+            ("m = 2", "m: must satisfy 1 <= m <= 2N=4, got 0"),
+        ],
+        ids=["no-players", "no-controllers"],
+    )
+    def test_zero_parties_without_maps_exit_2(self, capsys, tmp_path, line, message):
+        # The omitted assignment maps default to round robin over no parties.
+        path = tmp_path / "empty.scn"
+        path.write_text(FAST_SCENARIO.replace(f"\n{line}\n", f"\n{line[0]} = 0\n"))
+        code, out, err = invoke(capsys, "run", path)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli.main(["frobnicate", "x.scn"]) == 2

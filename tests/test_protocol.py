@@ -17,7 +17,6 @@ from cqss import harness, protocol
 from cqss.harness import build_run
 from cqss.protocol import (
     AccessPolicy,
-    PartyId,
     Recovered,
     Sealed,
     peak_block_qubits,
@@ -167,7 +166,7 @@ class TestDistribution:
     def test_slot_receivers_and_decoy_reporters(self):
         # n = 2 with three decoys, so the decoy rotation wraps back to
         # player 1; the policy deals the secret qubits out in reverse.
-        p1, p2 = PartyId.player(1), PartyId.player(2)
+        p1, p2 = 1, 2
         policy = AccessPolicy.round_robin(2, 2, 2)
         policy.qubit_to_player = {1: p2, 2: p1}
         plan = DecoyPlan((1, 3, 5), (DecoyState.ZERO, DecoyState.PLUS_X, DecoyState.ONE))
@@ -181,7 +180,7 @@ class TestDistribution:
         assert len(reports) == 3
         for message in reports:
             slot = int(message.payload.split("slot=")[1].split()[0])
-            assert message.sender == str(run.slot_receiver[slot])
+            assert message.sender == f"player-{run.slot_receiver[slot]}"
 
     def test_full_distribution_plus_corrections_restores_state(self):
         for seed in (0, 1, 2):
@@ -213,7 +212,7 @@ def random_full_release_policy(width, rng):
     """Random qubit/record assignments with everyone consenting: random
     player loads, random controller loads, random classical/split mix."""
     n = 1 + rng.integers(width)
-    players = [PartyId.player(i) for i in range(1, n + 1)]
+    players = list(range(1, n + 1))
     assignment = list(players)  # each player holds at least one qubit
     while len(assignment) < width:
         assignment.append(players[rng.integers(n)])
@@ -229,19 +228,19 @@ def random_full_release_policy(width, rng):
         holders = []
         for _ in range(count):
             if controllers_used and rng.integers(3) == 0:
-                pick = PartyId.controller(1 + rng.integers(controllers_used))
+                pick = 1 + rng.integers(controllers_used)
                 if pick not in holders:
                     holders.append(pick)
                     continue
             controllers_used += 1
-            holders.append(PartyId.controller(controllers_used))
+            holders.append(controllers_used)
         record_holders[index] = tuple(holders)
     m = controllers_used
     policy = AccessPolicy(
         qubit_to_player=qubit_to_player,
         record_to_controller=record_holders,
         threshold_k=1 + rng.integers(n),
-        release={PartyId.controller(i): True for i in range(1, m + 1)},
+        release={i: True for i in range(1, m + 1)},
         cooperating_players=set(players),
     )
     return policy, n, m
@@ -279,7 +278,7 @@ class TestClassicalTransport:
     def test_xor_announcement_and_decode(self):
         run = fresh_run(seed=7)
         run.distribute_all()
-        controller = PartyId.controller(1)
+        controller = 1
         run.send_bits_classical(controller, 1, (0, 1))
 
         announce = [m for m in run.transcript.messages
@@ -296,7 +295,7 @@ class TestClassicalTransport:
         for seed in range(300):
             run = fresh_run(width=1, seed=seed, secret_seed=2)
             run.distribute_all()
-            controller = PartyId.controller(1)
+            controller = 1
             bits = (seed & 1, (seed >> 1) & 1)
             run.send_bits_classical(controller, 1, bits)
             assert run.decoded[1].bits == bits
@@ -304,7 +303,7 @@ class TestClassicalTransport:
     def test_link_budget_enforced(self):
         run = fresh_run(width=1, seed=3)
         run.distribute_all()
-        c = PartyId.controller(1)
+        c = 1
         run.send_bits_classical(c, 1, (1, 0))
         with pytest.raises(ProtocolError):
             # record already transported
@@ -312,7 +311,7 @@ class TestClassicalTransport:
 
     def test_transport_before_distribution_rejected(self):
         run = fresh_run()
-        c = PartyId.controller(1)
+        c = 1
         with pytest.raises(IncompleteRun):
             run.send_bits_classical(c, 1, (0, 0))
 
@@ -320,7 +319,7 @@ class TestClassicalTransport:
         # round robin gives record 1 to controller 1
         run = fresh_run(width=2, policy=AccessPolicy.round_robin(2, 2, 2))
         run.distribute_all()
-        c2 = PartyId.controller(2)
+        c2 = 2
         with pytest.raises(PolicyError):
             run.send_bits_classical(c2, 1, (1, 1))
         assert run.decoded == {} and run.transcript.epr_controller == 0
@@ -344,11 +343,11 @@ class TestClassicalTransport:
 
 def split_pair_policy():
     return AccessPolicy(
-        qubit_to_player={1: PartyId.player(1)},
-        record_to_controller={1: (PartyId.controller(1), PartyId.controller(2))},
+        qubit_to_player={1: 1},
+        record_to_controller={1: (1, 2)},
         threshold_k=1,
-        release={PartyId.controller(1): True, PartyId.controller(2): True},
-        cooperating_players={PartyId.player(1)},
+        release={1: True, 2: True},
+        cooperating_players={1},
     )
 
 
@@ -378,7 +377,7 @@ class TestSplitTransport:
     def test_joint_identify_returns_prepared_kind(self):
         for kind, run in self.collect_runs_by_kind().items():
             run.transport_all()
-            got = run.joint_identify(PartyId.controller(1), PartyId.controller(2))
+            got = run.joint_identify(1, 2)
             assert got is kind
 
     def test_joint_identify_deterministic_eigenstate(self):
@@ -388,18 +387,16 @@ class TestSplitTransport:
             run.distribute_all()
             run.transport_all()
             kind = run.transcript.bell_record[1]
-            assert run.joint_identify(
-                PartyId.controller(1), PartyId.controller(2)
-            ) is kind
+            assert run.joint_identify(1, 2) is kind
 
     def test_defector_triggers_refusal(self):
         policy = split_pair_policy()
-        policy.release[PartyId.controller(2)] = False
+        policy.release[2] = False
         run = setup(1, 2, 1, haar(1, 6), policy, RandomSource(8))
         run.distribute_all()
         run.transport_all()
         with pytest.raises(ControllerRefusal):
-            run.joint_identify(PartyId.controller(1), PartyId.controller(2))
+            run.joint_identify(1, 2)
         # the cooperative controller's half is still maximally mixed
         qa, _ = run.split_halves[1]
         rho = run.register.reduced_density([qa])
@@ -410,7 +407,7 @@ class TestSplitTransport:
         policy = AccessPolicy.round_robin(2, 3, 2, split_all=True)
         run = setup(2, 3, 2, haar(2, 1), policy, RandomSource(0))
         run.distribute_all()
-        c1, c2, c3 = (PartyId.controller(i) for i in (1, 2, 3))
+        c1, c2, c3 = 1, 2, 3
         for ca, cb in ((c2, c1), (c1, c3), (c3, c2)):
             with pytest.raises(PolicyError):
                 run.split_bell_between_controllers(ca, cb, 1)
@@ -481,7 +478,7 @@ class TestReconstruct:
 
     def test_single_withheld_seals(self):
         policy = AccessPolicy.round_robin(3, 3, 3)
-        policy.release[PartyId.controller(2)] = False
+        policy.release[2] = False
         run = complete(fresh_run(policy=policy, seed=4))
         out = run.reconstruct()
         assert isinstance(out, Sealed)
@@ -489,13 +486,13 @@ class TestReconstruct:
 
     def test_too_few_cooperating_players_seals(self):
         policy = AccessPolicy.round_robin(3, 3, 3)
-        policy.cooperating_players = {PartyId.player(1), PartyId.player(2)}
+        policy.cooperating_players = {1, 2}
         run = complete(fresh_run(policy=policy, seed=4))
         assert isinstance(run.reconstruct(), Sealed)
 
     def test_partial_threshold_recovers_covered_subset(self):
         policy = AccessPolicy.round_robin(3, 3, 3, threshold_k=2)
-        policy.release[PartyId.controller(3)] = False
+        policy.release[3] = False
         run = complete(fresh_run(policy=policy, seed=21))
         out = run.reconstruct()
         assert isinstance(out, Recovered)
@@ -505,7 +502,7 @@ class TestReconstruct:
 
     def test_partial_share_state_is_reduced_density_of_covered(self):
         policy = AccessPolicy.round_robin(3, 3, 3, threshold_k=2)
-        policy.release[PartyId.controller(2)] = False
+        policy.release[2] = False
         run = complete(fresh_run(policy=policy, seed=22, secret_seed=23))
         out = run.reconstruct()
         assert isinstance(out, Recovered)
@@ -560,10 +557,7 @@ class TestPeakLiveQubits:
         width = 4
         policy = AccessPolicy.round_robin(width, width, width)
         for i in split_records:
-            policy.record_to_controller[i] = (
-                PartyId.controller(i),
-                PartyId.controller(i % width + 1),
-            )
+            policy.record_to_controller[i] = (i, i % width + 1)
         for decoys in (0, 1):
             plan = DecoyPlan.random(width, decoys, RandomSource(64))
             run = setup(width, width, width, haar(width, 62), policy,
@@ -745,3 +739,30 @@ class TestTranscript:
         run = fresh_run(seed=64)
         run.distribute_all()
         assert len(run.transcript.bell_record) == 3
+
+
+class TestPartyNames:
+    """Parties are 1-based indices; errors and results name them so."""
+
+    def test_refusal_names_the_withholding_controller(self):
+        policy = split_pair_policy()
+        policy.release[2] = False
+        run = complete(setup(1, 2, 1, haar(1, 6), policy, RandomSource(8)))
+        with pytest.raises(ControllerRefusal) as err:
+            run.joint_identify(1, 2)
+        assert str(err.value) == "controller-2 withheld cooperation"
+
+    def test_wrong_controller_named_in_policy_error(self):
+        run = fresh_run(width=2, policy=AccessPolicy.round_robin(2, 2, 2))
+        run.distribute_all()
+        with pytest.raises(PolicyError) as err:
+            run.send_bits_classical(2, 1, (0, 0))
+        assert str(err.value) == (
+            "record 1 is assigned to controller-1, not controller-2"
+        )
+
+    def test_recovered_players_are_indices(self):
+        run = complete(fresh_run(policy=AccessPolicy.round_robin(3, 3, 3)))
+        out = run.reconstruct()
+        assert isinstance(out, Recovered)
+        assert out.players == (1, 2, 3)

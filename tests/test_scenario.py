@@ -4,7 +4,7 @@ import pytest
 
 from cqss.errors import CapacityError, PolicyError, ScenarioError
 from cqss.harness import build_run, run_trial
-from cqss.protocol import peak_block_qubits
+from cqss.protocol import AccessPolicy, peak_block_qubits
 from cqss.scenario import (
     SCHEMA_TAG,
     ScenarioConfig,
@@ -56,6 +56,37 @@ class TestParsing:
         assert cfg.cooperating_players == {1, 2, 3}
         assert cfg.decoys == 0 and cfg.eve == "none"
         assert cfg.secret == SecretSpec("demo", (0.6 + 0j, 0.8 + 0j))
+
+    @pytest.mark.parametrize("mode", ["classical", "split", "mixed"])
+    def test_omitted_policy_keys_come_from_round_robin(self, mode):
+        text = (
+            MINIMAL.replace("N = 3", "N = 5")
+            .replace("n = 3", "n = 2")
+            .replace("threshold_k = 3", "threshold_k = 2")
+            .replace("mode = classical", f"mode = {mode}")
+        )
+        cfg = parse_scenario_text(text)
+        assert cfg.qubit_to_player == {1: 1, 2: 2, 3: 1, 4: 2, 5: 1}
+        if mode == "split":
+            assert cfg.record_to_controller == {
+                1: (1, 2), 2: (3, 1), 3: (2, 3), 4: (1, 2), 5: (3, 1)
+            }
+        else:
+            assert cfg.record_to_controller == {
+                1: (1,), 2: (2,), 3: (3,), 4: (1,), 5: (2,)
+            }
+        assert cfg.policy() == AccessPolicy.round_robin(
+            2, 3, 5, threshold_k=2, split_all=mode == "split"
+        )
+
+    def test_policy_edits_do_not_reach_the_config(self):
+        cfg = parse_scenario_text(FULL)
+        policy = cfg.policy()
+        policy.qubit_to_player[1] = 2
+        policy.record_to_controller[1] = (4,)
+        policy.release[1] = False
+        policy.cooperating_players.discard(1)
+        assert cfg == parse_scenario_text(FULL)
 
     def test_full_round_trip(self):
         cfg = parse_scenario_text(FULL)
