@@ -201,9 +201,9 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
     outcome = run.reconstruct()
     resources = run.resource_report()
     if isinstance(outcome, Sealed):
-        kind, detail, fid = "sealed", outcome.reason, None
+        label, detail, fid = "sealed", outcome.reason, None
     else:
-        kind = "recovered"
+        label = "recovered"
         detail = f"covered={','.join(str(i) for i in outcome.covered_qubits)}"
         fid = (
             fidelity(outcome.state_vector, run.secret)
@@ -212,7 +212,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
         )
     return TrialResult(
         index=trial_index,
-        outcome=kind,
+        outcome=label,
         detail=detail,
         fidelity=fid,
         detection=detection.verdict,
