@@ -67,7 +67,8 @@ def demo_decode(state: np.ndarray) -> tuple[complex, complex]:
 def haar_random_state(width: int, rng: RandomSource) -> np.ndarray:
     """Uniformly random pure state: normalized complex-Gaussian vector."""
     vec = rng.complex_normals(2**width)
-    return vec / np.linalg.norm(vec)
+    vec *= 1.0 / np.linalg.norm(vec)
+    return vec
 
 
 # -- scenario plumbing ----------------------------------------------------------------

@@ -35,11 +35,15 @@ Conventions
   states with :func:`fidelity` or :func:`trace_distance`, both of which are
   phase-insensitive.
 * All arithmetic is complex128; tolerances below are stated relative to that.
+* A state is normalized by scaling with the reciprocal, ``x * (1.0 / s)``,
+  never by dividing: NumPy's complex-by-real division gives the same finite
+  floats at several times the cost.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -82,34 +86,32 @@ class BellKind(Enum):
     VARPHI_MINUS = 2
     VARPHI_PLUS = 3
 
+    # These read ``_value_``: the ``value`` property costs ten times as much.
+
     @property
     def bits(self) -> tuple[int, int]:
-        return (self.value >> 1, self.value & 1)
+        return _BELL_BITS[self._value_]
 
     @classmethod
     def from_bits(cls, x: int, y: int) -> "BellKind":
         if x not in (0, 1) or y not in (0, 1):
             raise ValueError(f"bits must be 0 or 1, got ({x}, {y})")
-        return cls((x << 1) | y)
+        return _BELL_KINDS[(x << 1) | y]
 
     @property
     def label(self) -> str:
-        return _BELL_LABELS[self]
+        return _BELL_LABELS[self._value_]
 
     @property
     def vector(self) -> np.ndarray:
         """Amplitudes of this Bell state in |00>,|01>,|10>,|11> order."""
-        return _BELL_MATRIX[self.value].copy()
+        return _BELL_MATRIX[self._value_].copy()
 
 
-_BELL_KINDS = tuple(BellKind)  # by value; a tuple index is cheaper than BellKind(k)
-
-_BELL_LABELS = {
-    BellKind.PHI_MINUS: "phi-",
-    BellKind.PHI_PLUS: "phi+",
-    BellKind.VARPHI_MINUS: "varphi-",
-    BellKind.VARPHI_PLUS: "varphi+",
-}
+# Indexed by value; a tuple index is cheaper than BellKind(k).
+_BELL_KINDS = tuple(BellKind)
+_BELL_BITS = tuple((k >> 1, k & 1) for k in range(4))
+_BELL_LABELS = ("phi-", "phi+", "varphi-", "varphi+")
 
 # Row k = state vector of BellKind(k).
 _BELL_MATRIX = np.array(
@@ -248,7 +250,11 @@ class RandomSource:
         return tuple(sorted(int(p) + 1 for p in picked))
 
     def complex_normals(self, n: int) -> np.ndarray:
-        return self._gen.standard_normal(n) + 1j * self._gen.standard_normal(n)
+        """``a + 1j * b`` for ``n`` draws of ``a`` and then of ``b``."""
+        out = np.empty(n, dtype=complex)
+        out.real = self._gen.standard_normal(n)
+        out.imag = self._gen.standard_normal(n)
+        return out
 
 
 def born_sample(probs: Sequence[float] | np.ndarray, rng: RandomSource) -> int:
@@ -256,21 +262,20 @@ def born_sample(probs: Sequence[float] | np.ndarray, rng: RandomSource) -> int:
 
     Negatives within ``PROB_FLOOR`` of zero are clamped; the vector is then
     renormalized provided its sum is within ``NORM_ATOL`` of one.  Larger
-    deviations are not statistical noise and raise ``InternalInconsistency``.
-    The running sums (a cumsum) are taken in index order, so ``total`` is
-    their last entry and the branch is the first whose running sum exceeds
-    ``u = r * total``: ``searchsorted(acc, u, side="right")``, spelled with
-    :func:`bisect.bisect_right`, which costs a fifth as much on four entries.
+    deviations, and a NaN anywhere, are not statistical noise and raise
+    ``InternalInconsistency``.  The running sums are taken in index order, so
+    ``total`` is their last entry and the branch is the first whose running
+    sum exceeds ``u = r * total``.
     """
-    p = np.asarray(probs, dtype=float)
-    low = p[p.argmin()]  # a quarter of ``p.min()``'s call cost on four entries
+    p = np.asarray(probs, dtype=float).tolist()
+    low = min(p)
     if low < 0.0:
         if low < -PROB_FLOOR:
-            raise InternalInconsistency(f"negative branch probability: {p.tolist()}")
-        p = np.maximum(p, 0.0)
-    acc = np.add.accumulate(p)
-    total = float(acc[-1])
-    if abs(total - 1.0) > NORM_ATOL:
+            raise InternalInconsistency(f"negative branch probability: {p}")
+        p = [0.0 if x < 0.0 else x for x in p]  # keeps a NaN
+    acc = list(itertools.accumulate(p))
+    total = acc[-1]
+    if not abs(total - 1.0) <= NORM_ATOL:
         raise InternalInconsistency(f"branch probabilities sum to {total}")
     u = rng.random() * total
     return min(bisect.bisect_right(acc, u), len(acc) - 1)
@@ -365,8 +370,7 @@ class QuantumRegister:
         # Scalars of blocks measured down to no qubits: the global phase.
         self._phase = 1.0 + 0.0j
         self._next_id = 0
-        # High-water marks of live qubits and of the largest block.
-        self.peak_qubits = 0
+        # High-water mark of the largest block.
         self.peak_block_qubits = 0
 
     # -- introspection -------------------------------------------------------
@@ -378,13 +382,6 @@ class QuantumRegister:
     def live_qubits(self) -> tuple[QubitId, ...]:
         """Live qubit ids in allocation order."""
         return tuple(sorted(self._block_of))
-
-    def is_live(self, q: QubitId) -> bool:
-        return q in self._block_of
-
-    def norm(self) -> float:
-        norms = [np.linalg.norm(b.amps) for b in self._blocks]
-        return float(abs(self._phase) * np.prod(norms))
 
     def state_vector(self, order: Sequence[QubitId] | None = None) -> np.ndarray:
         """Amplitudes over all live qubits, ``order[j]`` at position j
@@ -404,7 +401,6 @@ class QuantumRegister:
         dup._block_of = {q: b for b in dup._blocks for q in b.qubits}
         dup._phase = self._phase
         dup._next_id = self._next_id
-        dup.peak_qubits = self.peak_qubits
         dup.peak_block_qubits = self.peak_block_qubits
         return dup
 
@@ -439,7 +435,6 @@ class QuantumRegister:
         self._blocks.append(block)
         for q in ids:
             self._block_of[q] = block
-        self.peak_qubits = max(self.peak_qubits, self.num_qubits)
         self.peak_block_qubits = max(self.peak_block_qubits, count)
         return tuple(ids)
 
@@ -474,13 +469,14 @@ class QuantumRegister:
     def project_bell(self, qa: QubitId, qb: QubitId, kind: BellKind) -> float:
         """Collapse (qa, qb) onto one Bell state; remove them; return the probability."""
         a, ma, b, mb = self._bell_operands(qa, qb)
-        branch = ma[kind.value] if a is b else _cross_branch(ma, mb, kind.value)
+        k = kind._value_
+        branch = ma[k] if a is b else _cross_branch(ma, mb, k)
         prob = float(np.real(np.vdot(branch, branch)))
         if prob <= PROB_FLOOR:
             raise InternalInconsistency(
                 f"projected onto a zero-probability branch ({kind.label}, p={prob})"
             )
-        self._keep_bell_branch(a, b, branch / np.sqrt(prob), qa, qb)
+        self._keep_bell_branch(a, b, branch * (1.0 / math.sqrt(prob)), qa, qb)
         return prob
 
     def bell_measure(self, qa: QubitId, qb: QubitId, rng: RandomSource) -> BellKind:
@@ -500,10 +496,10 @@ class QuantumRegister:
         if prob <= PROB_FLOOR:
             raise InternalInconsistency("sampled a zero-probability Bell branch")
         if a is b:
-            residual = ma[k] / np.sqrt(prob)
+            residual = ma[k] * (1.0 / math.sqrt(prob))
         else:
             residual = _cross_branch(ma, mb, k)
-            residual /= np.sqrt(np.vdot(residual, residual).real)
+            residual *= 1.0 / math.sqrt(np.vdot(residual, residual).real)
         self._keep_bell_branch(a, b, residual, qa, qb)
         return _BELL_KINDS[k]
 
@@ -574,7 +570,7 @@ class QuantumRegister:
             raise InternalInconsistency(
                 f"projected onto a zero-probability outcome ({basis}={outcome})"
             )
-        residual = branch / np.sqrt(prob)
+        residual = branch * (1.0 / math.sqrt(prob))
         block, p = self._locate(q)
         if remove:
             self._shrink(block, residual, q)

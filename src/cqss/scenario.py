@@ -118,16 +118,7 @@ class ScenarioConfig:
         def bad(fieldname: str, message: str) -> ScenarioError:
             return ScenarioError(f"{fieldname}: {message}")
 
-        if self.N < 1:
-            raise bad("N", f"must be >= 1, got {self.N}")
-        try:
-            peak_block_qubits(self.N)
-        except CapacityError as exc:
-            raise bad("N", str(exc)) from None
-        if self.n < 1 or self.n > self.N:
-            raise bad("n", f"must satisfy 1 <= n <= N={self.N}, got {self.n}")
-        if self.m < 1 or self.m > 2 * self.N:
-            raise bad("m", f"must satisfy 1 <= m <= 2N={2 * self.N}, got {self.m}")
+        _check_sizes(self.N, self.n, self.m)
         if self.mode not in MODES:
             raise bad("mode", f"must be one of {MODES}, got {self.mode!r}")
         try:
@@ -238,20 +229,9 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     m = _parse_int("m", require("m"))
     mode = require("mode")
 
-    policy_keys = {
-        "qubit_to_player", "record_to_controller", "release", "cooperating_players"
-    }
-    default = (
-        AccessPolicy.round_robin(n, m, N, split_all=mode == "split")
-        if policy_keys - fields.keys()
-        else None
-    )
-
     def policy_field(key: str, parse: Callable, *args):
-        """``key`` parsed, or the round-robin policy's value if it is omitted."""
-        if key in fields:
-            return parse(key, fields[key], *args)
-        return getattr(default, key)
+        """``key`` parsed, or None if it is omitted."""
+        return parse(key, fields[key], *args) if key in fields else None
 
     cfg = ScenarioConfig(
         name=fields.get("name", "scenario"),
@@ -273,6 +253,15 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         trials=_parse_int("trials", require("trials")),
         master_seed=_parse_int("master_seed", require("master_seed")),
     )
+    omitted = [key for key in ("qubit_to_player", "record_to_controller", "release",
+                               "cooperating_players") if key not in fields]
+    if omitted:
+        # Omitted maps come from the round-robin policy, whose maps grow with
+        # N: check the sizes, as ``validate`` first does, before building it.
+        _check_sizes(N, n, m)
+        default = AccessPolicy.round_robin(n, m, N, split_all=mode == "split")
+        for key in omitted:
+            setattr(cfg, key, getattr(default, key))
     cfg.validate()
     return cfg
 
@@ -325,6 +314,20 @@ def scenario_to_text(cfg: ScenarioConfig) -> str:
     lines.append(f"trials = {cfg.trials}")
     lines.append(f"master_seed = {cfg.master_seed}")
     return "\n".join(lines) + "\n"
+
+
+def _check_sizes(N: int, n: int, m: int) -> None:
+    """The first checks of :meth:`ScenarioConfig.validate`: N, n and m."""
+    if N < 1:
+        raise ScenarioError(f"N: must be >= 1, got {N}")
+    try:
+        peak_block_qubits(N)
+    except CapacityError as exc:
+        raise ScenarioError(f"N: {exc}") from None
+    if n < 1 or n > N:
+        raise ScenarioError(f"n: must satisfy 1 <= n <= N={N}, got {n}")
+    if m < 1 or m > 2 * N:
+        raise ScenarioError(f"m: must satisfy 1 <= m <= 2N={2 * N}, got {m}")
 
 
 # -- value parsers ------------------------------------------------------------------

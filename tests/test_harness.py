@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -87,6 +88,27 @@ class TestDemoCode:
         b = haar_random_state(3, RandomSource(5))
         assert np.linalg.norm(a) == pytest.approx(1.0)
         np.testing.assert_allclose(a, b)
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_haar_state_bits_match_two_array_expression(self, width):
+        # The secret is built in one buffer and scaled in place; its bits
+        # are those of ``a + 1j * b`` divided by its norm.
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((4, width))))
+        vec = gen.standard_normal(2**width) + 1j * gen.standard_normal(2**width)
+        want = vec / np.linalg.norm(vec)
+        got = haar_random_state(width, RandomSource((4, width)))
+        assert got.tobytes() == want.tobytes()
+
+    def test_haar_state_peak_memory(self):
+        width = 16
+        haar_random_state(1, RandomSource(8))  # imports what numpy loads lazily
+        tracemalloc.start()
+        try:
+            vec = haar_random_state(width, RandomSource(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * vec.nbytes
 
 
 # -- trial batches --------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Scenario file format: parsing, defaults, round trips, and field errors."""
 
+import tracemalloc
+
 import pytest
 
 from cqss.errors import CapacityError, PolicyError, ScenarioError
@@ -205,6 +207,28 @@ class TestErrors:
         with pytest.raises(CapacityError) as capacity_err:
             peak_block_qubits(25)
         assert str(scenario_err.value) == f"N: {capacity_err.value}"
+
+    def test_oversized_sizes_rejected_before_default_maps(self):
+        # Omitted maps are round-robin maps over all N qubits; N is checked
+        # before they are built, so the error costs no memory in N.
+        huge = (MINIMAL.replace("N = 3", "N = 1000000")
+                .replace("n = 3", "n = 1000000").replace("m = 3", "m = 1000000"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError) as err:
+                parse_scenario_text(huge)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(CapacityError) as capacity_err:
+            peak_block_qubits(1000000)
+        assert str(err.value) == f"N: {capacity_err.value}"
+        assert peak < 2**20
+        # A field that does not parse is still reported before the sizes.
+        self.assert_names_field(
+            huge.replace("master_seed = 7", "master_seed = x"), "master_seed"
+        )
+        self.assert_names_field(huge + "\nrelease = 1:maybe", "release")
 
     def test_eve_fields(self):
         self.assert_names_field(MINIMAL + "\neve = lurking", "eve")
