@@ -9,6 +9,8 @@ also models decoy-state checking against an intercept-resend eavesdropper,
 and counts the consumed entanglement and measurement resources.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CapacityError,
     ControllerRefusal,
@@ -86,67 +88,9 @@ from .harness import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccessPolicy",
-    "AuditReport",
-    "BASIS_X",
-    "BASIS_Z",
-    "BellKind",
-    "CORRECTION_FOR_OUTCOME",
-    "CapacityError",
-    "ControllerRefusal",
-    "CqssError",
-    "DecodeError",
-    "DecoyPlan",
-    "DecoyState",
-    "DensityMatrix",
-    "DetectionCurve",
-    "DetectionReport",
-    "DimensionMismatch",
-    "EveModel",
-    "IncompleteRun",
-    "InternalInconsistency",
-    "MAX_ARRAY_QUBITS",
-    "Message",
-    "NotNormalized",
-    "Pauli",
-    "PolicyError",
-    "ProtocolError",
-    "ProtocolRun",
-    "QuantumRegister",
-    "QubitId",
-    "RandomSource",
-    "Recovered",
-    "ResourceAccountingError",
-    "ResourceReport",
-    "RunReport",
-    "Sealed",
-    "ScenarioConfig",
-    "ScenarioError",
-    "SecretSpec",
-    "SimulationError",
-    "SweepError",
-    "SweepTable",
-    "Transcript",
-    "TrialResult",
-    "UnknownQubit",
-    "demo_decode",
-    "demo_encode",
-    "detection_curve",
-    "eve_tap",
-    "expected_outcome",
-    "fidelity",
-    "haar_random_state",
-    "load_scenario",
-    "mstar_sweep",
-    "no_information_audit",
-    "parse_scenario_text",
-    "pure_density",
-    "run_scenario",
-    "run_trial",
-    "scenario_to_text",
-    "sealed_mixture",
-    "setup",
-    "trace_distance",
-    "verify_decoys",
-]
+# Every public name imported above; the submodules themselves are not exported.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

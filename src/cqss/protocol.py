@@ -56,7 +56,7 @@ from .qubits import (
     check_array_qubits,
     pure_density,
 )
-from .security import DecoyPlan, DetectionReport, EveModel, eve_tap
+from .security import DecoyPlan, DetectionReport, EveModel, _record_indices, eve_tap
 
 
 def peak_block_qubits(width: int) -> int:
@@ -300,20 +300,6 @@ class ResourceReport:
     dealer_distribution_measurements: int
     dealer_transport_measurements: int
 
-    @property
-    def decoy_overhead(self) -> int:
-        """One extra player link and distribution measurement per decoy."""
-        return self.decoys
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (
-            self.epr_player,
-            self.epr_controller,
-            self.dealer_measurements,
-            self.controller_measurements,
-            self.decoy_overhead,
-        )
-
     def to_lines(self) -> list[str]:
         return [
             f"epr_player={self.epr_player}",
@@ -322,7 +308,7 @@ class ResourceReport:
             f"dealer_distribution_measurements={self.dealer_distribution_measurements}",
             f"dealer_transport_measurements={self.dealer_transport_measurements}",
             f"controller_measurements={self.controller_measurements}",
-            f"decoy_overhead={self.decoy_overhead}",
+            f"decoy_overhead={self.decoys}",
         ]
 
 
@@ -707,7 +693,7 @@ class ProtocolRun:
         """
         if not self.distribution_complete:
             raise IncompleteRun("distribution must complete first")
-        withheld = sorted(set(int(i) for i in withheld_indices))
+        withheld = _record_indices(withheld_indices)
         for i in withheld:
             if not 1 <= i <= self.secret_width:
                 raise ProtocolError(f"withheld index {i} outside 1..{self.secret_width}")

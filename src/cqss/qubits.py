@@ -35,9 +35,10 @@ Conventions
   states with :func:`fidelity` or :func:`trace_distance`, both of which are
   phase-insensitive.
 * All arithmetic is complex128; tolerances below are stated relative to that.
-* A state is normalized by scaling with the reciprocal, ``x * (1.0 / s)``,
-  never by dividing: NumPy's complex-by-real division gives the same finite
-  floats at several times the cost.
+* A sampled measurement is the forced collapse onto a drawn outcome.  Every
+  kept branch is normalized by its own norm (:func:`_normalize`), scaling by
+  the reciprocal, ``x * (1.0 / s)``: NumPy's complex-by-real division gives
+  the same finite floats at several times the cost.
 """
 
 from __future__ import annotations
@@ -212,12 +213,6 @@ def _as_state(vector: np.ndarray) -> tuple[np.ndarray, int]:
     return vec, n
 
 
-def _check_basis(basis: str) -> str:
-    if basis not in _BASIS_MATRIX:
-        raise ValueError(f"unknown basis {basis!r}; expected 'Z' or 'X'")
-    return basis
-
-
 class RandomSource:
     """Deterministic uniform stream used for all Born-rule sampling.
 
@@ -228,7 +223,6 @@ class RandomSource:
     """
 
     def __init__(self, seed: int | tuple[int, ...]):
-        self.seed = seed
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     @classmethod
@@ -340,28 +334,46 @@ def _qubit_rows(amps: np.ndarray, p: int) -> np.ndarray:
 
 def _cross_branch(ma: np.ndarray, mb: np.ndarray, k: int) -> np.ndarray:
     """Outcome ``k``'s unnormalized branch of a pair split across two blocks
-    (see :func:`_cross_probabilities`): ``ma^T W_k mb``, rows over ``ma``'s
+    (see :func:`_bell_probabilities`): ``ma^T W_k mb``, rows over ``ma``'s
     other qubits and columns over ``mb``'s, the order a merged block would
     give them."""
     return ma.T.dot(_BELL_W[k].dot(mb))
 
 
-def _cross_probabilities(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
-    """Bell probabilities of a pair split across two blocks, each given by
-    :func:`_qubit_rows`: one pass over each block for its 2x2 Gram matrix,
-    then the fixed contraction ``_BELL_GRAM``."""
+def _bell_probabilities(
+    a: _Block, ma: np.ndarray, b: _Block, mb: np.ndarray | None
+) -> np.ndarray:
+    """Bell probabilities from :meth:`QuantumRegister._bell_operands`: in one
+    block the squared row norms of the Bell components; across two, each
+    block's 2x2 Gram matrix over its measured qubit contracted with
+    ``_BELL_GRAM``, so no branch is built."""
+    if a is b:
+        return (np.abs(ma) ** 2).sum(axis=1)
     rho_a = ma.dot(ma.conj().T)
     rho_b = mb.dot(mb.conj().T)
     return _BELL_GRAM.dot((rho_a.reshape(4, 1) * rho_b.reshape(4)).reshape(16)).real
+
+
+def _normalize(branch: np.ndarray, what: str, outcome: object) -> float:
+    """Scale ``branch``, which nothing else reads, in place to unit norm and
+    return its probability; one at most ``PROB_FLOOR`` raises instead."""
+    prob = float(np.vdot(branch, branch).real)
+    if prob <= PROB_FLOOR:
+        raise InternalInconsistency(
+            f"projected onto a zero-probability branch ({what}={outcome}, p={prob})"
+        )
+    branch *= 1.0 / math.sqrt(prob)
+    return prob
 
 
 class QuantumRegister:
     """Product of blocks over live qubits with stable integer handles.
 
     Qubit ids are never reused within one register's lifetime.  Every
-    measurement helper exists in a forced-branch form (``project_*``), which
-    collapses onto a chosen outcome and returns its exact probability, and a
-    sampling form (``*_measure`` / ``measure_single``) built on top of it.
+    measurement has a forced form (``project_*``), which collapses onto a
+    chosen outcome and returns its exact probability, and a sampled form
+    (``bell_measure`` / ``measure_single``), which is the same collapse onto
+    a drawn outcome and so leaves the same state bit for bit.
     """
 
     def __init__(self) -> None:
@@ -452,55 +464,32 @@ class QuantumRegister:
             flipped = t.copy()
             flipped[:, 1, :] *= -1.0
             block.amps = flipped.reshape(-1)
-        else:  # ZX: X first, then Z
+        elif op is Pauli.ZX:  # X first, then Z
             swapped = t[:, ::-1, :].copy()
             swapped[:, 1, :] *= -1.0
             block.amps = swapped.reshape(-1)
+        else:
+            raise ValueError(f"not a Pauli: {op!r}")
 
     # -- Bell-basis measurement -------------------------------------------------
 
     def bell_probabilities(self, qa: QubitId, qb: QubitId) -> np.ndarray:
         """Probabilities of the four Bell outcomes on the pair (qa, qb)."""
-        a, ma, b, mb = self._bell_operands(qa, qb)
-        if a is b:
-            return (np.abs(ma) ** 2).sum(axis=1)
-        return _cross_probabilities(ma, mb)
+        return _bell_probabilities(*self._bell_operands(qa, qb))
 
     def project_bell(self, qa: QubitId, qb: QubitId, kind: BellKind) -> float:
         """Collapse (qa, qb) onto one Bell state; remove them; return the probability."""
-        a, ma, b, mb = self._bell_operands(qa, qb)
-        k = kind._value_
-        branch = ma[k] if a is b else _cross_branch(ma, mb, k)
-        prob = float(np.real(np.vdot(branch, branch)))
-        if prob <= PROB_FLOOR:
-            raise InternalInconsistency(
-                f"projected onto a zero-probability branch ({kind.label}, p={prob})"
-            )
-        self._keep_bell_branch(a, b, branch * (1.0 / math.sqrt(prob)), qa, qb)
-        return prob
+        return self._collapse_bell(qa, qb, self._bell_operands(qa, qb), kind._value_)
 
     def bell_measure(self, qa: QubitId, qb: QubitId, rng: RandomSource) -> BellKind:
         """Sample a Bell outcome on (qa, qb), collapse, and remove the pair.
 
-        Across blocks the outcome is drawn from the Gram-matrix
-        probabilities; only its branch is built, and it is normalized by its
-        own norm, as :meth:`project_bell` normalizes a forced one.
+        The collapse of :meth:`project_bell`, onto an outcome that
+        :func:`born_sample` draws from :meth:`bell_probabilities`.
         """
-        a, ma, b, mb = self._bell_operands(qa, qb)
-        if a is b:
-            probs = (np.abs(ma) ** 2).sum(axis=1)
-        else:
-            probs = _cross_probabilities(ma, mb)
-        k = born_sample(probs, rng)
-        prob = float(probs[k])
-        if prob <= PROB_FLOOR:
-            raise InternalInconsistency("sampled a zero-probability Bell branch")
-        if a is b:
-            residual = ma[k] * (1.0 / math.sqrt(prob))
-        else:
-            residual = _cross_branch(ma, mb, k)
-            residual *= 1.0 / math.sqrt(np.vdot(residual, residual).real)
-        self._keep_bell_branch(a, b, residual, qa, qb)
+        operands = self._bell_operands(qa, qb)
+        k = born_sample(_bell_probabilities(*operands), rng)
+        self._collapse_bell(qa, qb, operands, k)
         return _BELL_KINDS[k]
 
     def _bell_operands(
@@ -528,18 +517,22 @@ class QuantumRegister:
         )
         return a, _qubit_rows(a.amps, pa), b, _qubit_rows(b.amps, pb)
 
-    def _keep_bell_branch(
-        self, a: _Block, b: _Block, residual: np.ndarray, qa: QubitId, qb: QubitId
-    ) -> None:
-        """Make the normalized ``residual`` the state of ``a``'s qubits
-        followed by ``b``'s, less the measured pair; ``b`` folds into ``a``."""
+    def _collapse_bell(self, qa: QubitId, qb: QubitId, operands: tuple, k: int) -> float:
+        """Keep Bell outcome ``k`` of ``operands = (a, ma, b, mb)``, scaled to
+        unit norm, as the state of ``a``'s qubits followed by ``b``'s, less
+        the pair (qa, qb); ``b`` folds into ``a``.  Return its probability."""
+        a, ma, b, mb = operands
+        # In one block, a row of this call's component matrix: free to scale.
+        branch = ma[k] if a is b else _cross_branch(ma, mb, k)
+        prob = _normalize(branch, "Bell", _BELL_LABELS[k])
         if a is not b:
             a.qubits += b.qubits
             for q in b.qubits:
                 self._block_of[q] = a
             self._blocks.remove(b)
             self.peak_block_qubits = max(self.peak_block_qubits, len(a.qubits) - 2)
-        self._shrink(a, residual, qa, qb)
+        self._shrink(a, branch, qa, qb)
+        return prob
 
     # -- single-qubit measurement ------------------------------------------------
 
@@ -564,13 +557,8 @@ class QuantumRegister:
     def _collapse_single(
         self, q: QubitId, basis: str, comps: np.ndarray, outcome: int, remove: bool
     ) -> float:
-        branch = comps[outcome]
-        prob = float(np.real(np.vdot(branch, branch)))
-        if prob <= PROB_FLOOR:
-            raise InternalInconsistency(
-                f"projected onto a zero-probability outcome ({basis}={outcome})"
-            )
-        residual = branch * (1.0 / math.sqrt(prob))
+        residual = comps[outcome]  # a row of a matrix built for this call
+        prob = _normalize(residual, basis, outcome)
         block, p = self._locate(q)
         if remove:
             self._shrink(block, residual, q)
@@ -586,13 +574,13 @@ class QuantumRegister:
     ) -> int:
         """Sample a Z- or X-basis outcome for ``q`` and collapse."""
         comps = self._single_components(q, basis)
-        probs = (np.abs(comps) ** 2).sum(axis=1)
-        outcome = born_sample(probs, rng)
+        outcome = born_sample((np.abs(comps) ** 2).sum(axis=1), rng)
         self._collapse_single(q, basis, comps, outcome, remove)
         return outcome
 
     def _single_components(self, q: QubitId, basis: str) -> np.ndarray:
-        _check_basis(basis)
+        if basis not in _BASIS_MATRIX:
+            raise ValueError(f"unknown basis {basis!r}; expected 'Z' or 'X'")
         block, p = self._locate(q)
         return _BASIS_CONJ[basis] @ _qubit_rows(block.amps, p)
 

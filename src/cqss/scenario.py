@@ -42,7 +42,7 @@ released, every player cooperating, no decoys, no eavesdropper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -176,6 +176,10 @@ class ScenarioConfig:
 # -- parsing --------------------------------------------------------------------
 
 
+# The keys of a scenario file, one per ScenarioConfig field.
+_KEYS = frozenset(field.name for field in dataclass_fields(ScenarioConfig))
+
+
 def parse_scenario_text(text: str) -> ScenarioConfig:
     lines = []
     for raw in text.splitlines():
@@ -197,26 +201,8 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
             raise ScenarioError(f"{key}: duplicate key")
         fields[key] = value
 
-    known = {
-        "name",
-        "N",
-        "n",
-        "m",
-        "mode",
-        "threshold_k",
-        "qubit_to_player",
-        "record_to_controller",
-        "release",
-        "cooperating_players",
-        "decoys",
-        "eve",
-        "eve_probability",
-        "secret",
-        "trials",
-        "master_seed",
-    }
     for key in fields:
-        if key not in known:
+        if key not in _KEYS:
             raise ScenarioError(f"{key}: unknown key")
 
     def require(key: str) -> str:

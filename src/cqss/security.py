@@ -11,13 +11,14 @@ probability (3/4)^M.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import IncompleteRun, PolicyError
+from .errors import IncompleteRun, PolicyError, ProtocolError
 from .qubits import (
     BASIS_X,
     BASIS_Z,
@@ -235,8 +236,18 @@ def no_information_audit(run: "ProtocolRun", withheld: Iterable[int]) -> AuditRe
     """Compare the players' exact knowledge state under withheld records with
     the closed-form prediction (each withheld slot maximally mixed, the rest
     the partial trace of the original state)."""
-    indices = tuple(sorted(set(int(i) for i in withheld)))
-    actual = run.withheld_state(set(indices))
+    indices = _record_indices(withheld)
+    actual = run.withheld_state(indices)
     expected = sealed_mixture(run.secret, [i - 1 for i in indices])
     distance = trace_distance(actual.entries, expected)
     return AuditReport(indices, distance, AUDIT_TOLERANCE)
+
+
+def _record_indices(indices: Iterable[int]) -> tuple[int, ...]:
+    """``indices`` as sorted distinct record indices; anything that
+    ``operator.index`` rejects (a float, a string) raises ``ProtocolError``
+    instead of being rounded or parsed."""
+    try:
+        return tuple(sorted(set(map(operator.index, indices))))
+    except TypeError as exc:
+        raise ProtocolError(f"record indices must be integers: {exc}") from None

@@ -2,6 +2,7 @@
 
 import re
 from pathlib import Path
+from types import ModuleType
 
 import cqss
 
@@ -13,6 +14,8 @@ def test_exports_resolve_and_readme_quickstart_runs():
     assert len(names) == len(set(names)), "duplicate names in cqss.__all__"
     missing = [name for name in names if not hasattr(cqss, name)]
     assert not missing, f"cqss.__all__ names unknown attributes: {missing}"
+    modules = [name for name in names if isinstance(getattr(cqss, name), ModuleType)]
+    assert not modules, f"cqss.__all__ exports submodules: {modules}"
 
     section = README.read_text().split("## Library quickstart", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S)

@@ -648,6 +648,14 @@ class TestWithheldState:
         with pytest.raises(ProtocolError):
             run.withheld_state({4})
 
+    @pytest.mark.parametrize("index", [1.5, 2.0, "2", None])
+    def test_non_integer_index_rejected(self, index):
+        # An index is never rounded or parsed: 1.5 is not record 1.
+        run = fresh_run(seed=48)
+        run.distribute_all()
+        with pytest.raises(ProtocolError, match="must be integers"):
+            run.withheld_state([index])
+
     def test_swap_superoperators_are_read_only_constants(self):
         uncorrected, corrected = protocol._swap_kraus()
         withheld = protocol._WITHHELD_SUPEROP
@@ -665,11 +673,23 @@ class TestWithheldState:
 # -- resource accounting -------------------------------------------------------------------
 
 
+def report_counts(report):
+    """Player links, controller links, dealer and controller measurements,
+    decoys."""
+    return (
+        report.epr_player,
+        report.epr_controller,
+        report.dealer_measurements,
+        report.controller_measurements,
+        report.decoys,
+    )
+
+
 class TestResources:
     def test_classical_mode_counts(self):
         run = complete(fresh_run(seed=50))
         report = run.resource_report()
-        assert report.as_tuple() == (3, 6, 6, 3, 0)
+        assert report_counts(report) == (3, 6, 6, 3, 0)
 
     def test_split_mode_counts(self):
         policy = AccessPolicy.round_robin(3, 6, 3, split_all=True)
@@ -694,7 +714,7 @@ class TestResources:
         report = run.resource_report()
         assert report.epr_player == 5
         assert report.dealer_distribution_measurements == 5
-        assert report.as_tuple() == (5, 6, 8, 3, 2)
+        assert report_counts(report) == (5, 6, 8, 3, 2)
 
     def test_incomplete_run_rejected(self):
         run = fresh_run(seed=56)

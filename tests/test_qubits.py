@@ -179,6 +179,14 @@ class TestPaulis:
         with pytest.raises(UnknownQubit):
             reg.apply_pauli(99, Pauli.X)
 
+    @pytest.mark.parametrize("op", ["Z", "ZX", None, 0, Pauli.Z.matrix])
+    def test_non_pauli_rejected(self, op):
+        reg = QuantumRegister()
+        (q,) = reg.alloc_state([0.6, 0.8])
+        with pytest.raises(ValueError, match="not a Pauli"):
+            reg.apply_pauli(q, op)
+        np.testing.assert_array_equal(reg.state_vector(), [0.6, 0.8])
+
 
 # -- bit encoding -----------------------------------------------------------------
 
@@ -779,6 +787,53 @@ class TestCrossBlockKernel:
         assert reg.num_qubits == 21
         assert reg.peak_block_qubits == 21
         assert abs(np.linalg.norm(reg.state_vector()) - 1.0) <= 1e-12
+
+
+def two_blocks(n_a, n_b, seed):
+    """A register of two random blocks, over ``n_a`` and ``n_b`` qubits."""
+    reg = QuantumRegister()
+    ids = reg.alloc_state(random_state(n_a, seed))
+    ids += reg.alloc_state(random_state(n_b, seed + 1))
+    return reg, ids
+
+
+def assert_same_register(got, want):
+    assert got.live_qubits() == want.live_qubits()
+    assert got.state_vector().tobytes() == want.state_vector().tobytes()
+    assert got.peak_block_qubits == want.peak_block_qubits
+
+
+class TestSampledEqualsForced:
+    """A sampled measurement is the forced collapse onto the drawn outcome:
+    on a copy of the register, forcing the outcome that the sample drew
+    leaves the same state bit for bit, and the same peak."""
+
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_bell_measure_is_project_bell_onto_the_draw(self, n_a, n_b, seed):
+        reg, ids = two_blocks(n_a, n_b, seed)
+        rng = RandomSource(seed)
+        # Every ordered pair: within block A, within block B and across.
+        for qa, qb in itertools.permutations(ids, 2):
+            sampled = reg.copy()
+            forced = sampled.copy()
+            kind = sampled.bell_measure(qa, qb, rng)
+            forced.project_bell(qa, qb, kind)
+            assert_same_register(sampled, forced)
+
+    @given(
+        st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans()
+    )
+    def test_measure_single_is_project_single_onto_the_draw(
+        self, n_a, n_b, seed, remove
+    ):
+        reg, ids = two_blocks(n_a, n_b, seed)
+        rng = RandomSource(seed)
+        for q, basis in itertools.product(ids, "ZX"):
+            sampled = reg.copy()
+            forced = sampled.copy()
+            outcome = sampled.measure_single(q, basis, rng, remove=remove)
+            forced.project_single(q, basis, outcome, remove=remove)
+            assert_same_register(sampled, forced)
 
 
 def born_sample_loop(probs, rng):

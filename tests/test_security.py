@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cqss import protocol
-from cqss.errors import PolicyError
+from cqss.errors import PolicyError, ProtocolError
 from cqss.protocol import AccessPolicy, setup
 from cqss.qubits import (
     CORRECTION_FOR_OUTCOME,
@@ -373,6 +373,18 @@ class TestNoInformationAudit:
         run = self.run_for_audit(width=8, seed=87)
         audit = no_information_audit(run, {2, 5, 7})
         assert audit.passed, audit
+
+    @pytest.mark.parametrize("index", [1.5, 2.0, "2", None])
+    def test_non_integer_index_rejected(self, index):
+        run = self.run_for_audit(seed=89)
+        with pytest.raises(ProtocolError, match="must be integers"):
+            no_information_audit(run, [index])
+
+    def test_integer_like_indices_recorded_as_ints(self):
+        run = self.run_for_audit(seed=89)
+        audit = no_information_audit(run, [np.int64(3), 1, 3])
+        assert audit.withheld == (1, 3)
+        assert all(type(i) is int for i in audit.withheld)
 
     def test_audit_is_exact_not_statistical(self):
         # same audit from two different measurement histories agrees
