@@ -46,6 +46,7 @@ from .errors import (
 )
 from .qubits import (
     CORRECTION_FOR_OUTCOME,
+    _BELL_KINDS,
     BellKind,
     DensityMatrix,
     Pauli,
@@ -53,6 +54,7 @@ from .qubits import (
     QubitId,
     RandomSource,
     apply_single_qubit_channel,
+    born_sample,
     check_array_qubits,
     pure_density,
 )
@@ -65,10 +67,11 @@ def peak_block_qubits(width: int) -> int:
 
     A distribution swap Bell-measures a secret qubit against a two-qubit
     link without multiplying the two blocks out: its residual replaces the
-    secret's block at the same width.  Links, pads and teleports stay at two
-    qubits, and decoys, pads and split-record halves never join the secret's
-    block, so this is the register's ``peak_block_qubits`` after
-    ``distribute_all`` and ``transport_all``.
+    secret's block at the same width.  Links and teleports stay at two
+    qubits, a classical pad allocates no block at all, and decoys and
+    split-record halves never join the secret's block, so this is the
+    register's ``peak_block_qubits`` after ``distribute_all`` and
+    ``transport_all``.
     """
     peak = max(width, 2)
     check_array_qubits(peak, f"a {width}-qubit secret's largest block")
@@ -456,19 +459,27 @@ class ProtocolRun:
         two bits.  The dealer publicly announces ``bits`` XORed with her
         draw; only the controller can strip the pad.  ``transport_record``
         sends the recorded bits; any others may be sent to test the pad.
+        Each bit must be the int 0 or 1 (``ProtocolError`` otherwise),
+        checked before anything is spent.  The links are never built: the
+        pad is sampled in closed form (:func:`_pad_tables`), with the same
+        draws, qubit ids and register phase as measuring them.
         """
+        if len(bits) != 2 or any(type(b) is not int or b not in (0, 1) for b in bits):
+            raise ProtocolError(f"bits must be two ints, each 0 or 1, got {bits!r}")
         self._check_transport(index, (controller,))
         self._send_bits(controller, index, bits)
 
     def _send_bits(self, controller: int, index: int, bits: tuple[int, int]) -> None:
         """:meth:`send_bits_classical` once the record has been checked."""
-        a1, b1 = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
-        a2, b2 = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
+        dealer_probs, controller_probs, scalars = _PAD
         self.transcript.epr_controller += 2
-        dealer_draw = self.register.bell_measure(a1, a2, self.rng)
+        k = born_sample(dealer_probs, self.rng)
+        dealer_draw = _BELL_KINDS[k]
         self.transcript.dealer_transport_measurements += 1
-        controller_draw = self.register.bell_measure(b1, b2, self.rng)
+        controller_draw = _BELL_KINDS[born_sample(controller_probs[k], self.rng)]
         self.transcript.controller_measurements += 1
+        # The two links' four qubits, measured out whole.
+        self.register.fold_measured_out(4, scalars[k])
         x, y = bits
         xp, yp = dealer_draw.bits
         announced = (x ^ xp, y ^ yp)
@@ -813,6 +824,45 @@ def _swap_superoperators() -> tuple[np.ndarray, Mapping[BellKind, np.ndarray]]:
 _WITHHELD_SUPEROP, _CORRECTED_SUPEROPS = _swap_superoperators()
 
 
+def _pad_tables() -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[complex, ...]]:
+    """The classical pad in closed form, read off the register's general path.
+
+    A pad is two fresh singlet links (a1, b1) and (a2, b2): the dealer
+    Bell-measures (a1, a2) and the controller (b1, b2), and entanglement
+    swapping makes the controller's outcome match the dealer's (Zukowski et
+    al., PRL 71, 4287, 1993).  The links are the same every time, so is
+    everything the two measurements compute.  Returns the dealer's four
+    probabilities as ``bell_probabilities`` gives them; for each dealer
+    outcome, the controller's four; and for each dealer outcome, the scalar
+    the emptied (b1, b2) block folds into the register phase.  The two
+    probability vectors feed :func:`~cqss.qubits.born_sample` as
+    ``bell_measure`` would, so a pad makes the same draws.
+
+    The tables are constants: this runs once per process, at import, to
+    build ``_PAD``.
+    """
+    controller: list[np.ndarray] = []
+    scalars: list[complex] = []
+    for kind in BellKind:
+        reg = QuantumRegister()
+        a1, b1 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
+        a2, b2 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
+        dealer = reg.bell_probabilities(a1, a2)
+        reg.project_bell(a1, a2, kind)
+        after = reg.bell_probabilities(b1, b2)
+        controller.append(after)
+        # Swapping leaves the controller one possible outcome.
+        reg.project_bell(b1, b2, _BELL_KINDS[int(np.argmax(after))])
+        # An empty register's state is its phase alone.
+        scalars.append(complex(reg.state_vector()[0]))
+    for probs in (dealer, *controller):
+        probs.setflags(write=False)
+    return dealer, tuple(controller), tuple(scalars)
+
+
+_PAD = _pad_tables()
+
+
 def setup(
     n: int,
     m: int,
@@ -825,10 +875,10 @@ def setup(
 ) -> ProtocolRun:
     """Validate the roster and policy and stage a run.
 
-    Entangled links are allocated lazily, one per swap or pad, each as its
-    own block, and a Bell measurement across two blocks builds only its
-    residual, so the largest array is the secret's own block
-    (:func:`peak_block_qubits`).
+    Entangled links are allocated lazily, one per swap or teleport, each as
+    its own block (a classical pad allocates none), and a Bell measurement
+    across two blocks builds only its residual, so the largest array is the
+    secret's own block (:func:`peak_block_qubits`).
     """
     return ProtocolRun(
         n, m, secret_width, secret, policy, rng, decoy_plan=decoy_plan, eve=eve

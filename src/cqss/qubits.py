@@ -9,8 +9,11 @@ probabilities come from each block's 2x2 Gram matrix over its measured
 qubit, and only the kept branch is built, as one block over both blocks'
 other qubits (n_A + n_B - 2).  A swap of a secret qubit onto a two-qubit
 link therefore leaves the secret's block at its width, and qubits that
-never meet the secret (pad links, split-record halves) never multiply its
-vector.  ``state_vector`` and ``reduced_density`` multiply blocks out on
+never meet the secret (decoys, split-record halves) never multiply its
+vector.  Fresh qubits that are measured out whole, whose outcome
+probabilities and leftover scalar are therefore constants, need no block:
+:meth:`QuantumRegister.fold_measured_out` spends their ids and folds the
+scalar.  ``state_vector`` and ``reduced_density`` multiply blocks out on
 demand.
 
 One memory rule bounds every array: none may span more than
@@ -450,6 +453,17 @@ class QuantumRegister:
         self.peak_block_qubits = max(self.peak_block_qubits, count)
         return tuple(ids)
 
+    def fold_measured_out(self, count: int, scalar: complex) -> None:
+        """Account for ``count`` fresh qubits allocated and measured out whole
+        without building them: their ids are spent, as :meth:`_grow` would
+        spend them, and ``scalar``, what their emptied blocks would leave,
+        folds into the phase as :meth:`_shrink` would fold it.  No array is
+        made, so ``peak_block_qubits`` does not move."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        self._next_id += count
+        self._phase *= scalar
+
     # -- unitaries ------------------------------------------------------------
 
     def apply_pauli(self, q: QubitId, op: Pauli) -> None:
@@ -461,9 +475,10 @@ class QuantumRegister:
         if op is Pauli.X:
             block.amps = t[:, ::-1, :].reshape(-1)
         elif op is Pauli.Z:
-            flipped = t.copy()
-            flipped[:, 1, :] *= -1.0
-            block.amps = flipped.reshape(-1)
+            # In place: the block owns its array.  If reshape had to copy,
+            # assigning back keeps the flipped copy.
+            t[:, 1, :] *= -1.0
+            block.amps = t.reshape(-1)
         elif op is Pauli.ZX:  # X first, then Z
             swapped = t[:, ::-1, :].copy()
             swapped[:, 1, :] *= -1.0

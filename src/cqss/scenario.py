@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import CapacityError, PolicyError, ScenarioError
 from .protocol import AccessPolicy, peak_block_qubits
+from .qubits import check_array_qubits
 
 SCHEMA_TAG = "cqss-scenario v1"
 
@@ -136,6 +137,12 @@ class ScenarioConfig:
             )
         if self.decoys < 0:
             raise bad("decoys", "must be >= 0")
+        # Decoy slots are drawn from an array over all N + decoys slots.
+        slots = self.N + self.decoys
+        try:
+            check_array_qubits((slots - 1).bit_length(), f"a draw over {slots} slots")
+        except CapacityError as exc:
+            raise bad("decoys", str(exc)) from None
         if self.eve not in EVE_STRATEGIES:
             raise bad("eve", f"must be one of {EVE_STRATEGIES}, got {self.eve!r}")
         if not 0.0 <= self.eve_probability <= 1.0:

@@ -1,5 +1,6 @@
 """Exit-code contract and report determinism of the command-line interface."""
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,24 @@ class TestMemoryRule:
         assert code == 2 and out == ""
         assert err.startswith("error: N: ") and "26 qubits" in err
         assert not calls
+
+    def test_huge_decoy_count_exits_2_before_allocating(self, capsys, tmp_path):
+        # The decoy slots are drawn from an array over all N + decoys slots;
+        # 10**12 + 2 entries span 40 qubits, so validation refuses them.
+        path = tmp_path / "decoys.scn"
+        path.write_text(FAST_SCENARIO.lstrip() + "decoys = 1000000000000\n")
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(capsys, "run", path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: decoys: a draw over 1000000000002 slots would span "
+            "40 qubits (cap 24)\n"
+        )
+        assert peak < 1 << 20
 
     def test_run_with_partial_coverage_at_width_18(self, capsys, tmp_path):
         # Controller 1 withholds record 1, so 17 of 18 players recover.  The

@@ -1,10 +1,13 @@
 """Protocol-level tests: distribution, record transport, gating, accounting."""
 
 import itertools
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cqss.errors import (
     CapacityError,
@@ -337,6 +340,168 @@ class TestClassicalTransport:
         run.transport_record(1)
         assert run.decoded[1] is run.transcript.bell_record[1]
 
+    @pytest.mark.parametrize(
+        "bits", [(2, 0), (-1, 0), (0.0, 1), ("0", 1)],
+        ids=["two", "minus-one", "float", "str"],
+    )
+    def test_bad_bits_rejected_before_anything_is_spent(self, bits):
+        run, twin = (
+            fresh_run(width=2, seed=12, policy=AccessPolicy.round_robin(2, 2, 2))
+            for _ in range(2)
+        )
+        run.distribute_all()
+        twin.distribute_all()
+        with pytest.raises(ProtocolError, match="bits must be two ints, each 0 or 1"):
+            run.send_bits_classical(1, 1, bits)
+        assert run.transcript.to_text() == twin.transcript.to_text()
+        assert run.decoded == {}
+        assert run.register.live_qubits() == twin.register.live_qubits()
+        assert run.register.copy().alloc_qubit(0) == twin.register.copy().alloc_qubit(0)
+        assert run.rng.random() == twin.rng.random()
+        run.transport_all()
+        assert run.resource_report().epr_controller == 4
+
+
+# -- the classical pad in closed form ------------------------------------------------------
+
+
+def simulated_send_bits(run, controller, index, bits):
+    """The classical pad as two simulated singlet links and two Bell
+    measurements, as ``ProtocolRun._send_bits`` once ran it, kept as the
+    closed form's reference."""
+    reg = run.register
+    a1, b1 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
+    a2, b2 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
+    run.transcript.epr_controller += 2
+    dealer_draw = reg.bell_measure(a1, a2, run.rng)
+    run.transcript.dealer_transport_measurements += 1
+    controller_draw = reg.bell_measure(b1, b2, run.rng)
+    run.transcript.controller_measurements += 1
+    x, y = bits
+    xp, yp = dealer_draw.bits
+    announced = (x ^ xp, y ^ yp)
+    run.log_message(
+        "dealer", "public", f"announce record={index} bits={announced[0]}{announced[1]}"
+    )
+    xc, yc = controller_draw.bits
+    run.decoded[index] = BellKind.from_bits(announced[0] ^ xc, announced[1] ^ yc)
+
+
+def assert_same_run(run, ref):
+    """Transcript, records, live qubits and ids, largest block, and the
+    register's phase and state, bit for bit."""
+    assert run.transcript.to_text() == ref.transcript.to_text()
+    assert run.decoded == ref.decoded
+    reg, reg_ref = run.register, ref.register
+    assert reg.live_qubits() == reg_ref.live_qubits()
+    assert reg.copy().alloc_qubit(0) == reg_ref.copy().alloc_qubit(0)
+    assert reg.peak_block_qubits == reg_ref.peak_block_qubits
+    assert np.complex128(reg._phase).tobytes() == np.complex128(reg_ref._phase).tobytes()
+    assert reg.state_vector().tobytes() == reg_ref.state_vector().tobytes()
+
+
+_PAD_BITS = [None, (0, 0), (0, 1), (1, 0), (1, 1)]  # None: the recorded bits
+
+
+def check_pad_against_reference(seed, holders, steps, bits):
+    """Run the same program with the closed-form pad and with the simulated
+    one, comparing after every step.  ``steps`` lists each record index
+    twice: its first occurrence distributes it, its second transports it,
+    with ``bits[i]`` if record i is classical and ``bits[i]`` is not None."""
+    width = len(holders)
+    policy = AccessPolicy.round_robin(width, 2, width)
+    policy.record_to_controller = dict(enumerate(holders, start=1))
+    run, ref = (
+        setup(width, 2, width, haar(width, seed), policy, RandomSource(seed))
+        for _ in range(2)
+    )
+    ref._send_bits = partial(simulated_send_bits, ref)
+    seen = set()
+    for i in steps:
+        for r in (run, ref):
+            if i not in seen:
+                r.distribute_qubit(i)
+            elif len(holders[i - 1]) == 2 or bits[i - 1] is None:
+                r.transport_record(i)
+            else:
+                r.send_bits_classical(holders[i - 1][0], i, bits[i - 1])
+        seen.add(i)
+        assert_same_run(run, ref)
+    run.reconstruct()
+    ref.reconstruct()
+    assert_same_run(run, ref)
+    assert run.rng.random() == ref.rng.random()
+
+
+@st.composite
+def pad_programs(draw):
+    width = draw(st.integers(1, 4))
+    holders = draw(
+        st.lists(st.sampled_from([(1,), (2,), (1, 2)]), min_size=width, max_size=width)
+    )
+    if {c for h in holders for c in h} != {1, 2}:
+        holders[0] = (1, 2)
+    steps = draw(st.permutations([i for i in range(1, width + 1) for _ in range(2)]))
+    bits = draw(st.lists(st.sampled_from(_PAD_BITS), min_size=width, max_size=width))
+    return draw(st.integers(0, 2**32 - 1)), holders, steps, bits
+
+
+# Fixed programs on which a wrong table must show: every record classical.
+_CLASSICAL_PROGRAMS = [
+    (seed, [(1,), (2,), (1,), (2,)], [1, 2, 1, 3, 2, 4, 3, 4], _PAD_BITS[1:])
+    for seed in range(8)
+]
+
+
+class TestClosedFormPad:
+    @given(pad_programs())
+    def test_matches_the_simulated_pad(self, program):
+        check_pad_against_reference(*program)
+
+    def test_pad_builds_no_links(self, monkeypatch):
+        run = fresh_run(width=3, seed=4)
+        run.distribute_all()
+
+        def refuse(*args):
+            raise AssertionError("a pad simulated its links")
+
+        monkeypatch.setattr(QuantumRegister, "alloc_bell_pair", refuse)
+        monkeypatch.setattr(QuantumRegister, "bell_measure", refuse)
+        run.transport_all()
+        assert [run.decoded[i] for i in (1, 2, 3)] == [
+            run.transcript.bell_record[i] for i in (1, 2, 3)
+        ]
+
+    def test_tables(self):
+        dealer, controller, scalars = protocol._PAD
+        assert dealer.tolist() == [0.24999999999999983] * 4
+        for k, probs in enumerate(controller):
+            assert probs.tolist() == [0.9999999999999996 if j == k else 0.0
+                                      for j in range(4)]
+        assert scalars == (1 + 0j, -1 + 0j, -1 + 0j, 1 + 0j)
+
+    def test_tables_from_phi_plus_links_fail_the_check(self, monkeypatch):
+        real = QuantumRegister.alloc_bell_pair
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                QuantumRegister,
+                "alloc_bell_pair",
+                lambda reg, kind: real(reg, BellKind.PHI_PLUS),
+            )
+            tables = protocol._pad_tables()
+        monkeypatch.setattr(protocol, "_PAD", tables)
+        with pytest.raises(AssertionError):
+            for program in _CLASSICAL_PROGRAMS:
+                check_pad_against_reference(*program)
+
+    def test_flipped_phase_scalar_fails_the_check(self, monkeypatch):
+        dealer, controller, scalars = protocol._PAD
+        monkeypatch.setattr(
+            protocol, "_PAD", (dealer, controller, tuple(-z for z in scalars))
+        )
+        with pytest.raises(AssertionError):
+            check_pad_against_reference(*_CLASSICAL_PROGRAMS[0])
+
 
 # -- split transport -------------------------------------------------------------------
 
@@ -530,8 +695,8 @@ class TestReconstruct:
 def check_peaks(run, width):
     """Distribute and transport, then check the largest block against the
     prediction of the memory rule.  A swap's residual keeps the secret's
-    block at N qubits; links, pads and teleports stay at 2, the peak only
-    at N = 1."""
+    block at N qubits; links and teleports stay at 2, the peak only at
+    N = 1, and a classical pad allocates no block."""
     run.distribute_all()
     run.transport_all()
     assert run.register.peak_block_qubits == peak_block_qubits(width)

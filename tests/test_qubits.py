@@ -179,6 +179,27 @@ class TestPaulis:
         with pytest.raises(UnknownQubit):
             reg.apply_pauli(99, Pauli.X)
 
+    @given(st.integers(1, 12), st.data(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_z_in_place_matches_the_copy_form(self, width, data, seed, x_first):
+        # Z flips signs on the block's own array.  The bytes equal those of
+        # flipping a copy, also on a reversed-stride view that X leaves on a
+        # one-qubit block, and a copy of the register taken first keeps its
+        # state.
+        position = data.draw(st.integers(0, width - 1))
+        reg = QuantumRegister()
+        ids = reg.alloc_state(random_state(width, seed))
+        q = ids[position]
+        if x_first:
+            reg.apply_pauli(q, Pauli.X)
+        amps = reg._blocks[0].amps
+        flipped = amps.reshape(1 << position, 2, -1).copy()
+        flipped[:, 1, :] *= -1.0
+        before = reg.state_vector()
+        dup = reg.copy()
+        reg.apply_pauli(q, Pauli.Z)
+        assert reg._blocks[0].amps.tobytes() == flipped.reshape(-1).tobytes()
+        assert dup.state_vector().tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("op", ["Z", "ZX", None, 0, Pauli.Z.matrix])
     def test_non_pauli_rejected(self, op):
         reg = QuantumRegister()
@@ -186,6 +207,22 @@ class TestPaulis:
         with pytest.raises(ValueError, match="not a Pauli"):
             reg.apply_pauli(q, op)
         np.testing.assert_array_equal(reg.state_vector(), [0.6, 0.8])
+
+
+class TestFoldMeasuredOut:
+    def test_spends_ids_and_folds_the_scalar(self):
+        reg = QuantumRegister()
+        (q,) = reg.alloc_state([0.6, 0.8])
+        reg.fold_measured_out(4, -1.0 + 0.0j)
+        assert reg.live_qubits() == (q,) and reg.peak_block_qubits == 1
+        assert reg.alloc_qubit(0) == q + 5
+        np.testing.assert_array_equal(reg.state_vector(), [-0.6, 0, -0.8, 0])
+
+    def test_negative_count_rejected(self):
+        reg = QuantumRegister()
+        with pytest.raises(ValueError, match="count"):
+            reg.fold_measured_out(-1, 1.0 + 0.0j)
+        assert reg.alloc_qubit(0) == 0
 
 
 # -- bit encoding -----------------------------------------------------------------

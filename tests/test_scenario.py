@@ -187,6 +187,22 @@ class TestErrors:
         )
         self.assert_names_field(text, "secret")
 
+    @pytest.mark.parametrize(
+        "decoys,accepted",
+        [(2**24 - 3, True), (2**24 - 2, False), (10**12, False)],
+        ids=["fills-24-qubits", "one-past", "huge"],
+    )
+    def test_decoy_slot_draw_obeys_the_memory_rule(self, decoys, accepted):
+        # N + decoys slots index an array of that many entries, which may
+        # span at most MAX_ARRAY_QUBITS qubits.  Validation only: nothing runs.
+        cfg = parse_scenario_text(MINIMAL)
+        cfg.decoys = decoys
+        if accepted:
+            cfg.validate()
+        else:
+            with pytest.raises(ScenarioError, match=r"^decoys: .* \(cap 24\)$"):
+                cfg.validate()
+
     def test_decoy_capacity(self):
         # Decoys are blocks of their own, so 3 + 30 slots stay within the
         # memory rule: the largest block is the secret's own, 3 qubits.
