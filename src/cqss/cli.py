@@ -72,7 +72,10 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
 def _emit(text: str, out: Path | None) -> None:
     sys.stdout.write(text)
     if out is not None:
-        out.write_text(text)
+        try:
+            out.write_text(text)
+        except OSError as exc:
+            raise ScenarioError(f"out: cannot write {out}: {exc}") from None
 
 
 def _cmd_run(cfg: ScenarioConfig, args: argparse.Namespace) -> int:

@@ -74,10 +74,6 @@ def haar_random_state(width: int, rng: RandomSource) -> np.ndarray:
 # -- scenario plumbing ----------------------------------------------------------------
 
 
-def eve_from_config(cfg: ScenarioConfig) -> EveModel:
-    return EveModel(cfg.eve, cfg.eve_probability)
-
-
 def secret_for_trial(spec: SecretSpec, width: int, trial_index: int) -> np.ndarray:
     if spec.kind == "demo":
         return demo_encode((spec.amplitudes[0], spec.amplitudes[1]), width)
@@ -189,7 +185,7 @@ def build_run(cfg: ScenarioConfig, entropy: int | tuple[int, ...]) -> ProtocolRu
         cfg.policy(),
         rng,
         decoy_plan=plan,
-        eve=eve_from_config(cfg),
+        eve=EveModel(cfg.eve, cfg.eve_probability),
     )
 
 
@@ -376,16 +372,16 @@ def detection_curve(
     is skipped for speed.
     """
     cfg.validate()
-    eve = eve_from_config(cfg)
+    eve = EveModel(cfg.eve, cfg.eve_probability)
     per_decoy = eve.intercept_probability * 0.25 if eve.strategy != "none" else 0.0
     points = []
     for m_decoys in decoy_counts:
         analytic = (1.0 - per_decoy) ** m_decoys
         detected = 0
+        point_cfg = replace(cfg, decoys=m_decoys)
+        point_cfg.validate()
         for t in range(cfg.trials):
-            run = build_run(
-                _with_decoys(cfg, m_decoys), (cfg.master_seed, m_decoys, t)
-            )
+            run = build_run(point_cfg, (cfg.master_seed, m_decoys, t))
             run.distribute_all()
             report = verify_decoys(run, run.decoy_plan)
             if not report.clean:
@@ -393,11 +389,3 @@ def detection_curve(
         sigma = float(np.sqrt(analytic * (1.0 - analytic) / cfg.trials))
         points.append(CurvePoint(m_decoys, cfg.trials, detected, analytic, sigma))
     return DetectionCurve(tuple(points))
-
-
-def _with_decoys(cfg: ScenarioConfig, decoys: int) -> ScenarioConfig:
-    if cfg.decoys == decoys:
-        return cfg
-    out = replace(cfg, decoys=decoys)
-    out.validate()
-    return out

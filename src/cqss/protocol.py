@@ -292,9 +292,9 @@ class Sealed:
 
 @dataclass(frozen=True)
 class ResourceReport:
-    """Consumed-resource counts; construction verifies the closed forms."""
+    """Consumed-resource counts, as :meth:`ProtocolRun.resource_report`
+    returns them after checking each against its closed form."""
 
-    secret_width: int
     decoys: int
     epr_player: int
     epr_controller: int
@@ -762,7 +762,6 @@ class ProtocolRun:
         if bad:
             raise ResourceAccountingError("; ".join(bad))
         return ResourceReport(
-            secret_width=width,
             decoys=decoys,
             epr_player=t.epr_player,
             epr_controller=t.epr_controller,

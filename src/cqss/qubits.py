@@ -1,20 +1,22 @@
 """Exact state-vector simulation of small qubit registers.
 
 The register stores its state as a product of blocks: each block is a
-complex amplitude vector over its own ordered qubits.  Allocation adds a
-block; a measurement shrinks one block, and a block measured down to no
-qubits folds its leftover scalar into a register phase.  A Bell measurement
-whose pair spans two blocks never multiplies them out: the outcome
-probabilities come from each block's 2x2 Gram matrix over its measured
-qubit, and only the kept branch is built, as one block over both blocks'
-other qubits (n_A + n_B - 2).  A swap of a secret qubit onto a two-qubit
-link therefore leaves the secret's block at its width, and qubits that
-never meet the secret (decoys, split-record halves) never multiply its
-vector.  Fresh qubits that are measured out whole, whose outcome
-probabilities and leftover scalar are therefore constants, need no block:
-:meth:`QuantumRegister.fold_measured_out` spends their ids and folds the
-scalar.  ``state_vector`` and ``reduced_density`` multiply blocks out on
-demand.
+complex amplitude vector over its own ordered qubits.  The map from each
+live qubit to its block is the one index of live blocks: a block is live
+exactly while some live qubit maps to it, so retiring one costs nothing.
+Allocation adds a block; a measurement shrinks one block, and a block
+measured down to no qubits folds its leftover scalar into a register phase.
+A Bell measurement whose pair spans two blocks never multiplies them out:
+the outcome probabilities come from each block's 2x2 Gram matrix over its
+measured qubit, and only the kept branch is built, as one block over both
+blocks' other qubits (n_A + n_B - 2).  A swap of a secret qubit onto a
+two-qubit link therefore leaves the secret's block at its width, and
+qubits that never meet the secret (decoys, split-record halves) never
+multiply its vector.  Fresh qubits that are measured out whole, whose
+outcome probabilities and leftover scalar are therefore constants, need no
+block: :meth:`QuantumRegister.fold_measured_out` spends their ids and folds
+the scalar.  ``state_vector`` and ``reduced_density`` multiply blocks out
+on demand.
 
 One memory rule bounds every array: none may span more than
 ``MAX_ARRAY_QUBITS`` (24) qubits, where a density matrix over k qubits spans
@@ -228,10 +230,6 @@ class RandomSource:
     def __init__(self, seed: int | tuple[int, ...]):
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
-    @classmethod
-    def for_trial(cls, master_seed: int, trial_index: int) -> "RandomSource":
-        return cls((int(master_seed), int(trial_index)))
-
     def random(self) -> float:
         return float(self._gen.random())
 
@@ -377,10 +375,13 @@ class QuantumRegister:
     chosen outcome and returns its exact probability, and a sampled form
     (``bell_measure`` / ``measure_single``), which is the same collapse onto
     a drawn outcome and so leaves the same state bit for bit.
+
+    The qubit -> block map is the one index of live blocks; a reader that
+    needs each block once takes ``dict.fromkeys`` of its values, which
+    orders the blocks by their earliest live qubit.
     """
 
     def __init__(self) -> None:
-        self._blocks: list[_Block] = []
         self._block_of: dict[QubitId, _Block] = {}
         # Scalars of blocks measured down to no qubits: the global phase.
         self._phase = 1.0 + 0.0j
@@ -405,15 +406,18 @@ class QuantumRegister:
             order = self.live_qubits()
         elif len(order) != len(self._block_of) or set(order) != set(self._block_of):
             raise UnknownQubit(f"order {order} is not a permutation of live qubits")
-        amps, qubits = _product(self._blocks)
+        amps, qubits = _product(dict.fromkeys(self._block_of.values()))
         perm = [qubits.index(q) for q in order]
         amps = self._phase * amps  # a new array, never a block's own
         return np.transpose(amps.reshape((2,) * len(qubits)), perm).reshape(-1)
 
     def copy(self) -> "QuantumRegister":
         dup = QuantumRegister()
-        dup._blocks = [_Block(b.amps.copy(), list(b.qubits)) for b in self._blocks]
-        dup._block_of = {q: b for b in dup._blocks for q in b.qubits}
+        dups = {
+            b: _Block(b.amps.copy(), list(b.qubits))
+            for b in dict.fromkeys(self._block_of.values())
+        }
+        dup._block_of = {q: dups[b] for q, b in self._block_of.items()}
         dup._phase = self._phase
         dup._next_id = self._next_id
         dup.peak_block_qubits = self.peak_block_qubits
@@ -447,7 +451,6 @@ class QuantumRegister:
         ids = list(range(self._next_id, self._next_id + count))
         self._next_id += count
         block = _Block(vec, ids)
-        self._blocks.append(block)
         for q in ids:
             self._block_of[q] = block
         self.peak_block_qubits = max(self.peak_block_qubits, count)
@@ -544,7 +547,6 @@ class QuantumRegister:
             a.qubits += b.qubits
             for q in b.qubits:
                 self._block_of[q] = a
-            self._blocks.remove(b)
             self.peak_block_qubits = max(self.peak_block_qubits, len(a.qubits) - 2)
         self._shrink(a, branch, qa, qb)
         return prob
@@ -640,7 +642,6 @@ class QuantumRegister:
             del self._block_of[q]
         if not block.qubits:
             self._phase *= complex(block.amps[0])
-            self._blocks.remove(block)
 
 
 # -- state comparison metrics ----------------------------------------------------

@@ -92,9 +92,6 @@ class ScenarioConfig:
     trials: int
     master_seed: int
 
-    def record_mode(self, index: int) -> str:
-        return "classical" if len(self.record_to_controller[index]) == 1 else "split"
-
     def with_release(self, released: set[int]) -> "ScenarioConfig":
         return replace(
             self,
@@ -262,9 +259,11 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
 def load_scenario(path: str | Path) -> ScenarioConfig:
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ScenarioError(f"scenario_path: file not found: {p}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario_path: {p} is not UTF-8 text: {exc}") from None
     except OSError as exc:
         raise ScenarioError(f"scenario_path: cannot read {p}: {exc}") from None
     return parse_scenario_text(text)

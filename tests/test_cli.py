@@ -74,6 +74,27 @@ class TestUsageErrors:
         code, _, err = invoke(capsys, "run", fast_scenario, "--seed", "-3")
         assert code == 2 and "master_seed" in err
 
+    def test_undecodable_scenario_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "binary.scn"
+        path.write_bytes(b"\xff\xfe" + FAST_SCENARIO.encode())
+        code, out, err = invoke(capsys, "run", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: scenario_path: {path} is not UTF-8 text")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "target", ["dir", "missing/x.txt"], ids=["directory", "missing-parent"]
+    )
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, target):
+        out_path = tmp_path if target == "dir" else tmp_path / target
+        code, out, err = invoke(
+            capsys, "resources", SCENARIOS / "full_release_demo.scn", "--out", out_path
+        )
+        assert code == 2
+        assert out.startswith("cqss-resources v1\n")  # stdout gets the report first
+        assert err.startswith(f"error: out: cannot write {out_path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestRun:
     def test_success_and_report_shape(self, capsys, fast_scenario):

@@ -11,6 +11,7 @@ import pytest
 
 from cqss.errors import DecodeError, NotNormalized, SweepError
 from cqss.harness import (
+    build_run,
     demo_decode,
     demo_encode,
     detection_curve,
@@ -20,8 +21,10 @@ from cqss.harness import (
     run_scenario,
     run_trial,
 )
+from cqss.protocol import Recovered
 from cqss.qubits import QuantumRegister, RandomSource, fidelity
 from cqss.scenario import load_scenario, parse_scenario_text
+from cqss.security import verify_decoys
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -177,6 +180,27 @@ class TestRunScenario:
         assert report.recovered == 15
         assert min(report.fidelities) >= 1 - 1e-10
         assert report.detections == 0
+
+    def test_many_decoys_leave_only_the_secrets_block(self):
+        # Every decoy swap and check retires a block; the register must keep
+        # no trace of them, and the secret must come through untouched.
+        text = BASE.replace("N = 3\nn = 3\nm = 3\n", "N = 2\nn = 2\nm = 2\n")
+        cfg = parse_scenario_text(text.replace("threshold_k = 3", "threshold_k = 2"))
+        cfg = replace(cfg, decoys=3000, trials=1)
+        cfg.validate()
+        run = build_run(cfg, (cfg.master_seed, 0))
+        run.distribute_all()
+        run.transport_all()
+        report = verify_decoys(run, run.decoy_plan)
+        assert (report.decoys_checked, report.verdict) == (3000, "clean")
+        decoy_slots = set(run.decoy_plan.placements)
+        secret_qubits = [q for s, q in run.slot_qubits.items() if s not in decoy_slots]
+        blocks = list(dict.fromkeys(run.register._block_of.values()))
+        assert len(blocks) == 1
+        assert sorted(blocks[0].qubits) == sorted(secret_qubits)
+        outcome = run.reconstruct()
+        assert isinstance(outcome, Recovered)
+        assert fidelity(outcome.state_vector, run.secret) >= 1 - 1e-10
 
     def test_eve_disturbs_fidelity_and_gets_detected(self):
         cfg = config(

@@ -42,6 +42,12 @@ def random_state(width, seed):
     return vec / np.linalg.norm(vec)
 
 
+def live_blocks(reg):
+    """The register's live blocks, read from its qubit map, in the order of
+    each block's earliest live qubit."""
+    return list(dict.fromkeys(reg._block_of.values()))
+
+
 # -- allocation ---------------------------------------------------------------
 
 
@@ -113,11 +119,11 @@ class TestMemoryRule:
         reg = QuantumRegister()
         a = reg.alloc_state(random_state(13, 1))
         b = reg.alloc_state(random_state(14, 2))
-        before = [(list(blk.qubits), blk.amps.copy()) for blk in reg._blocks]
+        before = [(list(blk.qubits), blk.amps.copy()) for blk in live_blocks(reg)]
         with pytest.raises(CapacityError, match="25 qubits"):
             reg.bell_measure(a[0], b[0], RandomSource(3))
         # 25 live qubits cannot be multiplied out either, so compare blocks.
-        after = reg._blocks
+        after = live_blocks(reg)
         assert [qubits for qubits, _ in before] == [blk.qubits for blk in after]
         for (_, amps), blk in zip(before, after):
             np.testing.assert_array_equal(amps, blk.amps)
@@ -191,13 +197,14 @@ class TestPaulis:
         q = ids[position]
         if x_first:
             reg.apply_pauli(q, Pauli.X)
-        amps = reg._blocks[0].amps
+        (block,) = live_blocks(reg)
+        amps = block.amps
         flipped = amps.reshape(1 << position, 2, -1).copy()
         flipped[:, 1, :] *= -1.0
         before = reg.state_vector()
         dup = reg.copy()
         reg.apply_pauli(q, Pauli.Z)
-        assert reg._blocks[0].amps.tobytes() == flipped.reshape(-1).tobytes()
+        assert block.amps.tobytes() == flipped.reshape(-1).tobytes()
         assert dup.state_vector().tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("op", ["Z", "ZX", None, 0, Pauli.Z.matrix])
@@ -761,6 +768,28 @@ class TestFactoredRegister:
         assert reg.live_qubits() == tuple(ref.order)
         np.testing.assert_array_equal(reg.state_vector(), before)
 
+    def test_copy_after_merges_shares_nothing(self):
+        reg = QuantumRegister()
+        rng = RandomSource(21)
+        secret = reg.alloc_state(random_state(3, 7))
+        links = [reg.alloc_bell_pair(BellKind.PHI_MINUS) for _ in secret]
+        # Swapping each secret qubit onto a link merges blocks three times.
+        for q, (mu, _) in zip(secret, links):
+            reg.bell_measure(q, mu, rng)
+        reg.alloc_state(random_state(2, 8))
+        dup = reg.copy()
+        assert list(dup._block_of) == list(reg._block_of)
+        blocks, dup_blocks = live_blocks(reg), live_blocks(dup)
+        assert [b.qubits for b in dup_blocks] == [b.qubits for b in blocks]
+        assert len(blocks) == 2
+        for a, b in itertools.product(blocks, dup_blocks):
+            assert a is not b and a.qubits is not b.qubits
+            assert not np.shares_memory(a.amps, b.amps)
+        before = [b.amps.tobytes() for b in blocks]
+        assert dup.state_vector().tobytes() == reg.state_vector().tobytes()
+        dup.apply_pauli(links[0][1], Pauli.Z)  # flips the copy's block in place
+        assert [b.amps.tobytes() for b in live_blocks(reg)] == before
+
     def test_cross_block_measurement_builds_only_the_residual(self):
         reg = QuantumRegister()
         a1, b1 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
@@ -805,11 +834,11 @@ class TestCrossBlockKernel:
             )
             want = comps[kind.value] / np.sqrt(probs[kind.value])
             if order:
-                (block,) = branch._blocks
+                (block,) = live_blocks(branch)
                 assert block.qubits == order  # A's other qubits, then B's
                 got = branch._phase * block.amps
             else:
-                assert branch._blocks == []
+                assert live_blocks(branch) == []
                 got = np.array([branch._phase])
             phase = np.vdot(got, want)
             phase /= abs(phase)
@@ -1060,13 +1089,13 @@ class TestRandomSource:
         assert a.sample_positions(10, 3) == b.sample_positions(10, 3)
 
     def test_trial_derivation_is_stable(self):
-        first = RandomSource.for_trial(5, 2).random()
-        RandomSource.for_trial(5, 1)  # unrelated stream, consumed differently
-        again = RandomSource.for_trial(5, 2).random()
+        first = RandomSource((5, 2)).random()
+        RandomSource((5, 1))  # unrelated stream, consumed differently
+        again = RandomSource((5, 2)).random()
         assert first == again
 
     def test_distinct_trials_distinct_streams(self):
-        assert RandomSource.for_trial(5, 0).random() != RandomSource.for_trial(5, 1).random()
+        assert RandomSource((5, 0)).random() != RandomSource((5, 1)).random()
 
 
 class TestDensityMatrixValidation:

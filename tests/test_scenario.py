@@ -92,7 +92,7 @@ class TestParsing:
 
     def test_full_round_trip(self):
         cfg = parse_scenario_text(FULL)
-        assert cfg.record_mode(1) == "split"
+        assert len(cfg.record_to_controller[1]) == 2  # a split record
         again = parse_scenario_text(scenario_to_text(cfg))
         assert again == cfg
 
