@@ -61,19 +61,23 @@ from .qubits import (
 from .security import DecoyPlan, DetectionReport, EveModel, _record_indices, eve_tap
 
 
-def peak_block_qubits(width: int) -> int:
+def peak_block_qubits(width: int, pairs: bool = False) -> int:
     """Qubits of the largest array a run over a ``width``-qubit secret holds,
     checked against the memory rule (:func:`~cqss.qubits.check_array_qubits`).
 
-    A distribution swap Bell-measures a secret qubit against a two-qubit
-    link without multiplying the two blocks out: its residual replaces the
-    secret's block at the same width.  Links and teleports stay at two
-    qubits, a classical pad allocates no block at all, and decoys and
-    split-record halves never join the secret's block, so this is the
+    ``pairs`` says whether the run allocates a Bell pair: a split record
+    does, and so does a slot that the eavesdropper taps, since she measures
+    its link's far half before the swap (with an intercept probability
+    below 1, a run reaches this peak at width 1 only if she taps at least
+    once).  Every other swap or teleport runs in closed form
+    (:meth:`~cqss.qubits.QuantumRegister.teleport`) and keeps the qubit's
+    block at its width; a tapped swap builds only its residual, again the
+    secret's width; a classical pad allocates no block; and decoys and
+    split-record halves never join the secret's block.  So this is the
     register's ``peak_block_qubits`` after ``distribute_all`` and
     ``transport_all``.
     """
-    peak = max(width, 2)
+    peak = max(width, 2) if pairs else width
     check_array_qubits(peak, f"a {width}-qubit secret's largest block")
     return peak
 
@@ -416,6 +420,10 @@ class ProtocolRun:
         A fresh singlet link to the player is consumed; the dealer's Bell
         outcome is appended to the record list.  No correction is applied
         yet: the record first has to travel to controllers and come back.
+        The link is built only if the eavesdropper taps it
+        (:func:`~cqss.security.eve_tap`); otherwise the swap is a
+        closed-form teleport (:meth:`~cqss.qubits.QuantumRegister.teleport`)
+        with the same draws and qubit ids.
         """
         if secret_index not in self._slot_of_secret:
             raise ProtocolError(
@@ -432,11 +440,16 @@ class ProtocolRun:
     def _distribute_slot(self, slot: int) -> BellKind:
         if slot not in self._undistributed:
             raise ProtocolError(f"slot {slot} already distributed")
-        mu, nu = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
-        self.transcript.epr_player += 1
-        eve_tap(self.register, nu, self.eve, self.rng)
+        basis = eve_tap(self.eve, self.rng)
         source = self.slot_qubits[slot]
-        kind = self.register.bell_measure(source, mu, self.rng)
+        if basis is None:
+            nu, kind = self.register.teleport(source, self.rng)
+        else:
+            # Eve measures the link's far half in flight, before the swap.
+            mu, nu = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
+            self.register.measure_single(nu, basis, self.rng, remove=False)
+            kind = self.register.bell_measure(source, mu, self.rng)
+        self.transcript.epr_player += 1
         self.transcript.dealer_distribution_measurements += 1
         if slot in self._secret_of_slot:
             self.transcript.bell_record[self._secret_of_slot[slot]] = kind
@@ -498,10 +511,12 @@ class ProtocolRun:
         controllers, one teleported half each; the halves wait in
         ``split_halves`` until :meth:`joint_identify` reads them.
 
-        Each half rides a singlet link; the dealer sends the teleportation
-        correction to the receiving controller, who applies it immediately.
-        Afterwards the pair jointly holds the Bell state named by the
-        record, and neither half alone carries any of it.
+        Each half is teleported over a singlet link, in closed form
+        (:meth:`~cqss.qubits.QuantumRegister.teleport`: the link is counted
+        and its ids spent, but never built); the dealer sends the
+        teleportation correction to the receiving controller, who applies
+        it immediately.  Afterwards the pair jointly holds the Bell state
+        named by the record, and neither half alone carries any of it.
         """
         self._check_transport(record_index, (ca, cb))
         kind = self.transcript.bell_record[record_index]
@@ -531,9 +546,8 @@ class ProtocolRun:
     def _teleport_to_controller(
         self, qubit: QubitId, controller: int, record_index: int
     ) -> QubitId:
-        alpha, beta = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
+        beta, outcome = self.register.teleport(qubit, self.rng)
         self.transcript.epr_controller += 1
-        outcome = self.register.bell_measure(qubit, alpha, self.rng)
         self.transcript.dealer_transport_measurements += 1
         correction = CORRECTION_FOR_OUTCOME[outcome]
         self.log_message(
@@ -874,10 +888,12 @@ def setup(
 ) -> ProtocolRun:
     """Validate the roster and policy and stage a run.
 
-    Entangled links are allocated lazily, one per swap or teleport, each as
-    its own block (a classical pad allocates none), and a Bell measurement
-    across two blocks builds only its residual, so the largest array is the
-    secret's own block (:func:`peak_block_qubits`).
+    No link is built up front.  An untapped swap and a split record's
+    teleports run in closed form and a classical pad is sampled, so none of
+    them allocates a block; a split record's Bell pair and a tapped slot's
+    link are blocks of their own, and the tapped swap builds only its
+    residual, so the largest array is the secret's own block
+    (:func:`peak_block_qubits`).
     """
     return ProtocolRun(
         n, m, secret_width, secret, policy, rng, decoy_plan=decoy_plan, eve=eve

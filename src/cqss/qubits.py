@@ -9,14 +9,18 @@ measured down to no qubits folds its leftover scalar into a register phase.
 A Bell measurement whose pair spans two blocks never multiplies them out:
 the outcome probabilities come from each block's 2x2 Gram matrix over its
 measured qubit, and only the kept branch is built, as one block over both
-blocks' other qubits (n_A + n_B - 2).  A swap of a secret qubit onto a
-two-qubit link therefore leaves the secret's block at its width, and
-qubits that never meet the secret (decoys, split-record halves) never
-multiply its vector.  Fresh qubits that are measured out whole, whose
-outcome probabilities and leftover scalar are therefore constants, need no
-block: :meth:`QuantumRegister.fold_measured_out` spends their ids and folds
-the scalar.  ``state_vector`` and ``reduced_density`` multiply blocks out
-on demand.
+blocks' other qubits (n_A + n_B - 2).  Teleporting a qubit over a fresh
+singlet needs not even that: every outcome has probability 1/4 and leaves
+the far half with the qubit's state twisted by a known signed Pauli, so
+:meth:`QuantumRegister.teleport` applies the twist on the qubit's own
+tensor position and relabels it, with no link built.  A swap of a secret
+qubit therefore leaves the secret's block at its width, and qubits that
+never meet the secret (decoys, split-record halves) never multiply its
+vector.  Fresh qubits that are measured out whole, whose outcome
+probabilities and leftover scalar are therefore constants, need no block:
+:meth:`QuantumRegister.fold_measured_out` spends their ids and folds the
+scalar.  ``state_vector`` and ``reduced_density`` multiply blocks out on
+demand.
 
 One memory rule bounds every array: none may span more than
 ``MAX_ARRAY_QUBITS`` (24) qubits, where a density matrix over k qubits spans
@@ -164,6 +168,20 @@ CORRECTION_FOR_OUTCOME = {
     BellKind.PHI_PLUS: Pauli.Z,
     BellKind.PHI_MINUS: Pauli.I,
 }
+
+# Teleporting a qubit over a fresh PHI_MINUS singlet (mu, nu), in closed
+# form.  Projecting (q, mu) onto outcome k leaves nu carrying
+# ``(W_k L)^T`` applied to q's state, where W_k is outcome k's row of
+# ``_BELL_W`` and L = [[0, 1], [-1, 0]] / sqrt(2) the singlet's amplitudes
+# (rows mu, columns nu).  ``2 (W_k L)^T`` is ``sign * P.matrix`` for the
+# Pauli ``P = CORRECTION_FOR_OUTCOME[k]``, its own inverse up to sign, so
+# every outcome has probability exactly 1/4 (Bennett et al., PRL 70, 1895,
+# 1993).  Row k holds ``(P, sign)``: -I, -Z, X and -ZX in outcome order.
+_TWIST = tuple(
+    (CORRECTION_FOR_OUTCOME[kind], sign)
+    for kind, sign in zip(BellKind, (-1.0, -1.0, 1.0, -1.0))
+)
+_TELEPORT_PROBS = (0.25, 0.25, 0.25, 0.25)
 
 # Measurement bases for single qubits.  Row 0 / row 1 = outcome 0 / 1.
 BASIS_Z = "Z"
@@ -355,6 +373,53 @@ def _bell_probabilities(
     return _BELL_GRAM.dot((rho_a.reshape(4, 1) * rho_b.reshape(4)).reshape(16)).real
 
 
+# A block of more than twice this many amplitudes swaps its rows in place, a
+# chunk of about this many amplitudes per row at a time: the chunks stay in
+# cache and no second block is allocated.  A smaller block is copied in one
+# slice, which costs fewer numpy calls.
+_SWAP_CHUNK = 1 << 14
+
+
+def _swap_rows(t: np.ndarray, sign: float) -> None:
+    """Swap ``t[:, 0]`` and ``t[:, 1]`` of an (L, 2, R) view in place, the
+    new ``t[:, 1]`` times ``sign``.  A chunk spans at most ``_SWAP_CHUNK``
+    of R and as many whole rows of L as fill ``_SWAP_CHUNK``, so it reads
+    memory in long contiguous runs."""
+    left, _, right = t.shape
+    cols = min(right, _SWAP_CHUNK)
+    rows = max(1, _SWAP_CHUNK // cols)
+    for i, j in itertools.product(range(0, left, rows), range(0, right, cols)):
+        c = t[i : i + rows, :, j : j + cols]
+        row0 = c[:, 0].copy()
+        if sign < 0.0:
+            row0 *= -1.0  # contiguous, and still in cache
+        c[:, 0] = c[:, 1]
+        c[:, 1] = row0
+
+
+def _apply_pauli(block: _Block, p: int, op: Pauli) -> None:
+    """Apply ``op`` to tensor position ``p`` of ``block``, which owns its
+    array: X, Z and ZX are signed permutations, so rows are negated and
+    swapped instead of multiplied."""
+    if op is Pauli.I:
+        return
+    t = block.amps.reshape(1 << p, 2, -1)
+    if op is Pauli.Z:
+        t[:, 1, :] *= -1.0
+    elif op is Pauli.X or op is Pauli.ZX:
+        sign = 1.0 if op is Pauli.X else -1.0  # ZX: X first, then Z
+        if t.size > 2 * _SWAP_CHUNK:
+            _swap_rows(t, sign)
+        else:
+            t = t[:, ::-1, :].copy()
+            if op is Pauli.ZX:
+                t[:, 1, :] *= -1.0
+    else:
+        raise ValueError(f"not a Pauli: {op!r}")
+    # If reshape had to copy, assigning back keeps the changed copy.
+    block.amps = t.reshape(-1)
+
+
 def _normalize(branch: np.ndarray, what: str, outcome: object) -> float:
     """Scale ``branch``, which nothing else reads, in place to unit norm and
     return its probability; one at most ``PROB_FLOOR`` raises instead."""
@@ -470,24 +535,7 @@ class QuantumRegister:
     # -- unitaries ------------------------------------------------------------
 
     def apply_pauli(self, q: QubitId, op: Pauli) -> None:
-        block, p = self._locate(q)
-        if op is Pauli.I:
-            return
-        t = block.amps.reshape(1 << p, 2, -1)
-        # X, Z and ZX are signed permutations; slice instead of multiplying.
-        if op is Pauli.X:
-            block.amps = t[:, ::-1, :].reshape(-1)
-        elif op is Pauli.Z:
-            # In place: the block owns its array.  If reshape had to copy,
-            # assigning back keeps the flipped copy.
-            t[:, 1, :] *= -1.0
-            block.amps = t.reshape(-1)
-        elif op is Pauli.ZX:  # X first, then Z
-            swapped = t[:, ::-1, :].copy()
-            swapped[:, 1, :] *= -1.0
-            block.amps = swapped.reshape(-1)
-        else:
-            raise ValueError(f"not a Pauli: {op!r}")
+        _apply_pauli(*self._locate(q), op)
 
     # -- Bell-basis measurement -------------------------------------------------
 
@@ -509,6 +557,43 @@ class QuantumRegister:
         k = born_sample(_bell_probabilities(*operands), rng)
         self._collapse_bell(qa, qb, operands, k)
         return _BELL_KINDS[k]
+
+    def project_teleport(self, q: QubitId, kind: BellKind) -> tuple[QubitId, float]:
+        """Bell-measure ``q`` against half of a fresh PHI_MINUS singlet,
+        forced onto ``kind``; return the singlet's far half, which now
+        carries ``q``'s state, and the probability, exactly 1/4.
+
+        The same collapse as ``mu, nu = alloc_bell_pair(PHI_MINUS)`` then
+        ``project_bell(q, mu, kind)``, with the same two ids spent, in
+        closed form: the twist of ``_TWIST`` is applied on ``q``'s own
+        tensor position, which ``nu`` takes over, and its sign folds into
+        the phase.  No block is allocated or merged and nothing is
+        renormalized (a signed permutation keeps the norm exactly), so
+        ``peak_block_qubits`` does not move.
+        """
+        return self._teleport(*self._locate(q), kind._value_), 0.25
+
+    def teleport(self, q: QubitId, rng: RandomSource) -> tuple[QubitId, BellKind]:
+        """The collapse of :meth:`project_teleport` onto an outcome that
+        :func:`born_sample` draws from four exact quarters; returns the far
+        half and the outcome."""
+        block, p = self._locate(q)
+        k = born_sample(_TELEPORT_PROBS, rng)
+        return self._teleport(block, p, k), _BELL_KINDS[k]
+
+    def _teleport(self, block: _Block, p: int, k: int) -> QubitId:
+        """Outcome ``k`` of teleporting the qubit at position ``p`` of
+        ``block``; returns the far half, which takes over that position."""
+        q = block.qubits[p]
+        nu = self._next_id + 1
+        self._next_id += 2
+        op, sign = _TWIST[k]
+        _apply_pauli(block, p, op)
+        self._phase *= sign
+        block.qubits[p] = nu
+        del self._block_of[q]
+        self._block_of[nu] = block
+        return nu
 
     def _bell_operands(
         self, qa: QubitId, qb: QubitId

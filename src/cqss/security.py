@@ -23,8 +23,6 @@ from .qubits import (
     BASIS_X,
     BASIS_Z,
     CORRECTION_FOR_OUTCOME,
-    QuantumRegister,
-    QubitId,
     RandomSource,
     sealed_mixture,
     trace_distance,
@@ -157,25 +155,23 @@ class DetectionReport:
         return self.mismatches == 0
 
 
-def eve_tap(
-    register: QuantumRegister,
-    qubit: QubitId,
-    model: EveModel | None,
-    rng: RandomSource,
-) -> tuple[str, int] | None:
-    """Let the attacker at an in-flight qubit; returns her (basis, bit) or None.
+def eve_tap(model: EveModel | None, rng: RandomSource) -> str | None:
+    """Whether the attacker taps the next in-flight qubit: the basis she
+    measures it in, or None.
 
-    The tapped qubit is the receiver-side half of a fresh entangled link,
-    attacked before the dealer's swap measurement; for detection statistics
-    this is equivalent to attacking the teleported qubit itself.
+    The draws come before the link exists: the probability draw, then the
+    basis draw.  A tapped qubit is the receiver-side half of a fresh
+    singlet link, which she measures in that basis and forwards
+    (``measure_single(..., remove=False)``) before the dealer's swap
+    measurement; for detection statistics this is equivalent to attacking
+    the teleported qubit itself.  An untapped slot needs no link at all
+    (:meth:`~cqss.qubits.QuantumRegister.teleport`).
     """
     if model is None or model.strategy == "none":
         return None
     if rng.random() >= model.intercept_probability:
         return None
-    basis = BASIS_Z if rng.integers(2) == 0 else BASIS_X
-    bit = register.measure_single(qubit, basis, rng, remove=False)
-    return basis, bit
+    return BASIS_Z if rng.integers(2) == 0 else BASIS_X
 
 
 def verify_decoys(run: "ProtocolRun", plan: DecoyPlan) -> DetectionReport:

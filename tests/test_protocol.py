@@ -37,7 +37,7 @@ from cqss.qubits import (
     trace_distance,
 )
 from cqss.scenario import load_scenario, parse_scenario_text
-from cqss.security import DecoyPlan, DecoyState, verify_decoys
+from cqss.security import DecoyPlan, DecoyState, EveModel, verify_decoys
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -689,18 +689,117 @@ class TestReconstruct:
         assert run.reconstruct() is first
 
 
+# -- closed-form teleports -----------------------------------------------------------------
+
+
+def traced_trial(monkeypatch, cfg, alloc_bell_pair, bell_measure):
+    """``run_trial(cfg, 0)`` with ``QuantumRegister.alloc_bell_pair`` and
+    ``bell_measure`` replaced by the given wrappers around the real ones;
+    returns the trial and its run."""
+    runs = []
+
+    def recording_build_run(*args):
+        runs.append(build_run(*args))
+        return runs[-1]
+
+    real_alloc, real_measure = QuantumRegister.alloc_bell_pair, QuantumRegister.bell_measure
+    monkeypatch.setattr(harness, "build_run", recording_build_run)
+    monkeypatch.setattr(
+        QuantumRegister,
+        "alloc_bell_pair",
+        lambda reg, kind: alloc_bell_pair(real_alloc, reg, kind),
+    )
+    monkeypatch.setattr(
+        QuantumRegister,
+        "bell_measure",
+        lambda reg, qa, qb, rng: bell_measure(real_measure, reg, qa, qb, rng),
+    )
+    trial = harness.run_trial(cfg, 0)
+    (run,) = runs
+    return trial, run
+
+
+class TestClosedFormTeleports:
+    @pytest.mark.parametrize(
+        "name", ["full_release_demo", "single_withheld", "veto_controller", "split_share"]
+    )
+    def test_eve_free_trials_build_no_links(self, monkeypatch, name):
+        # Every distribution swap, decoys included, and both teleports of a
+        # split record run in closed form.  The one Bell pair left is a
+        # split record's own, and the one Bell measurement left is the
+        # joint identification of such a pair, a block of its own.
+        cfg = load_scenario(SCENARIOS / f"{name}.scn")
+        want = harness.run_trial(cfg, 0)
+        pairs, identified = [], []
+
+        def alloc_bell_pair(real, reg, kind):
+            pairs.append(kind)
+            return real(reg, kind)
+
+        def bell_measure(real, reg, qa, qb, rng):
+            block = reg._block_of[qa]
+            if sorted(block.qubits) != sorted((qa, qb)):
+                raise AssertionError("a swap or teleport built its link")
+            identified.append(real(reg, qa, qb, rng))
+            return identified[-1]
+
+        def refuse(*args):
+            raise AssertionError("a swap or teleport was forced")
+
+        monkeypatch.setattr(QuantumRegister, "project_bell", refuse)
+        got, run = traced_trial(monkeypatch, cfg, alloc_bell_pair, bell_measure)
+        assert got == want
+        split = [i for i, h in sorted(cfg.record_to_controller.items()) if len(h) == 2]
+        assert pairs == [run.transcript.bell_record[i] for i in split]
+        assert identified == [run.decoded[i] for i in split]
+        assert run.register.peak_block_qubits == cfg.N
+
+    def test_tapped_slots_build_their_links(self, monkeypatch):
+        # eve_curve taps every slot: each allocates its link and goes
+        # through the general Bell measurement, and nothing teleports in
+        # closed form.
+        cfg = load_scenario(SCENARIOS / "eve_curve.scn")
+        assert (cfg.eve, cfg.eve_probability) == ("intercept-resend", 1.0)
+        want = harness.run_trial(cfg, 0)
+        links, swapped = [], []
+
+        def alloc_bell_pair(real, reg, kind):
+            links.append(real(reg, kind))
+            return links[-1]
+
+        def bell_measure(real, reg, qa, qb, rng):
+            swapped.append(qb)
+            return real(reg, qa, qb, rng)
+
+        def refuse(*args):
+            raise AssertionError("a tapped slot teleported in closed form")
+
+        monkeypatch.setattr(QuantumRegister, "teleport", refuse)
+        got, run = traced_trial(monkeypatch, cfg, alloc_bell_pair, bell_measure)
+        assert got == want
+        assert len(links) == run.total_slots == cfg.N + cfg.decoys
+        assert swapped == [mu for mu, _ in links]
+        assert [run.slot_qubits[s] for s in range(1, run.total_slots + 1)] == [
+            nu for _, nu in links
+        ]
+
+
 # -- largest block ---------------------------------------------------------------------------
 
 
 def check_peaks(run, width):
     """Distribute and transport, then check the largest block against the
-    prediction of the memory rule.  A swap's residual keeps the secret's
-    block at N qubits; links and teleports stay at 2, the peak only at
-    N = 1, and a classical pad allocates no block."""
+    prediction of the memory rule.  A closed-form swap or teleport keeps
+    the secret's block at N qubits and allocates nothing, and a classical
+    pad allocates no block; only a split record's Bell pair or a tapped
+    slot's link makes a 2-qubit block, the peak only at N = 1."""
+    pairs = any(len(h) == 2 for h in run.policy.record_to_controller.values()) or (
+        run.eve.strategy != "none" and run.eve.intercept_probability > 0
+    )
     run.distribute_all()
     run.transport_all()
-    assert run.register.peak_block_qubits == peak_block_qubits(width)
-    assert peak_block_qubits(width) == max(width, 2)
+    assert run.register.peak_block_qubits == peak_block_qubits(width, pairs)
+    assert peak_block_qubits(width, pairs) == (max(width, 2) if pairs else width)
 
 
 class TestPeakLiveQubits:
@@ -712,6 +811,27 @@ class TestPeakLiveQubits:
     def test_bundled_scenarios(self, name):
         cfg = load_scenario(SCENARIOS / f"{name}.scn")
         check_peaks(build_run(cfg, 0), cfg.N)
+
+    @pytest.mark.parametrize(
+        "holders, eve",
+        [
+            ((1,), EveModel.off()),
+            ((1, 2), EveModel.off()),
+            ((1,), EveModel.intercept_resend(1.0)),
+            ((1, 2), EveModel.intercept_resend(1.0)),
+        ],
+        ids=["classical", "split", "classical-tapped", "split-tapped"],
+    )
+    def test_width_one(self, holders, eve):
+        # Only a split record's pair or a tapped slot's link is a 2-qubit
+        # block; an untapped, all-classical run never holds more than the
+        # secret's one qubit.
+        policy = AccessPolicy.round_robin(1, len(holders), 1)
+        policy.record_to_controller[1] = holders
+        run = setup(1, len(holders), 1, haar(1, 3), policy, RandomSource(4), eve=eve)
+        check_peaks(run, 1)
+        untapped_classical = holders == (1,) and eve.strategy == "none"
+        assert run.register.peak_block_qubits == (1 if untapped_classical else 2)
 
     @pytest.mark.parametrize(
         "split_records",

@@ -2,12 +2,14 @@
 
 import bisect
 import itertools
+import unittest.mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cqss import qubits
 from cqss.errors import (
     CapacityError,
     DimensionMismatch,
@@ -207,6 +209,45 @@ class TestPaulis:
         assert block.amps.tobytes() == flipped.reshape(-1).tobytes()
         assert dup.state_vector().tobytes() == before.tobytes()
 
+    @given(
+        st.integers(1, 8),
+        st.data(),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 4, 16]),
+    )
+    def test_rows_swapped_in_chunks_match_matrix_action(self, width, data, seed, chunk):
+        # Blocks of more than 2 * _SWAP_CHUNK amplitudes swap rows in place,
+        # chunk by chunk; a small chunk size sends small blocks down that
+        # path too, in chunks of part of a row and of several whole rows.
+        # Signed permutations are exact.
+        position = data.draw(st.integers(0, width - 1), label="position")
+        op = data.draw(st.sampled_from(list(Pauli)), label="op")
+        vec = random_state(width, seed)
+        want = np.einsum(
+            "ab,lbr->lar", op.matrix, vec.reshape(1 << position, 2, -1)
+        ).reshape(-1)
+        with unittest.mock.patch.object(qubits, "_SWAP_CHUNK", chunk):
+            reg = QuantumRegister()
+            ids = reg.alloc_state(vec)
+            dup = reg.copy()
+            reg.apply_pauli(ids[position], op)
+        assert reg.state_vector().tobytes() == want.tobytes()
+        assert dup.state_vector().tobytes() == vec.tobytes()
+
+    def test_wide_block_swaps_rows_in_place(self):
+        vec = random_state(16, 3)  # 2**16 amplitudes: over 2 * _SWAP_CHUNK
+        for position, op in itertools.product((0, 7, 15), (Pauli.X, Pauli.ZX)):
+            reg = QuantumRegister()
+            ids = reg.alloc_state(vec)
+            (block,) = live_blocks(reg)
+            amps = block.amps
+            reg.apply_pauli(ids[position], op)
+            assert block.amps is amps or np.shares_memory(block.amps, amps)
+            want = np.einsum(
+                "ab,lbr->lar", op.matrix, vec.reshape(1 << position, 2, -1)
+            ).reshape(-1)
+            assert reg.state_vector().tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("op", ["Z", "ZX", None, 0, Pauli.Z.matrix])
     def test_non_pauli_rejected(self, op):
         reg = QuantumRegister()
@@ -376,6 +417,77 @@ class TestSwapCorrection:
                 reg.project_bell(src, mu, kind)
                 reg.apply_pauli(nu, wrong)
                 assert fidelity(reg.state_vector(), psi) < 1 - 1e-3
+
+
+def check_teleport(width, seed):
+    """The closed-form teleport of each qubit of a ``width``-qubit block,
+    forced onto each outcome, against the general path: a fresh PHI_MINUS
+    pair, then ``project_bell``.  Each twist's sign folds into the phase,
+    so the states agree amplitude for amplitude, not only up to a global
+    phase."""
+    for position, kind in itertools.product(range(width), BellKind):
+        reg = QuantumRegister()
+        reg.alloc_qubit(1)  # a block before the measured one
+        ids = reg.alloc_state(random_state(width, seed))
+        reg.alloc_state(random_state(2, seed + 1))  # and one after
+        peak = reg.peak_block_qubits
+        ref = reg.copy()
+        nu, prob = reg.project_teleport(ids[position], kind)
+        mu, ref_nu = ref.alloc_bell_pair(BellKind.PHI_MINUS)
+        ref_prob = ref.project_bell(ids[position], mu, kind)
+        assert nu == ref_nu
+        assert prob == 0.25 and abs(prob - ref_prob) <= 1e-12
+        assert reg.live_qubits() == ref.live_qubits()
+        np.testing.assert_allclose(
+            reg.state_vector(), ref.state_vector(), rtol=0, atol=1e-12
+        )
+        assert reg.alloc_qubit(0) == ref.alloc_qubit(0)  # the same ids spent
+        assert reg.peak_block_qubits == peak  # nothing was allocated
+
+
+class TestClosedFormTeleport:
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matches_the_general_path(self, width, seed):
+        check_teleport(width, seed)
+
+    @given(st.integers(1, 6), st.data(), st.integers(0, 2**32 - 1))
+    def test_sampled_is_forced_onto_the_draw(self, width, data, seed):
+        position = data.draw(st.integers(0, width - 1), label="position")
+        reg = QuantumRegister()
+        ids = reg.alloc_state(random_state(width, seed))
+        forced = reg.copy()
+        rng = RandomSource(seed)
+        nu, kind = reg.teleport(ids[position], rng)
+        # One draw, from four exact quarters.
+        draws = RandomSource(seed)
+        assert kind is list(BellKind)[born_sample([0.25] * 4, draws)]
+        assert rng.random() == draws.random()
+        assert forced.project_teleport(ids[position], kind) == (nu, 0.25)
+        assert_same_register(reg, forced)
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("field", ["pauli", "sign"])
+    def test_a_mutated_twist_table_fails_the_check(self, monkeypatch, k, field):
+        table = list(qubits._TWIST)
+        op, sign = table[k]
+        if field == "pauli":
+            table[k] = (table[(k + 1) % 4][0], sign)
+        else:
+            table[k] = (op, -sign)
+        monkeypatch.setattr(qubits, "_TWIST", tuple(table))
+        with pytest.raises(AssertionError):
+            check_teleport(2, 5)
+
+    def test_unknown_qubit_spends_nothing(self):
+        reg = QuantumRegister()
+        reg.alloc_qubit(0)
+        rng = RandomSource(1)
+        with pytest.raises(UnknownQubit):
+            reg.teleport(7, rng)
+        with pytest.raises(UnknownQubit):
+            reg.project_teleport(7, BellKind.PHI_PLUS)
+        assert reg.alloc_qubit(0) == 1
+        assert rng.random() == RandomSource(1).random()
 
 
 # -- single-qubit measurement --------------------------------------------------------

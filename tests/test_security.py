@@ -149,12 +149,22 @@ def interleave_reference(secret, plan):
 # -- the attacker itself --------------------------------------------------------------
 
 
+def eve_at(register, qubit, model, rng):
+    """Eve at an in-flight qubit, as a distribution swap lets her at it: the
+    tap decision, then, if she taps, her measure-and-forward.  Returns her
+    (basis, bit) or None."""
+    basis = eve_tap(model, rng)
+    if basis is None:
+        return None
+    return basis, register.measure_single(qubit, basis, rng, remove=False)
+
+
 class TestEveTap:
     def test_probability_zero_never_touches(self):
         reg = QuantumRegister()
         ids = reg.alloc_state(haar(2, 5))
         before = reg.state_vector()
-        assert eve_tap(reg, ids[0], EveModel.intercept_resend(0.0), RandomSource(1)) \
+        assert eve_at(reg, ids[0], EveModel.intercept_resend(0.0), RandomSource(1)) \
             is None
         assert fidelity(reg.state_vector(), before) == pytest.approx(1.0)
 
@@ -162,7 +172,7 @@ class TestEveTap:
         rng = RandomSource(2)
         reg = QuantumRegister()
         q = reg.alloc_qubit(0)
-        eve_tap(reg, q, EveModel.off(), rng)
+        eve_at(reg, q, EveModel.off(), rng)
         assert rng.random() == RandomSource(2).random()
 
     def test_eigenstate_in_matching_basis_untouched(self):
@@ -172,7 +182,7 @@ class TestEveTap:
             reg = QuantumRegister()
             q = reg.alloc_qubit(0)
             reg.project_single(q, "X", 0, remove=False)  # |+x>
-            tap = eve_tap(reg, q, EveModel.intercept_resend(1.0), rng)
+            tap = eve_at(reg, q, EveModel.intercept_resend(1.0), rng)
             assert tap is not None
             basis, bit = tap
             if basis == "X":
