@@ -61,25 +61,24 @@ from .qubits import (
 from .security import DecoyPlan, DetectionReport, EveModel, _record_indices, eve_tap
 
 
-def peak_block_qubits(width: int, pairs: bool = False) -> int:
-    """Qubits of the largest array a run over a ``width``-qubit secret holds,
-    checked against the memory rule (:func:`~cqss.qubits.check_array_qubits`).
+def peak_block_qubits(width: int) -> int:
+    """Qubits of a ``width``-qubit secret's block, checked against the
+    memory rule (:func:`~cqss.qubits.check_array_qubits`); a run holds no
+    larger array but a two-qubit pair at width 1.
 
-    ``pairs`` says whether the run allocates a Bell pair: a split record
-    does, and so does a slot that the eavesdropper taps, since she measures
-    its link's far half before the swap (with an intercept probability
-    below 1, a run reaches this peak at width 1 only if she taps at least
-    once).  Every other swap or teleport runs in closed form
-    (:meth:`~cqss.qubits.QuantumRegister.teleport`) and keeps the qubit's
+    An untapped swap and a split record's teleports run in closed form
+    (:meth:`~cqss.qubits.QuantumRegister.teleport`) and keep the qubit's
     block at its width; a tapped swap builds only its residual, again the
     secret's width; a classical pad allocates no block; and decoys and
-    split-record halves never join the secret's block.  So this is the
-    register's ``peak_block_qubits`` after ``distribute_all`` and
-    ``transport_all``.
+    split-record halves never join the secret's block.  The only other
+    blocks are two-qubit: a split record's Bell pair and the link of a slot
+    that the eavesdropper taps, since she measures its far half before the
+    swap.  So the register's ``peak_block_qubits`` after ``distribute_all``
+    and ``transport_all`` is this width, or 2 for a one-qubit secret whose
+    run allocates such a pair; two qubits are always within the rule.
     """
-    peak = max(width, 2) if pairs else width
-    check_array_qubits(peak, f"a {width}-qubit secret's largest block")
-    return peak
+    check_array_qubits(width, f"a {width}-qubit secret's largest block")
+    return width
 
 
 @dataclass
@@ -891,8 +890,8 @@ def setup(
     No link is built up front.  An untapped swap and a split record's
     teleports run in closed form and a classical pad is sampled, so none of
     them allocates a block; a split record's Bell pair and a tapped slot's
-    link are blocks of their own, and the tapped swap builds only its
-    residual, so the largest array is the secret's own block
+    link are two-qubit blocks of their own, and the tapped swap builds only
+    its residual, so no block outgrows the secret's own or a pair
     (:func:`peak_block_qubits`).
     """
     return ProtocolRun(

@@ -373,53 +373,6 @@ def _bell_probabilities(
     return _BELL_GRAM.dot((rho_a.reshape(4, 1) * rho_b.reshape(4)).reshape(16)).real
 
 
-# A block of more than twice this many amplitudes swaps its rows in place, a
-# chunk of about this many amplitudes per row at a time: the chunks stay in
-# cache and no second block is allocated.  A smaller block is copied in one
-# slice, which costs fewer numpy calls.
-_SWAP_CHUNK = 1 << 14
-
-
-def _swap_rows(t: np.ndarray, sign: float) -> None:
-    """Swap ``t[:, 0]`` and ``t[:, 1]`` of an (L, 2, R) view in place, the
-    new ``t[:, 1]`` times ``sign``.  A chunk spans at most ``_SWAP_CHUNK``
-    of R and as many whole rows of L as fill ``_SWAP_CHUNK``, so it reads
-    memory in long contiguous runs."""
-    left, _, right = t.shape
-    cols = min(right, _SWAP_CHUNK)
-    rows = max(1, _SWAP_CHUNK // cols)
-    for i, j in itertools.product(range(0, left, rows), range(0, right, cols)):
-        c = t[i : i + rows, :, j : j + cols]
-        row0 = c[:, 0].copy()
-        if sign < 0.0:
-            row0 *= -1.0  # contiguous, and still in cache
-        c[:, 0] = c[:, 1]
-        c[:, 1] = row0
-
-
-def _apply_pauli(block: _Block, p: int, op: Pauli) -> None:
-    """Apply ``op`` to tensor position ``p`` of ``block``, which owns its
-    array: X, Z and ZX are signed permutations, so rows are negated and
-    swapped instead of multiplied."""
-    if op is Pauli.I:
-        return
-    t = block.amps.reshape(1 << p, 2, -1)
-    if op is Pauli.Z:
-        t[:, 1, :] *= -1.0
-    elif op is Pauli.X or op is Pauli.ZX:
-        sign = 1.0 if op is Pauli.X else -1.0  # ZX: X first, then Z
-        if t.size > 2 * _SWAP_CHUNK:
-            _swap_rows(t, sign)
-        else:
-            t = t[:, ::-1, :].copy()
-            if op is Pauli.ZX:
-                t[:, 1, :] *= -1.0
-    else:
-        raise ValueError(f"not a Pauli: {op!r}")
-    # If reshape had to copy, assigning back keeps the changed copy.
-    block.amps = t.reshape(-1)
-
-
 def _normalize(branch: np.ndarray, what: str, outcome: object) -> float:
     """Scale ``branch``, which nothing else reads, in place to unit norm and
     return its probability; one at most ``PROB_FLOOR`` raises instead."""
@@ -535,7 +488,24 @@ class QuantumRegister:
     # -- unitaries ------------------------------------------------------------
 
     def apply_pauli(self, q: QubitId, op: Pauli) -> None:
-        _apply_pauli(*self._locate(q), op)
+        block, p = self._locate(q)
+        if op is Pauli.I:
+            return
+        t = block.amps.reshape(1 << p, 2, -1)
+        # X, Z and ZX are signed permutations; slice instead of multiplying.
+        if op is Pauli.X:
+            block.amps = t[:, ::-1, :].reshape(-1)
+        elif op is Pauli.Z:
+            # In place: the block owns its array.  If reshape had to copy,
+            # assigning back keeps the flipped copy.
+            t[:, 1, :] *= -1.0
+            block.amps = t.reshape(-1)
+        elif op is Pauli.ZX:  # X first, then Z
+            swapped = t[:, ::-1, :].copy()
+            swapped[:, 1, :] *= -1.0
+            block.amps = swapped.reshape(-1)
+        else:
+            raise ValueError(f"not a Pauli: {op!r}")
 
     # -- Bell-basis measurement -------------------------------------------------
 
@@ -571,24 +541,24 @@ class QuantumRegister:
         renormalized (a signed permutation keeps the norm exactly), so
         ``peak_block_qubits`` does not move.
         """
-        return self._teleport(*self._locate(q), kind._value_), 0.25
+        return self._teleport(q, kind._value_), 0.25
 
     def teleport(self, q: QubitId, rng: RandomSource) -> tuple[QubitId, BellKind]:
         """The collapse of :meth:`project_teleport` onto an outcome that
         :func:`born_sample` draws from four exact quarters; returns the far
         half and the outcome."""
-        block, p = self._locate(q)
+        self._locate(q)  # a qubit that is not live raises before the draw
         k = born_sample(_TELEPORT_PROBS, rng)
-        return self._teleport(block, p, k), _BELL_KINDS[k]
+        return self._teleport(q, k), _BELL_KINDS[k]
 
-    def _teleport(self, block: _Block, p: int, k: int) -> QubitId:
-        """Outcome ``k`` of teleporting the qubit at position ``p`` of
-        ``block``; returns the far half, which takes over that position."""
-        q = block.qubits[p]
+    def _teleport(self, q: QubitId, k: int) -> QubitId:
+        """Outcome ``k`` of teleporting ``q``; returns the far half, which
+        takes over ``q``'s tensor position."""
+        op, sign = _TWIST[k]
+        self.apply_pauli(q, op)
+        block, p = self._locate(q)
         nu = self._next_id + 1
         self._next_id += 2
-        op, sign = _TWIST[k]
-        _apply_pauli(block, p, op)
         self._phase *= sign
         block.qubits[p] = nu
         del self._block_of[q]

@@ -788,18 +788,19 @@ class TestClosedFormTeleports:
 
 
 def check_peaks(run, width):
-    """Distribute and transport, then check the largest block against the
-    prediction of the memory rule.  A closed-form swap or teleport keeps
-    the secret's block at N qubits and allocates nothing, and a classical
-    pad allocates no block; only a split record's Bell pair or a tapped
-    slot's link makes a 2-qubit block, the peak only at N = 1."""
+    """Distribute and transport, then check the largest block: the secret's
+    width, which ``peak_block_qubits`` checks against the memory rule, or 2.
+    A closed-form swap or teleport keeps the secret's block at N qubits and
+    allocates nothing, and a classical pad allocates no block; only a split
+    record's Bell pair or a tapped slot's link makes a 2-qubit block, the
+    peak only at N = 1."""
     pairs = any(len(h) == 2 for h in run.policy.record_to_controller.values()) or (
         run.eve.strategy != "none" and run.eve.intercept_probability > 0
     )
     run.distribute_all()
     run.transport_all()
-    assert run.register.peak_block_qubits == peak_block_qubits(width, pairs)
-    assert peak_block_qubits(width, pairs) == (max(width, 2) if pairs else width)
+    assert peak_block_qubits(width) == width
+    assert run.register.peak_block_qubits == (max(width, 2) if pairs else width)
 
 
 class TestPeakLiveQubits:

@@ -2,7 +2,6 @@
 
 import bisect
 import itertools
-import unittest.mock
 
 import numpy as np
 import pytest
@@ -208,45 +207,6 @@ class TestPaulis:
         reg.apply_pauli(q, Pauli.Z)
         assert block.amps.tobytes() == flipped.reshape(-1).tobytes()
         assert dup.state_vector().tobytes() == before.tobytes()
-
-    @given(
-        st.integers(1, 8),
-        st.data(),
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([1, 2, 4, 16]),
-    )
-    def test_rows_swapped_in_chunks_match_matrix_action(self, width, data, seed, chunk):
-        # Blocks of more than 2 * _SWAP_CHUNK amplitudes swap rows in place,
-        # chunk by chunk; a small chunk size sends small blocks down that
-        # path too, in chunks of part of a row and of several whole rows.
-        # Signed permutations are exact.
-        position = data.draw(st.integers(0, width - 1), label="position")
-        op = data.draw(st.sampled_from(list(Pauli)), label="op")
-        vec = random_state(width, seed)
-        want = np.einsum(
-            "ab,lbr->lar", op.matrix, vec.reshape(1 << position, 2, -1)
-        ).reshape(-1)
-        with unittest.mock.patch.object(qubits, "_SWAP_CHUNK", chunk):
-            reg = QuantumRegister()
-            ids = reg.alloc_state(vec)
-            dup = reg.copy()
-            reg.apply_pauli(ids[position], op)
-        assert reg.state_vector().tobytes() == want.tobytes()
-        assert dup.state_vector().tobytes() == vec.tobytes()
-
-    def test_wide_block_swaps_rows_in_place(self):
-        vec = random_state(16, 3)  # 2**16 amplitudes: over 2 * _SWAP_CHUNK
-        for position, op in itertools.product((0, 7, 15), (Pauli.X, Pauli.ZX)):
-            reg = QuantumRegister()
-            ids = reg.alloc_state(vec)
-            (block,) = live_blocks(reg)
-            amps = block.amps
-            reg.apply_pauli(ids[position], op)
-            assert block.amps is amps or np.shares_memory(block.amps, amps)
-            want = np.einsum(
-                "ab,lbr->lar", op.matrix, vec.reshape(1 << position, 2, -1)
-            ).reshape(-1)
-            assert reg.state_vector().tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("op", ["Z", "ZX", None, 0, Pauli.Z.matrix])
     def test_non_pauli_rejected(self, op):
