@@ -9,18 +9,34 @@ measured down to no qubits folds its leftover scalar into a register phase.
 A Bell measurement whose pair spans two blocks never multiplies them out:
 the outcome probabilities come from each block's 2x2 Gram matrix over its
 measured qubit, and only the kept branch is built, as one block over both
-blocks' other qubits (n_A + n_B - 2).  Teleporting a qubit over a fresh
-singlet needs not even that: every outcome has probability 1/4 and leaves
-the far half with the qubit's state twisted by a known signed Pauli, so
-:meth:`QuantumRegister.teleport` applies the twist on the qubit's own
-tensor position and relabels it, with no link built.  A swap of a secret
-qubit therefore leaves the secret's block at its width, and qubits that
-never meet the secret (decoys, split-record halves) never multiply its
-vector.  Fresh qubits that are measured out whole, whose outcome
-probabilities and leftover scalar are therefore constants, need no block:
-:meth:`QuantumRegister.fold_measured_out` spends their ids and folds the
-scalar.  ``state_vector`` and ``reduced_density`` multiply blocks out on
-demand.
+blocks' other qubits (n_A + n_B - 2).
+
+Paulis are not applied when they are asked for.  Each block carries a
+pending Pauli frame, two bitmasks over its tensor positions: ``Z^z X^x``
+(X first) is owed on the positions set in ``zmask`` and ``xmask``, and
+:meth:`QuantumRegister.apply_pauli` only XORs the masks, folding the sign
+of the composition into the register phase (Knill, Nature 434, 39, 2005;
+Aaronson and Gottesman, PRA 70, 052328, 2004).  Before anything reads a
+block's amplitudes (a measurement, ``reduced_density``, ``state_vector``)
+the whole frame is applied in one flush, :func:`_flushed`: every pending
+X in one permuting copy, then each pending Z as a sign flip in place.  A
+Pauli is a signed permutation, so the flushed block is the one that
+applying each Pauli at once would have left, up to an exact sign that the
+phase already holds, and every draw keeps its bytes.  The whole block is
+flushed, not only the read qubit: a pending X on a neighbour permutes the
+order in which sums over the block run.  Teleporting a qubit over a fresh
+singlet needs no link: every outcome has probability 1/4 and leaves the
+far half with the qubit's state twisted by a known signed Pauli, so
+:meth:`QuantumRegister.teleport` adds the twist to the frame and relabels
+the qubit's tensor position, touching no array.  The receiver's correction
+is the same Pauli, so a released qubit's frame cancels and its amplitudes
+never move.  A swap of a secret qubit therefore leaves the secret's block
+at its width, and qubits that never meet the secret (decoys, split-record
+halves) never multiply its vector.  Fresh qubits that are measured out
+whole, whose outcome probabilities and leftover scalar are therefore
+constants, need no block: :meth:`QuantumRegister.fold_measured_out` spends
+their ids and folds the scalar.  ``state_vector`` and ``reduced_density``
+multiply blocks out on demand.
 
 One memory rule bounds every array: none may span more than
 ``MAX_ARRAY_QUBITS`` (24) qubits, where a density matrix over k qubits spans
@@ -326,10 +342,39 @@ class DensityMatrix:
 @dataclass(eq=False, slots=True)
 class _Block:
     """One factor of the register's product state: ``amps`` over ``qubits``,
-    tensor position j holding ``qubits[j]``.  Compared by identity."""
+    tensor position j holding ``qubits[j]``, with ``Z^z X^x`` still owed on
+    it, bit j of ``zmask`` and ``xmask`` standing for position j.  Read the
+    amplitudes through :func:`_flushed`.  Compared by identity."""
 
     amps: np.ndarray
     qubits: list[QubitId]
+    xmask: int = 0
+    zmask: int = 0
+
+
+def _flushed(block: _Block) -> np.ndarray:
+    """``block``'s amplitudes with its pending frame applied, which leaves
+    the frame empty: the pending Xs permute the array in one copy, then
+    each pending Z flips the signs of its half in place (the block owns its
+    array).  Both are exact, so the result differs from applying the
+    Paulis one by one at most by a sign, the one the phase took."""
+    x, z = block.xmask, block.zmask
+    if not (x or z):
+        return block.amps
+    n = len(block.qubits)
+    t = block.amps
+    if x:
+        flips = tuple(p for p in range(n) if x >> p & 1)
+        t = np.flip(t.reshape((2,) * n), flips).copy().reshape(-1)
+    for p in range(n):
+        if z >> p & 1:
+            # Should the reshape copy, assigning back keeps the flipped copy.
+            rows = t.reshape(1 << p, 2, -1)
+            rows[:, 1, :] *= -1.0
+            t = rows.reshape(-1)
+    block.amps = t
+    block.xmask = block.zmask = 0
+    return t
 
 
 def _product(blocks: Collection[_Block]) -> tuple[np.ndarray, list[QubitId]]:
@@ -339,7 +384,8 @@ def _product(blocks: Collection[_Block]) -> tuple[np.ndarray, list[QubitId]]:
     check_array_qubits(len(qubits), "a product of blocks")
     amps = None
     for block in blocks:
-        amps = block.amps if amps is None else (amps[:, None] * block.amps).reshape(-1)
+        block_amps = _flushed(block)
+        amps = block_amps if amps is None else (amps[:, None] * block_amps).reshape(-1)
     return (np.ones(1, dtype=complex) if amps is None else amps), qubits
 
 
@@ -419,7 +465,8 @@ class QuantumRegister:
 
     def state_vector(self, order: Sequence[QubitId] | None = None) -> np.ndarray:
         """Amplitudes over all live qubits, ``order[j]`` at position j
-        (allocation order by default); the blocks are multiplied out here."""
+        (allocation order by default); the blocks are flushed and multiplied
+        out here."""
         if order is None:
             order = self.live_qubits()
         elif len(order) != len(self._block_of) or set(order) != set(self._block_of):
@@ -430,9 +477,9 @@ class QuantumRegister:
         return np.transpose(amps.reshape((2,) * len(qubits)), perm).reshape(-1)
 
     def copy(self) -> "QuantumRegister":
-        dup = QuantumRegister()
+        dup = type(self)()
         dups = {
-            b: _Block(b.amps.copy(), list(b.qubits))
+            b: _Block(b.amps.copy(), list(b.qubits), b.xmask, b.zmask)
             for b in dict.fromkeys(self._block_of.values())
         }
         dup._block_of = {q: dups[b] for q, b in self._block_of.items()}
@@ -488,24 +535,27 @@ class QuantumRegister:
     # -- unitaries ------------------------------------------------------------
 
     def apply_pauli(self, q: QubitId, op: Pauli) -> None:
+        """Owe ``op`` on ``q``: its block's frame takes it on, and no array
+        is touched.  Over a pending ``Z^z X^x``, ``Z^a X^b`` composes to
+        ``(-1)^(b z) Z^(a xor z) X^(b xor x)``; the sign negates the phase,
+        as applying the Paulis one by one would negate the block."""
         block, p = self._locate(q)
-        if op is Pauli.I:
-            return
-        t = block.amps.reshape(1 << p, 2, -1)
-        # X, Z and ZX are signed permutations; slice instead of multiplying.
         if op is Pauli.X:
-            block.amps = t[:, ::-1, :].reshape(-1)
+            a, b = 0, 1
         elif op is Pauli.Z:
-            # In place: the block owns its array.  If reshape had to copy,
-            # assigning back keeps the flipped copy.
-            t[:, 1, :] *= -1.0
-            block.amps = t.reshape(-1)
+            a, b = 1, 0
         elif op is Pauli.ZX:  # X first, then Z
-            swapped = t[:, ::-1, :].copy()
-            swapped[:, 1, :] *= -1.0
-            block.amps = swapped.reshape(-1)
+            a, b = 1, 1
+        elif op is Pauli.I:
+            return
         else:
             raise ValueError(f"not a Pauli: {op!r}")
+        if b:
+            if block.zmask >> p & 1:
+                self._phase = -self._phase
+            block.xmask ^= 1 << p
+        if a:
+            block.zmask ^= 1 << p
 
     # -- Bell-basis measurement -------------------------------------------------
 
@@ -535,11 +585,11 @@ class QuantumRegister:
 
         The same collapse as ``mu, nu = alloc_bell_pair(PHI_MINUS)`` then
         ``project_bell(q, mu, kind)``, with the same two ids spent, in
-        closed form: the twist of ``_TWIST`` is applied on ``q``'s own
+        closed form: the twist of ``_TWIST`` joins the frame of ``q``'s own
         tensor position, which ``nu`` takes over, and its sign folds into
-        the phase.  No block is allocated or merged and nothing is
-        renormalized (a signed permutation keeps the norm exactly), so
-        ``peak_block_qubits`` does not move.
+        the phase.  No block is allocated, merged, renormalized or read (a
+        signed permutation keeps the norm exactly), so no array is touched
+        and ``peak_block_qubits`` does not move.
         """
         return self._teleport(q, kind._value_), 0.25
 
@@ -553,7 +603,8 @@ class QuantumRegister:
 
     def _teleport(self, q: QubitId, k: int) -> QubitId:
         """Outcome ``k`` of teleporting ``q``; returns the far half, which
-        takes over ``q``'s tensor position."""
+        takes over ``q``'s tensor position and its frame, twist included.
+        Pure bookkeeping: no array is read or written."""
         op, sign = _TWIST[k]
         self.apply_pauli(q, op)
         block, p = self._locate(q)
@@ -583,12 +634,12 @@ class QuantumRegister:
         if a is b:
             n = len(a.qubits)
             axes = (pa, pb) + tuple(i for i in range(n) if i != pa and i != pb)
-            t = a.amps.reshape((2,) * n).transpose(axes).reshape(4, -1)
+            t = _flushed(a).reshape((2,) * n).transpose(axes).reshape(4, -1)
             return a, _BELL_CONJ @ t, a, None
         check_array_qubits(
             len(a.qubits) + len(b.qubits) - 2, "a Bell measurement's residual"
         )
-        return a, _qubit_rows(a.amps, pa), b, _qubit_rows(b.amps, pb)
+        return a, _qubit_rows(_flushed(a), pa), b, _qubit_rows(_flushed(b), pb)
 
     def _collapse_bell(self, qa: QubitId, qb: QubitId, operands: tuple, k: int) -> float:
         """Keep Bell outcome ``k`` of ``operands = (a, ma, b, mb)``, scaled to
@@ -654,15 +705,16 @@ class QuantumRegister:
         if basis not in _BASIS_MATRIX:
             raise ValueError(f"unknown basis {basis!r}; expected 'Z' or 'X'")
         block, p = self._locate(q)
-        return _BASIS_CONJ[basis] @ _qubit_rows(block.amps, p)
+        return _BASIS_CONJ[basis] @ _qubit_rows(_flushed(block), p)
 
     # -- density matrices ----------------------------------------------------------
 
     def reduced_density(self, subset: Sequence[QubitId]) -> DensityMatrix:
         """Partial trace over the complement of ``subset`` (given order kept).
 
-        Only the blocks holding ``subset`` are multiplied out; every other
-        block is normalized and traces out to 1.
+        Only the blocks holding ``subset`` are flushed and multiplied out;
+        every other block is normalized and traces out to 1, whatever its
+        frame.
         """
         ids = list(subset)
         if not ids:
@@ -689,8 +741,9 @@ class QuantumRegister:
         return block, block.qubits.index(q)
 
     def _shrink(self, block: _Block, residual: np.ndarray, *qs: QubitId) -> None:
-        """Set ``block`` to ``residual`` over its qubits other than ``qs``,
-        which leave the register; an emptied block folds into the phase."""
+        """Set ``block``, which was flushed to compute ``residual``, to
+        ``residual`` over its qubits other than ``qs``, which leave the
+        register; an emptied block folds into the phase."""
         block.amps = residual.reshape(-1)
         for q in qs:
             block.qubits.remove(q)

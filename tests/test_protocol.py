@@ -16,7 +16,7 @@ from cqss.errors import (
     PolicyError,
     ProtocolError,
 )
-from cqss import harness, protocol
+from cqss import harness, protocol, qubits
 from cqss.harness import build_run
 from cqss.protocol import (
     AccessPolicy,
@@ -38,6 +38,7 @@ from cqss.qubits import (
 )
 from cqss.scenario import load_scenario, parse_scenario_text
 from cqss.security import DecoyPlan, DecoyState, EveModel, verify_decoys
+from test_qubits import EagerRegister
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -783,6 +784,55 @@ class TestClosedFormTeleports:
             nu for _, nu in links
         ]
 
+    def test_a_full_release_never_moves_the_secret(self, monkeypatch):
+        # Each twist waits in the frame until its correction cancels it, so
+        # the secret's amplitudes are read once, by state_vector, with
+        # nothing owed: no flush touches them.  Decoys are measured on
+        # blocks of their own.
+        width = 12
+        cfg = parse_scenario_text(
+            f"""
+            cqss-scenario v1
+            name = wide-release
+            N = {width}
+            n = {width}
+            m = {width}
+            mode = classical
+            threshold_k = {width}
+            decoys = 3
+            secret = haar 5
+            trials = 1
+            master_seed = 2026
+            """
+        )
+        secret_blocks, flushes, reader = [], [], []
+
+        def recording_build_run(*args):
+            run = build_run(*args)
+            secret = run.slot_qubits[run._slot_of_secret[1]]
+            secret_blocks.append(run.register._block_of[secret])
+            return run
+
+        def recording_flushed(block):
+            if block is secret_blocks[0]:
+                flushes.append((block.xmask, block.zmask, tuple(reader)))
+            return real_flushed(block)
+
+        def state_vector(reg, order=None):
+            reader.append("state_vector")
+            try:
+                return real_state_vector(reg, order)
+            finally:
+                reader.pop()
+
+        real_flushed, real_state_vector = qubits._flushed, QuantumRegister.state_vector
+        monkeypatch.setattr(harness, "build_run", recording_build_run)
+        monkeypatch.setattr(qubits, "_flushed", recording_flushed)
+        monkeypatch.setattr(QuantumRegister, "state_vector", state_vector)
+        result = harness.run_trial(cfg, 0)
+        assert result.outcome == "recovered" and result.fidelity >= 1 - 1e-10
+        assert flushes in ([], [(0, 0, ("state_vector",))])
+
 
 # -- largest block ---------------------------------------------------------------------------
 
@@ -954,6 +1004,24 @@ class TestWithheldState:
             superop = protocol._CORRECTED_SUPEROPS[kind]
             assert not superop.flags.writeable
             np.testing.assert_array_equal(superop, np.kron(k, k.conj()))
+
+    def test_import_time_tables_match_the_eager_register(self, monkeypatch):
+        # Rebuilt on a register that applies each Pauli at once, the swap
+        # superoperators and the pad tables have the same bytes, signed
+        # zeros included.
+        monkeypatch.setattr(protocol, "QuantumRegister", EagerRegister)
+        withheld, corrected = protocol._swap_superoperators()
+        assert withheld.tobytes() == protocol._WITHHELD_SUPEROP.tobytes()
+        assert list(corrected) == list(protocol._CORRECTED_SUPEROPS)
+        for kind, superop in corrected.items():
+            assert superop.tobytes() == protocol._CORRECTED_SUPEROPS[kind].tobytes()
+        dealer, controller, scalars = protocol._pad_tables()
+        pinned_dealer, pinned_controller, pinned_scalars = protocol._PAD
+        assert dealer.tobytes() == pinned_dealer.tobytes()
+        assert [p.tobytes() for p in controller] == [
+            p.tobytes() for p in pinned_controller
+        ]
+        assert np.array(scalars).tobytes() == np.array(pinned_scalars).tobytes()
 
 
 # -- resource accounting -------------------------------------------------------------------

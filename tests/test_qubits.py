@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from cqss import qubits
@@ -185,28 +185,6 @@ class TestPaulis:
         reg = QuantumRegister()
         with pytest.raises(UnknownQubit):
             reg.apply_pauli(99, Pauli.X)
-
-    @given(st.integers(1, 12), st.data(), st.integers(0, 2**32 - 1), st.booleans())
-    def test_z_in_place_matches_the_copy_form(self, width, data, seed, x_first):
-        # Z flips signs on the block's own array.  The bytes equal those of
-        # flipping a copy, also on a reversed-stride view that X leaves on a
-        # one-qubit block, and a copy of the register taken first keeps its
-        # state.
-        position = data.draw(st.integers(0, width - 1))
-        reg = QuantumRegister()
-        ids = reg.alloc_state(random_state(width, seed))
-        q = ids[position]
-        if x_first:
-            reg.apply_pauli(q, Pauli.X)
-        (block,) = live_blocks(reg)
-        amps = block.amps
-        flipped = amps.reshape(1 << position, 2, -1).copy()
-        flipped[:, 1, :] *= -1.0
-        before = reg.state_vector()
-        dup = reg.copy()
-        reg.apply_pauli(q, Pauli.Z)
-        assert block.amps.tobytes() == flipped.reshape(-1).tobytes()
-        assert dup.state_vector().tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("op", ["Z", "ZX", None, 0, Pauli.Z.matrix])
     def test_non_pauli_rejected(self, op):
@@ -859,7 +837,8 @@ class TestFactoredRegister:
             assert not np.shares_memory(a.amps, b.amps)
         before = [b.amps.tobytes() for b in blocks]
         assert dup.state_vector().tobytes() == reg.state_vector().tobytes()
-        dup.apply_pauli(links[0][1], Pauli.Z)  # flips the copy's block in place
+        dup.apply_pauli(links[0][1], Pauli.Z)
+        dup.state_vector()  # flushes the Z onto the copy's block, in place
         assert [b.amps.tobytes() for b in live_blocks(reg)] == before
 
     def test_cross_block_measurement_builds_only_the_residual(self):
@@ -972,6 +951,155 @@ class TestSampledEqualsForced:
             outcome = sampled.measure_single(q, basis, rng, remove=remove)
             forced.project_single(q, basis, outcome, remove=remove)
             assert_same_register(sampled, forced)
+
+
+class EagerRegister(QuantumRegister):
+    """The register without a lazy frame, kept as a reference: each Pauli
+    moves the amplitudes of its block as soon as it is applied, as
+    ``apply_pauli`` did by slicing before blocks kept a frame."""
+
+    def apply_pauli(self, q, op):
+        super().apply_pauli(q, op)
+        qubits._flushed(self._block_of[q])
+
+
+def assert_same_floats(got, want):
+    """``got == want`` entry for entry (so -0.0 equals 0.0); entries that
+    differ only in the sign of a zero are reported as a hypothesis event."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    same_signs = all(
+        np.array_equal(np.signbit(a), np.signbit(b))
+        for a, b in ((got.real, want.real), (got.imag, want.imag))
+    )
+    if not same_signs:
+        event("a signed zero differs from the eager register")
+
+
+_FRAME_STEP = st.tuples(
+    st.integers(0, 8), st.integers(0, 2**16), st.integers(0, 2**16), st.integers(0, 7)
+)
+
+
+def check_against_eager(seed, program):
+    """Run ``program`` on a register and on :class:`EagerRegister` side by
+    side: draws, returned probabilities, Bell and single probabilities,
+    reduced densities and state vectors must be equal float for float.
+    State vectors are compared only at ``op == 8`` and at the end, since
+    reading them flushes every frame."""
+    pairs = [(QuantumRegister(), EagerRegister())]
+    rng_lazy, rng_eager = RandomSource(seed), RandomSource(seed)
+    for op, x, y, k in program:
+        lazy, eager = pairs[-1]
+        live = list(eager.live_qubits())
+        assert lazy.live_qubits() == tuple(live)
+        if op == 0 and len(live) < 8:
+            vec = random_state(1 + y % 3, x)
+            assert lazy.alloc_state(vec) == eager.alloc_state(vec)
+        elif op == 1 and live:
+            q = live[x % len(live)]
+            lazy.apply_pauli(q, list(Pauli)[k % 4])
+            eager.apply_pauli(q, list(Pauli)[k % 4])
+        elif op == 2 and live:
+            q = live[x % len(live)]
+            assert lazy.teleport(q, rng_lazy) == eager.teleport(q, rng_eager)
+        elif op == 3 and live:
+            q, kind = live[x % len(live)], BellKind(k % 4)
+            assert lazy.project_teleport(q, kind) == eager.project_teleport(q, kind)
+        elif op == 4 and len(live) >= 2:
+            # Within one block or across two, as the ids fall.
+            qa = live.pop(x % len(live))
+            qb = live[y % len(live)]
+            if k & 4:
+                assert_same_floats(
+                    lazy.bell_probabilities(qa, qb), eager.bell_probabilities(qa, qb)
+                )
+            got = lazy.bell_measure(qa, qb, rng_lazy)
+            assert got is eager.bell_measure(qa, qb, rng_eager)
+        elif op == 5 and live:
+            q, basis, remove = live[x % len(live)], "ZX"[k % 2], k & 2 == 0
+            if k & 4:
+                assert_same_floats(
+                    lazy.single_probabilities(q, basis),
+                    eager.single_probabilities(q, basis),
+                )
+            got = lazy.measure_single(q, basis, rng_lazy, remove=remove)
+            assert got == eager.measure_single(q, basis, rng_eager, remove=remove)
+        elif op == 6 and live:
+            subset = list(dict.fromkeys([live[x % len(live)], live[y % len(live)]]))
+            assert_same_floats(
+                lazy.reduced_density(subset).entries,
+                eager.reduced_density(subset).entries,
+            )
+        elif op == 7:
+            # Go on with copies; the originals are compared at the end.
+            pairs.append((lazy.copy(), eager.copy()))
+        elif op == 8:
+            assert_same_floats(lazy.state_vector(), eager.state_vector())
+    for lazy, eager in pairs:
+        assert lazy.live_qubits() == eager.live_qubits()
+        assert_same_floats(lazy.state_vector(), eager.state_vector())
+        assert lazy.peak_block_qubits == eager.peak_block_qubits
+    assert rng_lazy.random() == rng_eager.random()
+
+
+def unsigned_apply_pauli(self, q, op):
+    """``apply_pauli`` with the composition sign dropped."""
+    block, p = self._locate(q)
+    if op is not Pauli.I:
+        block.xmask ^= (op in (Pauli.X, Pauli.ZX)) << p
+        block.zmask ^= (op in (Pauli.Z, Pauli.ZX)) << p
+
+
+class TestLazyFrame:
+    """Paulis wait in their block's frame until something reads the block;
+    against :class:`EagerRegister`, which applies each one at once."""
+
+    @given(st.integers(0, 2**32 - 1), st.lists(_FRAME_STEP, max_size=40))
+    def test_matches_the_eager_register(self, seed, program):
+        check_against_eager(seed, program)
+
+    def test_a_dropped_composition_sign_fails_the_check(self, monkeypatch):
+        # Z then X on one qubit is -(X then Z): only the sign tells them apart.
+        program = [(0, 3, 1, 0), (1, 0, 0, 2), (1, 0, 0, 1), (8, 0, 0, 0)]
+        check_against_eager(1, program)
+        monkeypatch.setattr(QuantumRegister, "apply_pauli", unsigned_apply_pauli)
+        with pytest.raises(AssertionError):
+            check_against_eager(1, program)
+
+    def test_a_copy_keeps_its_pending_frame(self):
+        vec = random_state(3, 17)
+        reg, eager = QuantumRegister(), EagerRegister()
+        ids = reg.alloc_state(vec)
+        eager.alloc_state(vec)
+        for q, op in zip(ids, (Pauli.X, Pauli.ZX, Pauli.Z)):
+            reg.apply_pauli(q, op)
+            eager.apply_pauli(q, op)
+        dup = reg.copy()
+        (block,) = live_blocks(dup)
+        assert (block.xmask, block.zmask) == (0b011, 0b110)
+        want = eager.state_vector()
+        assert reg.state_vector().tobytes() == want.tobytes()  # flushes reg
+        assert (block.xmask, block.zmask) == (0b011, 0b110)
+        assert not np.shares_memory(block.amps, live_blocks(reg)[0].amps)
+        assert dup.state_vector().tobytes() == want.tobytes()
+
+    def test_twists_and_paulis_touch_no_array(self):
+        reg = QuantumRegister()
+        ids = reg.alloc_state(random_state(4, 3))
+        (block,) = live_blocks(reg)
+        amps = block.amps
+        before = amps.copy()
+        rng = RandomSource(4)
+        for q, op in zip(ids, Pauli):
+            reg.apply_pauli(q, op)
+            assert block.amps is amps
+            nu, _ = reg.teleport(q, rng)
+            assert block.amps is amps
+            reg.project_teleport(nu, BellKind.VARPHI_PLUS)
+            assert block.amps is amps
+        assert block.amps.tobytes() == before.tobytes()
 
 
 def born_sample_loop(probs, rng):
