@@ -54,11 +54,19 @@ from .qubits import (
     QubitId,
     RandomSource,
     apply_single_qubit_channel,
-    born_sample,
+    born_cdf,
+    born_draw,
     check_array_qubits,
     pure_density,
 )
-from .security import DecoyPlan, DetectionReport, EveModel, _record_indices, eve_tap
+from .security import (
+    _DECOY_VECTORS,
+    DecoyPlan,
+    DetectionReport,
+    EveModel,
+    _record_indices,
+    eve_tap,
+)
 
 
 def peak_block_qubits(width: int) -> int:
@@ -66,16 +74,15 @@ def peak_block_qubits(width: int) -> int:
     memory rule (:func:`~cqss.qubits.check_array_qubits`); a run holds no
     larger array but a two-qubit pair at width 1.
 
-    An untapped swap and a split record's teleports run in closed form
-    (:meth:`~cqss.qubits.QuantumRegister.teleport`) and keep the qubit's
-    block at its width; a tapped swap builds only its residual, again the
-    secret's width; a classical pad allocates no block; and decoys and
-    split-record halves never join the secret's block.  The only other
-    blocks are two-qubit: a split record's Bell pair and the link of a slot
-    that the eavesdropper taps, since she measures its far half before the
-    swap.  So the register's ``peak_block_qubits`` after ``distribute_all``
-    and ``transport_all`` is this width, or 2 for a one-qubit secret whose
-    run allocates such a pair; two qubits are always within the rule.
+    Every swap, tapped or not, and a split record's teleports run in
+    closed form (:meth:`~cqss.qubits.QuantumRegister.teleport`,
+    :meth:`~cqss.qubits.QuantumRegister.tapped_teleport`) and keep the
+    qubit's block at its width; a classical pad allocates no block; and
+    decoys and split-record halves never join the secret's block.  The only
+    other block is two-qubit: a split record's Bell pair.  So the
+    register's ``peak_block_qubits`` after ``distribute_all`` and
+    ``transport_all`` is this width, or 2 for a one-qubit secret with a
+    split record; two qubits are always within the rule.
     """
     check_array_qubits(width, f"a {width}-qubit secret's largest block")
     return width
@@ -374,7 +381,7 @@ class ProtocolRun:
         for slot in range(1, total + 1):
             if slot in decoys:
                 (self.slot_qubits[slot],) = self.register.alloc_state(
-                    decoys[slot].vector
+                    _DECOY_VECTORS[decoys[slot]]
                 )
                 self.slot_receiver[slot] = next(decoy_players)
             else:
@@ -419,10 +426,12 @@ class ProtocolRun:
         A fresh singlet link to the player is consumed; the dealer's Bell
         outcome is appended to the record list.  No correction is applied
         yet: the record first has to travel to controllers and come back.
-        The link is built only if the eavesdropper taps it
-        (:func:`~cqss.security.eve_tap`); otherwise the swap is a
-        closed-form teleport (:meth:`~cqss.qubits.QuantumRegister.teleport`)
-        with the same draws and qubit ids.
+        The link is never built: the swap is a closed-form teleport
+        (:meth:`~cqss.qubits.QuantumRegister.teleport`), or, if the
+        eavesdropper taps the link (:func:`~cqss.security.eve_tap`), a
+        closed-form tapped teleport
+        (:meth:`~cqss.qubits.QuantumRegister.tapped_teleport`), with the
+        same draws, qubit ids and floats as building and measuring it.
         """
         if secret_index not in self._slot_of_secret:
             raise ProtocolError(
@@ -445,9 +454,7 @@ class ProtocolRun:
             nu, kind = self.register.teleport(source, self.rng)
         else:
             # Eve measures the link's far half in flight, before the swap.
-            mu, nu = self.register.alloc_bell_pair(BellKind.PHI_MINUS)
-            self.register.measure_single(nu, basis, self.rng, remove=False)
-            kind = self.register.bell_measure(source, mu, self.rng)
+            nu, _bit, kind = self.register.tapped_teleport(source, basis, self.rng)
         self.transcript.epr_player += 1
         self.transcript.dealer_distribution_measurements += 1
         if slot in self._secret_of_slot:
@@ -483,12 +490,12 @@ class ProtocolRun:
 
     def _send_bits(self, controller: int, index: int, bits: tuple[int, int]) -> None:
         """:meth:`send_bits_classical` once the record has been checked."""
-        dealer_probs, controller_probs, scalars = _PAD
+        dealer_cdf, controller_cdfs, scalars = _PAD
         self.transcript.epr_controller += 2
-        k = born_sample(dealer_probs, self.rng)
+        k = born_draw(dealer_cdf, self.rng)
         dealer_draw = _BELL_KINDS[k]
         self.transcript.dealer_transport_measurements += 1
-        controller_draw = _BELL_KINDS[born_sample(controller_probs[k], self.rng)]
+        controller_draw = _BELL_KINDS[born_draw(controller_cdfs[k], self.rng)]
         self.transcript.controller_measurements += 1
         # The two links' four qubits, measured out whole.
         self.register.fold_measured_out(4, scalars[k])
@@ -836,19 +843,21 @@ def _swap_superoperators() -> tuple[np.ndarray, Mapping[BellKind, np.ndarray]]:
 _WITHHELD_SUPEROP, _CORRECTED_SUPEROPS = _swap_superoperators()
 
 
-def _pad_tables() -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[complex, ...]]:
+def _pad_tables() -> tuple[
+    tuple[float, ...], tuple[tuple[float, ...], ...], tuple[complex, ...]
+]:
     """The classical pad in closed form, read off the register's general path.
 
     A pad is two fresh singlet links (a1, b1) and (a2, b2): the dealer
     Bell-measures (a1, a2) and the controller (b1, b2), and entanglement
     swapping makes the controller's outcome match the dealer's (Zukowski et
     al., PRL 71, 4287, 1993).  The links are the same every time, so is
-    everything the two measurements compute.  Returns the dealer's four
-    probabilities as ``bell_probabilities`` gives them; for each dealer
-    outcome, the controller's four; and for each dealer outcome, the scalar
-    the emptied (b1, b2) block folds into the register phase.  The two
-    probability vectors feed :func:`~cqss.qubits.born_sample` as
-    ``bell_measure`` would, so a pad makes the same draws.
+    everything the two measurements compute.  Returns the running sums
+    (:func:`~cqss.qubits.born_cdf`) of the dealer's four probabilities as
+    ``bell_probabilities`` gives them; for each dealer outcome, those of the
+    controller's four; and for each dealer outcome, the scalar the emptied
+    (b1, b2) block folds into the register phase.  ``bell_measure`` draws
+    from the same running sums, so a pad makes the same draws.
 
     The tables are constants: this runs once per process, at import, to
     build ``_PAD``.
@@ -867,9 +876,7 @@ def _pad_tables() -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[complex, ..
         reg.project_bell(b1, b2, _BELL_KINDS[int(np.argmax(after))])
         # An empty register's state is its phase alone.
         scalars.append(complex(reg.state_vector()[0]))
-    for probs in (dealer, *controller):
-        probs.setflags(write=False)
-    return dealer, tuple(controller), tuple(scalars)
+    return born_cdf(dealer), tuple(map(born_cdf, controller)), tuple(scalars)
 
 
 _PAD = _pad_tables()
@@ -887,11 +894,10 @@ def setup(
 ) -> ProtocolRun:
     """Validate the roster and policy and stage a run.
 
-    No link is built up front.  An untapped swap and a split record's
+    No link is ever built.  Every swap, tapped or not, and a split record's
     teleports run in closed form and a classical pad is sampled, so none of
-    them allocates a block; a split record's Bell pair and a tapped slot's
-    link are two-qubit blocks of their own, and the tapped swap builds only
-    its residual, so no block outgrows the secret's own or a pair
+    them allocates a block; a split record's Bell pair is a two-qubit block
+    of its own, so no block outgrows the secret's own or a pair
     (:func:`peak_block_qubits`).
     """
     return ProtocolRun(

@@ -32,7 +32,11 @@ the qubit's tensor position, touching no array.  The receiver's correction
 is the same Pauli, so a released qubit's frame cancels and its amplitudes
 never move.  A swap of a secret qubit therefore leaves the secret's block
 at its width, and qubits that never meet the secret (decoys, split-record
-halves) never multiply its vector.  Fresh qubits that are measured out
+halves) never multiply its vector.  A link that an eavesdropper taps is
+not built either: after her measurement it is one of two constant states,
+so :meth:`QuantumRegister.tapped_teleport` reads it from a table.  Draws
+from constant probabilities read running sums built at import
+(:func:`born_draw`).  Fresh qubits that are measured out
 whole, whose outcome probabilities and leftover scalar are therefore
 constants, need no block: :meth:`QuantumRegister.fold_measured_out` spends
 their ids and folds the scalar.  ``state_vector`` and ``reduced_density``
@@ -197,7 +201,6 @@ _TWIST = tuple(
     (CORRECTION_FOR_OUTCOME[kind], sign)
     for kind, sign in zip(BellKind, (-1.0, -1.0, 1.0, -1.0))
 )
-_TELEPORT_PROBS = (0.25, 0.25, 0.25, 0.25)
 
 # Measurement bases for single qubits.  Row 0 / row 1 = outcome 0 / 1.
 BASIS_Z = "Z"
@@ -286,15 +289,13 @@ class RandomSource:
         return out
 
 
-def born_sample(probs: Sequence[float] | np.ndarray, rng: RandomSource) -> int:
-    """Inverse-CDF sample from a computed probability vector.
+def born_cdf(probs: Sequence[float] | np.ndarray) -> tuple[float, ...]:
+    """Running sums of a computed probability vector, for :func:`born_draw`.
 
-    Negatives within ``PROB_FLOOR`` of zero are clamped; the vector is then
-    renormalized provided its sum is within ``NORM_ATOL`` of one.  Larger
+    Negatives within ``PROB_FLOOR`` of zero are clamped; the draw then
+    renormalizes, provided the sum is within ``NORM_ATOL`` of one.  Larger
     deviations, and a NaN anywhere, are not statistical noise and raise
-    ``InternalInconsistency``.  The running sums are taken in index order, so
-    ``total`` is their last entry and the branch is the first whose running
-    sum exceeds ``u = r * total``.
+    ``InternalInconsistency``.
     """
     p = np.asarray(probs, dtype=float).tolist()
     low = min(p)
@@ -302,12 +303,27 @@ def born_sample(probs: Sequence[float] | np.ndarray, rng: RandomSource) -> int:
         if low < -PROB_FLOOR:
             raise InternalInconsistency(f"negative branch probability: {p}")
         p = [0.0 if x < 0.0 else x for x in p]  # keeps a NaN
-    acc = list(itertools.accumulate(p))
+    acc = tuple(itertools.accumulate(p))
     total = acc[-1]
     if not abs(total - 1.0) <= NORM_ATOL:
         raise InternalInconsistency(f"branch probabilities sum to {total}")
-    u = rng.random() * total
-    return min(bisect.bisect_right(acc, u), len(acc) - 1)
+    return acc
+
+
+def born_draw(cdf: Sequence[float], rng: RandomSource) -> int:
+    """Inverse-CDF sample: the first branch whose running sum exceeds
+    ``u = r * total``, ``total`` being the last running sum."""
+    u = rng.random() * cdf[-1]
+    return min(bisect.bisect_right(cdf, u), len(cdf) - 1)
+
+
+def born_sample(probs: Sequence[float] | np.ndarray, rng: RandomSource) -> int:
+    """``born_draw(born_cdf(probs), rng)``."""
+    return born_draw(born_cdf(probs), rng)
+
+
+# Teleporting over a fresh singlet draws from four exact quarters.
+_TELEPORT_CDF = born_cdf((0.25, 0.25, 0.25, 0.25))
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,11 +427,15 @@ def _bell_probabilities(
     """Bell probabilities from :meth:`QuantumRegister._bell_operands`: in one
     block the squared row norms of the Bell components; across two, each
     block's 2x2 Gram matrix over its measured qubit contracted with
-    ``_BELL_GRAM``, so no branch is built."""
+    ``_BELL_GRAM`` (:func:`_gram_probabilities`), so no branch is built."""
     if a is b:
         return (np.abs(ma) ** 2).sum(axis=1)
+    return _gram_probabilities(ma, mb.dot(mb.conj().T))
+
+
+def _gram_probabilities(ma: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
+    """Cross-block Bell probabilities from ``ma`` and the other Gram matrix."""
     rho_a = ma.dot(ma.conj().T)
-    rho_b = mb.dot(mb.conj().T)
     return _BELL_GRAM.dot((rho_a.reshape(4, 1) * rho_b.reshape(4)).reshape(16)).real
 
 
@@ -595,10 +615,10 @@ class QuantumRegister:
 
     def teleport(self, q: QubitId, rng: RandomSource) -> tuple[QubitId, BellKind]:
         """The collapse of :meth:`project_teleport` onto an outcome that
-        :func:`born_sample` draws from four exact quarters; returns the far
+        :func:`born_draw` draws from four exact quarters; returns the far
         half and the outcome."""
         self._locate(q)  # a qubit that is not live raises before the draw
-        k = born_sample(_TELEPORT_PROBS, rng)
+        k = born_draw(_TELEPORT_CDF, rng)
         return self._teleport(q, k), _BELL_KINDS[k]
 
     def _teleport(self, q: QubitId, k: int) -> QubitId:
@@ -615,6 +635,51 @@ class QuantumRegister:
         del self._block_of[q]
         self._block_of[nu] = block
         return nu
+
+    def project_tapped_teleport(
+        self, q: QubitId, basis: str, bit: int, kind: BellKind
+    ) -> tuple[QubitId, float, float]:
+        """``mu, nu = alloc_bell_pair(PHI_MINUS)``, then
+        ``project_single(nu, basis, bit, remove=False)`` (an eavesdropper's
+        tap) and ``project_bell(q, mu, kind)``, with the same ids spent and
+        the same floats, but no link built: ``mu``'s rows come from
+        ``_TAP``.  Returns ``nu`` and the two probabilities."""
+        if bit not in (0, 1):
+            raise ValueError(f"outcome must be 0 or 1, got {bit}")
+        block, p = self._locate(q)
+        eve_prob, rows, _ = _tap_table(basis)[1][bit]
+        ma = _qubit_rows(_flushed(block), p)
+        nu, prob = self._tapped_collapse(q, block, ma, rows, kind._value_)
+        return nu, eve_prob, prob
+
+    def tapped_teleport(
+        self, q: QubitId, basis: str, rng: RandomSource
+    ) -> tuple[QubitId, int, BellKind]:
+        """The collapse of :meth:`project_tapped_teleport` onto the drawn
+        bit and outcome; returns ``nu``, the bit and the outcome."""
+        block, p = self._locate(q)  # a qubit that is not live raises first
+        cdf, links = _tap_table(basis)
+        bit = born_draw(cdf, rng)
+        _, rows, gram = links[bit]
+        ma = _qubit_rows(_flushed(block), p)
+        k = born_sample(_gram_probabilities(ma, gram), rng)
+        nu, _ = self._tapped_collapse(q, block, ma, rows, k)
+        return nu, bit, _BELL_KINDS[k]
+
+    def _tapped_collapse(
+        self, q: QubitId, block: _Block, ma: np.ndarray, rows: np.ndarray, k: int
+    ) -> tuple[QubitId, float]:
+        """Keep Bell outcome ``k`` of ``q`` (``ma``) against a link's
+        ``rows``, as ``block`` less ``q`` plus ``nu`` last, where a merge
+        would put it; return ``nu`` and the probability."""
+        branch = _cross_branch(ma, rows, k)
+        prob = _normalize(branch, "Bell", _BELL_LABELS[k])
+        nu = self._next_id + 1
+        self._next_id += 2
+        block.qubits.append(nu)
+        self._block_of[nu] = block
+        self._shrink(block, branch, q)
+        return nu, prob
 
     def _bell_operands(
         self, qa: QubitId, qb: QubitId
@@ -750,6 +815,42 @@ class QuantumRegister:
             del self._block_of[q]
         if not block.qubits:
             self._phase *= complex(block.amps[0])
+
+
+def _tap_tables() -> dict[str, tuple[tuple[float, ...], tuple]]:
+    """Per basis, an eavesdropper's tap of a fresh link read off the
+    general path at import: the running sums of her bit as
+    ``measure_single`` draws it and, per bit, ``(prob, rows, gram)``: what
+    ``project_single`` returns, the collapsed link's rows over ``mu`` and
+    their Gram matrix (Bennett and Brassard, 1984)."""
+    tables = {}
+    for basis in _BASIS_MATRIX:
+        reg = QuantumRegister()
+        _, nu = reg.alloc_bell_pair(BellKind.PHI_MINUS)
+        cdf = born_cdf(reg.single_probabilities(nu, basis))
+        links = []
+        for bit in (0, 1):
+            reg = QuantumRegister()
+            mu, nu = reg.alloc_bell_pair(BellKind.PHI_MINUS)
+            prob = reg.project_single(nu, basis, bit, remove=False)
+            block, p = reg._locate(mu)
+            rows = _qubit_rows(_flushed(block), p)
+            gram = rows.dot(rows.conj().T)
+            rows.setflags(write=False)
+            gram.setflags(write=False)
+            links.append((prob, rows, gram))
+        tables[basis] = (cdf, tuple(links))
+    return tables
+
+
+_TAP = _tap_tables()
+
+
+def _tap_table(basis: str) -> tuple[tuple[float, ...], tuple]:
+    try:
+        return _TAP[basis]
+    except KeyError:
+        raise ValueError(f"unknown basis {basis!r}; expected 'Z' or 'X'") from None
 
 
 # -- state comparison metrics ----------------------------------------------------

@@ -65,6 +65,8 @@ _DECOY_VECTORS = {
 }
 for _v in _DECOY_VECTORS.values():
     _v.setflags(write=False)
+# Indexed by the state draw of DecoyPlan.random.
+_DECOY_STATES = tuple(DecoyState)
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ class DecoyPlan:
         if count == 0:
             return cls()
         slots = rng.sample_positions(secret_width + count, count)
-        states = tuple(list(DecoyState)[rng.integers(4)] for _ in slots)
+        states = tuple(_DECOY_STATES[rng.integers(4)] for _ in slots)
         return cls(slots, states)
 
 
@@ -159,12 +161,14 @@ def eve_tap(model: EveModel | None, rng: RandomSource) -> str | None:
     """Whether the attacker taps the next in-flight qubit: the basis she
     measures it in, or None.
 
-    The draws come before the link exists: the probability draw, then the
-    basis draw.  A tapped qubit is the receiver-side half of a fresh
-    singlet link, which she measures in that basis and forwards
-    (``measure_single(..., remove=False)``) before the dealer's swap
-    measurement; for detection statistics this is equivalent to attacking
-    the teleported qubit itself.  An untapped slot needs no link at all
+    The draws come before the swap: the probability draw, then the basis
+    draw.  A tapped qubit is the receiver-side half of a fresh singlet
+    link, which she measures in that basis and forwards before the dealer's
+    swap measurement; for detection statistics this is equivalent to
+    attacking the teleported qubit itself.  Neither kind of slot builds its
+    link: a tapped one runs in closed form from tables read off that
+    general path (:meth:`~cqss.qubits.QuantumRegister.tapped_teleport`),
+    an untapped one as a plain teleport
     (:meth:`~cqss.qubits.QuantumRegister.teleport`).
     """
     if model is None or model.strategy == "none":

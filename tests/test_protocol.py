@@ -38,7 +38,7 @@ from cqss.qubits import (
 )
 from cqss.scenario import load_scenario, parse_scenario_text
 from cqss.security import DecoyPlan, DecoyState, EveModel, verify_decoys
-from test_qubits import EagerRegister
+from test_qubits import EagerRegister, general_tapped_teleport
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -474,11 +474,14 @@ class TestClosedFormPad:
         ]
 
     def test_tables(self):
+        # The running sums of the probabilities that bell_probabilities
+        # gives on the two links.
         dealer, controller, scalars = protocol._PAD
-        assert dealer.tolist() == [0.24999999999999983] * 4
-        for k, probs in enumerate(controller):
-            assert probs.tolist() == [0.9999999999999996 if j == k else 0.0
-                                      for j in range(4)]
+        assert dealer == tuple(itertools.accumulate([0.24999999999999983] * 4))
+        for k, cdf in enumerate(controller):
+            assert cdf == tuple(itertools.accumulate(
+                [0.9999999999999996 if j == k else 0.0 for j in range(4)]
+            ))
         assert scalars == (1 + 0j, -1 + 0j, -1 + 0j, 1 + 0j)
 
     def test_tables_from_phi_plus_links_fail_the_check(self, monkeypatch):
@@ -755,34 +758,50 @@ class TestClosedFormTeleports:
         assert identified == [run.decoded[i] for i in split]
         assert run.register.peak_block_qubits == cfg.N
 
-    def test_tapped_slots_build_their_links(self, monkeypatch):
-        # eve_curve taps every slot: each allocates its link and goes
-        # through the general Bell measurement, and nothing teleports in
-        # closed form.
+    def test_tapped_slots_build_no_links(self, monkeypatch):
+        # eve_curve taps every slot, and each tapped swap runs in closed
+        # form: nothing allocates a link, Bell-measures or teleports, and
+        # every trial, register included, equals one whose tapped swaps
+        # take the general path.
         cfg = load_scenario(SCENARIOS / "eve_curve.scn")
         assert (cfg.eve, cfg.eve_probability) == ("intercept-resend", 1.0)
-        want = harness.run_trial(cfg, 0)
-        links, swapped = [], []
+        assert all(len(h) == 1 for h in cfg.record_to_controller.values())
+        runs = []
 
-        def alloc_bell_pair(real, reg, kind):
-            links.append(real(reg, kind))
-            return links[-1]
+        def recording_build_run(*args):
+            runs.append(build_run(*args))
+            return runs[-1]
 
-        def bell_measure(real, reg, qa, qb, rng):
-            swapped.append(qb)
-            return real(reg, qa, qb, rng)
+        def trials():
+            runs.clear()
+            results = [harness.run_trial(cfg, t) for t in range(20)]
+            return results, [
+                (r.register.live_qubits(), r.register.state_vector().tobytes())
+                for r in runs
+            ]
+
+        monkeypatch.setattr(harness, "build_run", recording_build_run)
+        with monkeypatch.context() as patch:
+            patch.setattr(QuantumRegister, "tapped_teleport", general_tapped_teleport)
+            want = trials()
+        # The reference built each link: a 2-qubit block beside N = 1.
+        assert {r.register.peak_block_qubits for r in runs} == {2}
+        taps = []
+        real = QuantumRegister.tapped_teleport
+
+        def tapped_teleport(reg, q, basis, rng):
+            taps.append(basis)
+            return real(reg, q, basis, rng)
 
         def refuse(*args):
-            raise AssertionError("a tapped slot teleported in closed form")
+            raise AssertionError("a tapped slot built or teleported its link")
 
-        monkeypatch.setattr(QuantumRegister, "teleport", refuse)
-        got, run = traced_trial(monkeypatch, cfg, alloc_bell_pair, bell_measure)
-        assert got == want
-        assert len(links) == run.total_slots == cfg.N + cfg.decoys
-        assert swapped == [mu for mu, _ in links]
-        assert [run.slot_qubits[s] for s in range(1, run.total_slots + 1)] == [
-            nu for _, nu in links
-        ]
+        for name in ("alloc_bell_pair", "bell_measure", "project_bell", "teleport"):
+            monkeypatch.setattr(QuantumRegister, name, refuse)
+        monkeypatch.setattr(QuantumRegister, "tapped_teleport", tapped_teleport)
+        assert trials() == want
+        assert len(taps) == 20 * (cfg.N + cfg.decoys)
+        assert {r.register.peak_block_qubits for r in runs} == {cfg.N}
 
     def test_a_full_release_never_moves_the_secret(self, monkeypatch):
         # Each twist waits in the frame until its correction cancels it, so
@@ -840,13 +859,11 @@ class TestClosedFormTeleports:
 def check_peaks(run, width):
     """Distribute and transport, then check the largest block: the secret's
     width, which ``peak_block_qubits`` checks against the memory rule, or 2.
-    A closed-form swap or teleport keeps the secret's block at N qubits and
-    allocates nothing, and a classical pad allocates no block; only a split
-    record's Bell pair or a tapped slot's link makes a 2-qubit block, the
-    peak only at N = 1."""
-    pairs = any(len(h) == 2 for h in run.policy.record_to_controller.values()) or (
-        run.eve.strategy != "none" and run.eve.intercept_probability > 0
-    )
+    A closed-form swap or teleport, tapped or not, keeps the secret's block
+    at N qubits and allocates nothing, and a classical pad allocates no
+    block; only a split record's Bell pair makes a 2-qubit block, the peak
+    only at N = 1."""
+    pairs = any(len(h) == 2 for h in run.policy.record_to_controller.values())
     run.distribute_all()
     run.transport_all()
     assert peak_block_qubits(width) == width
@@ -874,15 +891,13 @@ class TestPeakLiveQubits:
         ids=["classical", "split", "classical-tapped", "split-tapped"],
     )
     def test_width_one(self, holders, eve):
-        # Only a split record's pair or a tapped slot's link is a 2-qubit
-        # block; an untapped, all-classical run never holds more than the
-        # secret's one qubit.
+        # Only a split record's pair is a 2-qubit block; an all-classical
+        # run, tapped or not, never holds more than the secret's one qubit.
         policy = AccessPolicy.round_robin(1, len(holders), 1)
         policy.record_to_controller[1] = holders
         run = setup(1, len(holders), 1, haar(1, 3), policy, RandomSource(4), eve=eve)
         check_peaks(run, 1)
-        untapped_classical = holders == (1,) and eve.strategy == "none"
-        assert run.register.peak_block_qubits == (1 if untapped_classical else 2)
+        assert run.register.peak_block_qubits == (1 if holders == (1,) else 2)
 
     @pytest.mark.parametrize(
         "split_records",
@@ -1017,10 +1032,8 @@ class TestWithheldState:
             assert superop.tobytes() == protocol._CORRECTED_SUPEROPS[kind].tobytes()
         dealer, controller, scalars = protocol._pad_tables()
         pinned_dealer, pinned_controller, pinned_scalars = protocol._PAD
-        assert dealer.tobytes() == pinned_dealer.tobytes()
-        assert [p.tobytes() for p in controller] == [
-            p.tobytes() for p in pinned_controller
-        ]
+        assert np.array(dealer).tobytes() == np.array(pinned_dealer).tobytes()
+        assert np.array(controller).tobytes() == np.array(pinned_controller).tobytes()
         assert np.array(scalars).tobytes() == np.array(pinned_scalars).tobytes()
 
 

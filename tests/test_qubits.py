@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from cqss import qubits
+from cqss import protocol, qubits
 from cqss.errors import (
     CapacityError,
     DimensionMismatch,
@@ -27,6 +27,8 @@ from cqss.qubits import (
     QuantumRegister,
     RandomSource,
     apply_single_qubit_channel,
+    born_cdf,
+    born_draw,
     born_sample,
     fidelity,
     pure_density,
@@ -424,6 +426,112 @@ class TestClosedFormTeleport:
             reg.teleport(7, rng)
         with pytest.raises(UnknownQubit):
             reg.project_teleport(7, BellKind.PHI_PLUS)
+        assert reg.alloc_qubit(0) == 1
+        assert rng.random() == RandomSource(1).random()
+
+
+def general_tapped_teleport(reg, q, basis, rng):
+    """A tapped swap on the general path, kept as the reference for
+    ``tapped_teleport``: a fresh PHI_MINUS link, the eavesdropper's
+    ``measure_single`` of its far half, then the dealer's ``bell_measure``."""
+    mu, nu = reg.alloc_bell_pair(BellKind.PHI_MINUS)
+    bit = reg.measure_single(nu, basis, rng, remove=False)
+    return nu, bit, reg.bell_measure(q, mu, rng)
+
+
+def assert_same_blocks(got, want):
+    """The same live qubits in the same blocks, in the same order, the same
+    ids spent, and the same phase and state vector, byte for byte."""
+    assert got.live_qubits() == want.live_qubits()
+    assert [b.qubits for b in live_blocks(got)] == [b.qubits for b in live_blocks(want)]
+    assert got._next_id == want._next_id
+    assert np.complex128(got._phase).tobytes() == np.complex128(want._phase).tobytes()
+    assert got.state_vector().tobytes() == want.state_vector().tobytes()
+
+
+def check_tapped_teleport(width, seed, position, frame):
+    """The closed-form tapped teleport of qubit ``position`` of a
+    ``width``-qubit block with the Paulis ``frame`` pending, against the
+    general path: forced onto each basis, bit and outcome, and sampled in
+    each basis."""
+    reg = QuantumRegister()
+    reg.alloc_qubit(1)  # a block before the measured one
+    ids = reg.alloc_state(random_state(width, seed))
+    reg.alloc_state(random_state(2, seed + 1))  # and one after
+    for p, op in frame:
+        reg.apply_pauli(ids[p % width], op)
+    q = ids[position]
+    for basis, bit, kind in itertools.product("ZX", (0, 1), BellKind):
+        got, want = reg.copy(), reg.copy()
+        nu, eve_prob, prob = got.project_tapped_teleport(q, basis, bit, kind)
+        mu, want_nu = want.alloc_bell_pair(BellKind.PHI_MINUS)
+        assert nu == want_nu
+        assert eve_prob == want.project_single(want_nu, basis, bit, remove=False)
+        assert prob == want.project_bell(q, mu, kind)
+        assert_same_blocks(got, want)
+        assert got.peak_block_qubits == reg.peak_block_qubits  # no link built
+    for basis in "ZX":
+        got, want = reg.copy(), reg.copy()
+        rng, want_rng = RandomSource(seed), RandomSource(seed)
+        drawn = got.tapped_teleport(q, basis, rng)
+        assert drawn == general_tapped_teleport(want, q, basis, want_rng)
+        assert rng.random() == want_rng.random()
+        assert_same_blocks(got, want)
+
+
+_PENDING = st.lists(st.tuples(st.integers(0, 5), st.sampled_from(list(Pauli))), max_size=4)
+
+# Fixed cases on which a wrong tap table must show.
+_TAP_CASES = [(w, seed, seed % w, [(seed, Pauli.ZX)]) for w in (1, 3) for seed in range(6)]
+
+
+def mutated_tap(name):
+    """``qubits._TAP`` with one deliberate fault."""
+
+    def per_basis(mutate):
+        return {basis: mutate(*table) for basis, table in qubits._TAP.items()}
+
+    if name == "swapped-bases":
+        return {"Z": qubits._TAP["X"], "X": qubits._TAP["Z"]}
+    if name == "swapped-bits":
+        return per_basis(lambda cdf, links: (cdf, links[::-1]))
+    if name == "negated-rows":
+        return per_basis(
+            lambda cdf, links: (cdf, tuple((p, -rows, g) for p, rows, g in links))
+        )
+    assert name == "swapped-grams"
+    return per_basis(
+        lambda cdf, links: (cdf, tuple(
+            (p, rows, links[1 - bit][2]) for bit, (p, rows, _) in enumerate(links)
+        ))
+    )
+
+
+class TestClosedFormTappedTeleport:
+    @given(st.integers(1, 6), st.data(), _PENDING, st.integers(0, 2**32 - 1))
+    def test_matches_the_general_path(self, width, data, frame, seed):
+        position = data.draw(st.integers(0, width - 1), label="position")
+        check_tapped_teleport(width, seed, position, frame)
+
+    @pytest.mark.parametrize(
+        "name", ["swapped-bases", "swapped-bits", "negated-rows", "swapped-grams"]
+    )
+    def test_a_mutated_tap_table_fails_the_check(self, monkeypatch, name):
+        monkeypatch.setattr(qubits, "_TAP", mutated_tap(name))
+        with pytest.raises(AssertionError):
+            for case in _TAP_CASES:
+                check_tapped_teleport(*case)
+
+    def test_unknown_qubit_or_basis_spends_nothing(self):
+        reg = QuantumRegister()
+        q = reg.alloc_qubit(0)
+        rng = RandomSource(1)
+        with pytest.raises(UnknownQubit):
+            reg.tapped_teleport(7, "Z", rng)
+        with pytest.raises(ValueError):
+            reg.tapped_teleport(q, "Y", rng)
+        with pytest.raises(ValueError):
+            reg.project_tapped_teleport(q, "Z", 2, BellKind.PHI_PLUS)
         assert reg.alloc_qubit(0) == 1
         assert rng.random() == RandomSource(1).random()
 
@@ -1151,6 +1259,22 @@ class FixedDraw:
         return self.r
 
 
+def boundary_draws(cdf):
+    """Draws next to 0 and 1, and for each running sum ``x`` the draws
+    within two ulps of ``x / total`` at which ``u = r * total`` is exactly
+    ``x`` (or ``x / total`` itself where none is)."""
+    total = cdf[-1]
+    draws = [0.0, 1e-300, 1.0 - 2**-53]
+    for x in cdf:
+        r = x / total
+        near = [r]
+        for _ in range(2):
+            near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], 2.0)]
+        exact = [float(c) for c in near if c * total == x and c <= 1.0]
+        draws += exact or [r]
+    return draws
+
+
 class TestBornSample:
     def vectors(self, count):
         """Random 2- and 4-outcome vectors, with exact zeros, ties and
@@ -1203,6 +1327,34 @@ class TestBornSample:
             want = born_sample_loop(probs, FixedDraw(r))
             assert born_sample_numpy(probs, FixedDraw(r)) == want
             assert born_sample(np.array(probs), FixedDraw(r)) == want
+
+    def test_import_time_running_sums_draw_as_born_sample(self, monkeypatch):
+        # Rebuild the tap and pad tables, recording the probabilities each
+        # running sum is built from; the teleport's are four exact quarters.
+        # Every pinned table draws as born_sample, and as the loop, also
+        # where u lands exactly on a running sum.
+        seen = []
+
+        def recording_cdf(probs):
+            seen.append(np.array(probs, dtype=float))
+            return born_cdf(probs)
+
+        monkeypatch.setattr(qubits, "born_cdf", recording_cdf)
+        monkeypatch.setattr(protocol, "born_cdf", recording_cdf)
+        tap, pad = qubits._tap_tables(), protocol._pad_tables()
+        monkeypatch.undo()
+        rebuilt = [tap[b][0] for b in tap] + [pad[0], *pad[1]]
+        pinned = [qubits._TAP[b][0] for b in tap] + [protocol._PAD[0], *protocol._PAD[1]]
+        assert rebuilt == pinned and len(seen) == len(pinned) == 7
+        seen.append([0.25] * 4)
+        pinned.append(qubits._TELEPORT_CDF)
+        for probs, cdf in zip(seen, pinned):
+            assert cdf == born_cdf(probs)
+            draws = boundary_draws(cdf)
+            for r in draws:
+                want = born_sample_loop(probs, FixedDraw(r))
+                assert born_sample(probs, FixedDraw(r)) == want
+                assert born_draw(cdf, FixedDraw(r)) == want
 
     @pytest.mark.parametrize("position", range(4))
     @pytest.mark.parametrize("base", [[0.5, 0.5, 0.0, 0.0], [0.25] * 4,

@@ -9,6 +9,11 @@ script.  The output holds:
 * ``workloads``: for each benchmark workload, the end-to-end metrics at
   reference speed that ``cqssbench/run.py --trace 0`` prints on its last
   line, run as a subprocess (``--seed`` and ``--seconds`` are passed on);
+* ``scenarios``: trials per second of ``harness.run_trial`` on each
+  eve-free bundled scenario, trial indices 0, 1, 2, ... in turn;
+* ``eve_curve``: eve-curve samples per second at each decoy count M in
+  ``EVE_DECOYS``, each sample timed as ``harness.detection_curve`` runs
+  it (``build_run``, ``distribute_all``, ``verify_decoys``);
 * ``full_release``: wall time and peak RSS of one full-release classical
   trial (``harness.run_trial``) at N = 20, 22 and 24, each in a fresh
   interpreter, RSS being that interpreter's ``ru_maxrss``;
@@ -20,9 +25,11 @@ script.  The output holds:
   (allocated untimed), ``measure_single`` measures it in the X basis and
   keeps it.
 
-Timings are wall clock on this host, not scaled to reference speed, except
-where ``cqssbench`` scales its own.  Compare two checkouts only with runs
-taken alternately on the same machine.
+Each rate runs for ``--rate-seconds`` (and at least ``MIN_CALLS`` times) in
+a fresh interpreter, after one untimed warm-up call.  Timings are wall clock
+on this host, not scaled to reference speed, except where ``cqssbench``
+scales its own.  Compare two checkouts only with runs taken alternately on
+the same machine.
 """
 
 from __future__ import annotations
@@ -40,6 +47,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("trial_mix", "wide_release", "sealing_audit")
+# The bundled scenarios with no eavesdropper, and the eve curve's points.
+SCENARIOS = ("full_release_demo", "single_withheld", "veto_controller", "split_share")
+EVE_DECOYS = (1, 2, 4, 8)
 TRIAL_WIDTHS = (20, 22, 24)
 WIDTHS = (2, 6, 10, 14, 18, 22)
 # Run each primitive for about this long per width, set-up included, and
@@ -81,6 +91,50 @@ def trial_child(width: int) -> dict:
         "trial_s": wall,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+
+
+def rate(call, seconds: float) -> dict:
+    """Calls per second of ``call(i)`` for i = 1, 2, ... after an untimed
+    ``call(0)``, over at least ``seconds`` and ``MIN_CALLS`` calls."""
+    call(0)
+    count = 0
+    start = time.perf_counter()
+    while True:
+        count += 1
+        call(count)
+        elapsed = time.perf_counter() - start
+        if count >= MIN_CALLS and elapsed >= seconds:
+            return {"per_s": count / elapsed, "calls": count, "seconds": elapsed}
+
+
+def scenario_child(name: str, seconds: float) -> dict:
+    """Trials per second of one bundled scenario, trial index ``i`` on call
+    ``i``."""
+    from cqss import harness
+    from cqss.scenario import load_scenario
+
+    cfg = load_scenario(ROOT / "scenarios" / f"{name}.scn")
+    return rate(lambda i: harness.run_trial(cfg, i), seconds)
+
+
+def eve_child(decoys: int, seconds: float) -> dict:
+    """Eve-curve samples per second at ``decoys`` decoys, sample ``i`` on
+    call ``i``, as ``harness.detection_curve`` runs each sample."""
+    from dataclasses import replace
+
+    from cqss import harness
+    from cqss.scenario import load_scenario
+    from cqss.security import verify_decoys
+
+    cfg = replace(load_scenario(ROOT / "scenarios" / "eve_curve.scn"), decoys=decoys)
+    cfg.validate()
+
+    def sample(i: int) -> None:
+        run = harness.build_run(cfg, (cfg.master_seed, decoys, i))
+        run.distribute_all()
+        verify_decoys(run, run.decoy_plan)
+
+    return rate(sample, seconds)
 
 
 def in_child(args: list[str], timeout: float) -> dict:
@@ -183,8 +237,12 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--seed", type=int, default=11, help="benchmark workload seed")
     p.add_argument("--seconds", type=float, default=8.0,
                    help="measured seconds per benchmark workload")
+    p.add_argument("--rate-seconds", type=float, default=3.0,
+                   help="measured seconds per scenario rate and eve-curve point")
     p.add_argument("--trial-child", type=int, metavar="N", help=argparse.SUPPRESS)
     p.add_argument("--primitives-child", type=int, metavar="N", help=argparse.SUPPRESS)
+    p.add_argument("--scenario-child", metavar="NAME", help=argparse.SUPPRESS)
+    p.add_argument("--eve-child", type=int, metavar="M", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.trial_child is not None:
         print(json.dumps(trial_child(args.trial_child)))
@@ -192,11 +250,27 @@ def main(argv: list[str] | None = None) -> None:
     if args.primitives_child is not None:
         print(json.dumps(primitives(args.primitives_child)))
         return
+    if args.scenario_child is not None:
+        print(json.dumps(scenario_child(args.scenario_child, args.rate_seconds)))
+        return
+    if args.eve_child is not None:
+        print(json.dumps(eve_child(args.eve_child, args.rate_seconds)))
+        return
     script = str(Path(__file__).resolve())
+    rate_args = ["--rate-seconds", str(args.rate_seconds)]
+    rate_timeout = 120 + 2 * args.rate_seconds
     report = {
         "machine": machine_facts(),
         "workloads": {
             name: workload_metrics(name, args.seed, args.seconds) for name in WORKLOADS
+        },
+        "scenarios": {
+            name: in_child([script, "--scenario-child", name, *rate_args], rate_timeout)
+            for name in SCENARIOS
+        },
+        "eve_curve": {
+            str(m): in_child([script, "--eve-child", str(m), *rate_args], rate_timeout)
+            for m in EVE_DECOYS
         },
         "full_release": {
             str(n): in_child([script, "--trial-child", str(n)], timeout=600)
