@@ -360,7 +360,8 @@ class ProtocolRun:
         total = secret_width + plan.count
 
         self.secret_width = secret_width
-        self.secret = secret.copy()
+        self._secret = secret.copy()
+        self._secret.setflags(write=False)
         self.policy = policy
         self.rng = rng
         self.eve = eve if eve is not None else EveModel.off()
@@ -402,6 +403,19 @@ class ProtocolRun:
         self._outcome: Recovered | Sealed | None = None
 
     # -- bookkeeping helpers ---------------------------------------------------
+
+    @property
+    def secret(self) -> np.ndarray:
+        """The secret's amplitudes as given at setup; read-only."""
+        return self._secret
+
+    @cached_property
+    def secret_projector(self) -> np.ndarray:
+        """``pure_density(secret)``, read-only, built when an audit first
+        needs it: every withheld set of a sweep starts from this one matrix."""
+        rho = pure_density(self._secret)
+        rho.setflags(write=False)
+        return rho
 
     @property
     def total_slots(self) -> int:
@@ -720,7 +734,9 @@ class ProtocolRun:
         actually recorded, followed by its correction, so a wrong correction
         table shows up here.  The channels are 4x4 superoperators built once
         per process, when this module is imported.  No sampling is
-        involved, and the cost is one 4**width-sized product per slot.
+        involved.  The start is the run's :attr:`secret_projector`; a
+        released slot's channel is a scalar times the identity, so it costs
+        one multiply, and each withheld slot one 4**width-sized product.
         """
         if not self.distribution_complete:
             raise IncompleteRun("distribution must complete first")
@@ -729,16 +745,17 @@ class ProtocolRun:
             if not 1 <= i <= self.secret_width:
                 raise ProtocolError(f"withheld index {i} outside 1..{self.secret_width}")
         width = self.secret_width
-        rho = pure_density(self.secret)
+        rho = self.secret_projector
         for index in range(1, width + 1):
             if index in withheld:
                 superop = _WITHHELD_SUPEROP
             else:
                 superop = _CORRECTED_SUPEROPS[self.transcript.bell_record[index]]
             rho = apply_single_qubit_channel(rho, index - 1, superop)
-        # The trace is the total probability of the forced branches.
-        total_weight = float(np.real(np.trace(rho)))
-        return DensityMatrix(rho / total_weight, tuple(range(1, width + 1)))
+        # The trace is the total probability of the forced branches.  Each
+        # channel returned a new array, so the projector is not written.
+        rho /= rho.trace().real
+        return DensityMatrix(rho, tuple(range(1, width + 1)))
 
     # -- accounting ---------------------------------------------------------------------
 

@@ -898,16 +898,35 @@ def apply_single_qubit_channel(
     With ``L = 2**position`` and ``R = dim / (2 L)``, ``rho`` is viewed as
     (L, 2, R, L, 2, R), one transpose moves the qubit's index pair to the
     front, and the channel is a single (4, 4) x (4, 4**(n-1)) matrix
-    product.  :mod:`cqss.protocol` builds the swap superoperators once per
-    process, so no call rebuilds one.
+    product.  A superoperator whose entries are exactly ``c * I4`` with a
+    real ``c`` (the swap of a released record followed by its correction)
+    is a single multiply instead, with the same floats.  Either way the
+    result is a new array.  A non-square ``rho``, a side that is not a
+    power of two, or a superoperator that is not 4x4 raises
+    ``DimensionMismatch``.
     """
-    dim = rho.shape[0]
-    n = int(np.log2(dim))
+    rho = np.asarray(rho, dtype=complex)
+    superop = np.asarray(superop)
+    dim = rho.shape[0] if rho.ndim == 2 else 0
+    if rho.shape != (dim, dim) or dim & (dim - 1) or not dim:
+        raise DimensionMismatch(f"density matrix shape {rho.shape}")
+    if superop.shape != (4, 4):
+        raise DimensionMismatch(f"superoperator shape {superop.shape}, expected (4, 4)")
+    n = dim.bit_length() - 1
     if not 0 <= position < n:
         raise ValueError(f"position {position} out of range for {n} qubits")
+    entries = superop.ravel().tolist()
+    diagonal = entries[::5]
+    del entries[::5]
+    if diagonal[0].imag == 0 and diagonal == diagonal[:1] * 4 and not any(entries):
+        out = rho * diagonal[0].real
+        # The matrix product's sums start from +0.0, so its zeros are +0.0;
+        # adding 0.0 turns the product's -0.0 into +0.0 and nothing else.
+        out += 0.0
+        return out
     left = 2**position
     right = dim // (2 * left)
-    t = np.asarray(rho, dtype=complex).reshape(left, 2, right, left, 2, right)
+    t = rho.reshape(left, 2, right, left, 2, right)
     t = t.transpose(1, 4, 0, 2, 3, 5)
     out = (superop @ t.reshape(4, -1)).reshape(t.shape)
     return out.transpose(2, 0, 3, 4, 1, 5).reshape(dim, dim)
@@ -918,17 +937,23 @@ def sealed_mixture(psi: np.ndarray, positions: Iterable[int]) -> np.ndarray:
 
     Starting from the pure projector of ``psi``, each withheld slot is
     replaced by a maximally mixed qubit tensored with the partial trace over
-    that slot; the replacements commute, so the order does not matter.
-    ``psi`` must be a normalized state and every position one of its qubits.
+    that slot (:func:`_seal_in_place`).  ``psi`` must be a normalized state
+    and every position one of its qubits.
     """
     vec, n = _as_state(psi)
     positions = sorted(set(positions))
     for p in positions:
         if not 0 <= p < n:
             raise ValueError(f"position {p} out of range for {n} qubits")
-    # A fresh contiguous matrix, so each reshape below is a view written in
-    # place.
-    rho = pure_density(vec)
+    return _seal_in_place(pure_density(vec), positions)
+
+
+def _seal_in_place(rho: np.ndarray, positions: Iterable[int]) -> np.ndarray:
+    """Replace each tensor position in ``positions`` of the contiguous
+    square matrix ``rho`` by a maximally mixed qubit tensored with the
+    partial trace over it, writing ``rho`` in place, and return ``rho``.
+    The replacements commute, so the order does not matter; the positions
+    are not checked."""
     dim = rho.shape[0]
     for p in positions:
         left = 2**p

@@ -24,7 +24,7 @@ from .qubits import (
     BASIS_Z,
     CORRECTION_FOR_OUTCOME,
     RandomSource,
-    sealed_mixture,
+    _seal_in_place,
     trace_distance,
 )
 
@@ -235,10 +235,13 @@ class AuditReport:
 def no_information_audit(run: "ProtocolRun", withheld: Iterable[int]) -> AuditReport:
     """Compare the players' exact knowledge state under withheld records with
     the closed-form prediction (each withheld slot maximally mixed, the rest
-    the partial trace of the original state)."""
+    the partial trace of the original state): the prediction of
+    :func:`~cqss.qubits.sealed_mixture`, sealed in place on a copy of the
+    run's :attr:`~cqss.protocol.ProtocolRun.secret_projector`, so a sweep
+    builds the secret's projector once."""
     indices = _record_indices(withheld)
     actual = run.withheld_state(indices)
-    expected = sealed_mixture(run.secret, [i - 1 for i in indices])
+    expected = _seal_in_place(run.secret_projector.copy(), [i - 1 for i in indices])
     distance = trace_distance(actual.entries, expected)
     return AuditReport(indices, distance, AUDIT_TOLERANCE)
 

@@ -54,8 +54,9 @@ def test_scenarios_are_the_eve_free_bundled_ones():
             {"apply_pauli", "teleport", "state_vector", "reduced_density",
              "measure_single", "bell_measure"},
         ),
+        (["--audit-child", str(bench.AUDIT_WIDTHS[0])], {"none", "1", "all"}),
     ],
-    ids=["scenario", "eve", "trial", "primitives"],
+    ids=["scenario", "eve", "trial", "primitives", "audit"],
 )
 def test_child_modes_report_their_keys(args, keys):
     out = child(*args)

@@ -37,8 +37,14 @@ from cqss.qubits import (
     trace_distance,
 )
 from cqss.scenario import load_scenario, parse_scenario_text
-from cqss.security import DecoyPlan, DecoyState, EveModel, verify_decoys
-from test_qubits import EagerRegister, general_tapped_teleport
+from cqss.security import (
+    DecoyPlan,
+    DecoyState,
+    EveModel,
+    no_information_audit,
+    verify_decoys,
+)
+from test_qubits import EagerRegister, channel_by_product, general_tapped_teleport
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -949,7 +955,94 @@ def brute_force_withheld_state(run, withheld):
     return acc / total_weight
 
 
+def general_withheld_state(run, withheld):
+    """Reference for ``withheld_state`` as it was before released slots
+    became one multiply: the secret's projector rebuilt on every call, and
+    every slot's superoperator applied as the matrix product."""
+    rho = pure_density(run.secret)
+    for index in range(1, run.secret_width + 1):
+        if index in withheld:
+            superop = protocol._WITHHELD_SUPEROP
+        else:
+            superop = protocol._CORRECTED_SUPEROPS[run.transcript.bell_record[index]]
+        rho = channel_by_product(rho, index - 1, superop)
+    return rho / float(np.real(np.trace(rho)))
+
+
+# Demo amplitudes (a, b) of a|0...0> + b|1...1>; signs and phases put zeros
+# of both signs into the projector.
+_DEMO_AMPLITUDES = [(0.6, 0.8), (0.6, -0.8), (-0.6, 0.8j), (-0.6, -0.8j), (0.8j, -0.6),
+                    (1.0, 0.0), (0.0, -1.0)]
+
+
+@st.composite
+def audited_runs(draw):
+    """A distributed and transported run: a Haar or demo secret of 1 to 6
+    qubits, up to two decoys, some records split between two controllers,
+    and taps on none, some or all slots."""
+    width = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    demo = draw(st.sampled_from(_DEMO_AMPLITUDES)) if width > 1 and draw(
+        st.booleans()) else None
+    secret = haar(width, seed) if demo is None else harness.demo_encode(demo, width)
+    policy = AccessPolicy.round_robin(width, width, width)
+    if width > 1:
+        for i in draw(st.sets(st.integers(1, width))):
+            policy.record_to_controller[i] = (i, i % width + 1)
+    rng = RandomSource(seed)
+    plan = DecoyPlan.random(width, draw(st.integers(0, 2)), rng)
+    eve = EveModel.intercept_resend(draw(st.sampled_from([0.0, 0.5, 1.0])))
+    run = setup(width, width, width, secret, policy, rng, decoy_plan=plan, eve=eve)
+    return complete(run), draw(st.sets(st.integers(1, width)))
+
+
 class TestWithheldState:
+    @given(audited_runs())
+    def test_same_bytes_as_the_general_path(self, case):
+        # Released slots as one multiply and the projector built once per
+        # run change no float: the entries keep their bytes, signed zeros
+        # included, and each audit its distance.
+        run, drawn = case
+        width = run.secret_width
+        sweep = [set(), *({i} for i in range(1, width + 1)), set(range(1, width + 1)),
+                 drawn]
+        for withheld in sweep:
+            reference = general_withheld_state(run, withheld)
+            got = run.withheld_state(withheld)
+            assert got.entries.tobytes() == reference.tobytes(), withheld
+            expected = sealed_mixture(run.secret, [i - 1 for i in withheld])
+            audit = no_information_audit(run, withheld)
+            assert audit.distance == trace_distance(reference, expected), withheld
+
+    def test_a_sweep_builds_the_projector_once(self, monkeypatch):
+        # The run's secret and its projector are read-only; a run that never
+        # audits never builds the projector, and a seven-set sweep builds it
+        # once, for withheld_state and the sealed prediction alike.
+        calls = []
+        real = qubits.pure_density
+
+        def counting_pure_density(vector):
+            calls.append(len(vector))
+            return real(vector)
+
+        monkeypatch.setattr(protocol, "pure_density", counting_pure_density)
+        monkeypatch.setattr(qubits, "pure_density", counting_pure_density)
+        width = 5
+        run = complete(fresh_run(width=width, seed=50, secret_seed=51))
+        assert not calls and "secret_projector" not in vars(run)
+        everything = set(range(1, width + 1))
+        sweep = [set(), *({i} for i in everything), everything]
+        audits = [no_information_audit(run, withheld) for withheld in sweep]
+        assert len(audits) == 7 and all(audit.passed for audit in audits)
+        assert calls == [2**width]
+        assert run.secret_projector.tobytes() == real(run.secret).tobytes()
+        for array in (run.secret, run.secret_projector):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        with pytest.raises(AttributeError):
+            run.secret = haar(width, 52)
+
     @pytest.mark.parametrize("width", [2, 3, 4])
     def test_channel_form_matches_branch_enumeration(self, width):
         rng = RandomSource(60 + width)

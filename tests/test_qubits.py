@@ -666,6 +666,26 @@ def replace_with_mixed(rho, position):
     return np.moveaxis(full, (0, n), (position, n + position)).reshape(dim, dim)
 
 
+def channel_by_product(rho, position, superop):
+    """Reference for ``apply_single_qubit_channel``: every superoperator,
+    a scalar one too, as one (4, 4) x (4, 4**(n-1)) matrix product."""
+    dim = rho.shape[0]
+    left = 2**position
+    right = dim // (2 * left)
+    t = rho.reshape(left, 2, right, left, 2, right).transpose(1, 4, 0, 2, 3, 5)
+    out = (superop @ t.reshape(4, -1)).reshape(t.shape)
+    return out.transpose(2, 0, 3, 4, 1, 5).reshape(dim, dim)
+
+
+def signed_zero_projector(width, seed):
+    """A pure projector with exact zeros of both signs: a random state with
+    half its amplitudes zero and the rest turned by powers of i."""
+    vec = random_state(width, seed)
+    vec[1::2] = 0.0
+    vec *= np.array([1, -1, 1j, -1j])[np.arange(vec.size) % 4]
+    return -pure_density(vec / np.linalg.norm(vec))
+
+
 class TestWithheldPrediction:
     def test_product_state(self):
         vec = np.zeros(8, dtype=complex)
@@ -734,6 +754,44 @@ class TestWithheldPrediction:
         superop = sum(np.kron(k, k.conj()) for k in kraus)
         got = apply_single_qubit_channel(rho, position, superop)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_scalar_channel_is_the_product_bit_for_bit(self, position):
+        # A released slot's superoperator is exactly c * I4: one multiply,
+        # with the matrix product's floats and signed zeros, into a new
+        # array.  A complex c or one stray entry takes the product itself.
+        rho = signed_zero_projector(3, 63)
+        assert np.signbit(rho.view(float)[rho.view(float) == 0]).any()
+        before = rho.copy()
+        near = np.eye(4, dtype=complex) * 0.25
+        near[1, 2] = 0.125
+        superops = [*protocol._CORRECTED_SUPEROPS.values(), np.eye(4) * 0.5,
+                    np.eye(4) * (0.3 + 0.4j), near]
+        for superop in superops:
+            got = apply_single_qubit_channel(rho, position, superop)
+            assert got is not rho and not np.shares_memory(got, rho)
+            assert got.tobytes() == channel_by_product(rho, position, superop).tobytes()
+        assert rho.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "rho, superop",
+        [
+            (np.eye(6) / 6, np.eye(4)),
+            (np.ones((4, 2)), np.eye(4)),
+            (np.ones(4), np.eye(4)),
+            (np.zeros((0, 0)), np.eye(4)),
+            (np.eye(4) / 4, np.eye(2)),
+            (np.eye(4) / 4, np.eye(16)),
+            (np.eye(4) / 4, np.ones(16)),
+        ],
+        ids=["side-6", "not-square", "vector", "empty", "superop-2x2",
+             "superop-16x16", "superop-flat"],
+    )
+    def test_channel_shapes_checked(self, rho, superop):
+        # A 6 x 6 matrix is no register of qubits, and the superoperator
+        # acts on one qubit's (row, column) pair.
+        with pytest.raises(DimensionMismatch):
+            apply_single_qubit_channel(rho, 0, superop)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sealed_mixture_matches_replace_with_mixed(self, n):

@@ -23,7 +23,12 @@ script.  The output holds:
   width: ``teleport`` and ``apply_pauli`` act on the same tensor position
   each time, ``bell_measure`` swaps that position onto a fresh singlet
   (allocated untimed), ``measure_single`` measures it in the X basis and
-  keeps it.
+  keeps it;
+* ``audit_us``: the median microseconds of one ``no_information_audit``
+  with no record, record 1, and every record withheld, on a distributed
+  and transported full-release run at each width in ``AUDIT_WIDTHS``,
+  each width in a fresh interpreter.  One untimed audit first builds the
+  run's secret projector, which every later audit of the run reuses.
 
 Each rate runs for ``--rate-seconds`` (and at least ``MIN_CALLS`` times) in
 a fresh interpreter, after one untimed warm-up call.  Timings are wall clock
@@ -52,6 +57,7 @@ SCENARIOS = ("full_release_demo", "single_withheld", "veto_controller", "split_s
 EVE_DECOYS = (1, 2, 4, 8)
 TRIAL_WIDTHS = (20, 22, 24)
 WIDTHS = (2, 6, 10, 14, 18, 22)
+AUDIT_WIDTHS = (2, 5, 8, 10)
 # Run each primitive for about this long per width, set-up included, and
 # at least MIN_CALLS times.
 PRIMITIVE_S = 0.3
@@ -212,6 +218,24 @@ def primitives(width: int) -> dict:
     return out
 
 
+def audits(width: int) -> dict:
+    """µs per sealing audit at ``width`` with none, the first and every
+    record withheld."""
+    from cqss import harness
+    from cqss.scenario import parse_scenario_text
+    from cqss.security import no_information_audit
+
+    run = harness.build_run(parse_scenario_text(full_release_text(width)), (2026, 0))
+    run.distribute_all()
+    run.transport_all()
+    no_information_audit(run, ())
+    sets = {"none": (), "1": (1,), "all": range(1, width + 1)}
+    return {
+        label: median_us(lambda _: no_information_audit(run, withheld))
+        for label, withheld in sets.items()
+    }
+
+
 def machine_facts() -> dict:
     import numpy as np
 
@@ -243,6 +267,7 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--primitives-child", type=int, metavar="N", help=argparse.SUPPRESS)
     p.add_argument("--scenario-child", metavar="NAME", help=argparse.SUPPRESS)
     p.add_argument("--eve-child", type=int, metavar="M", help=argparse.SUPPRESS)
+    p.add_argument("--audit-child", type=int, metavar="N", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.trial_child is not None:
         print(json.dumps(trial_child(args.trial_child)))
@@ -255,6 +280,9 @@ def main(argv: list[str] | None = None) -> None:
         return
     if args.eve_child is not None:
         print(json.dumps(eve_child(args.eve_child, args.rate_seconds)))
+        return
+    if args.audit_child is not None:
+        print(json.dumps(audits(args.audit_child)))
         return
     script = str(Path(__file__).resolve())
     rate_args = ["--rate-seconds", str(args.rate_seconds)]
@@ -279,6 +307,10 @@ def main(argv: list[str] | None = None) -> None:
         "primitives_us": {
             str(n): in_child([script, "--primitives-child", str(n)], timeout=600)
             for n in WIDTHS
+        },
+        "audit_us": {
+            str(n): in_child([script, "--audit-child", str(n)], timeout=600)
+            for n in AUDIT_WIDTHS
         },
     }
     text = json.dumps(report, indent=2) + "\n"
