@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DecodeError, NotNormalized, SweepError
+from .errors import DecodeError, NotNormalized, ScenarioError, SweepError
 from .protocol import (
     ProtocolRun,
     Recovered,
@@ -264,7 +264,9 @@ def mstar_sweep(cfg: ScenarioConfig) -> SweepTable:
     """Find the minimum number of consenting controllers empirically.
 
     Requires the one-share-per-controller shape (n = m = N, each record held
-    by exactly one controller, each controller holding exactly one record).
+    by exactly one controller, each controller holding exactly one record);
+    a scenario of another shape is a configuration error and raises
+    :class:`ScenarioError` naming the field, before any trial runs.
     For each release count r the sweep runs full protocol trials over all
     (or, above m = 5, 256 sampled) release subsets with every player
     cooperating, and reports how many subsets lead to recovery.  With this
@@ -272,15 +274,21 @@ def mstar_sweep(cfg: ScenarioConfig) -> SweepTable:
     other result raises :class:`SweepError`.
     """
     cfg.validate()
-    if not (cfg.n == cfg.m == cfg.N):
-        raise SweepError(f"sweep needs n = m = N, got n={cfg.n} m={cfg.m} N={cfg.N}")
+    for field, value in (("n", cfg.n), ("m", cfg.m)):
+        if value != cfg.N:
+            raise ScenarioError(
+                f"{field}: sweep needs n = m = N, got n={cfg.n} m={cfg.m} N={cfg.N}"
+            )
     holder_multiset = sorted(
         h for holders in cfg.record_to_controller.values() for h in holders
     )
     if any(len(h) != 1 for h in cfg.record_to_controller.values()) or (
         holder_multiset != list(range(1, cfg.m + 1))
     ):
-        raise SweepError("sweep needs exactly one classical share per controller")
+        raise ScenarioError(
+            "record_to_controller: sweep needs exactly one classical share "
+            "per controller"
+        )
 
     all_players = set(range(1, cfg.n + 1))
     rows = []

@@ -34,7 +34,13 @@ never move.  A swap of a secret qubit therefore leaves the secret's block
 at its width, and qubits that never meet the secret (decoys, split-record
 halves) never multiply its vector.  A link that an eavesdropper taps is
 not built either: after her measurement it is one of two constant states,
-so :meth:`QuantumRegister.tapped_teleport` reads it from a table.  Draws
+so :meth:`QuantumRegister.tapped_teleport` reads it from a table.  A
+decoy, a lone qubit holding a row of ``_BASIS_MATRIX``, is a constant too:
+its tap and its check (``measure_single`` removing it) read their running
+sums, the kept branch and the scalar its emptied block leaves in the
+phase from tables keyed by the block's amplitude bytes and pending frame,
+read off the general path at import (:func:`_decoy_tables`); any other
+block takes the general path.  Draws
 from constant probabilities read running sums built at import
 (:func:`born_draw`).  Fresh qubits that are measured out
 whole, whose outcome probabilities and leftover scalar are therefore
@@ -656,10 +662,33 @@ class QuantumRegister:
         self, q: QubitId, basis: str, rng: RandomSource
     ) -> tuple[QubitId, int, BellKind]:
         """The collapse of :meth:`project_tapped_teleport` onto the drawn
-        bit and outcome; returns ``nu``, the bit and the outcome."""
+        bit and outcome; returns ``nu``, the bit and the outcome.
+
+        A decoy, a one-qubit block holding a basis state with nothing owed,
+        reads its outcome's running sums and its kept branch from
+        ``_DECOY_TAP``, read off the general path at import
+        (:func:`_decoy_tables`): the same draws, ids, block and bytes, and
+        nothing is computed from the amplitudes."""
         block, p = self._locate(q)  # a qubit that is not live raises first
         cdf, links = _tap_table(basis)
         bit = born_draw(cdf, rng)
+        if len(block.qubits) == 1:
+            known = _DECOY_TAP.get(
+                (block.amps.tobytes(), block.xmask, block.zmask, basis)
+            )
+            if known is not None:
+                bell_cdf, branches = known[bit]
+                k = born_draw(bell_cdf, rng)
+                branch = branches[k]
+                if type(branch) is str:
+                    raise InternalInconsistency(branch)
+                nu = self._next_id + 1
+                self._next_id += 2
+                block.amps = branch.copy()
+                block.qubits[0] = nu
+                self._block_of[nu] = block
+                del self._block_of[q]
+                return nu, bit, _BELL_KINDS[k]
         _, rows, gram = links[bit]
         ma = _qubit_rows(_flushed(block), p)
         k = born_sample(_gram_probabilities(ma, gram), rng)
@@ -760,7 +789,30 @@ class QuantumRegister:
     def measure_single(
         self, q: QubitId, basis: str, rng: RandomSource, remove: bool = True
     ) -> int:
-        """Sample a Z- or X-basis outcome for ``q`` and collapse."""
+        """Sample a Z- or X-basis outcome for ``q`` and collapse.
+
+        A removed qubit alone in its block, whose amplitudes and pending
+        frame are a key of ``_DECOY_CHECK`` (a decoy, tapped or not, read
+        off the general path at import by :func:`_decoy_tables`), takes the
+        outcome's running sums and the scalar its emptied block folds into
+        the phase from there: the same draw and bytes, and nothing is
+        computed from the amplitudes.  Every other qubit takes the general
+        path."""
+        block = self._block_of.get(q)
+        if remove and block is not None and len(block.qubits) == 1:
+            known = _DECOY_CHECK.get(
+                (block.amps.tobytes(), block.xmask, block.zmask, basis)
+            )
+            if known is not None:
+                cdf, scalars = known
+                outcome = born_draw(cdf, rng)
+                scalar = scalars[outcome]
+                if type(scalar) is str:
+                    _flushed(block)  # as the general path leaves it
+                    raise InternalInconsistency(scalar)
+                del self._block_of[q]
+                self._phase *= scalar
+                return outcome
         comps = self._single_components(q, basis)
         outcome = born_sample((np.abs(comps) ** 2).sum(axis=1), rng)
         self._collapse_single(q, basis, comps, outcome, remove)
@@ -851,6 +903,95 @@ def _tap_table(basis: str) -> tuple[tuple[float, ...], tuple]:
         return _TAP[basis]
     except KeyError:
         raise ValueError(f"unknown basis {basis!r}; expected 'Z' or 'X'") from None
+
+
+def _decoy_tables() -> tuple[dict, dict]:
+    """What the general path computes from a decoy, read off it once.
+
+    A decoy is a one-qubit block holding a row of ``_BASIS_MATRIX``, so
+    what a tap or a check computes from it is a constant.  Both tables are
+    keyed by ``(amplitude bytes, xmask, zmask, basis)``:
+
+    * ``tap``, per decoy with nothing owed and per eavesdropper basis
+      (:func:`_tap_entry`): for each of her bits, the running sums of the
+      dealer's Bell outcome and, per outcome, the kept branch over ``nu``;
+    * ``check``, per decoy and per tapped branch (ten vectors), per pending
+      frame and per basis (:func:`_check_entry`): the running sums of the
+      outcome and, per outcome, the scalar the emptied block leaves in the
+      phase.
+
+    A branch the general path refuses (at or below ``PROB_FLOOR``) is kept
+    as its error message, raised again if it is ever drawn."""
+    tap, vectors = {}, {}
+    for row in itertools.chain.from_iterable(_BASIS_MATRIX.values()):
+        vectors[row.tobytes()] = row
+        for basis in _BASIS_MATRIX:
+            tap[(row.tobytes(), 0, 0, basis)] = links = _tap_entry(row, basis)
+            for _, branches in links:
+                for b in branches:
+                    if not isinstance(b, str):
+                        vectors.setdefault(b.tobytes(), b)
+    # The general path flushes the frame before it reads anything, so each
+    # flushed vector is measured once, on a block with nothing owed.
+    check, flushed = {}, {}
+    for key, vec in vectors.items():
+        for x, z in itertools.product((0, 1), (0, 1)):
+            block = _Block(vec.copy(), [0], x, z)
+            amps = _flushed(block).tobytes()
+            if amps not in flushed:
+                flushed[amps] = {b: _check_entry(block.amps, b) for b in _BASIS_MATRIX}
+            for basis, entry in flushed[amps].items():
+                check[(key, x, z, basis)] = entry
+    return tap, check
+
+
+def _tap_entry(row: np.ndarray, basis: str) -> tuple:
+    """``tapped_teleport(q, basis, rng)`` of a lone qubit holding ``row``,
+    read off the general path: per bit, the running sums of the Bell draw
+    and, per outcome, the kept branch (read-only) as
+    :meth:`QuantumRegister.project_tapped_teleport` leaves it (or the error
+    message)."""
+    reg = QuantumRegister()
+    (q,) = reg.alloc_state(row)
+    ma = _qubit_rows(reg._block_of[q].amps, 0)
+    links = []
+    for bit, (_, _, gram) in enumerate(_TAP[basis][1]):
+        branches = []
+        for kind in BellKind:
+            fork = reg.copy()
+            block = fork._block_of[q]
+            try:
+                fork.project_tapped_teleport(q, basis, bit, kind)
+            except InternalInconsistency as exc:
+                branches.append(str(exc))
+            else:
+                block.amps.setflags(write=False)
+                branches.append(block.amps)
+        links.append((born_cdf(_gram_probabilities(ma, gram)), tuple(branches)))
+    return tuple(links)
+
+
+def _check_entry(vec: np.ndarray, basis: str) -> tuple[tuple[float, ...], tuple]:
+    """``measure_single(q, basis, rng)`` of a lone qubit holding ``vec``,
+    read off the general path: the running sums it draws from and, per
+    outcome, the scalar that ``project_single`` leaves in the phase as the
+    emptied block's (or the error message)."""
+    reg = QuantumRegister()
+    (q,) = reg.alloc_state(vec)
+    cdf = born_cdf(reg.single_probabilities(q, basis))
+    scalars = []
+    for fork, outcome in ((reg.copy(), 0), (reg, 1)):
+        block = fork._block_of[q]
+        try:
+            fork.project_single(q, basis, outcome)
+        except InternalInconsistency as exc:
+            scalars.append(str(exc))
+        else:
+            scalars.append(complex(block.amps[0]))
+    return cdf, tuple(scalars)
+
+
+_DECOY_TAP, _DECOY_CHECK = _decoy_tables()
 
 
 # -- state comparison metrics ----------------------------------------------------

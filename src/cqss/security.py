@@ -23,6 +23,7 @@ from .qubits import (
     BASIS_X,
     BASIS_Z,
     CORRECTION_FOR_OUTCOME,
+    _BASIS_MATRIX,
     RandomSource,
     _seal_in_place,
     trace_distance,
@@ -30,8 +31,6 @@ from .qubits import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .protocol import ProtocolRun
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 AUDIT_TOLERANCE = 1e-10
 
@@ -57,14 +56,11 @@ class DecoyState(Enum):
         return _DECOY_VECTORS[self].copy()
 
 
+# A decoy is its basis's measurement row for its bit, read-only: the very
+# vectors whose taps and checks the register reads from tables.
 _DECOY_VECTORS = {
-    DecoyState.ZERO: np.array([1.0, 0.0], dtype=complex),
-    DecoyState.ONE: np.array([0.0, 1.0], dtype=complex),
-    DecoyState.PLUS_X: np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex),
-    DecoyState.MINUS_X: np.array([_INV_SQRT2, -_INV_SQRT2], dtype=complex),
+    state: _BASIS_MATRIX[state.basis][state.expected_bit] for state in DecoyState
 }
-for _v in _DECOY_VECTORS.values():
-    _v.setflags(write=False)
 # Indexed by the state draw of DecoyPlan.random.
 _DECOY_STATES = tuple(DecoyState)
 
@@ -184,10 +180,20 @@ def verify_decoys(run: "ProtocolRun", plan: DecoyPlan) -> DetectionReport:
 
     The dealer releases the decoy-slot two-bit records herself (controllers
     only ever hold records for true secret slots), so each holder can apply
-    its correction immediately and measure in the announced basis.
+    its correction immediately and measure in the announced basis.  A run
+    is verified once: a second call raises ``ProtocolError`` before it
+    logs or measures anything.
+
+    Each decoy is still a qubit of its own, a basis state under a known
+    frame (tapped or not), so its check reads its draw and phase scalar
+    from a table that the register built at import off the general path
+    (:meth:`~cqss.qubits.QuantumRegister.measure_single`), with the same
+    bytes.
     """
     if not run.distribution_complete:
         raise IncompleteRun("decoy verification requires a completed distribution")
+    if run.detection is not None:
+        raise ProtocolError("decoys already verified")
     if plan != run.decoy_plan:
         raise PolicyError("plan does not match the one used at setup")
     if plan.count == 0:

@@ -1,9 +1,11 @@
-"""The measuring script ``tools/bench.py``: each child mode runs at its
-smallest size and prints the JSON keys the report is built from."""
+"""The measuring scripts: each child mode of ``tools/bench.py`` runs at its
+smallest size and prints the JSON keys the report is built from, and
+``tools/timed.py`` passes its ``cqss`` child through."""
 
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,8 +57,9 @@ def test_scenarios_are_the_eve_free_bundled_ones():
              "measure_single", "bell_measure"},
         ),
         (["--audit-child", str(bench.AUDIT_WIDTHS[0])], {"none", "1", "all"}),
+        (["--decoy-child"], {"measure_single", "tapped_teleport"}),
     ],
-    ids=["scenario", "eve", "trial", "primitives", "audit"],
+    ids=["scenario", "eve", "trial", "primitives", "audit", "decoy"],
 )
 def test_child_modes_report_their_keys(args, keys):
     out = child(*args)
@@ -64,3 +67,40 @@ def test_child_modes_report_their_keys(args, keys):
     assert all(v > 0 for v in out.values())
     if keys == RATE_KEYS:
         assert out["calls"] >= bench.MIN_CALLS
+
+
+def test_eve_curve_child_runs_the_curve():
+    # One sample per decoy count; every attack on 8 decoys at p = 1 is
+    # caught with probability 1 - (3/4)^8, so only the shape is checked.
+    out = child("--eve-curve-child", "1")
+    assert set(out) == {"curve_s", "trials", "detected", "peak_rss_mb"}
+    assert out["trials"] == 1 and len(out["detected"]) == len(bench.EVE_DECOYS)
+    assert all(d in (0, 1) for d in out["detected"])
+    assert out["curve_s"] > 0 and out["peak_rss_mb"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["resources", "scenarios/full_release_demo.scn"], 0),
+        (["run", "missing.scn"], 2),
+    ],
+    ids=["ok", "missing"],
+)
+def test_timed_wrapper_passes_the_child_through(argv, code):
+    def run(*cmd):
+        return subprocess.run(
+            [sys.executable, *cmd, *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+
+    direct, timed = run("-m", "cqss"), run(str(ROOT / "tools" / "timed.py"))
+    assert direct.returncode == timed.returncode == code
+    assert timed.stdout == direct.stdout
+    *child_err, last = timed.stderr.splitlines(keepends=True)
+    assert "".join(child_err) == direct.stderr
+    assert re.fullmatch(rf"cqss {argv[0]}: [0-9.]+ s wall, [0-9]+ MB peak RSS\n", last)

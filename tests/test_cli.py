@@ -173,6 +173,33 @@ class TestBundledScenarios:
         assert code == 0
         assert "minimum_consenting: 3" in out
 
+    @pytest.mark.parametrize("name", ["split_share", "veto_controller"])
+    def test_mstar_on_another_shape_exits_2(self, capsys, name):
+        # m != N: a configuration error, named by its field.
+        code, out, err = invoke(capsys, "mstar", SCENARIOS / f"{name}.scn")
+        assert code == 2 and out == ""
+        assert err.startswith("error: m: sweep needs n = m = N, got ")
+        assert err.count("\n") == 1
+
+    def test_mstar_contradicting_the_threshold_exits_1(
+        self, capsys, fast_scenario, monkeypatch
+    ):
+        # Every subset releases every record, so the sweep recovers with no
+        # consent at all and its minimum contradicts threshold_k = 2.
+        from cqss.scenario import ScenarioConfig
+
+        real = ScenarioConfig.with_release
+        monkeypatch.setattr(
+            ScenarioConfig,
+            "with_release",
+            lambda cfg, released: real(cfg, set(range(1, cfg.m + 1))),
+        )
+        code, out, err = invoke(capsys, "mstar", fast_scenario)
+        assert code == 1 and out == ""
+        assert err == (
+            "assertion failed: minimum consenting controllers 0 != threshold 2\n"
+        )
+
     def test_noinfo_on_withheld_scenario(self, capsys):
         code, out, _ = invoke(capsys, "noinfo", SCENARIOS / "single_withheld.scn")
         assert code == 0

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqss.errors import DecodeError, NotNormalized, SweepError
+from cqss.errors import DecodeError, NotNormalized, ScenarioError, SweepError
 from cqss.harness import (
     build_run,
     demo_decode,
@@ -328,13 +328,15 @@ class TestSweep:
         assert by_released[3].recovered_subsets == 1
 
     def test_requires_one_share_per_controller(self):
+        # A scenario of another shape is a configuration error, named by
+        # its field, not a sweep that contradicts the threshold.
         uneven = config(
             m=2,
             threshold_k=2,
             record_to_controller={1: (1,), 2: (1,), 3: (2,)},
             release={1: True, 2: True},
         )
-        with pytest.raises(SweepError):
+        with pytest.raises(ScenarioError, match="^m: sweep needs n = m = N"):
             mstar_sweep(uneven)
         split = config(
             N=2,
@@ -347,8 +349,15 @@ class TestSweep:
             release={1: True, 2: True, 3: True, 4: True},
             cooperating_players={1, 2},
         )
-        with pytest.raises(SweepError):
+        with pytest.raises(ScenarioError, match="^m: "):
             mstar_sweep(split)
+        shared = replace(
+            split, m=2, record_to_controller={1: (1, 2), 2: (1, 2)},
+            release={1: True, 2: True},
+        )
+        shared.validate()
+        with pytest.raises(ScenarioError, match="^record_to_controller: "):
+            mstar_sweep(shared)
 
     def test_sweep_ignores_scenario_release_flags(self):
         cfg = config(release={1: False, 2: False, 3: False}, trials=1)

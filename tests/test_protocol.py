@@ -1,6 +1,7 @@
 """Protocol-level tests: distribution, record transport, gating, accounting."""
 
 import itertools
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -857,6 +858,82 @@ class TestClosedFormTeleports:
         result = harness.run_trial(cfg, 0)
         assert result.outcome == "recovered" and result.fidelity >= 1 - 1e-10
         assert flushes in ([], [(0, 0, ("state_vector",))])
+
+
+# -- decoys in closed form -------------------------------------------------------------------
+
+
+def keyed(block, basis=None):
+    """Whether ``block`` is a lone qubit that a decoy table holds: checked
+    in ``basis``, or, with no basis, tapped."""
+    if len(block.qubits) != 1:
+        return False
+    if basis is None:
+        return any(key[0] == block.amps.tobytes() for key in qubits._DECOY_TAP)
+    key = (block.amps.tobytes(), block.xmask, block.zmask, basis)
+    return key in qubits._DECOY_CHECK
+
+
+class TestClosedFormDecoys:
+    @pytest.mark.parametrize(
+        "name, decoys",
+        [("eve_curve", 1), ("eve_curve", 2), ("eve_curve", 4), ("eve_curve", 8),
+         ("split_share", 2)],
+    )
+    def test_trials_match_the_general_path(self, monkeypatch, name, decoys):
+        # Every decoy is tapped (eve_curve) or teleported (split_share) and
+        # checked from the tables, and every trial, detection report and
+        # register equals one that takes the general path throughout.
+        cfg = replace(load_scenario(SCENARIOS / f"{name}.scn"), decoys=decoys)
+        runs = []
+
+        def recording_build_run(*args):
+            runs.append(build_run(*args))
+            return runs[-1]
+
+        def trials():
+            runs.clear()
+            results = [harness.run_trial(cfg, t) for t in range(20)]
+            return results, [
+                (
+                    r.detection,
+                    r.register.live_qubits(),
+                    np.complex128(r.register._phase).tobytes(),
+                    r.register.state_vector().tobytes(),
+                )
+                for r in runs
+            ]
+
+        monkeypatch.setattr(harness, "build_run", recording_build_run)
+        with monkeypatch.context() as patch:
+            patch.setattr(qubits, "_DECOY_TAP", {})
+            patch.setattr(qubits, "_DECOY_CHECK", {})
+            want = trials()
+        real_components = QuantumRegister._single_components
+        real_cross = qubits._cross_branch
+        real_measure = QuantumRegister.measure_single
+        checked = []
+
+        def components(reg, q, basis):
+            if keyed(reg._block_of[q], basis):
+                raise AssertionError("a decoy's check took the general path")
+            return real_components(reg, q, basis)
+
+        def cross(ma, mb, k):
+            rows = ma.tobytes()
+            if ma.shape[1] == 1 and any(key[0] == rows for key in qubits._DECOY_TAP):
+                raise AssertionError("a decoy's tap took the general path")
+            return real_cross(ma, mb, k)
+
+        def measure_single(reg, q, basis, rng, remove=True):
+            checked.append(keyed(reg._block_of[q], basis))
+            return real_measure(reg, q, basis, rng, remove)
+
+        monkeypatch.setattr(QuantumRegister, "_single_components", components)
+        monkeypatch.setattr(qubits, "_cross_branch", cross)
+        monkeypatch.setattr(QuantumRegister, "measure_single", measure_single)
+        assert trials() == want
+        assert checked == [True] * (20 * decoys)
 
 
 # -- largest block ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Register-level tests: allocation, gates, measurement, density metrics."""
 
 import bisect
+import contextlib
 import itertools
 
 import numpy as np
@@ -534,6 +535,351 @@ class TestClosedFormTappedTeleport:
             reg.project_tapped_teleport(q, "Z", 2, BellKind.PHI_PLUS)
         assert reg.alloc_qubit(0) == 1
         assert rng.random() == RandomSource(1).random()
+
+
+# -- decoys in closed form ---------------------------------------------------------------
+
+# The decoys: each basis's rows, |0>, |1>, |+> and |->.
+DECOY_ROWS = [row for mat in qubits._BASIS_MATRIX.values() for row in mat]
+
+
+def general_measure_single(reg, q, basis, rng, remove=True):
+    """``measure_single`` on the general path, kept as the reference for
+    ``_DECOY_CHECK``: the block's components in ``basis``, a draw from
+    their squared norms, and the collapse."""
+    comps = reg._single_components(q, basis)
+    outcome = born_sample((np.abs(comps) ** 2).sum(axis=1), rng)
+    reg._collapse_single(q, basis, comps, outcome, remove)
+    return outcome
+
+
+class ScriptedDraws:
+    """A stand-in random source that returns ``draws`` in turn and counts
+    how many it gave."""
+
+    def __init__(self, *draws):
+        self.draws = draws
+        self.taken = 0
+
+    def random(self):
+        self.taken += 1
+        return self.draws[self.taken - 1]
+
+
+def forcing_draw(cdf, k):
+    """A draw at which ``born_draw(cdf, ...)`` picks branch ``k``, which
+    must have positive width: the middle of its interval."""
+    low = cdf[k - 1] if k else 0.0
+    return (low + cdf[k]) / 2 / cdf[-1]
+
+
+def general_tap_cdfs(reg, q, basis, bit):
+    """The running sums that a tapped swap of ``q`` draws its bit and, for
+    ``bit``, its Bell outcome from, as the general path computes them."""
+    probe = reg.copy()
+    mu, nu = probe.alloc_bell_pair(BellKind.PHI_MINUS)
+    bit_cdf = born_cdf(probe.single_probabilities(nu, basis))
+    probe.project_single(nu, basis, bit, remove=False)
+    return bit_cdf, born_cdf(probe.bell_probabilities(q, mu))
+
+
+def width(cdf, k):
+    return cdf[k] - (cdf[k - 1] if k else 0.0)
+
+
+def decoy_register(row):
+    """A register holding decoy ``row`` between a block before it and a
+    two-qubit block after it; returns the register and the decoy."""
+    reg = QuantumRegister()
+    reg.alloc_qubit(1)
+    (q,) = reg.alloc_state(DECOY_ROWS[row])
+    reg.alloc_state(random_state(2, 9))
+    return reg, q
+
+
+def settle(call):
+    """``call()``'s result, or the type and message of the simulation
+    error it raised, so that a closed form and its reference compare."""
+    try:
+        return "ok", call()
+    except (InternalInconsistency, UnknownQubit, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@contextlib.contextmanager
+def general_paths_refused():
+    """Within, any read of a block's amplitudes for a single or a
+    cross-block Bell measurement fails the test."""
+
+    def refuse(*args):
+        raise AssertionError("a decoy took the general path")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QuantumRegister, "_single_components", refuse)
+        patch.setattr(qubits, "_cross_branch", refuse)
+        patch.setattr(qubits, "_gram_probabilities", refuse)
+        yield
+
+
+def decoy_cases():
+    """Every decoy, tap (none, or Eve's basis, bit and Bell outcome),
+    pending frame, check basis and check outcome the general path can
+    reach: the branches it draws with positive width."""
+    cases = []
+    for row, basis, bit in itertools.product(range(4), "ZX", (0, 1)):
+        reg, q = decoy_register(row)
+        bit_cdf, bell_cdf = general_tap_cdfs(reg, q, basis, bit)
+        assert width(bit_cdf, bit) > 0.49
+        for k in range(4):
+            if width(bell_cdf, k) > 0:
+                cases.append((row, (basis, bit, k)))
+    cases += [(row, None) for row in range(4)]
+    out = []
+    for (row, tap), frame, check in itertools.product(
+        cases, itertools.product((0, 1), (0, 1)), "ZX"
+    ):
+        for outcome in (0, 1):
+            out.append((row, tap, frame, check, outcome))
+    return out
+
+
+DECOY_CASES = decoy_cases()
+
+
+def check_decoy(row, tap, frame, check, outcome, seed=0):
+    """Decoy ``row``, tapped as ``tap`` names or not, with ``Z^z X^x``
+    pending for ``frame = (x, z)``, then measured out in ``check``: the
+    closed form, with the general path refused, against the general path,
+    forced onto the named branches and then sampled from a seeded source.
+    A check outcome that the general path never draws is skipped."""
+    reg, q = decoy_register(row)
+    got, want = reg.copy(), reg.copy()
+    if tap is not None:
+        basis, bit, k = tap
+        bit_cdf, bell_cdf = general_tap_cdfs(want, q, basis, bit)
+        draws = forcing_draw(bit_cdf, bit), forcing_draw(bell_cdf, k)
+        got_rng, want_rng = ScriptedDraws(*draws), ScriptedDraws(*draws)
+        with general_paths_refused():
+            done = settle(lambda: got.tapped_teleport(q, basis, got_rng))
+        assert done == settle(lambda: general_tapped_teleport(want, q, basis, want_rng))
+        assert done[1][1:] == (bit, BellKind(k))
+        assert got_rng.taken == want_rng.taken == 2
+        assert_same_blocks(got, want)
+        q = done[1][0]
+    for op, pending in zip((Pauli.X, Pauli.Z), frame):
+        if pending:
+            got.apply_pauli(q, op)
+            want.apply_pauli(q, op)
+    cdf = born_cdf(want.copy().single_probabilities(q, check))
+    sources = [(RandomSource(seed), RandomSource(seed))]
+    if width(cdf, outcome) > 0:
+        r = forcing_draw(cdf, outcome)
+        sources.append((ScriptedDraws(r), ScriptedDraws(r)))
+    for got_rng, want_rng in sources:
+        mine, ref = got.copy(), want.copy()
+        with general_paths_refused():
+            done = settle(lambda: mine.measure_single(q, check, got_rng))
+        assert done == settle(lambda: general_measure_single(ref, q, check, want_rng))
+        if isinstance(got_rng, ScriptedDraws):
+            assert got_rng.taken == want_rng.taken == 1
+        else:
+            assert got_rng.random() == want_rng.random()  # the stream moved alike
+        assert_same_blocks(mine, ref)
+        assert mine.peak_block_qubits == ref.peak_block_qubits
+        assert q not in mine.live_qubits()
+
+
+def mutated_decoy_table(name):
+    """``(attribute, table)``: one of the decoy tables with a deliberate
+    fault."""
+    tap, check = qubits._DECOY_TAP, qubits._DECOY_CHECK
+    if name == "swapped-bell-sums":
+        return "_DECOY_TAP", {
+            key: ((links[0][0], links[1][1]), (links[1][0], links[0][1]))
+            for key, links in tap.items()
+        }
+    if name == "negated-branch":
+        return "_DECOY_TAP", {
+            key: tuple(
+                (cdf, tuple(-b if isinstance(b, np.ndarray) else b for b in branches))
+                for cdf, branches in links
+            )
+            for key, links in tap.items()
+        }
+    if name == "swapped-check-sums":
+        swap = {"Z": "X", "X": "Z"}
+        return "_DECOY_CHECK", {
+            key: (check[key[:3] + (swap[key[3]],)][0], scalars)
+            for key, (_, scalars) in check.items()
+        }
+    assert name == "wrong-scalar"
+    return "_DECOY_CHECK", {
+        key: (cdf, tuple(-s if isinstance(s, complex) else s for s in scalars))
+        for key, (cdf, scalars) in check.items()
+    }
+
+
+class TestClosedFormDecoys:
+    def test_cases_cover_every_branch(self):
+        # 48 tapped branches (of 64 outcomes) and 4 untapped decoys, each
+        # under 4 frames, 2 check bases and 2 outcomes.
+        taps = {tap for _, tap, *_ in DECOY_CASES if tap is not None}
+        assert len({(row, tap) for row, tap, *_ in DECOY_CASES if tap}) == 48
+        assert {(b, bit) for b, bit, _ in taps} == set(itertools.product("ZX", (0, 1)))
+        assert {k for *_, k in taps} == set(range(4))
+        assert len(DECOY_CASES) == 52 * 4 * 2 * 2
+
+    @given(st.sampled_from(DECOY_CASES), st.integers(0, 2**32 - 1))
+    def test_matches_the_general_path(self, case, seed):
+        check_decoy(*case, seed=seed)
+
+    def test_every_case_matches_the_general_path(self):
+        for case in DECOY_CASES:
+            check_decoy(*case)
+
+    def test_tables(self):
+        # Ten vectors (the four decoys and six more that taps leave) under
+        # four frames in two bases; taps only of the four, nothing owed.
+        assert len(qubits._DECOY_CHECK) == 10 * 4 * 2
+        assert set(qubits._DECOY_TAP) == {
+            (row.tobytes(), 0, 0, basis) for row in DECOY_ROWS for basis in "ZX"
+        }
+        branches = [
+            b for links in qubits._DECOY_TAP.values() for _, bs in links for b in bs
+        ]
+        kept = [b for b in branches if isinstance(b, np.ndarray)]
+        assert len(kept) == 48 and all(not b.flags.writeable for b in kept)
+        vectors = {b.tobytes() for b in kept} | {r.tobytes() for r in DECOY_ROWS}
+        assert {key[0] for key in qubits._DECOY_CHECK} == vectors
+
+    @pytest.mark.parametrize(
+        "name",
+        ["swapped-bell-sums", "negated-branch", "swapped-check-sums", "wrong-scalar"],
+    )
+    def test_a_mutated_table_fails_the_check(self, monkeypatch, name):
+        monkeypatch.setattr(qubits, *mutated_decoy_table(name))
+        with pytest.raises(AssertionError):
+            for case in DECOY_CASES:
+                check_decoy(*case)
+
+    def test_blocks_outside_the_tables_take_the_general_path(self, monkeypatch):
+        calls = []
+        real_components = QuantumRegister._single_components
+        real_cross = qubits._cross_branch
+
+        def components(reg, q, basis):
+            calls.append("single")
+            return real_components(reg, q, basis)
+
+        def cross(ma, mb, k):
+            calls.append("cross")
+            return real_cross(ma, mb, k)
+
+        monkeypatch.setattr(QuantumRegister, "_single_components", components)
+        monkeypatch.setattr(qubits, "_cross_branch", cross)
+
+        def run(vector, step, frame=()):
+            reg = QuantumRegister()
+            ids = reg.alloc_state(vector)
+            for op in frame:
+                reg.apply_pauli(ids[0], op)
+            calls.clear()
+            step(reg, ids[0], RandomSource(3))
+            return list(calls)
+
+        def measure(reg, q, rng):
+            reg.measure_single(q, "X", rng)
+
+        def keep(reg, q, rng):
+            reg.measure_single(q, "X", rng, remove=False)
+
+        def tap(reg, q, rng):
+            reg.tapped_teleport(q, "Z", rng)
+
+        haar = random_state(1, 4)
+        pair = np.kron(DECOY_ROWS[0], DECOY_ROWS[2])
+        plus = DECOY_ROWS[2]
+        # A Haar one-qubit secret, a two-qubit block of decoy rows, a kept
+        # measurement, and a tap with a frame pending, all general.
+        assert run(haar, measure) == ["single"]
+        assert run(haar, tap) == ["cross"]
+        assert run(pair, measure) == ["single"]
+        assert run(pair, tap) == ["cross"]
+        assert run(plus, keep) == ["single"]
+        assert run(plus, tap, [Pauli.X]) == ["cross"]
+        # The decoys themselves read the tables.
+        assert run(plus, measure) == run(plus, tap) == []
+        assert run(plus, measure, [Pauli.ZX]) == []
+
+    @pytest.mark.parametrize("row", range(4))
+    def test_unknown_qubit_or_basis_spends_nothing(self, row):
+        reg, q = decoy_register(row)
+        rng = RandomSource(1)
+        before = reg.copy()
+        for call in (
+            lambda: reg.measure_single(99, "Z", rng),
+            lambda: reg.tapped_teleport(99, "Z", rng),
+        ):
+            with pytest.raises(UnknownQubit):
+                call()
+        for call in (
+            lambda: reg.measure_single(q, "Y", rng),
+            lambda: reg.tapped_teleport(q, "Y", rng),
+        ):
+            with pytest.raises(ValueError):
+                call()
+        assert rng.random() == RandomSource(1).random()
+        assert_same_blocks(reg, before)
+
+    @pytest.mark.parametrize("frame", [(), (Pauli.X,), (Pauli.ZX,)])
+    def test_a_drawn_zero_branch_raises_as_the_general_path_does(
+        self, monkeypatch, frame
+    ):
+        # born_draw never picks a branch of zero width, so force it: each
+        # draw returns the next scripted index, on both paths.
+        script = []
+        monkeypatch.setattr(qubits, "born_draw", lambda cdf, rng: script.pop(0))
+        seen = 0
+        for row, basis in itertools.product(range(4), "ZX"):
+            # Check: the outcome of zero width, if there is one.
+            results = []
+            for measure in (QuantumRegister.measure_single, general_measure_single):
+                reg, q = decoy_register(row)
+                for op in frame:
+                    reg.apply_pauli(q, op)
+                cdf = born_cdf(reg.copy().single_probabilities(q, basis))
+                script[:] = [min(range(2), key=lambda k: width(cdf, k))]
+                results.append((settle(lambda: measure(reg, q, basis, None)), reg))
+            (got, mine), (want, ref) = results
+            assert got == want
+            # The general path flushed the frame before it raised.
+            assert [b.xmask for b in live_blocks(mine)] == [
+                b.xmask for b in live_blocks(ref)
+            ]
+            assert_same_blocks(mine, ref)
+            seen += got[0] is InternalInconsistency
+            # Tap: every Bell outcome of each bit.
+            for bit, k in itertools.product((0, 1), range(4)):
+                results = []
+                for tap in (QuantumRegister.tapped_teleport, general_tapped_teleport):
+                    reg, q = decoy_register(row)
+                    script[:] = [bit, k]
+                    results.append((settle(lambda: tap(reg, q, basis, None)), reg))
+                (got, mine), (want, ref) = results
+                assert got == want
+                if got[0] is InternalInconsistency:
+                    seen += 1
+                    assert got[1].startswith("projected onto a zero-probability branch")
+                    # By then the link-based reference has built its link;
+                    # the register's own general path raises before it
+                    # spends an id, and so does the table.
+                    with monkeypatch.context() as patch:
+                        patch.setattr(qubits, "_DECOY_TAP", {})
+                        ref, q = decoy_register(row)
+                        script[:] = [bit, k]
+                        assert settle(lambda: ref.tapped_teleport(q, basis, None)) == got
+                assert_same_blocks(mine, ref)
+        assert seen == 4 + 16  # a decoy in its own basis; 16 taps
 
 
 # -- single-qubit measurement --------------------------------------------------------
@@ -1307,16 +1653,6 @@ def born_sample_numpy(probs, rng):
     return min(bisect.bisect_right(acc, u), len(acc) - 1)
 
 
-class FixedDraw:
-    """A stand-in random source whose draw is ``r``."""
-
-    def __init__(self, r):
-        self.r = r
-
-    def random(self):
-        return self.r
-
-
 def boundary_draws(cdf):
     """Draws next to 0 and 1, and for each running sum ``x`` the draws
     within two ulps of ``x / total`` at which ``u = r * total`` is exactly
@@ -1382,9 +1718,9 @@ class TestBornSample:
         acc = np.add.accumulate(np.maximum(probs, 0.0))
         draws = [0.0, 1e-300, 1.0 - 2**-53] + [x / acc[-1] for x in acc]
         for r in draws:
-            want = born_sample_loop(probs, FixedDraw(r))
-            assert born_sample_numpy(probs, FixedDraw(r)) == want
-            assert born_sample(np.array(probs), FixedDraw(r)) == want
+            want = born_sample_loop(probs, ScriptedDraws(r))
+            assert born_sample_numpy(probs, ScriptedDraws(r)) == want
+            assert born_sample(np.array(probs), ScriptedDraws(r)) == want
 
     def test_import_time_running_sums_draw_as_born_sample(self, monkeypatch):
         # Rebuild the tap and pad tables, recording the probabilities each
@@ -1410,9 +1746,9 @@ class TestBornSample:
             assert cdf == born_cdf(probs)
             draws = boundary_draws(cdf)
             for r in draws:
-                want = born_sample_loop(probs, FixedDraw(r))
-                assert born_sample(probs, FixedDraw(r)) == want
-                assert born_draw(cdf, FixedDraw(r)) == want
+                want = born_sample_loop(probs, ScriptedDraws(r))
+                assert born_sample(probs, ScriptedDraws(r)) == want
+                assert born_draw(cdf, ScriptedDraws(r)) == want
 
     @pytest.mark.parametrize("position", range(4))
     @pytest.mark.parametrize("base", [[0.5, 0.5, 0.0, 0.0], [0.25] * 4,
@@ -1422,7 +1758,7 @@ class TestBornSample:
         probs[position] = float("nan")
         for p in (probs, np.array(probs)):
             with pytest.raises(InternalInconsistency):
-                born_sample(p, FixedDraw(0.5))
+                born_sample(p, ScriptedDraws(0.5))
 
 
 # -- invariants ------------------------------------------------------------------------

@@ -256,6 +256,44 @@ class TestVerifyClean:
         with pytest.raises(PolicyError):
             verify_decoys(run, other)
 
+    @pytest.mark.parametrize("name", ["split_share", "veto_controller"])
+    def test_second_verification_refused_before_any_side_effect(self, name):
+        # split_share hides two decoys, veto_controller none; either way a
+        # verified run refuses a second check and is left as it was.
+        from pathlib import Path
+
+        from cqss.harness import build_run
+        from cqss.scenario import load_scenario
+
+        root = Path(__file__).resolve().parent.parent
+        run = build_run(load_scenario(root / "scenarios" / f"{name}.scn"), (1, 0))
+        run.distribute_all()
+        report = verify_decoys(run, run.decoy_plan)
+        reg = run.register
+        before = (
+            run.transcript.to_text(),
+            list(run.transcript.messages),
+            reg.live_qubits(),
+            reg._next_id,
+            np.complex128(reg._phase).tobytes(),
+            reg.state_vector().tobytes(),
+        )
+        with pytest.raises(ProtocolError, match="^decoys already verified$"):
+            verify_decoys(run, run.decoy_plan)
+        assert before == (
+            run.transcript.to_text(),
+            list(run.transcript.messages),
+            reg.live_qubits(),
+            reg._next_id,
+            np.complex128(reg._phase).tobytes(),
+            reg.state_vector().tobytes(),
+        )
+        assert run.detection is report
+        twin = build_run(load_scenario(root / "scenarios" / f"{name}.scn"), (1, 0))
+        twin.distribute_all()
+        verify_decoys(twin, twin.decoy_plan)
+        assert run.rng.random() == twin.rng.random()  # no draw spent
+
     def test_verification_messages_logged(self):
         run, plan = decoy_run(2, 2, seed=10)
         verify_decoys(run, plan)

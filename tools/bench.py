@@ -14,6 +14,10 @@ script.  The output holds:
 * ``eve_curve``: eve-curve samples per second at each decoy count M in
   ``EVE_DECOYS``, each sample timed as ``harness.detection_curve`` runs
   it (``build_run``, ``distribute_all``, ``verify_decoys``);
+* ``eve_curve_run``: wall time and peak RSS of the full eve curve as
+  ``cqss eve`` runs it (``harness.detection_curve`` on
+  ``scenarios/eve_curve.scn``, acceptance criterion 5) in a fresh
+  interpreter, with its detection counts;
 * ``full_release``: wall time and peak RSS of one full-release classical
   trial (``harness.run_trial``) at N = 20, 22 and 24, each in a fresh
   interpreter, RSS being that interpreter's ``ru_maxrss``;
@@ -24,6 +28,10 @@ script.  The output holds:
   each time, ``bell_measure`` swaps that position onto a fresh singlet
   (allocated untimed), ``measure_single`` measures it in the X basis and
   keeps it;
+* ``decoy_us``: the median microseconds of ``measure_single`` (removing
+  the qubit) and of ``tapped_teleport`` on a one-qubit block holding a
+  basis state, each decoy in each basis in turn, on a fresh register
+  allocated untimed;
 * ``audit_us``: the median microseconds of one ``no_information_audit``
   with no record, record 1, and every record withheld, on a distributed
   and transported full-release run at each width in ``AUDIT_WIDTHS``,
@@ -143,6 +151,29 @@ def eve_child(decoys: int, seconds: float) -> dict:
     return rate(sample, seconds)
 
 
+def eve_curve_child(trials: int) -> dict:
+    """Wall time of ``cqss eve scenarios/eve_curve.scn``'s curve in this
+    interpreter, at ``trials`` samples per point (0: the scenario's own),
+    and this interpreter's peak RSS."""
+    from dataclasses import replace
+
+    from cqss import harness
+    from cqss.scenario import load_scenario
+
+    cfg = load_scenario(ROOT / "scenarios" / "eve_curve.scn")
+    if trials:
+        cfg = replace(cfg, trials=trials)
+    t0 = time.perf_counter()
+    curve = harness.detection_curve(cfg)
+    wall = time.perf_counter() - t0
+    return {
+        "curve_s": wall,
+        "trials": cfg.trials,
+        "detected": [p.detected for p in curve.points],
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
 def in_child(args: list[str], timeout: float) -> dict:
     """Run this script (or ``cqssbench/run.py``) in a fresh interpreter and
     return the JSON object on the last line of its standard output."""
@@ -218,6 +249,33 @@ def primitives(width: int) -> dict:
     return out
 
 
+def decoys() -> dict:
+    """µs per check and per tap of a decoy: a lone qubit in a basis state."""
+    import itertools
+
+    from cqss.qubits import _BASIS_MATRIX, QuantumRegister, RandomSource
+
+    rng = RandomSource(19)
+    cases = itertools.cycle(
+        itertools.product((row for m in _BASIS_MATRIX.values() for row in m), "ZX")
+    )
+
+    def fresh():
+        row, basis = next(cases)
+        reg = QuantumRegister()
+        (q,) = reg.alloc_state(row)
+        return reg, q, basis
+
+    return {
+        "measure_single": median_us(
+            lambda case: case[0].measure_single(case[1], case[2], rng), fresh
+        ),
+        "tapped_teleport": median_us(
+            lambda case: case[0].tapped_teleport(case[1], case[2], rng), fresh
+        ),
+    }
+
+
 def audits(width: int) -> dict:
     """µs per sealing audit at ``width`` with none, the first and every
     record withheld."""
@@ -268,6 +326,10 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--scenario-child", metavar="NAME", help=argparse.SUPPRESS)
     p.add_argument("--eve-child", type=int, metavar="M", help=argparse.SUPPRESS)
     p.add_argument("--audit-child", type=int, metavar="N", help=argparse.SUPPRESS)
+    p.add_argument(
+        "--eve-curve-child", type=int, metavar="TRIALS", help=argparse.SUPPRESS
+    )
+    p.add_argument("--decoy-child", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.trial_child is not None:
         print(json.dumps(trial_child(args.trial_child)))
@@ -283,6 +345,12 @@ def main(argv: list[str] | None = None) -> None:
         return
     if args.audit_child is not None:
         print(json.dumps(audits(args.audit_child)))
+        return
+    if args.eve_curve_child is not None:
+        print(json.dumps(eve_curve_child(args.eve_curve_child)))
+        return
+    if args.decoy_child:
+        print(json.dumps(decoys()))
         return
     script = str(Path(__file__).resolve())
     rate_args = ["--rate-seconds", str(args.rate_seconds)]
@@ -300,6 +368,7 @@ def main(argv: list[str] | None = None) -> None:
             str(m): in_child([script, "--eve-child", str(m), *rate_args], rate_timeout)
             for m in EVE_DECOYS
         },
+        "eve_curve_run": in_child([script, "--eve-curve-child", "0"], timeout=600),
         "full_release": {
             str(n): in_child([script, "--trial-child", str(n)], timeout=600)
             for n in TRIAL_WIDTHS
@@ -308,6 +377,7 @@ def main(argv: list[str] | None = None) -> None:
             str(n): in_child([script, "--primitives-child", str(n)], timeout=600)
             for n in WIDTHS
         },
+        "decoy_us": in_child([script, "--decoy-child"], timeout=600),
         "audit_us": {
             str(n): in_child([script, "--audit-child", str(n)], timeout=600)
             for n in AUDIT_WIDTHS
