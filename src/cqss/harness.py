@@ -173,9 +173,15 @@ def _fmt(x: float) -> str:
 
 
 def build_run(cfg: ScenarioConfig, entropy: int | tuple[int, ...]) -> ProtocolRun:
-    rng = RandomSource(entropy)
+    """Stage a run of ``cfg`` seeded by ``entropy``, whose last element (or
+    0 for a bare seed) is the trial index the secret is drawn for."""
     trial_index = entropy[-1] if isinstance(entropy, tuple) else 0
-    secret = secret_for_trial(cfg.secret, cfg.N, trial_index)
+    return _stage(cfg, entropy, secret_for_trial(cfg.secret, cfg.N, trial_index))
+
+
+def _stage(cfg: ScenarioConfig, entropy, secret: np.ndarray) -> ProtocolRun:
+    """:func:`build_run` once the secret is drawn; the run copies it."""
+    rng = RandomSource(entropy)
     plan = DecoyPlan.random(cfg.N, cfg.decoys, rng)
     return setup(
         cfg.n,
@@ -377,23 +383,27 @@ def detection_curve(
 
     Each sample distributes the secret plus M decoys under the attacker and
     runs the decoy check; record transport plays no part in detection, so it
-    is skipped for speed.
+    is skipped for speed.  Sample t at every M is ``build_run(point_cfg,
+    (master_seed, M, t))``; trial t's secret is drawn once and shared by
+    its samples, which each copy it.
     """
     cfg.validate()
     eve = EveModel(cfg.eve, cfg.eve_probability)
     per_decoy = eve.intercept_probability * 0.25 if eve.strategy != "none" else 0.0
-    points = []
-    for m_decoys in decoy_counts:
-        analytic = (1.0 - per_decoy) ** m_decoys
-        detected = 0
-        point_cfg = replace(cfg, decoys=m_decoys)
+    point_cfgs = [replace(cfg, decoys=m_decoys) for m_decoys in decoy_counts]
+    for point_cfg in point_cfgs:
         point_cfg.validate()
-        for t in range(cfg.trials):
-            run = build_run(point_cfg, (cfg.master_seed, m_decoys, t))
+    detected = [0] * len(point_cfgs)
+    for t in range(cfg.trials):
+        secret = secret_for_trial(cfg.secret, cfg.N, t)
+        for j, point_cfg in enumerate(point_cfgs):
+            run = _stage(point_cfg, (cfg.master_seed, point_cfg.decoys, t), secret)
             run.distribute_all()
-            report = verify_decoys(run, run.decoy_plan)
-            if not report.clean:
-                detected += 1
+            if not verify_decoys(run, run.decoy_plan).clean:
+                detected[j] += 1
+    points = []
+    for m_decoys, hits in zip(decoy_counts, detected):
+        analytic = (1.0 - per_decoy) ** m_decoys
         sigma = float(np.sqrt(analytic * (1.0 - analytic) / cfg.trials))
-        points.append(CurvePoint(m_decoys, cfg.trials, detected, analytic, sigma))
+        points.append(CurvePoint(m_decoys, cfg.trials, hits, analytic, sigma))
     return DetectionCurve(tuple(points))

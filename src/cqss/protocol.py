@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,8 @@ from .errors import (
     ResourceAccountingError,
 )
 from .qubits import (
-    CORRECTION_FOR_OUTCOME,
     _BELL_KINDS,
+    _CORRECTIONS,
     BellKind,
     DensityMatrix,
     Pauli,
@@ -157,22 +157,17 @@ class AccessPolicy:
 
     def record_released(self, index: int) -> bool:
         """Whether every holder of record ``index`` releases it."""
-        return all(self.release[c] for c in self.record_to_controller[index])
+        return all(map(self.release.__getitem__, self.record_to_controller[index]))
 
     def eligible_players(self, available: Iterable[int]) -> list[int]:
         """Cooperating players whose qubits all have a record in ``available``,
-        sorted.  Reconstruction needs at least ``threshold_k`` of them."""
+        sorted.  Reconstruction needs at least ``threshold_k`` of them.  One
+        pass over ``qubit_to_player`` drops every holder of a qubit with no
+        record, so the cost grows with the qubits, not with players times
+        qubits."""
         have = set(available)
-        return sorted(
-            p
-            for p in self.cooperating_players
-            if set(self.qubits_held_by(p)) <= have
-        )
-
-    def qubits_held_by(self, player: int) -> tuple[int, ...]:
-        return tuple(
-            sorted(i for i, p in self.qubit_to_player.items() if p == player)
-        )
+        unread = {p for i, p in self.qubit_to_player.items() if i not in have}
+        return sorted(self.cooperating_players - unread)
 
     @classmethod
     def round_robin(
@@ -200,8 +195,7 @@ class AccessPolicy:
         )
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     sender: str
     receiver: str
     payload: str
@@ -210,9 +204,8 @@ class Message:
         return f"{self.sender} -> {self.receiver}: {self.payload}"
 
 
-def _bits_str(kind: BellKind) -> str:
-    x, y = kind.bits
-    return f"{x}{y}"
+# A two-bit value as the transcript writes it, indexed by the value.
+_BIT_TEXT = ("00", "01", "10", "11")
 
 
 @dataclass
@@ -240,13 +233,17 @@ class Transcript:
         lines = ["transcript v1"]
         lines.append(
             "bell-record: "
-            + " ".join(f"{i}:{_bits_str(k)}" for i, k in sorted(self.bell_record.items()))
+            + " ".join(
+                f"{i}:{_BIT_TEXT[k._value_]}"
+                for i, k in sorted(self.bell_record.items())
+            )
         )
         if self.decoy_record:
             lines.append(
                 "decoy-record: "
                 + " ".join(
-                    f"{s}:{_bits_str(k)}" for s, k in sorted(self.decoy_record.items())
+                    f"{s}:{_BIT_TEXT[k._value_]}"
+                    for s, k in sorted(self.decoy_record.items())
                 )
             )
         lines.append(f"epr-player: {self.epr_player}")
@@ -259,7 +256,7 @@ class Transcript:
         lines.append(f"controller-measurements: {self.controller_measurements}")
         lines.append(
             "corrections: "
-            + " ".join(f"q{q}:{op.value}" for q, op in self.corrections)
+            + " ".join(f"q{q}:{op._value_}" for q, op in self.corrections)
         )
         lines.append("messages:")
         lines.extend("  " + msg.line() for msg in self.messages)
@@ -367,10 +364,11 @@ class ProtocolRun:
         self.eve = eve if eve is not None else EveModel.off()
         self.decoy_plan = plan
 
-        # Slot layout: decoys sit at the planned slots, each its own block;
-        # secret qubits fill the remaining slots in index order.  Secret qubit
-        # i goes to the player the policy names; the decoys go to players
-        # 1..n in turn.
+        # Slot layout: decoys sit at the planned slots, each its own block
+        # over a copy of its checked constant row (the flush writes a block's
+        # array in place); secret qubits fill the remaining slots in index
+        # order.  Secret qubit i goes to the player the policy names; the
+        # decoys go to players 1..n in turn.
         self.register = QuantumRegister()
         secret_ids = self.register.alloc_state(secret)
         decoys = plan.record
@@ -381,8 +379,8 @@ class ProtocolRun:
         self.slot_receiver: dict[int, int] = {}
         for slot in range(1, total + 1):
             if slot in decoys:
-                (self.slot_qubits[slot],) = self.register.alloc_state(
-                    _DECOY_VECTORS[decoys[slot]]
+                (self.slot_qubits[slot],) = self.register._grow(
+                    _DECOY_VECTORS[decoys[slot]].copy(), 1
                 )
                 self.slot_receiver[slot] = next(decoy_players)
             else:
@@ -428,9 +426,6 @@ class ProtocolRun:
     @property
     def decoys_verified(self) -> bool:
         return self.decoy_plan.count == 0 or self.detection is not None
-
-    def log_message(self, sender: str, receiver: str, payload: str) -> None:
-        self.transcript.messages.append(Message(sender, receiver, payload))
 
     # -- distribution ------------------------------------------------------------
 
@@ -500,29 +495,25 @@ class ProtocolRun:
         if len(bits) != 2 or any(type(b) is not int or b not in (0, 1) for b in bits):
             raise ProtocolError(f"bits must be two ints, each 0 or 1, got {bits!r}")
         self._check_transport(index, (controller,))
-        self._send_bits(controller, index, bits)
+        self._send_bits(index, bits[0] << 1 | bits[1])
 
-    def _send_bits(self, controller: int, index: int, bits: tuple[int, int]) -> None:
-        """:meth:`send_bits_classical` once the record has been checked."""
+    def _send_bits(self, index: int, value: int) -> None:
+        """:meth:`send_bits_classical` once the record has been checked, its
+        bits ``(x, y)`` given as the value ``(x << 1) | y``.  Each draw is
+        a Bell kind's value, which is its bit pair, so the pad XORs values."""
         dealer_cdf, controller_cdfs, scalars = _PAD
-        self.transcript.epr_controller += 2
+        t = self.transcript
+        t.epr_controller += 2
         k = born_draw(dealer_cdf, self.rng)
-        dealer_draw = _BELL_KINDS[k]
-        self.transcript.dealer_transport_measurements += 1
-        controller_draw = _BELL_KINDS[born_draw(controller_cdfs[k], self.rng)]
-        self.transcript.controller_measurements += 1
+        t.dealer_transport_measurements += 1
+        c = born_draw(controller_cdfs[k], self.rng)
+        t.controller_measurements += 1
         # The two links' four qubits, measured out whole.
         self.register.fold_measured_out(4, scalars[k])
-        x, y = bits
-        xp, yp = dealer_draw.bits
-        announced = (x ^ xp, y ^ yp)
-        self.log_message(
-            "dealer",
-            "public",
-            f"announce record={index} bits={announced[0]}{announced[1]}",
-        )
-        xc, yc = controller_draw.bits
-        self.decoded[index] = BellKind.from_bits(announced[0] ^ xc, announced[1] ^ yc)
+        announced = value ^ k
+        payload = f"announce record={index} bits={_BIT_TEXT[announced]}"
+        t.messages.append(Message("dealer", "public", payload))
+        self.decoded[index] = _BELL_KINDS[announced ^ c]
 
     def split_bell_between_controllers(
         self, ca: int, cb: int, record_index: int
@@ -569,11 +560,13 @@ class ProtocolRun:
         beta, outcome = self.register.teleport(qubit, self.rng)
         self.transcript.epr_controller += 1
         self.transcript.dealer_transport_measurements += 1
-        correction = CORRECTION_FOR_OUTCOME[outcome]
-        self.log_message(
-            "dealer",
-            f"controller-{controller}",
-            f"correction record={record_index} pauli={correction.value}",
+        correction = _CORRECTIONS[outcome._value_]
+        self.transcript.messages.append(
+            Message(
+                "dealer",
+                f"controller-{controller}",
+                f"correction record={record_index} pauli={correction._value_}",
+            )
         )
         self.register.apply_pauli(beta, correction)
         return beta
@@ -590,7 +583,7 @@ class ProtocolRun:
         if len(holders) == 1:
             self._check_transport(record_index, holders)
             kind = self.transcript.bell_record[record_index]
-            self._send_bits(holders[0], record_index, kind.bits)
+            self._send_bits(record_index, kind._value_)
         else:
             self.split_bell_between_controllers(holders[0], holders[1], record_index)
 
@@ -641,10 +634,12 @@ class ProtocolRun:
         kind = self.register.bell_measure(qa, qb, self.rng)
         self.transcript.controller_measurements += 1
         self.decoded[record_index] = kind
-        self.log_message(
-            f"controller-{pa}+controller-{pb}",
-            "public",
-            f"identify record={record_index} bits={_bits_str(kind)}",
+        self.transcript.messages.append(
+            Message(
+                f"controller-{pa}+controller-{pb}",
+                "public",
+                f"identify record={record_index} bits={_BIT_TEXT[kind._value_]}",
+            )
         )
         return kind
 
@@ -653,16 +648,15 @@ class ProtocolRun:
         players see them.  A classical record's controller announces its
         decoded bits; a split record not yet identified is identified now."""
         available: dict[int, BellKind] = {}
+        release, messages = self.policy.release, self.transcript.messages
         for index in sorted(self.decoded.keys() | self.split_halves.keys()):
-            if not self.policy.record_released(index):
-                continue
             holders = self.policy.record_to_controller[index]
+            if not all(map(release.__getitem__, holders)):
+                continue
             if len(holders) == 1:
-                self.log_message(
-                    f"controller-{holders[0]}",
-                    "public",
-                    f"release record={index} bits={_bits_str(self.decoded[index])}",
-                )
+                bits = _BIT_TEXT[self.decoded[index]._value_]
+                payload = f"release record={index} bits={bits}"
+                messages.append(Message(f"controller-{holders[0]}", "public", payload))
             elif index not in self.decoded:
                 self.joint_identify(*holders, index)
             available[index] = self.decoded[index]
@@ -674,7 +668,11 @@ class ProtocolRun:
         Succeeds when the released records cover every qubit held by some
         set of at least ``threshold_k`` cooperating players; the corrections
         are then applied to exactly those qubits.  Otherwise the secret
-        stays sealed and the register is left untouched.
+        stays sealed and the register is left untouched.  Coverage is one
+        pass over ``qubit_to_player`` for the eligible players
+        (:meth:`AccessPolicy.eligible_players`) and one for the qubits they
+        hold, in index order; each correction is read off the record's
+        value.
         """
         if self._outcome is not None:
             return self._outcome
@@ -691,28 +689,25 @@ class ProtocolRun:
                 f"players (threshold {k})"
             )
             return self._outcome
-        covered = sorted(
-            {i for p in eligible for i in self.policy.qubits_held_by(p)}
-        )
-        for index in covered:
-            qubit = self.slot_qubits[self._slot_of_secret[index]]
-            op = CORRECTION_FOR_OUTCOME[available[index]]
-            self.register.apply_pauli(qubit, op)
-            self.transcript.corrections.append((qubit, op))
-        secret_ids = [
-            self.slot_qubits[self._slot_of_secret[i]]
-            for i in range(1, self.secret_width + 1)
+        players = set(eligible)
+        covered = [
+            i for i, p in sorted(self.policy.qubit_to_player.items()) if p in players
         ]
-        if len(covered) == self.secret_width and sorted(
-            self.register.live_qubits()
-        ) == sorted(secret_ids):
+        share_ids = [self.slot_qubits[self._slot_of_secret[i]] for i in covered]
+        corrections = self.transcript.corrections
+        for index, qubit in zip(covered, share_ids):
+            op = _CORRECTIONS[available[index]._value_]
+            self.register.apply_pauli(qubit, op)
+            corrections.append((qubit, op))
+        # The corrected qubits are live, so with all of them covered the
+        # register holds exactly the secret's qubits iff it holds N.
+        if len(covered) == self.register.num_qubits == self.secret_width:
             self._outcome = Recovered(
-                self.register.state_vector(order=secret_ids),
+                self.register.state_vector(order=share_ids),
                 tuple(covered),
                 tuple(eligible),
             )
         else:
-            share_ids = [self.slot_qubits[self._slot_of_secret[i]] for i in covered]
             self._outcome = Recovered(
                 None,
                 tuple(covered),
@@ -830,7 +825,7 @@ def _swap_kraus() -> tuple[dict[BellKind, np.ndarray], dict[BellKind, np.ndarray
         mu, nu = reg.alloc_bell_pair(BellKind.PHI_MINUS)
         scale = np.sqrt(2.0 * reg.project_bell(source, mu, kind))
         uncorrected[kind] = scale * reg.state_vector([reference, nu]).reshape(2, 2).T
-        reg.apply_pauli(nu, CORRECTION_FOR_OUTCOME[kind])
+        reg.apply_pauli(nu, _CORRECTIONS[kind._value_])
         corrected[kind] = scale * reg.state_vector([reference, nu]).reshape(2, 2).T
     return uncorrected, corrected
 

@@ -194,6 +194,10 @@ CORRECTION_FOR_OUTCOME = {
     BellKind.PHI_PLUS: Pauli.Z,
     BellKind.PHI_MINUS: Pauli.I,
 }
+# The same indexed by the outcome's value: ``Enum.__hash__`` is Python code.
+_CORRECTIONS = tuple(CORRECTION_FOR_OUTCOME[kind] for kind in _BELL_KINDS)
+# The bits ``(z, x)`` of each Pauli ``Z^z X^x``, keyed by its value.
+_PAULI_FRAME = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "ZX": (1, 1)}
 
 # Teleporting a qubit over a fresh PHI_MINUS singlet (mu, nu), in closed
 # form.  Projecting (q, mu) onto outcome k leaves nu carrying
@@ -202,10 +206,11 @@ CORRECTION_FOR_OUTCOME = {
 # (rows mu, columns nu).  ``2 (W_k L)^T`` is ``sign * P.matrix`` for the
 # Pauli ``P = CORRECTION_FOR_OUTCOME[k]``, its own inverse up to sign, so
 # every outcome has probability exactly 1/4 (Bennett et al., PRL 70, 1895,
-# 1993).  Row k holds ``(P, sign)``: -I, -Z, X and -ZX in outcome order.
+# 1993).  Row k holds P's frame bits and the sign, ``(z, x, sign)``: -I,
+# -Z, X and -ZX in outcome order.
 _TWIST = tuple(
-    (CORRECTION_FOR_OUTCOME[kind], sign)
-    for kind, sign in zip(BellKind, (-1.0, -1.0, 1.0, -1.0))
+    _PAULI_FRAME[op.value] + (sign,)
+    for op, sign in zip(_CORRECTIONS, (-1.0, -1.0, 1.0, -1.0))
 )
 
 # Measurement bases for single qubits.  Row 0 / row 1 = outcome 0 / 1.
@@ -561,27 +566,22 @@ class QuantumRegister:
     # -- unitaries ------------------------------------------------------------
 
     def apply_pauli(self, q: QubitId, op: Pauli) -> None:
-        """Owe ``op`` on ``q``: its block's frame takes it on, and no array
-        is touched.  Over a pending ``Z^z X^x``, ``Z^a X^b`` composes to
-        ``(-1)^(b z) Z^(a xor z) X^(b xor x)``; the sign negates the phase,
-        as applying the Paulis one by one would negate the block."""
+        """Owe ``op`` on ``q``: its block's frame takes on ``op``'s bits
+        (:meth:`_owe`), and no array is touched."""
         block, p = self._locate(q)
-        if op is Pauli.X:
-            a, b = 0, 1
-        elif op is Pauli.Z:
-            a, b = 1, 0
-        elif op is Pauli.ZX:  # X first, then Z
-            a, b = 1, 1
-        elif op is Pauli.I:
-            return
-        else:
+        if type(op) is not Pauli:
             raise ValueError(f"not a Pauli: {op!r}")
-        if b:
-            if block.zmask >> p & 1:
-                self._phase = -self._phase
-            block.xmask ^= 1 << p
-        if a:
-            block.zmask ^= 1 << p
+        self._owe(block, p, *_PAULI_FRAME[op._value_])
+
+    def _owe(self, block: _Block, p: int, z: int, x: int) -> None:
+        """Compose ``Z^z X^x`` onto the frame of ``block``'s position ``p``.
+        Over a pending ``Z^a X^b`` it gives ``(-1)^(x a) Z^(z xor a)
+        X^(x xor b)``; the sign negates the phase, as applying the Paulis
+        one by one would negate the block."""
+        if x and block.zmask >> p & 1:
+            self._phase = -self._phase
+        block.xmask ^= x << p
+        block.zmask ^= z << p
 
     # -- Bell-basis measurement -------------------------------------------------
 
@@ -617,23 +617,22 @@ class QuantumRegister:
         signed permutation keeps the norm exactly), so no array is touched
         and ``peak_block_qubits`` does not move.
         """
-        return self._teleport(q, kind._value_), 0.25
+        return self._teleport(q, *self._locate(q), kind._value_), 0.25
 
     def teleport(self, q: QubitId, rng: RandomSource) -> tuple[QubitId, BellKind]:
         """The collapse of :meth:`project_teleport` onto an outcome that
         :func:`born_draw` draws from four exact quarters; returns the far
-        half and the outcome."""
-        self._locate(q)  # a qubit that is not live raises before the draw
-        k = born_draw(_TELEPORT_CDF, rng)
-        return self._teleport(q, k), _BELL_KINDS[k]
-
-    def _teleport(self, q: QubitId, k: int) -> QubitId:
-        """Outcome ``k`` of teleporting ``q``; returns the far half, which
-        takes over ``q``'s tensor position and its frame, twist included.
-        Pure bookkeeping: no array is read or written."""
-        op, sign = _TWIST[k]
-        self.apply_pauli(q, op)
+        half and the outcome.  ``q`` is located once, before the draw."""
         block, p = self._locate(q)
+        k = born_draw(_TELEPORT_CDF, rng)
+        return self._teleport(q, block, p, k), _BELL_KINDS[k]
+
+    def _teleport(self, q: QubitId, block: _Block, p: int, k: int) -> QubitId:
+        """Outcome ``k`` of teleporting ``q`` from position ``p`` of
+        ``block``; the far half takes over that position and its frame,
+        ``_TWIST[k]`` included.  No array is read or written."""
+        z, x, sign = _TWIST[k]
+        self._owe(block, p, z, x)
         nu = self._next_id + 1
         self._next_id += 2
         self._phase *= sign

@@ -22,8 +22,8 @@ from .errors import IncompleteRun, PolicyError, ProtocolError
 from .qubits import (
     BASIS_X,
     BASIS_Z,
-    CORRECTION_FOR_OUTCOME,
     _BASIS_MATRIX,
+    _CORRECTIONS,
     RandomSource,
     _seal_in_place,
     trace_distance,
@@ -201,25 +201,21 @@ def verify_decoys(run: "ProtocolRun", plan: DecoyPlan) -> DetectionReport:
         run.detection = report
         return report
 
-    run.log_message(
-        "dealer",
-        "public",
-        "decoy-positions slots=" + ",".join(str(s) for s in plan.placements),
-    )
+    from .protocol import _BIT_TEXT, Message  # protocol imports this module
+
+    log = run.transcript.messages.append
+    slots = ",".join(str(s) for s in plan.placements)
+    log(Message("dealer", "public", f"decoy-positions slots={slots}"))
     mismatches = 0
     for slot, state in zip(plan.placements, plan.states):
-        outcome = run.transcript.decoy_record[slot]
-        x, y = outcome.bits
-        run.log_message(
-            "dealer", "public", f"decoy-open slot={slot} bits={x}{y} basis={state.basis}"
-        )
+        value = run.transcript.decoy_record[slot]._value_
+        opened = f"decoy-open slot={slot} bits={_BIT_TEXT[value]} basis={state.basis}"
+        log(Message("dealer", "public", opened))
         qubit = run.slot_qubits[slot]
         player = run.slot_receiver[slot]
-        run.register.apply_pauli(qubit, CORRECTION_FOR_OUTCOME[outcome])
+        run.register.apply_pauli(qubit, _CORRECTIONS[value])
         bit = run.register.measure_single(qubit, state.basis, run.rng)
-        run.log_message(
-            f"player-{player}", "dealer", f"decoy-report slot={slot} bit={bit}"
-        )
+        log(Message(f"player-{player}", "dealer", f"decoy-report slot={slot} bit={bit}"))
         if bit != state.expected_bit:
             mismatches += 1
     report = DetectionReport(plan.count, mismatches)

@@ -58,8 +58,12 @@ def test_scenarios_are_the_eve_free_bundled_ones():
         ),
         (["--audit-child", str(bench.AUDIT_WIDTHS[0])], {"none", "1", "all"}),
         (["--decoy-child"], {"measure_single", "tapped_teleport"}),
+        (
+            ["--phase-child", str(bench.PHASE_WIDTHS[0]), "--rate-seconds", "0"],
+            set(bench.PHASES),
+        ),
     ],
-    ids=["scenario", "eve", "trial", "primitives", "audit", "decoy"],
+    ids=["scenario", "eve", "trial", "primitives", "audit", "decoy", "phase"],
 )
 def test_child_modes_report_their_keys(args, keys):
     out = child(*args)
@@ -67,6 +71,11 @@ def test_child_modes_report_their_keys(args, keys):
     assert all(v > 0 for v in out.values())
     if keys == RATE_KEYS:
         assert out["calls"] >= bench.MIN_CALLS
+
+
+def test_machine_facts_name_the_pinned_cpu():
+    facts = bench.machine_facts({3, 1})
+    assert facts["cpus"] == 2 and facts["pinned_to_cpu"] == 1
 
 
 def test_eve_curve_child_runs_the_curve():

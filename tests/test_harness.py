@@ -236,6 +236,35 @@ PINNED_DIGESTS = {
 }
 
 
+# The same digest over trials 0..4 of a full release at N = n = m = 12, the
+# shape of the benchmark's wide_release workload; kept apart from
+# PINNED_DIGESTS, which lists exactly the bundled scenarios.
+WIDE_RELEASE = """
+cqss-scenario v1
+name = wide-release
+N = 12
+n = 12
+m = 12
+mode = classical
+threshold_k = 12
+decoys = 0
+eve = none
+secret = haar 12
+trials = 5
+master_seed = 2027
+"""
+WIDE_RELEASE_DIGEST = "feaec2cce64dd57804223abc971c6bf09627e55102ad8e08c83e70adcf90cacc"
+
+
+def trials_digest(cfg, trials):
+    digest = hashlib.sha256()
+    for trial in range(trials):
+        result = run_trial(cfg, trial)
+        for part in (result.outcome, result.detection, result.transcript_text):
+            digest.update(part.encode() + b"\0")
+    return digest.hexdigest()
+
+
 class TestSameBytes:
     def test_pins_every_bundled_scenario(self):
         assert sorted(PINNED_DIGESTS) == sorted(p.stem for p in SCENARIOS.glob("*.scn"))
@@ -243,12 +272,11 @@ class TestSameBytes:
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
     def test_first_trials_digest(self, name):
         cfg = load_scenario(SCENARIOS / f"{name}.scn")
-        digest = hashlib.sha256()
-        for trial in range(20):
-            result = run_trial(cfg, trial)
-            for part in (result.outcome, result.detection, result.transcript_text):
-                digest.update(part.encode() + b"\0")
-        assert digest.hexdigest() == PINNED_DIGESTS[name]
+        assert trials_digest(cfg, 20) == PINNED_DIGESTS[name]
+
+    def test_wide_release_digest(self):
+        cfg = parse_scenario_text(WIDE_RELEASE)
+        assert trials_digest(cfg, 5) == WIDE_RELEASE_DIGEST
 
 
 class TestVetoInvariant:

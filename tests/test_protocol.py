@@ -21,6 +21,7 @@ from cqss import harness, protocol, qubits
 from cqss.harness import build_run
 from cqss.protocol import (
     AccessPolicy,
+    Message,
     Recovered,
     Sealed,
     peak_block_qubits,
@@ -373,10 +374,10 @@ class TestClassicalTransport:
 # -- the classical pad in closed form ------------------------------------------------------
 
 
-def simulated_send_bits(run, controller, index, bits):
+def simulated_send_bits(run, index, value):
     """The classical pad as two simulated singlet links and two Bell
     measurements, as ``ProtocolRun._send_bits`` once ran it, kept as the
-    closed form's reference."""
+    closed form's reference; the bits come as the value ``(x << 1) | y``."""
     reg = run.register
     a1, b1 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
     a2, b2 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
@@ -385,11 +386,13 @@ def simulated_send_bits(run, controller, index, bits):
     run.transcript.dealer_transport_measurements += 1
     controller_draw = reg.bell_measure(b1, b2, run.rng)
     run.transcript.controller_measurements += 1
-    x, y = bits
+    x, y = value >> 1, value & 1
     xp, yp = dealer_draw.bits
     announced = (x ^ xp, y ^ yp)
-    run.log_message(
-        "dealer", "public", f"announce record={index} bits={announced[0]}{announced[1]}"
+    run.transcript.messages.append(
+        Message(
+            "dealer", "public", f"announce record={index} bits={announced[0]}{announced[1]}"
+        )
     )
     xc, yc = controller_draw.bits
     run.decoded[index] = BellKind.from_bits(announced[0] ^ xc, announced[1] ^ yc)
@@ -698,6 +701,101 @@ class TestReconstruct:
         run = complete(fresh_run(seed=31))
         first = run.reconstruct()
         assert run.reconstruct() is first
+
+
+# -- coverage against a brute-force reference ----------------------------------------------
+
+
+@st.composite
+def coverage_policies(draw):
+    """Any valid policy up to five qubits: uneven qubit counts per player,
+    one or two holders per record, any release flags, any cooperating set
+    and threshold."""
+    width = draw(st.integers(1, 5))
+    n = draw(st.integers(1, width))
+    m = draw(st.integers(1, width))
+    extra = st.lists(st.integers(1, n), min_size=width - n, max_size=width - n)
+    players = draw(st.permutations(list(range(1, n + 1)) + draw(extra)))
+    extra = st.lists(st.integers(1, m), min_size=width - m, max_size=width - m)
+    first = draw(st.permutations(list(range(1, m + 1)) + draw(extra)))
+    holders = []
+    for c in first:
+        others = [d for d in range(1, m + 1) if d != c]
+        split = others and draw(st.booleans())
+        holders.append((c, draw(st.sampled_from(others))) if split else (c,))
+    return AccessPolicy(
+        qubit_to_player=dict(enumerate(players, start=1)),
+        record_to_controller=dict(enumerate(holders, start=1)),
+        threshold_k=draw(st.integers(1, n)),
+        release={c: draw(st.booleans()) for c in range(1, m + 1)},
+        cooperating_players=set(draw(st.lists(st.integers(1, n), unique=True))),
+    )
+
+
+def brute_force_coverage(policy, available):
+    """Eligible players and the qubits they hold, player by player."""
+    have = set(available)
+    held = {
+        p: {i for i, q in policy.qubit_to_player.items() if q == p}
+        for p in set(policy.qubit_to_player.values())
+    }
+    eligible = sorted(p for p in policy.cooperating_players if held[p] <= have)
+    return eligible, sorted(set().union(*(held[p] for p in eligible)))
+
+
+_COVERAGE_CONFIG = parse_scenario_text(
+    "cqss-scenario v1\nname = coverage\nN = 1\nn = 1\nm = 1\nmode = mixed\n"
+    "threshold_k = 1\nsecret = haar 1\ntrials = 1\nmaster_seed = 0\n"
+)
+
+
+class TestCoverage:
+    @given(coverage_policies(), st.data())
+    def test_eligible_players_match_the_reference(self, policy, data):
+        available = data.draw(st.sets(st.sampled_from(sorted(policy.qubit_to_player))))
+        want, _ = brute_force_coverage(policy, available)
+        assert policy.eligible_players(available) == want
+        assert policy.eligible_players(iter(sorted(available))) == want
+
+    @given(coverage_policies(), st.integers(0, 2**32 - 1))
+    def test_reconstruct_and_expected_outcome_match_the_reference(self, policy, seed):
+        width = len(policy.qubit_to_player)
+        n = max(policy.qubit_to_player.values())
+        m = len(policy.release)
+        released = [i for i in policy.record_to_controller if policy.record_released(i)]
+        eligible, covered = brute_force_coverage(policy, released)
+        recovered = len(eligible) >= policy.threshold_k
+
+        run = setup(n, m, width, haar(width, seed), policy, RandomSource(seed))
+        out = complete(run).reconstruct()
+        assert isinstance(out, Recovered) == recovered
+        if recovered:
+            assert out.players == tuple(eligible)
+            assert out.covered_qubits == tuple(covered)
+            corrected = [q for q, _ in run.transcript.corrections]
+            assert corrected == [run.slot_qubits[i] for i in covered]
+            # Every qubit covered means every record was released, so no
+            # split record's halves are left live: full recovery.
+            full = len(covered) == width
+            assert (out.state_vector is not None) == full
+            if full:
+                assert fidelity(out.state_vector, run.secret) >= 1 - 1e-10
+        else:
+            assert not run.transcript.corrections
+
+        cfg = replace(
+            _COVERAGE_CONFIG,
+            N=width,
+            n=n,
+            m=m,
+            qubit_to_player=policy.qubit_to_player,
+            record_to_controller=policy.record_to_controller,
+            threshold_k=policy.threshold_k,
+            release=policy.release,
+            cooperating_players=policy.cooperating_players,
+        )
+        cfg.validate()
+        assert harness.expected_outcome(cfg) == ("recovered" if recovered else "sealed")
 
 
 # -- closed-form teleports -----------------------------------------------------------------

@@ -410,11 +410,11 @@ class TestClosedFormTeleport:
     @pytest.mark.parametrize("field", ["pauli", "sign"])
     def test_a_mutated_twist_table_fails_the_check(self, monkeypatch, k, field):
         table = list(qubits._TWIST)
-        op, sign = table[k]
+        z, x, sign = table[k]
         if field == "pauli":
-            table[k] = (table[(k + 1) % 4][0], sign)
+            table[k] = table[(k + 1) % 4][:2] + (sign,)
         else:
-            table[k] = (op, -sign)
+            table[k] = (z, x, -sign)
         monkeypatch.setattr(qubits, "_TWIST", tuple(table))
         with pytest.raises(AssertionError):
             check_teleport(2, 5)

@@ -5,7 +5,10 @@
 Run from any directory; the checkout measured is the one holding this
 script.  The output holds:
 
-* ``machine``: Python, numpy, CPU count and RAM of the host;
+* ``machine``: Python, numpy, CPU count and RAM of the host, and the CPU
+  this script and every child it starts are pinned to (before numpy is
+  imported, as ``cqssbench/run.py`` pins itself, so no BLAS call spreads
+  over threads);
 * ``workloads``: for each benchmark workload, the end-to-end metrics at
   reference speed that ``cqssbench/run.py --trace 0`` prints on its last
   line, run as a subprocess (``--seed`` and ``--seconds`` are passed on);
@@ -36,7 +39,15 @@ script.  The output holds:
   with no record, record 1, and every record withheld, on a distributed
   and transported full-release run at each width in ``AUDIT_WIDTHS``,
   each width in a fresh interpreter.  One untimed audit first builds the
-  run's secret projector, which every later audit of the run reuses.
+  run's secret projector, which every later audit of the run reuses;
+* ``phase_us``: the median microseconds of each phase of a full-release
+  trial as ``harness.run_trial`` runs it (``PHASES``: ``build_run``,
+  ``distribute_all``, ``transport_all``, ``verify_decoys``,
+  ``reconstruct``, ``resource_report``, ``transcript.to_text``), trial
+  indices 1, 2, ... after an untimed trial 0, at each width in
+  ``PHASE_WIDTHS`` in a fresh interpreter: N = 3 is
+  ``scenarios/full_release_demo.scn``, N = 12 the shape of the
+  ``wide_release`` workload (N = n = m = 12, classical, Haar secret).
 
 Each rate runs for ``--rate-seconds`` (and at least ``MIN_CALLS`` times) in
 a fresh interpreter, after one untimed warm-up call.  Timings are wall clock
@@ -66,6 +77,16 @@ EVE_DECOYS = (1, 2, 4, 8)
 TRIAL_WIDTHS = (20, 22, 24)
 WIDTHS = (2, 6, 10, 14, 18, 22)
 AUDIT_WIDTHS = (2, 5, 8, 10)
+PHASE_WIDTHS = (3, 12)
+PHASES = (
+    "build_run",
+    "distribute_all",
+    "transport_all",
+    "verify_decoys",
+    "reconstruct",
+    "resource_report",
+    "to_text",
+)
 # Run each primitive for about this long per width, set-up included, and
 # at least MIN_CALLS times.
 PRIMITIVE_S = 0.3
@@ -294,14 +315,57 @@ def audits(width: int) -> dict:
     }
 
 
-def machine_facts() -> dict:
+def phases(width: int, seconds: float) -> dict:
+    """Median µs of each of ``PHASES`` in a full-release trial at ``width``."""
+    from cqss import harness
+    from cqss.scenario import load_scenario, parse_scenario_text
+    from cqss.security import verify_decoys
+
+    if width == 3:
+        cfg = load_scenario(ROOT / "scenarios" / "full_release_demo.scn")
+    else:
+        cfg = parse_scenario_text(full_release_text(width))
+
+    def trial(i: int) -> list[float]:
+        start = time.perf_counter()
+        run = harness.build_run(cfg, (cfg.master_seed, i))
+        times = [time.perf_counter() - start]
+        for step in (
+            run.distribute_all,
+            run.transport_all,
+            lambda: verify_decoys(run, run.decoy_plan),
+            run.reconstruct,
+            run.resource_report,
+            run.transcript.to_text,
+        ):
+            start = time.perf_counter()
+            step()
+            times.append(time.perf_counter() - start)
+        if run.reconstruct().state_vector is None:
+            raise SystemExit(f"N = {width}: trial {i} did not recover the secret")
+        return times
+
+    trial(0)
+    samples = []
+    start = time.perf_counter()
+    while len(samples) < MIN_CALLS or time.perf_counter() - start < seconds:
+        samples.append(trial(len(samples) + 1))
+    return {
+        name: 1e6 * statistics.median(column)
+        for name, column in zip(PHASES, zip(*samples))
+    }
+
+
+def machine_facts(cpus: set[int]) -> dict:
+    """The host's facts; ``cpus`` is the CPU affinity before pinning."""
     import numpy as np
 
     facts = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "cpus": len(os.sched_getaffinity(0)),
+        "cpus": len(cpus),
+        "pinned_to_cpu": min(cpus),
     }
     try:
         with open("/proc/meminfo") as fh:
@@ -330,7 +394,12 @@ def main(argv: list[str] | None = None) -> None:
         "--eve-curve-child", type=int, metavar="TRIALS", help=argparse.SUPPRESS
     )
     p.add_argument("--decoy-child", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--phase-child", type=int, metavar="N", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
+    # One CPU for this process and, by inheritance, every child, set before
+    # anything imports numpy: a threaded BLAS then sees one CPU.
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
     if args.trial_child is not None:
         print(json.dumps(trial_child(args.trial_child)))
         return
@@ -352,11 +421,14 @@ def main(argv: list[str] | None = None) -> None:
     if args.decoy_child:
         print(json.dumps(decoys()))
         return
+    if args.phase_child is not None:
+        print(json.dumps(phases(args.phase_child, args.rate_seconds)))
+        return
     script = str(Path(__file__).resolve())
     rate_args = ["--rate-seconds", str(args.rate_seconds)]
     rate_timeout = 120 + 2 * args.rate_seconds
     report = {
-        "machine": machine_facts(),
+        "machine": machine_facts(cpus),
         "workloads": {
             name: workload_metrics(name, args.seed, args.seconds) for name in WORKLOADS
         },
@@ -381,6 +453,10 @@ def main(argv: list[str] | None = None) -> None:
         "audit_us": {
             str(n): in_child([script, "--audit-child", str(n)], timeout=600)
             for n in AUDIT_WIDTHS
+        },
+        "phase_us": {
+            str(n): in_child([script, "--phase-child", str(n), *rate_args], rate_timeout)
+            for n in PHASE_WIDTHS
         },
     }
     text = json.dumps(report, indent=2) + "\n"
