@@ -9,6 +9,8 @@ channels derived from the forced Bell-measurement branches of each swap,
 and compare it to the closed-form prediction.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from cqss import (
@@ -23,8 +25,11 @@ from cqss import (
 )
 
 secret = haar_random_state(3, RandomSource(99))
-policy = AccessPolicy.round_robin(3, 3, 3)
-policy.release[2] = False  # record 2 never arrives
+# A policy is a value: controller 2 withholding is a new policy.
+policy = replace(
+    AccessPolicy.round_robin(3, 3, 3),
+    release={1: True, 2: False, 3: True},  # record 2 never arrives
+)
 
 run = setup(3, 3, 3, secret, policy, RandomSource(4))
 run.distribute_all()

@@ -63,9 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args: argparse.Namespace) -> ScenarioConfig:
     cfg = load_scenario(args.scenario)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ScenarioError("master_seed: must be a non-negative integer")
         cfg = replace(cfg, master_seed=args.seed)
+        cfg.validate()
     return cfg
 
 

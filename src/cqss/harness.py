@@ -23,7 +23,7 @@ from .protocol import (
     setup,
 )
 from .qubits import RandomSource, fidelity
-from .scenario import ScenarioConfig, SecretSpec
+from .scenario import ScenarioConfig, SecretSpec, _format_float as _fmt
 from .security import DecoyPlan, EveModel, verify_decoys
 
 DEMO_TOLERANCE = 1e-9
@@ -168,10 +168,6 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
-
-
 def build_run(cfg: ScenarioConfig, entropy: int | tuple[int, ...]) -> ProtocolRun:
     """Stage a run of ``cfg`` seeded by ``entropy``, whose last element (or
     0 for a bare seed) is the trial index the secret is drawn for."""
@@ -285,18 +281,14 @@ def mstar_sweep(cfg: ScenarioConfig) -> SweepTable:
             raise ScenarioError(
                 f"{field}: sweep needs n = m = N, got n={cfg.n} m={cfg.m} N={cfg.N}"
             )
-    holder_multiset = sorted(
-        h for holders in cfg.record_to_controller.values() for h in holders
-    )
-    if any(len(h) != 1 for h in cfg.record_to_controller.values()) or (
-        holder_multiset != list(range(1, cfg.m + 1))
-    ):
+    one_each = [(c,) for c in range(1, cfg.m + 1)]
+    if sorted(cfg.record_to_controller.values()) != one_each:
         raise ScenarioError(
             "record_to_controller: sweep needs exactly one classical share "
             "per controller"
         )
 
-    all_players = set(range(1, cfg.n + 1))
+    everyone = replace(cfg, cooperating_players=range(1, cfg.n + 1))
     rows = []
     minimum = None
     sample_rng = RandomSource((cfg.master_seed, 0x5EED))
@@ -304,8 +296,7 @@ def mstar_sweep(cfg: ScenarioConfig) -> SweepTable:
         subsets = _release_subsets(cfg.m, r, sample_rng)
         successes = 0
         for subset in subsets:
-            trial_cfg = cfg.with_release(set(subset))
-            trial_cfg.cooperating_players = set(all_players)
+            trial_cfg = everyone.with_release(subset)
             mask = sum(1 << (c - 1) for c in subset)
             run = build_run(trial_cfg, (cfg.master_seed, r, mask))
             run.distribute_all()

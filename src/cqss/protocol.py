@@ -88,7 +88,43 @@ def peak_block_qubits(width: int) -> int:
     return width
 
 
-@dataclass
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise; it pickles and deep-copies as itself."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("policy maps are read-only; use dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return _ReadOnlyDict, (dict(self),)
+
+
+def _frozen_holders(holders: Mapping[int, Iterable[int]]) -> _ReadOnlyDict:
+    return _ReadOnlyDict((i, tuple(h)) for i, h in holders.items())
+
+
+# Each policy container field, and how one of another type is frozen.
+_FREEZE = (
+    ("qubit_to_player", _ReadOnlyDict),
+    ("record_to_controller", _frozen_holders),
+    ("release", _ReadOnlyDict),
+    ("cooperating_players", frozenset),
+)
+
+
+def _freeze_policy_fields(obj) -> None:
+    """Freeze the policy containers of the frozen dataclass ``obj``, once: a
+    container already frozen is kept, so ``dataclasses.replace`` copies
+    none."""
+    for name, freeze in _FREEZE:
+        value = getattr(obj, name)
+        if type(value) is not _ReadOnlyDict and type(value) is not frozenset:
+            object.__setattr__(obj, name, freeze(value))
+
+
+@dataclass(frozen=True)
 class AccessPolicy:
     """Who holds what, and who has agreed to what.
 
@@ -99,13 +135,19 @@ class AccessPolicy:
     ordered pair of controllers (split transport).  ``release`` marks each
     controller as releasing or withholding; ``cooperating_players`` lists
     the players willing to take part in reconstruction.
+
+    A policy is a value.  Plain dicts and sets are accepted and frozen at
+    construction, so nothing reachable from a policy can be edited; a
+    changed policy is a new one, made with :func:`dataclasses.replace`.
     """
 
-    qubit_to_player: dict[int, int]
-    record_to_controller: dict[int, tuple[int, ...]]
+    qubit_to_player: Mapping[int, int]
+    record_to_controller: Mapping[int, tuple[int, ...]]
     threshold_k: int
-    release: dict[int, bool]
-    cooperating_players: set[int]
+    release: Mapping[int, bool]
+    cooperating_players: frozenset[int]
+
+    __post_init__ = _freeze_policy_fields
 
     def validate(self, n: int, m: int, width: int) -> None:
         """Check the policy against ``n`` players, ``m`` controllers and a
@@ -191,7 +233,7 @@ class AccessPolicy:
             record_to_controller=dict(zip(indices, holders)),
             threshold_k=n if threshold_k is None else threshold_k,
             release=dict.fromkeys(range(1, m + 1), True),
-            cooperating_players=set(range(1, n + 1)),
+            cooperating_players=frozenset(range(1, n + 1)),
         )
 
 

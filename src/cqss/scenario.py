@@ -44,18 +44,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Any, Callable, Collection, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError, PolicyError, ScenarioError
-from .protocol import AccessPolicy, peak_block_qubits
+from .protocol import AccessPolicy, _freeze_policy_fields, peak_block_qubits
 from .qubits import check_array_qubits
+from .security import EveModel
 
 SCHEMA_TAG = "cqss-scenario v1"
 
 MODES = ("classical", "split", "mixed")
-EVE_STRATEGIES = ("none", "intercept-resend")
 SECRET_KINDS = ("demo", "haar", "explicit")
 
 
@@ -66,13 +66,15 @@ class SecretSpec:
     haar_seed: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed to reproduce a batch of protocol runs.
 
     The assignment, threshold, release and cooperation fields are those of
     an :class:`~cqss.protocol.AccessPolicy` (see :meth:`policy`), with
-    parties named by their 1-based indices; the policy validates them.
+    parties named by their 1-based indices; the policy validates them.  A
+    configuration is a value, its containers frozen as a policy's are;
+    change one with :func:`dataclasses.replace`.
     """
 
     name: str
@@ -81,10 +83,10 @@ class ScenarioConfig:
     m: int
     mode: str
     threshold_k: int
-    qubit_to_player: dict[int, int]
-    record_to_controller: dict[int, tuple[int, ...]]
-    release: dict[int, bool]
-    cooperating_players: set[int]
+    qubit_to_player: Mapping[int, int]
+    record_to_controller: Mapping[int, tuple[int, ...]]
+    release: Mapping[int, bool]
+    cooperating_players: frozenset[int]
     decoys: int
     eve: str
     eve_probability: float
@@ -92,25 +94,15 @@ class ScenarioConfig:
     trials: int
     master_seed: int
 
-    def with_release(self, released: set[int]) -> "ScenarioConfig":
-        return replace(
-            self,
-            release={c: c in released for c in range(1, self.m + 1)},
-            qubit_to_player=dict(self.qubit_to_player),
-            record_to_controller=dict(self.record_to_controller),
-            cooperating_players=set(self.cooperating_players),
-        )
+    __post_init__ = _freeze_policy_fields
+
+    def with_release(self, released: Collection[int]) -> "ScenarioConfig":
+        return replace(self, release={c: c in released for c in range(1, self.m + 1)})
 
     def policy(self) -> AccessPolicy:
-        """The access policy these fields describe, over fresh copies of
-        their containers: editing the policy leaves the config as it is."""
-        return AccessPolicy(
-            qubit_to_player=dict(self.qubit_to_player),
-            record_to_controller=dict(self.record_to_controller),
-            threshold_k=self.threshold_k,
-            release=dict(self.release),
-            cooperating_players=set(self.cooperating_players),
-        )
+        """The access policy these fields describe, sharing their containers."""
+        return AccessPolicy(self.qubit_to_player, self.record_to_controller,
+                            self.threshold_k, self.release, self.cooperating_players)
 
     def validate(self) -> None:
         def bad(fieldname: str, message: str) -> ScenarioError:
@@ -123,15 +115,10 @@ class ScenarioConfig:
             self.policy().validate(self.n, self.m, self.N)
         except PolicyError as exc:
             raise ScenarioError(str(exc)) from None
-        expected_arity = {"classical": 1, "split": 2}.get(self.mode)
-        if expected_arity is not None and any(
-            len(h) != expected_arity for h in self.record_to_controller.values()
-        ):
-            raise bad(
-                "mode",
-                f"{self.mode} mode requires every record to name "
-                f"{'one controller' if self.mode == 'classical' else 'two controllers'}",
-            )
+        arity = {"classical": 1, "split": 2}.get(self.mode)
+        if arity and any(len(h) != arity for h in self.record_to_controller.values()):
+            holders = "one controller" if arity == 1 else "two controllers"
+            raise bad("mode", f"{self.mode} mode requires every record to name {holders}")
         if self.decoys < 0:
             raise bad("decoys", "must be >= 0")
         # Decoy slots are drawn from an array over all N + decoys slots.
@@ -140,10 +127,10 @@ class ScenarioConfig:
             check_array_qubits((slots - 1).bit_length(), f"a draw over {slots} slots")
         except CapacityError as exc:
             raise bad("decoys", str(exc)) from None
-        if self.eve not in EVE_STRATEGIES:
-            raise bad("eve", f"must be one of {EVE_STRATEGIES}, got {self.eve!r}")
-        if not 0.0 <= self.eve_probability <= 1.0:
-            raise bad("eve_probability", f"outside [0, 1]: {self.eve_probability}")
+        try:
+            EveModel(self.eve, self.eve_probability)
+        except PolicyError as exc:
+            raise ScenarioError(str(exc)) from None
         if self.trials < 1:
             raise bad("trials", f"must be >= 1, got {self.trials}")
         if self.master_seed < 0:
@@ -154,27 +141,24 @@ class ScenarioConfig:
         spec = self.secret
         if spec.kind not in SECRET_KINDS:
             raise bad("secret", f"kind must be one of {SECRET_KINDS}")
+        if spec.kind == "haar":
+            if spec.haar_seed < 0:
+                raise bad("secret", "haar seed must be a non-negative integer")
+            return
         if spec.kind == "demo":
             if self.N < 2:
                 raise bad("secret", f"demo encoding needs N >= 2, got N={self.N}")
             if len(spec.amplitudes) != 2:
                 raise bad("secret", "demo takes exactly two amplitudes")
-            norm = np.linalg.norm(spec.amplitudes)
-            if abs(norm - 1.0) > 1e-9:
-                raise bad("secret", f"demo amplitudes have norm {norm}")
-        elif spec.kind == "explicit":
-            want = 2**self.N
-            if len(spec.amplitudes) != want:
-                raise bad(
-                    "secret",
-                    f"explicit needs {want} amplitudes for N={self.N}, "
-                    f"got {len(spec.amplitudes)}",
-                )
-            norm = np.linalg.norm(spec.amplitudes)
-            if abs(norm - 1.0) > 1e-9:
-                raise bad("secret", f"explicit amplitudes have norm {norm}")
-        elif spec.haar_seed < 0:
-            raise bad("secret", "haar seed must be a non-negative integer")
+        elif len(spec.amplitudes) != 2**self.N:
+            raise bad(
+                "secret",
+                f"explicit needs {2**self.N} amplitudes for N={self.N}, "
+                f"got {len(spec.amplitudes)}",
+            )
+        norm = np.linalg.norm(spec.amplitudes)
+        if abs(norm - 1.0) > 1e-9:
+            raise bad("secret", f"{spec.kind} amplitudes have norm {norm}")
 
 
 # -- parsing --------------------------------------------------------------------
@@ -185,11 +169,8 @@ _KEYS = frozenset(field.name for field in dataclass_fields(ScenarioConfig))
 
 
 def parse_scenario_text(text: str) -> ScenarioConfig:
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    lines = [line for line in lines if line]
     if not lines:
         raise ScenarioError("schema: empty scenario file")
     if lines[0] != SCHEMA_TAG:
@@ -209,49 +190,24 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         if key not in _KEYS:
             raise ScenarioError(f"{key}: unknown key")
 
-    def require(key: str) -> str:
-        if key not in fields:
+    # Every given value is parsed, in field order, before anything else.
+    values: dict[str, Any] = {}
+    for key, syntax in _SYNTAX.items():
+        if key in fields:
+            values[key] = syntax.parse(key, fields[key])
+        elif syntax.default is _REQUIRED:
             raise ScenarioError(f"{key}: required key missing")
-        return fields[key]
-
-    N = _parse_int("N", require("N"))
-    n = _parse_int("n", require("n"))
-    m = _parse_int("m", require("m"))
-    mode = require("mode")
-
-    def policy_field(key: str, parse: Callable, *args):
-        """``key`` parsed, or None if it is omitted."""
-        return parse(key, fields[key], *args) if key in fields else None
-
-    cfg = ScenarioConfig(
-        name=fields.get("name", "scenario"),
-        N=N,
-        n=n,
-        m=m,
-        mode=mode,
-        threshold_k=_parse_int("threshold_k", require("threshold_k")),
-        qubit_to_player=policy_field("qubit_to_player", _parse_map, _parse_int),
-        record_to_controller=policy_field(
-            "record_to_controller", _parse_map, _parse_holders
-        ),
-        release=policy_field("release", _parse_map, _parse_flag),
-        cooperating_players=policy_field("cooperating_players", _parse_index_set),
-        decoys=_parse_int("decoys", fields.get("decoys", "0")),
-        eve=fields.get("eve", "none"),
-        eve_probability=_parse_float("eve_probability", fields.get("eve_probability", "0")),
-        secret=_parse_secret("secret", require("secret")),
-        trials=_parse_int("trials", require("trials")),
-        master_seed=_parse_int("master_seed", require("master_seed")),
-    )
-    omitted = [key for key in ("qubit_to_player", "record_to_controller", "release",
-                               "cooperating_players") if key not in fields]
+        elif syntax.default is not _ROUND_ROBIN:
+            values[key] = syntax.default
+    omitted = _KEYS - values.keys()
     if omitted:
         # Omitted maps come from the round-robin policy, whose maps grow with
         # N: check the sizes, as ``validate`` first does, before building it.
+        N, n, m = values["N"], values["n"], values["m"]
         _check_sizes(N, n, m)
-        default = AccessPolicy.round_robin(n, m, N, split_all=mode == "split")
-        for key in omitted:
-            setattr(cfg, key, getattr(default, key))
+        default = AccessPolicy.round_robin(n, m, N, split_all=values["mode"] == "split")
+        values.update((key, getattr(default, key)) for key in omitted)
+    cfg = ScenarioConfig(**values)
     cfg.validate()
     return cfg
 
@@ -271,41 +227,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 def scenario_to_text(cfg: ScenarioConfig) -> str:
     """Canonical serialization; round-trips through the parser."""
-    lines = [SCHEMA_TAG]
-    lines.append(f"name = {cfg.name}")
-    lines.append(f"N = {cfg.N}")
-    lines.append(f"n = {cfg.n}")
-    lines.append(f"m = {cfg.m}")
-    lines.append(f"mode = {cfg.mode}")
-    lines.append(f"threshold_k = {cfg.threshold_k}")
-    lines.append(
-        "qubit_to_player = "
-        + " ".join(f"{i}:{p}" for i, p in sorted(cfg.qubit_to_player.items()))
-    )
-    lines.append(
-        "record_to_controller = "
-        + " ".join(
-            f"{i}:{'+'.join(str(c) for c in hs)}"
-            for i, hs in sorted(cfg.record_to_controller.items())
-        )
-    )
-    lines.append(
-        "release = "
-        + " ".join(
-            f"{c}:{'yes' if flag else 'no'}" for c, flag in sorted(cfg.release.items())
-        )
-    )
-    lines.append(
-        "cooperating_players = "
-        + " ".join(str(p) for p in sorted(cfg.cooperating_players))
-    )
-    lines.append(f"decoys = {cfg.decoys}")
-    lines.append(f"eve = {cfg.eve}")
-    lines.append(f"eve_probability = {_format_float(cfg.eve_probability)}")
-    lines.append("secret = " + _format_secret(cfg.secret))
-    lines.append(f"trials = {cfg.trials}")
-    lines.append(f"master_seed = {cfg.master_seed}")
-    return "\n".join(lines) + "\n"
+    lines = [f"{key} = {key_syntax.format(getattr(cfg, key))}"
+             for key, key_syntax in _SYNTAX.items()]
+    return "\n".join([SCHEMA_TAG, *lines]) + "\n"
 
 
 def _check_sizes(N: int, n: int, m: int) -> None:
@@ -325,30 +249,22 @@ def _check_sizes(N: int, n: int, m: int) -> None:
 # -- value parsers ------------------------------------------------------------------
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ScenarioError(f"{key}: expected an integer, got {value!r}") from None
+def _number(convert: Callable[[str], Any], what: str) -> Callable[[str, str], Any]:
+    """A parser of one ``convert``-ible token, named ``what`` in its error."""
+
+    def parse(key: str, token: str) -> Any:
+        try:
+            return convert(token)
+        except ValueError:
+            raise ScenarioError(f"{key}: expected {what}, got {token!r}") from None
+
+    return parse
 
 
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ScenarioError(f"{key}: expected a number, got {value!r}") from None
+_parse_int = _number(int, "an integer")
+_parse_float = _number(float, "a number")
+_parse_complex = _number(complex, "a complex number")
 
-
-def _parse_complex(key: str, token: str) -> complex:
-    try:
-        return complex(token)
-    except ValueError:
-        raise ScenarioError(
-            f"{key}: expected a complex number, got {token!r}"
-        ) from None
-
-
-_V = TypeVar("_V")
 
 _RELEASE_FLAGS = {
     "yes": True, "true": True, "1": True, "no": False, "false": False, "0": False
@@ -365,27 +281,8 @@ def _parse_flag(key: str, value: str) -> bool:
     return _RELEASE_FLAGS[value.lower()]
 
 
-def _parse_map(
-    key: str, value: str, parse_value: Callable[[str, str], _V]
-) -> dict[int, _V]:
-    """``index:value`` entries, each value read by ``parse_value``; an empty
-    map or a repeated index is an error."""
-    result: dict[int, _V] = {}
-    for pair in value.split():
-        if ":" not in pair:
-            raise ScenarioError(f"{key}: expected 'index:value' pairs, got {pair!r}")
-        left, right = pair.split(":", 1)
-        idx = _parse_int(key, left)
-        if idx in result:
-            raise ScenarioError(f"{key}: duplicate index {idx}")
-        result[idx] = parse_value(key, right)
-    if not result:
-        raise ScenarioError(f"{key}: no entries")
-    return result
-
-
-def _parse_index_set(key: str, value: str) -> set[int]:
-    return {_parse_int(key, tok) for tok in value.split()}
+def _parse_index_set(key: str, value: str) -> frozenset[int]:
+    return frozenset(_parse_int(key, tok) for tok in value.split())
 
 
 def _parse_secret(key: str, value: str) -> SecretSpec:
@@ -393,23 +290,17 @@ def _parse_secret(key: str, value: str) -> SecretSpec:
     if not tokens:
         raise ScenarioError(f"{key}: empty value")
     kind = tokens[0]
-    if kind == "demo":
-        if len(tokens) != 3:
-            raise ScenarioError(f"{key}: demo takes exactly two amplitudes")
-        return SecretSpec(
-            "demo", (_parse_complex(key, tokens[1]), _parse_complex(key, tokens[2]))
-        )
     if kind == "haar":
         if len(tokens) != 2:
             raise ScenarioError(f"{key}: haar takes exactly one seed")
         return SecretSpec("haar", haar_seed=_parse_int(key, tokens[1]))
-    if kind == "explicit":
-        if len(tokens) < 2:
-            raise ScenarioError(f"{key}: explicit needs amplitudes")
-        return SecretSpec(
-            "explicit", tuple(_parse_complex(key, tok) for tok in tokens[1:])
-        )
-    raise ScenarioError(f"{key}: unknown secret kind {kind!r}")
+    if kind == "demo" and len(tokens) != 3:
+        raise ScenarioError(f"{key}: demo takes exactly two amplitudes")
+    if kind == "explicit" and len(tokens) < 2:
+        raise ScenarioError(f"{key}: explicit needs amplitudes")
+    if kind not in ("demo", "explicit"):
+        raise ScenarioError(f"{key}: unknown secret kind {kind!r}")
+    return SecretSpec(kind, tuple(_parse_complex(key, tok) for tok in tokens[1:]))
 
 
 def _format_float(x: float) -> str:
@@ -427,3 +318,72 @@ def _format_secret(spec: SecretSpec) -> str:
         return f"haar {spec.haar_seed}"
     amps = " ".join(_format_complex(a) for a in spec.amplitudes)
     return f"{spec.kind} {amps}"
+
+
+# -- the keys -------------------------------------------------------------------
+
+# The default of a key the file must give, and of a policy map that the
+# round-robin policy supplies when omitted.
+_REQUIRED, _ROUND_ROBIN = object(), object()
+
+
+class _Syntax(NamedTuple):
+    """How a key's value is read, ``parse(key, text)``, and written, and the
+    value the key takes when omitted."""
+
+    parse: Callable[[str, str], Any]
+    format: Callable[[Any], str]
+    default: Any = _REQUIRED
+
+
+def _map_syntax(
+    parse_value: Callable[[str, str], Any], format_value: Callable[[Any], str]
+) -> _Syntax:
+    """``index:value`` pairs, written in index order; an empty map or a
+    repeated index is an error."""
+
+    def parse(key: str, text: str) -> dict[int, Any]:
+        result: dict[int, Any] = {}
+        for pair in text.split():
+            if ":" not in pair:
+                raise ScenarioError(f"{key}: expected 'index:value' pairs, got {pair!r}")
+            left, right = pair.split(":", 1)
+            idx = _parse_int(key, left)
+            if idx in result:
+                raise ScenarioError(f"{key}: duplicate index {idx}")
+            result[idx] = parse_value(key, right)
+        if not result:
+            raise ScenarioError(f"{key}: no entries")
+        return result
+
+    def format(entries: Mapping[int, Any]) -> str:
+        return " ".join(f"{i}:{format_value(v)}" for i, v in sorted(entries.items()))
+
+    return _Syntax(parse, format, _ROUND_ROBIN)
+
+
+_TEXT = _Syntax(lambda key, text: text, str)
+_INT = _Syntax(_parse_int, str)
+
+# Every key's syntax, in ScenarioConfig field order, which is the order keys
+# are parsed (so the order errors are found in) and written.
+_SYNTAX: dict[str, _Syntax] = {
+    "name": _TEXT._replace(default="scenario"),
+    "N": _INT,
+    "n": _INT,
+    "m": _INT,
+    "mode": _TEXT,
+    "threshold_k": _INT,
+    "qubit_to_player": _map_syntax(_parse_int, str),
+    "record_to_controller": _map_syntax(_parse_holders, lambda h: "+".join(map(str, h))),
+    "release": _map_syntax(_parse_flag, lambda flag: "yes" if flag else "no"),
+    "cooperating_players": _Syntax(
+        _parse_index_set, lambda players: " ".join(map(str, sorted(players))), _ROUND_ROBIN
+    ),
+    "decoys": _INT._replace(default=0),
+    "eve": _TEXT._replace(default="none"),
+    "eve_probability": _Syntax(_parse_float, _format_float, 0.0),
+    "secret": _Syntax(_parse_secret, _format_secret),
+    "trials": _INT,
+    "master_seed": _INT,
+}

@@ -110,6 +110,9 @@ class DecoyPlan:
         return cls(slots, states)
 
 
+_EVE_STRATEGIES = ("none", "intercept-resend")
+
+
 @dataclass(frozen=True)
 class EveModel:
     """Attacker on the qubit distribution channel.
@@ -119,15 +122,18 @@ class EveModel:
     collapsed state.
     """
 
-    strategy: str = "none"  # "none" | "intercept-resend"
+    strategy: str = "none"  # one of _EVE_STRATEGIES
     intercept_probability: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.strategy not in ("none", "intercept-resend"):
-            raise PolicyError(f"unknown eavesdropper strategy {self.strategy!r}")
+        # Each message starts with the scenario key at fault.
+        if self.strategy not in _EVE_STRATEGIES:
+            raise PolicyError(
+                f"eve: must be one of {_EVE_STRATEGIES}, got {self.strategy!r}"
+            )
         if not 0.0 <= self.intercept_probability <= 1.0:
             raise PolicyError(
-                f"intercept probability {self.intercept_probability} outside [0, 1]"
+                f"eve_probability: outside [0, 1]: {self.intercept_probability}"
             )
 
     @classmethod

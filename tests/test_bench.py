@@ -24,8 +24,9 @@ RATE_KEYS = {"per_s", "calls", "seconds"}
 
 
 def child(*args):
+    """The JSON that ``--child`` mode ``args`` prints."""
     done = subprocess.run(
-        [sys.executable, str(SCRIPT), *args],
+        [sys.executable, str(SCRIPT), "--child", *args],
         capture_output=True,
         text=True,
         timeout=120,
@@ -48,18 +49,18 @@ def test_scenarios_are_the_eve_free_bundled_ones():
 @pytest.mark.parametrize(
     "args, keys",
     [
-        (["--scenario-child", bench.SCENARIOS[0], "--rate-seconds", "0"], RATE_KEYS),
-        (["--eve-child", str(bench.EVE_DECOYS[0]), "--rate-seconds", "0"], RATE_KEYS),
-        (["--trial-child", "1"], {"trial_s", "peak_rss_mb"}),
+        (["scenario", bench.SCENARIOS[0], "--rate-seconds", "0"], RATE_KEYS),
+        (["eve", str(bench.EVE_DECOYS[0]), "--rate-seconds", "0"], RATE_KEYS),
+        (["trial", "1"], {"trial_s", "peak_rss_mb"}),
         (
-            ["--primitives-child", str(bench.WIDTHS[0])],
+            ["primitives", str(bench.WIDTHS[0])],
             {"apply_pauli", "teleport", "state_vector", "reduced_density",
              "measure_single", "bell_measure"},
         ),
-        (["--audit-child", str(bench.AUDIT_WIDTHS[0])], {"none", "1", "all"}),
-        (["--decoy-child"], {"measure_single", "tapped_teleport"}),
+        (["audit", str(bench.AUDIT_WIDTHS[0])], {"none", "1", "all"}),
+        (["decoy"], {"measure_single", "tapped_teleport"}),
         (
-            ["--phase-child", str(bench.PHASE_WIDTHS[0]), "--rate-seconds", "0"],
+            ["phase", str(bench.PHASE_WIDTHS[0]), "--rate-seconds", "0"],
             set(bench.PHASES),
         ),
     ],
@@ -73,6 +74,23 @@ def test_child_modes_report_their_keys(args, keys):
         assert out["calls"] >= bench.MIN_CALLS
 
 
+def test_every_child_mode_is_run_here():
+    tested = {"scenario", "eve", "trial", "primitives", "audit", "decoy", "phase"}
+    assert set(bench.CHILDREN) == tested | {"eve-curve"}
+
+
+@pytest.mark.parametrize("args", [["nope"], ["trial"], ["trial", "x"], ["decoy", "1"]])
+def test_malformed_child_mode_exits_2(args):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--child", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=ROOT,
+    )
+    assert done.returncode == 2 and "--child KIND [ARG]" in done.stderr
+
+
 def test_machine_facts_name_the_pinned_cpu():
     facts = bench.machine_facts({3, 1})
     assert facts["cpus"] == 2 and facts["pinned_to_cpu"] == 1
@@ -81,7 +99,7 @@ def test_machine_facts_name_the_pinned_cpu():
 def test_eve_curve_child_runs_the_curve():
     # One sample per decoy count; every attack on 8 decoys at p = 1 is
     # caught with probability 1 - (3/4)^8, so only the shape is checked.
-    out = child("--eve-curve-child", "1")
+    out = child("eve-curve", "1")
     assert set(out) == {"curve_s", "trials", "detected", "peak_rss_mb"}
     assert out["trials"] == 1 and len(out["detected"]) == len(bench.EVE_DECOYS)
     assert all(d in (0, 1) for d in out["detected"])

@@ -210,6 +210,64 @@ class TestBundledScenarios:
         assert code == 2 and "eve" in err
 
 
+# What `cqss mstar` and `cqss resources` print on each bundled scenario, and
+# their exit codes: integers and names only, the same on every platform.
+THREE_BY_THREE_SWEEP = (
+    "cqss-consent-sweep v1\n"
+    "released=0 subsets=1 recovered=0\n"
+    "released=1 subsets=3 recovered=0\n"
+    "released=2 subsets=3 recovered=0\n"
+    "released=3 subsets=1 recovered=1\n"
+    "minimum_consenting: 3\n"
+    "threshold_k: 3\n"
+)
+MSTAR_PINS = {
+    "eve_curve": (
+        0,
+        "cqss-consent-sweep v1\n"
+        "released=0 subsets=1 recovered=0\n"
+        "released=1 subsets=1 recovered=1\n"
+        "minimum_consenting: 1\n"
+        "threshold_k: 1\n",
+        "",
+    ),
+    "full_release_demo": (0, THREE_BY_THREE_SWEEP, ""),
+    "single_withheld": (0, THREE_BY_THREE_SWEEP, ""),
+    "split_share": (2, "", "error: m: sweep needs n = m = N, got n=2 m=4 N=2\n"),
+    "veto_controller": (2, "", "error: m: sweep needs n = m = N, got n=3 m=2 N=3\n"),
+}
+RESOURCE_KEYS = (
+    "epr_player", "epr_controller", "dealer_measurements",
+    "dealer_distribution_measurements", "dealer_transport_measurements",
+    "controller_measurements", "decoy_overhead",
+)
+RESOURCE_PINS = {
+    "eve_curve": ("eve-curve", (5, 2, 6, 5, 1, 1, 4)),
+    "full_release_demo": ("full-release-demo", (3, 6, 6, 3, 3, 3, 0)),
+    "single_withheld": ("single-withheld", (3, 6, 6, 3, 3, 3, 0)),
+    "split_share": ("split-share", (4, 4, 8, 4, 4, 2, 2)),
+    "veto_controller": ("veto-controller", (3, 6, 6, 3, 3, 3, 0)),
+}
+
+
+class TestPinnedOutputs:
+    def test_pins_every_bundled_scenario(self):
+        names = sorted(p.stem for p in SCENARIOS.glob("*.scn"))
+        assert sorted(MSTAR_PINS) == sorted(RESOURCE_PINS) == names
+
+    @pytest.mark.parametrize("name", sorted(MSTAR_PINS))
+    def test_mstar(self, capsys, name):
+        assert invoke(capsys, "mstar", SCENARIOS / f"{name}.scn") == MSTAR_PINS[name]
+
+    @pytest.mark.parametrize("name", sorted(RESOURCE_PINS))
+    def test_resources(self, capsys, name):
+        label, counts = RESOURCE_PINS[name]
+        out = f"cqss-resources v1\nscenario: {label}\n" + "".join(
+            f"{key}={count}\n" for key, count in zip(RESOURCE_KEYS, counts)
+        )
+        assert invoke(capsys, "resources", SCENARIOS / f"{name}.scn") == (0, out, "")
+
+
 def wide_scenario(tmp_path, width, threshold_k, withholding=()):
     """A classical round-robin scenario over ``width`` players and
     controllers, with the given controllers withholding."""

@@ -1,8 +1,11 @@
 """Demo encoding, trial batches, reports, consent sweep, detection curve."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -277,6 +280,30 @@ class TestSameBytes:
     def test_wide_release_digest(self):
         cfg = parse_scenario_text(WIDE_RELEASE)
         assert trials_digest(cfg, 5) == WIDE_RELEASE_DIGEST
+
+
+class TestAnyOrder:
+    """Each trial draws from its own ``(master_seed, trial_index)`` streams,
+    so a batch gives the same results serially or in parallel, and a copied
+    configuration gives the same results as its original."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_trials_agree_in_any_order_and_from_copies(self, name):
+        cfg = load_scenario(SCENARIOS / f"{name}.scn")
+        forward = [run_trial(cfg, i) for i in range(10)]
+        backward = [run_trial(cfg, i) for i in reversed(range(10))]
+        assert backward[::-1] == forward
+        # The halves 0..4 and 5..9 taking turns, then on two threads at once.
+        turns = {i: run_trial(cfg, i) for pair in zip(range(5), range(5, 10)) for i in pair}
+        assert [turns[i] for i in range(10)] == forward
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            halves = pool.map(
+                lambda half: [run_trial(cfg, i) for i in half], (range(5), range(5, 10))
+            )
+            assert [r for half in halves for r in half] == forward
+        for twin in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+            assert twin == cfg
+            assert [run_trial(twin, i) for i in range(10)] == forward
 
 
 class TestVetoInvariant:

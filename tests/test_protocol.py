@@ -1,9 +1,12 @@
 """Protocol-level tests: distribution, record transport, gating, accounting."""
 
+import copy
 import itertools
+import pickle
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -179,8 +182,7 @@ class TestDistribution:
         # n = 2 with three decoys, so the decoy rotation wraps back to
         # player 1; the policy deals the secret qubits out in reverse.
         p1, p2 = 1, 2
-        policy = AccessPolicy.round_robin(2, 2, 2)
-        policy.qubit_to_player = {1: p2, 2: p1}
+        policy = replace(AccessPolicy.round_robin(2, 2, 2), qubit_to_player={1: p2, 2: p1})
         plan = DecoyPlan((1, 3, 5), (DecoyState.ZERO, DecoyState.PLUS_X, DecoyState.ONE))
         run = setup(2, 2, 2, haar(2, 1), policy, RandomSource(0), decoy_plan=plan)
         assert run.slot_receiver == {1: p1, 2: p2, 3: p2, 4: p1, 5: p1}
@@ -420,8 +422,10 @@ def check_pad_against_reference(seed, holders, steps, bits):
     twice: its first occurrence distributes it, its second transports it,
     with ``bits[i]`` if record i is classical and ``bits[i]`` is not None."""
     width = len(holders)
-    policy = AccessPolicy.round_robin(width, 2, width)
-    policy.record_to_controller = dict(enumerate(holders, start=1))
+    policy = replace(
+        AccessPolicy.round_robin(width, 2, width),
+        record_to_controller=dict(enumerate(holders, start=1)),
+    )
     run, ref = (
         setup(width, 2, width, haar(width, seed), policy, RandomSource(seed))
         for _ in range(2)
@@ -569,8 +573,7 @@ class TestSplitTransport:
             assert run.joint_identify(1, 2) is kind
 
     def test_defector_triggers_refusal(self):
-        policy = split_pair_policy()
-        policy.release[2] = False
+        policy = replace(split_pair_policy(), release={1: True, 2: False})
         run = setup(1, 2, 1, haar(1, 6), policy, RandomSource(8))
         run.distribute_all()
         run.transport_all()
@@ -656,22 +659,24 @@ class TestReconstruct:
         assert run.register.peak_block_qubits == peak_block_qubits(width) == width
 
     def test_single_withheld_seals(self):
-        policy = AccessPolicy.round_robin(3, 3, 3)
-        policy.release[2] = False
+        policy = replace(
+            AccessPolicy.round_robin(3, 3, 3), release={1: True, 2: False, 3: True}
+        )
         run = complete(fresh_run(policy=policy, seed=4))
         out = run.reconstruct()
         assert isinstance(out, Sealed)
         assert "threshold" in out.reason
 
     def test_too_few_cooperating_players_seals(self):
-        policy = AccessPolicy.round_robin(3, 3, 3)
-        policy.cooperating_players = {1, 2}
+        policy = replace(AccessPolicy.round_robin(3, 3, 3), cooperating_players={1, 2})
         run = complete(fresh_run(policy=policy, seed=4))
         assert isinstance(run.reconstruct(), Sealed)
 
     def test_partial_threshold_recovers_covered_subset(self):
-        policy = AccessPolicy.round_robin(3, 3, 3, threshold_k=2)
-        policy.release[3] = False
+        policy = replace(
+            AccessPolicy.round_robin(3, 3, 3, threshold_k=2),
+            release={1: True, 2: True, 3: False},
+        )
         run = complete(fresh_run(policy=policy, seed=21))
         out = run.reconstruct()
         assert isinstance(out, Recovered)
@@ -680,8 +685,10 @@ class TestReconstruct:
         out.share_state.validate()
 
     def test_partial_share_state_is_reduced_density_of_covered(self):
-        policy = AccessPolicy.round_robin(3, 3, 3, threshold_k=2)
-        policy.release[2] = False
+        policy = replace(
+            AccessPolicy.round_robin(3, 3, 3, threshold_k=2),
+            release={1: True, 2: False, 3: True},
+        )
         run = complete(fresh_run(policy=policy, seed=22, secret_seed=23))
         out = run.reconstruct()
         assert isinstance(out, Recovered)
@@ -1051,6 +1058,15 @@ def check_peaks(run, width):
     assert run.register.peak_block_qubits == (max(width, 2) if pairs else width)
 
 
+def split_records_policy(width, split_records):
+    """The round-robin policy over ``width`` of everything, with each record
+    in ``split_records`` split between its controller and the next."""
+    policy = AccessPolicy.round_robin(width, width, width)
+    holders = policy.record_to_controller
+    split = {i: (i, i % width + 1) for i in split_records}
+    return replace(policy, record_to_controller={**holders, **split})
+
+
 class TestPeakLiveQubits:
     @pytest.mark.parametrize(
         "name",
@@ -1074,8 +1090,9 @@ class TestPeakLiveQubits:
     def test_width_one(self, holders, eve):
         # Only a split record's pair is a 2-qubit block; an all-classical
         # run, tapped or not, never holds more than the secret's one qubit.
-        policy = AccessPolicy.round_robin(1, len(holders), 1)
-        policy.record_to_controller[1] = holders
+        policy = replace(
+            AccessPolicy.round_robin(1, len(holders), 1), record_to_controller={1: holders}
+        )
         run = setup(1, len(holders), 1, haar(1, 3), policy, RandomSource(4), eve=eve)
         check_peaks(run, 1)
         assert run.register.peak_block_qubits == (1 if holders == (1,) else 2)
@@ -1087,9 +1104,7 @@ class TestPeakLiveQubits:
     )
     def test_mixed_layouts(self, split_records):
         width = 4
-        policy = AccessPolicy.round_robin(width, width, width)
-        for i in split_records:
-            policy.record_to_controller[i] = (i, i % width + 1)
+        policy = split_records_policy(width, split_records)
         for decoys in (0, 1):
             plan = DecoyPlan.random(width, decoys, RandomSource(64))
             run = setup(width, width, width, haar(width, 62), policy,
@@ -1160,10 +1175,8 @@ def audited_runs(draw):
     demo = draw(st.sampled_from(_DEMO_AMPLITUDES)) if width > 1 and draw(
         st.booleans()) else None
     secret = haar(width, seed) if demo is None else harness.demo_encode(demo, width)
-    policy = AccessPolicy.round_robin(width, width, width)
-    if width > 1:
-        for i in draw(st.sets(st.integers(1, width))):
-            policy.record_to_controller[i] = (i, i % width + 1)
+    split_records = draw(st.sets(st.integers(1, width))) if width > 1 else ()
+    policy = split_records_policy(width, split_records)
     rng = RandomSource(seed)
     plan = DecoyPlan.random(width, draw(st.integers(0, 2)), rng)
     eve = EveModel.intercept_resend(draw(st.sampled_from([0.0, 0.5, 1.0])))
@@ -1400,8 +1413,7 @@ class TestPartyNames:
     """Parties are 1-based indices; errors and results name them so."""
 
     def test_refusal_names_the_withholding_controller(self):
-        policy = split_pair_policy()
-        policy.release[2] = False
+        policy = replace(split_pair_policy(), release={1: True, 2: False})
         run = complete(setup(1, 2, 1, haar(1, 6), policy, RandomSource(8)))
         with pytest.raises(ControllerRefusal) as err:
             run.joint_identify(1, 2)
@@ -1421,3 +1433,59 @@ class TestPartyNames:
         out = run.reconstruct()
         assert isinstance(out, Recovered)
         assert out.players == (1, 2, 3)
+
+
+class TestFrozenPolicy:
+    """A policy is a value: nothing reachable from it, or from the
+    configuration it came from, can be edited, so a staged run sees the
+    policy it validated until it is done."""
+
+    def test_a_staged_run_cannot_be_edited_through_its_policy(self):
+        cfg = load_scenario(SCENARIOS / "full_release_demo.scn")
+        run, twin = (complete(build_run(cfg, (cfg.master_seed, 0))) for _ in range(2))
+        policy = run.policy
+        with pytest.raises((TypeError, AttributeError)):
+            policy.record_to_controller[2] = (7,)
+        with pytest.raises((TypeError, AttributeError)):
+            policy.cooperating_players.add(42)
+        with pytest.raises((TypeError, AttributeError)):
+            policy.threshold_k = 99
+        with pytest.raises((TypeError, AttributeError)):
+            cfg.release[1] = False
+        with pytest.raises((TypeError, AttributeError)):
+            cfg.decoys = 5
+        out, want = run.reconstruct(), twin.reconstruct()
+        assert isinstance(out, Recovered) and out.covered_qubits == want.covered_qubits
+        assert np.array_equal(out.state_vector, want.state_vector)
+
+    def test_plain_containers_are_frozen_once(self):
+        # A caller's view over a dict they still hold is copied; holders
+        # become tuples and players a frozenset; a frozen policy's
+        # containers are reused by replace, not copied again.
+        held = {1: 1, 2: 2}
+        policy = AccessPolicy(
+            qubit_to_player=MappingProxyType(held),
+            record_to_controller={1: [1], 2: [2, 1]},
+            threshold_k=2,
+            release={1: True, 2: True},
+            cooperating_players={1, 2},
+        )
+        held[1] = 2
+        assert policy.qubit_to_player == {1: 1, 2: 2}
+        assert policy.record_to_controller == {1: (1,), 2: (2, 1)}
+        assert type(policy.cooperating_players) is frozenset
+        policy.validate(2, 2, 2)
+        again = replace(policy, threshold_k=1)
+        for name in ("qubit_to_player", "record_to_controller", "release",
+                     "cooperating_players"):
+            assert getattr(again, name) is getattr(policy, name)
+
+    def test_pickle_and_deepcopy_keep_a_frozen_equal_policy(self):
+        cfg = load_scenario(SCENARIOS / "split_share.scn")
+        policy = cfg.policy()
+        for original in (policy, cfg):
+            for twin in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+                assert twin == original
+                assert type(twin.release) is type(original.release)
+                with pytest.raises(TypeError):
+                    twin.release[1] = False

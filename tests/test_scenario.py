@@ -1,9 +1,13 @@
 """Scenario file format: parsing, defaults, round trips, and field errors."""
 
+import hashlib
 import tracemalloc
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
+from cqss import scenario
 from cqss.errors import CapacityError, PolicyError, ScenarioError
 from cqss.harness import build_run, run_trial
 from cqss.protocol import AccessPolicy, peak_block_qubits
@@ -11,9 +15,12 @@ from cqss.scenario import (
     SCHEMA_TAG,
     ScenarioConfig,
     SecretSpec,
+    load_scenario,
     parse_scenario_text,
     scenario_to_text,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL = """
 cqss-scenario v1
@@ -82,13 +89,28 @@ class TestParsing:
         )
 
     def test_policy_edits_do_not_reach_the_config(self):
+        # The policy shares the config's containers, and neither can be
+        # edited: every edit raises and leaves both as they were.
         cfg = parse_scenario_text(FULL)
         policy = cfg.policy()
-        policy.qubit_to_player[1] = 2
-        policy.record_to_controller[1] = (4,)
-        policy.release[1] = False
-        policy.cooperating_players.discard(1)
-        assert cfg == parse_scenario_text(FULL)
+        assert policy.release is cfg.release
+        edits = [
+            lambda: policy.qubit_to_player.__setitem__(1, 2),
+            lambda: policy.record_to_controller.update({1: (4,)}),
+            lambda: policy.release.pop(1),
+            lambda: policy.cooperating_players.discard(1),
+            lambda: setattr(policy, "threshold_k", 1),
+            lambda: cfg.release.__delitem__(1),
+            lambda: cfg.qubit_to_player.__ior__({1: 2}),
+            lambda: cfg.record_to_controller.setdefault(9, (1,)),
+            lambda: cfg.release.popitem(),
+            lambda: cfg.qubit_to_player.clear(),
+            lambda: setattr(cfg, "N", 4),
+        ]
+        for edit in edits:
+            with pytest.raises((TypeError, AttributeError)):
+                edit()
+        assert cfg == parse_scenario_text(FULL) and policy == cfg.policy()
 
     def test_full_round_trip(self):
         cfg = parse_scenario_text(FULL)
@@ -195,8 +217,7 @@ class TestErrors:
     def test_decoy_slot_draw_obeys_the_memory_rule(self, decoys, accepted):
         # N + decoys slots index an array of that many entries, which may
         # span at most MAX_ARRAY_QUBITS qubits.  Validation only: nothing runs.
-        cfg = parse_scenario_text(MINIMAL)
-        cfg.decoys = decoys
+        cfg = replace(parse_scenario_text(MINIMAL), decoys=decoys)
         if accepted:
             cfg.validate()
         else:
@@ -286,6 +307,32 @@ def test_policy_fields_rejected_by_access_policy(fieldname, value, monkeypatch):
     with pytest.raises(PolicyError) as policy_err:
         policy.validate(3, 3, 3)
     assert str(policy_err.value) == str(scenario_err.value)
+
+
+# SHA-256 of scenario_to_text of each bundled scenario.  Its only floats are
+# short decimals written with ".12g", the same bytes on every platform.
+TEXT_DIGESTS = {
+    "eve_curve": "0916529374297ccb0ba72104bdd612bc84a9bc1d1a5a23cbdc8ec6f5ef9f0101",
+    "full_release_demo": "a2fa0a1b64eab7430bec0d3383a5699313b5faba5b4d7dfe6cfabaf70546f6d1",
+    "single_withheld": "edc8879c0cd26fc3177fe14cc960d4ac3d7e2ea85ab3fd775ce06118f02160a9",
+    "split_share": "36ae579c612b539a0fbc8d2cbfbfa882e15d861a93f155d20d8767f679c87911",
+    "veto_controller": "60d464ab1e4013d76eb587a8a2c962d2c383ab83cfd0416a1dd44aebf4bad88d",
+}
+
+
+class TestCanonicalText:
+    def test_pins_every_bundled_scenario(self):
+        assert sorted(TEXT_DIGESTS) == sorted(p.stem for p in SCENARIOS.glob("*.scn"))
+
+    @pytest.mark.parametrize("name", sorted(TEXT_DIGESTS))
+    def test_bundled_text_digest(self, name):
+        text = scenario_to_text(load_scenario(SCENARIOS / f"{name}.scn"))
+        assert hashlib.sha256(text.encode()).hexdigest() == TEXT_DIGESTS[name]
+
+    def test_keys_are_the_fields_in_order(self):
+        # One syntax per key, parsed and written in field order.
+        assert list(scenario._SYNTAX) == [f.name for f in fields(ScenarioConfig)]
+        assert scenario._KEYS == set(scenario._SYNTAX)
 
 
 class TestWithRelease:

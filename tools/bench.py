@@ -356,6 +356,21 @@ def phases(width: int, seconds: float) -> dict:
     }
 
 
+# Each child mode, ``--child KIND [ARG]``: how its ARG is read (None: it
+# takes none), and the function run on that and ``--rate-seconds``, whose
+# JSON the child prints.
+CHILDREN = {
+    "trial": (int, lambda width, seconds: trial_child(width)),
+    "primitives": (int, lambda width, seconds: primitives(width)),
+    "scenario": (str, scenario_child),
+    "eve": (int, eve_child),
+    "audit": (int, lambda width, seconds: audits(width)),
+    "eve-curve": (int, lambda trials, seconds: eve_curve_child(trials)),
+    "decoy": (None, lambda seconds: decoys()),
+    "phase": (int, phases),
+}
+
+
 def machine_facts(cpus: set[int]) -> dict:
     """The host's facts; ``cpus`` is the CPU affinity before pinning."""
     import numpy as np
@@ -385,78 +400,50 @@ def main(argv: list[str] | None = None) -> None:
                    help="measured seconds per benchmark workload")
     p.add_argument("--rate-seconds", type=float, default=3.0,
                    help="measured seconds per scenario rate and eve-curve point")
-    p.add_argument("--trial-child", type=int, metavar="N", help=argparse.SUPPRESS)
-    p.add_argument("--primitives-child", type=int, metavar="N", help=argparse.SUPPRESS)
-    p.add_argument("--scenario-child", metavar="NAME", help=argparse.SUPPRESS)
-    p.add_argument("--eve-child", type=int, metavar="M", help=argparse.SUPPRESS)
-    p.add_argument("--audit-child", type=int, metavar="N", help=argparse.SUPPRESS)
-    p.add_argument(
-        "--eve-curve-child", type=int, metavar="TRIALS", help=argparse.SUPPRESS
-    )
-    p.add_argument("--decoy-child", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--phase-child", type=int, metavar="N", help=argparse.SUPPRESS)
+    p.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     # One CPU for this process and, by inheritance, every child, set before
     # anything imports numpy: a threaded BLAS then sees one CPU.
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
-    if args.trial_child is not None:
-        print(json.dumps(trial_child(args.trial_child)))
-        return
-    if args.primitives_child is not None:
-        print(json.dumps(primitives(args.primitives_child)))
-        return
-    if args.scenario_child is not None:
-        print(json.dumps(scenario_child(args.scenario_child, args.rate_seconds)))
-        return
-    if args.eve_child is not None:
-        print(json.dumps(eve_child(args.eve_child, args.rate_seconds)))
-        return
-    if args.audit_child is not None:
-        print(json.dumps(audits(args.audit_child)))
-        return
-    if args.eve_curve_child is not None:
-        print(json.dumps(eve_curve_child(args.eve_curve_child)))
-        return
-    if args.decoy_child:
-        print(json.dumps(decoys()))
-        return
-    if args.phase_child is not None:
-        print(json.dumps(phases(args.phase_child, args.rate_seconds)))
+    if args.child:
+        kind, *arg = args.child
+        usage = f"--child KIND [ARG]: KIND is one of {', '.join(CHILDREN)}"
+        read, run = CHILDREN.get(kind, (None, None))
+        if run is None or len(arg) != (read is not None):
+            p.error(usage)
+        try:
+            value = [read(a) for a in arg]
+        except ValueError:
+            p.error(usage)
+        print(json.dumps(run(*value, args.rate_seconds)))
         return
     script = str(Path(__file__).resolve())
-    rate_args = ["--rate-seconds", str(args.rate_seconds)]
     rate_timeout = 120 + 2 * args.rate_seconds
+
+    def child(kind: str, *arg, timeout: float = 600) -> dict:
+        """The JSON of child mode ``kind`` on ``arg``, in a fresh interpreter."""
+        rate = ["--rate-seconds", str(args.rate_seconds)]
+        return in_child([script, "--child", kind, *map(str, arg), *rate], timeout)
+
     report = {
         "machine": machine_facts(cpus),
         "workloads": {
             name: workload_metrics(name, args.seed, args.seconds) for name in WORKLOADS
         },
         "scenarios": {
-            name: in_child([script, "--scenario-child", name, *rate_args], rate_timeout)
-            for name in SCENARIOS
+            name: child("scenario", name, timeout=rate_timeout) for name in SCENARIOS
         },
         "eve_curve": {
-            str(m): in_child([script, "--eve-child", str(m), *rate_args], rate_timeout)
-            for m in EVE_DECOYS
+            str(m): child("eve", m, timeout=rate_timeout) for m in EVE_DECOYS
         },
-        "eve_curve_run": in_child([script, "--eve-curve-child", "0"], timeout=600),
-        "full_release": {
-            str(n): in_child([script, "--trial-child", str(n)], timeout=600)
-            for n in TRIAL_WIDTHS
-        },
-        "primitives_us": {
-            str(n): in_child([script, "--primitives-child", str(n)], timeout=600)
-            for n in WIDTHS
-        },
-        "decoy_us": in_child([script, "--decoy-child"], timeout=600),
-        "audit_us": {
-            str(n): in_child([script, "--audit-child", str(n)], timeout=600)
-            for n in AUDIT_WIDTHS
-        },
+        "eve_curve_run": child("eve-curve", 0),
+        "full_release": {str(n): child("trial", n) for n in TRIAL_WIDTHS},
+        "primitives_us": {str(n): child("primitives", n) for n in WIDTHS},
+        "decoy_us": child("decoy"),
+        "audit_us": {str(n): child("audit", n) for n in AUDIT_WIDTHS},
         "phase_us": {
-            str(n): in_child([script, "--phase-child", str(n), *rate_args], rate_timeout)
-            for n in PHASE_WIDTHS
+            str(n): child("phase", n, timeout=rate_timeout) for n in PHASE_WIDTHS
         },
     }
     text = json.dumps(report, indent=2) + "\n"
