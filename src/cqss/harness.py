@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DecodeError, NotNormalized, ScenarioError, SweepError
-from .protocol import (
-    ProtocolRun,
-    Recovered,
-    ResourceReport,
-    Sealed,
-    setup,
-)
+from .protocol import AccessPolicy, ProtocolRun, Recovered, ResourceReport, Sealed
 from .qubits import RandomSource, fidelity
 from .scenario import ScenarioConfig, SecretSpec, _format_float as _fmt
 from .security import DecoyPlan, EveModel, verify_decoys
@@ -84,16 +81,37 @@ def secret_for_trial(spec: SecretSpec, width: int, trial_index: int) -> np.ndarr
     return haar_random_state(width, RandomSource((spec.haar_seed, trial_index)))
 
 
+class _Plan(NamedTuple):
+    policy: AccessPolicy  # validated
+    eve: EveModel
+    outcome: str  # as expected_outcome gives it
+
+
+# A plan's key: what staging reads but the seeds, secret and decoy count.
+_plan_key = attrgetter("N", "n", "m", "eve", "eve_probability",
+                       *(f.name for f in fields(AccessPolicy)))
+
+
+@lru_cache(maxsize=256)
+def _plan(key: tuple) -> _Plan:
+    """What every trial of a scenario shares, built once per
+    :data:`_plan_key`; an invalid configuration raises on every call."""
+    N, n, m, eve, eve_probability, *policy_fields = key
+    eve_model = EveModel(eve, eve_probability)
+    policy = AccessPolicy(*policy_fields)
+    policy.validate(n, m, N)
+    available = [i for i in policy.record_to_controller if policy.record_released(i)]
+    recovered = len(policy.eligible_players(available)) >= policy.threshold_k
+    return _Plan(policy, eve_model, "recovered" if recovered else "sealed")
+
+
 def expected_outcome(cfg: ScenarioConfig) -> str:
     """Structural reconstruction outcome implied by release and cooperation.
 
     Coverage does not depend on any measurement randomness, so the outcome
-    of every trial of a scenario is decided by its configuration alone.
-    """
-    policy = cfg.policy()
-    available = [i for i in policy.record_to_controller if policy.record_released(i)]
-    eligible = policy.eligible_players(available)
-    return "recovered" if len(eligible) >= policy.threshold_k else "sealed"
+    of every trial of a scenario is decided by its configuration alone; an
+    invalid one raises :class:`~cqss.errors.PolicyError`."""
+    return _plan(_plan_key(cfg)).outcome
 
 
 # -- trial execution -----------------------------------------------------------------
@@ -178,17 +196,10 @@ def build_run(cfg: ScenarioConfig, entropy: int | tuple[int, ...]) -> ProtocolRu
 def _stage(cfg: ScenarioConfig, entropy, secret: np.ndarray) -> ProtocolRun:
     """:func:`build_run` once the secret is drawn; the run copies it."""
     rng = RandomSource(entropy)
-    plan = DecoyPlan.random(cfg.N, cfg.decoys, rng)
-    return setup(
-        cfg.n,
-        cfg.m,
-        cfg.N,
-        secret,
-        cfg.policy(),
-        rng,
-        decoy_plan=plan,
-        eve=EveModel(cfg.eve, cfg.eve_probability),
-    )
+    decoy_plan = DecoyPlan.random(cfg.N, cfg.decoys, rng)
+    plan = _plan(_plan_key(cfg))
+    return ProtocolRun(cfg.n, cfg.m, cfg.N, secret, plan.policy, rng,
+                       decoy_plan=decoy_plan, eve=plan.eve)
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
@@ -204,11 +215,8 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
     else:
         label = "recovered"
         detail = f"covered={','.join(str(i) for i in outcome.covered_qubits)}"
-        fid = (
-            fidelity(outcome.state_vector, run.secret)
-            if outcome.state_vector is not None
-            else None
-        )
+        vec = outcome.state_vector
+        fid = fidelity(vec, run.secret) if vec is not None else None
     return TrialResult(
         index=trial_index,
         outcome=label,
@@ -224,10 +232,8 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute ``cfg.trials`` independent trials and aggregate."""
     cfg.validate()
-    report = RunReport(cfg.name, cfg.trials, cfg.master_seed)
-    for t in range(cfg.trials):
-        report.results.append(run_trial(cfg, t))
-    return report
+    results = [run_trial(cfg, t) for t in range(cfg.trials)]
+    return RunReport(cfg.name, cfg.trials, cfg.master_seed, results)
 
 
 # -- consent sweep --------------------------------------------------------------------
@@ -379,7 +385,7 @@ def detection_curve(
     its samples, which each copy it.
     """
     cfg.validate()
-    eve = EveModel(cfg.eve, cfg.eve_probability)
+    eve = _plan(_plan_key(cfg)).eve
     per_decoy = eve.intercept_probability * 0.25 if eve.strategy != "none" else 0.0
     point_cfgs = [replace(cfg, decoys=m_decoys) for m_decoys in decoy_counts]
     for point_cfg in point_cfgs:

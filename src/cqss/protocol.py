@@ -89,7 +89,8 @@ def peak_block_qubits(width: int) -> int:
 
 
 class _ReadOnlyDict(dict):
-    """A dict whose mutators raise; it pickles and deep-copies as itself."""
+    """A dict whose mutators raise; it pickles and deep-copies as itself, and
+    hashes as the frozenset of its items, computed once."""
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("policy maps are read-only; use dataclasses.replace")
@@ -97,18 +98,22 @@ class _ReadOnlyDict(dict):
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(frozenset(self.items()))
+
     def __reduce__(self):
         return _ReadOnlyDict, (dict(self),)
-
-
-def _frozen_holders(holders: Mapping[int, Iterable[int]]) -> _ReadOnlyDict:
-    return _ReadOnlyDict((i, tuple(h)) for i, h in holders.items())
 
 
 # Each policy container field, and how one of another type is frozen.
 _FREEZE = (
     ("qubit_to_player", _ReadOnlyDict),
-    ("record_to_controller", _frozen_holders),
+    ("record_to_controller",
+     lambda holders: _ReadOnlyDict((i, tuple(h)) for i, h in holders.items())),
     ("release", _ReadOnlyDict),
     ("cooperating_players", frozenset),
 )
@@ -156,6 +161,9 @@ class AccessPolicy:
         def bad(fieldname: str, message: str) -> PolicyError:
             return PolicyError(f"{fieldname}: {message}")
 
+        if n < 1 or m < 1 or width < 1:
+            raise PolicyError("need at least one player, one controller and one "
+                              f"qubit (got n={n}, m={m}, width={width})")
         players = set(range(1, n + 1))
         controllers = set(range(1, m + 1))
         if not 1 <= self.threshold_k <= n:
@@ -367,7 +375,8 @@ class ResourceReport:
 class ProtocolRun:
     """Mutable state of one protocol execution.
 
-    Construct via :func:`setup`.  A run is single-threaded; parallel trials
+    Construct via :func:`setup`, which validates the roster, policy and
+    decoy plan that a run trusts.  A run is single-threaded; parallel trials
     use independent runs with per-trial random sources.
     """
 
@@ -382,20 +391,13 @@ class ProtocolRun:
         decoy_plan: DecoyPlan | None = None,
         eve: EveModel | None = None,
     ):
-        if n < 1 or m < 1 or secret_width < 1:
-            raise PolicyError(
-                f"need at least one player, one controller and one qubit "
-                f"(got n={n}, m={m}, width={secret_width})"
-            )
         peak_block_qubits(secret_width)
         secret = np.asarray(secret, dtype=complex).reshape(-1)
         if secret.size != 2**secret_width:
             raise PolicyError(
                 f"secret has {secret.size} amplitudes, expected {2 ** secret_width}"
             )
-        policy.validate(n, m, secret_width)
         plan = decoy_plan if decoy_plan is not None else DecoyPlan()
-        plan.validate(secret_width)
         total = secret_width + plan.count
 
         self.secret_width = secret_width
@@ -946,7 +948,7 @@ def setup(
     decoy_plan: DecoyPlan | None = None,
     eve: EveModel | None = None,
 ) -> ProtocolRun:
-    """Validate the roster and policy and stage a run.
+    """Validate the roster, policy and decoy plan and stage a run.
 
     No link is ever built.  Every swap, tapped or not, and a split record's
     teleports run in closed form and a classical pad is sampled, so none of
@@ -954,6 +956,9 @@ def setup(
     of its own, so no block outgrows the secret's own or a pair
     (:func:`peak_block_qubits`).
     """
+    policy.validate(n, m, secret_width)
+    if decoy_plan is not None:
+        decoy_plan.validate(secret_width)
     return ProtocolRun(
         n, m, secret_width, secret, policy, rng, decoy_plan=decoy_plan, eve=eve
     )

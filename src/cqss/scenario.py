@@ -56,6 +56,7 @@ from .security import EveModel
 SCHEMA_TAG = "cqss-scenario v1"
 
 MODES = ("classical", "split", "mixed")
+MAX_DECOYS = 2**20  # at about 1.4 KB and 20 µs a decoy: 1.5 GB and 23 s a run
 SECRET_KINDS = ("demo", "haar", "explicit")
 
 
@@ -127,6 +128,8 @@ class ScenarioConfig:
             check_array_qubits((slots - 1).bit_length(), f"a draw over {slots} slots")
         except CapacityError as exc:
             raise bad("decoys", str(exc)) from None
+        if self.decoys > MAX_DECOYS:
+            raise bad("decoys", f"{self.decoys} over the cap {MAX_DECOYS} (about 1.5 GB)")
         try:
             EveModel(self.eve, self.eve_probability)
         except PolicyError as exc:
@@ -307,10 +310,16 @@ def _format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _format_exact(x: float) -> str:
+    """``x`` to 12 digits if that reads back as ``x``, else in full."""
+    return _format_float(x) if float(_format_float(x)) == x else repr(x)
+
+
 def _format_complex(z: complex) -> str:
     if z.imag == 0:
-        return _format_float(z.real)
-    return f"({_format_float(z.real)}{z.imag:+.12g}j)"
+        return _format_exact(z.real)
+    imag = _format_exact(z.imag)
+    return f"({_format_exact(z.real)}{'' if imag[0] == '-' else '+'}{imag}j)"
 
 
 def _format_secret(spec: SecretSpec) -> str:
@@ -382,7 +391,7 @@ _SYNTAX: dict[str, _Syntax] = {
     ),
     "decoys": _INT._replace(default=0),
     "eve": _TEXT._replace(default="none"),
-    "eve_probability": _Syntax(_parse_float, _format_float, 0.0),
+    "eve_probability": _Syntax(_parse_float, _format_exact, 0.0),
     "secret": _Syntax(_parse_secret, _format_secret),
     "trials": _INT,
     "master_seed": _INT,

@@ -10,9 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cqss.scenario import load_scenario
+from cqss import harness
+from cqss.scenario import load_scenario, parse_scenario_text
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tools" / "bench.py"
@@ -72,6 +74,21 @@ def test_child_modes_report_their_keys(args, keys):
     assert all(v > 0 for v in out.values())
     if keys == RATE_KEYS:
         assert out["calls"] >= bench.MIN_CALLS
+
+
+def test_phase_times_build_run_as_its_secret_draw_then_the_staging():
+    # The two parts stage the same run as build_run, bit for bit.
+    assert bench.PHASES[:2] == ("secret_for_trial", "stage")
+    cfg = parse_scenario_text(bench.full_release_text(4))
+    for i in range(3):
+        secret = harness.secret_for_trial(cfg.secret, cfg.N, i)
+        parts = harness._stage(cfg, (cfg.master_seed, i), secret)
+        whole = harness.build_run(cfg, (cfg.master_seed, i))
+        for run in (parts, whole):
+            run.distribute_all()
+            run.transport_all()
+        assert np.array_equal(parts.secret, whole.secret)
+        assert parts.transcript.to_text() == whole.transcript.to_text()
 
 
 def test_every_child_mode_is_run_here():

@@ -319,6 +319,16 @@ class TestMemoryRule:
         )
         assert peak < 1 << 20
 
+    def test_one_decoy_past_the_budget_exits_2(self, capsys, tmp_path):
+        # 2**20 decoys is the largest count a run may hold; validation
+        # refuses one more, for every subcommand, before anything runs.
+        path = tmp_path / "decoys.scn"
+        path.write_text(FAST_SCENARIO.lstrip() + "decoys = 1048577\n")
+        for command in ("run", "eve", "noinfo", "resources"):
+            code, out, err = invoke(capsys, command, path)
+            assert (code, out) == (2, "")
+            assert err == "error: decoys: 1048577 over the cap 1048576 (about 1.5 GB)\n"
+
     def test_run_with_partial_coverage_at_width_18(self, capsys, tmp_path):
         # Controller 1 withholds record 1, so 17 of 18 players recover.  The
         # covered qubits' 2^17 x 2^17 density matrix is never built.

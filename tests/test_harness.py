@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqss.errors import DecodeError, NotNormalized, ScenarioError, SweepError
+from cqss import harness
+from cqss.errors import DecodeError, NotNormalized, PolicyError, ScenarioError, SweepError
 from cqss.harness import (
     build_run,
     demo_decode,
@@ -24,9 +25,9 @@ from cqss.harness import (
     run_scenario,
     run_trial,
 )
-from cqss.protocol import Recovered
+from cqss.protocol import AccessPolicy, Recovered
 from cqss.qubits import QuantumRegister, RandomSource, fidelity
-from cqss.scenario import load_scenario, parse_scenario_text
+from cqss.scenario import SecretSpec, load_scenario, parse_scenario_text
 from cqss.security import verify_decoys
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -304,6 +305,68 @@ class TestAnyOrder:
         for twin in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
             assert twin == cfg
             assert [run_trial(twin, i) for i in range(10)] == forward
+
+
+class TestPlan:
+    """The trials of a scenario share one plan: its policy, validated once,
+    its eavesdropper and its outcome.  Configurations that differ only in
+    seeds, secret or decoy count share it."""
+
+    def test_equal_configs_share_one_plan(self):
+        cfg = load_scenario(SCENARIOS / "split_share.scn")
+        policy = build_run(cfg, (cfg.master_seed, 0)).policy
+        twins = (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg))
+        assert all(twin == cfg and hash(twin) == hash(cfg) for twin in twins)
+        siblings = (
+            *twins,
+            replace(cfg, master_seed=cfg.master_seed + 1),
+            replace(cfg, decoys=3),
+            replace(cfg, secret=SecretSpec("haar", haar_seed=5)),
+        )
+        for sibling in siblings:
+            assert build_run(sibling, (sibling.master_seed, 1)).policy is policy
+
+    def test_a_scenario_validates_its_policy_once(self, monkeypatch):
+        cfg = load_scenario(SCENARIOS / "full_release_demo.scn")
+        calls = []
+        validate = AccessPolicy.validate
+        monkeypatch.setattr(
+            AccessPolicy, "validate",
+            lambda policy, *roster: (calls.append(roster), validate(policy, *roster)),
+        )
+        harness._plan.cache_clear()
+        for i in range(5):
+            run_trial(replace(cfg, master_seed=i), i)
+        assert expected_outcome(cfg) == "recovered"
+        assert calls == [(3, 3, 3)]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"threshold_k": 4}, "threshold_k: 4 outside 1..3"),
+            ({"release": {1: True, 2: True}},
+             "release: must flag every controller 1..3 exactly once"),
+            ({"qubit_to_player": {1: 1, 2: 2, 3: 4}},
+             "qubit_to_player: references players outside 1..3"),
+            ({"eve": "x"}, "eve: must be one of ('none', 'intercept-resend'), got 'x'"),
+            ({"n": 0}, "need at least one player, one controller and one qubit "
+                       "(got n=0, m=3, width=3)"),
+        ],
+        ids=["threshold", "release", "players", "eve", "no-players"],
+    )
+    def test_an_invalid_sibling_is_refused_after_the_valid_one(self, edit, message):
+        # The valid configuration's plan is cached first; an invalid one is
+        # refused on every call, with the message its one fault always gave.
+        cfg = load_scenario(SCENARIOS / "full_release_demo.scn")
+        run_trial(cfg, 0)
+        bad = replace(cfg, **edit)
+        for call in (lambda: build_run(bad, (bad.master_seed, 0)),
+                     lambda: run_trial(bad, 0), lambda: expected_outcome(bad)):
+            for _ in range(2):
+                with pytest.raises(PolicyError) as info:
+                    call()
+                assert str(info.value) == message
+        assert run_trial(cfg, 0).outcome == "recovered"
 
 
 class TestVetoInvariant:

@@ -139,6 +139,25 @@ class TestSetup:
         with pytest.raises(PolicyError):
             setup(3, 3, 3, haar(3, 1), policy, RandomSource(0))
 
+    @pytest.mark.parametrize(
+        "n, m, width, policy, message",
+        [
+            (3, 3, 3, AccessPolicy.round_robin(3, 3, 3, threshold_k=4),
+             "threshold_k: 4 outside 1..3"),
+            (0, 3, 3, AccessPolicy.round_robin(3, 3, 3),
+             "need at least one player, one controller and one qubit "
+             "(got n=0, m=3, width=3)"),
+            (3, 3, 3, replace(AccessPolicy.round_robin(3, 3, 3), release={1: True}),
+             "release: must flag every controller 1..3 exactly once"),
+        ],
+        ids=["threshold", "no-players", "release"],
+    )
+    def test_setup_names_the_fault_in_an_invalid_policy(self, n, m, width, policy, message):
+        # A run trusts its policy; setup is what checks it for a library caller.
+        with pytest.raises(PolicyError) as info:
+            setup(n, m, width, haar(width, 1), policy, RandomSource(0))
+        assert str(info.value) == message
+
 
 # -- distribution --------------------------------------------------------------------
 
@@ -1489,3 +1508,28 @@ class TestFrozenPolicy:
                 assert type(twin.release) is type(original.release)
                 with pytest.raises(TypeError):
                     twin.release[1] = False
+
+    def test_a_hashed_map_still_refuses_every_mutator(self):
+        policy = load_scenario(SCENARIOS / "split_share.scn").policy()
+        held = policy.record_to_controller
+        assert hash(held) == hash(frozenset(held.items()))
+        mutators = [
+            lambda d: d.__setitem__(1, (2,)), lambda d: d.__delitem__(1),
+            lambda d: d.__ior__({1: (2,)}), lambda d: d.clear(), lambda d: d.pop(1),
+            lambda d: d.popitem(), lambda d: d.setdefault(9, (1,)),
+            lambda d: d.update({1: (2,)}),
+        ]
+        for mutate in mutators:
+            with pytest.raises(TypeError):
+                mutate(held)
+        assert hash(held) == hash(frozenset(held.items()))
+
+    def test_equal_policies_hash_equal(self):
+        cfg = load_scenario(SCENARIOS / "split_share.scn")
+        policy = cfg.policy()
+        rebuilt = AccessPolicy(dict(policy.qubit_to_player),
+                               dict(policy.record_to_controller), policy.threshold_k,
+                               dict(policy.release), set(policy.cooperating_players))
+        assert rebuilt == policy and hash(rebuilt) == hash(policy)
+        for twin in (pickle.loads(pickle.dumps(policy)), copy.deepcopy(policy)):
+            assert hash(twin) == hash(policy)

@@ -1,17 +1,21 @@
 """Scenario file format: parsing, defaults, round trips, and field errors."""
 
 import hashlib
+import math
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cqss import scenario
 from cqss.errors import CapacityError, PolicyError, ScenarioError
 from cqss.harness import build_run, run_trial
 from cqss.protocol import AccessPolicy, peak_block_qubits
 from cqss.scenario import (
+    MAX_DECOYS,
     SCHEMA_TAG,
     ScenarioConfig,
     SecretSpec,
@@ -138,6 +142,30 @@ class TestParsing:
         cfg = parse_scenario_text(text)
         assert parse_scenario_text(scenario_to_text(cfg)) == cfg
 
+    @given(st.floats(0.0, 1.0))
+    def test_round_trip_any_eve_probability(self, probability):
+        cfg = replace(parse_scenario_text(MINIMAL), eve="intercept-resend",
+                      eve_probability=probability)
+        assert parse_scenario_text(scenario_to_text(cfg)) == cfg
+
+    @given(*[st.complex_numbers(max_magnitude=1.0, allow_nan=False)] * 2)
+    def test_round_trip_normalized_amplitudes(self, a, b):
+        norm = math.hypot(abs(a), abs(b))
+        assume(norm > 1e-100)
+        cfg = replace(parse_scenario_text(MINIMAL),
+                      secret=SecretSpec("demo", (a / norm, b / norm)))
+        assume(abs(math.hypot(*map(abs, cfg.secret.amplitudes)) - 1.0) <= 1e-9)
+        text = scenario_to_text(cfg)
+        assert parse_scenario_text(text) == cfg
+        assert scenario_to_text(parse_scenario_text(text)) == text
+
+    def test_twelve_digits_suffice_where_they_read_back(self):
+        cfg = replace(parse_scenario_text(MINIMAL), eve_probability=0.1,
+                      secret=SecretSpec("demo", (0.6, 0.8j)))
+        text = scenario_to_text(cfg)
+        assert "eve_probability = 0.1\n" in text
+        assert "secret = demo 0.6 (0+0.8j)\n" in text
+
 
 class TestErrors:
     def assert_names_field(self, text, fieldname):
@@ -210,19 +238,31 @@ class TestErrors:
         self.assert_names_field(text, "secret")
 
     @pytest.mark.parametrize(
-        "decoys,accepted",
-        [(2**24 - 3, True), (2**24 - 2, False), (10**12, False)],
-        ids=["fills-24-qubits", "one-past", "huge"],
+        "decoys", [2**24 - 2, 10**12], ids=["one-past", "huge"]
     )
-    def test_decoy_slot_draw_obeys_the_memory_rule(self, decoys, accepted):
+    def test_decoy_slot_draw_obeys_the_memory_rule(self, decoys):
         # N + decoys slots index an array of that many entries, which may
         # span at most MAX_ARRAY_QUBITS qubits.  Validation only: nothing runs.
+        cfg = replace(parse_scenario_text(MINIMAL), decoys=decoys)
+        with pytest.raises(ScenarioError, match=r"^decoys: .* \(cap 24\)$"):
+            cfg.validate()
+
+    @pytest.mark.parametrize(
+        "decoys,accepted",
+        [(2**20, True), (2**20 + 1, False), (2**24 - 3, False)],
+        ids=["at-the-cap", "one-past-the-cap", "fills-24-qubits"],
+    )
+    def test_decoys_are_capped_by_the_memory_budget(self, decoys, accepted):
+        # Each decoy holds memory for its run's life, about 1.4 KB, so the
+        # cap bounds a run near 1.5 GB, below what the array rule allows.
+        assert MAX_DECOYS == 2**20
         cfg = replace(parse_scenario_text(MINIMAL), decoys=decoys)
         if accepted:
             cfg.validate()
         else:
-            with pytest.raises(ScenarioError, match=r"^decoys: .* \(cap 24\)$"):
+            with pytest.raises(ScenarioError) as err:
                 cfg.validate()
+            assert str(err.value) == f"decoys: {decoys} over the cap 1048576 (about 1.5 GB)"
 
     def test_decoy_capacity(self):
         # Decoys are blocks of their own, so 3 + 30 slots stay within the

@@ -41,10 +41,12 @@ script.  The output holds:
   each width in a fresh interpreter.  One untimed audit first builds the
   run's secret projector, which every later audit of the run reuses;
 * ``phase_us``: the median microseconds of each phase of a full-release
-  trial as ``harness.run_trial`` runs it (``PHASES``: ``build_run``,
-  ``distribute_all``, ``transport_all``, ``verify_decoys``,
-  ``reconstruct``, ``resource_report``, ``transcript.to_text``), trial
-  indices 1, 2, ... after an untimed trial 0, at each width in
+  trial as ``harness.run_trial`` runs it (``PHASES``: ``build_run`` as its
+  two parts, the secret draw ``secret_for_trial`` and the staging of the
+  run from it, ``stage``; then ``distribute_all``, ``transport_all``,
+  ``verify_decoys``, ``reconstruct``, ``resource_report``,
+  ``transcript.to_text``), trial indices 1, 2, ... after an untimed
+  trial 0, at each width in
   ``PHASE_WIDTHS`` in a fresh interpreter: N = 3 is
   ``scenarios/full_release_demo.scn``, N = 12 the shape of the
   ``wide_release`` workload (N = n = m = 12, classical, Haar secret).
@@ -79,7 +81,8 @@ WIDTHS = (2, 6, 10, 14, 18, 22)
 AUDIT_WIDTHS = (2, 5, 8, 10)
 PHASE_WIDTHS = (3, 12)
 PHASES = (
-    "build_run",
+    "secret_for_trial",
+    "stage",
     "distribute_all",
     "transport_all",
     "verify_decoys",
@@ -327,9 +330,12 @@ def phases(width: int, seconds: float) -> dict:
         cfg = parse_scenario_text(full_release_text(width))
 
     def trial(i: int) -> list[float]:
+        # build_run(cfg, (cfg.master_seed, i)) in its two parts.
         start = time.perf_counter()
-        run = harness.build_run(cfg, (cfg.master_seed, i))
-        times = [time.perf_counter() - start]
+        secret = harness.secret_for_trial(cfg.secret, cfg.N, i)
+        staged = time.perf_counter()
+        run = harness._stage(cfg, (cfg.master_seed, i), secret)
+        times = [staged - start, time.perf_counter() - staged]
         for step in (
             run.distribute_all,
             run.transport_all,
