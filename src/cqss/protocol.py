@@ -53,6 +53,7 @@ from .qubits import (
     QuantumRegister,
     QubitId,
     RandomSource,
+    _identity_scalar,
     apply_single_qubit_channel,
     born_cdf,
     born_draw,
@@ -647,7 +648,10 @@ class ProtocolRun:
         Without ``record_index`` the pair must hold exactly one unread split
         record.  Refuses (raising :class:`ControllerRefusal`) when either
         controller withholds; a lone cooperative controller learns nothing,
-        since its half alone is maximally mixed.
+        since its half alone is maximally mixed.  The halves are still the
+        Bell pair as prepared, with nothing owed, so
+        :meth:`~cqss.qubits.QuantumRegister.bell_measure` reads the
+        measurement from its table built at import.
         """
         candidates = [
             i
@@ -774,8 +778,10 @@ class ProtocolRun:
         table shows up here.  The channels are 4x4 superoperators built once
         per process, when this module is imported.  No sampling is
         involved.  The start is the run's :attr:`secret_projector`; a
-        released slot's channel is a scalar times the identity, so it costs
-        one multiply, and each withheld slot one 4**width-sized product.
+        released slot's channel is a scalar times the identity (read off
+        the live table, once per kind per call), so it costs one multiply
+        into one buffer that the call owns, and each withheld slot one
+        4**width-sized product, which returns a new array.
         """
         if not self.distribution_complete:
             raise IncompleteRun("distribution must complete first")
@@ -784,15 +790,34 @@ class ProtocolRun:
             if not 1 <= i <= self.secret_width:
                 raise ProtocolError(f"withheld index {i} outside 1..{self.secret_width}")
         width = self.secret_width
-        rho = self.secret_projector
+        scalars: dict[BellKind, float | None] = {}
+        # ``signed``: multiplies since the last product may have left -0.0.
+        # A zero stays zero under each multiply, so one ``+= 0.0`` after a
+        # run of them gives the +0.0 that one after each would.
+        projector = rho = self.secret_projector
+        signed = False
         for index in range(1, width + 1):
             if index in withheld:
-                superop = _WITHHELD_SUPEROP
+                superop, scalar = _WITHHELD_SUPEROP, None
             else:
-                superop = _CORRECTED_SUPEROPS[self.transcript.bell_record[index]]
-            rho = apply_single_qubit_channel(rho, index - 1, superop)
-        # The trace is the total probability of the forced branches.  Each
-        # channel returned a new array, so the projector is not written.
+                kind = self.transcript.bell_record[index]
+                superop = _CORRECTED_SUPEROPS[kind]
+                if kind not in scalars:
+                    scalars[kind] = _identity_scalar(superop)
+                scalar = scalars[kind]
+            if scalar is None:
+                if signed:
+                    rho += 0.0
+                rho, signed = apply_single_qubit_channel(rho, index - 1, superop), False
+            elif rho is projector:
+                rho, signed = rho * scalar, True
+            else:
+                rho *= scalar
+                signed = True
+        if signed:
+            rho += 0.0
+        # The trace is the total probability of the forced branches.  The
+        # projector is never written: the first slot makes a new array.
         rho /= rho.trace().real
         return DensityMatrix(rho, tuple(range(1, width + 1)))
 

@@ -39,8 +39,9 @@ decoy, a lone qubit holding a row of ``_BASIS_MATRIX``, is a constant too:
 its tap and its check (``measure_single`` removing it) read their running
 sums, the kept branch and the scalar its emptied block leaves in the
 phase from tables keyed by the block's amplitude bytes and pending frame,
-read off the general path at import (:func:`_decoy_tables`); any other
-block takes the general path.  Draws
+read off the general path at import (:func:`_decoy_tables`), and so does
+a split record's Bell pair at its joint measurement (:func:`_pair_check`);
+any other block takes the general path.  Draws
 from constant probabilities read running sums built at import
 (:func:`born_draw`).  Fresh qubits that are measured out
 whole, whose outcome probabilities and leftover scalar are therefore
@@ -598,7 +599,29 @@ class QuantumRegister:
 
         The collapse of :meth:`project_bell`, onto an outcome that
         :func:`born_sample` draws from :meth:`bell_probabilities`.
+
+        A pair that is its whole block, keyed in ``_PAIR_CHECK`` by its
+        amplitudes, frame and positions (a split record's Bell pair,
+        :func:`_pair_check`), draws from the entry's running sums and
+        folds its scalar into the phase: the same draw and bytes, and no
+        amplitude is read.  Any other pair takes the general path.
         """
+        block = self._block_of.get(qa)
+        order = block.qubits if block is not None else ()
+        if len(order) == 2 and self._block_of.get(qb) is block:
+            known = _PAIR_CHECK.get((
+                block.amps.tobytes(), block.xmask, block.zmask,
+                order.index(qa), order.index(qb),
+            ))
+            if known is not None:
+                cdf, scalars = known
+                k = born_draw(cdf, rng)
+                scalar = scalars[k]
+                if type(scalar) is str:
+                    raise InternalInconsistency(scalar)
+                del self._block_of[qa], self._block_of[qb]
+                self._phase *= scalar
+                return _BELL_KINDS[k]
         operands = self._bell_operands(qa, qb)
         k = born_sample(_bell_probabilities(*operands), rng)
         self._collapse_bell(qa, qb, operands, k)
@@ -993,6 +1016,35 @@ def _check_entry(vec: np.ndarray, basis: str) -> tuple[tuple[float, ...], tuple]
 _DECOY_TAP, _DECOY_CHECK = _decoy_tables()
 
 
+def _pair_check() -> dict:
+    """``bell_measure`` of each Bell pair with nothing owed, at positions
+    (0, 1), read off the general path and keyed by ``(amplitude bytes,
+    xmask, zmask, position of qa, position of qb)``: the running sums of
+    the draw and, per outcome, the scalar the emptied block leaves in the
+    phase (or the error message, raised again if it is ever drawn)."""
+    table = {}
+    for kind in BellKind:
+        reg = QuantumRegister()
+        qa, qb = reg.alloc_bell_pair(kind)
+        key = (reg._block_of[qa].amps.tobytes(), 0, 0, 0, 1)
+        cdf = born_cdf(reg.bell_probabilities(qa, qb))
+        scalars = []
+        for outcome in BellKind:
+            fork = reg.copy()
+            block = fork._block_of[qa]
+            try:
+                fork.project_bell(qa, qb, outcome)
+            except InternalInconsistency as exc:
+                scalars.append(str(exc))
+            else:
+                scalars.append(complex(block.amps[0]))
+        table[key] = (cdf, tuple(scalars))
+    return table
+
+
+_PAIR_CHECK = _pair_check()
+
+
 # -- state comparison metrics ----------------------------------------------------
 
 
@@ -1055,11 +1107,9 @@ def apply_single_qubit_channel(
     n = dim.bit_length() - 1
     if not 0 <= position < n:
         raise ValueError(f"position {position} out of range for {n} qubits")
-    entries = superop.ravel().tolist()
-    diagonal = entries[::5]
-    del entries[::5]
-    if diagonal[0].imag == 0 and diagonal == diagonal[:1] * 4 and not any(entries):
-        out = rho * diagonal[0].real
+    scalar = _identity_scalar(superop)
+    if scalar is not None:
+        out = rho * scalar
         # The matrix product's sums start from +0.0, so its zeros are +0.0;
         # adding 0.0 turns the product's -0.0 into +0.0 and nothing else.
         out += 0.0
@@ -1070,6 +1120,17 @@ def apply_single_qubit_channel(
     t = t.transpose(1, 4, 0, 2, 3, 5)
     out = (superop @ t.reshape(4, -1)).reshape(t.shape)
     return out.transpose(2, 0, 3, 4, 1, 5).reshape(dim, dim)
+
+
+def _identity_scalar(superop: np.ndarray) -> float | None:
+    """``c`` if the 4x4 ``superop``'s entries are exactly ``c * I4`` with a
+    real ``c``, else None."""
+    entries = np.asarray(superop).ravel().tolist()
+    diagonal = entries[::5]
+    del entries[::5]
+    if diagonal[0].imag == 0 and diagonal == diagonal[:1] * 4 and not any(entries):
+        return diagonal[0].real
+    return None
 
 
 def sealed_mixture(psi: np.ndarray, positions: Iterable[int]) -> np.ndarray:

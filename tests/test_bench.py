@@ -61,12 +61,13 @@ def test_scenarios_are_the_eve_free_bundled_ones():
         ),
         (["audit", str(bench.AUDIT_WIDTHS[0])], {"none", "1", "all"}),
         (["decoy"], {"measure_single", "tapped_teleport"}),
+        (["pair"], {"joint_identify", "general_path"}),
         (
             ["phase", str(bench.PHASE_WIDTHS[0]), "--rate-seconds", "0"],
             set(bench.PHASES),
         ),
     ],
-    ids=["scenario", "eve", "trial", "primitives", "audit", "decoy", "phase"],
+    ids=["scenario", "eve", "trial", "primitives", "audit", "decoy", "pair", "phase"],
 )
 def test_child_modes_report_their_keys(args, keys):
     out = child(*args)
@@ -92,11 +93,15 @@ def test_phase_times_build_run_as_its_secret_draw_then_the_staging():
 
 
 def test_every_child_mode_is_run_here():
-    tested = {"scenario", "eve", "trial", "primitives", "audit", "decoy", "phase"}
+    tested = {
+        "scenario", "eve", "trial", "primitives", "audit", "decoy", "pair", "phase"
+    }
     assert set(bench.CHILDREN) == tested | {"eve-curve"}
 
 
-@pytest.mark.parametrize("args", [["nope"], ["trial"], ["trial", "x"], ["decoy", "1"]])
+@pytest.mark.parametrize(
+    "args", [["nope"], ["trial"], ["trial", "x"], ["decoy", "1"], ["pair", "1"]]
+)
 def test_malformed_child_mode_exits_2(args):
     done = subprocess.run(
         [sys.executable, str(SCRIPT), "--child", *args],

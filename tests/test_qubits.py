@@ -3,13 +3,14 @@
 import bisect
 import contextlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from cqss import protocol, qubits
+from cqss import harness, protocol, qubits
 from cqss.errors import (
     CapacityError,
     DimensionMismatch,
@@ -36,6 +37,7 @@ from cqss.qubits import (
     sealed_mixture,
     trace_distance,
 )
+from cqss.scenario import load_scenario
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -880,6 +882,177 @@ class TestClosedFormDecoys:
                         assert settle(lambda: ref.tapped_teleport(q, basis, None)) == got
                 assert_same_blocks(mine, ref)
         assert seen == 4 + 16  # a decoy in its own basis; 16 taps
+
+
+# -- split-record pairs in closed form ------------------------------------------------
+
+
+def general_bell_measure(reg, qa, qb, rng):
+    """``bell_measure`` on the general path, kept as the reference for
+    ``_PAIR_CHECK``: the pair's Bell components, a draw from their squared
+    norms, and the collapse."""
+    operands = reg._bell_operands(qa, qb)
+    k = born_sample(qubits._bell_probabilities(*operands), rng)
+    reg._collapse_bell(qa, qb, operands, k)
+    return BellKind(k)
+
+
+def pair_register(kind, frame, swapped):
+    """A register holding a Bell pair of ``kind`` between a block before it
+    and a two-qubit block after it, with ``X`` owed on the positions set in
+    ``frame & 3`` and ``Z`` on those set in ``frame >> 2``; returns the
+    register and the pair, in position order or ``swapped``."""
+    reg = QuantumRegister()
+    reg.alloc_qubit(1)
+    pair = reg.alloc_bell_pair(kind)
+    reg.alloc_state(random_state(2, 9))
+    for p, q in enumerate(pair):
+        for op, bit in ((Pauli.X, frame >> p & 1), (Pauli.Z, frame >> (2 + p) & 1)):
+            if bit:
+                reg.apply_pauli(q, op)
+    return (reg, *pair[::-1]) if swapped else (reg, *pair)
+
+
+@contextlib.contextmanager
+def counted_general_bell_paths():
+    """Within, yields the list that each general Bell measurement's read of
+    a block appends to."""
+    calls = []
+    real = QuantumRegister._bell_operands
+
+    def operands(reg, qa, qb):
+        calls.append((qa, qb))
+        return real(reg, qa, qb)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QuantumRegister, "_bell_operands", operands)
+        yield calls
+
+
+# Every Bell vector under each of the 16 frames over its two positions, in
+# position order and swapped; only nothing owed in order is a table key.
+PAIR_CASES = list(itertools.product(BellKind, range(16), (False, True)))
+
+
+def check_pair(kind, frame, swapped, outcome, seed=0):
+    """Bell-measuring the pair of :func:`pair_register`: ``bell_measure``
+    against the general path, sampled from a seeded source and forced onto
+    ``outcome`` where the general path can draw it.  Table keys take no
+    general path, and every other pair takes it once."""
+    reg, qa, qb = pair_register(kind, frame, swapped)
+    cdf = born_cdf(reg.copy().bell_probabilities(qa, qb))
+    sources = [(RandomSource(seed), RandomSource(seed))]
+    if width(cdf, outcome) > 0:
+        r = forcing_draw(cdf, outcome)
+        sources.append((ScriptedDraws(r), ScriptedDraws(r)))
+    for got_rng, want_rng in sources:
+        mine, ref = reg.copy(), reg.copy()
+        with counted_general_bell_paths() as calls:
+            done = settle(lambda: mine.bell_measure(qa, qb, got_rng))
+        assert len(calls) == (frame != 0 or swapped)
+        assert done == settle(lambda: general_bell_measure(ref, qa, qb, want_rng))
+        if isinstance(got_rng, ScriptedDraws):
+            assert got_rng.taken == want_rng.taken == 1
+            assert done == ("ok", BellKind(outcome))
+        else:
+            assert got_rng.random() == want_rng.random()  # the stream moved alike
+        assert_same_blocks(mine, ref)
+        assert mine.peak_block_qubits == ref.peak_block_qubits
+        assert {qa, qb}.isdisjoint(mine.live_qubits())
+
+
+def mutated_pair_table(name):
+    """``_PAIR_CHECK`` with a deliberate fault."""
+    table = qubits._PAIR_CHECK
+    if name == "wrong-scalar":
+        return {
+            key: (cdf, tuple(-s if isinstance(s, complex) else s for s in scalars))
+            for key, (cdf, scalars) in table.items()
+        }
+    assert name == "shifted-sums"
+    keys = list(table)
+    return {
+        key: (table[keys[i - 1]][0], table[key][1]) for i, key in enumerate(keys)
+    }
+
+
+class TestClosedFormPairs:
+    def test_table(self):
+        # The four Bell vectors with nothing owed, at positions (0, 1).
+        assert set(qubits._PAIR_CHECK) == {
+            (kind.vector.tobytes(), 0, 0, 0, 1) for kind in BellKind
+        }
+
+    @given(st.sampled_from(PAIR_CASES), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_matches_the_general_path(self, case, outcome, seed):
+        check_pair(*case, outcome, seed=seed)
+
+    def test_every_case_matches_the_general_path(self):
+        for case, outcome in itertools.product(PAIR_CASES, range(4)):
+            check_pair(*case, outcome)
+
+    @pytest.mark.parametrize("name", ["wrong-scalar", "shifted-sums"])
+    def test_a_mutated_table_fails_the_check(self, monkeypatch, name):
+        monkeypatch.setattr(qubits, "_PAIR_CHECK", mutated_pair_table(name))
+        with pytest.raises(AssertionError):
+            for case, outcome in itertools.product(PAIR_CASES, range(4)):
+                check_pair(*case, outcome)
+
+    def test_a_drawn_zero_branch_raises_as_the_general_path_does(self, monkeypatch):
+        # born_draw never picks a branch of zero width, so force it: each
+        # draw returns the next scripted index, on both paths.
+        script = []
+        monkeypatch.setattr(qubits, "born_draw", lambda cdf, rng: script.pop(0))
+        for kind, k in itertools.product(BellKind, range(4)):
+            results = []
+            for measure in (QuantumRegister.bell_measure, general_bell_measure):
+                reg, qa, qb = pair_register(kind, 0, False)
+                script[:] = [k]
+                results.append((settle(lambda: measure(reg, qa, qb, None)), reg))
+                assert not script
+            (got, mine), (want, ref) = results
+            assert got == want
+            if k == kind.value:
+                assert got == ("ok", kind)
+            else:
+                assert got[0] is InternalInconsistency
+                assert got[1].startswith("projected onto a zero-probability branch")
+                assert {qa, qb} <= set(mine.live_qubits())
+            assert_same_blocks(mine, ref)
+
+    def test_the_same_errors_in_the_same_order(self):
+        reg, qa, qb = pair_register(BellKind.PHI_PLUS, 0, False)
+        dead = 99
+        for pair in [(qa, qa), (qb, qb), (dead, dead), (dead, qb), (qa, dead),
+                     (dead, dead + 1)]:
+            rng, want_rng = RandomSource(1), RandomSource(1)
+            mine, ref = reg.copy(), reg.copy()
+            done = settle(lambda: mine.bell_measure(*pair, rng))
+            assert done == settle(lambda: general_bell_measure(ref, *pair, want_rng))
+            assert done[0] is (ValueError if pair[0] == pair[1] else UnknownQubit)
+            assert rng.random() == RandomSource(1).random()
+            assert_same_blocks(mine, reg)
+
+    def test_split_records_take_no_general_bell_path(self, monkeypatch):
+        scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+        split = [
+            cfg for cfg in map(load_scenario, sorted(scenarios.glob("*.scn")))
+            if any(len(h) == 2 for h in cfg.record_to_controller.values())
+        ]
+        assert split
+        measured = []
+        real = QuantumRegister.bell_measure
+
+        def bell_measure(reg, qa, qb, rng):
+            measured.append(qa)
+            return real(reg, qa, qb, rng)
+
+        monkeypatch.setattr(QuantumRegister, "bell_measure", bell_measure)
+        with counted_general_bell_paths() as general:
+            for cfg in split:
+                for i in range(cfg.trials):
+                    assert harness.run_trial(cfg, i).outcome == "recovered"
+        assert measured and not general
 
 
 # -- single-qubit measurement --------------------------------------------------------

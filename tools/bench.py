@@ -35,6 +35,11 @@ script.  The output holds:
   the qubit) and of ``tapped_teleport`` on a one-qubit block holding a
   basis state, each decoy in each basis in turn, on a fresh register
   allocated untimed;
+* ``pair_us``: the median microseconds of ``joint_identify`` on a
+  freshly split record (``scenarios/split_share.scn``, its first record,
+  distributed and transported untimed, one trial index after another), as
+  ``joint_identify``, and again as ``general_path`` with ``_PAIR_CHECK``
+  emptied, so that every key misses and the general path runs;
 * ``audit_us``: the median microseconds of one ``no_information_audit``
   with no record, record 1, and every record withheld, on a distributed
   and transported full-release run at each width in ``AUDIT_WIDTHS``,
@@ -300,6 +305,36 @@ def decoys() -> dict:
     }
 
 
+def pairs() -> dict:
+    """µs per joint identification of a freshly split record, reading the
+    pair's table and, with the table emptied, on the general path."""
+    import itertools
+
+    from cqss import harness, qubits
+    from cqss.scenario import load_scenario
+
+    cfg = load_scenario(ROOT / "scenarios" / "split_share.scn")
+    trials = itertools.count()
+
+    def fresh():
+        run = harness.build_run(cfg, (cfg.master_seed, next(trials)))
+        run.distribute_all()
+        run.transport_all()
+        return run, min(run.split_halves)
+
+    def identify(case):
+        run, index = case
+        run.joint_identify(*run.policy.record_to_controller[index], index)
+
+    out = {"joint_identify": median_us(identify, fresh)}
+    table, qubits._PAIR_CHECK = qubits._PAIR_CHECK, {}
+    try:
+        out["general_path"] = median_us(identify, fresh)
+    finally:
+        qubits._PAIR_CHECK = table
+    return out
+
+
 def audits(width: int) -> dict:
     """µs per sealing audit at ``width`` with none, the first and every
     record withheld."""
@@ -373,6 +408,7 @@ CHILDREN = {
     "audit": (int, lambda width, seconds: audits(width)),
     "eve-curve": (int, lambda trials, seconds: eve_curve_child(trials)),
     "decoy": (None, lambda seconds: decoys()),
+    "pair": (None, lambda seconds: pairs()),
     "phase": (int, phases),
 }
 
@@ -447,6 +483,7 @@ def main(argv: list[str] | None = None) -> None:
         "full_release": {str(n): child("trial", n) for n in TRIAL_WIDTHS},
         "primitives_us": {str(n): child("primitives", n) for n in WIDTHS},
         "decoy_us": child("decoy"),
+        "pair_us": child("pair"),
         "audit_us": {str(n): child("audit", n) for n in AUDIT_WIDTHS},
         "phase_us": {
             str(n): child("phase", n, timeout=rate_timeout) for n in PHASE_WIDTHS
