@@ -53,7 +53,6 @@ from .qubits import (
     QuantumRegister,
     QubitId,
     RandomSource,
-    _identity_scalar,
     apply_single_qubit_channel,
     born_cdf,
     born_draw,
@@ -648,10 +647,11 @@ class ProtocolRun:
         Without ``record_index`` the pair must hold exactly one unread split
         record.  Refuses (raising :class:`ControllerRefusal`) when either
         controller withholds; a lone cooperative controller learns nothing,
-        since its half alone is maximally mixed.  The halves are still the
-        Bell pair as prepared, with nothing owed, so
-        :meth:`~cqss.qubits.QuantumRegister.bell_measure` reads the
-        measurement from its table built at import.
+        since its half alone is maximally mixed.
+        :meth:`~cqss.qubits.QuantumRegister.bell_measure` looks the halves
+        up in its table built at import, which holds each Bell pair as
+        prepared, with nothing owed; halves in any other state take the
+        general path.
         """
         candidates = [
             i
@@ -777,11 +777,11 @@ class ProtocolRun:
         actually recorded, followed by its correction, so a wrong correction
         table shows up here.  The channels are 4x4 superoperators built once
         per process, when this module is imported.  No sampling is
-        involved.  The start is the run's :attr:`secret_projector`; a
-        released slot's channel is a scalar times the identity (read off
-        the live table, once per kind per call), so it costs one multiply
-        into one buffer that the call owns, and each withheld slot one
-        4**width-sized product, which returns a new array.
+        involved.  The start is a copy of the run's
+        :attr:`secret_projector`; a released slot's channel is a scalar
+        times the identity (:func:`_identity_scalar`), so it costs one
+        multiply in place, and each withheld slot one 4**width-sized
+        product.
         """
         if not self.distribution_complete:
             raise IncompleteRun("distribution must complete first")
@@ -790,34 +790,22 @@ class ProtocolRun:
             if not 1 <= i <= self.secret_width:
                 raise ProtocolError(f"withheld index {i} outside 1..{self.secret_width}")
         width = self.secret_width
-        scalars: dict[BellKind, float | None] = {}
-        # ``signed``: multiplies since the last product may have left -0.0.
-        # A zero stays zero under each multiply, so one ``+= 0.0`` after a
-        # run of them gives the +0.0 that one after each would.
-        projector = rho = self.secret_projector
-        signed = False
+        rho = self.secret_projector.copy()
         for index in range(1, width + 1):
             if index in withheld:
-                superop, scalar = _WITHHELD_SUPEROP, None
+                superop = _WITHHELD_SUPEROP
             else:
-                kind = self.transcript.bell_record[index]
-                superop = _CORRECTED_SUPEROPS[kind]
-                if kind not in scalars:
-                    scalars[kind] = _identity_scalar(superop)
-                scalar = scalars[kind]
+                superop = _CORRECTED_SUPEROPS[self.transcript.bell_record[index]]
+            scalar = _identity_scalar(superop)
             if scalar is None:
-                if signed:
-                    rho += 0.0
-                rho, signed = apply_single_qubit_channel(rho, index - 1, superop), False
-            elif rho is projector:
-                rho, signed = rho * scalar, True
+                rho = apply_single_qubit_channel(rho, index - 1, superop)
             else:
                 rho *= scalar
-                signed = True
-        if signed:
-            rho += 0.0
-        # The trace is the total probability of the forced branches.  The
-        # projector is never written: the first slot makes a new array.
+                # The matrix product's sums start from +0.0, so its zeros are
+                # +0.0; adding 0.0 turns the multiply's -0.0 into +0.0 and
+                # nothing else.
+                rho += 0.0
+        # The trace is the total probability of the forced branches.
         rho /= rho.trace().real
         return DensityMatrix(rho, tuple(range(1, width + 1)))
 
@@ -922,6 +910,18 @@ def _swap_superoperators() -> tuple[np.ndarray, Mapping[BellKind, np.ndarray]]:
 # The swap channel of a withheld record (all four uncorrected branches) and
 # of a released one (its recorded branch, then its correction).
 _WITHHELD_SUPEROP, _CORRECTED_SUPEROPS = _swap_superoperators()
+
+
+def _identity_scalar(superop: np.ndarray) -> float | None:
+    """``c`` if the 4x4 ``superop``'s entries are exactly ``c * I4`` with a
+    real ``c`` (the swap of a released record followed by its correction),
+    else None."""
+    entries = np.asarray(superop).ravel().tolist()
+    diagonal = entries[::5]
+    del entries[::5]
+    if diagonal[0].imag == 0 and diagonal == diagonal[:1] * 4 and not any(entries):
+        return diagonal[0].real
+    return None
 
 
 def _pad_tables() -> tuple[

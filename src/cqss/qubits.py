@@ -84,7 +84,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -602,9 +602,10 @@ class QuantumRegister:
 
         A pair that is its whole block, keyed in ``_PAIR_CHECK`` by its
         amplitudes, frame and positions (a split record's Bell pair,
-        :func:`_pair_check`), draws from the entry's running sums and
-        folds its scalar into the phase: the same draw and bytes, and no
-        amplitude is read.  Any other pair takes the general path.
+        :func:`_pair_check`), takes the outcome's running sums and the
+        scalar its emptied block folds into the phase from there: the same
+        draw and bytes, and nothing is computed from the amplitudes.  Any
+        other pair takes the general path.
         """
         block = self._block_of.get(qa)
         order = block.qubits if block is not None else ()
@@ -614,14 +615,7 @@ class QuantumRegister:
                 order.index(qa), order.index(qb),
             ))
             if known is not None:
-                cdf, scalars = known
-                k = born_draw(cdf, rng)
-                scalar = scalars[k]
-                if type(scalar) is str:
-                    raise InternalInconsistency(scalar)
-                del self._block_of[qa], self._block_of[qb]
-                self._phase *= scalar
-                return _BELL_KINDS[k]
+                return _BELL_KINDS[self._remove_known(block, known, rng)]
         operands = self._bell_operands(qa, qb)
         k = born_sample(_bell_probabilities(*operands), rng)
         self._collapse_bell(qa, qb, operands, k)
@@ -826,18 +820,26 @@ class QuantumRegister:
                 (block.amps.tobytes(), block.xmask, block.zmask, basis)
             )
             if known is not None:
-                cdf, scalars = known
-                outcome = born_draw(cdf, rng)
-                scalar = scalars[outcome]
-                if type(scalar) is str:
-                    _flushed(block)  # as the general path leaves it
-                    raise InternalInconsistency(scalar)
-                del self._block_of[q]
-                self._phase *= scalar
-                return outcome
+                return self._remove_known(block, known, rng)
         comps = self._single_components(q, basis)
         outcome = born_sample((np.abs(comps) ** 2).sum(axis=1), rng)
         self._collapse_single(q, basis, comps, outcome, remove)
+        return outcome
+
+    def _remove_known(self, block: _Block, known: tuple, rng: RandomSource) -> int:
+        """Measure out the whole of ``block`` from its table entry
+        ``known`` (:func:`_removal_entry`): draw the outcome, fold its
+        scalar into the phase and forget the block's qubits, or raise its
+        error message with the block left as the general path leaves it."""
+        cdf, scalars = known
+        outcome = born_draw(cdf, rng)
+        scalar = scalars[outcome]
+        if type(scalar) is str:
+            _flushed(block)
+            raise InternalInconsistency(scalar)
+        for q in block.qubits:
+            del self._block_of[q]
+        self._phase *= scalar
         return outcome
 
     def _single_components(self, q: QubitId, basis: str) -> np.ndarray:
@@ -995,22 +997,34 @@ def _tap_entry(row: np.ndarray, basis: str) -> tuple:
 
 def _check_entry(vec: np.ndarray, basis: str) -> tuple[tuple[float, ...], tuple]:
     """``measure_single(q, basis, rng)`` of a lone qubit holding ``vec``,
-    read off the general path: the running sums it draws from and, per
-    outcome, the scalar that ``project_single`` leaves in the phase as the
-    emptied block's (or the error message)."""
+    read off the general path (:func:`_removal_entry`)."""
     reg = QuantumRegister()
     (q,) = reg.alloc_state(vec)
-    cdf = born_cdf(reg.single_probabilities(q, basis))
+    return _removal_entry(
+        reg, q, reg.single_probabilities(q, basis),
+        lambda fork, outcome: fork.project_single(q, basis, outcome),
+    )
+
+
+def _removal_entry(
+    reg: QuantumRegister, q: QubitId, probabilities: np.ndarray, project: Callable
+) -> tuple[tuple[float, ...], tuple]:
+    """A table entry for a measurement that empties ``q``'s block, read off
+    the general path: the running sums of ``probabilities`` and, per
+    outcome, the scalar that ``project(fork, outcome)`` on a copy of
+    ``reg`` leaves in the phase as the emptied block's (or the error
+    message, raised again if it is ever drawn)."""
     scalars = []
-    for fork, outcome in ((reg.copy(), 0), (reg, 1)):
+    for outcome in range(len(probabilities)):
+        fork = reg.copy()
         block = fork._block_of[q]
         try:
-            fork.project_single(q, basis, outcome)
+            project(fork, outcome)
         except InternalInconsistency as exc:
             scalars.append(str(exc))
         else:
             scalars.append(complex(block.amps[0]))
-    return cdf, tuple(scalars)
+    return born_cdf(probabilities), tuple(scalars)
 
 
 _DECOY_TAP, _DECOY_CHECK = _decoy_tables()
@@ -1018,27 +1032,17 @@ _DECOY_TAP, _DECOY_CHECK = _decoy_tables()
 
 def _pair_check() -> dict:
     """``bell_measure`` of each Bell pair with nothing owed, at positions
-    (0, 1), read off the general path and keyed by ``(amplitude bytes,
-    xmask, zmask, position of qa, position of qb)``: the running sums of
-    the draw and, per outcome, the scalar the emptied block leaves in the
-    phase (or the error message, raised again if it is ever drawn)."""
+    (0, 1), read off the general path (:func:`_removal_entry`) and keyed
+    by ``(amplitude bytes, xmask, zmask, position of qa, position of
+    qb)``."""
     table = {}
     for kind in BellKind:
         reg = QuantumRegister()
         qa, qb = reg.alloc_bell_pair(kind)
-        key = (reg._block_of[qa].amps.tobytes(), 0, 0, 0, 1)
-        cdf = born_cdf(reg.bell_probabilities(qa, qb))
-        scalars = []
-        for outcome in BellKind:
-            fork = reg.copy()
-            block = fork._block_of[qa]
-            try:
-                fork.project_bell(qa, qb, outcome)
-            except InternalInconsistency as exc:
-                scalars.append(str(exc))
-            else:
-                scalars.append(complex(block.amps[0]))
-        table[key] = (cdf, tuple(scalars))
+        table[(reg._block_of[qa].amps.tobytes(), 0, 0, 0, 1)] = _removal_entry(
+            reg, qa, reg.bell_probabilities(qa, qb),
+            lambda fork, k: fork.project_bell(qa, qb, _BELL_KINDS[k]),
+        )
     return table
 
 
@@ -1090,10 +1094,7 @@ def apply_single_qubit_channel(
     With ``L = 2**position`` and ``R = dim / (2 L)``, ``rho`` is viewed as
     (L, 2, R, L, 2, R), one transpose moves the qubit's index pair to the
     front, and the channel is a single (4, 4) x (4, 4**(n-1)) matrix
-    product.  A superoperator whose entries are exactly ``c * I4`` with a
-    real ``c`` (the swap of a released record followed by its correction)
-    is a single multiply instead, with the same floats.  Either way the
-    result is a new array.  A non-square ``rho``, a side that is not a
+    product, into a new array.  A non-square ``rho``, a side that is not a
     power of two, or a superoperator that is not 4x4 raises
     ``DimensionMismatch``.
     """
@@ -1107,30 +1108,12 @@ def apply_single_qubit_channel(
     n = dim.bit_length() - 1
     if not 0 <= position < n:
         raise ValueError(f"position {position} out of range for {n} qubits")
-    scalar = _identity_scalar(superop)
-    if scalar is not None:
-        out = rho * scalar
-        # The matrix product's sums start from +0.0, so its zeros are +0.0;
-        # adding 0.0 turns the product's -0.0 into +0.0 and nothing else.
-        out += 0.0
-        return out
     left = 2**position
     right = dim // (2 * left)
     t = rho.reshape(left, 2, right, left, 2, right)
     t = t.transpose(1, 4, 0, 2, 3, 5)
     out = (superop @ t.reshape(4, -1)).reshape(t.shape)
     return out.transpose(2, 0, 3, 4, 1, 5).reshape(dim, dim)
-
-
-def _identity_scalar(superop: np.ndarray) -> float | None:
-    """``c`` if the 4x4 ``superop``'s entries are exactly ``c * I4`` with a
-    real ``c``, else None."""
-    entries = np.asarray(superop).ravel().tolist()
-    diagonal = entries[::5]
-    del entries[::5]
-    if diagonal[0].imag == 0 and diagonal == diagonal[:1] * 4 and not any(entries):
-        return diagonal[0].real
-    return None
 
 
 def sealed_mixture(psi: np.ndarray, positions: Iterable[int]) -> np.ndarray:

@@ -1276,9 +1276,10 @@ class TestWithheldPrediction:
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_scalar_channel_is_the_product_bit_for_bit(self, position):
-        # A released slot's superoperator is exactly c * I4: one multiply,
-        # with the matrix product's floats and signed zeros, into a new
-        # array.  A complex c or one stray entry takes the product itself.
+        # Every channel is the matrix product, into a new array.  A released
+        # slot's superoperator is exactly c * I4, which withheld_state turns
+        # into a multiply and ``+= 0.0``: the product's floats and signed
+        # zeros.  A complex c or one stray entry is no scalar.
         rho = signed_zero_projector(3, 63)
         assert np.signbit(rho.view(float)[rho.view(float) == 0]).any()
         before = rho.copy()
@@ -1286,10 +1287,18 @@ class TestWithheldPrediction:
         near[1, 2] = 0.125
         superops = [*protocol._CORRECTED_SUPEROPS.values(), np.eye(4) * 0.5,
                     np.eye(4) * (0.3 + 0.4j), near]
-        for superop in superops:
+        scalars = [protocol._identity_scalar(superop) for superop in superops]
+        assert None not in scalars[:-2] and scalars[-2:] == [None, None]
+        for superop, scalar in zip(superops, scalars):
             got = apply_single_qubit_channel(rho, position, superop)
             assert got is not rho and not np.shares_memory(got, rho)
-            assert got.tobytes() == channel_by_product(rho, position, superop).tobytes()
+            want = channel_by_product(rho, position, superop).tobytes()
+            assert got.tobytes() == want
+            if scalar is not None:
+                multiplied = rho.copy()
+                multiplied *= scalar
+                multiplied += 0.0
+                assert multiplied.tobytes() == want
         assert rho.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize(
