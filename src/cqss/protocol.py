@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -53,7 +53,7 @@ from .qubits import (
     QuantumRegister,
     QubitId,
     RandomSource,
-    apply_single_qubit_channel,
+    _channel,
     born_cdf,
     born_draw,
     check_array_qubits,
@@ -653,12 +653,11 @@ class ProtocolRun:
         prepared, with nothing owed; halves in any other state take the
         general path.
         """
-        candidates = [
-            i
-            for i in sorted(self.split_halves)
-            if set(self.policy.record_to_controller[i]) == {ca, cb}
-        ]
+        holders = self.policy.record_to_controller
         if record_index is None:
+            candidates = [
+                i for i in sorted(self.split_halves) if set(holders[i]) == {ca, cb}
+            ]
             if len(candidates) != 1:
                 raise ProtocolError(
                     f"controller-{ca} and controller-{cb} hold "
@@ -666,18 +665,23 @@ class ProtocolRun:
                     f"pass record_index"
                 )
             record_index = candidates[0]
-        elif record_index not in candidates:
-            raise ProtocolError(
-                f"record {record_index} is not an unread split share of "
-                f"controller-{ca}, controller-{cb}"
-            )
+        else:
+            try:
+                unread = record_index in self.split_halves
+            except TypeError:  # unhashable: no record's index
+                unread = False
+            if not unread or set(holders[record_index]) != {ca, cb}:
+                raise ProtocolError(
+                    f"record {record_index} is not an unread split share of "
+                    f"controller-{ca}, controller-{cb}"
+                )
         if not self.policy.record_released(record_index):
             refusers = [c for c in (ca, cb) if not self.policy.release[c]]
             raise ControllerRefusal(
                 f"{', '.join(f'controller-{c}' for c in refusers)} "
                 f"withheld cooperation"
             )
-        pa, pb = self.policy.record_to_controller[record_index]
+        pa, pb = holders[record_index]
         qa, qb = self.split_halves.pop(record_index)
         kind = self.register.bell_measure(qa, qb, self.rng)
         self.transcript.controller_measurements += 1
@@ -777,20 +781,29 @@ class ProtocolRun:
         actually recorded, followed by its correction, so a wrong correction
         table shows up here.  The channels are 4x4 superoperators built once
         per process, when this module is imported.  No sampling is
-        involved.  The start is a copy of the run's
-        :attr:`secret_projector`; a released slot's channel is a scalar
-        times the identity (:func:`_identity_scalar`), so it costs one
-        multiply in place, and each withheld slot one 4**width-sized
-        product.
+        involved.  The start is a copy of the run's :attr:`secret_projector`.
+        A released slot's channel is a real scalar c times the identity,
+        decided once per superoperator (:func:`_identity_scalar`): one
+        multiply in place.  A withheld slot is one product through the
+        unchecked :func:`~cqss.qubits._channel`.  Each run of released slots
+        then gets one ``+= 0.0``: multiplying by c keeps every nonzero
+        entry's value whatever the signs of the zeros beside it and every
+        zero a zero, and the add turns -0.0 into the product's +0.0.
         """
+        if not self.distribution_complete:  # before the indices are read
+            raise IncompleteRun("distribution must complete first")
+        return self._withheld_state(_record_indices(withheld_indices))
+
+    def _withheld_state(self, withheld: tuple[int, ...]) -> DensityMatrix:
+        """:meth:`withheld_state` on indices read by ``_record_indices``."""
         if not self.distribution_complete:
             raise IncompleteRun("distribution must complete first")
-        withheld = _record_indices(withheld_indices)
-        for i in withheld:
-            if not 1 <= i <= self.secret_width:
-                raise ProtocolError(f"withheld index {i} outside 1..{self.secret_width}")
         width = self.secret_width
+        for i in withheld:
+            if not 1 <= i <= width:
+                raise ProtocolError(f"withheld index {i} outside 1..{width}")
         rho = self.secret_projector.copy()
+        multiplied = False  # since the last += 0.0
         for index in range(1, width + 1):
             if index in withheld:
                 superop = _WITHHELD_SUPEROP
@@ -798,13 +811,14 @@ class ProtocolRun:
                 superop = _CORRECTED_SUPEROPS[self.transcript.bell_record[index]]
             scalar = _identity_scalar(superop)
             if scalar is None:
-                rho = apply_single_qubit_channel(rho, index - 1, superop)
+                if multiplied:
+                    rho += 0.0
+                rho = _channel(rho, index - 1, superop)
             else:
                 rho *= scalar
-                # The matrix product's sums start from +0.0, so its zeros are
-                # +0.0; adding 0.0 turns the multiply's -0.0 into +0.0 and
-                # nothing else.
-                rho += 0.0
+            multiplied = scalar is not None
+        if multiplied:
+            rho += 0.0
         # The trace is the total probability of the forced branches.
         rho /= rho.trace().real
         return DensityMatrix(rho, tuple(range(1, width + 1)))
@@ -915,13 +929,18 @@ _WITHHELD_SUPEROP, _CORRECTED_SUPEROPS = _swap_superoperators()
 def _identity_scalar(superop: np.ndarray) -> float | None:
     """``c`` if the 4x4 ``superop``'s entries are exactly ``c * I4`` with a
     real ``c`` (the swap of a released record followed by its correction),
-    else None."""
-    entries = np.asarray(superop).ravel().tolist()
-    diagonal = entries[::5]
-    del entries[::5]
-    if diagonal[0].imag == 0 and diagonal == diagonal[:1] * 4 and not any(entries):
-        return diagonal[0].real
-    return None
+    else None; cached on the bytes of its complex entries, so each distinct
+    superoperator, a replaced table entry too, is decided once."""
+    return _entries_scalar(np.asarray(superop, dtype=complex).tobytes())
+
+
+@lru_cache(maxsize=64)
+def _entries_scalar(entries: bytes) -> float | None:
+    values = np.frombuffer(entries, dtype=complex).tolist()
+    diagonal = values[::5]
+    del values[::5]
+    real = diagonal == diagonal[:1] * 4 and not any(values) and not diagonal[0].imag
+    return diagonal[0].real if real else None
 
 
 def _pad_tables() -> tuple[

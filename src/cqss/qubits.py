@@ -1091,12 +1091,9 @@ def apply_single_qubit_channel(
     ``superop`` is ``sum_k K (x) conj(K)`` for the channel
     ``rho -> sum_k K rho K^dagger`` (it need not be trace preserving) and
     acts on the (row, column) index pair of tensor position ``position``.
-    With ``L = 2**position`` and ``R = dim / (2 L)``, ``rho`` is viewed as
-    (L, 2, R, L, 2, R), one transpose moves the qubit's index pair to the
-    front, and the channel is a single (4, 4) x (4, 4**(n-1)) matrix
-    product, into a new array.  A non-square ``rho``, a side that is not a
-    power of two, or a superoperator that is not 4x4 raises
-    ``DimensionMismatch``.
+    A non-square ``rho``, a side that is not a power of two, or a
+    superoperator that is not 4x4 raises ``DimensionMismatch``; then the
+    unchecked kernel :func:`_channel` applies it.
     """
     rho = np.asarray(rho, dtype=complex)
     superop = np.asarray(superop)
@@ -1108,10 +1105,18 @@ def apply_single_qubit_channel(
     n = dim.bit_length() - 1
     if not 0 <= position < n:
         raise ValueError(f"position {position} out of range for {n} qubits")
+    return _channel(rho, position, superop)
+
+
+def _channel(rho: np.ndarray, position: int, superop: np.ndarray) -> np.ndarray:
+    """:func:`apply_single_qubit_channel` unchecked: ``rho`` is viewed as
+    (L, 2, R, L, 2, R) with ``L = 2**position``, one transpose moves the
+    qubit's index pair to the front, and one (4, 4) x (4, 4**(n-1)) matrix
+    product writes a new array."""
+    dim = rho.shape[0]
     left = 2**position
     right = dim // (2 * left)
-    t = rho.reshape(left, 2, right, left, 2, right)
-    t = t.transpose(1, 4, 0, 2, 3, 5)
+    t = rho.reshape(left, 2, right, left, 2, right).transpose(1, 4, 0, 2, 3, 5)
     out = (superop @ t.reshape(4, -1)).reshape(t.shape)
     return out.transpose(2, 0, 3, 4, 1, 5).reshape(dim, dim)
 
@@ -1137,15 +1142,17 @@ def _seal_in_place(rho: np.ndarray, positions: Iterable[int]) -> np.ndarray:
     square matrix ``rho`` by a maximally mixed qubit tensored with the
     partial trace over it, writing ``rho`` in place, and return ``rho``.
     The replacements commute, so the order does not matter; the positions
-    are not checked."""
+    are not checked.  Each position views ``rho`` as (L, 2, R L, 2, R), with
+    ``L = 2**p`` and ``R = dim / (2 L)``, and halves one temporary in place."""
     dim = rho.shape[0]
     for p in positions:
         left = 2**p
         right = dim // (2 * left)
-        t = rho.reshape(left, 2, right, left, 2, right)
-        half = 0.5 * (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :])
-        t[:, 0, :, :, 1, :] = 0.0
-        t[:, 1, :, :, 0, :] = 0.0
-        t[:, 0, :, :, 0, :] = half
-        t[:, 1, :, :, 1, :] = half
+        t = rho.reshape(left, 2, right * left, 2, right)
+        half = t[:, 0, :, 0] + t[:, 1, :, 1]
+        half *= 0.5
+        t[:, 0, :, 1] = 0.0
+        t[:, 1, :, 0] = 0.0
+        t[:, 0, :, 0] = half
+        t[:, 1, :, 1] = half
     return rho

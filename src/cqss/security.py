@@ -245,11 +245,13 @@ def no_information_audit(run: "ProtocolRun", withheld: Iterable[int]) -> AuditRe
     the closed-form prediction (each withheld slot maximally mixed, the rest
     the partial trace of the original state): the prediction of
     :func:`~cqss.qubits.sealed_mixture`, sealed in place on a copy of the
-    run's :attr:`~cqss.protocol.ProtocolRun.secret_projector`, so a sweep
-    builds the secret's projector once."""
+    run's :attr:`~cqss.protocol.ProtocolRun.secret_projector` (itself when
+    nothing is withheld), so a sweep builds the projector once."""
     indices = _record_indices(withheld)
-    actual = run.withheld_state(indices)
-    expected = _seal_in_place(run.secret_projector.copy(), [i - 1 for i in indices])
+    actual = run._withheld_state(indices)
+    expected = run.secret_projector
+    if indices:
+        expected = _seal_in_place(expected.copy(), [i - 1 for i in indices])
     distance = trace_distance(actual.entries, expected)
     return AuditReport(indices, distance, AUDIT_TOLERANCE)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqss import harness
+from cqss import cli, harness
 from cqss.scenario import load_scenario, parse_scenario_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,7 +59,7 @@ def test_scenarios_are_the_eve_free_bundled_ones():
             {"apply_pauli", "teleport", "state_vector", "reduced_density",
              "measure_single", "bell_measure"},
         ),
-        (["audit", str(bench.AUDIT_WIDTHS[0])], {"none", "1", "all"}),
+        (["audit", str(bench.AUDIT_WIDTHS[0])], {"none", "1", "all", "sweep"}),
         (["decoy"], {"measure_single", "tapped_teleport"}),
         (["pair"], {"joint_identify", "general_path"}),
         (
@@ -90,6 +90,18 @@ def test_phase_times_build_run_as_its_secret_draw_then_the_staging():
             run.transport_all()
         assert np.array_equal(parts.secret, whole.secret)
         assert parts.transcript.to_text() == whole.transcript.to_text()
+
+
+@pytest.mark.parametrize("name", ["full_release_demo", "eve_curve"])
+def test_audit_sweep_is_the_one_noinfo_prints(name, capsys):
+    # eve_curve has N = 1, so its sweep has no separate all-withheld set.
+    path = ROOT / "scenarios" / f"{name}.scn"
+    assert cli.main(["noinfo", str(path)]) == 0
+    printed = re.findall(r"^withheld=(\S+) ", capsys.readouterr().out, re.M)
+    width = load_scenario(path).N
+    sweep = bench.noinfo_sweep(width)
+    assert printed == [",".join(map(str, w)) or "-" for w in sweep]
+    assert len(sweep) == (width + 2 if width > 1 else 2)
 
 
 def test_every_child_mode_is_run_here():

@@ -1,6 +1,7 @@
 """Protocol-level tests: distribution, record transport, gating, accounting."""
 
 import copy
+import hashlib
 import itertools
 import pickle
 from dataclasses import replace
@@ -615,6 +616,69 @@ class TestSplitTransport:
         assert run.split_halves == {} and run.transcript.epr_controller == 0
         run.split_bell_between_controllers(c1, c2, 1)
         assert list(run.split_halves) == [1]
+
+    # Six records over four controllers: a lone one, and split records over
+    # four different pairs, pair {1, 2} holding two of them in both orders.
+    SEVERAL_SPLITS = {1: (1, 2), 2: (3, 4), 3: (2, 1), 4: (2, 3), 5: (4,), 6: (4, 1)}
+
+    def several_splits_run(self, seed):
+        policy = AccessPolicy(
+            qubit_to_player={i: (i - 1) % 3 + 1 for i in range(1, 7)},
+            record_to_controller=self.SEVERAL_SPLITS,
+            threshold_k=3,
+            release=dict.fromkeys(range(1, 5), True),
+            cooperating_players={1, 2, 3},
+        )
+        return complete(setup(3, 4, 6, haar(6, 9), policy, RandomSource(seed)))
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (5, "4f2fd925cebc8da2930a8f13d9f2f9bc3082717944633a4c5e51422b419e50c0"),
+            (6, "cace47a5290ab3930e0522e46bd4cf1b2cbe58e7c2892ff31ecd7cb81e784a5f"),
+        ],
+    )
+    def test_split_records_identified_in_shuffled_order(self, seed, digest):
+        # Each index is checked directly against the unread split records;
+        # the transcript keeps its bytes.
+        run = self.several_splits_run(seed)
+        for index in (4, 3, 6, 1, 2):
+            holders = self.SEVERAL_SPLITS[index]
+            assert run.joint_identify(*holders, index) is run.transcript.bell_record[index]
+        assert run.split_halves == {}
+        assert hashlib.sha256(run.transcript.to_text().encode()).hexdigest() == digest
+
+    def test_joint_identify_rejects_what_is_no_unread_share_of_the_pair(self):
+        run = self.several_splits_run(5)
+        before = run.transcript.to_text()
+        share = "is not an unread split share of"
+        cases = [
+            ((1, 2, None), "controller-1 and controller-2 hold 2 unread split "
+                           "shares; pass record_index"),
+            ((1, 3, None), "controller-1 and controller-3 hold 0 unread split "
+                           "shares; pass record_index"),
+            ((1, 2, 2), f"record 2 {share} controller-1, controller-2"),  # pair {3, 4}
+            ((1, 3, 3), f"record 3 {share} controller-1, controller-3"),
+            ((4, 1, 5), f"record 5 {share} controller-4, controller-1"),  # not split
+            ((1, 2, 7), f"record 7 {share} controller-1, controller-2"),  # out of range
+            ((1, 2, 0), f"record 0 {share} controller-1, controller-2"),
+            ((1, 2, "3"), f"record 3 {share} controller-1, controller-2"),  # not an int
+            ((1, 2, 1.5), f"record 1.5 {share} controller-1, controller-2"),
+            ((1, 2, [3]), f"record [3] {share} controller-1, controller-2"),
+        ]
+        for args, text in cases:
+            with pytest.raises(ProtocolError) as err:
+                run.joint_identify(*args)
+            assert type(err.value) is ProtocolError and str(err.value) == text, args
+        assert run.transcript.to_text() == before
+        run.joint_identify(1, 2, 1)
+        run.joint_identify(3, 4)
+        for args in ((1, 2, 1), (2, 1, 1), (3, 4, 2)):  # already identified
+            with pytest.raises(ProtocolError) as err:
+                run.joint_identify(*args)
+            ca, cb, index = args
+            assert str(err.value) == f"record {index} {share} controller-{ca}, controller-{cb}"
+        assert run.joint_identify(2, 1) is run.transcript.bell_record[3]
 
     def test_identity_branch_preserves_singlet(self):
         # teleporting half of a singlet through a singlet, forcing the

@@ -1205,6 +1205,22 @@ def signed_zero_projector(width, seed):
     return -pure_density(vec / np.linalg.norm(vec))
 
 
+def six_axis_seal(rho, positions):
+    """Reference for ``_seal_in_place`` as it was on the (L, 2, R, L, 2, R)
+    view, with the halved sum as its own temporary; writes ``rho``."""
+    dim = rho.shape[0]
+    for p in positions:
+        left = 2**p
+        right = dim // (2 * left)
+        t = rho.reshape(left, 2, right, left, 2, right)
+        half = 0.5 * (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :])
+        t[:, 0, :, :, 1, :] = 0.0
+        t[:, 1, :, :, 0, :] = 0.0
+        t[:, 0, :, :, 0, :] = half
+        t[:, 1, :, :, 1, :] = half
+    return rho
+
+
 class TestWithheldPrediction:
     def test_product_state(self):
         vec = np.zeros(8, dtype=complex)
@@ -1300,6 +1316,22 @@ class TestWithheldPrediction:
                 multiplied += 0.0
                 assert multiplied.tobytes() == want
         assert rho.tobytes() == before.tobytes()
+        # withheld_state adds 0.0 once per run of released slots: k
+        # multiplies then one add give the bytes of k multiply-then-add
+        # rounds and of k products, and the add is what turns -0.0 into
+        # the products' +0.0.
+        kinds = list(itertools.islice(itertools.cycle(BellKind), 5))
+        for k in range(1, 6):
+            superops = [protocol._CORRECTED_SUPEROPS[kind] for kind in kinds[:k]]
+            products, rounds, run = rho, rho.copy(), rho.copy()
+            for j, superop in enumerate(superops):
+                products = channel_by_product(products, (position + j) % 3, superop)
+                rounds *= protocol._identity_scalar(superop)
+                rounds += 0.0
+                run *= protocol._identity_scalar(superop)
+            assert run.tobytes() != products.tobytes()
+            run += 0.0
+            assert run.tobytes() == rounds.tobytes() == products.tobytes()
 
     @pytest.mark.parametrize(
         "rho, superop",
@@ -1332,6 +1364,28 @@ class TestWithheldPrediction:
                 got = sealed_mixture(psi, positions)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
+
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+    def test_seal_kernel_bytes_match_the_six_axis_formula(self, width, seed, data):
+        # The audit's distances read the sealed prediction's last bits, so
+        # the seal on the five-axis view must give the six-axis formula's
+        # bytes, signed zeros included, for every subset of positions.
+        dim = 2**width
+        zeros = data.draw(st.sets(st.integers(0, dim - 1), max_size=dim - 1))
+        vec = random_state(width, seed)
+        vec[sorted(zeros)] = 0.0
+        vec *= np.array([1, -1, 1j, -1j])[np.arange(dim) % 4]
+        rho = pure_density(vec / np.linalg.norm(vec))
+        rho = rho if data.draw(st.booleans()) else -rho
+        signs = np.signbit(rho.view(float)[rho.view(float) == 0])
+        if signs.any() and not signs.all():
+            event("zeros of both signs")
+        for r in range(width + 1):
+            for positions in itertools.combinations(range(width), r):
+                want = six_axis_seal(rho.copy(), positions)
+                got = rho.copy()
+                assert qubits._seal_in_place(got, positions) is got
+                assert got.tobytes() == want.tobytes(), positions
 
 # -- product qubits inserted among a state's qubits ----------------------------------
 

@@ -41,10 +41,12 @@ script.  The output holds:
   ``joint_identify``, and again as ``general_path`` with ``_PAIR_CHECK``
   emptied, so that every key misses and the general path runs;
 * ``audit_us``: the median microseconds of one ``no_information_audit``
-  with no record, record 1, and every record withheld, on a distributed
-  and transported full-release run at each width in ``AUDIT_WIDTHS``,
-  each width in a fresh interpreter.  One untimed audit first builds the
-  run's secret projector, which every later audit of the run reuses;
+  with no record, record 1, and every record withheld, and of ``sweep``,
+  the whole sweep that ``cqss noinfo`` audits (no record, each record,
+  then every record: N + 2 sets, N + 1 at N = 1), on a distributed and
+  transported full-release run at each width in ``AUDIT_WIDTHS``, each
+  width in a fresh interpreter.  One untimed audit first builds the run's
+  secret projector, which every later audit of the run reuses;
 * ``phase_us``: the median microseconds of each phase of a full-release
   trial as ``harness.run_trial`` runs it (``PHASES``: ``build_run`` as its
   two parts, the secret draw ``secret_for_trial`` and the staging of the
@@ -337,7 +339,7 @@ def pairs() -> dict:
 
 def audits(width: int) -> dict:
     """µs per sealing audit at ``width`` with none, the first and every
-    record withheld."""
+    record withheld, and per sweep of ``cqss noinfo``'s sets in turn."""
     from cqss import harness
     from cqss.scenario import parse_scenario_text
     from cqss.security import no_information_audit
@@ -347,10 +349,22 @@ def audits(width: int) -> dict:
     run.transport_all()
     no_information_audit(run, ())
     sets = {"none": (), "1": (1,), "all": range(1, width + 1)}
-    return {
+    out = {
         label: median_us(lambda _: no_information_audit(run, withheld))
         for label, withheld in sets.items()
     }
+    sweep = noinfo_sweep(width)
+    out["sweep"] = median_us(
+        lambda _: [no_information_audit(run, withheld) for withheld in sweep]
+    )
+    return out
+
+
+def noinfo_sweep(width: int) -> list[tuple[int, ...]]:
+    """The withheld sets ``cqss noinfo`` audits at ``width``, in its order:
+    none, each record, then every record if there are two or more."""
+    sweep = [(), *((i,) for i in range(1, width + 1))]
+    return sweep + [tuple(range(1, width + 1))] if width > 1 else sweep
 
 
 def phases(width: int, seconds: float) -> dict:
