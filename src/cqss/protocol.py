@@ -64,6 +64,7 @@ from .security import (
     DecoyPlan,
     DetectionReport,
     EveModel,
+    _record_index,
     _record_indices,
     eve_tap,
 )
@@ -486,6 +487,7 @@ class ProtocolRun:
         (:meth:`~cqss.qubits.QuantumRegister.tapped_teleport`), with the
         same draws, qubit ids and floats as building and measuring it.
         """
+        secret_index = _record_index(secret_index)
         if secret_index not in self._slot_of_secret:
             raise ProtocolError(
                 f"secret index {secret_index} outside 1..{self.secret_width}"
@@ -538,6 +540,7 @@ class ProtocolRun:
         """
         if len(bits) != 2 or any(type(b) is not int or b not in (0, 1) for b in bits):
             raise ProtocolError(f"bits must be two ints, each 0 or 1, got {bits!r}")
+        index = _record_index(index)
         self._check_transport(index, (controller,))
         self._send_bits(index, bits[0] << 1 | bits[1])
 
@@ -573,6 +576,7 @@ class ProtocolRun:
         it immediately.  Afterwards the pair jointly holds the Bell state
         named by the record, and neither half alone carries any of it.
         """
+        record_index = _record_index(record_index)
         self._check_transport(record_index, (ca, cb))
         kind = self.transcript.bell_record[record_index]
         g, h = self.register.alloc_bell_pair(kind)
@@ -619,6 +623,7 @@ class ProtocolRun:
         """Send one record the way the policy assigns it.  An index outside
         the secret raises ``ProtocolError``, a record not yet distributed
         ``IncompleteRun``."""
+        record_index = _record_index(record_index)
         holders = self.policy.record_to_controller.get(record_index)
         if holders is None:
             raise ProtocolError(
@@ -647,11 +652,11 @@ class ProtocolRun:
         Without ``record_index`` the pair must hold exactly one unread split
         record.  Refuses (raising :class:`ControllerRefusal`) when either
         controller withholds; a lone cooperative controller learns nothing,
-        since its half alone is maximally mixed.
-        :meth:`~cqss.qubits.QuantumRegister.bell_measure` looks the halves
-        up in its table built at import, which holds each Bell pair as
-        prepared, with nothing owed; halves in any other state take the
-        general path.
+        since its half alone is maximally mixed.  Halves holding their Bell
+        pair as prepared, with nothing owed, are a constant block, which
+        :meth:`~cqss.qubits.QuantumRegister.bell_measure` measures from
+        what the general path computed once at import (``_KNOWN``); halves
+        in any other state take the general path.
         """
         holders = self.policy.record_to_controller
         if record_index is None:
@@ -666,11 +671,11 @@ class ProtocolRun:
                 )
             record_index = candidates[0]
         else:
-            try:
-                unread = record_index in self.split_halves
-            except TypeError:  # unhashable: no record's index
-                unread = False
-            if not unread or set(holders[record_index]) != {ca, cb}:
+            record_index = _record_index(record_index)
+            if (
+                record_index not in self.split_halves
+                or set(holders[record_index]) != {ca, cb}
+            ):
                 raise ProtocolError(
                     f"record {record_index} is not an unread split share of "
                     f"controller-{ca}, controller-{cb}"

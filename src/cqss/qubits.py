@@ -35,15 +35,14 @@ at its width, and qubits that never meet the secret (decoys, split-record
 halves) never multiply its vector.  A link that an eavesdropper taps is
 not built either: after her measurement it is one of two constant states,
 so :meth:`QuantumRegister.tapped_teleport` reads it from a table.  A
-decoy, a lone qubit holding a row of ``_BASIS_MATRIX``, is a constant too:
-its tap and its check (``measure_single`` removing it) read their running
-sums, the kept branch and the scalar its emptied block leaves in the
-phase from tables keyed by the block's amplitude bytes and pending frame,
-read off the general path at import (:func:`_decoy_tables`), and so does
-a split record's Bell pair at its joint measurement (:func:`_pair_check`);
-any other block takes the general path.  Draws
-from constant probabilities read running sums built at import
-(:func:`born_draw`).  Fresh qubits that are measured out
+constant block (a decoy, tapped or checked, or a split record's Bell pair)
+is measured from what the general path computed once, at import: one
+table, ``_KNOWN`` (:func:`_known_table`), keyed by amplitude bytes, frame
+and measurement, holds the running sums and each outcome's scalar, kept
+branch or error, and one reader, :meth:`QuantumRegister._measure_known`,
+applies it; any other block takes the general path.  Draws from constant
+probabilities read running sums built at import (:func:`born_draw`).
+Fresh qubits that are measured out
 whole, whose outcome probabilities and leftover scalar are therefore
 constants, need no block: :meth:`QuantumRegister.fold_measured_out` spends
 their ids and folds the scalar.  ``state_vector`` and ``reduced_density``
@@ -84,7 +83,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -324,9 +323,10 @@ def born_cdf(probs: Sequence[float] | np.ndarray) -> tuple[float, ...]:
 
 def born_draw(cdf: Sequence[float], rng: RandomSource) -> int:
     """Inverse-CDF sample: the first branch whose running sum exceeds
-    ``u = r * total``, ``total`` being the last running sum."""
-    u = rng.random() * cdf[-1]
-    return min(bisect.bisect_right(cdf, u), len(cdf) - 1)
+    ``u = r * total``, ``total`` being the last running sum, or the last
+    branch should rounding put ``u`` at the total."""
+    k = bisect.bisect_right(cdf, rng.random() * cdf[-1])
+    return k if k < len(cdf) else len(cdf) - 1
 
 
 def born_sample(probs: Sequence[float] | np.ndarray, rng: RandomSource) -> int:
@@ -598,24 +598,18 @@ class QuantumRegister:
         """Sample a Bell outcome on (qa, qb), collapse, and remove the pair.
 
         The collapse of :meth:`project_bell`, onto an outcome that
-        :func:`born_sample` draws from :meth:`bell_probabilities`.
-
-        A pair that is its whole block, keyed in ``_PAIR_CHECK`` by its
-        amplitudes, frame and positions (a split record's Bell pair,
-        :func:`_pair_check`), takes the outcome's running sums and the
-        scalar its emptied block folds into the phase from there: the same
-        draw and bytes, and nothing is computed from the amplitudes.  Any
-        other pair takes the general path.
+        :func:`born_sample` draws from :meth:`bell_probabilities`.  A pair
+        that is its whole block and a key of ``_KNOWN`` under its positions
+        (a split record's Bell pair) is measured from what the general path
+        computed once at import (:meth:`_measure_known`); any other pair
+        takes the general path.
         """
         block = self._block_of.get(qa)
-        order = block.qubits if block is not None else ()
-        if len(order) == 2 and self._block_of.get(qb) is block:
-            known = _PAIR_CHECK.get((
-                block.amps.tobytes(), block.xmask, block.zmask,
-                order.index(qa), order.index(qb),
-            ))
-            if known is not None:
-                return _BELL_KINDS[self._remove_known(block, known, rng)]
+        if block is not None and self._block_of.get(qb) is block:
+            order = block.qubits
+            k = self._measure_known(block, (order.index(qa), order.index(qb)), rng)
+            if k is not None:
+                return _BELL_KINDS[k]
         operands = self._bell_operands(qa, qb)
         k = born_sample(_bell_probabilities(*operands), rng)
         self._collapse_bell(qa, qb, operands, k)
@@ -650,9 +644,15 @@ class QuantumRegister:
         ``_TWIST[k]`` included.  No array is read or written."""
         z, x, sign = _TWIST[k]
         self._owe(block, p, z, x)
+        self._phase *= sign
+        return self._hand_over(q, block, p)
+
+    def _hand_over(self, q: QubitId, block: _Block, p: int) -> QubitId:
+        """Spend a singlet link's two ids, as allocating it would, and put
+        its far half ``nu`` in ``q``'s place, position ``p`` of ``block``;
+        return ``nu``."""
         nu = self._next_id + 1
         self._next_id += 2
-        self._phase *= sign
         block.qubits[p] = nu
         del self._block_of[q]
         self._block_of[nu] = block
@@ -678,33 +678,18 @@ class QuantumRegister:
         self, q: QubitId, basis: str, rng: RandomSource
     ) -> tuple[QubitId, int, BellKind]:
         """The collapse of :meth:`project_tapped_teleport` onto the drawn
-        bit and outcome; returns ``nu``, the bit and the outcome.
-
-        A decoy, a one-qubit block holding a basis state with nothing owed,
-        reads its outcome's running sums and its kept branch from
-        ``_DECOY_TAP``, read off the general path at import
-        (:func:`_decoy_tables`): the same draws, ids, block and bytes, and
-        nothing is computed from the amplitudes."""
+        bit and outcome; returns ``nu``, the bit and the outcome.  After
+        the bit is drawn, a block that is a key of ``_KNOWN`` under
+        ``(basis, bit)`` (a decoy with nothing owed) is measured from what
+        the general path computed once at import (:meth:`_measure_known`)
+        and handed over to ``nu`` as a plain teleport is; any other block
+        takes the general path."""
         block, p = self._locate(q)  # a qubit that is not live raises first
         cdf, links = _tap_table(basis)
         bit = born_draw(cdf, rng)
-        if len(block.qubits) == 1:
-            known = _DECOY_TAP.get(
-                (block.amps.tobytes(), block.xmask, block.zmask, basis)
-            )
-            if known is not None:
-                bell_cdf, branches = known[bit]
-                k = born_draw(bell_cdf, rng)
-                branch = branches[k]
-                if type(branch) is str:
-                    raise InternalInconsistency(branch)
-                nu = self._next_id + 1
-                self._next_id += 2
-                block.amps = branch.copy()
-                block.qubits[0] = nu
-                self._block_of[nu] = block
-                del self._block_of[q]
-                return nu, bit, _BELL_KINDS[k]
+        k = self._measure_known(block, (basis, bit), rng)
+        if k is not None:
+            return self._hand_over(q, block, p), bit, _BELL_KINDS[k]
         _, rows, gram = links[bit]
         ma = _qubit_rows(_flushed(block), p)
         k = born_sample(_gram_probabilities(ma, gram), rng)
@@ -719,12 +704,10 @@ class QuantumRegister:
         would put it; return ``nu`` and the probability."""
         branch = _cross_branch(ma, rows, k)
         prob = _normalize(branch, "Bell", _BELL_LABELS[k])
-        nu = self._next_id + 1
-        self._next_id += 2
-        block.qubits.append(nu)
-        self._block_of[nu] = block
-        self._shrink(block, branch, q)
-        return nu, prob
+        block.amps = branch.reshape(-1)
+        block.qubits.remove(q)
+        block.qubits.append(q)
+        return self._hand_over(q, block, -1), prob
 
     def _bell_operands(
         self, qa: QubitId, qb: QubitId
@@ -805,41 +788,48 @@ class QuantumRegister:
     def measure_single(
         self, q: QubitId, basis: str, rng: RandomSource, remove: bool = True
     ) -> int:
-        """Sample a Z- or X-basis outcome for ``q`` and collapse.
-
-        A removed qubit alone in its block, whose amplitudes and pending
-        frame are a key of ``_DECOY_CHECK`` (a decoy, tapped or not, read
-        off the general path at import by :func:`_decoy_tables`), takes the
-        outcome's running sums and the scalar its emptied block folds into
-        the phase from there: the same draw and bytes, and nothing is
-        computed from the amplitudes.  Every other qubit takes the general
-        path."""
+        """Sample a Z- or X-basis outcome for ``q`` and collapse.  A removed
+        qubit whose block is a key of ``_KNOWN`` under ``basis`` (a decoy,
+        tapped or not) is measured from what the general path computed once
+        at import (:meth:`_measure_known`); every other qubit takes the
+        general path."""
         block = self._block_of.get(q)
-        if remove and block is not None and len(block.qubits) == 1:
-            known = _DECOY_CHECK.get(
-                (block.amps.tobytes(), block.xmask, block.zmask, basis)
-            )
-            if known is not None:
-                return self._remove_known(block, known, rng)
+        if remove and block is not None:
+            outcome = self._measure_known(block, basis, rng)
+            if outcome is not None:
+                return outcome
         comps = self._single_components(q, basis)
         outcome = born_sample((np.abs(comps) ** 2).sum(axis=1), rng)
         self._collapse_single(q, basis, comps, outcome, remove)
         return outcome
 
-    def _remove_known(self, block: _Block, known: tuple, rng: RandomSource) -> int:
-        """Measure out the whole of ``block`` from its table entry
-        ``known`` (:func:`_removal_entry`): draw the outcome, fold its
-        scalar into the phase and forget the block's qubits, or raise its
-        error message with the block left as the general path leaves it."""
-        cdf, scalars = known
+    def _measure_known(
+        self, block: _Block, what: object, rng: RandomSource
+    ) -> int | None:
+        """Measurement ``what`` of ``block`` from its ``_KNOWN`` entry, or
+        None, drawing nothing, if the block is not a key there (only blocks
+        of at most two qubits are looked up).  The drawn outcome's emptied
+        block folds its scalar into the phase, or its kept branch becomes
+        the block (a kept branch is held only under a key with nothing
+        owed); a branch the general path refuses raises its error with the
+        block flushed, as the general path leaves it."""
+        if len(block.qubits) > 2:
+            return None
+        entry = _KNOWN.get((block.amps.tobytes(), block.xmask, block.zmask, what))
+        if entry is None:
+            return None
+        cdf, results = entry
         outcome = born_draw(cdf, rng)
-        scalar = scalars[outcome]
-        if type(scalar) is str:
+        result = results[outcome]
+        if type(result) is complex:
+            for q in block.qubits:
+                del self._block_of[q]
+            self._phase *= result
+        elif type(result) is str:
             _flushed(block)
-            raise InternalInconsistency(scalar)
-        for q in block.qubits:
-            del self._block_of[q]
-        self._phase *= scalar
+            raise InternalInconsistency(result)
+        else:
+            block.amps = result.copy()
         return outcome
 
     def _single_components(self, q: QubitId, basis: str) -> np.ndarray:
@@ -929,124 +919,82 @@ def _tap_table(basis: str) -> tuple[tuple[float, ...], tuple]:
         raise ValueError(f"unknown basis {basis!r}; expected 'Z' or 'X'") from None
 
 
-def _decoy_tables() -> tuple[dict, dict]:
-    """What the general path computes from a decoy, read off it once.
+def _known_entry(amps: np.ndarray, what: object) -> tuple[tuple[float, ...], tuple]:
+    """Measurement ``what`` of a block holding ``amps`` with nothing owed,
+    read off the general path: the running sums of its outcome and, per
+    outcome, what the forced projection leaves on a copy of the register:
+    the emptied block's scalar, the kept branch (read-only), or the error
+    message.  ``what`` is a basis (``measure_single`` removing the lone
+    qubit), ``(basis, bit)`` (``tapped_teleport`` once the eavesdropper's
+    bit is drawn) or two tensor positions (``bell_measure`` of the pair)."""
+    reg = QuantumRegister()  # reads amps; each projection writes a copy
+    ids = reg._grow(amps, amps.size.bit_length() - 1)
+    outcomes = _BELL_KINDS
+    if isinstance(what, str):
+        args, project, outcomes = (ids[0], what), QuantumRegister.project_single, (0, 1)
+        probs = reg.single_probabilities(*args)
+    elif isinstance(what[0], str):
+        basis, bit = what
+        args, project = (ids[0], basis, bit), QuantumRegister.project_tapped_teleport
+        probs = _gram_probabilities(_qubit_rows(amps, 0), _TAP[basis][1][bit][2])
+    else:
+        args, project = tuple(ids[p] for p in what), QuantumRegister.project_bell
+        probs = reg.bell_probabilities(*args)
+    results = []
+    for outcome in outcomes:
+        fork = reg.copy()
+        block = fork._block_of[ids[0]]
+        try:
+            project(fork, *args, outcome)
+        except InternalInconsistency as exc:
+            results.append(str(exc))
+        else:
+            if block.qubits:
+                block.amps.setflags(write=False)
+                results.append(block.amps)
+            else:
+                results.append(complex(block.amps[0]))
+    return born_cdf(probs), tuple(results)
 
-    A decoy is a one-qubit block holding a row of ``_BASIS_MATRIX``, so
-    what a tap or a check computes from it is a constant.  Both tables are
-    keyed by ``(amplitude bytes, xmask, zmask, basis)``:
 
-    * ``tap``, per decoy with nothing owed and per eavesdropper basis
-      (:func:`_tap_entry`): for each of her bits, the running sums of the
-      dealer's Bell outcome and, per outcome, the kept branch over ``nu``;
-    * ``check``, per decoy and per tapped branch (ten vectors), per pending
-      frame and per basis (:func:`_check_entry`): the running sums of the
-      outcome and, per outcome, the scalar the emptied block leaves in the
-      phase.
+def _known_table() -> dict:
+    """Every constant block's measurement, keyed by ``(amplitude bytes,
+    xmask, zmask, what)`` and read off the general path by
+    :func:`_known_entry`:
 
-    A branch the general path refuses (at or below ``PROB_FLOOR``) is kept
-    as its error message, raised again if it is ever drawn."""
-    tap, vectors = {}, {}
+    * a tap of each decoy (a row of ``_BASIS_MATRIX``) with nothing owed,
+      per eavesdropper basis and bit;
+    * a check of each decoy and each branch a tap keeps (ten vectors),
+      under each pending frame, in each basis;
+    * the joint measurement of each Bell pair with nothing owed, at
+      positions (0, 1).
+
+    The general path flushes a frame before it reads anything, so each
+    flushed vector is measured once, on a block with nothing owed."""
+    table, vectors, flushed = {}, {}, {}
     for row in itertools.chain.from_iterable(_BASIS_MATRIX.values()):
         vectors[row.tobytes()] = row
-        for basis in _BASIS_MATRIX:
-            tap[(row.tobytes(), 0, 0, basis)] = links = _tap_entry(row, basis)
-            for _, branches in links:
-                for b in branches:
-                    if not isinstance(b, str):
-                        vectors.setdefault(b.tobytes(), b)
-    # The general path flushes the frame before it reads anything, so each
-    # flushed vector is measured once, on a block with nothing owed.
-    check, flushed = {}, {}
+        for what in itertools.product(_BASIS_MATRIX, (0, 1)):
+            table[(row.tobytes(), 0, 0, what)] = entry = _known_entry(row, what)
+            for b in entry[1]:
+                if type(b) is not str:
+                    vectors.setdefault(b.tobytes(), b)
     for key, vec in vectors.items():
         for x, z in itertools.product((0, 1), (0, 1)):
-            block = _Block(vec.copy(), [0], x, z)
-            amps = _flushed(block).tobytes()
-            if amps not in flushed:
-                flushed[amps] = {b: _check_entry(block.amps, b) for b in _BASIS_MATRIX}
-            for basis, entry in flushed[amps].items():
-                check[(key, x, z, basis)] = entry
-    return tap, check
-
-
-def _tap_entry(row: np.ndarray, basis: str) -> tuple:
-    """``tapped_teleport(q, basis, rng)`` of a lone qubit holding ``row``,
-    read off the general path: per bit, the running sums of the Bell draw
-    and, per outcome, the kept branch (read-only) as
-    :meth:`QuantumRegister.project_tapped_teleport` leaves it (or the error
-    message)."""
-    reg = QuantumRegister()
-    (q,) = reg.alloc_state(row)
-    ma = _qubit_rows(reg._block_of[q].amps, 0)
-    links = []
-    for bit, (_, _, gram) in enumerate(_TAP[basis][1]):
-        branches = []
-        for kind in BellKind:
-            fork = reg.copy()
-            block = fork._block_of[q]
-            try:
-                fork.project_tapped_teleport(q, basis, bit, kind)
-            except InternalInconsistency as exc:
-                branches.append(str(exc))
-            else:
-                block.amps.setflags(write=False)
-                branches.append(block.amps)
-        links.append((born_cdf(_gram_probabilities(ma, gram)), tuple(branches)))
-    return tuple(links)
-
-
-def _check_entry(vec: np.ndarray, basis: str) -> tuple[tuple[float, ...], tuple]:
-    """``measure_single(q, basis, rng)`` of a lone qubit holding ``vec``,
-    read off the general path (:func:`_removal_entry`)."""
-    reg = QuantumRegister()
-    (q,) = reg.alloc_state(vec)
-    return _removal_entry(
-        reg, q, reg.single_probabilities(q, basis),
-        lambda fork, outcome: fork.project_single(q, basis, outcome),
-    )
-
-
-def _removal_entry(
-    reg: QuantumRegister, q: QubitId, probabilities: np.ndarray, project: Callable
-) -> tuple[tuple[float, ...], tuple]:
-    """A table entry for a measurement that empties ``q``'s block, read off
-    the general path: the running sums of ``probabilities`` and, per
-    outcome, the scalar that ``project(fork, outcome)`` on a copy of
-    ``reg`` leaves in the phase as the emptied block's (or the error
-    message, raised again if it is ever drawn)."""
-    scalars = []
-    for outcome in range(len(probabilities)):
-        fork = reg.copy()
-        block = fork._block_of[q]
-        try:
-            project(fork, outcome)
-        except InternalInconsistency as exc:
-            scalars.append(str(exc))
-        else:
-            scalars.append(complex(block.amps[0]))
-    return born_cdf(probabilities), tuple(scalars)
-
-
-_DECOY_TAP, _DECOY_CHECK = _decoy_tables()
-
-
-def _pair_check() -> dict:
-    """``bell_measure`` of each Bell pair with nothing owed, at positions
-    (0, 1), read off the general path (:func:`_removal_entry`) and keyed
-    by ``(amplitude bytes, xmask, zmask, position of qa, position of
-    qb)``."""
-    table = {}
-    for kind in BellKind:
-        reg = QuantumRegister()
-        qa, qb = reg.alloc_bell_pair(kind)
-        table[(reg._block_of[qa].amps.tobytes(), 0, 0, 0, 1)] = _removal_entry(
-            reg, qa, reg.bell_probabilities(qa, qb),
-            lambda fork, k: fork.project_bell(qa, qb, _BELL_KINDS[k]),
-        )
+            amps = _flushed(_Block(vec.copy(), [0], x, z))
+            for basis in _BASIS_MATRIX:
+                once = (amps.tobytes(), basis)
+                if once not in flushed:
+                    flushed[once] = _known_entry(amps, basis)
+                table[(key, x, z, basis)] = flushed[once]
+    for vec in _BELL_MATRIX:
+        table[(vec.tobytes(), 0, 0, (0, 1))] = _known_entry(vec, (0, 1))
     return table
 
 
-_PAIR_CHECK = _pair_check()
+# Nothing writes it after import; a MappingProxyType would cost every lookup
+# about 100 ns, as much again as the dict's own.
+_KNOWN = _known_table()
 
 
 # -- state comparison metrics ----------------------------------------------------

@@ -57,7 +57,8 @@ class DecoyState(Enum):
 
 
 # A decoy is its basis's measurement row for its bit, read-only: the very
-# vectors whose taps and checks the register reads from tables.
+# vectors whose taps and checks the register measures from what the general
+# path computed once at import (``cqss.qubits._KNOWN``).
 _DECOY_VECTORS = {
     state: _BASIS_MATRIX[state.basis][state.expected_bit] for state in DecoyState
 }
@@ -168,9 +169,10 @@ def eve_tap(model: EveModel | None, rng: RandomSource) -> str | None:
     link, which she measures in that basis and forwards before the dealer's
     swap measurement; for detection statistics this is equivalent to
     attacking the teleported qubit itself.  Neither kind of slot builds its
-    link: a tapped one runs in closed form from tables read off that
-    general path (:meth:`~cqss.qubits.QuantumRegister.tapped_teleport`),
-    an untapped one as a plain teleport
+    link: a tapped one runs in closed form
+    (:meth:`~cqss.qubits.QuantumRegister.tapped_teleport`), a decoy's tap
+    measured from what the general path computed once at import
+    (``_KNOWN``), an untapped one as a plain teleport
     (:meth:`~cqss.qubits.QuantumRegister.teleport`).
     """
     if model is None or model.strategy == "none":
@@ -191,10 +193,10 @@ def verify_decoys(run: "ProtocolRun", plan: DecoyPlan) -> DetectionReport:
     logs or measures anything.
 
     Each decoy is still a qubit of its own, a basis state under a known
-    frame (tapped or not), so its check reads its draw and phase scalar
-    from a table that the register built at import off the general path
-    (:meth:`~cqss.qubits.QuantumRegister.measure_single`), with the same
-    bytes.
+    frame (tapped or not): a constant block, so its check
+    (:meth:`~cqss.qubits.QuantumRegister.measure_single`) is measured from
+    what the general path computed once at import (``_KNOWN``), with the
+    same bytes.
     """
     if not run.distribution_complete:
         raise IncompleteRun("decoy verification requires a completed distribution")
@@ -264,3 +266,11 @@ def _record_indices(indices: Iterable[int]) -> tuple[int, ...]:
         return tuple(sorted(set(map(operator.index, indices))))
     except TypeError as exc:
         raise ProtocolError(f"record indices must be integers: {exc}") from None
+
+
+def _record_index(index: object) -> int:
+    """One record or secret index, read as :func:`_record_indices` reads it."""
+    if type(index) is int:
+        return index
+    (i,) = _record_indices((index,))
+    return i

@@ -104,6 +104,59 @@ def test_audit_sweep_is_the_one_noinfo_prints(name, capsys):
     assert len(sweep) == (width + 2 if width > 1 else 2)
 
 
+def test_pair_child_reads_the_table_then_the_general_path(monkeypatch):
+    # Per identification, the table's reading reads no block on the
+    # general Bell path and the general path reads one; the table is put
+    # back as it was.
+    from cqss import qubits
+    from cqss.qubits import QuantumRegister
+
+    table, reads, real_operands = qubits._KNOWN, [], QuantumRegister._bell_operands
+
+    def operands(reg, qa, qb):
+        reads.append(qa)
+        return real_operands(reg, qa, qb)
+
+    per_call, real_median = [], bench.median_us
+
+    def median_us(call, setup):
+        def counted(arg):
+            before = len(reads)
+            call(arg)
+            per_call[-1].append(len(reads) - before)
+
+        per_call.append([])
+        return real_median(counted, setup)
+
+    monkeypatch.setattr(QuantumRegister, "_bell_operands", operands)
+    monkeypatch.setattr(bench, "median_us", median_us)
+    assert set(bench.pairs()) == {"joint_identify", "general_path"}
+    table_path, general_path = per_call
+    assert len(table_path) >= bench.MIN_CALLS and set(table_path) == {0}
+    assert len(general_path) >= bench.MIN_CALLS and set(general_path) == {1}
+    assert qubits._KNOWN is table
+
+
+def test_audit_child_runs_at_least_three_sweeps(monkeypatch):
+    # With no time to fill, the child runs SWEEP_CALLS sweeps after its one
+    # untimed audit, and reads each labelled audit off them.
+    from cqss import security
+
+    audited, real_audit = [], security.no_information_audit
+
+    def audit(run, withheld):
+        audited.append(tuple(withheld))
+        return real_audit(run, withheld)
+
+    monkeypatch.setattr(bench, "PRIMITIVE_S", 0.0)
+    monkeypatch.setattr(security, "no_information_audit", audit)
+    out = bench.audits(3)
+    sweep = bench.noinfo_sweep(3)
+    assert bench.SWEEP_CALLS >= 3
+    assert audited == [()] + sweep * bench.SWEEP_CALLS
+    assert out["sweep"] > out["all"] > 0 and out["none"] > 0 and out["1"] > 0
+
+
 def test_every_child_mode_is_run_here():
     tested = {
         "scenario", "eve", "trial", "primitives", "audit", "decoy", "pair", "phase"

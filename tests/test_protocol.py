@@ -50,7 +50,12 @@ from cqss.security import (
     no_information_audit,
     verify_decoys,
 )
-from test_qubits import EagerRegister, channel_by_product, general_tapped_teleport
+from test_qubits import (
+    EagerRegister,
+    channel_by_product,
+    general_tapped_teleport,
+    measurement,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -652,6 +657,8 @@ class TestSplitTransport:
         run = self.several_splits_run(5)
         before = run.transcript.to_text()
         share = "is not an unread split share of"
+        not_int = "record indices must be integers:"
+        as_int = "object cannot be interpreted as an integer"
         cases = [
             ((1, 2, None), "controller-1 and controller-2 hold 2 unread split "
                            "shares; pass record_index"),
@@ -662,9 +669,9 @@ class TestSplitTransport:
             ((4, 1, 5), f"record 5 {share} controller-4, controller-1"),  # not split
             ((1, 2, 7), f"record 7 {share} controller-1, controller-2"),  # out of range
             ((1, 2, 0), f"record 0 {share} controller-1, controller-2"),
-            ((1, 2, "3"), f"record 3 {share} controller-1, controller-2"),  # not an int
-            ((1, 2, 1.5), f"record 1.5 {share} controller-1, controller-2"),
-            ((1, 2, [3]), f"record [3] {share} controller-1, controller-2"),
+            ((1, 2, "3"), f"{not_int} 'str' {as_int}"),  # not an int
+            ((1, 2, 1.5), f"{not_int} 'float' {as_int}"),
+            ((1, 2, [3]), f"{not_int} 'list' {as_int}"),
         ]
         for args, text in cases:
             with pytest.raises(ProtocolError) as err:
@@ -694,6 +701,79 @@ class TestSplitTransport:
 
 
 # -- reconstruction ----------------------------------------------------------------------
+
+
+def index_run(split, stage):
+    """Two records, both split (controllers 1+2 and 3+4) or both classical
+    (controllers 1 and 2), after ``stage`` of distribute_all and
+    transport_all."""
+    m = 4 if split else 2
+    policy = AccessPolicy.round_robin(2, m, 2, split_all=split)
+    run = setup(2, m, 2, haar(2, 3), policy, RandomSource(8))
+    for step in (run.distribute_all, run.transport_all)[:stage]:
+        step()
+    return run
+
+
+# Each entry point that takes a record or secret index: whether its run is
+# split, how far it is staged, and the call on index i of record r's
+# holders.
+INDEX_ENTRY_POINTS = {
+    "distribute_qubit": (False, 0, lambda run, i, r: run.distribute_qubit(i)),
+    "send_bits_classical": (
+        False, 1, lambda run, i, r: run.send_bits_classical(*holders(run, r), i, (0, 1))
+    ),
+    "transport_record": (False, 1, lambda run, i, r: run.transport_record(i)),
+    "split_bell_between_controllers": (
+        True, 1,
+        lambda run, i, r: run.split_bell_between_controllers(*holders(run, r), i),
+    ),
+    "joint_identify": (
+        True, 2, lambda run, i, r: run.joint_identify(*holders(run, r), i)
+    ),
+}
+
+
+def holders(run, record):
+    return run.policy.record_to_controller[record]
+
+
+def assert_same_protocol_state(run, twin):
+    assert run.transcript.to_text() == twin.transcript.to_text()
+    assert run.decoded == twin.decoded
+    assert [type(i) for i in run.decoded] == [type(i) for i in twin.decoded]
+    assert run.split_halves == twin.split_halves
+    assert run.rng.random() == twin.rng.random()
+
+
+class TestRecordIndices:
+    @pytest.mark.parametrize(
+        "name, index",
+        [
+            (name, index)
+            for name in INDEX_ENTRY_POINTS
+            for index in (2.0, 2.5, "2", None)
+            # joint_identify without an index scans for the pair's record.
+            if not (name == "joint_identify" and index is None)
+        ],
+    )
+    def test_non_integer_index_refused_before_anything_is_spent(self, name, index):
+        split, stage, call = INDEX_ENTRY_POINTS[name]
+        run, twin = index_run(split, stage), index_run(split, stage)
+        with pytest.raises(ProtocolError, match="record indices must be integers"):
+            call(run, index, 2)
+        assert_same_protocol_state(run, twin)
+
+    @pytest.mark.parametrize("name", list(INDEX_ENTRY_POINTS))
+    @pytest.mark.parametrize("index, value", [(True, 1), (np.int64(2), 2)])
+    def test_integer_like_index_reads_as_its_int(self, name, index, value):
+        # True is record 1 and np.int64(2) record 2: stored and logged as
+        # the int, bit for bit as the int's own call.
+        split, stage, call = INDEX_ENTRY_POINTS[name]
+        run, twin = index_run(split, stage), index_run(split, stage)
+        assert call(run, index, value) == call(twin, value, value)
+        assert_same_protocol_state(run, twin)
+        assert all(type(i) is int for i in [*run.decoded, *run.split_halves])
 
 
 class TestReconstruct:
@@ -1051,15 +1131,20 @@ class TestClosedFormTeleports:
 # -- decoys in closed form -------------------------------------------------------------------
 
 
+def tapped(amps):
+    """Whether ``_KNOWN`` holds a tap of a lone qubit holding ``amps``."""
+    return any(key[0] == amps and measurement(key) == "tap" for key in qubits._KNOWN)
+
+
 def keyed(block, basis=None):
-    """Whether ``block`` is a lone qubit that a decoy table holds: checked
-    in ``basis``, or, with no basis, tapped."""
+    """Whether ``block`` is a lone qubit that ``_KNOWN`` holds: checked in
+    ``basis``, or, with no basis, tapped."""
     if len(block.qubits) != 1:
         return False
     if basis is None:
-        return any(key[0] == block.amps.tobytes() for key in qubits._DECOY_TAP)
+        return tapped(block.amps.tobytes())
     key = (block.amps.tobytes(), block.xmask, block.zmask, basis)
-    return key in qubits._DECOY_CHECK
+    return key in qubits._KNOWN
 
 
 class TestClosedFormDecoys:
@@ -1094,8 +1179,7 @@ class TestClosedFormDecoys:
 
         monkeypatch.setattr(harness, "build_run", recording_build_run)
         with monkeypatch.context() as patch:
-            patch.setattr(qubits, "_DECOY_TAP", {})
-            patch.setattr(qubits, "_DECOY_CHECK", {})
+            patch.setattr(qubits, "_KNOWN", {})
             want = trials()
         real_components = QuantumRegister._single_components
         real_cross = qubits._cross_branch
@@ -1109,7 +1193,7 @@ class TestClosedFormDecoys:
 
         def cross(ma, mb, k):
             rows = ma.tobytes()
-            if ma.shape[1] == 1 and any(key[0] == rows for key in qubits._DECOY_TAP):
+            if ma.shape[1] == 1 and tapped(rows):
                 raise AssertionError("a decoy's tap took the general path")
             return real_cross(ma, mb, k)
 

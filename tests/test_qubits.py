@@ -547,8 +547,8 @@ DECOY_ROWS = [row for mat in qubits._BASIS_MATRIX.values() for row in mat]
 
 def general_measure_single(reg, q, basis, rng, remove=True):
     """``measure_single`` on the general path, kept as the reference for
-    ``_DECOY_CHECK``: the block's components in ``basis``, a draw from
-    their squared norms, and the collapse."""
+    the checks in ``_KNOWN``: the block's components in ``basis``, a draw
+    from their squared norms, and the collapse."""
     comps = reg._single_components(q, basis)
     outcome = born_sample((np.abs(comps) ** 2).sum(axis=1), rng)
     reg._collapse_single(q, basis, comps, outcome, remove)
@@ -691,34 +691,53 @@ def check_decoy(row, tap, frame, check, outcome, seed=0):
         assert q not in mine.live_qubits()
 
 
+def measurement(key):
+    """Which measurement a ``_KNOWN`` key names: ``"check"`` (a basis),
+    ``"tap"`` (a basis and a bit) or ``"pair"`` (two positions)."""
+    what = key[3]
+    if isinstance(what, str):
+        return "check"
+    return "tap" if isinstance(what[0], str) else "pair"
+
+
+def known(kind):
+    """The entries of ``_KNOWN`` for measurement ``kind``."""
+    return {key: e for key, e in qubits._KNOWN.items() if measurement(key) == kind}
+
+
+def mutated_known(kind, mutate):
+    """``_KNOWN`` with each entry of measurement ``kind`` replaced by
+    ``mutate(key, entry)``."""
+    return {
+        key: mutate(key, entry) if measurement(key) == kind else entry
+        for key, entry in qubits._KNOWN.items()
+    }
+
+
+def negated(results, kind):
+    return tuple(-r if isinstance(r, kind) else r for r in results)
+
+
 def mutated_decoy_table(name):
-    """``(attribute, table)``: one of the decoy tables with a deliberate
-    fault."""
-    tap, check = qubits._DECOY_TAP, qubits._DECOY_CHECK
+    """``_KNOWN`` with a deliberate fault in its decoy entries."""
+    table = qubits._KNOWN
     if name == "swapped-bell-sums":
-        return "_DECOY_TAP", {
-            key: ((links[0][0], links[1][1]), (links[1][0], links[0][1]))
-            for key, links in tap.items()
-        }
+        return mutated_known("tap", lambda key, entry: (
+            table[key[:3] + ((key[3][0], 1 - key[3][1]),)][0], entry[1]
+        ))
     if name == "negated-branch":
-        return "_DECOY_TAP", {
-            key: tuple(
-                (cdf, tuple(-b if isinstance(b, np.ndarray) else b for b in branches))
-                for cdf, branches in links
-            )
-            for key, links in tap.items()
-        }
+        return mutated_known(
+            "tap", lambda key, entry: (entry[0], negated(entry[1], np.ndarray))
+        )
     if name == "swapped-check-sums":
         swap = {"Z": "X", "X": "Z"}
-        return "_DECOY_CHECK", {
-            key: (check[key[:3] + (swap[key[3]],)][0], scalars)
-            for key, (_, scalars) in check.items()
-        }
+        return mutated_known(
+            "check", lambda key, entry: (table[key[:3] + (swap[key[3]],)][0], entry[1])
+        )
     assert name == "wrong-scalar"
-    return "_DECOY_CHECK", {
-        key: (cdf, tuple(-s if isinstance(s, complex) else s for s in scalars))
-        for key, (cdf, scalars) in check.items()
-    }
+    return mutated_known(
+        "check", lambda key, entry: (entry[0], negated(entry[1], complex))
+    )
 
 
 class TestClosedFormDecoys:
@@ -741,25 +760,30 @@ class TestClosedFormDecoys:
 
     def test_tables(self):
         # Ten vectors (the four decoys and six more that taps leave) under
-        # four frames in two bases; taps only of the four, nothing owed.
-        assert len(qubits._DECOY_CHECK) == 10 * 4 * 2
-        assert set(qubits._DECOY_TAP) == {
-            (row.tobytes(), 0, 0, basis) for row in DECOY_ROWS for basis in "ZX"
+        # four frames in two bases; taps only of the four, nothing owed,
+        # per basis and bit; and the four Bell pairs.
+        checks, taps = known("check"), known("tap")
+        assert len(checks) == 10 * 4 * 2
+        assert set(taps) == {
+            (row.tobytes(), 0, 0, (basis, bit))
+            for row in DECOY_ROWS for basis in "ZX" for bit in (0, 1)
         }
-        branches = [
-            b for links in qubits._DECOY_TAP.values() for _, bs in links for b in bs
-        ]
+        assert len(known("pair")) == 4 and len(qubits._KNOWN) == 16 + 80 + 4
+        branches = [b for _, bs in taps.values() for b in bs]
         kept = [b for b in branches if isinstance(b, np.ndarray)]
-        assert len(kept) == 48 and all(not b.flags.writeable for b in kept)
+        assert len(kept) == 48
+        stored = [r for _, results in qubits._KNOWN.values() for r in results]
+        arrays = [r for r in stored if isinstance(r, np.ndarray)]
+        assert len(arrays) == 48 and all(not b.flags.writeable for b in arrays)
         vectors = {b.tobytes() for b in kept} | {r.tobytes() for r in DECOY_ROWS}
-        assert {key[0] for key in qubits._DECOY_CHECK} == vectors
+        assert {key[0] for key in checks} == vectors
 
     @pytest.mark.parametrize(
         "name",
         ["swapped-bell-sums", "negated-branch", "swapped-check-sums", "wrong-scalar"],
     )
     def test_a_mutated_table_fails_the_check(self, monkeypatch, name):
-        monkeypatch.setattr(qubits, *mutated_decoy_table(name))
+        monkeypatch.setattr(qubits, "_KNOWN", mutated_decoy_table(name))
         with pytest.raises(AssertionError):
             for case in DECOY_CASES:
                 check_decoy(*case)
@@ -876,7 +900,7 @@ class TestClosedFormDecoys:
                     # the register's own general path raises before it
                     # spends an id, and so does the table.
                     with monkeypatch.context() as patch:
-                        patch.setattr(qubits, "_DECOY_TAP", {})
+                        patch.setattr(qubits, "_KNOWN", {})
                         ref, q = decoy_register(row)
                         script[:] = [bit, k]
                         assert settle(lambda: ref.tapped_teleport(q, basis, None)) == got
@@ -889,8 +913,8 @@ class TestClosedFormDecoys:
 
 def general_bell_measure(reg, qa, qb, rng):
     """``bell_measure`` on the general path, kept as the reference for
-    ``_PAIR_CHECK``: the pair's Bell components, a draw from their squared
-    norms, and the collapse."""
+    the pairs in ``_KNOWN``: the pair's Bell components, a draw from their
+    squared norms, and the collapse."""
     operands = reg._bell_operands(qa, qb)
     k = born_sample(qubits._bell_probabilities(*operands), rng)
     reg._collapse_bell(qa, qb, operands, k)
@@ -962,25 +986,24 @@ def check_pair(kind, frame, swapped, outcome, seed=0):
 
 
 def mutated_pair_table(name):
-    """``_PAIR_CHECK`` with a deliberate fault."""
-    table = qubits._PAIR_CHECK
+    """``_KNOWN`` with a deliberate fault in its pair entries."""
     if name == "wrong-scalar":
-        return {
-            key: (cdf, tuple(-s if isinstance(s, complex) else s for s in scalars))
-            for key, (cdf, scalars) in table.items()
-        }
+        return mutated_known(
+            "pair", lambda key, entry: (entry[0], negated(entry[1], complex))
+        )
     assert name == "shifted-sums"
-    keys = list(table)
-    return {
-        key: (table[keys[i - 1]][0], table[key][1]) for i, key in enumerate(keys)
-    }
+    keys = list(known("pair"))
+    previous = dict(zip(keys, keys[-1:] + keys[:-1]))
+    return mutated_known(
+        "pair", lambda key, entry: (qubits._KNOWN[previous[key]][0], entry[1])
+    )
 
 
 class TestClosedFormPairs:
     def test_table(self):
         # The four Bell vectors with nothing owed, at positions (0, 1).
-        assert set(qubits._PAIR_CHECK) == {
-            (kind.vector.tobytes(), 0, 0, 0, 1) for kind in BellKind
+        assert set(known("pair")) == {
+            (kind.vector.tobytes(), 0, 0, (0, 1)) for kind in BellKind
         }
 
     @given(st.sampled_from(PAIR_CASES), st.integers(0, 3), st.integers(0, 2**32 - 1))
@@ -993,7 +1016,7 @@ class TestClosedFormPairs:
 
     @pytest.mark.parametrize("name", ["wrong-scalar", "shifted-sums"])
     def test_a_mutated_table_fails_the_check(self, monkeypatch, name):
-        monkeypatch.setattr(qubits, "_PAIR_CHECK", mutated_pair_table(name))
+        monkeypatch.setattr(qubits, "_KNOWN", mutated_pair_table(name))
         with pytest.raises(AssertionError):
             for case, outcome in itertools.product(PAIR_CASES, range(4)):
                 check_pair(*case, outcome)

@@ -38,15 +38,18 @@ script.  The output holds:
 * ``pair_us``: the median microseconds of ``joint_identify`` on a
   freshly split record (``scenarios/split_share.scn``, its first record,
   distributed and transported untimed, one trial index after another), as
-  ``joint_identify``, and again as ``general_path`` with ``_PAIR_CHECK``
-  emptied, so that every key misses and the general path runs;
-* ``audit_us``: the median microseconds of one ``no_information_audit``
-  with no record, record 1, and every record withheld, and of ``sweep``,
-  the whole sweep that ``cqss noinfo`` audits (no record, each record,
-  then every record: N + 2 sets, N + 1 at N = 1), on a distributed and
-  transported full-release run at each width in ``AUDIT_WIDTHS``, each
-  width in a fresh interpreter.  One untimed audit first builds the run's
-  secret projector, which every later audit of the run reuses;
+  ``joint_identify``, and again as ``general_path`` with the pair entries
+  dropped from ``cqss.qubits._KNOWN``, so that the pair's key misses and
+  the general path runs;
+* ``audit_us``: the median microseconds of ``sweep``, the whole sweep
+  that ``cqss noinfo`` audits (no record, each record, then every record:
+  N + 2 sets, N + 1 at N = 1), and of its audits with no record, record 1,
+  and every record withheld, on a distributed and transported
+  full-release run at each width in ``AUDIT_WIDTHS``, each width in a
+  fresh interpreter.  The sweep runs at least ``SWEEP_CALLS`` times, and
+  again until ``PRIMITIVE_S`` has passed; each audit is timed inside it.
+  One untimed audit first builds the run's secret projector, which every
+  later audit of the run reuses;
 * ``phase_us``: the median microseconds of each phase of a full-release
   trial as ``harness.run_trial`` runs it (``PHASES``: ``build_run`` as its
   two parts, the secret draw ``secret_for_trial`` and the staging of the
@@ -98,9 +101,11 @@ PHASES = (
     "to_text",
 )
 # Run each primitive for about this long per width, set-up included, and
-# at least MIN_CALLS times.
+# at least MIN_CALLS times; a sweep at least SWEEP_CALLS times (one takes
+# seconds at N = 10).
 PRIMITIVE_S = 0.3
 MIN_CALLS = 5
+SWEEP_CALLS = 3
 
 
 def full_release_text(width: int) -> str:
@@ -329,17 +334,19 @@ def pairs() -> dict:
         run.joint_identify(*run.policy.record_to_controller[index], index)
 
     out = {"joint_identify": median_us(identify, fresh)}
-    table, qubits._PAIR_CHECK = qubits._PAIR_CHECK, {}
+    # A pair's key ends in two tensor positions; a decoy's in a basis.
+    table = qubits._KNOWN
+    qubits._KNOWN = {k: e for k, e in table.items() if type(k[3][0]) is str}
     try:
         out["general_path"] = median_us(identify, fresh)
     finally:
-        qubits._PAIR_CHECK = table
+        qubits._KNOWN = table
     return out
 
 
 def audits(width: int) -> dict:
-    """µs per sealing audit at ``width`` with none, the first and every
-    record withheld, and per sweep of ``cqss noinfo``'s sets in turn."""
+    """µs per sweep of ``cqss noinfo``'s sets in turn at ``width``, and per
+    audit of its sets with none, the first and every record withheld."""
     from cqss import harness
     from cqss.scenario import parse_scenario_text
     from cqss.security import no_information_audit
@@ -348,15 +355,22 @@ def audits(width: int) -> dict:
     run.distribute_all()
     run.transport_all()
     no_information_audit(run, ())
-    sets = {"none": (), "1": (1,), "all": range(1, width + 1)}
-    out = {
-        label: median_us(lambda _: no_information_audit(run, withheld))
-        for label, withheld in sets.items()
-    }
     sweep = noinfo_sweep(width)
-    out["sweep"] = median_us(
-        lambda _: [no_information_audit(run, withheld) for withheld in sweep]
-    )
+    sweeps: list[list[float]] = []
+    start = time.perf_counter()
+    while len(sweeps) < SWEEP_CALLS or time.perf_counter() - start < PRIMITIVE_S:
+        times = []
+        for withheld in sweep:
+            t0 = time.perf_counter()
+            no_information_audit(run, withheld)
+            times.append(time.perf_counter() - t0)
+        sweeps.append(times)
+    columns = list(zip(*sweeps))
+    out = {
+        label: 1e6 * statistics.median(columns[i])
+        for label, i in (("none", 0), ("1", 1), ("all", -1))
+    }
+    out["sweep"] = 1e6 * statistics.median(map(sum, sweeps))
     return out
 
 
