@@ -32,7 +32,7 @@ from .harness import (
 )
 from .qubits import check_array_qubits
 from .scenario import ScenarioConfig, load_scenario
-from .security import no_information_audit, verify_decoys
+from .security import no_information_audit, noinfo_sweep, verify_decoys
 
 RECOVERY_FIDELITY_FLOOR = 1.0 - 1e-10
 
@@ -113,13 +113,9 @@ def _cmd_noinfo(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     run.distribute_all()
     run.transport_all()
     verify_decoys(run, run.decoy_plan)
-    sweep: list[set[int]] = [set()]
-    sweep += [{i} for i in range(1, cfg.N + 1)]
-    if cfg.N > 1:
-        sweep.append(set(range(1, cfg.N + 1)))
     lines = ["cqss-noinfo-audit v1", f"scenario: {cfg.name}"]
     ok = True
-    for withheld in sweep:
+    for withheld in noinfo_sweep(cfg.N):
         audit = no_information_audit(run, withheld)
         label = ",".join(str(i) for i in audit.withheld) or "-"
         lines.append(

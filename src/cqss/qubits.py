@@ -279,7 +279,7 @@ class RandomSource:
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     def random(self) -> float:
-        return float(self._gen.random())
+        return self._gen.random()
 
     def integers(self, n: int) -> int:
         """Uniform integer in [0, n)."""

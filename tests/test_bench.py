@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqss import cli, harness
+from cqss import cli, harness, security
 from cqss.scenario import load_scenario, parse_scenario_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +37,23 @@ def child(*args):
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_a_child_finds_cqss_without_pythonpath(tmp_path):
+    # A child mode run by hand from another directory imports cqss from
+    # the checkout holding the script.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--child", "audit", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.strip().splitlines()[-1])
+    assert set(out) == {"none", "1", "all", "sweep"}
 
 
 def test_scenarios_are_the_eve_free_bundled_ones():
@@ -99,7 +116,7 @@ def test_audit_sweep_is_the_one_noinfo_prints(name, capsys):
     assert cli.main(["noinfo", str(path)]) == 0
     printed = re.findall(r"^withheld=(\S+) ", capsys.readouterr().out, re.M)
     width = load_scenario(path).N
-    sweep = bench.noinfo_sweep(width)
+    sweep = security.noinfo_sweep(width)
     assert printed == [",".join(map(str, w)) or "-" for w in sweep]
     assert len(sweep) == (width + 2 if width > 1 else 2)
 
@@ -140,8 +157,6 @@ def test_pair_child_reads_the_table_then_the_general_path(monkeypatch):
 def test_audit_child_runs_at_least_three_sweeps(monkeypatch):
     # With no time to fill, the child runs SWEEP_CALLS sweeps after its one
     # untimed audit, and reads each labelled audit off them.
-    from cqss import security
-
     audited, real_audit = [], security.no_information_audit
 
     def audit(run, withheld):
@@ -151,7 +166,7 @@ def test_audit_child_runs_at_least_three_sweeps(monkeypatch):
     monkeypatch.setattr(bench, "PRIMITIVE_S", 0.0)
     monkeypatch.setattr(security, "no_information_audit", audit)
     out = bench.audits(3)
-    sweep = bench.noinfo_sweep(3)
+    sweep = security.noinfo_sweep(3)
     assert bench.SWEEP_CALLS >= 3
     assert audited == [()] + sweep * bench.SWEEP_CALLS
     assert out["sweep"] > out["all"] > 0 and out["none"] > 0 and out["1"] > 0

@@ -1351,12 +1351,25 @@ def audited_runs(draw):
     return complete(run), draw(st.sets(st.integers(1, width)))
 
 
+def factor_rule(r, s, positions):
+    """The trace distance of ``r`` and ``s`` read off the unsealed factor:
+    2^k times that of their blocks with each of the k tensor ``positions``
+    at 0 in row and column (position 0 the most significant bit)."""
+    n = r.shape[0].bit_length() - 1
+    mask = sum(1 << (n - 1 - p) for p in positions)
+    keep = [i for i in range(r.shape[0]) if not i & mask]
+    block = np.ix_(keep, keep)
+    return trace_distance(r[block], s[block]) * 2 ** len(positions)
+
+
 class TestWithheldState:
     @given(audited_runs())
     def test_same_bytes_as_the_general_path(self, case):
         # Released slots as one multiply and the projector built once per
         # run change no float: the entries keep their bytes, signed zeros
-        # included, and each audit its distance.
+        # included.  With nothing withheld the audit's distance is the
+        # dense trace distance; otherwise it is the factor rule on the same
+        # two matrices, within 1e-12 of the dense distance.
         run, drawn = case
         width = run.secret_width
         sweep = [set(), *({i} for i in range(1, width + 1)), set(range(1, width + 1)),
@@ -1365,9 +1378,15 @@ class TestWithheldState:
             reference = general_withheld_state(run, withheld)
             got = run.withheld_state(withheld)
             assert got.entries.tobytes() == reference.tobytes(), withheld
-            expected = sealed_mixture(run.secret, [i - 1 for i in withheld])
+            positions = sorted(i - 1 for i in withheld)
+            expected = sealed_mixture(run.secret, positions)
             audit = no_information_audit(run, withheld)
-            assert audit.distance == trace_distance(reference, expected), withheld
+            dense = trace_distance(reference, expected)
+            if not withheld:
+                assert audit.distance == dense
+                continue
+            assert audit.distance == factor_rule(reference, expected, positions), withheld
+            assert audit.distance == pytest.approx(dense, rel=1e-12, abs=1e-30), withheld
 
     def test_a_sweep_builds_the_projector_once(self, monkeypatch):
         # The run's secret and its projector are read-only; a run that never

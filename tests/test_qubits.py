@@ -2102,6 +2102,15 @@ class TestRandomSource:
     def test_distinct_trials_distinct_streams(self):
         assert RandomSource((5, 0)).random() != RandomSource((5, 1)).random()
 
+    def test_random_is_the_bare_generators_float_stream(self):
+        # Generator.random() with no size is already a Python float, so the
+        # source passes it on as it is.
+        source = RandomSource((5, 3))
+        bare = np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, 3))))
+        draws = [source.random() for _ in range(200)]
+        assert all(type(d) is float for d in draws)
+        assert draws == [bare.random() for _ in range(200)]
+
 
 class TestDensityMatrixValidation:
     def test_validate_rejects_bad_trace(self):

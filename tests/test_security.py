@@ -1,11 +1,17 @@
 """Decoy checking, the intercept-resend attacker, and sealing audits."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cqss import protocol
+from cqss import protocol, security
 from cqss.errors import PolicyError, ProtocolError
 from cqss.protocol import AccessPolicy, setup
 from cqss.qubits import (
@@ -16,6 +22,7 @@ from cqss.qubits import (
     RandomSource,
     fidelity,
     pure_density,
+    sealed_mixture,
     trace_distance,
 )
 from cqss.security import (
@@ -25,8 +32,12 @@ from cqss.security import (
     EveModel,
     eve_tap,
     no_information_audit,
+    noinfo_sweep,
     verify_decoys,
 )
+from test_protocol import complete, general_withheld_state, split_records_policy
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def haar(width, seed):
@@ -386,6 +397,46 @@ class TestDetectionStatistics:
 # -- sealing audit ----------------------------------------------------------------------------
 
 
+def eigvalsh_sides(monkeypatch):
+    """The side of every matrix ``np.linalg.eigvalsh`` is given from now on."""
+    sides, real = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sides.append(a.shape[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return sides
+
+
+def blocks_over(rho, positions):
+    """``rho``'s blocks over the tensor ``positions``: ``[b, c]`` is the
+    block with those positions at the bits of ``b`` in the row and of ``c``
+    in the column."""
+    n = rho.shape[0].bit_length() - 1
+    k = len(positions)
+    rows_and_columns = [*positions, *(n + p for p in positions)]
+    t = np.moveaxis(rho.reshape((2,) * (2 * n)), rows_and_columns, range(2 * k))
+    side = 2 ** (n - k)
+    return t.reshape(2**k, 2**k, side, side)
+
+
+@st.composite
+def sealed_runs(draw):
+    """A distributed and transported run of 1 to 7 qubits with a Haar
+    secret, up to two decoys, some records split between two controllers and
+    taps on none, some or all slots, and a drawn set of withheld records."""
+    width = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    split_records = draw(st.sets(st.integers(1, width))) if width > 1 else ()
+    rng = RandomSource(seed)
+    plan = DecoyPlan.random(width, draw(st.integers(0, 2)), rng)
+    eve = EveModel.intercept_resend(draw(st.sampled_from([0.0, 0.5, 1.0])))
+    run = setup(width, width, width, haar(width, seed), split_records_policy(
+        width, split_records), rng, decoy_plan=plan, eve=eve)
+    return complete(run), draw(st.sets(st.integers(1, width)))
+
+
 class TestNoInformationAudit:
     def run_for_audit(self, width=3, seed=80):
         policy = AccessPolicy.round_robin(width, width, width)
@@ -456,3 +507,93 @@ class TestNoInformationAudit:
             monkeypatch.setattr(protocol, "_CORRECTED_SUPEROPS", table)
             audit = no_information_audit(run, set())
             assert audit.distance > AUDIT_TOLERANCE, (kind, wrong)
+
+    @pytest.mark.parametrize("slot", [1, 2, 3])
+    def test_wrong_correction_fails_beside_a_withheld_record(self, monkeypatch, slot):
+        # With another record withheld the audit eigensolves only the
+        # unsealed factor, and a wrong correction on a released slot still
+        # shows there as a leak.
+        run = self.run_for_audit(seed=88)
+        kind = run.transcript.bell_record[slot]
+        uncorrected, _ = protocol._swap_kraus()
+        sides = eigvalsh_sides(monkeypatch)
+        for wrong in Pauli:
+            if wrong is CORRECTION_FOR_OUTCOME[kind]:
+                continue
+            k = wrong.matrix @ uncorrected[kind]
+            table = {**protocol._CORRECTED_SUPEROPS, kind: np.kron(k, k.conj())}
+            monkeypatch.setattr(protocol, "_CORRECTED_SUPEROPS", table)
+            for other in {1, 2, 3} - {slot}:
+                audit = no_information_audit(run, {other})
+                assert audit.distance > AUDIT_TOLERANCE, (kind, wrong, other)
+        assert set(sides) == {4}
+
+    @pytest.mark.parametrize("channel", ["one branch", "dephasing"])
+    def test_a_withheld_channel_without_the_sealing_form_is_audited_dense(
+        self, monkeypatch, channel
+    ):
+        # One corrected branch alone, c * I, keeps a withheld slot's
+        # coherences; dephasing keeps its populations (rows 1 and 2 zero,
+        # rows 0 and 3 not equal).  Neither has the sealing form, so the
+        # audit eigensolves the whole 2^N-square difference, as
+        # trace_distance does, and sees the leak.
+        run = self.run_for_audit(seed=90)
+        assert security._sealing_form(protocol._WITHHELD_SUPEROP)
+        if channel == "one branch":
+            superop = protocol._CORRECTED_SUPEROPS[run.transcript.bell_record[1]]
+        else:
+            superop = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
+        assert not security._sealing_form(superop)
+        monkeypatch.setattr(protocol, "_WITHHELD_SUPEROP", superop)
+        sides = eigvalsh_sides(monkeypatch)
+        audits = [no_information_audit(run, {i}) for i in (1, 2, 3)]
+        assert sides == [8, 8, 8]
+        for audit in audits:
+            assert audit.distance > AUDIT_TOLERANCE, audit
+            (i,) = audit.withheld
+            expected = sealed_mixture(run.secret, [i - 1])
+            assert audit.distance == trace_distance(run.withheld_state({i}), expected)
+
+    def test_the_form_is_decided_once_per_superoperator(self, monkeypatch):
+        # Two sweeps decide the withheld channel's form once; a replaced
+        # channel, having other bytes, once more.
+        run = self.run_for_audit(seed=91)
+        sweep = noinfo_sweep(run.secret_width)
+        security._entries_seal.cache_clear()
+        for _ in range(2):
+            assert all(no_information_audit(run, w).passed for w in sweep)
+        assert security._entries_seal.cache_info().misses == 1
+        monkeypatch.setattr(protocol, "_WITHHELD_SUPEROP", 2 * protocol._WITHHELD_SUPEROP)
+        assert all(no_information_audit(run, w).passed for w in sweep)
+        assert security._entries_seal.cache_info().misses == 2
+
+    def test_nothing_is_decided_at_import(self):
+        code = "import cqss.security as s; print(s._entries_seal.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
+
+    @given(sealed_runs())
+    def test_the_difference_is_identity_on_the_withheld_slots(self, case):
+        # On the general-path reference and the sealed prediction the
+        # difference is I (x) D over the withheld positions, block by block
+        # and bit for bit, so the audit's factored distance is the dense
+        # trace distance up to rounding.
+        run, withheld = case
+        positions = sorted(i - 1 for i in withheld)
+        reference = general_withheld_state(run, withheld)
+        expected = sealed_mixture(run.secret, positions)
+        delta = blocks_over(reference - expected, positions)
+        for b, c in itertools.product(range(len(delta)), repeat=2):
+            np.testing.assert_array_equal(delta[b, c], delta[0, 0] if b == c else 0.0)
+        audit = no_information_audit(run, withheld)
+        dense = trace_distance(reference, expected)
+        assert audit.distance == pytest.approx(dense, rel=1e-12, abs=1e-30)
+        assert audit.passed
+

@@ -219,7 +219,6 @@ def in_child(args: list[str], timeout: float) -> dict:
         text=True,
         timeout=timeout,
         cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(args)} failed:\n{done.stderr}")
@@ -349,7 +348,7 @@ def audits(width: int) -> dict:
     audit of its sets with none, the first and every record withheld."""
     from cqss import harness
     from cqss.scenario import parse_scenario_text
-    from cqss.security import no_information_audit
+    from cqss.security import no_information_audit, noinfo_sweep
 
     run = harness.build_run(parse_scenario_text(full_release_text(width)), (2026, 0))
     run.distribute_all()
@@ -372,13 +371,6 @@ def audits(width: int) -> dict:
     }
     out["sweep"] = 1e6 * statistics.median(map(sum, sweeps))
     return out
-
-
-def noinfo_sweep(width: int) -> list[tuple[int, ...]]:
-    """The withheld sets ``cqss noinfo`` audits at ``width``, in its order:
-    none, each record, then every record if there are two or more."""
-    sweep = [(), *((i,) for i in range(1, width + 1))]
-    return sweep + [tuple(range(1, width + 1))] if width > 1 else sweep
 
 
 def phases(width: int, seconds: float) -> dict:
@@ -477,6 +469,8 @@ def main(argv: list[str] | None = None) -> None:
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     if args.child:
+        # A child imports cqss from this checkout, with or without PYTHONPATH.
+        sys.path.insert(0, str(ROOT / "src"))
         kind, *arg = args.child
         usage = f"--child KIND [ARG]: KIND is one of {', '.join(CHILDREN)}"
         read, run = CHILDREN.get(kind, (None, None))
