@@ -47,7 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("run", "execute a scenario and report per-trial and aggregate results"),
         ("noinfo", "verify sealed secrets carry no withheld-qubit information"),
         ("eve", "measure the decoy detection curve under the configured attacker"),
-        ("mstar", "sweep release subsets for the minimum consenting controllers"),
+        ("mstar", "sweep release subsets for the minimum consenting controllers "
+                  "(recovery counts covered qubits, decodable only when the "
+                  "secret is a threshold encoding)"),
         ("resources", "print and check the resource accounting for one trial"),
     ):
         p = sub.add_parser(name, help=help_text)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -327,6 +327,11 @@ class Recovered:
     density matrix is computed from the run's register when first read, so
     a caller that never reads it never pays for it; read it before
     measuring that register any further.
+
+    Recovered means covered: the covered qubits can be decoded only when
+    the secret is a threshold encoding.  A Haar secret under
+    ``round_robin(3, 3, 3, threshold_k=2)`` recovers a mixed share (purity
+    0.53 to 0.77 on five Haar secrets) from which nothing can be decoded.
     """
 
     state_vector: np.ndarray | None
@@ -782,43 +787,35 @@ class ProtocolRun:
         secret qubit to the player's link half, whose Kraus operators are
         read off forced ``project_bell`` branches of the swap gadget (see
         :func:`_swap_kraus`).  Withheld slots get the sum over all four
-        uncorrected branches; every other slot gets the single branch
-        actually recorded, followed by its correction, so a wrong correction
-        table shows up here.  The channels are 4x4 superoperators built once
-        per process, when this module is imported.  No sampling is
-        involved.  The start is a copy of the run's :attr:`secret_projector`.
-        A released slot's channel is a real scalar c times the identity,
-        decided once per superoperator (:func:`_identity_scalar`): one
-        multiply in place.  A withheld slot is one product through the
-        unchecked :func:`~cqss.qubits._channel`.  Each run of released slots
-        then gets one ``+= 0.0``: multiplying by c keeps every nonzero
-        entry's value whatever the signs of the zeros beside it and every
-        zero a zero, and the add turns -0.0 into the product's +0.0.
+        uncorrected branches (``_WITHHELD``); every other slot gets the
+        single branch actually recorded, followed by its correction
+        (``_CORRECTED``), so a wrong correction table shows up here.  Both
+        are built, their forms decided, at import (:func:`_swap_channel`).
+        No sampling is involved.  The start is a copy of the run's
+        :attr:`secret_projector`.  A released slot's channel is a real
+        scalar c times the identity: one multiply in place.  A withheld slot
+        is one product through :func:`~cqss.qubits._channel`.  Each run of
+        released slots then gets one ``+= 0.0``: multiplying by c keeps every
+        nonzero entry's value whatever the signs of the zeros beside it and
+        every zero a zero, and the add turns -0.0 into the product's +0.0.
         """
         if not self.distribution_complete:  # before the indices are read
             raise IncompleteRun("distribution must complete first")
-        return self._withheld_state(_record_indices(withheld_indices))
-
-    def _withheld_state(self, withheld: tuple[int, ...]) -> DensityMatrix:
-        """:meth:`withheld_state` on indices read by ``_record_indices``."""
-        if not self.distribution_complete:
-            raise IncompleteRun("distribution must complete first")
+        withheld = _record_indices(withheld_indices)
         width = self.secret_width
         for i in withheld:
             if not 1 <= i <= width:
                 raise ProtocolError(f"withheld index {i} outside 1..{width}")
         rho = self.secret_projector.copy()
+        record = self.transcript.bell_record
         multiplied = False  # since the last += 0.0
         for index in range(1, width + 1):
-            if index in withheld:
-                superop = _WITHHELD_SUPEROP
-            else:
-                superop = _CORRECTED_SUPEROPS[self.transcript.bell_record[index]]
-            scalar = _identity_scalar(superop)
+            channel = _WITHHELD if index in withheld else _CORRECTED[record[index]]
+            scalar = channel.scalar
             if scalar is None:
                 if multiplied:
                     rho += 0.0
-                rho = _channel(rho, index - 1, superop)
+                rho = _channel(rho, index - 1, channel.superop)
             else:
                 rho *= scalar
             multiplied = scalar is not None
@@ -891,7 +888,7 @@ def _swap_kraus() -> tuple[dict[BellKind, np.ndarray], dict[BellKind, np.ndarray
     operators and the ones followed by ``CORRECTION_FOR_OUTCOME``.
 
     The operators are constants: this runs once per process, at import,
-    to build ``_WITHHELD_SUPEROP`` and ``_CORRECTED_SUPEROPS``.
+    to build ``_WITHHELD`` and ``_CORRECTED``.
     """
     uncorrected: dict[BellKind, np.ndarray] = {}
     corrected: dict[BellKind, np.ndarray] = {}
@@ -907,45 +904,44 @@ def _swap_kraus() -> tuple[dict[BellKind, np.ndarray], dict[BellKind, np.ndarray
 
 
 def _superoperator(kraus: Iterable[np.ndarray]) -> np.ndarray:
-    """Read-only ``sum_k K (x) conj(K)``: the channel ``rho -> sum_k K rho K^dagger``
+    """``sum_k K (x) conj(K)``: the channel ``rho -> sum_k K rho K^dagger``
     acting on the flattened (row, column) index pair of one qubit.  The
     Kronecker product is spelled as an outer product, which gives the same
     floats at a fifth of ``np.kron``'s call cost."""
-    superop = sum(
+    return sum(
         np.multiply.outer(k, k.conj()).transpose(0, 2, 1, 3).reshape(4, 4)
         for k in kraus
     )
+
+
+class _SwapChannel(NamedTuple):
+    superop: np.ndarray  # read-only, 4x4
+    scalar: float | None  # c when the entries are exactly c * I4, c real
+    seals: bool  # every output a multiple of the identity
+
+
+def _swap_channel(superop: np.ndarray) -> _SwapChannel:
+    """A read-only complex copy of the 4x4 ``superop``, its form decided
+    once: it seals when rows 1 and 2 (the output's off-diagonal entries)
+    are zero and rows 0 and 3 (its diagonal) the same bytes."""
+    superop = np.array(superop, dtype=complex)
     superop.setflags(write=False)
-    return superop
+    c = complex(superop[0, 0])
+    scalar = c.real if (superop == c * np.eye(4)).all() and not c.imag else None
+    seals = not superop[1:3].any() and superop[0].tobytes() == superop[3].tobytes()
+    return _SwapChannel(superop, scalar, seals)
 
 
-def _swap_superoperators() -> tuple[np.ndarray, Mapping[BellKind, np.ndarray]]:
+def _swap_superoperators() -> tuple[_SwapChannel, Mapping[BellKind, _SwapChannel]]:
     uncorrected, corrected = _swap_kraus()
-    return _superoperator(uncorrected.values()), MappingProxyType(
-        {kind: _superoperator([k]) for kind, k in corrected.items()}
+    return _swap_channel(_superoperator(uncorrected.values())), MappingProxyType(
+        {kind: _swap_channel(_superoperator([k])) for kind, k in corrected.items()}
     )
 
 
 # The swap channel of a withheld record (all four uncorrected branches) and
 # of a released one (its recorded branch, then its correction).
-_WITHHELD_SUPEROP, _CORRECTED_SUPEROPS = _swap_superoperators()
-
-
-def _identity_scalar(superop: np.ndarray) -> float | None:
-    """``c`` if the 4x4 ``superop``'s entries are exactly ``c * I4`` with a
-    real ``c`` (the swap of a released record followed by its correction),
-    else None; cached on the bytes of its complex entries, so each distinct
-    superoperator, a replaced table entry too, is decided once."""
-    return _entries_scalar(np.asarray(superop, dtype=complex).tobytes())
-
-
-@lru_cache(maxsize=64)
-def _entries_scalar(entries: bytes) -> float | None:
-    values = np.frombuffer(entries, dtype=complex).tolist()
-    diagonal = values[::5]
-    del values[::5]
-    real = diagonal == diagonal[:1] * 4 and not any(values) and not diagonal[0].imag
-    return diagonal[0].real if real else None
+_WITHHELD, _CORRECTED = _swap_superoperators()
 
 
 def _pad_tables() -> tuple[

@@ -81,6 +81,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Sequence
@@ -1040,8 +1041,9 @@ def apply_single_qubit_channel(
     ``rho -> sum_k K rho K^dagger`` (it need not be trace preserving) and
     acts on the (row, column) index pair of tensor position ``position``.
     A non-square ``rho``, a side that is not a power of two, or a
-    superoperator that is not 4x4 raises ``DimensionMismatch``; then the
-    unchecked kernel :func:`_channel` applies it.
+    superoperator that is not 4x4 raises ``DimensionMismatch``, a position
+    outside the qubits or not an ``operator.index`` (``1.0``, ``"1"``)
+    ``ValueError``; then the unchecked kernel :func:`_channel` applies it.
     """
     rho = np.asarray(rho, dtype=complex)
     superop = np.asarray(superop)
@@ -1050,10 +1052,17 @@ def apply_single_qubit_channel(
         raise DimensionMismatch(f"density matrix shape {rho.shape}")
     if superop.shape != (4, 4):
         raise DimensionMismatch(f"superoperator shape {superop.shape}, expected (4, 4)")
-    n = dim.bit_length() - 1
-    if not 0 <= position < n:
-        raise ValueError(f"position {position} out of range for {n} qubits")
-    return _channel(rho, position, superop)
+    return _channel(rho, _position(position, dim.bit_length() - 1), superop)
+
+
+def _position(position: object, n: int) -> int:
+    """``position`` read with ``operator.index``, one of ``n`` qubits'."""
+    try:
+        if 0 <= (p := operator.index(position)) < n:
+            return p
+    except TypeError:
+        pass
+    raise ValueError(f"position {position!r} out of range for {n} qubits")
 
 
 def _channel(rho: np.ndarray, position: int, superop: np.ndarray) -> np.ndarray:
@@ -1074,33 +1083,43 @@ def sealed_mixture(psi: np.ndarray, positions: Iterable[int]) -> np.ndarray:
 
     Starting from the pure projector of ``psi``, each withheld slot is
     replaced by a maximally mixed qubit tensored with the partial trace over
-    that slot (:func:`_seal_in_place`).  ``psi`` must be a normalized state
-    and every position one of its qubits.
+    that slot (:func:`_seal`).  ``psi`` must be a normalized state and
+    every position one of its qubits, read with ``operator.index``; anything
+    else raises ``ValueError`` before the projector is built.
     """
     vec, n = _as_state(psi)
-    positions = sorted(set(positions))
-    for p in positions:
-        if not 0 <= p < n:
-            raise ValueError(f"position {p} out of range for {n} qubits")
-    return _seal_in_place(pure_density(vec), positions)
+    positions = sorted({_position(p, n) for p in positions})
+    return _seal(pure_density(vec), positions)
 
 
-def _seal_in_place(rho: np.ndarray, positions: Iterable[int]) -> np.ndarray:
-    """Replace each tensor position in ``positions`` of the contiguous
-    square matrix ``rho`` by a maximally mixed qubit tensored with the
-    partial trace over it, writing ``rho`` in place, and return ``rho``.
-    The replacements commute, so the order does not matter; the positions
-    are not checked.  Each position views ``rho`` as (L, 2, R L, 2, R), with
-    ``L = 2**p`` and ``R = dim / (2 L)``, and halves one temporary in place."""
-    dim = rho.shape[0]
-    for p in positions:
-        left = 2**p
-        right = dim // (2 * left)
-        t = rho.reshape(left, 2, right * left, 2, right)
-        half = t[:, 0, :, 0] + t[:, 1, :, 1]
-        half *= 0.5
-        t[:, 0, :, 1] = 0.0
-        t[:, 1, :, 0] = 0.0
-        t[:, 0, :, 0] = half
-        t[:, 1, :, 1] = half
-    return rho
+def _sealed_block(rho: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """The one rule of the sealed state: the contiguous square ``rho``
+    with each ascending, unchecked tensor position in turn reduced to half
+    the sum of its two diagonal blocks, on the (L, 2, R L, 2, R) view of
+    the block so far, into a new array.  ``rho`` is never written; with no
+    positions it is the block."""
+    block = rho
+    for gone, p in enumerate(positions):
+        side = block.shape[0]
+        left = 2 ** (p - gone)
+        right = side // (2 * left)
+        t = block.reshape(left, 2, right * left, 2, right)
+        block = t[:, 0, :, 0] + t[:, 1, :, 1]
+        block *= 0.5
+        block = block.reshape(side // 2, side // 2)
+    return block
+
+
+def _seal(rho: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """``rho`` with a maximally mixed qubit at each ascending, unchecked
+    tensor position, tensored with the partial trace over them: the
+    :func:`_sealed_block` on the diagonal of each position in turn, +0.0
+    elsewhere, in new arrays (``rho`` itself with no positions)."""
+    sealed = _sealed_block(rho, positions)
+    for p in positions:  # every qubit below p is in place
+        side = 2 * sealed.shape[0]
+        out = np.zeros((side, side), dtype=complex)
+        t = out.reshape(2**p, 2, -1, 2, side >> (p + 1))
+        t[:, 0, :, 0] = t[:, 1, :, 1] = sealed.reshape(2**p, -1, side >> (p + 1))
+        sealed = out
+    return sealed

@@ -14,7 +14,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -26,7 +25,8 @@ from .qubits import (
     _BASIS_MATRIX,
     _CORRECTIONS,
     RandomSource,
-    _seal_in_place,
+    _seal,
+    _sealed_block,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -243,33 +243,31 @@ class AuditReport:
 
 
 def no_information_audit(run: "ProtocolRun", withheld: Iterable[int]) -> AuditReport:
-    """Compare the players' exact knowledge state under withheld records with
-    the closed-form prediction (each withheld slot maximally mixed, the rest
-    the partial trace of the original state): the prediction of
-    :func:`~cqss.qubits.sealed_mixture`, sealed in place on a copy of the
-    run's :attr:`~cqss.protocol.ProtocolRun.secret_projector` (itself when
-    nothing is withheld), so a sweep builds the projector once.
+    """Compare the players' exact knowledge state under withheld records
+    (:meth:`~cqss.protocol.ProtocolRun.withheld_state`) with the closed-form
+    prediction of :func:`~cqss.qubits.sealed_mixture`: each withheld slot
+    maximally mixed, the rest the partial trace of the original state.
 
-    The distance is computed on the unsealed factor.  When the withheld
-    slots' channel, ``cqss.protocol._WITHHELD_SUPEROP`` as it is at the
-    call, has the sealing form (:func:`_sealing_form`: it leaves every input
-    a multiple of the identity), both states are I ⊗ (their
-    block with every withheld position at 0) over the withheld positions W,
-    so their difference is I ⊗ D and its trace norm 2^|W| times that of D.
-    One ``eigvalsh`` of the 2^(N−|W|)-square D then replaces the 2^N-square
-    one, and the multiply by 2^|W| is exact.  With nothing withheld, or a
-    channel without the form, D is the whole difference and the distance is
-    :func:`~cqss.qubits.trace_distance`'s, bit for bit."""
+    When the withheld slots' channel seals (``cqss.protocol._WITHHELD`` as
+    it is at the call), both states are I ⊗ (their block with every
+    withheld position at 0) over the withheld positions, so the prediction
+    is computed as its block alone: the run's read-only
+    :attr:`~cqss.protocol.ProtocolRun.secret_projector` goes straight to
+    :func:`~cqss.qubits._sealed_block`, and :func:`_factored_distance`
+    eigensolves the difference of the blocks.  A channel that does not seal
+    is audited dense, on the whole :func:`~cqss.qubits._seal`.  With nothing
+    withheld either way is :func:`~cqss.qubits.trace_distance`'s, bit for
+    bit.  A non-integer index raises ``ProtocolError`` before an incomplete
+    run raises."""
+    from . import protocol  # protocol imports this module
+
     indices = _record_indices(withheld)
-    actual = run._withheld_state(indices)
-    expected = run.secret_projector
+    actual = run.withheld_state(indices)
     positions = [i - 1 for i in indices]
-    if positions:
-        from . import protocol  # protocol imports this module
-
-        expected = _seal_in_place(expected.copy(), positions)
-        if not _sealing_form(protocol._WITHHELD_SUPEROP):
-            positions = []
+    if protocol._WITHHELD.seals:
+        expected = _sealed_block(run.secret_projector, positions)
+    else:
+        expected, positions = _seal(run.secret_projector, positions), []
     distance = _factored_distance(actual.entries, expected, positions)
     return AuditReport(indices, distance, AUDIT_TOLERANCE)
 
@@ -281,28 +279,12 @@ def noinfo_sweep(width: int) -> list[tuple[int, ...]]:
     return sweep + [tuple(range(1, width + 1))] if width > 1 else sweep
 
 
-def _sealing_form(superop: np.ndarray) -> bool:
-    """Whether the 4x4 one-qubit ``superop`` maps every matrix to a multiple
-    of the identity: rows 1 and 2 (the output's off-diagonal entries) zero
-    and rows 0 and 3 (its diagonal) the same bytes.  Cached on the bytes of
-    its complex entries, so each distinct superoperator, a replaced table
-    too, is decided once."""
-    return _entries_seal(np.asarray(superop, dtype=complex).tobytes())
-
-
-@lru_cache(maxsize=64)
-def _entries_seal(entries: bytes) -> bool:
-    rows = np.frombuffer(entries, dtype=complex).reshape(4, 4)
-    return not rows[1:3].any() and rows[0].tobytes() == rows[3].tobytes()
-
-
-def _factored_distance(r: np.ndarray, s: np.ndarray, positions: list[int]) -> float:
-    """Trace distance of the 2^N-square ``r`` and ``s`` when their
-    difference is I ⊗ D over the ascending tensor ``positions``: 2^k times
-    the trace distance of their blocks with every one of the k positions at
-    0 in row and column.  Each side is viewed as (L0, 2, L1, 2, ..., Lk),
-    the L's spanning the positions between, so with no positions the block
-    is the whole matrix."""
+def _factored_distance(r: np.ndarray, block: np.ndarray, positions: list[int]) -> float:
+    """Trace distance of the 2^N-square ``r`` and a state that differs from
+    it by I ⊗ D over the ascending tensor ``positions``, given as its sealed
+    ``block``: 2^k times that of ``block`` and ``r``'s block with each of
+    the k positions at 0, read on the (L0, 2, L1, 2, ..., Lk) view of ``r``.
+    With no positions both blocks are whole."""
     n = r.shape[0].bit_length() - 1
     side, corner, start = [], [], 0
     for p in positions:
@@ -311,9 +293,9 @@ def _factored_distance(r: np.ndarray, s: np.ndarray, positions: list[int]) -> fl
         start = p + 1
     side.append(1 << (n - start))
     corner.append(slice(None))
-    view, block = (*side, *side), (*corner, *corner)
-    delta = r.reshape(view)[block] - s.reshape(view)[block]
-    rest = 1 << (n - len(positions))
+    unsealed = r.reshape(*side, *side)[(*corner, *corner)]
+    delta = unsealed - block.reshape(unsealed.shape)
+    rest = block.shape[0]
     eigs = np.linalg.eigvalsh(delta.reshape(rest, rest))
     return float(0.5 * np.abs(eigs).sum()) * (1 << len(positions))
 

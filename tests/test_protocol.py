@@ -1319,10 +1319,10 @@ def general_withheld_state(run, withheld):
     rho = pure_density(run.secret)
     for index in range(1, run.secret_width + 1):
         if index in withheld:
-            superop = protocol._WITHHELD_SUPEROP
+            channel = protocol._WITHHELD
         else:
-            superop = protocol._CORRECTED_SUPEROPS[run.transcript.bell_record[index]]
-        rho = channel_by_product(rho, index - 1, superop)
+            channel = protocol._CORRECTED[run.transcript.bell_record[index]]
+        rho = channel_by_product(rho, index - 1, channel.superop)
     return rho / float(np.real(np.trace(rho)))
 
 
@@ -1475,34 +1475,108 @@ class TestWithheldState:
             run.withheld_state([index])
 
     def test_swap_superoperators_are_read_only_constants(self):
+        # Each channel's form is decided where it is built: a released
+        # slot's is c * I4 with c real, a withheld slot's seals.
         uncorrected, corrected = protocol._swap_kraus()
-        withheld = protocol._WITHHELD_SUPEROP
-        assert not withheld.flags.writeable
+        withheld = protocol._WITHHELD
+        assert not withheld.superop.flags.writeable
         np.testing.assert_array_equal(
-            withheld, sum(np.kron(k, k.conj()) for k in uncorrected.values())
+            withheld.superop, sum(np.kron(k, k.conj()) for k in uncorrected.values())
         )
-        assert set(protocol._CORRECTED_SUPEROPS) == set(BellKind)
+        assert withheld.scalar is None and withheld.seals
+        assert set(protocol._CORRECTED) == set(BellKind)
         for kind, k in corrected.items():
-            superop = protocol._CORRECTED_SUPEROPS[kind]
-            assert not superop.flags.writeable
-            np.testing.assert_array_equal(superop, np.kron(k, k.conj()))
+            channel = protocol._CORRECTED[kind]
+            assert not channel.superop.flags.writeable
+            np.testing.assert_array_equal(channel.superop, np.kron(k, k.conj()))
+            assert type(channel.scalar) is float and not channel.seals
+            np.testing.assert_array_equal(channel.superop, channel.scalar * np.eye(4))
+        with pytest.raises(AttributeError):
+            withheld.seals = False
 
     def test_import_time_tables_match_the_eager_register(self, monkeypatch):
         # Rebuilt on a register that applies each Pauli at once, the swap
         # superoperators and the pad tables have the same bytes, signed
-        # zeros included.
+        # zeros included, and the same forms.
         monkeypatch.setattr(protocol, "QuantumRegister", EagerRegister)
         withheld, corrected = protocol._swap_superoperators()
-        assert withheld.tobytes() == protocol._WITHHELD_SUPEROP.tobytes()
-        assert list(corrected) == list(protocol._CORRECTED_SUPEROPS)
-        for kind, superop in corrected.items():
-            assert superop.tobytes() == protocol._CORRECTED_SUPEROPS[kind].tobytes()
+        assert withheld.superop.tobytes() == protocol._WITHHELD.superop.tobytes()
+        assert withheld[1:] == protocol._WITHHELD[1:]
+        assert list(corrected) == list(protocol._CORRECTED)
+        for kind, channel in corrected.items():
+            pinned = protocol._CORRECTED[kind]
+            assert channel.superop.tobytes() == pinned.superop.tobytes()
+            assert channel[1:] == pinned[1:]
         dealer, controller, scalars = protocol._pad_tables()
         pinned_dealer, pinned_controller, pinned_scalars = protocol._PAD
         assert np.array(dealer).tobytes() == np.array(pinned_dealer).tobytes()
         assert np.array(controller).tobytes() == np.array(pinned_controller).tobytes()
         assert np.array(scalars).tobytes() == np.array(pinned_scalars).tobytes()
 
+
+def five_qubit_code():
+    """Logical |0> and |1> of the [[5,1,3]] code (Laflamme, Miquel, Paz and
+    Zurek, PRL 77, 198, 1996): the projector onto the +1 space of the cyclic
+    shifts of XZZXI applied to |00000>, normalized, and X on every qubit of
+    it.  Qubit 1 is the most significant bit."""
+    paulis = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+              "Z": np.diag([1, -1])}
+    projector = np.eye(32, dtype=complex)
+    for shift in range(4):  # the fifth shift is the product of these four
+        word = ("XZZXI" * 2)[5 - shift:10 - shift]
+        g = np.array([[1.0]])
+        for letter in word:
+            g = np.kron(g, paulis[letter])
+        projector = projector @ (np.eye(32) + g) / 2
+    zero = projector[:, 0] / np.linalg.norm(projector[:, 0])
+    flip = np.arange(32) ^ 31  # X on all five qubits
+    return zero, zero[flip]
+
+
+def coalition_state(rho, coalition):
+    """``rho`` over five qubits traced down to the 1-based ``coalition``."""
+    rows = list(range(5))
+    cols = [q if q + 1 not in coalition else q + 5 for q in range(5)]
+    keep = [q for q in range(5) if q + 1 in coalition]
+    out = np.einsum(rho.reshape((2,) * 10), rows + cols, keep + [q + 5 for q in keep])
+    side = 2 ** len(keep)
+    return out.reshape(side, side)
+
+
+class TestThresholdSecret:
+    """The [[5,1,3]] code as the ((3,5)) threshold scheme of Cleve, Gottesman
+    and Lo (PRL 83, 648, 1999), one qubit per player: with the records W
+    withheld, a coalition S tells two orthogonal logical inputs apart
+    exactly when it holds at least three qubits whose records arrive, and
+    learns nothing of them otherwise."""
+
+    def test_access_structure_in_the_knowledge_state(self):
+        zero, one = five_qubit_code()
+        pairs = {
+            "Z": (zero, one),
+            "X": ((zero + one) / np.sqrt(2), (zero - one) / np.sqrt(2)),
+            "Y": ((zero + 1j * one) / np.sqrt(2), (zero - 1j * one) / np.sqrt(2)),
+        }
+        policy = AccessPolicy.round_robin(5, 5, 5, threshold_k=3)
+        players = range(1, 6)
+        subsets = [set(c) for r in range(6) for c in itertools.combinations(players, r)]
+        checks = 0
+        for name, inputs in pairs.items():
+            runs = []
+            for vec in inputs:
+                run = setup(5, 5, 5, vec, policy, RandomSource(513))
+                run.distribute_all()
+                runs.append(run)
+            assert runs[0].transcript.bell_record == runs[1].transcript.bell_record
+            for withheld in subsets:
+                states = [run.withheld_state(withheld).entries for run in runs]
+                for coalition in subsets[1:]:
+                    a, b = (coalition_state(rho, coalition) for rho in states)
+                    want = 1.0 if len(coalition - withheld) >= 3 else 0.0
+                    got = trace_distance(a, b)
+                    assert abs(got - want) <= 1e-10, (name, withheld, coalition, got)
+                    checks += 1
+        assert checks == 3 * 32 * 31
 
 # -- resource accounting -------------------------------------------------------------------
 

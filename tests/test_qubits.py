@@ -1229,7 +1229,7 @@ def signed_zero_projector(width, seed):
 
 
 def six_axis_seal(rho, positions):
-    """Reference for ``_seal_in_place`` as it was on the (L, 2, R, L, 2, R)
+    """Reference for ``_seal`` as it was, in place, on the (L, 2, R, L, 2, R)
     view, with the halved sum as its own temporary; writes ``rho``."""
     dim = rho.shape[0]
     for p in positions:
@@ -1286,11 +1286,28 @@ class TestWithheldPrediction:
         got = sealed_mixture(psi, [0, 1, 2])
         np.testing.assert_allclose(got, np.eye(8) / 8, atol=1e-12)
 
-    def test_position_validation(self):
+    @pytest.mark.parametrize("position", [2, -1, 1.0, 0.5, "1", True, np.int64(1)])
+    def test_position_validation(self, monkeypatch, position):
+        # Positions are read with operator.index: a float or a string is no
+        # position and raises ValueError before the projector is built or
+        # the channel applied; True and np.int64(1) are position 1.
+        psi = random_state(2, 1)
+        rho = pure_density(psi)
+        superop = np.arange(16).reshape(4, 4)
+        if type(position) in (bool, np.int64):
+            got = sealed_mixture(psi, [0, position])
+            assert got.tobytes() == sealed_mixture(psi, [0, 1]).tobytes()
+            got = apply_single_qubit_channel(rho, position, superop)
+            assert got.tobytes() == apply_single_qubit_channel(rho, 1, superop).tobytes()
+            return
+        built = []
+        monkeypatch.setattr(qubits, "pure_density", built.append)
+        monkeypatch.setattr(qubits, "_channel", lambda *args: built.append(args))
         with pytest.raises(ValueError):
-            sealed_mixture(random_state(2, 1), [2])
+            sealed_mixture(psi, [0, position])
         with pytest.raises(ValueError):
-            sealed_mixture(random_state(2, 1), [0, -1])
+            apply_single_qubit_channel(rho, position, superop)
+        assert not built
 
     def test_state_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -1324,9 +1341,9 @@ class TestWithheldPrediction:
         before = rho.copy()
         near = np.eye(4, dtype=complex) * 0.25
         near[1, 2] = 0.125
-        superops = [*protocol._CORRECTED_SUPEROPS.values(), np.eye(4) * 0.5,
-                    np.eye(4) * (0.3 + 0.4j), near]
-        scalars = [protocol._identity_scalar(superop) for superop in superops]
+        superops = [*(c.superop for c in protocol._CORRECTED.values()),
+                    np.eye(4) * 0.5, np.eye(4) * (0.3 + 0.4j), near]
+        scalars = [protocol._swap_channel(superop).scalar for superop in superops]
         assert None not in scalars[:-2] and scalars[-2:] == [None, None]
         for superop, scalar in zip(superops, scalars):
             got = apply_single_qubit_channel(rho, position, superop)
@@ -1345,13 +1362,15 @@ class TestWithheldPrediction:
         # the products' +0.0.
         kinds = list(itertools.islice(itertools.cycle(BellKind), 5))
         for k in range(1, 6):
-            superops = [protocol._CORRECTED_SUPEROPS[kind] for kind in kinds[:k]]
+            channels = [protocol._CORRECTED[kind] for kind in kinds[:k]]
             products, rounds, run = rho, rho.copy(), rho.copy()
-            for j, superop in enumerate(superops):
-                products = channel_by_product(products, (position + j) % 3, superop)
-                rounds *= protocol._identity_scalar(superop)
+            for j, channel in enumerate(channels):
+                products = channel_by_product(
+                    products, (position + j) % 3, channel.superop
+                )
+                rounds *= channel.scalar
                 rounds += 0.0
-                run *= protocol._identity_scalar(superop)
+                run *= channel.scalar
             assert run.tobytes() != products.tobytes()
             run += 0.0
             assert run.tobytes() == rounds.tobytes() == products.tobytes()
@@ -1391,8 +1410,10 @@ class TestWithheldPrediction:
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
     def test_seal_kernel_bytes_match_the_six_axis_formula(self, width, seed, data):
         # The audit's distances read the sealed prediction's last bits, so
-        # the seal on the five-axis view must give the six-axis formula's
-        # bytes, signed zeros included, for every subset of positions.
+        # the seal must give the six-axis formula's bytes, signed zeros
+        # included, for every subset of positions: _seal on the whole
+        # matrix and _sealed_block on its block with every position at 0.
+        # Neither writes its input.
         dim = 2**width
         zeros = data.draw(st.sets(st.integers(0, dim - 1), max_size=dim - 1))
         vec = random_state(width, seed)
@@ -1403,12 +1424,19 @@ class TestWithheldPrediction:
         signs = np.signbit(rho.view(float)[rho.view(float) == 0])
         if signs.any() and not signs.all():
             event("zeros of both signs")
+        rho.setflags(write=False)
         for r in range(width + 1):
             for positions in itertools.combinations(range(width), r):
                 want = six_axis_seal(rho.copy(), positions)
-                got = rho.copy()
-                assert qubits._seal_in_place(got, positions) is got
+                got = qubits._seal(rho, positions)
                 assert got.tobytes() == want.tobytes(), positions
+                corner = want.reshape((2,) * 2 * width)[
+                    tuple(0 if q % width in positions else slice(None)
+                          for q in range(2 * width))
+                ]
+                block = qubits._sealed_block(rho, positions)
+                assert block.tobytes() == np.ascontiguousarray(corner).tobytes()
+                assert (block is rho) == (got is rho) == (not positions)
 
 # -- product qubits inserted among a state's qubits ----------------------------------
 

@@ -1,10 +1,6 @@
 """Decoy checking, the intercept-resend attacker, and sealing audits."""
 
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +32,6 @@ from cqss.security import (
     verify_decoys,
 )
 from test_protocol import complete, general_withheld_state, split_records_policy
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def haar(width, seed):
@@ -503,8 +497,9 @@ class TestNoInformationAudit:
             if wrong is CORRECTION_FOR_OUTCOME[kind]:
                 continue
             k = wrong.matrix @ uncorrected[kind]
-            table = {**protocol._CORRECTED_SUPEROPS, kind: np.kron(k, k.conj())}
-            monkeypatch.setattr(protocol, "_CORRECTED_SUPEROPS", table)
+            wrong_channel = protocol._swap_channel(np.kron(k, k.conj()))
+            table = {**protocol._CORRECTED, kind: wrong_channel}
+            monkeypatch.setattr(protocol, "_CORRECTED", table)
             audit = no_information_audit(run, set())
             assert audit.distance > AUDIT_TOLERANCE, (kind, wrong)
 
@@ -521,8 +516,9 @@ class TestNoInformationAudit:
             if wrong is CORRECTION_FOR_OUTCOME[kind]:
                 continue
             k = wrong.matrix @ uncorrected[kind]
-            table = {**protocol._CORRECTED_SUPEROPS, kind: np.kron(k, k.conj())}
-            monkeypatch.setattr(protocol, "_CORRECTED_SUPEROPS", table)
+            wrong_channel = protocol._swap_channel(np.kron(k, k.conj()))
+            table = {**protocol._CORRECTED, kind: wrong_channel}
+            monkeypatch.setattr(protocol, "_CORRECTED", table)
             for other in {1, 2, 3} - {slot}:
                 audit = no_information_audit(run, {other})
                 assert audit.distance > AUDIT_TOLERANCE, (kind, wrong, other)
@@ -535,16 +531,16 @@ class TestNoInformationAudit:
         # One corrected branch alone, c * I, keeps a withheld slot's
         # coherences; dephasing keeps its populations (rows 1 and 2 zero,
         # rows 0 and 3 not equal).  Neither has the sealing form, so the
-        # audit eigensolves the whole 2^N-square difference, as
-        # trace_distance does, and sees the leak.
+        # audit seals the whole prediction, eigensolves the whole 2^N-square
+        # difference, as trace_distance does, and sees the leak.
         run = self.run_for_audit(seed=90)
-        assert security._sealing_form(protocol._WITHHELD_SUPEROP)
+        assert protocol._WITHHELD.seals
         if channel == "one branch":
-            superop = protocol._CORRECTED_SUPEROPS[run.transcript.bell_record[1]]
+            withheld = protocol._CORRECTED[run.transcript.bell_record[1]]
         else:
-            superop = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
-        assert not security._sealing_form(superop)
-        monkeypatch.setattr(protocol, "_WITHHELD_SUPEROP", superop)
+            withheld = protocol._swap_channel(np.diag([1.0, 0.0, 0.0, 1.0]))
+        assert not withheld.seals
+        monkeypatch.setattr(protocol, "_WITHHELD", withheld)
         sides = eigvalsh_sides(monkeypatch)
         audits = [no_information_audit(run, {i}) for i in (1, 2, 3)]
         assert sides == [8, 8, 8]
@@ -554,30 +550,18 @@ class TestNoInformationAudit:
             expected = sealed_mixture(run.secret, [i - 1])
             assert audit.distance == trace_distance(run.withheld_state({i}), expected)
 
-    def test_the_form_is_decided_once_per_superoperator(self, monkeypatch):
-        # Two sweeps decide the withheld channel's form once; a replaced
-        # channel, having other bytes, once more.
-        run = self.run_for_audit(seed=91)
-        sweep = noinfo_sweep(run.secret_width)
-        security._entries_seal.cache_clear()
-        for _ in range(2):
-            assert all(no_information_audit(run, w).passed for w in sweep)
-        assert security._entries_seal.cache_info().misses == 1
-        monkeypatch.setattr(protocol, "_WITHHELD_SUPEROP", 2 * protocol._WITHHELD_SUPEROP)
-        assert all(no_information_audit(run, w).passed for w in sweep)
-        assert security._entries_seal.cache_info().misses == 2
-
-    def test_nothing_is_decided_at_import(self):
-        code = "import cqss.security as s; print(s._entries_seal.cache_info().currsize)"
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "0"
+    def test_a_sealing_audit_reads_the_sealed_block_alone(self, monkeypatch):
+        # With records withheld and the sealing form, the prediction is its
+        # block: the read-only projector goes to _sealed_block unwritten
+        # and nothing 2^N-square is sealed.
+        run = self.run_for_audit(width=4, seed=91)
+        sealed = []
+        monkeypatch.setattr(security, "_seal", lambda *args: sealed.append(args))
+        projector = run.secret_projector.copy()
+        for withheld in noinfo_sweep(run.secret_width):
+            assert no_information_audit(run, withheld).passed, withheld
+        assert not sealed
+        assert run.secret_projector.tobytes() == projector.tobytes()
 
     @given(sealed_runs())
     def test_the_difference_is_identity_on_the_withheld_slots(self, case):
