@@ -407,20 +407,21 @@ class ProtocolRun:
         total = secret_width + plan.count
 
         self.secret_width = secret_width
-        self._secret = secret.copy()
-        self._secret.setflags(write=False)
         self.policy = policy
         self.rng = rng
         self.eve = eve if eve is not None else EveModel.off()
         self.decoy_plan = plan
 
         # Slot layout: decoys sit at the planned slots, each its own block
-        # over a copy of its checked constant row (the flush writes a block's
-        # array in place); secret qubits fill the remaining slots in index
-        # order.  Secret qubit i goes to the player the policy names; the
-        # decoys go to players 1..n in turn.
+        # over its checked constant row; secret qubits fill the remaining
+        # slots in index order.  Secret qubit i goes to the player the policy
+        # names; the decoys go to players 1..n in turn.
         self.register = QuantumRegister()
         secret_ids = self.register.alloc_state(secret)
+        # The run's one copy of the secret is the array its block holds:
+        # nothing writes a block's array (cqss.qubits), so it is read-only.
+        self._secret = self.register._block_of[secret_ids[0]].amps
+        self._secret.setflags(write=False)
         decoys = plan.record
         decoy_players = itertools.cycle(range(1, n + 1))
         self._slot_of_secret: dict[int, int] = {}
@@ -430,7 +431,7 @@ class ProtocolRun:
         for slot in range(1, total + 1):
             if slot in decoys:
                 (self.slot_qubits[slot],) = self.register._grow(
-                    _DECOY_VECTORS[decoys[slot]].copy(), 1
+                    _DECOY_VECTORS[decoys[slot]], 1
                 )
                 self.slot_receiver[slot] = next(decoy_players)
             else:
@@ -454,7 +455,9 @@ class ProtocolRun:
 
     @property
     def secret(self) -> np.ndarray:
-        """The secret's amplitudes as given at setup; read-only."""
+        """The secret's amplitudes as given at setup, read-only: one
+        checked copy of the caller's vector, the very array the secret's
+        block held at setup."""
         return self._secret
 
     @cached_property

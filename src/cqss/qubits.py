@@ -19,14 +19,15 @@ of the composition into the register phase (Knill, Nature 434, 39, 2005;
 Aaronson and Gottesman, PRA 70, 052328, 2004).  Before anything reads a
 block's amplitudes (a measurement, ``reduced_density``, ``state_vector``)
 the whole frame is applied in one flush, :func:`_flushed`: every pending
-X in one permuting copy, then each pending Z as a sign flip in place.  A
-Pauli is a signed permutation, so the flushed block is the one that
-applying each Pauli at once would have left, up to an exact sign that the
-phase already holds, and every draw keeps its bytes.  The whole block is
-flushed, not only the read qubit: a pending X on a neighbour permutes the
-order in which sums over the block run.  Teleporting a qubit over a fresh
-singlet needs no link: every outcome has probability 1/4 and leaves the
-far half with the qubit's state twisted by a known signed Pauli, so
+X in one permuting copy (a plain copy if only Zs are owed), then each
+pending Z as a sign flip in that copy.  A Pauli is a signed permutation,
+so the flushed block is the one that applying each Pauli at once would
+have left, up to an exact sign that the phase already holds, and every
+draw keeps its bytes.  The whole block is flushed, not only the read
+qubit: a pending X on a neighbour permutes the order in which sums over
+the block run.  Teleporting a qubit over a fresh singlet needs no link:
+every outcome has probability 1/4 and leaves the far half with the
+qubit's state twisted by a known signed Pauli, so
 :meth:`QuantumRegister.teleport` adds the twist to the frame and relabels
 the qubit's tensor position, touching no array.  The receiver's correction
 is the same Pauli, so a released qubit's frame cancels and its amplitudes
@@ -53,6 +54,11 @@ One memory rule bounds every array: none may span more than
 2k.  :func:`check_array_qubits` applies it before anything is allocated, to
 a new block, to a product of blocks and to a density matrix, so 2**24
 complex entries (256 MiB) bound both a block and a 2**12 x 2**12 matrix.
+A second rule keeps each array once: nothing writes the array a block
+holds.  Every step that changes a block installs a new array, and the
+flush writes only the copy it makes.  So a block may hold a read-only
+array, shared with whoever else reads it: a row of a basis or Bell table,
+a kept branch of ``_KNOWN``, or a run's one copy of its secret.
 
 Conventions
 -----------
@@ -373,7 +379,9 @@ class _Block:
     """One factor of the register's product state: ``amps`` over ``qubits``,
     tensor position j holding ``qubits[j]``, with ``Z^z X^x`` still owed on
     it, bit j of ``zmask`` and ``xmask`` standing for position j.  Read the
-    amplitudes through :func:`_flushed`.  Compared by identity."""
+    amplitudes through :func:`_flushed`.  Nothing writes ``amps``: a change
+    installs a new array, so ``amps`` may be read-only and shared.
+    Compared by identity."""
 
     amps: np.ndarray
     qubits: list[QubitId]
@@ -383,24 +391,23 @@ class _Block:
 
 def _flushed(block: _Block) -> np.ndarray:
     """``block``'s amplitudes with its pending frame applied, which leaves
-    the frame empty: the pending Xs permute the array in one copy, then
-    each pending Z flips the signs of its half in place (the block owns its
-    array).  Both are exact, so the result differs from applying the
-    Paulis one by one at most by a sign, the one the phase took."""
+    the frame empty.  With anything owed, the block's array is replaced by
+    one new array: the pending Xs permute into it, or it is a plain copy,
+    then each pending Z flips the signs of its half there.  This writes
+    only the array it allocates, never the one the block held.  Both steps
+    are exact, so the result differs from applying the Paulis one by one
+    at most by a sign, the one the phase took."""
     x, z = block.xmask, block.zmask
     if not (x or z):
         return block.amps
     n = len(block.qubits)
-    t = block.amps
+    t = block.amps.reshape((2,) * n)
     if x:
-        flips = tuple(p for p in range(n) if x >> p & 1)
-        t = np.flip(t.reshape((2,) * n), flips).copy().reshape(-1)
+        t = np.flip(t, tuple(p for p in range(n) if x >> p & 1))
+    t = t.copy().reshape(-1)
     for p in range(n):
         if z >> p & 1:
-            # Should the reshape copy, assigning back keeps the flipped copy.
-            rows = t.reshape(1 << p, 2, -1)
-            rows[:, 1, :] *= -1.0
-            t = rows.reshape(-1)
+            t.reshape(1 << p, 2, -1)[:, 1, :] *= -1.0
     block.amps = t
     block.xmask = block.zmask = 0
     return t
@@ -527,13 +534,11 @@ class QuantumRegister:
         """Add one qubit in |0> or |1>, as its own block."""
         if value not in (0, 1):
             raise ValueError(f"basis value must be 0 or 1, got {value}")
-        vec = np.zeros(2, dtype=complex)
-        vec[value] = 1.0
-        return self._grow(vec, 1)[0]
+        return self._grow(_BASIS_MATRIX[BASIS_Z][operator.index(value)], 1)[0]
 
     def alloc_bell_pair(self, kind: BellKind) -> tuple[QubitId, QubitId]:
         """Add two qubits in the exact Bell state of ``kind``, as one block."""
-        ids = self._grow(kind.vector, 2)
+        ids = self._grow(_BELL_MATRIX[kind._value_], 2)
         return ids[0], ids[1]
 
     def alloc_state(self, vector: np.ndarray) -> tuple[QubitId, ...]:
@@ -810,10 +815,11 @@ class QuantumRegister:
         """Measurement ``what`` of ``block`` from its ``_KNOWN`` entry, or
         None, drawing nothing, if the block is not a key there (only blocks
         of at most two qubits are looked up).  The drawn outcome's emptied
-        block folds its scalar into the phase, or its kept branch becomes
-        the block (a kept branch is held only under a key with nothing
-        owed); a branch the general path refuses raises its error with the
-        block flushed, as the general path leaves it."""
+        block folds its scalar into the phase, or its kept branch, read-only
+        and shared with the table, becomes the block's array (a kept branch
+        is held only under a key with nothing owed); a branch the general
+        path refuses raises its error with the block flushed, as the general
+        path leaves it."""
         if len(block.qubits) > 2:
             return None
         entry = _KNOWN.get((block.amps.tobytes(), block.xmask, block.zmask, what))
@@ -830,7 +836,7 @@ class QuantumRegister:
             _flushed(block)
             raise InternalInconsistency(result)
         else:
-            block.amps = result.copy()
+            block.amps = result
         return outcome
 
     def _single_components(self, q: QubitId, basis: str) -> np.ndarray:
@@ -928,7 +934,7 @@ def _known_entry(amps: np.ndarray, what: object) -> tuple[tuple[float, ...], tup
     message.  ``what`` is a basis (``measure_single`` removing the lone
     qubit), ``(basis, bit)`` (``tapped_teleport`` once the eavesdropper's
     bit is drawn) or two tensor positions (``bell_measure`` of the pair)."""
-    reg = QuantumRegister()  # reads amps; each projection writes a copy
+    reg = QuantumRegister()  # holds amps itself; no projection writes it
     ids = reg._grow(amps, amps.size.bit_length() - 1)
     outcomes = _BELL_KINDS
     if isinstance(what, str):
@@ -982,7 +988,7 @@ def _known_table() -> dict:
                     vectors.setdefault(b.tobytes(), b)
     for key, vec in vectors.items():
         for x, z in itertools.product((0, 1), (0, 1)):
-            amps = _flushed(_Block(vec.copy(), [0], x, z))
+            amps = _flushed(_Block(vec, [0], x, z))
             for basis in _BASIS_MATRIX:
                 once = (amps.tobytes(), basis)
                 if once not in flushed:
@@ -1032,29 +1038,6 @@ def pure_density(vector: np.ndarray) -> np.ndarray:
 # -- withheld-record predictions ---------------------------------------------------
 
 
-def apply_single_qubit_channel(
-    rho: np.ndarray, position: int, superop: np.ndarray
-) -> np.ndarray:
-    """Apply a one-qubit channel, given as its 4x4 superoperator, to one qubit.
-
-    ``superop`` is ``sum_k K (x) conj(K)`` for the channel
-    ``rho -> sum_k K rho K^dagger`` (it need not be trace preserving) and
-    acts on the (row, column) index pair of tensor position ``position``.
-    A non-square ``rho``, a side that is not a power of two, or a
-    superoperator that is not 4x4 raises ``DimensionMismatch``, a position
-    outside the qubits or not an ``operator.index`` (``1.0``, ``"1"``)
-    ``ValueError``; then the unchecked kernel :func:`_channel` applies it.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    superop = np.asarray(superop)
-    dim = rho.shape[0] if rho.ndim == 2 else 0
-    if rho.shape != (dim, dim) or dim & (dim - 1) or not dim:
-        raise DimensionMismatch(f"density matrix shape {rho.shape}")
-    if superop.shape != (4, 4):
-        raise DimensionMismatch(f"superoperator shape {superop.shape}, expected (4, 4)")
-    return _channel(rho, _position(position, dim.bit_length() - 1), superop)
-
-
 def _position(position: object, n: int) -> int:
     """``position`` read with ``operator.index``, one of ``n`` qubits'."""
     try:
@@ -1066,10 +1049,13 @@ def _position(position: object, n: int) -> int:
 
 
 def _channel(rho: np.ndarray, position: int, superop: np.ndarray) -> np.ndarray:
-    """:func:`apply_single_qubit_channel` unchecked: ``rho`` is viewed as
-    (L, 2, R, L, 2, R) with ``L = 2**position``, one transpose moves the
-    qubit's index pair to the front, and one (4, 4) x (4, 4**(n-1)) matrix
-    product writes a new array."""
+    """A one-qubit channel applied to tensor position ``position`` of the
+    square ``rho``, unchecked.  ``superop`` is ``sum_k K (x) conj(K)`` for
+    the channel ``rho -> sum_k K rho K^dagger`` (it need not be trace
+    preserving), acting on the qubit's (row, column) index pair.  ``rho``
+    is viewed as (L, 2, R, L, 2, R) with ``L = 2**position``, one transpose
+    moves the qubit's index pair to the front, and one (4, 4) x
+    (4, 4**(n-1)) matrix product writes a new array."""
     dim = rho.shape[0]
     left = 2**position
     right = dim // (2 * left)

@@ -35,6 +35,7 @@ from cqss.qubits import (
     CORRECTION_FOR_OUTCOME,
     BellKind,
     DensityMatrix,
+    Pauli,
     QuantumRegister,
     RandomSource,
     fidelity,
@@ -1514,6 +1515,61 @@ class TestWithheldState:
         assert np.array(scalars).tobytes() == np.array(pinned_scalars).tobytes()
 
 
+@st.composite
+def staged_runs(draw):
+    """A run right after setup and the caller's secret: a Haar secret of 1
+    to 6 qubits, some records split between two controllers, up to two
+    decoys, taps on none, some or all slots, and some controllers
+    withholding.  At threshold 1 a partial release still recovers a share."""
+    width = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    split_records = draw(st.sets(st.integers(1, width))) if width > 1 else ()
+    withholding = draw(st.sets(st.integers(1, width)))
+    policy = replace(
+        split_records_policy(width, split_records),
+        threshold_k=1,
+        release={c: c not in withholding for c in range(1, width + 1)},
+    )
+    rng = RandomSource(seed)
+    plan = DecoyPlan.random(width, draw(st.integers(0, 2)), rng)
+    eve = EveModel.intercept_resend(draw(st.sampled_from([0.0, 0.5, 1.0])))
+    secret = haar(width, seed)
+    run = setup(width, width, width, secret, policy, rng, decoy_plan=plan, eve=eve)
+    return run, secret
+
+
+class TestSecretHeldOnce:
+    @given(staged_runs())
+    def test_the_run_secret_is_the_block_array_and_never_written(self, case):
+        # A run holds its secret once: run.secret is alloc_state's copy of
+        # the caller's vector and the array the secret's block holds.  No
+        # block array is ever written, so it stays read-only and keeps its
+        # bytes through taps, transport, a flush by reduced_density on a
+        # partial release, and withheld audits.
+        run, secret = case
+        block = run.register._block_of[run.slot_qubits[run._slot_of_secret[1]]]
+        assert run.secret is block.amps and not run.secret.flags.writeable
+        assert not np.shares_memory(run.secret, secret)
+        assert run.secret.tobytes() == secret.tobytes()
+        complete(run)
+        verify_decoys(run, run.decoy_plan)
+        outcome = run.reconstruct()
+        if isinstance(outcome, Recovered) and outcome.state_vector is None:
+            outcome.share_state.validate()
+        width = run.secret_width
+        withheld = {i for i in range(1, width + 1) if not run.policy.record_released(i)}
+        for audited in (withheld, set(range(1, width + 1))):
+            no_information_audit(run, audited)
+        # Where the block still holds the secret, a Z owed alone and then a
+        # read: the flush copies before it flips a sign.
+        held = [q for q, b in run.register._block_of.items() if b.amps is run.secret]
+        if held:
+            run.register.apply_pauli(held[0], Pauli.Z)
+            run.register.reduced_density(held[:1])
+        assert run.secret.tobytes() == secret.tobytes()
+        assert not run.secret.flags.writeable
+
+
 def five_qubit_code():
     """Logical |0> and |1> of the [[5,1,3]] code (Laflamme, Miquel, Paz and
     Zurek, PRL 77, 198, 1996): the projector onto the +1 space of the cyclic
@@ -1541,6 +1597,84 @@ def coalition_state(rho, coalition):
     out = np.einsum(rho.reshape((2,) * 10), rows + cols, keep + [q + 5 for q in keep])
     side = 2 ** len(keep)
     return out.reshape(side, side)
+
+
+# Every three of the five players, and logical inputs: the Z, X and Y
+# eigenstates and two Haar states.
+_TRIPLES = tuple(itertools.combinations(range(1, 6), 3))
+_LOGICAL_INPUTS = (
+    np.array([1, 0], dtype=complex),
+    np.array([0, 1], dtype=complex),
+    np.array([1, 1], dtype=complex) / np.sqrt(2),
+    np.array([1, 1j]) / np.sqrt(2),
+    haar(1, 610),
+    haar(1, 611),
+)
+
+
+def erasure_decoder(keep):
+    """The five-qubit code's erasure recovery on the three 0-based qubits
+    ``keep``: the unitary whose row ``4 i + j`` is the conjugate of
+    ``2 (I (x) <j|) |i_L>``, with the kept qubits first and the two erased
+    ones, in the basis |j>, last.  Any two qubits of the code are maximally
+    mixed, so the eight rows are orthonormal, and the decoder leaves the
+    logical state on its first qubit beside a four-level junk state."""
+    erased = [q for q in range(5) if q not in keep]
+    rows = [
+        2 * vec.reshape((2,) * 5).transpose(list(keep) + erased).reshape(8, 4)[:, j]
+        for vec in five_qubit_code()
+        for j in range(4)
+    ]
+    return np.array(rows).conj()
+
+
+def threshold_run(logical, seed, cooperating=range(1, 6)):
+    """The [[5,1,3]] encoding of ``logical`` dealt to five players at
+    threshold 3, every record released, the ``cooperating`` players taking
+    part: the run after reconstruction and its outcome."""
+    zero, one = five_qubit_code()
+    policy = replace(
+        AccessPolicy.round_robin(5, 5, 5, threshold_k=3),
+        cooperating_players=frozenset(cooperating),
+    )
+    secret = logical[0] * zero + logical[1] * one
+    run = complete(setup(5, 5, 5, secret, policy, RandomSource(seed)))
+    return run, run.reconstruct()
+
+
+def decoded_fidelities(decoder, coalition):
+    """For the three ``coalition`` players alone and each logical input,
+    the fidelity of the input with what ``decoder`` leaves on its first
+    qubit of their recovered share."""
+    fids = []
+    for k, logical in enumerate(_LOGICAL_INPUTS):
+        _, outcome = threshold_run(logical, 620 + k, coalition)
+        assert outcome.covered_qubits == coalition and outcome.state_vector is None
+        rho = outcome.share_state.entries
+        out = (decoder @ rho @ decoder.conj().T).reshape(2, 4, 2, 4)
+        kept = np.einsum("ajbj->ab", out)
+        fids.append(float(np.real(logical.conj() @ kept @ logical)))
+    return fids
+
+
+def corrected_pair_states(logical):
+    """All five players cooperating: the register's state over each pair of
+    the five corrected qubits, for ``logical``."""
+    run, outcome = threshold_run(logical, 630)
+    assert outcome.covered_qubits == (1, 2, 3, 4, 5)
+    ids = [run.slot_qubits[run._slot_of_secret[i]] for i in range(1, 6)]
+    return [
+        run.register.reduced_density(pair).entries
+        for pair in itertools.combinations(ids, 2)
+    ]
+
+
+def assert_pairs_learn_nothing():
+    """Each pair of corrected qubits has the same state for every input."""
+    first, *rest = map(corrected_pair_states, _LOGICAL_INPUTS)
+    for states in rest:
+        for a, b in zip(first, states):
+            assert trace_distance(a, b) <= 1e-10
 
 
 class TestThresholdSecret:
@@ -1577,6 +1711,38 @@ class TestThresholdSecret:
                     assert abs(got - want) <= 1e-10, (name, withheld, coalition, got)
                     checks += 1
         assert checks == 3 * 32 * 31
+
+    # -- on the register --------------------------------------------------
+
+    @pytest.fixture(scope="class")
+    def decoders(self):
+        """The erasure recovery of every three players' qubits, built once."""
+        return {c: erasure_decoder([p - 1 for p in c]) for c in _TRIPLES}
+
+    @pytest.mark.parametrize("coalition", _TRIPLES, ids=lambda c: "".join(map(str, c)))
+    def test_three_players_decode_the_secret(self, decoders, coalition):
+        # Every record released, three players cooperating: the register's
+        # share over their corrected qubits decodes to the logical input.
+        fids = decoded_fidelities(decoders[coalition], coalition)
+        assert min(fids) >= 1 - 1e-10, fids
+
+    def test_two_corrected_qubits_learn_nothing(self):
+        # All five cooperating and every record released: the register's
+        # state over any two corrected qubits is the same for every input.
+        assert_pairs_learn_nothing()
+
+    def test_a_wrong_correction_table_breaks_decoding(self, monkeypatch, decoders):
+        # The register corrects with protocol._CORRECTIONS.  With X and Z
+        # swapped, some coalition decodes a wrong state.  The pair check
+        # holds whatever the table: a wrong Pauli is a unitary on one qubit,
+        # and any two qubits of the code stay maximally mixed under it.
+        table = list(protocol._CORRECTIONS)
+        x, z = table.index(Pauli.X), table.index(Pauli.Z)
+        table[x], table[z] = Pauli.Z, Pauli.X
+        monkeypatch.setattr(protocol, "_CORRECTIONS", tuple(table))
+        fids = [f for c in _TRIPLES for f in decoded_fidelities(decoders[c], c)]
+        assert min(fids) < 0.9
+        assert_pairs_learn_nothing()
 
 # -- resource accounting -------------------------------------------------------------------
 

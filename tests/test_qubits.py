@@ -28,7 +28,6 @@ from cqss.qubits import (
     Pauli,
     QuantumRegister,
     RandomSource,
-    apply_single_qubit_channel,
     born_cdf,
     born_draw,
     born_sample,
@@ -63,10 +62,12 @@ class TestAllocation:
         reg.alloc_qubit(0)
         np.testing.assert_allclose(reg.state_vector(), [1, 0])
 
-    def test_alloc_one(self):
+    @pytest.mark.parametrize("one", [1, True, np.int64(1)])
+    def test_alloc_one(self, one):
+        # The value is an index: True is 1, not a mask over the amplitudes.
         reg = QuantumRegister()
-        reg.alloc_qubit(1)
-        np.testing.assert_allclose(reg.state_vector(), [0, 1])
+        reg.alloc_qubit(one)
+        assert reg.state_vector().tobytes() == np.array([0, 1], dtype=complex).tobytes()
 
     def test_alloc_appends_least_significant(self):
         reg = QuantumRegister()
@@ -1209,7 +1210,7 @@ def replace_with_mixed(rho, position):
 
 
 def channel_by_product(rho, position, superop):
-    """Reference for ``apply_single_qubit_channel``: every superoperator,
+    """Reference for ``qubits._channel``: every superoperator,
     a scalar one too, as one (4, 4) x (4, 4**(n-1)) matrix product."""
     dim = rho.shape[0]
     left = 2**position
@@ -1289,24 +1290,17 @@ class TestWithheldPrediction:
     @pytest.mark.parametrize("position", [2, -1, 1.0, 0.5, "1", True, np.int64(1)])
     def test_position_validation(self, monkeypatch, position):
         # Positions are read with operator.index: a float or a string is no
-        # position and raises ValueError before the projector is built or
-        # the channel applied; True and np.int64(1) are position 1.
+        # position and raises ValueError before the projector is built;
+        # True and np.int64(1) are position 1.
         psi = random_state(2, 1)
-        rho = pure_density(psi)
-        superop = np.arange(16).reshape(4, 4)
         if type(position) in (bool, np.int64):
             got = sealed_mixture(psi, [0, position])
             assert got.tobytes() == sealed_mixture(psi, [0, 1]).tobytes()
-            got = apply_single_qubit_channel(rho, position, superop)
-            assert got.tobytes() == apply_single_qubit_channel(rho, 1, superop).tobytes()
             return
         built = []
         monkeypatch.setattr(qubits, "pure_density", built.append)
-        monkeypatch.setattr(qubits, "_channel", lambda *args: built.append(args))
         with pytest.raises(ValueError):
             sealed_mixture(psi, [0, position])
-        with pytest.raises(ValueError):
-            apply_single_qubit_channel(rho, position, superop)
         assert not built
 
     def test_state_validation(self):
@@ -1327,7 +1321,7 @@ class TestWithheldPrediction:
             full = np.kron(np.kron(factors[0], factors[1]), factors[2])
             want += full @ rho @ full.conj().T
         superop = sum(np.kron(k, k.conj()) for k in kraus)
-        got = apply_single_qubit_channel(rho, position, superop)
+        got = qubits._channel(rho, position, superop)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("position", [0, 1, 2])
@@ -1346,7 +1340,7 @@ class TestWithheldPrediction:
         scalars = [protocol._swap_channel(superop).scalar for superop in superops]
         assert None not in scalars[:-2] and scalars[-2:] == [None, None]
         for superop, scalar in zip(superops, scalars):
-            got = apply_single_qubit_channel(rho, position, superop)
+            got = qubits._channel(rho, position, superop)
             assert got is not rho and not np.shares_memory(got, rho)
             want = channel_by_product(rho, position, superop).tobytes()
             assert got.tobytes() == want
@@ -1374,26 +1368,6 @@ class TestWithheldPrediction:
             assert run.tobytes() != products.tobytes()
             run += 0.0
             assert run.tobytes() == rounds.tobytes() == products.tobytes()
-
-    @pytest.mark.parametrize(
-        "rho, superop",
-        [
-            (np.eye(6) / 6, np.eye(4)),
-            (np.ones((4, 2)), np.eye(4)),
-            (np.ones(4), np.eye(4)),
-            (np.zeros((0, 0)), np.eye(4)),
-            (np.eye(4) / 4, np.eye(2)),
-            (np.eye(4) / 4, np.eye(16)),
-            (np.eye(4) / 4, np.ones(16)),
-        ],
-        ids=["side-6", "not-square", "vector", "empty", "superop-2x2",
-             "superop-16x16", "superop-flat"],
-    )
-    def test_channel_shapes_checked(self, rho, superop):
-        # A 6 x 6 matrix is no register of qubits, and the superoperator
-        # acts on one qubit's (row, column) pair.
-        with pytest.raises(DimensionMismatch):
-            apply_single_qubit_channel(rho, 0, superop)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sealed_mixture_matches_replace_with_mixed(self, n):
@@ -1637,7 +1611,7 @@ class TestFactoredRegister:
         before = [b.amps.tobytes() for b in blocks]
         assert dup.state_vector().tobytes() == reg.state_vector().tobytes()
         dup.apply_pauli(links[0][1], Pauli.Z)
-        dup.state_vector()  # flushes the Z onto the copy's block, in place
+        dup.state_vector()  # flushes the Z onto the copy's block
         assert [b.amps.tobytes() for b in live_blocks(reg)] == before
 
     def test_cross_block_measurement_builds_only_the_residual(self):
