@@ -54,6 +54,7 @@ from .qubits import (
     QubitId,
     RandomSource,
     _channel,
+    _expanded,
     born_cdf,
     born_draw,
     check_array_qubits,
@@ -794,39 +795,90 @@ class ProtocolRun:
         single branch actually recorded, followed by its correction
         (``_CORRECTED``), so a wrong correction table shows up here.  Both
         are built, their forms decided, at import (:func:`_swap_channel`).
-        No sampling is involved.  The start is a copy of the run's
-        :attr:`secret_projector`.  A released slot's channel is a real
-        scalar c times the identity: one multiply in place.  A withheld slot
-        is one product through :func:`~cqss.qubits._channel`.  Each run of
-        released slots then gets one ``+= 0.0``: multiplying by c keeps every
-        nonzero entry's value whatever the signs of the zeros beside it and
-        every zero a zero, and the add turns -0.0 into the product's +0.0.
+        No sampling is involved.  When the withheld channel seals, the
+        model is built as its block with every withheld position at 0, each
+        withheld slot folded as it comes, so each fold quarters the matrix
+        that later slots touch (:meth:`_folded_model`).  It is returned as
+        I (x) that block over the withheld positions
+        (:func:`~cqss.qubits._expanded`, the expansion step of
+        :func:`~cqss.qubits._seal`): the same bytes as the whole model.
         """
         if not self.distribution_complete:  # before the indices are read
             raise IncompleteRun("distribution must complete first")
-        withheld = _record_indices(withheld_indices)
+        block, folded = self._folded_model(_record_indices(withheld_indices))
+        return DensityMatrix(
+            _expanded(block, folded), tuple(range(1, self.secret_width + 1))
+        )
+
+    def _folded_model(self, withheld: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
+        """The normalized :meth:`withheld_state` of the sorted record indices
+        ``withheld`` as a block, and the tensor positions folded out of it:
+        every withheld one if ``_WITHHELD`` seals (as it is at the call),
+        else none.  The whole state is I (x) the block over them.
+
+        It starts from the read-only :attr:`secret_projector`.  A released
+        slot is one multiply by its real scalar c, the first into a new
+        array.  Each run of them then gets one ``+= 0.0``: multiplying by c
+        keeps every nonzero entry's value whatever the signs of the zeros
+        beside it and every zero a zero, and the add turns -0.0 into the
+        product's +0.0.  A withheld slot that seals is folded: its output is
+        I (x) row 0 of the ``superop @ t.reshape(4, -1)`` product that
+        :func:`~cqss.qubits._channel` runs, so only row 0 is kept, at the
+        position shifted by the folds so far.  A one-column product would
+        run as a matrix-vector product, which rounds differently, so it
+        runs on two copies of the column, except at N = 1, where the whole
+        model's product is one column too.  Any other slot is
+        :func:`~cqss.qubits._channel` at its shifted position.  The trace,
+        the total probability of the forced branches, is the sum of the
+        block's diagonal expanded to the whole model's 2^N entries, in
+        index order.
+        """
+        if not self.distribution_complete:
+            raise IncompleteRun("distribution must complete first")
         width = self.secret_width
         for i in withheld:
             if not 1 <= i <= width:
                 raise ProtocolError(f"withheld index {i} outside 1..{width}")
-        rho = self.secret_projector.copy()
+        projector = rho = self.secret_projector
         record = self.transcript.bell_record
+        folded: list[int] = []
         multiplied = False  # since the last += 0.0
         for index in range(1, width + 1):
-            channel = _WITHHELD if index in withheld else _CORRECTED[record[index]]
+            held = index in withheld
+            channel = _WITHHELD if held else _CORRECTED[record[index]]
             scalar = channel.scalar
-            if scalar is None:
-                if multiplied:
-                    rho += 0.0
-                rho = _channel(rho, index - 1, channel.superop)
-            else:
-                rho *= scalar
-            multiplied = scalar is not None
+            if scalar is not None:
+                if rho is projector:
+                    rho = rho * scalar
+                else:
+                    rho *= scalar
+                multiplied = True
+                continue
+            if multiplied:
+                rho += 0.0
+                multiplied = False
+            position = index - 1 - len(folded)
+            if not (held and channel.seals):
+                rho = _channel(rho, position, channel.superop)
+                continue
+            side = rho.shape[0]
+            left = 2**position
+            right = side // (2 * left)
+            t = rho.reshape(left, 2, right, left, 2, right)
+            t = t.transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
+            if t.shape[1] == 1 and folded:
+                t = np.repeat(t, 2, axis=1)
+            half = side // 2
+            rho = (channel.superop @ t)[0, : half * half].reshape(half, half)
+            folded.append(index - 1)
         if multiplied:
             rho += 0.0
-        # The trace is the total probability of the forced branches.
-        rho /= rho.trace().real
-        return DensityMatrix(rho, tuple(range(1, width + 1)))
+        diagonal = rho.diagonal()
+        for p in folded:  # every qubit below p is in place
+            rows = diagonal.reshape(2**p, -1)
+            diagonal = np.concatenate((rows, rows), axis=1).reshape(-1)
+        rho /= diagonal.sum().real
+        return rho, folded
 
     # -- accounting ---------------------------------------------------------------------
 

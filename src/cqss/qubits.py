@@ -1099,13 +1099,21 @@ def _sealed_block(rho: np.ndarray, positions: Sequence[int]) -> np.ndarray:
 def _seal(rho: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     """``rho`` with a maximally mixed qubit at each ascending, unchecked
     tensor position, tensored with the partial trace over them: the
-    :func:`_sealed_block` on the diagonal of each position in turn, +0.0
-    elsewhere, in new arrays (``rho`` itself with no positions)."""
-    sealed = _sealed_block(rho, positions)
+    :func:`_sealed_block` expanded, in new arrays (``rho`` itself with no
+    positions).  The expansion step, :func:`_expanded`, also turns the
+    model that ``ProtocolRun.withheld_state`` builds with each withheld
+    position folded into the whole 2^N-square state."""
+    return _expanded(_sealed_block(rho, positions), positions)
+
+
+def _expanded(block: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """I (x) ``block`` over the ascending, unchecked tensor ``positions``:
+    the block on the diagonal of each position in turn, +0.0 elsewhere, in
+    new arrays (``block`` itself with no positions)."""
     for p in positions:  # every qubit below p is in place
-        side = 2 * sealed.shape[0]
+        side = 2 * block.shape[0]
         out = np.zeros((side, side), dtype=complex)
         t = out.reshape(2**p, 2, -1, 2, side >> (p + 1))
-        t[:, 0, :, 0] = t[:, 1, :, 1] = sealed.reshape(2**p, -1, side >> (p + 1))
-        sealed = out
-    return sealed
+        t[:, 0, :, 0] = t[:, 1, :, 1] = block.reshape(2**p, -1, side >> (p + 1))
+        block = out
+    return block

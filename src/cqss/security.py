@@ -250,25 +250,26 @@ def no_information_audit(run: "ProtocolRun", withheld: Iterable[int]) -> AuditRe
 
     When the withheld slots' channel seals (``cqss.protocol._WITHHELD`` as
     it is at the call), both states are I ⊗ (their block with every
-    withheld position at 0) over the withheld positions, so the prediction
-    is computed as its block alone: the run's read-only
+    withheld position at 0) over the withheld positions, and neither is
+    built whole: the model folds each withheld slot as it is built
+    (:meth:`~cqss.protocol.ProtocolRun._folded_model`), the run's read-only
     :attr:`~cqss.protocol.ProtocolRun.secret_projector` goes straight to
-    :func:`~cqss.qubits._sealed_block`, and :func:`_factored_distance`
-    eigensolves the difference of the blocks.  A channel that does not seal
-    is audited dense, on the whole :func:`~cqss.qubits._seal`.  With nothing
-    withheld either way is :func:`~cqss.qubits.trace_distance`'s, bit for
-    bit.  A non-integer index raises ``ProtocolError`` before an incomplete
-    run raises."""
-    from . import protocol  # protocol imports this module
-
+    :func:`~cqss.qubits._sealed_block`, and the difference of the two
+    2^(N-k)-square blocks is eigensolved; the distance is 2^k times its
+    own.  A channel that does not seal is audited dense, the whole model
+    against the whole :func:`~cqss.qubits._seal`.  With nothing withheld
+    either way is :func:`~cqss.qubits.trace_distance`'s, bit for bit.  A
+    non-integer index raises ``ProtocolError`` before an incomplete run
+    raises."""
     indices = _record_indices(withheld)
-    actual = run.withheld_state(indices)
+    block, folded = run._folded_model(indices)
     positions = [i - 1 for i in indices]
-    if protocol._WITHHELD.seals:
-        expected = _sealed_block(run.secret_projector, positions)
+    if folded == positions:
+        expected = _sealed_block(run.secret_projector, folded)
     else:
-        expected, positions = _seal(run.secret_projector, positions), []
-    distance = _factored_distance(actual.entries, expected, positions)
+        expected = _seal(run.secret_projector, positions)
+    eigs = np.linalg.eigvalsh(block - expected)
+    distance = float(0.5 * np.abs(eigs).sum()) * (1 << len(folded))
     return AuditReport(indices, distance, AUDIT_TOLERANCE)
 
 
@@ -277,27 +278,6 @@ def noinfo_sweep(width: int) -> list[tuple[int, ...]]:
     none, each record, then every record if there are two or more."""
     sweep = [(), *((i,) for i in range(1, width + 1))]
     return sweep + [tuple(range(1, width + 1))] if width > 1 else sweep
-
-
-def _factored_distance(r: np.ndarray, block: np.ndarray, positions: list[int]) -> float:
-    """Trace distance of the 2^N-square ``r`` and a state that differs from
-    it by I ⊗ D over the ascending tensor ``positions``, given as its sealed
-    ``block``: 2^k times that of ``block`` and ``r``'s block with each of
-    the k positions at 0, read on the (L0, 2, L1, 2, ..., Lk) view of ``r``.
-    With no positions both blocks are whole."""
-    n = r.shape[0].bit_length() - 1
-    side, corner, start = [], [], 0
-    for p in positions:
-        side += [1 << (p - start), 2]
-        corner += [slice(None), 0]
-        start = p + 1
-    side.append(1 << (n - start))
-    corner.append(slice(None))
-    unsealed = r.reshape(*side, *side)[(*corner, *corner)]
-    delta = unsealed - block.reshape(unsealed.shape)
-    rest = block.shape[0]
-    eigs = np.linalg.eigvalsh(delta.reshape(rest, rest))
-    return float(0.5 * np.abs(eigs).sum()) * (1 << len(positions))
 
 
 def _record_indices(indices: Iterable[int]) -> tuple[int, ...]:

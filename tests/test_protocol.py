@@ -1389,6 +1389,36 @@ class TestWithheldState:
             assert audit.distance == factor_rule(reference, expected, positions), withheld
             assert audit.distance == pytest.approx(dense, rel=1e-12, abs=1e-30), withheld
 
+    @pytest.mark.parametrize("width, secret", [
+        (width, secret) for width in (1, 2, 3, 4)
+        for secret in ([3, 92, *_DEMO_AMPLITUDES] if width > 1 else [3, 92])])
+    def test_every_withheld_subset_keeps_the_general_bytes(self, width, secret):
+        # Each withheld slot is folded as the model is built, between the
+        # released slots' multiplies, so every subset orders folds and
+        # multiplies differently: the entries keep the general path's
+        # bytes, signed zeros included, and the audit's distance is the
+        # factor rule on the general path's matrix, exactly.  A secret is
+        # a Haar seed or demo amplitudes.
+        if isinstance(secret, int):
+            vector = haar(width, secret)
+        else:
+            vector = harness.demo_encode(secret, width)
+        split = set(range(2, width + 1, 2))
+        rng = RandomSource(100 + width)
+        plan = DecoyPlan.random(width, 2, rng)
+        eve = EveModel.intercept_resend(0.5)
+        run = complete(setup(width, width, width, vector, split_records_policy(
+            width, split), rng, decoy_plan=plan, eve=eve))
+        for r in range(width + 1):
+            for withheld in itertools.combinations(range(1, width + 1), r):
+                reference = general_withheld_state(run, withheld)
+                got = run.withheld_state(withheld)
+                assert got.entries.tobytes() == reference.tobytes(), withheld
+                positions = [i - 1 for i in withheld]
+                expected = sealed_mixture(run.secret, positions)
+                audit = no_information_audit(run, withheld)
+                assert audit.distance == factor_rule(reference, expected, positions)
+
     def test_a_sweep_builds_the_projector_once(self, monkeypatch):
         # The run's secret and its projector are read-only; a run that never
         # audits never builds the projector, and a seven-set sweep builds it

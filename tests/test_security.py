@@ -563,6 +563,35 @@ class TestNoInformationAudit:
         assert not sealed
         assert run.secret_projector.tobytes() == projector.tobytes()
 
+    @pytest.mark.parametrize("seals", [True, False])
+    def test_a_sealing_channel_is_folded_never_applied(self, monkeypatch, seals):
+        # With the import-time tables each withheld slot is folded as the
+        # model is built and each released slot is one multiply, so a sweep
+        # over a run with split records, decoys and taps never applies a
+        # channel through _channel.  A withheld channel that does not seal
+        # (dephasing) is applied to the whole model on every withheld slot.
+        width = 4
+        rng = RandomSource(92)
+        plan = DecoyPlan.random(width, 2, rng)
+        run = complete(setup(width, width, width, haar(width, 93), split_records_policy(
+            width, {1, 3}), rng, decoy_plan=plan, eve=EveModel.intercept_resend(1.0)))
+        if not seals:
+            dephasing = protocol._swap_channel(np.diag([1.0, 0.0, 0.0, 1.0]))
+            monkeypatch.setattr(protocol, "_WITHHELD", dephasing)
+        sides = []
+        real = protocol._channel
+
+        def spy(rho, position, superop):
+            sides.append(rho.shape[0])
+            return real(rho, position, superop)
+
+        monkeypatch.setattr(protocol, "_channel", spy)
+        for withheld in noinfo_sweep(width):
+            run.withheld_state(withheld)
+            no_information_audit(run, withheld)
+        # The sweep withholds 2 * width slots in all, each modelled twice.
+        assert sides == ([] if seals else [2**width] * 4 * width)
+
     @given(sealed_runs())
     def test_the_difference_is_identity_on_the_withheld_slots(self, case):
         # On the general-path reference and the sealed prediction the
