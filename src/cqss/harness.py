@@ -198,8 +198,7 @@ def _stage(cfg: ScenarioConfig, entropy, secret: np.ndarray) -> ProtocolRun:
     rng = RandomSource(entropy)
     decoy_plan = DecoyPlan.random(cfg.N, cfg.decoys, rng)
     plan = _plan(_plan_key(cfg))
-    return ProtocolRun(cfg.n, cfg.m, cfg.N, secret, plan.policy, rng,
-                       decoy_plan=decoy_plan, eve=plan.eve)
+    return ProtocolRun(secret, plan.policy, rng, decoy_plan=decoy_plan, eve=plan.eve)
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:

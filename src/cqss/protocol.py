@@ -12,8 +12,9 @@ record to controllers, either
   a pair of singlet links (``send_bits_classical``), or
 * quantum mechanically, by preparing a fresh Bell pair in the recorded state
   and teleporting one half to each of two controllers, who must later
-  cooperate in a joint Bell measurement to read it
-  (``split_bell_between_controllers`` / ``joint_identify``).
+  cooperate in a joint Bell measurement to read it (``transport_record`` /
+  ``joint_identify``).  Each step takes a record index: the policy names
+  every party.
 
 Reconstruction applies the recorded corrections; it succeeds only if enough
 controllers release their records to cover the qubits of at least
@@ -383,21 +384,20 @@ class ProtocolRun:
     """Mutable state of one protocol execution.
 
     Construct via :func:`setup`, which validates the roster, policy and
-    decoy plan that a run trusts.  A run is single-threaded; parallel trials
-    use independent runs with per-trial random sources.
+    decoy plan that a run trusts, and which fixes every party and the width.
+    A run is single-threaded; parallel trials use independent runs with
+    per-trial random sources.
     """
 
     def __init__(
         self,
-        n: int,
-        m: int,
-        secret_width: int,
         secret: np.ndarray,
         policy: AccessPolicy,
         rng: RandomSource,
         decoy_plan: DecoyPlan | None = None,
         eve: EveModel | None = None,
     ):
+        secret_width = len(policy.qubit_to_player)
         peak_block_qubits(secret_width)
         secret = np.asarray(secret, dtype=complex).reshape(-1)
         if secret.size != 2**secret_width:
@@ -416,7 +416,7 @@ class ProtocolRun:
         # Slot layout: decoys sit at the planned slots, each its own block
         # over its checked constant row; secret qubits fill the remaining
         # slots in index order.  Secret qubit i goes to the player the policy
-        # names; the decoys go to players 1..n in turn.
+        # names; the decoys go to the policy's players 1..n in turn.
         self.register = QuantumRegister()
         secret_ids = self.register.alloc_state(secret)
         # The run's one copy of the secret is the array its block holds:
@@ -424,23 +424,22 @@ class ProtocolRun:
         self._secret = self.register._block_of[secret_ids[0]].amps
         self._secret.setflags(write=False)
         decoys = plan.record
-        decoy_players = itertools.cycle(range(1, n + 1))
+        decoy_players = itertools.cycle(sorted(set(policy.qubit_to_player.values())))
         self._slot_of_secret: dict[int, int] = {}
         self._secret_of_slot: dict[int, int] = {}
         self.slot_qubits: dict[int, QubitId] = {}
-        self.slot_receiver: dict[int, int] = {}
+        self.decoy_receiver: dict[int, int] = {}
         for slot in range(1, total + 1):
             if slot in decoys:
                 (self.slot_qubits[slot],) = self.register._grow(
                     _DECOY_VECTORS[decoys[slot]], 1
                 )
-                self.slot_receiver[slot] = next(decoy_players)
+                self.decoy_receiver[slot] = next(decoy_players)
             else:
                 index = len(self._slot_of_secret) + 1
                 self._slot_of_secret[index] = slot
                 self._secret_of_slot[slot] = index
                 self.slot_qubits[slot] = secret_ids[index - 1]
-                self.slot_receiver[slot] = policy.qubit_to_player[index]
 
         self.transcript = Transcript()
         # Each record once read: a classical one when its controller strips
@@ -531,9 +530,7 @@ class ProtocolRun:
 
     # -- record transport ----------------------------------------------------------
 
-    def send_bits_classical(
-        self, controller: int, index: int, bits: tuple[int, int]
-    ) -> None:
+    def send_bits_classical(self, index: int, bits: tuple[int, int]) -> None:
         """Deliver two bits about record ``index`` to its one controller,
         one-time padded; what the controller decodes lands in ``decoded``.
 
@@ -542,15 +539,18 @@ class ProtocolRun:
         two bits.  The dealer publicly announces ``bits`` XORed with her
         draw; only the controller can strip the pad.  ``transport_record``
         sends the recorded bits; any others may be sent to test the pad.
-        Each bit must be the int 0 or 1 (``ProtocolError`` otherwise),
-        checked before anything is spent.  The links are never built: the
-        pad is sampled in closed form (:func:`_pad_tables`), with the same
-        draws, qubit ids and register phase as measuring them.
+        Each bit must be the int 0 or 1 (``ProtocolError`` otherwise), and
+        the record one that :meth:`transport_record` could send, but not a
+        split one (``PolicyError``), checked before anything is spent.  The
+        links are never built: the pad is sampled in closed form
+        (:func:`_pad_tables`), with the same draws, qubit ids and register
+        phase as measuring them.
         """
         if len(bits) != 2 or any(type(b) is not int or b not in (0, 1) for b in bits):
             raise ProtocolError(f"bits must be two ints, each 0 or 1, got {bits!r}")
         index = _record_index(index)
-        self._check_transport(index, (controller,))
+        if len(self._check_transport(index)) != 1:
+            raise PolicyError(f"record {index} is split; transport_record sends it")
         self._send_bits(index, bits[0] << 1 | bits[1])
 
     def _send_bits(self, index: int, value: int) -> None:
@@ -571,45 +571,22 @@ class ProtocolRun:
         t.messages.append(Message("dealer", "public", payload))
         self.decoded[index] = _BELL_KINDS[announced ^ c]
 
-    def split_bell_between_controllers(
-        self, ca: int, cb: int, record_index: int
-    ) -> None:
-        """Encode a record as a fresh Bell pair and split it between two
-        controllers, one teleported half each; the halves wait in
-        ``split_halves`` until :meth:`joint_identify` reads them.
-
-        Each half is teleported over a singlet link, in closed form
-        (:meth:`~cqss.qubits.QuantumRegister.teleport`: the link is counted
-        and its ids spent, but never built); the dealer sends the
-        teleportation correction to the receiving controller, who applies
-        it immediately.  Afterwards the pair jointly holds the Bell state
-        named by the record, and neither half alone carries any of it.
-        """
-        record_index = _record_index(record_index)
-        self._check_transport(record_index, (ca, cb))
-        kind = self.transcript.bell_record[record_index]
-        g, h = self.register.alloc_bell_pair(kind)
-        qa = self._teleport_to_controller(g, ca, record_index)
-        qb = self._teleport_to_controller(h, cb, record_index)
-        self.split_halves[record_index] = (qa, qb)
-
     def _transported(self, index: int) -> bool:
         return index in self.decoded or index in self.split_halves
 
-    def _check_transport(self, index: int, holders: tuple[int, ...]) -> None:
-        """Record ``index`` must be assigned to exactly ``holders``, produced
-        by distribution, and not transported yet."""
-        assigned = tuple(self.policy.record_to_controller.get(index, ()))
-        if assigned != holders:
-            raise PolicyError(
-                f"record {index} is assigned to "
-                f"{', '.join(f'controller-{c}' for c in assigned) or 'no controller'}, "
-                f"not {', '.join(f'controller-{c}' for c in holders)}"
-            )
+    def _check_transport(self, index: int) -> tuple[int, ...]:
+        """The policy's holders of record ``index``, once the record is
+        checked to be one of the secret's (``ProtocolError``), produced by
+        distribution (``IncompleteRun``) and not transported yet
+        (``ProtocolError``)."""
+        holders = self.policy.record_to_controller.get(index)
+        if holders is None:
+            raise ProtocolError(f"record index {index} outside 1..{self.secret_width}")
         if index not in self.transcript.bell_record:
             raise IncompleteRun(f"record {index} has not been produced yet")
         if self._transported(index):
             raise ProtocolError(f"record {index} already transported")
+        return holders
 
     def _teleport_to_controller(
         self, qubit: QubitId, controller: int, record_index: int
@@ -629,21 +606,31 @@ class ProtocolRun:
         return beta
 
     def transport_record(self, record_index: int) -> None:
-        """Send one record the way the policy assigns it.  An index outside
-        the secret raises ``ProtocolError``, a record not yet distributed
-        ``IncompleteRun``."""
+        """Send one record to the controllers the policy assigns it.
+
+        A classical record's bits are padded to its controller
+        (:meth:`send_bits_classical`).  A split record is encoded as a fresh
+        Bell pair, whose halves are teleported to its two controllers in
+        policy order and wait in ``split_halves`` until
+        :meth:`joint_identify` reads them.  Each teleport runs in closed
+        form (:meth:`~cqss.qubits.QuantumRegister.teleport`: the link is
+        counted and its ids spent, but never built), and the dealer sends
+        its correction to the receiving controller, who applies it at once.
+        Neither half alone carries any of the record.  An index outside the
+        secret or a record already sent raises ``ProtocolError``, one not
+        yet distributed ``IncompleteRun``, before anything is spent.
+        """
         record_index = _record_index(record_index)
-        holders = self.policy.record_to_controller.get(record_index)
-        if holders is None:
-            raise ProtocolError(
-                f"record index {record_index} outside 1..{self.secret_width}"
-            )
+        holders = self._check_transport(record_index)
+        kind = self.transcript.bell_record[record_index]
         if len(holders) == 1:
-            self._check_transport(record_index, holders)
-            kind = self.transcript.bell_record[record_index]
             self._send_bits(record_index, kind._value_)
-        else:
-            self.split_bell_between_controllers(holders[0], holders[1], record_index)
+            return
+        ca, cb = holders
+        g, h = self.register.alloc_bell_pair(kind)
+        qa = self._teleport_to_controller(g, ca, record_index)
+        qb = self._teleport_to_controller(h, cb, record_index)
+        self.split_halves[record_index] = (qa, qb)
 
     def transport_all(self) -> None:
         for index in range(1, self.secret_width + 1):
@@ -652,57 +639,38 @@ class ProtocolRun:
 
     # -- identification and reconstruction ------------------------------------------
 
-    def joint_identify(
-        self, ca: int, cb: int, record_index: int | None = None
-    ) -> BellKind:
-        """Two controllers read a split record of theirs by a joint Bell
-        measurement, moving it from ``split_halves`` to ``decoded``.
+    def joint_identify(self, record_index: int) -> BellKind:
+        """The two controllers of split record ``record_index`` read it by a
+        joint Bell measurement, moving it from ``split_halves`` to
+        ``decoded``.
 
-        Without ``record_index`` the pair must hold exactly one unread split
-        record.  Refuses (raising :class:`ControllerRefusal`) when either
-        controller withholds; a lone cooperative controller learns nothing,
-        since its half alone is maximally mixed.  Halves holding their Bell
-        pair as prepared, with nothing owed, are a constant block, which
+        A record that is no unread split share raises ``ProtocolError``; a
+        refusal raises :class:`ControllerRefusal`, naming the withholding
+        controllers in policy order.  Neither spends anything.  A lone
+        cooperative controller learns nothing: its half alone is maximally
+        mixed.  Halves holding their Bell pair as prepared, with nothing
+        owed, are a constant block, which
         :meth:`~cqss.qubits.QuantumRegister.bell_measure` measures from
         what the general path computed once at import (``_KNOWN``); halves
         in any other state take the general path.
         """
-        holders = self.policy.record_to_controller
-        if record_index is None:
-            candidates = [
-                i for i in sorted(self.split_halves) if set(holders[i]) == {ca, cb}
-            ]
-            if len(candidates) != 1:
-                raise ProtocolError(
-                    f"controller-{ca} and controller-{cb} hold "
-                    f"{len(candidates)} unread split shares; "
-                    f"pass record_index"
-                )
-            record_index = candidates[0]
-        else:
-            record_index = _record_index(record_index)
-            if (
-                record_index not in self.split_halves
-                or set(holders[record_index]) != {ca, cb}
-            ):
-                raise ProtocolError(
-                    f"record {record_index} is not an unread split share of "
-                    f"controller-{ca}, controller-{cb}"
-                )
+        record_index = _record_index(record_index)
+        if record_index not in self.split_halves:
+            raise ProtocolError(f"record {record_index} is not an unread split share")
+        holders = self.policy.record_to_controller[record_index]
         if not self.policy.record_released(record_index):
-            refusers = [c for c in (ca, cb) if not self.policy.release[c]]
+            refusers = [c for c in holders if not self.policy.release[c]]
             raise ControllerRefusal(
                 f"{', '.join(f'controller-{c}' for c in refusers)} "
                 f"withheld cooperation"
             )
-        pa, pb = holders[record_index]
         qa, qb = self.split_halves.pop(record_index)
         kind = self.register.bell_measure(qa, qb, self.rng)
         self.transcript.controller_measurements += 1
         self.decoded[record_index] = kind
         self.transcript.messages.append(
             Message(
-                f"controller-{pa}+controller-{pb}",
+                "+".join(f"controller-{c}" for c in holders),
                 "public",
                 f"identify record={record_index} bits={_BIT_TEXT[kind._value_]}",
             )
@@ -724,7 +692,7 @@ class ProtocolRun:
                 payload = f"release record={index} bits={bits}"
                 messages.append(Message(f"controller-{holders[0]}", "public", payload))
             elif index not in self.decoded:
-                self.joint_identify(*holders, index)
+                self.joint_identify(index)
             available[index] = self.decoded[index]
         return available
 
@@ -1059,6 +1027,4 @@ def setup(
     policy.validate(n, m, secret_width)
     if decoy_plan is not None:
         decoy_plan.validate(secret_width)
-    return ProtocolRun(
-        n, m, secret_width, secret, policy, rng, decoy_plan=decoy_plan, eve=eve
-    )
+    return ProtocolRun(secret, policy, rng, decoy_plan=decoy_plan, eve=eve)

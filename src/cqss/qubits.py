@@ -262,11 +262,15 @@ def check_array_qubits(qubits: int, what: str) -> None:
 
 def _as_state(vector: np.ndarray) -> tuple[np.ndarray, int]:
     """A flat complex copy of ``vector`` and its qubit count, checked to be a
-    normalized vector of power-of-two length (at least two)."""
-    vec = np.array(vector, dtype=complex).reshape(-1)
-    n = vec.size.bit_length() - 1
-    if vec.size < 2 or vec.size != 1 << n:
-        raise DimensionMismatch(f"state length {vec.size} is not a power of two")
+    normalized vector of power-of-two length (at least two), its length and
+    the memory rule (:func:`check_array_qubits`) checked before the copy."""
+    vec = np.asarray(vector)
+    size = vec.size
+    n = size.bit_length() - 1
+    if size < 2 or size != 1 << n:
+        raise DimensionMismatch(f"state length {size} is not a power of two")
+    check_array_qubits(n, "a state")
+    vec = np.array(vec, dtype=complex).reshape(-1)
     norm = math.sqrt(np.vdot(vec, vec).real)
     if abs(norm - 1.0) > NORM_ATOL:
         raise NotNormalized(f"state norm {norm}")

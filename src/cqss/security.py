@@ -72,10 +72,22 @@ class DecoyPlan:
 
     ``placements`` are 1-based slot positions among the ``N + M`` distributed
     qubits, ascending; ``states[j]`` is the decoy hidden at ``placements[j]``.
+    Placements are kept as ints read with ``operator.index``, and states
+    must be :class:`DecoyState` members (``PolicyError`` otherwise).
     """
 
     placements: tuple[int, ...] = ()
     states: tuple[DecoyState, ...] = ()
+
+    def __post_init__(self) -> None:
+        try:
+            placements = tuple(map(operator.index, self.placements))
+        except TypeError as exc:
+            raise PolicyError(f"decoy placements must be integers: {exc}") from None
+        for state in self.states:
+            if type(state) is not DecoyState:
+                raise PolicyError(f"decoy states must be DecoyState members, got {state!r}")
+        object.__setattr__(self, "placements", placements)
 
     @property
     def count(self) -> int:
@@ -220,7 +232,7 @@ def verify_decoys(run: "ProtocolRun", plan: DecoyPlan) -> DetectionReport:
         opened = f"decoy-open slot={slot} bits={_BIT_TEXT[value]} basis={state.basis}"
         log(Message("dealer", "public", opened))
         qubit = run.slot_qubits[slot]
-        player = run.slot_receiver[slot]
+        player = run.decoy_receiver[slot]
         run.register.apply_pauli(qubit, _CORRECTIONS[value])
         bit = run.register.measure_single(qubit, state.basis, run.rng)
         log(Message(f"player-{player}", "dealer", f"decoy-report slot={slot} bit={bit}"))

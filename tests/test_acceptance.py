@@ -96,7 +96,6 @@ def test_criterion_3_classical_share_transport():
     """Padded record transport: always decodable, announcements uniform."""
     started = time.monotonic()
     trials = 10_000
-    controller = 1
     policy = AccessPolicy.round_robin(1, 1, 1)
     secret = np.array([1.0, 0.0])
     chi2_ok = True
@@ -108,7 +107,7 @@ def test_criterion_3_classical_share_transport():
             run = setup(1, 1, 1, secret, policy,
                         RandomSource((3, bits[0], bits[1], t)))
             run.distribute_all()
-            run.send_bits_classical(controller, 1, bits)
+            run.send_bits_classical(1, bits)
             decode_ok &= run.decoded[1].bits == bits
             announce = next(
                 m.payload for m in run.transcript.messages
@@ -167,7 +166,7 @@ def test_criterion_4_split_share_privacy():
         run = setup(1, 2, 1, secret, _split_policy(), RandomSource((44, t)))
         run.distribute_all()
         run.transport_all()
-        got = run.joint_identify(1, 2)
+        got = run.joint_identify(1)
         identify_ok &= got is run.transcript.bell_record[1]
     _verdict(4, "split share privacy and identification",
              privacy_ok and identify_ok, started)

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import itertools
 import pickle
+import re
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -146,6 +147,26 @@ class TestSetup:
         with pytest.raises(PolicyError):
             setup(3, 3, 3, haar(3, 1), policy, RandomSource(0))
 
+    def test_a_run_built_directly_matches_setup(self):
+        # The policy fixes the width and the players: a run built without
+        # setup gives the same bytes, and its decoys go to players 1..n in
+        # turn (n = 2, five decoys).
+        policy = AccessPolicy.round_robin(2, 3, 3, split_all=True)
+        plan = DecoyPlan.random(3, 5, RandomSource(4))
+        secret = haar(3, 2)
+        runs = [
+            protocol.ProtocolRun(secret, policy, RandomSource(9), plan),
+            setup(2, 3, 3, secret, policy, RandomSource(9), decoy_plan=plan),
+        ]
+        for run in runs:
+            complete(run)
+            verify_decoys(run, plan)
+            run.reconstruct()
+        direct, staged = runs
+        assert direct.transcript.to_text() == staged.transcript.to_text()
+        assert direct.secret_width == 3
+        assert direct.decoy_receiver == dict(zip(plan.placements, [1, 2, 1, 2, 1]))
+
     @pytest.mark.parametrize(
         "n, m, width, policy, message",
         [
@@ -204,14 +225,15 @@ class TestDistribution:
         with pytest.raises(ProtocolError):
             run.distribute_qubit(4)
 
-    def test_slot_receivers_and_decoy_reporters(self):
+    def test_decoy_receivers_and_reporters(self):
         # n = 2 with three decoys, so the decoy rotation wraps back to
-        # player 1; the policy deals the secret qubits out in reverse.
+        # player 1; the policy deals the secret qubits out in reverse, and
+        # names their receivers itself.
         p1, p2 = 1, 2
         policy = replace(AccessPolicy.round_robin(2, 2, 2), qubit_to_player={1: p2, 2: p1})
         plan = DecoyPlan((1, 3, 5), (DecoyState.ZERO, DecoyState.PLUS_X, DecoyState.ONE))
         run = setup(2, 2, 2, haar(2, 1), policy, RandomSource(0), decoy_plan=plan)
-        assert run.slot_receiver == {1: p1, 2: p2, 3: p2, 4: p1, 5: p1}
+        assert run.decoy_receiver == {1: p1, 3: p2, 5: p1}
         run.distribute_all()
         verify_decoys(run, plan)
         reports = [
@@ -220,7 +242,7 @@ class TestDistribution:
         assert len(reports) == 3
         for message in reports:
             slot = int(message.payload.split("slot=")[1].split()[0])
-            assert message.sender == f"player-{run.slot_receiver[slot]}"
+            assert message.sender == f"player-{run.decoy_receiver[slot]}"
 
     def test_full_distribution_plus_corrections_restores_state(self):
         for seed in (0, 1, 2):
@@ -318,8 +340,7 @@ class TestClassicalTransport:
     def test_xor_announcement_and_decode(self):
         run = fresh_run(seed=7)
         run.distribute_all()
-        controller = 1
-        run.send_bits_classical(controller, 1, (0, 1))
+        run.send_bits_classical(1, (0, 1))
 
         announce = [m for m in run.transcript.messages
                     if m.payload.startswith("announce")]
@@ -335,34 +356,39 @@ class TestClassicalTransport:
         for seed in range(300):
             run = fresh_run(width=1, seed=seed, secret_seed=2)
             run.distribute_all()
-            controller = 1
             bits = (seed & 1, (seed >> 1) & 1)
-            run.send_bits_classical(controller, 1, bits)
+            run.send_bits_classical(1, bits)
             assert run.decoded[1].bits == bits
 
     def test_link_budget_enforced(self):
         run = fresh_run(width=1, seed=3)
         run.distribute_all()
-        c = 1
-        run.send_bits_classical(c, 1, (1, 0))
+        run.send_bits_classical(1, (1, 0))
         with pytest.raises(ProtocolError):
             # record already transported
-            run.send_bits_classical(c, 1, (1, 0))
+            run.send_bits_classical(1, (1, 0))
 
     def test_transport_before_distribution_rejected(self):
         run = fresh_run()
-        c = 1
         with pytest.raises(IncompleteRun):
-            run.send_bits_classical(c, 1, (0, 0))
+            run.send_bits_classical(1, (0, 0))
 
-    def test_record_sent_to_unassigned_controller_rejected(self):
-        # round robin gives record 1 to controller 1
-        run = fresh_run(width=2, policy=AccessPolicy.round_robin(2, 2, 2))
+    def test_split_record_refused_before_anything_is_spent(self):
+        # Record 1 is split between controllers 1 and 2: the pad cannot
+        # send it, and the refusal spends no link, draw or qubit id.
+        policy = AccessPolicy.round_robin(2, 4, 2, split_all=True)
+        run, twin = (
+            setup(2, 4, 2, haar(2, 1), policy, RandomSource(12)) for _ in range(2)
+        )
         run.distribute_all()
-        c2 = 2
-        with pytest.raises(PolicyError):
-            run.send_bits_classical(c2, 1, (1, 1))
-        assert run.decoded == {} and run.transcript.epr_controller == 0
+        twin.distribute_all()
+        with pytest.raises(PolicyError) as err:
+            run.send_bits_classical(1, (1, 1))
+        assert str(err.value) == "record 1 is split; transport_record sends it"
+        assert_same_protocol_state(run, twin)
+        assert run.register.copy().alloc_qubit(0) == twin.register.copy().alloc_qubit(0)
+        run.transport_all()
+        assert run.resource_report().epr_controller == 4
 
     def test_transport_record_checks_before_reading(self):
         # A record not yet distributed, or an index outside the secret, is
@@ -389,7 +415,7 @@ class TestClassicalTransport:
         run.distribute_all()
         twin.distribute_all()
         with pytest.raises(ProtocolError, match="bits must be two ints, each 0 or 1"):
-            run.send_bits_classical(1, 1, bits)
+            run.send_bits_classical(1, bits)
         assert run.transcript.to_text() == twin.transcript.to_text()
         assert run.decoded == {}
         assert run.register.live_qubits() == twin.register.live_qubits()
@@ -465,7 +491,7 @@ def check_pad_against_reference(seed, holders, steps, bits):
             elif len(holders[i - 1]) == 2 or bits[i - 1] is None:
                 r.transport_record(i)
             else:
-                r.send_bits_classical(holders[i - 1][0], i, bits[i - 1])
+                r.send_bits_classical(i, bits[i - 1])
         seen.add(i)
         assert_same_run(run, ref)
     run.reconstruct()
@@ -586,7 +612,7 @@ class TestSplitTransport:
     def test_joint_identify_returns_prepared_kind(self):
         for kind, run in self.collect_runs_by_kind().items():
             run.transport_all()
-            got = run.joint_identify(1, 2)
+            got = run.joint_identify(1)
             assert got is kind
 
     def test_joint_identify_deterministic_eigenstate(self):
@@ -596,7 +622,7 @@ class TestSplitTransport:
             run.distribute_all()
             run.transport_all()
             kind = run.transcript.bell_record[1]
-            assert run.joint_identify(1, 2) is kind
+            assert run.joint_identify(1) is kind
 
     def test_defector_triggers_refusal(self):
         policy = replace(split_pair_policy(), release={1: True, 2: False})
@@ -604,24 +630,11 @@ class TestSplitTransport:
         run.distribute_all()
         run.transport_all()
         with pytest.raises(ControllerRefusal):
-            run.joint_identify(1, 2)
+            run.joint_identify(1)
         # the cooperative controller's half is still maximally mixed
         qa, _ = run.split_halves[1]
         rho = run.register.reduced_density([qa])
         assert trace_distance(rho.entries, np.eye(2) / 2) <= 1e-10
-
-    def test_split_record_sent_to_wrong_pair_rejected(self):
-        # round robin with split_all gives record 1 to (controller 1, controller 2)
-        policy = AccessPolicy.round_robin(2, 3, 2, split_all=True)
-        run = setup(2, 3, 2, haar(2, 1), policy, RandomSource(0))
-        run.distribute_all()
-        c1, c2, c3 = 1, 2, 3
-        for ca, cb in ((c2, c1), (c1, c3), (c3, c2)):
-            with pytest.raises(PolicyError):
-                run.split_bell_between_controllers(ca, cb, 1)
-        assert run.split_halves == {} and run.transcript.epr_controller == 0
-        run.split_bell_between_controllers(c1, c2, 1)
-        assert list(run.split_halves) == [1]
 
     # Six records over four controllers: a lone one, and split records over
     # four different pairs, pair {1, 2} holding two of them in both orders.
@@ -649,44 +662,41 @@ class TestSplitTransport:
         # the transcript keeps its bytes.
         run = self.several_splits_run(seed)
         for index in (4, 3, 6, 1, 2):
-            holders = self.SEVERAL_SPLITS[index]
-            assert run.joint_identify(*holders, index) is run.transcript.bell_record[index]
+            assert run.joint_identify(index) is run.transcript.bell_record[index]
         assert run.split_halves == {}
         assert hashlib.sha256(run.transcript.to_text().encode()).hexdigest() == digest
 
-    def test_joint_identify_rejects_what_is_no_unread_share_of_the_pair(self):
-        run = self.several_splits_run(5)
-        before = run.transcript.to_text()
-        share = "is not an unread split share of"
+    def test_joint_identify_rejects_what_is_no_unread_split_share(self):
+        # A classical record, one outside the secret, one already read and
+        # an index that is no int are refused, and nothing is spent.
+        run, twin = self.several_splits_run(5), self.several_splits_run(5)
+        share = "is not an unread split share"
         not_int = "record indices must be integers:"
         as_int = "object cannot be interpreted as an integer"
         cases = [
-            ((1, 2, None), "controller-1 and controller-2 hold 2 unread split "
-                           "shares; pass record_index"),
-            ((1, 3, None), "controller-1 and controller-3 hold 0 unread split "
-                           "shares; pass record_index"),
-            ((1, 2, 2), f"record 2 {share} controller-1, controller-2"),  # pair {3, 4}
-            ((1, 3, 3), f"record 3 {share} controller-1, controller-3"),
-            ((4, 1, 5), f"record 5 {share} controller-4, controller-1"),  # not split
-            ((1, 2, 7), f"record 7 {share} controller-1, controller-2"),  # out of range
-            ((1, 2, 0), f"record 0 {share} controller-1, controller-2"),
-            ((1, 2, "3"), f"{not_int} 'str' {as_int}"),  # not an int
-            ((1, 2, 1.5), f"{not_int} 'float' {as_int}"),
-            ((1, 2, [3]), f"{not_int} 'list' {as_int}"),
+            (5, f"record 5 {share}"),  # classical
+            (7, f"record 7 {share}"),  # out of range
+            (0, f"record 0 {share}"),
+            ("3", f"{not_int} 'str' {as_int}"),
+            (1.5, f"{not_int} 'float' {as_int}"),
+            ([3], f"{not_int} 'list' {as_int}"),
         ]
-        for args, text in cases:
+        for index, text in cases:
             with pytest.raises(ProtocolError) as err:
-                run.joint_identify(*args)
-            assert type(err.value) is ProtocolError and str(err.value) == text, args
-        assert run.transcript.to_text() == before
-        run.joint_identify(1, 2, 1)
-        run.joint_identify(3, 4)
-        for args in ((1, 2, 1), (2, 1, 1), (3, 4, 2)):  # already identified
+                run.joint_identify(index)
+            assert type(err.value) is ProtocolError and str(err.value) == text, index
+        assert_same_protocol_state(run, twin)
+        assert run.register.copy().alloc_qubit(0) == twin.register.copy().alloc_qubit(0)
+        for r in (run, twin):
+            r.joint_identify(1)
+            r.joint_identify(2)
+        for index in (1, 2):  # already identified
             with pytest.raises(ProtocolError) as err:
-                run.joint_identify(*args)
-            ca, cb, index = args
-            assert str(err.value) == f"record {index} {share} controller-{ca}, controller-{cb}"
-        assert run.joint_identify(2, 1) is run.transcript.bell_record[3]
+                run.joint_identify(index)
+            assert str(err.value) == f"record {index} {share}"
+        assert_same_protocol_state(run, twin)
+        assert run.register.copy().alloc_qubit(0) == twin.register.copy().alloc_qubit(0)
+        assert run.joint_identify(3) is run.transcript.bell_record[3]
 
     def test_identity_branch_preserves_singlet(self):
         # teleporting half of a singlet through a singlet, forcing the
@@ -717,26 +727,16 @@ def index_run(split, stage):
 
 
 # Each entry point that takes a record or secret index: whether its run is
-# split, how far it is staged, and the call on index i of record r's
-# holders.
+# split, how far it is staged, and the call on index i.
 INDEX_ENTRY_POINTS = {
-    "distribute_qubit": (False, 0, lambda run, i, r: run.distribute_qubit(i)),
+    "distribute_qubit": (False, 0, lambda run, i: run.distribute_qubit(i)),
     "send_bits_classical": (
-        False, 1, lambda run, i, r: run.send_bits_classical(*holders(run, r), i, (0, 1))
+        False, 1, lambda run, i: run.send_bits_classical(i, (0, 1))
     ),
-    "transport_record": (False, 1, lambda run, i, r: run.transport_record(i)),
-    "split_bell_between_controllers": (
-        True, 1,
-        lambda run, i, r: run.split_bell_between_controllers(*holders(run, r), i),
-    ),
-    "joint_identify": (
-        True, 2, lambda run, i, r: run.joint_identify(*holders(run, r), i)
-    ),
+    "transport_record": (False, 1, lambda run, i: run.transport_record(i)),
+    "transport_record_split": (True, 1, lambda run, i: run.transport_record(i)),
+    "joint_identify": (True, 2, lambda run, i: run.joint_identify(i)),
 }
-
-
-def holders(run, record):
-    return run.policy.record_to_controller[record]
 
 
 def assert_same_protocol_state(run, twin):
@@ -754,15 +754,13 @@ class TestRecordIndices:
             (name, index)
             for name in INDEX_ENTRY_POINTS
             for index in (2.0, 2.5, "2", None)
-            # joint_identify without an index scans for the pair's record.
-            if not (name == "joint_identify" and index is None)
         ],
     )
     def test_non_integer_index_refused_before_anything_is_spent(self, name, index):
         split, stage, call = INDEX_ENTRY_POINTS[name]
         run, twin = index_run(split, stage), index_run(split, stage)
         with pytest.raises(ProtocolError, match="record indices must be integers"):
-            call(run, index, 2)
+            call(run, index)
         assert_same_protocol_state(run, twin)
 
     @pytest.mark.parametrize("name", list(INDEX_ENTRY_POINTS))
@@ -772,7 +770,7 @@ class TestRecordIndices:
         # the int, bit for bit as the int's own call.
         split, stage, call = INDEX_ENTRY_POINTS[name]
         run, twin = index_run(split, stage), index_run(split, stage)
-        assert call(run, index, value) == call(twin, value, value)
+        assert call(run, index) == call(twin, value)
         assert_same_protocol_state(run, twin)
         assert all(type(i) is int for i in [*run.decoded, *run.split_halves])
 
@@ -1872,17 +1870,50 @@ class TestPartyNames:
         policy = replace(split_pair_policy(), release={1: True, 2: False})
         run = complete(setup(1, 2, 1, haar(1, 6), policy, RandomSource(8)))
         with pytest.raises(ControllerRefusal) as err:
-            run.joint_identify(1, 2)
+            run.joint_identify(1)
         assert str(err.value) == "controller-2 withheld cooperation"
 
-    def test_wrong_controller_named_in_policy_error(self):
-        run = fresh_run(width=2, policy=AccessPolicy.round_robin(2, 2, 2))
-        run.distribute_all()
-        with pytest.raises(PolicyError) as err:
-            run.send_bits_classical(2, 1, (0, 0))
-        assert str(err.value) == (
-            "record 1 is assigned to controller-1, not controller-2"
+    def test_refusal_names_the_withholders_in_policy_order(self):
+        # Record 1 is split between controllers 3 and 1, in that order;
+        # both withhold, and nothing is spent on the refusal.
+        policy = AccessPolicy(
+            qubit_to_player={1: 1, 2: 1},
+            record_to_controller={1: (3, 1), 2: (2,)},
+            threshold_k=1,
+            release={1: False, 2: True, 3: False},
+            cooperating_players={1},
         )
+        run, twin = (
+            complete(setup(1, 3, 2, haar(2, 6), policy, RandomSource(8)))
+            for _ in range(2)
+        )
+        with pytest.raises(ControllerRefusal) as err:
+            run.joint_identify(1)
+        assert str(err.value) == "controller-3, controller-1 withheld cooperation"
+        assert_same_protocol_state(run, twin)
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda p: p.stem)
+    def test_every_named_controller_holds_the_record(self, path):
+        # Each message that names a controller names one that the policy
+        # assigns the record to; an identification names both, in order.
+        cfg = load_scenario(path)
+        named = 0
+        for trial in range(min(cfg.trials, 20)):
+            run = complete(build_run(cfg, (cfg.master_seed, trial)))
+            verify_decoys(run, run.decoy_plan)
+            run.reconstruct()
+            for message in run.transcript.messages:
+                parties = f"{message.sender} {message.receiver}"
+                if "controller-" not in parties:
+                    continue
+                index = int(message.payload.split("record=")[1].split()[0])
+                holders = run.policy.record_to_controller[index]
+                if message.payload.startswith("identify"):
+                    assert message.sender == "+".join(f"controller-{c}" for c in holders)
+                for c in re.findall(r"controller-(\d+)", parties):
+                    assert int(c) in holders, message
+                    named += 1
+        assert named
 
     def test_recovered_players_are_indices(self):
         run = complete(fresh_run(policy=AccessPolicy.round_robin(3, 3, 3)))

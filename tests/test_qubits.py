@@ -3,6 +3,7 @@
 import bisect
 import contextlib
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,21 @@ class TestMemoryRule:
         for (_, amps), blk in zip(before, after):
             np.testing.assert_array_equal(amps, blk.amps)
         assert reg.num_qubits == 27 and reg.peak_block_qubits == 14
+
+    @pytest.mark.parametrize("amplitude", [2**-12.5, 0.0], ids=["normalized", "zero"])
+    def test_oversized_state_refused_before_it_is_copied(self, amplitude):
+        # A 25-qubit read-only view costs nothing to make; the cap is
+        # checked on its length alone, so neither the copy (512 MB) nor
+        # the norm is computed, and a zero vector is over the cap too.
+        view = np.broadcast_to(np.complex128(amplitude), (2**25,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="25 qubits"):
+                QuantumRegister().alloc_state(view)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_density_matrices_over_13_qubits(self):
         psi = random_state(13, 4)

@@ -81,6 +81,40 @@ class TestDecoyPlan:
         with pytest.raises(PolicyError):
             DecoyPlan((2, 1), (DecoyState.ZERO, DecoyState.ONE)).validate(2)
 
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            (lambda: DecoyPlan((1,), ("0",)),
+             "decoy states must be DecoyState members, got '0'"),
+            (lambda: DecoyPlan((1.0,), (DecoyState.ZERO,)),
+             "decoy placements must be integers: "
+             "'float' object cannot be interpreted as an integer"),
+        ],
+        ids=["str-state", "float-placement"],
+    )
+    def test_ill_typed_plan_rejected_before_a_register_exists(self, monkeypatch, plan, message):
+        def refuse(*args):
+            raise AssertionError("a register was made")
+
+        monkeypatch.setattr(protocol, "QuantumRegister", refuse)
+        with pytest.raises(PolicyError) as err:
+            setup(2, 2, 2, haar(2, 1), AccessPolicy.round_robin(2, 2, 2),
+                  RandomSource(0), decoy_plan=plan())
+        assert str(err.value) == message
+
+    def test_placements_read_as_ints(self):
+        # True and np.int64(3) are slots 1 and 3, kept and logged as ints.
+        plan = DecoyPlan((True, np.int64(3)), (DecoyState.ZERO, DecoyState.ONE))
+        assert plan == DecoyPlan((1, 3), (DecoyState.ZERO, DecoyState.ONE))
+        assert all(type(p) is int for p in plan.placements)
+        run = setup(2, 2, 2, haar(2, 1), AccessPolicy.round_robin(2, 2, 2),
+                    RandomSource(0), decoy_plan=plan)
+        run.distribute_all()
+        verify_decoys(run, plan)
+        text = run.transcript.to_text()
+        assert "decoy-positions slots=1,3" in text
+        assert "decoy-open slot=1 " in text and "True" not in text
+
     def test_insert_no_decoys_is_identity(self):
         secret = haar(2, 3)
         _, got = slot_state(secret, DecoyPlan())

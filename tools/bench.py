@@ -330,7 +330,7 @@ def pairs() -> dict:
 
     def identify(case):
         run, index = case
-        run.joint_identify(*run.policy.record_to_controller[index], index)
+        run.joint_identify(index)
 
     out = {"joint_identify": median_us(identify, fresh)}
     # A pair's key ends in two tensor positions; a decoy's in a basis.
