@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import CapacityError, CqssError, ScenarioError, SweepError
+from .errors import CqssError, ScenarioError, SweepError
 from .harness import (
     build_run,
     detection_curve,
@@ -30,7 +30,6 @@ from .harness import (
     run_scenario,
     run_trial,
 )
-from .qubits import check_array_qubits
 from .scenario import ScenarioConfig, load_scenario
 from .security import no_information_audit, noinfo_sweep, verify_decoys
 
@@ -107,10 +106,6 @@ def _cmd_run(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_noinfo(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
-    try:
-        check_array_qubits(2 * cfg.N, f"the audit's density matrix over {cfg.N} qubits")
-    except CapacityError as exc:
-        raise ScenarioError(f"N: {exc}") from None
     run = build_run(cfg, (cfg.master_seed, 0))
     run.distribute_all()
     run.transport_all()

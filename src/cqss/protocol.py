@@ -31,6 +31,7 @@ inside :mod:`cqss.qubits` are 0-based.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from types import MappingProxyType
@@ -462,8 +463,9 @@ class ProtocolRun:
 
     @cached_property
     def secret_projector(self) -> np.ndarray:
-        """``pure_density(secret)``, read-only, built when an audit first
-        needs it: every withheld set of a sweep starts from this one matrix."""
+        """``pure_density(secret)``, read-only, built when the model first
+        needs it: every withheld set's :meth:`withheld_state` starts from
+        this one matrix."""
         rho = pure_density(self._secret)
         rho.setflags(write=False)
         return rho
@@ -801,19 +803,11 @@ class ProtocolRun:
         block's diagonal expanded to the whole model's 2^N entries, in
         index order.
         """
-        if not self.distribution_complete:
-            raise IncompleteRun("distribution must complete first")
-        width = self.secret_width
-        for i in withheld:
-            if not 1 <= i <= width:
-                raise ProtocolError(f"withheld index {i} outside 1..{width}")
+        channels = self._swap_channels(withheld)
         projector = rho = self.secret_projector
-        record = self.transcript.bell_record
         folded: list[int] = []
         multiplied = False  # since the last += 0.0
-        for index in range(1, width + 1):
-            held = index in withheld
-            channel = _WITHHELD if held else _CORRECTED[record[index]]
+        for index, (held, channel) in enumerate(channels, 1):
             scalar = channel.scalar
             if scalar is not None:
                 if rho is projector:
@@ -847,6 +841,25 @@ class ProtocolRun:
             diagonal = np.concatenate((rows, rows), axis=1).reshape(-1)
         rho /= diagonal.sum().real
         return rho, folded
+
+    def _swap_channels(
+        self, withheld: tuple[int, ...]
+    ) -> list[tuple[bool, _SwapChannel]]:
+        """Each record's swap channel, in index order, and whether it is in
+        ``withheld``: ``_WITHHELD`` if so, else ``_CORRECTED`` of its
+        recorded outcome (both tables as they are at the call).  The model
+        and the sealing audit read the slots from here alone."""
+        if not self.distribution_complete:
+            raise IncompleteRun("distribution must complete first")
+        width = self.secret_width
+        for i in withheld:
+            if not 1 <= i <= width:
+                raise ProtocolError(f"withheld index {i} outside 1..{width}")
+        record = self.transcript.bell_record
+        return [
+            (True, _WITHHELD) if i in withheld else (False, _CORRECTED[record[i]])
+            for i in range(1, width + 1)
+        ]
 
     # -- accounting ---------------------------------------------------------------------
 
@@ -941,18 +954,43 @@ class _SwapChannel(NamedTuple):
     superop: np.ndarray  # read-only, 4x4
     scalar: float | None  # c when the entries are exactly c * I4, c real
     seals: bool  # every output a multiple of the identity
+    off_identity: float  # diamond-norm bound: normalized map vs the identity
+    off_depolarizer: float  # the same vs the depolarizer (a sealed slot)
+
+
+# The superoperator of rho -> tr(rho) I / 2: what a withheld slot should be.
+_DEPOLARIZER = np.outer([1.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 0.5])
 
 
 def _swap_channel(superop: np.ndarray) -> _SwapChannel:
     """A read-only complex copy of the 4x4 ``superop``, its form decided
     once: it seals when rows 1 and 2 (the output's off-diagonal entries)
-    are zero and rows 0 and 3 (its diagonal) the same bytes."""
+    are zero and rows 0 and 3 (its diagonal) the same bytes.
+
+    Its two deviations are decided here too.  Rows 0 plus 3 are the map's
+    trace functional, c * (1, 0, 0, 1) for c times a trace-preserving map,
+    and c is read as the mean of its entries 0 and 3.  A = superop / c is
+    compared with P, the identity and the depolarizer: 2 ||A - P||_F bounds
+    their diamond distance, since for a one-qubit map that is at most the
+    trace norm of the Choi matrix, a reshuffle of the superoperator, and
+    that at most twice its Frobenius norm (Watrous, *The Theory of Quantum
+    Information*, 2018, ch. 3).  A scale that is not real and positive
+    gives inf for both."""
     superop = np.array(superop, dtype=complex)
     superop.setflags(write=False)
     c = complex(superop[0, 0])
     scalar = c.real if (superop == c * np.eye(4)).all() and not c.imag else None
     seals = not superop[1:3].any() and superop[0].tobytes() == superop[3].tobytes()
-    return _SwapChannel(superop, scalar, seals)
+    trace = superop[0] + superop[3]
+    scale = (trace[0] + trace[3]) / 2
+    if scale.real > 0 and not scale.imag:
+        normalized = superop / scale.real
+        off = [
+            2 * float(np.linalg.norm(normalized - p)) for p in (np.eye(4), _DEPOLARIZER)
+        ]
+    else:
+        off = [math.inf, math.inf]
+    return _SwapChannel(superop, scalar, seals, *off)
 
 
 def _swap_superoperators() -> tuple[_SwapChannel, Mapping[BellKind, _SwapChannel]]:

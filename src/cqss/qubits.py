@@ -1073,9 +1073,9 @@ def sealed_mixture(psi: np.ndarray, positions: Iterable[int]) -> np.ndarray:
 
     Starting from the pure projector of ``psi``, each withheld slot is
     replaced by a maximally mixed qubit tensored with the partial trace over
-    that slot (:func:`_seal`).  ``psi`` must be a normalized state and
-    every position one of its qubits, read with ``operator.index``; anything
-    else raises ``ValueError`` before the projector is built.
+    that slot (:func:`_seal`).  Before the projector is built, a ``psi`` of
+    no power-of-two length raises ``DimensionMismatch``, an unnormalized one
+    ``NotNormalized``, and a position not an index of its qubits ``ValueError``.
     """
     vec, n = _as_state(psi)
     positions = sorted({_position(p, n) for p in positions})

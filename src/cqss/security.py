@@ -11,6 +11,7 @@ probability (3/4)^M.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -25,8 +26,6 @@ from .qubits import (
     _BASIS_MATRIX,
     _CORRECTIONS,
     RandomSource,
-    _seal,
-    _sealed_block,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -245,6 +244,12 @@ def verify_decoys(run: "ProtocolRun", plan: DecoyPlan) -> DetectionReport:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """One sealing audit: the sorted record indices ``withheld``, a bound
+    ``distance`` on the trace distance between the players' state and the
+    sealed prediction for every secret (0.0 when each slot's channel is
+    exactly its prediction, ``inf`` when nothing can be bounded), and the
+    ``tolerance`` it passes under."""
+
     withheld: tuple[int, ...]
     distance: float
     tolerance: float
@@ -255,33 +260,33 @@ class AuditReport:
 
 
 def no_information_audit(run: "ProtocolRun", withheld: Iterable[int]) -> AuditReport:
-    """Compare the players' exact knowledge state under withheld records
-    (:meth:`~cqss.protocol.ProtocolRun.withheld_state`) with the closed-form
-    prediction of :func:`~cqss.qubits.sealed_mixture`: each withheld slot
-    maximally mixed, the rest the partial trace of the original state.
+    """Certify that the players' exact knowledge state under withheld
+    records (:meth:`~cqss.protocol.ProtocolRun.withheld_state`) is the
+    closed-form prediction of :func:`~cqss.qubits.sealed_mixture`: each
+    withheld slot maximally mixed, the rest the partial trace of the
+    original state.
 
-    When the withheld slots' channel seals (``cqss.protocol._WITHHELD`` as
-    it is at the call), both states are I ⊗ (their block with every
-    withheld position at 0) over the withheld positions, and neither is
-    built whole: the model folds each withheld slot as it is built
-    (:meth:`~cqss.protocol.ProtocolRun._folded_model`), the run's read-only
-    :attr:`~cqss.protocol.ProtocolRun.secret_projector` goes straight to
-    :func:`~cqss.qubits._sealed_block`, and the difference of the two
-    2^(N-k)-square blocks is eigensolved; the distance is 2^k times its
-    own.  A channel that does not seal is audited dense, the whole model
-    against the whole :func:`~cqss.qubits._seal`.  With nothing withheld
-    either way is :func:`~cqss.qubits.trace_distance`'s, bit for bit.  A
-    non-integer index raises ``ProtocolError`` before an incomplete run
-    raises."""
+    Both are tensor products of one-qubit maps applied to the secret, the
+    model renormalized at the end.  Each slot's swap channel
+    (:meth:`~cqss.protocol.ProtocolRun._swap_channels`) is compared with its
+    prediction, the depolarizer on a withheld slot and the identity
+    elsewhere, through delta, a bound on their diamond distance that was
+    decided when the channel was built (:func:`~cqss.protocol._swap_channel`).
+    The diamond norm is subadditive over tensor products, so
+    eps = prod(1 + delta) - 1 bounds the two products' diamond distance,
+    and the trace distance is at most eps / (1 - eps) for every secret,
+    the renormalization included; eps >= 1 gives ``inf``.  The product is
+    taken as a sum of ``log1p`` terms, so that no small delta is lost to
+    rounding.  An audit thus reads N floats and builds no matrix, at every
+    width a run accepts; on the import-time tables every delta, and so the
+    distance, is exactly 0.0.  A non-integer index raises ``ProtocolError``
+    before an incomplete run raises ``IncompleteRun``."""
     indices = _record_indices(withheld)
-    block, folded = run._folded_model(indices)
-    positions = [i - 1 for i in indices]
-    if folded == positions:
-        expected = _sealed_block(run.secret_projector, folded)
-    else:
-        expected = _seal(run.secret_projector, positions)
-    eigs = np.linalg.eigvalsh(block - expected)
-    distance = float(0.5 * np.abs(eigs).sum()) * (1 << len(folded))
+    excess = math.expm1(math.fsum(
+        math.log1p(channel.off_depolarizer if held else channel.off_identity)
+        for held, channel in run._swap_channels(indices)
+    ))
+    distance = excess / (1.0 - excess) if excess < 1.0 else math.inf
     return AuditReport(indices, distance, AUDIT_TOLERANCE)
 
 

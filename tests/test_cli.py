@@ -249,11 +249,23 @@ RESOURCE_PINS = {
     "veto_controller": ("veto-controller", (3, 6, 6, 3, 3, 3, 0)),
 }
 
+# The sets `cqss noinfo` audits on each bundled scenario.  Each certificate
+# is exactly 0.0 and reads no LAPACK routine, so its line is the same on
+# every platform.
+NOINFO_PINS = {
+    "eve_curve": ("eve-curve", ("-", "1")),
+    "full_release_demo": ("full-release-demo", ("-", "1", "2", "3", "1,2,3")),
+    "single_withheld": ("single-withheld", ("-", "1", "2", "3", "1,2,3")),
+    "split_share": ("split-share", ("-", "1", "2", "1,2")),
+    "veto_controller": ("veto-controller", ("-", "1", "2", "3", "1,2,3")),
+}
+
 
 class TestPinnedOutputs:
     def test_pins_every_bundled_scenario(self):
         names = sorted(p.stem for p in SCENARIOS.glob("*.scn"))
         assert sorted(MSTAR_PINS) == sorted(RESOURCE_PINS) == names
+        assert sorted(NOINFO_PINS) == names
 
     @pytest.mark.parametrize("name", sorted(MSTAR_PINS))
     def test_mstar(self, capsys, name):
@@ -266,6 +278,14 @@ class TestPinnedOutputs:
             f"{key}={count}\n" for key, count in zip(RESOURCE_KEYS, counts)
         )
         assert invoke(capsys, "resources", SCENARIOS / f"{name}.scn") == (0, out, "")
+
+    @pytest.mark.parametrize("name", sorted(NOINFO_PINS))
+    def test_noinfo(self, capsys, name):
+        label, sets = NOINFO_PINS[name]
+        out = f"cqss-noinfo-audit v1\nscenario: {label}\n" + "".join(
+            f"withheld={w} trace_distance=0.000e+00 pass=yes\n" for w in sets
+        )
+        assert invoke(capsys, "noinfo", SCENARIOS / f"{name}.scn") == (0, out, "")
 
 
 def wide_scenario(tmp_path, width, threshold_k, withholding=()):
@@ -288,17 +308,17 @@ def wide_scenario(tmp_path, width, threshold_k, withholding=()):
 
 
 class TestMemoryRule:
-    def test_noinfo_rejects_too_wide_audit_before_distribution(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        # The dense audit over 13 qubits spans 26; nothing is distributed.
-        from cqss import harness
-
-        calls = []
-        monkeypatch.setattr(harness, "build_run", lambda *args: calls.append(args))
+    def test_noinfo_takes_every_width_run_takes(self, capsys, tmp_path, monkeypatch):
+        # The audit builds no matrix, so N = 13 passes all 15 sets, and
+        # N = 25, past the secret's cap, exits 2 before anything is built.
         code, out, err = invoke(capsys, "noinfo", wide_scenario(tmp_path, 13, 13))
-        assert code == 2 and out == ""
-        assert err.startswith("error: N: ") and "26 qubits" in err
+        assert (code, err) == (0, "")
+        assert out.count(" trace_distance=0.000e+00 pass=yes\n") == 15
+        calls = []
+        monkeypatch.setattr(cli, "build_run", lambda *args: calls.append(args))
+        code, out, err = invoke(capsys, "noinfo", wide_scenario(tmp_path, 25, 25))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: N: ") and "25 qubits" in err
         assert not calls
 
     def test_huge_decoy_count_exits_2_before_allocating(self, capsys, tmp_path):

@@ -1325,6 +1325,17 @@ class TestWithheldPrediction:
         with pytest.raises(NotNormalized):
             sealed_mixture(2 * random_state(2, 1), [0])
 
+    @pytest.mark.parametrize("psi, error", [([1, 1], NotNormalized),
+                                            ([1, 0, 0], DimensionMismatch)])
+    def test_a_bad_state_raises_its_own_type_first(self, monkeypatch, psi, error):
+        # The documented types: neither is a ValueError, which a bad
+        # position raises, and no projector is built.
+        built = []
+        monkeypatch.setattr(qubits, "pure_density", built.append)
+        with pytest.raises(error) as raised:
+            sealed_mixture(psi, [0])
+        assert not isinstance(raised.value, ValueError) and not built
+
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_channel_matches_full_width_kraus(self, position):
         rho = pure_density(random_state(3, 61))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cqss import protocol, security
+from cqss import protocol, qubits
 from cqss.errors import PolicyError, ProtocolError
 from cqss.protocol import AccessPolicy, setup
 from cqss.qubits import (
@@ -31,7 +31,12 @@ from cqss.security import (
     noinfo_sweep,
     verify_decoys,
 )
-from test_protocol import complete, general_withheld_state, split_records_policy
+from test_protocol import (
+    audited_runs,
+    complete,
+    general_withheld_state,
+    split_records_policy,
+)
 
 
 def haar(width, seed):
@@ -465,6 +470,46 @@ def sealed_runs(draw):
     return complete(run), draw(st.sets(st.integers(1, width)))
 
 
+def near_identity_kraus(strength, seed):
+    """Two random Kraus operators within about ``strength`` of the identity
+    channel, not normalized: the channel need not preserve the trace."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+    return [np.eye(2) + strength * a, strength * b]
+
+
+@st.composite
+def mutated_tables(draw):
+    """The fault's name and the swap tables (``_WITHHELD``, ``_CORRECTED``)
+    as they are at import ("none") or with one fault: one outcome's
+    correction a wrong Pauli, a withheld channel that is one corrected
+    branch or dephasing, or near-identity noise at 1e-6 or 1e-12 before
+    every swap.  Every faulty channel is built through ``_swap_channel``."""
+    fault = draw(st.sampled_from(
+        ["none", "wrong correction", "one branch", "dephasing", "noise"]))
+    withheld, corrected = protocol._WITHHELD, dict(protocol._CORRECTED)
+    uncorrected, corrected_kraus = protocol._swap_kraus()
+    channel = protocol._swap_channel
+    if fault == "wrong correction":
+        kind = draw(st.sampled_from(list(BellKind)))
+        wrong = draw(st.sampled_from(
+            [p for p in Pauli if p is not CORRECTION_FOR_OUTCOME[kind]]))
+        k = wrong.matrix @ uncorrected[kind]
+        corrected[kind] = channel(protocol._superoperator([k]))
+    elif fault == "one branch":
+        withheld = corrected[draw(st.sampled_from(list(BellKind)))]
+    elif fault == "dephasing":
+        withheld = channel(np.diag([1.0, 0.0, 0.0, 1.0]))
+    elif fault == "noise":
+        strength = draw(st.sampled_from([1e-6, 1e-12]))
+        noise = near_identity_kraus(strength, draw(st.integers(0, 2**32 - 1)))
+        withheld = channel(protocol._superoperator(
+            k @ n for k in uncorrected.values() for n in noise))
+        corrected = {kind: channel(protocol._superoperator(k @ n for n in noise))
+                     for kind, k in corrected_kraus.items()}
+    return fault, withheld, corrected
+
+
 class TestNoInformationAudit:
     def run_for_audit(self, width=3, seed=80):
         policy = AccessPolicy.round_robin(width, width, width)
@@ -539,13 +584,12 @@ class TestNoInformationAudit:
 
     @pytest.mark.parametrize("slot", [1, 2, 3])
     def test_wrong_correction_fails_beside_a_withheld_record(self, monkeypatch, slot):
-        # With another record withheld the audit eigensolves only the
-        # unsealed factor, and a wrong correction on a released slot still
-        # shows there as a leak.
+        # With another record withheld, a wrong correction on a released
+        # slot still shows as a leak, and the certificate bounds the dense
+        # distance.
         run = self.run_for_audit(seed=88)
         kind = run.transcript.bell_record[slot]
         uncorrected, _ = protocol._swap_kraus()
-        sides = eigvalsh_sides(monkeypatch)
         for wrong in Pauli:
             if wrong is CORRECTION_FOR_OUTCOME[kind]:
                 continue
@@ -556,17 +600,18 @@ class TestNoInformationAudit:
             for other in {1, 2, 3} - {slot}:
                 audit = no_information_audit(run, {other})
                 assert audit.distance > AUDIT_TOLERANCE, (kind, wrong, other)
-        assert set(sides) == {4}
+                expected = sealed_mixture(run.secret, [other - 1])
+                dense = trace_distance(run.withheld_state({other}), expected)
+                assert audit.distance + 1e-12 >= dense, (kind, wrong, other)
 
     @pytest.mark.parametrize("channel", ["one branch", "dephasing"])
-    def test_a_withheld_channel_without_the_sealing_form_is_audited_dense(
+    def test_a_withheld_channel_without_the_sealing_form_fails(
         self, monkeypatch, channel
     ):
         # One corrected branch alone, c * I, keeps a withheld slot's
         # coherences; dephasing keeps its populations (rows 1 and 2 zero,
-        # rows 0 and 3 not equal).  Neither has the sealing form, so the
-        # audit seals the whole prediction, eigensolves the whole 2^N-square
-        # difference, as trace_distance does, and sees the leak.
+        # rows 0 and 3 not equal).  Neither is the depolarizer, so the
+        # certificate sees the leak, and it bounds the dense distance.
         run = self.run_for_audit(seed=90)
         assert protocol._WITHHELD.seals
         if channel == "one branch":
@@ -575,27 +620,26 @@ class TestNoInformationAudit:
             withheld = protocol._swap_channel(np.diag([1.0, 0.0, 0.0, 1.0]))
         assert not withheld.seals
         monkeypatch.setattr(protocol, "_WITHHELD", withheld)
-        sides = eigvalsh_sides(monkeypatch)
         audits = [no_information_audit(run, {i}) for i in (1, 2, 3)]
-        assert sides == [8, 8, 8]
         for audit in audits:
             assert audit.distance > AUDIT_TOLERANCE, audit
             (i,) = audit.withheld
             expected = sealed_mixture(run.secret, [i - 1])
-            assert audit.distance == trace_distance(run.withheld_state({i}), expected)
+            dense = trace_distance(run.withheld_state({i}), expected)
+            assert audit.distance + 1e-12 >= dense, audit
 
-    def test_a_sealing_audit_reads_the_sealed_block_alone(self, monkeypatch):
-        # With records withheld and the sealing form, the prediction is its
-        # block: the read-only projector goes to _sealed_block unwritten
-        # and nothing 2^N-square is sealed.
+    def test_a_sealing_audit_builds_no_matrix(self, monkeypatch):
+        # The audit reads each slot's deviations, decided when its channel
+        # was built: a sweep builds neither the model nor the projector,
+        # seals nothing and eigensolves nothing, and each distance is 0.0.
         run = self.run_for_audit(width=4, seed=91)
         sealed = []
-        monkeypatch.setattr(security, "_seal", lambda *args: sealed.append(args))
-        projector = run.secret_projector.copy()
+        monkeypatch.setattr(qubits, "_sealed_block", lambda *args: sealed.append(args))
+        monkeypatch.setattr(protocol.ProtocolRun, "_folded_model", None)
+        sides = eigvalsh_sides(monkeypatch)
         for withheld in noinfo_sweep(run.secret_width):
-            assert no_information_audit(run, withheld).passed, withheld
-        assert not sealed
-        assert run.secret_projector.tobytes() == projector.tobytes()
+            assert no_information_audit(run, withheld).distance == 0.0, withheld
+        assert not sealed and not sides and "secret_projector" not in vars(run)
 
     @pytest.mark.parametrize("seals", [True, False])
     def test_a_sealing_channel_is_folded_never_applied(self, monkeypatch, seals):
@@ -623,15 +667,16 @@ class TestNoInformationAudit:
         for withheld in noinfo_sweep(width):
             run.withheld_state(withheld)
             no_information_audit(run, withheld)
-        # The sweep withholds 2 * width slots in all, each modelled twice.
-        assert sides == ([] if seals else [2**width] * 4 * width)
+        # The sweep withholds 2 * width slots in all, each modelled once:
+        # the audit builds no model.
+        assert sides == ([] if seals else [2**width] * 2 * width)
 
     @given(sealed_runs())
     def test_the_difference_is_identity_on_the_withheld_slots(self, case):
         # On the general-path reference and the sealed prediction the
         # difference is I (x) D over the withheld positions, block by block
-        # and bit for bit, so the audit's factored distance is the dense
-        # trace distance up to rounding.
+        # and bit for bit.  The audit's certificate is exactly 0.0 on the
+        # import-time tables, and it bounds the dense trace distance.
         run, withheld = case
         positions = sorted(i - 1 for i in withheld)
         reference = general_withheld_state(run, withheld)
@@ -641,6 +686,36 @@ class TestNoInformationAudit:
             np.testing.assert_array_equal(delta[b, c], delta[0, 0] if b == c else 0.0)
         audit = no_information_audit(run, withheld)
         dense = trace_distance(reference, expected)
-        assert audit.distance == pytest.approx(dense, rel=1e-12, abs=1e-30)
+        assert audit.distance == 0.0
+        assert audit.distance + 1e-12 >= dense
         assert audit.passed
+
+    @given(audited_runs(), mutated_tables())
+    def test_the_certificate_bounds_the_dense_distance(self, case, tables):
+        # Over every set of the sweep and a drawn one, on the import-time
+        # tables and under each fault, the certificate is at least the
+        # trace distance of the model from the sealed prediction.  It is
+        # exactly 0.0 on the import-time tables, and a wrong correction or
+        # a withheld channel that is not the depolarizer fails it wherever
+        # the faulty channel is a slot's.
+        run, drawn = case
+        fault, withheld_table, corrected_table = tables
+        sets = [*noinfo_sweep(run.secret_width), tuple(sorted(drawn))]
+        honest = [run._swap_channels(withheld) for withheld in sets]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "_WITHHELD", withheld_table)
+            patch.setattr(protocol, "_CORRECTED", corrected_table)
+            for withheld, channels in zip(sets, honest):
+                audit = no_information_audit(run, withheld)
+                expected = sealed_mixture(run.secret, [i - 1 for i in withheld])
+                dense = trace_distance(run.withheld_state(withheld), expected)
+                assert audit.distance >= dense - 1e-12, (fault, withheld)
+                if fault == "none":
+                    assert audit.distance == 0.0, withheld
+                touched = any(
+                    now is not before
+                    for (_, now), (_, before) in zip(run._swap_channels(withheld), channels)
+                )
+                if touched and fault != "noise":
+                    assert audit.distance > AUDIT_TOLERANCE, (fault, withheld)
 

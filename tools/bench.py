@@ -47,9 +47,8 @@ script.  The output holds:
   and every record withheld, on a distributed and transported
   full-release run at each width in ``AUDIT_WIDTHS``, each width in a
   fresh interpreter.  The sweep runs at least ``SWEEP_CALLS`` times, and
-  again until ``PRIMITIVE_S`` has passed; each audit is timed inside it.
-  One untimed audit first builds the run's secret projector, which every
-  later audit of the run reuses;
+  again until ``PRIMITIVE_S`` has passed, after one untimed audit; each
+  audit is timed inside it;
 * ``phase_us``: the median microseconds of each phase of a full-release
   trial as ``harness.run_trial`` runs it (``PHASES``: ``build_run`` as its
   two parts, the secret draw ``secret_for_trial`` and the staging of the
