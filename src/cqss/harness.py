@@ -100,8 +100,8 @@ def _plan(key: tuple) -> _Plan:
     eve_model = EveModel(eve, eve_probability)
     policy = AccessPolicy(*policy_fields)
     policy.validate(n, m, N)
-    available = [i for i in policy.record_to_controller if policy.record_released(i)]
-    recovered = len(policy.eligible_players(available)) >= policy.threshold_k
+    eligible, _ = policy.coverage(policy.released_records)
+    recovered = len(eligible) >= policy.threshold_k
     return _Plan(policy, eve_model, "recovered" if recovered else "sealed")
 
 
@@ -213,7 +213,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
         label, detail, fid = "sealed", outcome.reason, None
     else:
         label = "recovered"
-        detail = f"covered={','.join(str(i) for i in outcome.covered_qubits)}"
+        detail = f"covered={','.join(map(str, outcome.covered_qubits))}"
         vec = outcome.state_vector
         fid = fidelity(vec, run.secret) if vec is not None else None
     return TrialResult(

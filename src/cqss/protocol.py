@@ -213,6 +213,52 @@ class AccessPolicy:
         """Whether every holder of record ``index`` releases it."""
         return all(map(self.release.__getitem__, self.record_to_controller[index]))
 
+    # What the policy fixes, each computed once per policy when first read,
+    # as ``_ReadOnlyDict._hash`` is: a policy is a value, and a changed one
+    # (``dataclasses.replace``) is a new object that computes its own.
+
+    @cached_property
+    def released_records(self) -> tuple[int, ...]:
+        """The records every holder releases, in index order."""
+        return tuple(
+            i for i in sorted(self.record_to_controller) if self.record_released(i)
+        )
+
+    @cached_property
+    def players(self) -> tuple[int, ...]:
+        """The players holding a qubit, in order."""
+        return tuple(sorted(set(self.qubit_to_player.values())))
+
+    @cached_property
+    def record_counts(self) -> tuple[int, int]:
+        """How many records travel classically (one holder) and how many
+        split (two)."""
+        holders = self.record_to_controller.values()
+        classical = sum(1 for h in holders if len(h) == 1)
+        return classical, len(holders) - classical
+
+    def coverage(
+        self, available: Iterable[int]
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The :meth:`eligible_players` of the records ``available`` and
+        the qubits those players hold, in index order; computed once per
+        set of records."""
+        key = frozenset(available)
+        memo = self._coverage
+        if key not in memo:
+            eligible = tuple(self.eligible_players(key))
+            chosen = set(eligible)
+            covered = tuple(
+                i for i, p in sorted(self.qubit_to_player.items()) if p in chosen
+            )
+            memo[key] = eligible, covered
+        return memo[key]
+
+    @cached_property
+    def _coverage(self) -> dict:
+        """:meth:`coverage` of each record set asked for, by its frozenset."""
+        return {}
+
     def eligible_players(self, available: Iterable[int]) -> list[int]:
         """Cooperating players whose qubits all have a record in ``available``,
         sorted.  Reconstruction needs at least ``threshold_k`` of them.  One
@@ -255,7 +301,13 @@ class Message(NamedTuple):
     payload: str
 
     def line(self) -> str:
-        return f"{self.sender} -> {self.receiver}: {self.payload}"
+        return _message_lines((self,), "")[0]
+
+
+def _message_lines(messages: Iterable[Message], indent: str) -> list[str]:
+    """Each message as a transcript line after ``indent``: one f-string
+    per message, which costs half of a method call and its f-string."""
+    return [f"{indent}{s} -> {r}: {p}" for s, r, p in messages]
 
 
 # A two-bit value as the transcript writes it, indexed by the value.
@@ -287,10 +339,10 @@ class Transcript:
         lines = ["transcript v1"]
         lines.append(
             "bell-record: "
-            + " ".join(
+            + " ".join([
                 f"{i}:{_BIT_TEXT[k._value_]}"
                 for i, k in sorted(self.bell_record.items())
-            )
+            ])
         )
         if self.decoy_record:
             lines.append(
@@ -310,10 +362,10 @@ class Transcript:
         lines.append(f"controller-measurements: {self.controller_measurements}")
         lines.append(
             "corrections: "
-            + " ".join(f"q{q}:{op._value_}" for q, op in self.corrections)
+            + " ".join([f"q{q}:{op._value_}" for q, op in self.corrections])
         )
         lines.append("messages:")
-        lines.extend("  " + msg.line() for msg in self.messages)
+        lines += _message_lines(self.messages, "  ")
         return "\n".join(lines) + "\n"
 
 
@@ -416,7 +468,8 @@ class ProtocolRun:
 
         # Slot layout: decoys sit at the planned slots, each its own block
         # over its checked constant row; secret qubits fill the remaining
-        # slots in index order.  Secret qubit i goes to the player the policy
+        # slots (every slot, with no decoys) in index order, each map built
+        # by one zip.  Secret qubit i goes to the player the policy
         # names; the decoys go to the policy's players 1..n in turn.
         self.register = QuantumRegister()
         secret_ids = self.register.alloc_state(secret)
@@ -425,22 +478,16 @@ class ProtocolRun:
         self._secret = self.register._block_of[secret_ids[0]].amps
         self._secret.setflags(write=False)
         decoys = plan.record
-        decoy_players = itertools.cycle(sorted(set(policy.qubit_to_player.values())))
-        self._slot_of_secret: dict[int, int] = {}
-        self._secret_of_slot: dict[int, int] = {}
-        self.slot_qubits: dict[int, QubitId] = {}
+        indices = range(1, secret_width + 1)
+        slots = [s for s in range(1, total + 1) if s not in decoys] if decoys else indices
+        self._slot_of_secret = dict(zip(indices, slots))
+        self._secret_of_slot = dict(zip(slots, indices))
+        self.slot_qubits: dict[int, QubitId] = dict(zip(slots, secret_ids))
         self.decoy_receiver: dict[int, int] = {}
-        for slot in range(1, total + 1):
-            if slot in decoys:
-                (self.slot_qubits[slot],) = self.register._grow(
-                    _DECOY_VECTORS[decoys[slot]], 1
-                )
-                self.decoy_receiver[slot] = next(decoy_players)
-            else:
-                index = len(self._slot_of_secret) + 1
-                self._slot_of_secret[index] = slot
-                self._secret_of_slot[slot] = index
-                self.slot_qubits[slot] = secret_ids[index - 1]
+        for slot, player in zip(sorted(decoys), itertools.cycle(policy.players)):
+            vector = _DECOY_VECTORS[decoys[slot]]
+            (self.slot_qubits[slot],) = self.register._grow(vector, 1)
+            self.decoy_receiver[slot] = player
 
         self.transcript = Transcript()
         # Each record once read: a classical one when its controller strips
@@ -502,30 +549,43 @@ class ProtocolRun:
             raise ProtocolError(
                 f"secret index {secret_index} outside 1..{self.secret_width}"
             )
-        return self._distribute_slot(self._slot_of_secret[secret_index])
+        return self._distribute_slot(self._slot_of_secret[secret_index], self.rng)
 
     def distribute_all(self) -> None:
-        """Distribute every slot (secret qubits and decoys) in slot order."""
-        for slot in range(1, self.total_slots + 1):
-            if slot in self._undistributed:
-                self._distribute_slot(slot)
+        """Distribute every slot not yet distributed (secret qubits and
+        decoys) in slot order.
 
-    def _distribute_slot(self, slot: int) -> BellKind:
+        With no eavesdropper each slot's swap takes one draw, its teleport
+        outcome, so the phase takes them all ahead in one call
+        (:meth:`~cqss.qubits.RandomSource.ahead`), which leaves the stream
+        as it was.  An eavesdropper's basis draw reads half of a 64-bit
+        output (:func:`~cqss.security.eve_tap`), so with one every slot
+        draws from the run's source as it goes."""
+        pending = sorted(self._undistributed)
+        eavesdropped = self.eve.strategy != "none"
+        rng = self.rng if eavesdropped else self.rng.ahead(len(pending))
+        for slot in pending:
+            self._distribute_slot(slot, rng)
+        if not eavesdropped:
+            rng.done()
+
+    def _distribute_slot(self, slot: int, rng: RandomSource) -> BellKind:
         if slot not in self._undistributed:
             raise ProtocolError(f"slot {slot} already distributed")
-        basis = eve_tap(self.eve, self.rng)
+        basis = eve_tap(self.eve, rng)
         source = self.slot_qubits[slot]
         if basis is None:
-            nu, kind = self.register.teleport(source, self.rng)
+            nu, kind = self.register.teleport(source, rng)
         else:
             # Eve measures the link's far half in flight, before the swap.
-            nu, _bit, kind = self.register.tapped_teleport(source, basis, self.rng)
-        self.transcript.epr_player += 1
-        self.transcript.dealer_distribution_measurements += 1
+            nu, _bit, kind = self.register.tapped_teleport(source, basis, rng)
+        t = self.transcript
+        t.epr_player += 1
+        t.dealer_distribution_measurements += 1
         if slot in self._secret_of_slot:
-            self.transcript.bell_record[self._secret_of_slot[slot]] = kind
+            t.bell_record[self._secret_of_slot[slot]] = kind
         else:
-            self.transcript.decoy_record[slot] = kind
+            t.decoy_record[slot] = kind
         self.slot_qubits[slot] = nu
         self._undistributed.discard(slot)
         return kind
@@ -553,18 +613,19 @@ class ProtocolRun:
         index = _record_index(index)
         if len(self._check_transport(index)) != 1:
             raise PolicyError(f"record {index} is split; transport_record sends it")
-        self._send_bits(index, bits[0] << 1 | bits[1])
+        self._send_bits(index, bits[0] << 1 | bits[1], self.rng)
 
-    def _send_bits(self, index: int, value: int) -> None:
+    def _send_bits(self, index: int, value: int, rng: RandomSource) -> None:
         """:meth:`send_bits_classical` once the record has been checked, its
-        bits ``(x, y)`` given as the value ``(x << 1) | y``.  Each draw is
+        bits ``(x, y)`` given as the value ``(x << 1) | y``, with the
+        dealer's and then the controller's draw from ``rng``.  Each draw is
         a Bell kind's value, which is its bit pair, so the pad XORs values."""
         dealer_cdf, controller_cdfs, scalars = _PAD
         t = self.transcript
         t.epr_controller += 2
-        k = born_draw(dealer_cdf, self.rng)
+        k = born_draw(dealer_cdf, rng)
         t.dealer_transport_measurements += 1
-        c = born_draw(controller_cdfs[k], self.rng)
+        c = born_draw(controller_cdfs[k], rng)
         t.controller_measurements += 1
         # The two links' four qubits, measured out whole.
         self.register.fold_measured_out(4, scalars[k])
@@ -591,9 +652,9 @@ class ProtocolRun:
         return holders
 
     def _teleport_to_controller(
-        self, qubit: QubitId, controller: int, record_index: int
+        self, qubit: QubitId, controller: int, record_index: int, rng: RandomSource
     ) -> QubitId:
-        beta, outcome = self.register.teleport(qubit, self.rng)
+        beta, outcome = self.register.teleport(qubit, rng)
         self.transcript.epr_controller += 1
         self.transcript.dealer_transport_measurements += 1
         correction = _CORRECTIONS[outcome._value_]
@@ -623,21 +684,40 @@ class ProtocolRun:
         yet distributed ``IncompleteRun``, before anything is spent.
         """
         record_index = _record_index(record_index)
-        holders = self._check_transport(record_index)
-        kind = self.transcript.bell_record[record_index]
+        self._transport(record_index, self._check_transport(record_index), self.rng)
+
+    def transport_all(self) -> None:
+        """Transport every record not yet transported, in index order
+        (:meth:`transport_record`), once every one of them has passed its
+        checks, so a refused record spends nothing.
+
+        Each record takes exactly two draws: a classical record's pad one
+        for its dealer and one for its controller, a split record one for
+        each of its two teleports.  So the phase takes them all ahead in one
+        call (:meth:`~cqss.qubits.RandomSource.ahead`), which leaves the
+        stream as it was."""
+        pending = [
+            (index, self._check_transport(index))
+            for index in range(1, self.secret_width + 1)
+            if not self._transported(index)
+        ]
+        rng = self.rng.ahead(2 * len(pending))
+        for index, holders in pending:
+            self._transport(index, holders, rng)
+        rng.done()
+
+    def _transport(self, index: int, holders: tuple[int, ...], rng: RandomSource):
+        """:meth:`transport_record` once record ``index`` has been checked
+        and its ``holders`` read, drawing from ``rng``."""
+        kind = self.transcript.bell_record[index]
         if len(holders) == 1:
-            self._send_bits(record_index, kind._value_)
+            self._send_bits(index, kind._value_, rng)
             return
         ca, cb = holders
         g, h = self.register.alloc_bell_pair(kind)
-        qa = self._teleport_to_controller(g, ca, record_index)
-        qb = self._teleport_to_controller(h, cb, record_index)
-        self.split_halves[record_index] = (qa, qb)
-
-    def transport_all(self) -> None:
-        for index in range(1, self.secret_width + 1):
-            if not self._transported(index):
-                self.transport_record(index)
+        qa = self._teleport_to_controller(g, ca, index, rng)
+        qb = self._teleport_to_controller(h, cb, index, rng)
+        self.split_halves[index] = (qa, qb)
 
     # -- identification and reconstruction ------------------------------------------
 
@@ -684,18 +764,21 @@ class ProtocolRun:
         players see them.  A classical record's controller announces its
         decoded bits; a split record not yet identified is identified now."""
         available: dict[int, BellKind] = {}
-        release, messages = self.policy.release, self.transcript.messages
-        for index in sorted(self.decoded.keys() | self.split_halves.keys()):
-            holders = self.policy.record_to_controller[index]
-            if not all(map(release.__getitem__, holders)):
-                continue
-            if len(holders) == 1:
-                bits = _BIT_TEXT[self.decoded[index]._value_]
-                payload = f"release record={index} bits={bits}"
-                messages.append(Message(f"controller-{holders[0]}", "public", payload))
-            elif index not in self.decoded:
+        holders_of = self.policy.record_to_controller
+        decoded, messages = self.decoded, self.transcript.messages
+        for index in self.policy.released_records:
+            if index in decoded:
+                holders = holders_of[index]
+                if len(holders) == 1:
+                    bits = _BIT_TEXT[decoded[index]._value_]
+                    payload = f"release record={index} bits={bits}"
+                    sender = f"controller-{holders[0]}"
+                    messages.append(Message(sender, "public", payload))
+            elif index in self.split_halves:
                 self.joint_identify(index)
-            available[index] = self.decoded[index]
+            else:
+                continue
+            available[index] = decoded[index]
         return available
 
     def reconstruct(self) -> Recovered | Sealed:
@@ -704,11 +787,10 @@ class ProtocolRun:
         Succeeds when the released records cover every qubit held by some
         set of at least ``threshold_k`` cooperating players; the corrections
         are then applied to exactly those qubits.  Otherwise the secret
-        stays sealed and the register is left untouched.  Coverage is one
-        pass over ``qubit_to_player`` for the eligible players
-        (:meth:`AccessPolicy.eligible_players`) and one for the qubits they
-        hold, in index order; each correction is read off the record's
-        value.
+        stays sealed and the register is left untouched.  Coverage, the
+        eligible players and the qubits they hold, is the policy's
+        (:meth:`AccessPolicy.coverage`), computed once per set of available
+        records; each correction is read off the record's value.
         """
         if self._outcome is not None:
             return self._outcome
@@ -718,17 +800,13 @@ class ProtocolRun:
             raise IncompleteRun("decoy verification is still pending")
         available = self.available_records()
         k = self.policy.threshold_k
-        eligible = self.policy.eligible_players(available)
+        eligible, covered = self.policy.coverage(available)
         if len(eligible) < k:
             self._outcome = Sealed(
                 f"released records cover only {len(eligible)} cooperating "
                 f"players (threshold {k})"
             )
             return self._outcome
-        players = set(eligible)
-        covered = [
-            i for i, p in sorted(self.policy.qubit_to_player.items()) if p in players
-        ]
         share_ids = [self.slot_qubits[self._slot_of_secret[i]] for i in covered]
         corrections = self.transcript.corrections
         for index, qubit in zip(covered, share_ids):
@@ -739,15 +817,13 @@ class ProtocolRun:
         # register holds exactly the secret's qubits iff it holds N.
         if len(covered) == self.register.num_qubits == self.secret_width:
             self._outcome = Recovered(
-                self.register.state_vector(order=share_ids),
-                tuple(covered),
-                tuple(eligible),
+                self.register.state_vector(order=share_ids), covered, eligible
             )
         else:
             self._outcome = Recovered(
                 None,
-                tuple(covered),
-                tuple(eligible),
+                covered,
+                eligible,
                 partial(self.register.reduced_density, share_ids),
             )
         return self._outcome
@@ -870,18 +946,16 @@ class ProtocolRun:
         classical or split delivery respectively."""
         if not self.distribution_complete:
             raise IncompleteRun("distribution incomplete")
+        width = self.secret_width
+        decoded, halves = self.decoded, self.split_halves
         missing = [
-            i for i in range(1, self.secret_width + 1) if not self._transported(i)
+            i for i in range(1, width + 1) if i not in decoded and i not in halves
         ]
         if missing:
             raise IncompleteRun(f"records not transported yet: {missing}")
-        width = self.secret_width
         decoys = self.decoy_plan.count
         t = self.transcript
-        n_classical = sum(
-            1 for h in self.policy.record_to_controller.values() if len(h) == 1
-        )
-        n_split = width - n_classical
+        n_classical, n_split = self.policy.record_counts
         expectations = {
             "epr_player": (t.epr_player, width + decoys),
             "epr_controller": (t.epr_controller, 2 * width),

@@ -135,12 +135,6 @@ class BellKind(Enum):
     def bits(self) -> tuple[int, int]:
         return _BELL_BITS[self._value_]
 
-    @classmethod
-    def from_bits(cls, x: int, y: int) -> "BellKind":
-        if x not in (0, 1) or y not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got ({x}, {y})")
-        return _BELL_KINDS[(x << 1) | y]
-
     @property
     def label(self) -> str:
         return _BELL_LABELS[self._value_]
@@ -284,6 +278,16 @@ class RandomSource:
     Per-trial sources are derived from ``(master_seed, trial_index)`` so a
     batch of trials gives the same per-trial results whether executed
     serially or in parallel.
+
+    A phase whose every draw is a :meth:`random` may take them all at once
+    with :meth:`ahead`: for PCG64, ``Generator.random(k)`` fills its k
+    doubles one after another from the same 64-bit outputs that k calls of
+    ``random()`` read, so the stream, and every draw after the phase, keeps
+    its bytes.  An untapped distribution (one draw per slot) and a record
+    transport (two per record) draw ahead.  A tapped distribution cannot:
+    the eavesdropper's basis draw, ``integers(2)``, reads half of a 64-bit
+    output and keeps the other half for the next such draw, so moving the
+    doubles past it would change which outputs each draw reads.
     """
 
     def __init__(self, seed: int | tuple[int, ...]):
@@ -291,6 +295,12 @@ class RandomSource:
 
     def random(self) -> float:
         return self._gen.random()
+
+    def ahead(self, k: int) -> "_Ahead":
+        """The next ``k`` draws of :meth:`random`, taken now in one call,
+        served in order by the returned source's ``random``; its ``done``
+        checks that exactly ``k`` were served."""
+        return _Ahead(self._gen.random(k).tolist())
 
     def integers(self, n: int) -> int:
         """Uniform integer in [0, n)."""
@@ -309,6 +319,35 @@ class RandomSource:
         out.real = self._gen.standard_normal(n)
         out.imag = self._gen.standard_normal(n)
         return out
+
+
+class _Ahead:
+    """Uniform draws taken ahead by :meth:`RandomSource.ahead`, served in
+    order by :meth:`random`.  Serving more than were taken, or finishing
+    (:meth:`done`) with some unserved, raises ``InternalInconsistency``: a
+    phase that draws a different number than it took has moved the stream."""
+
+    __slots__ = ("_draws", "_served")
+
+    def __init__(self, draws: list[float]):
+        self._draws = draws
+        self._served = 0
+
+    def random(self) -> float:
+        i = self._served
+        self._served = i + 1
+        try:
+            return self._draws[i]
+        except IndexError:
+            raise InternalInconsistency(
+                f"draw {i + 1} asked of {len(self._draws)} taken ahead"
+            ) from None
+
+    def done(self) -> None:
+        if self._served != len(self._draws):
+            raise InternalInconsistency(
+                f"{self._served} draws served of {len(self._draws)} taken ahead"
+            )
 
 
 def born_cdf(probs: Sequence[float] | np.ndarray) -> tuple[float, ...]:
@@ -335,7 +374,9 @@ def born_cdf(probs: Sequence[float] | np.ndarray) -> tuple[float, ...]:
 def born_draw(cdf: Sequence[float], rng: RandomSource) -> int:
     """Inverse-CDF sample: the first branch whose running sum exceeds
     ``u = r * total``, ``total`` being the last running sum, or the last
-    branch should rounding put ``u`` at the total."""
+    branch should rounding put ``u`` at the total.  It reads one draw,
+    ``rng.random()``, so ``rng`` may be the source of draws a phase took
+    ahead (:meth:`RandomSource.ahead`), which serves the same doubles."""
     k = bisect.bisect_right(cdf, rng.random() * cdf[-1])
     return k if k < len(cdf) else len(cdf) - 1
 
@@ -510,14 +551,16 @@ class QuantumRegister:
     def state_vector(self, order: Sequence[QubitId] | None = None) -> np.ndarray:
         """Amplitudes over all live qubits, ``order[j]`` at position j
         (allocation order by default); the blocks are flushed and multiplied
-        out here."""
+        out here, and transposed unless they are in ``order`` already."""
         if order is None:
             order = self.live_qubits()
         elif len(order) != len(self._block_of) or set(order) != set(self._block_of):
             raise UnknownQubit(f"order {order} is not a permutation of live qubits")
         amps, qubits = _product(dict.fromkeys(self._block_of.values()))
-        perm = [qubits.index(q) for q in order]
         amps = self._phase * amps  # a new array, never a block's own
+        if qubits == list(order):
+            return amps
+        perm = [qubits.index(q) for q in order]
         return np.transpose(amps.reshape((2,) * len(qubits)), perm).reshape(-1)
 
     def copy(self) -> "QuantumRegister":

@@ -152,10 +152,6 @@ class EveModel:
     def off(cls) -> "EveModel":
         return cls()
 
-    @classmethod
-    def intercept_resend(cls, probability: float = 1.0) -> "EveModel":
-        return cls("intercept-resend", probability)
-
 
 @dataclass(frozen=True)
 class DetectionReport:

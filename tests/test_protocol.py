@@ -330,7 +330,8 @@ def test_encode_decode_round_trip():
     assert BellKind.PHI_MINUS.bits == (0, 0)
     assert BellKind.VARPHI_PLUS.bits == (1, 1)
     for kind in BellKind:
-        assert BellKind.from_bits(*kind.bits) is kind
+        x, y = kind.bits
+        assert qubits._BELL_KINDS[(x << 1) | y] is kind
 
 
 # -- classical record transport -----------------------------------------------------------
@@ -403,6 +404,24 @@ class TestClassicalTransport:
         run.transport_record(1)
         assert run.decoded[1] is run.transcript.bell_record[1]
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_transport_all_checks_every_record_before_sending_any(self, split):
+        # Record 2 of three is not distributed yet: transport_all refuses
+        # it before record 1 spends a link, a draw or a qubit id.
+        m = 6 if split else 3
+        policy = AccessPolicy.round_robin(3, m, 3, split_all=split)
+        run, twin = (
+            setup(3, m, 3, haar(3, 1), policy, RandomSource(9)) for _ in range(2)
+        )
+        for r in (run, twin):
+            r.distribute_qubit(1)
+            r.distribute_qubit(3)
+        with pytest.raises(IncompleteRun, match="record 2 has not been produced"):
+            run.transport_all()
+        assert run.transcript.epr_controller == 0
+        assert run.register.copy().alloc_qubit(0) == twin.register.copy().alloc_qubit(0)
+        assert_same_protocol_state(run, twin)
+
     @pytest.mark.parametrize(
         "bits", [(2, 0), (-1, 0), (0.0, 1), ("0", 1)],
         ids=["two", "minus-one", "float", "str"],
@@ -428,17 +447,18 @@ class TestClassicalTransport:
 # -- the classical pad in closed form ------------------------------------------------------
 
 
-def simulated_send_bits(run, index, value):
+def simulated_send_bits(run, index, value, rng):
     """The classical pad as two simulated singlet links and two Bell
     measurements, as ``ProtocolRun._send_bits`` once ran it, kept as the
-    closed form's reference; the bits come as the value ``(x << 1) | y``."""
+    closed form's reference; the bits come as the value ``(x << 1) | y``
+    and the draws from ``rng``."""
     reg = run.register
     a1, b1 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
     a2, b2 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
     run.transcript.epr_controller += 2
-    dealer_draw = reg.bell_measure(a1, a2, run.rng)
+    dealer_draw = reg.bell_measure(a1, a2, rng)
     run.transcript.dealer_transport_measurements += 1
-    controller_draw = reg.bell_measure(b1, b2, run.rng)
+    controller_draw = reg.bell_measure(b1, b2, rng)
     run.transcript.controller_measurements += 1
     x, y = value >> 1, value & 1
     xp, yp = dealer_draw.bits
@@ -449,7 +469,7 @@ def simulated_send_bits(run, index, value):
         )
     )
     xc, yc = controller_draw.bits
-    run.decoded[index] = BellKind.from_bits(announced[0] ^ xc, announced[1] ^ yc)
+    run.decoded[index] = qubits._BELL_KINDS[(announced[0] ^ xc) << 1 | (announced[1] ^ yc)]
 
 
 def assert_same_run(run, ref):
@@ -918,7 +938,41 @@ _COVERAGE_CONFIG = parse_scenario_text(
 )
 
 
+def assert_cached_facts(policy, subsets):
+    """Each fact the policy caches equals its computation from the fields,
+    and the coverage of each record set equals the reference's."""
+    holders = policy.record_to_controller
+    assert policy.released_records == tuple(
+        i for i in sorted(holders) if all(policy.release[c] for c in holders[i])
+    )
+    assert policy.players == tuple(sorted(set(policy.qubit_to_player.values())))
+    split = sum(1 for h in holders.values() if len(h) == 2)
+    assert policy.record_counts == (len(holders) - split, split)
+    for available in subsets:
+        eligible, covered = brute_force_coverage(policy, available)
+        for _ in range(2):  # computed, then read back
+            assert policy.coverage(available) == (tuple(eligible), tuple(covered))
+
+
 class TestCoverage:
+    @given(coverage_policies(), st.data())
+    def test_cached_facts_match_their_computation(self, policy, data):
+        records = sorted(policy.qubit_to_player)
+        subsets = [
+            *data.draw(st.lists(st.sets(st.sampled_from(records)), max_size=4)),
+            policy.released_records,
+        ]
+        assert_cached_facts(policy, subsets)
+        # Another policy computes its own facts; a copy of this one, which
+        # carries what it has cached, holds the same fields.
+        changed = replace(
+            policy,
+            release={c: not r for c, r in policy.release.items()},
+            cooperating_players=set(policy.cooperating_players) ^ {1},
+        )
+        for twin in (changed, copy.deepcopy(policy), pickle.loads(pickle.dumps(policy))):
+            assert_cached_facts(twin, subsets)
+
     @given(coverage_policies(), st.data())
     def test_eligible_players_match_the_reference(self, policy, data):
         available = data.draw(st.sets(st.sampled_from(sorted(policy.qubit_to_player))))
@@ -1248,8 +1302,8 @@ class TestPeakLiveQubits:
         [
             ((1,), EveModel.off()),
             ((1, 2), EveModel.off()),
-            ((1,), EveModel.intercept_resend(1.0)),
-            ((1, 2), EveModel.intercept_resend(1.0)),
+            ((1,), EveModel("intercept-resend", 1.0)),
+            ((1, 2), EveModel("intercept-resend", 1.0)),
         ],
         ids=["classical", "split", "classical-tapped", "split-tapped"],
     )
@@ -1345,7 +1399,7 @@ def audited_runs(draw):
     policy = split_records_policy(width, split_records)
     rng = RandomSource(seed)
     plan = DecoyPlan.random(width, draw(st.integers(0, 2)), rng)
-    eve = EveModel.intercept_resend(draw(st.sampled_from([0.0, 0.5, 1.0])))
+    eve = EveModel("intercept-resend", draw(st.sampled_from([0.0, 0.5, 1.0])))
     run = setup(width, width, width, secret, policy, rng, decoy_plan=plan, eve=eve)
     return complete(run), draw(st.sets(st.integers(1, width)))
 
@@ -1406,7 +1460,7 @@ class TestWithheldState:
         split = set(range(2, width + 1, 2))
         rng = RandomSource(100 + width)
         plan = DecoyPlan.random(width, 2, rng)
-        eve = EveModel.intercept_resend(0.5)
+        eve = EveModel("intercept-resend", 0.5)
         run = complete(setup(width, width, width, vector, split_records_policy(
             width, split), rng, decoy_plan=plan, eve=eve))
         for r in range(width + 1):
@@ -1566,7 +1620,7 @@ def staged_runs(draw):
     )
     rng = RandomSource(seed)
     plan = DecoyPlan.random(width, draw(st.integers(0, 2)), rng)
-    eve = EveModel.intercept_resend(draw(st.sampled_from([0.0, 0.5, 1.0])))
+    eve = EveModel("intercept-resend", draw(st.sampled_from([0.0, 0.5, 1.0])))
     secret = haar(width, seed)
     run = setup(width, width, width, secret, policy, rng, decoy_plan=plan, eve=eve)
     return run, secret
@@ -1793,6 +1847,18 @@ def report_counts(report):
     )
 
 
+def assert_ids_spent(run):
+    """After transport the register has spent one qubit id per secret
+    qubit and decoy, two per link (counted or not built) and two per split
+    record's Bell pair."""
+    t = run.transcript
+    n_split = sum(1 for h in run.policy.record_to_controller.values() if len(h) == 2)
+    assert run.register._next_id == (
+        run.secret_width + run.decoy_plan.count
+        + 2 * (t.epr_player + t.epr_controller) + 2 * n_split
+    )
+
+
 class TestResources:
     def test_classical_mode_counts(self):
         run = complete(fresh_run(seed=50))
@@ -1823,6 +1889,17 @@ class TestResources:
         assert report.epr_player == 5
         assert report.dealer_distribution_measurements == 5
         assert report_counts(report) == (5, 6, 8, 3, 2)
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.scn")))
+    def test_register_spends_the_ids_the_counts_say(self, name):
+        cfg = load_scenario(SCENARIOS / f"{name}.scn")
+        for trial in range(20):
+            assert_ids_spent(complete(build_run(cfg, (cfg.master_seed, trial))))
+
+    @given(audited_runs())
+    def test_register_spends_the_ids_the_counts_say_on_drawn_layouts(self, case):
+        run, _ = case
+        assert_ids_spent(run)
 
     def test_incomplete_run_rejected(self):
         run = fresh_run(seed=56)

@@ -245,7 +245,8 @@ class TestBellBits:
 
     def test_bijection(self):
         for kind in BellKind:
-            assert BellKind.from_bits(*kind.bits) is kind
+            x, y = kind.bits
+            assert qubits._BELL_KINDS[(x << 1) | y] is kind
 
 
 # -- Bell measurement ---------------------------------------------------------------
@@ -1955,6 +1956,87 @@ def boundary_draws(cdf):
         exact = [float(c) for c in near if c * total == x and c <= 1.0]
         draws += exact or [r]
     return draws
+
+
+# -- draws taken ahead ---------------------------------------------------------------
+
+
+def draw_program(rng, program, ahead):
+    """Run ``program`` on ``rng`` and return every value it draws.  A step
+    ``("random", k)`` takes k uniform draws, ahead in one call if
+    ``ahead``, else one ``random()`` at a time; the other steps call the
+    method they name."""
+    out = []
+    for name, arg in program:
+        if name == "random":
+            if ahead:
+                source = rng.ahead(arg)
+                out.append([source.random() for _ in range(arg)])
+                source.done()
+            else:
+                out.append([rng.random() for _ in range(arg)])
+        elif name == "integers":
+            out.append(rng.integers(arg))
+        elif name == "sample_positions":
+            out.append(rng.sample_positions(*arg))
+        else:
+            out.append(rng.complex_normals(arg).tolist())
+    return out
+
+
+_OTHER_DRAWS = st.one_of(
+    st.tuples(st.just("integers"), st.sampled_from([2, 4])),
+    st.tuples(
+        st.just("sample_positions"),
+        st.integers(1, 9).flatmap(lambda total: st.tuples(st.just(total), st.integers(0, total))),
+    ),
+    st.tuples(st.just("complex_normals"), st.integers(1, 5)),
+)
+
+
+class TestDrawsAhead:
+    """``RandomSource.ahead(k)`` serves the doubles k calls of ``random()``
+    would, so a phase that draws ahead leaves the stream, and every draw
+    after it, as it was.  This rests on numpy's PCG64 ``Generator``; a
+    numpy that broke it fails here."""
+
+    def test_serves_the_doubles_of_k_calls(self):
+        for k in range(65):
+            rng, want = RandomSource((k, 32)), RandomSource((k, 32))
+            source = rng.ahead(k)
+            got = [source.random() for _ in range(k)]
+            source.done()
+            assert got == [want.random() for _ in range(k)], k
+            assert rng.random() == want.random(), k
+
+    @given(
+        st.lists(
+            st.one_of(st.tuples(st.just("random"), st.integers(0, 64)), _OTHER_DRAWS),
+            max_size=12,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_interleaved_with_every_other_draw(self, program, seed):
+        # integers(2) reads half of a 64-bit output and keeps the other
+        # half for the next such draw; the doubles taken ahead leave it.
+        program = [("integers", 2), *program, ("random", 3), ("integers", 2)]
+        want = draw_program(RandomSource(seed), program, ahead=False)
+        assert draw_program(RandomSource(seed), program, ahead=True) == want
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 64])
+    def test_one_draw_fewer_or_more_raises(self, k):
+        source = RandomSource(1).ahead(k)
+        for _ in range(k - 1):
+            source.random()
+        if k:
+            with pytest.raises(InternalInconsistency, match="served of"):
+                source.done()
+            source.random()
+        source.done()
+        with pytest.raises(InternalInconsistency, match=f"draw {k + 1} asked of {k}"):
+            source.random()
+        with pytest.raises(InternalInconsistency):
+            source.done()
 
 
 class TestBornSample:

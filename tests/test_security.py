@@ -208,7 +208,7 @@ class TestEveTap:
         reg = QuantumRegister()
         ids = reg.alloc_state(haar(2, 5))
         before = reg.state_vector()
-        assert eve_at(reg, ids[0], EveModel.intercept_resend(0.0), RandomSource(1)) \
+        assert eve_at(reg, ids[0], EveModel("intercept-resend", 0.0), RandomSource(1)) \
             is None
         assert fidelity(reg.state_vector(), before) == pytest.approx(1.0)
 
@@ -226,7 +226,7 @@ class TestEveTap:
             reg = QuantumRegister()
             q = reg.alloc_qubit(0)
             reg.project_single(q, "X", 0, remove=False)  # |+x>
-            tap = eve_at(reg, q, EveModel.intercept_resend(1.0), rng)
+            tap = eve_at(reg, q, EveModel("intercept-resend", 1.0), rng)
             assert tap is not None
             basis, bit = tap
             if basis == "X":
@@ -388,7 +388,7 @@ class TestDetectionStatistics:
 
     def test_monte_carlo_matches_quarter(self):
         trials = 4000
-        eve = EveModel.intercept_resend(1.0)
+        eve = EveModel("intercept-resend", 1.0)
         detected = 0
         for seed in range(trials):
             run, plan = decoy_run(1, 1, seed=seed, eve=eve)
@@ -400,7 +400,7 @@ class TestDetectionStatistics:
     @pytest.mark.parametrize("decoys", [1, 2])
     def test_escape_curve_smoke(self, decoys):
         trials = 3000
-        eve = EveModel.intercept_resend(1.0)
+        eve = EveModel("intercept-resend", 1.0)
         escaped = 0
         for seed in range(trials):
             run, plan = decoy_run(1, decoys, seed=10_000 + seed, eve=eve)
@@ -417,7 +417,7 @@ class TestDetectionStatistics:
     def test_partial_interception_scales(self):
         # detection per decoy is p/4; at p = 0.5 one decoy detects ~ 1/8
         trials = 4000
-        eve = EveModel.intercept_resend(0.5)
+        eve = EveModel("intercept-resend", 0.5)
         detected = 0
         for seed in range(trials):
             run, plan = decoy_run(1, 1, seed=20_000 + seed, eve=eve)
@@ -464,7 +464,7 @@ def sealed_runs(draw):
     split_records = draw(st.sets(st.integers(1, width))) if width > 1 else ()
     rng = RandomSource(seed)
     plan = DecoyPlan.random(width, draw(st.integers(0, 2)), rng)
-    eve = EveModel.intercept_resend(draw(st.sampled_from([0.0, 0.5, 1.0])))
+    eve = EveModel("intercept-resend", draw(st.sampled_from([0.0, 0.5, 1.0])))
     run = setup(width, width, width, haar(width, seed), split_records_policy(
         width, split_records), rng, decoy_plan=plan, eve=eve)
     return complete(run), draw(st.sets(st.integers(1, width)))
@@ -652,7 +652,7 @@ class TestNoInformationAudit:
         rng = RandomSource(92)
         plan = DecoyPlan.random(width, 2, rng)
         run = complete(setup(width, width, width, haar(width, 93), split_records_policy(
-            width, {1, 3}), rng, decoy_plan=plan, eve=EveModel.intercept_resend(1.0)))
+            width, {1, 3}), rng, decoy_plan=plan, eve=EveModel("intercept-resend", 1.0)))
         if not seals:
             dephasing = protocol._swap_channel(np.diag([1.0, 0.0, 0.0, 1.0]))
             monkeypatch.setattr(protocol, "_WITHHELD", dephasing)
