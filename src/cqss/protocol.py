@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .errors import (
 )
 from .qubits import (
     _BELL_KINDS,
+    _BIT_TEXT,
     _CORRECTIONS,
     BellKind,
     DensityMatrix,
@@ -296,27 +298,20 @@ class AccessPolicy:
 
 
 class Message(NamedTuple):
+    """One classical message; parties are named without spaces."""
     sender: str
     receiver: str
     payload: str
 
     def line(self) -> str:
-        return _message_lines((self,), "")[0]
-
-
-def _message_lines(messages: Iterable[Message], indent: str) -> list[str]:
-    """Each message as a transcript line after ``indent``: one f-string
-    per message, which costs half of a method call and its f-string."""
-    return [f"{indent}{s} -> {r}: {p}" for s, r, p in messages]
-
-
-# A two-bit value as the transcript writes it, indexed by the value.
-_BIT_TEXT = ("00", "01", "10", "11")
+        return f"{self.sender} -> {self.receiver}: {self.payload}"
 
 
 @dataclass
 class Transcript:
-    """Full classical record of one protocol run."""
+    """Full classical record of one protocol run.  Each message is kept as
+    its line, formatted once by :meth:`send`, and :attr:`messages` reads
+    the lines back."""
 
     bell_record: dict[int, BellKind] = field(default_factory=dict)
     decoy_record: dict[int, BellKind] = field(default_factory=dict)
@@ -325,8 +320,18 @@ class Transcript:
     dealer_distribution_measurements: int = 0
     dealer_transport_measurements: int = 0
     controller_measurements: int = 0
-    messages: list[Message] = field(default_factory=list)
     corrections: list[tuple[QubitId, Pauli]] = field(default_factory=list)
+    _lines: list[str] = field(default_factory=list, repr=False)
+
+    def send(self, sender: str, receiver: str, payload: str) -> None:
+        """Write one message: the one place a line's format is kept."""
+        self._lines.append(f"{sender} -> {receiver}: {payload}")
+
+    @property
+    def messages(self) -> tuple[Message, ...]:
+        """Every message sent, in order, read back from its line."""
+        split = (line.split(" -> ", 1) for line in self._lines)
+        return tuple(Message(sender, *rest.split(": ", 1)) for sender, rest in split)
 
     @property
     def dealer_measurements(self) -> int:
@@ -336,37 +341,28 @@ class Transcript:
         )
 
     def to_text(self) -> str:
-        lines = ["transcript v1"]
-        lines.append(
-            "bell-record: "
-            + " ".join([
-                f"{i}:{_BIT_TEXT[k._value_]}"
-                for i, k in sorted(self.bell_record.items())
-            ])
-        )
+        bell = _record_text(self.bell_record)
+        decoys = ""
         if self.decoy_record:
-            lines.append(
-                "decoy-record: "
-                + " ".join(
-                    f"{s}:{_BIT_TEXT[k._value_]}"
-                    for s, k in sorted(self.decoy_record.items())
-                )
-            )
-        lines.append(f"epr-player: {self.epr_player}")
-        lines.append(f"epr-controller: {self.epr_controller}")
-        lines.append(
+            decoys = f"decoy-record: {_record_text(self.decoy_record)}\n"
+        corrections = " ".join([f"q{q}:{op._value_}" for q, op in self.corrections])
+        head = (
+            f"transcript v1\nbell-record: {bell}\n{decoys}"
+            f"epr-player: {self.epr_player}\n"
+            f"epr-controller: {self.epr_controller}\n"
             f"dealer-measurements: {self.dealer_measurements} "
             f"(distribution {self.dealer_distribution_measurements}, "
-            f"transport {self.dealer_transport_measurements})"
+            f"transport {self.dealer_transport_measurements})\n"
+            f"controller-measurements: {self.controller_measurements}\n"
+            f"corrections: {corrections}\nmessages:"
         )
-        lines.append(f"controller-measurements: {self.controller_measurements}")
-        lines.append(
-            "corrections: "
-            + " ".join([f"q{q}:{op._value_}" for q, op in self.corrections])
-        )
-        lines.append("messages:")
-        lines += _message_lines(self.messages, "  ")
-        return "\n".join(lines) + "\n"
+        # Each message line, indented under the heading.
+        return "\n  ".join([head, *self._lines]) + "\n"
+
+
+def _record_text(record: Mapping[int, BellKind]) -> str:
+    """Each ``index:bits`` of ``record``, in index order."""
+    return " ".join([f"{i}:{_BIT_TEXT[k._value_]}" for i, k in sorted(record.items())])
 
 
 @dataclass(frozen=True)
@@ -408,8 +404,7 @@ class Sealed:
     reason: str
 
 
-@dataclass(frozen=True)
-class ResourceReport:
+class ResourceReport(NamedTuple):
     """Consumed-resource counts, as :meth:`ProtocolRun.resource_report`
     returns them after checking each against its closed form."""
 
@@ -532,13 +527,14 @@ class ProtocolRun:
     # -- distribution ------------------------------------------------------------
 
     def distribute_qubit(self, secret_index: int) -> BellKind:
-        """Swap one secret qubit over to its assigned player.
+        """Swap one secret qubit over to its assigned player: the pass of
+        :meth:`distribute_all` over its one slot.
 
         A fresh singlet link to the player is consumed; the dealer's Bell
         outcome is appended to the record list.  No correction is applied
         yet: the record first has to travel to controllers and come back.
         The link is never built: the swap is a closed-form teleport
-        (:meth:`~cqss.qubits.QuantumRegister.teleport`), or, if the
+        (:meth:`~cqss.qubits.QuantumRegister.teleport_all`), or, if the
         eavesdropper taps the link (:func:`~cqss.security.eve_tap`), a
         closed-form tapped teleport
         (:meth:`~cqss.qubits.QuantumRegister.tapped_teleport`), with the
@@ -549,46 +545,51 @@ class ProtocolRun:
             raise ProtocolError(
                 f"secret index {secret_index} outside 1..{self.secret_width}"
             )
-        return self._distribute_slot(self._slot_of_secret[secret_index], self.rng)
+        slot = self._slot_of_secret[secret_index]
+        if slot not in self._undistributed:
+            raise ProtocolError(f"slot {slot} already distributed")
+        return self._distribute((slot,))[0][1]
 
     def distribute_all(self) -> None:
         """Distribute every slot not yet distributed (secret qubits and
-        decoys) in slot order.
+        decoys) in slot order, in one pass (:meth:`distribute_qubit` runs
+        it on one slot).
 
-        With no eavesdropper each slot's swap takes one draw, its teleport
-        outcome, so the phase takes them all ahead in one call
-        (:meth:`~cqss.qubits.RandomSource.ahead`), which leaves the stream
-        as it was.  An eavesdropper's basis draw reads half of a 64-bit
-        output (:func:`~cqss.security.eve_tap`), so with one every slot
-        draws from the run's source as it goes."""
-        pending = sorted(self._undistributed)
-        eavesdropped = self.eve.strategy != "none"
-        rng = self.rng if eavesdropped else self.rng.ahead(len(pending))
-        for slot in pending:
-            self._distribute_slot(slot, rng)
-        if not eavesdropped:
-            rng.done()
+        With no eavesdropper the phase takes one draw per slot in one call
+        (:meth:`~cqss.qubits.RandomSource.uniforms`), which leaves the
+        stream as it was, and teleports every slot in one register call
+        (:meth:`~cqss.qubits.QuantumRegister.teleport_all`), whose exact
+        sign flips keep slot order.  Eve's basis draw reads half of a 64-bit
+        output (:func:`~cqss.security.eve_tap`), so tapped slots draw and
+        swap one by one."""
+        self._distribute(sorted(self._undistributed))
 
-    def _distribute_slot(self, slot: int, rng: RandomSource) -> BellKind:
-        if slot not in self._undistributed:
-            raise ProtocolError(f"slot {slot} already distributed")
-        basis = eve_tap(self.eve, rng)
-        source = self.slot_qubits[slot]
-        if basis is None:
-            nu, kind = self.register.teleport(source, rng)
+    def _distribute(self, slots: Sequence[int]) -> list[tuple[QubitId, BellKind]]:
+        """Swap each undistributed slot of ``slots``; return (qubit, outcome)s."""
+        register, rng, qubits = self.register, self.rng, self.slot_qubits
+        sources = [qubits[slot] for slot in slots]
+        if self.eve.strategy == "none":
+            moved = register.teleport_all(sources, rng.uniforms(len(sources)))
         else:
-            # Eve measures the link's far half in flight, before the swap.
-            nu, _bit, kind = self.register.tapped_teleport(source, basis, rng)
+            moved = []
+            for q in sources:
+                basis = eve_tap(self.eve, rng)
+                # Eve measures the link's far half in flight, before the swap;
+                # her bit, the middle of three, is hers alone.
+                moved.append(register.teleport(q, rng) if basis is None
+                             else register.tapped_teleport(q, basis, rng)[::2])
         t = self.transcript
-        t.epr_player += 1
-        t.dealer_distribution_measurements += 1
-        if slot in self._secret_of_slot:
-            t.bell_record[self._secret_of_slot[slot]] = kind
-        else:
-            t.decoy_record[slot] = kind
-        self.slot_qubits[slot] = nu
-        self._undistributed.discard(slot)
-        return kind
+        index_of = self._secret_of_slot
+        for slot, (nu, kind) in zip(slots, moved):
+            if slot in index_of:
+                t.bell_record[index_of[slot]] = kind
+            else:
+                t.decoy_record[slot] = kind
+            qubits[slot] = nu
+        t.epr_player += len(slots)
+        t.dealer_distribution_measurements += len(slots)
+        self._undistributed.difference_update(slots)
+        return moved
 
     # -- record transport ----------------------------------------------------------
 
@@ -600,13 +601,13 @@ class ProtocolRun:
         Bell-measures its two halves, obtaining the same uniformly random
         two bits.  The dealer publicly announces ``bits`` XORed with her
         draw; only the controller can strip the pad.  ``transport_record``
-        sends the recorded bits; any others may be sent to test the pad.
-        Each bit must be the int 0 or 1 (``ProtocolError`` otherwise), and
-        the record one that :meth:`transport_record` could send, but not a
-        split one (``PolicyError``), checked before anything is spent.  The
-        links are never built: the pad is sampled in closed form
-        (:func:`_pad_tables`), with the same draws, qubit ids and register
-        phase as measuring them.
+        sends the recorded bits through the same pad step; any others may
+        be sent to test the pad.  Each bit must be the int 0 or 1
+        (``ProtocolError`` otherwise), and the record one that
+        :meth:`transport_record` could send, but not a split one
+        (``PolicyError``), checked before anything is spent.  The links are
+        never built: the pad is sampled in closed form (:func:`_pad_tables`),
+        with the same draws, qubit ids and register phase as measuring them.
         """
         if len(bits) != 2 or any(type(b) is not int or b not in (0, 1) for b in bits):
             raise ProtocolError(f"bits must be two ints, each 0 or 1, got {bits!r}")
@@ -616,10 +617,11 @@ class ProtocolRun:
         self._send_bits(index, bits[0] << 1 | bits[1], self.rng)
 
     def _send_bits(self, index: int, value: int, rng: RandomSource) -> None:
-        """:meth:`send_bits_classical` once the record has been checked, its
-        bits ``(x, y)`` given as the value ``(x << 1) | y``, with the
-        dealer's and then the controller's draw from ``rng``.  Each draw is
-        a Bell kind's value, which is its bit pair, so the pad XORs values."""
+        """The pad step: :meth:`send_bits_classical` once the record has
+        been checked, its bits ``(x, y)`` given as the value
+        ``(x << 1) | y``, with the dealer's and then the controller's draw
+        from ``rng``.  Each draw is a Bell kind's value, which is its bit
+        pair, so the pad XORs values."""
         dealer_cdf, controller_cdfs, scalars = _PAD
         t = self.transcript
         t.epr_controller += 2
@@ -629,13 +631,9 @@ class ProtocolRun:
         t.controller_measurements += 1
         # The two links' four qubits, measured out whole.
         self.register.fold_measured_out(4, scalars[k])
-        announced = value ^ k
-        payload = f"announce record={index} bits={_BIT_TEXT[announced]}"
-        t.messages.append(Message("dealer", "public", payload))
-        self.decoded[index] = _BELL_KINDS[announced ^ c]
-
-    def _transported(self, index: int) -> bool:
-        return index in self.decoded or index in self.split_halves
+        announced = _BIT_TEXT[value ^ k]
+        t.send("dealer", "public", f"announce record={index} bits={announced}")
+        self.decoded[index] = _BELL_KINDS[value ^ k ^ c]
 
     def _check_transport(self, index: int) -> tuple[int, ...]:
         """The policy's holders of record ``index``, once the record is
@@ -647,34 +645,18 @@ class ProtocolRun:
             raise ProtocolError(f"record index {index} outside 1..{self.secret_width}")
         if index not in self.transcript.bell_record:
             raise IncompleteRun(f"record {index} has not been produced yet")
-        if self._transported(index):
+        if index in self.decoded or index in self.split_halves:
             raise ProtocolError(f"record {index} already transported")
         return holders
 
-    def _teleport_to_controller(
-        self, qubit: QubitId, controller: int, record_index: int, rng: RandomSource
-    ) -> QubitId:
-        beta, outcome = self.register.teleport(qubit, rng)
-        self.transcript.epr_controller += 1
-        self.transcript.dealer_transport_measurements += 1
-        correction = _CORRECTIONS[outcome._value_]
-        self.transcript.messages.append(
-            Message(
-                "dealer",
-                f"controller-{controller}",
-                f"correction record={record_index} pauli={correction._value_}",
-            )
-        )
-        self.register.apply_pauli(beta, correction)
-        return beta
-
     def transport_record(self, record_index: int) -> None:
-        """Send one record to the controllers the policy assigns it.
+        """Send one record to the controllers the policy assigns it: the
+        pass of :meth:`transport_all` over one record.
 
-        A classical record's bits are padded to its controller
-        (:meth:`send_bits_classical`).  A split record is encoded as a fresh
-        Bell pair, whose halves are teleported to its two controllers in
-        policy order and wait in ``split_halves`` until
+        A classical record's bits are padded to its controller (the pad
+        step of :meth:`send_bits_classical`).  A split record is encoded as
+        a fresh Bell pair, whose halves are teleported to its two
+        controllers in policy order and wait in ``split_halves`` until
         :meth:`joint_identify` reads them.  Each teleport runs in closed
         form (:meth:`~cqss.qubits.QuantumRegister.teleport`: the link is
         counted and its ids spent, but never built), and the dealer sends
@@ -684,40 +666,62 @@ class ProtocolRun:
         yet distributed ``IncompleteRun``, before anything is spent.
         """
         record_index = _record_index(record_index)
-        self._transport(record_index, self._check_transport(record_index), self.rng)
+        self._check_transport(record_index)
+        self._transport_records((record_index,))
 
     def transport_all(self) -> None:
-        """Transport every record not yet transported, in index order
-        (:meth:`transport_record`), once every one of them has passed its
-        checks, so a refused record spends nothing.
+        """Transport every record not yet transported, in index order, in
+        one pass (:meth:`transport_record` runs it on one record), once
+        every one of them has passed its checks, so a refused record spends
+        nothing.
 
         Each record takes exactly two draws: a classical record's pad one
         for its dealer and one for its controller, a split record one for
         each of its two teleports.  So the phase takes them all ahead in one
         call (:meth:`~cqss.qubits.RandomSource.ahead`), which leaves the
-        stream as it was."""
-        pending = [
-            (index, self._check_transport(index))
-            for index in range(1, self.secret_width + 1)
-            if not self._transported(index)
-        ]
-        rng = self.rng.ahead(2 * len(pending))
-        for index, holders in pending:
-            self._transport(index, holders, rng)
+        stream as it was.  Each pad's +-1 scalar and each teleport's sign
+        reach the phase in record order, as one by one: no float moves."""
+        decoded, halves = self.decoded, self.split_halves
+        pending = [i for i in range(1, self.secret_width + 1)
+                   if i not in decoded and i not in halves]
+        for index in pending:
+            if index not in self.transcript.bell_record:
+                self._check_transport(index)  # raises IncompleteRun
+        self._transport_records(pending)
+
+    def _transport_records(self, indices: Sequence[int]) -> None:
+        """Transport the checked records ``indices`` in order, on two draws
+        each, taken ahead in one call: a classical record by the pad step
+        (:meth:`_send_bits`), a split one by :meth:`_transport`."""
+        rng = self.rng.ahead(2 * len(indices))
+        holders_of = self.policy.record_to_controller
+        record = self.transcript.bell_record
+        send_bits, transport = self._send_bits, self._transport
+        for index in indices:
+            holders = holders_of[index]
+            if len(holders) == 1:
+                send_bits(index, record[index]._value_, rng)
+            else:
+                transport(index, holders, rng)
         rng.done()
 
     def _transport(self, index: int, holders: tuple[int, ...], rng: RandomSource):
-        """:meth:`transport_record` once record ``index`` has been checked
-        and its ``holders`` read, drawing from ``rng``."""
-        kind = self.transcript.bell_record[index]
-        if len(holders) == 1:
-            self._send_bits(index, kind._value_, rng)
-            return
-        ca, cb = holders
-        g, h = self.register.alloc_bell_pair(kind)
-        qa = self._teleport_to_controller(g, ca, index, rng)
-        qb = self._teleport_to_controller(h, cb, index, rng)
-        self.split_halves[index] = (qa, qb)
+        """Split record ``index``'s Bell pair, each half teleported to one
+        of its ``holders`` in turn, drawing from ``rng``, and corrected by
+        that controller once the dealer has sent the correction."""
+        register, t = self.register, self.transcript
+        pair = register.alloc_bell_pair(t.bell_record[index])
+        halves = []
+        for half, controller in zip(pair, holders):
+            beta, outcome = register.teleport(half, rng)
+            t.epr_controller += 1
+            t.dealer_transport_measurements += 1
+            correction = _CORRECTIONS[outcome._value_]
+            payload = f"correction record={index} pauli={correction._value_}"
+            t.send("dealer", f"controller-{controller}", payload)
+            register.apply_pauli(beta, correction)
+            halves.append(beta)
+        self.split_halves[index] = tuple(halves)
 
     # -- identification and reconstruction ------------------------------------------
 
@@ -750,12 +754,10 @@ class ProtocolRun:
         kind = self.register.bell_measure(qa, qb, self.rng)
         self.transcript.controller_measurements += 1
         self.decoded[record_index] = kind
-        self.transcript.messages.append(
-            Message(
-                "+".join(f"controller-{c}" for c in holders),
-                "public",
-                f"identify record={record_index} bits={_BIT_TEXT[kind._value_]}",
-            )
+        self.transcript.send(
+            "+".join(f"controller-{c}" for c in holders),
+            "public",
+            f"identify record={record_index} bits={_BIT_TEXT[kind._value_]}",
         )
         return kind
 
@@ -765,20 +767,19 @@ class ProtocolRun:
         decoded bits; a split record not yet identified is identified now."""
         available: dict[int, BellKind] = {}
         holders_of = self.policy.record_to_controller
-        decoded, messages = self.decoded, self.transcript.messages
+        decoded, send = self.decoded, self.transcript.send
         for index in self.policy.released_records:
-            if index in decoded:
+            kind = decoded.get(index)
+            if kind is not None:
                 holders = holders_of[index]
                 if len(holders) == 1:
-                    bits = _BIT_TEXT[decoded[index]._value_]
-                    payload = f"release record={index} bits={bits}"
-                    sender = f"controller-{holders[0]}"
-                    messages.append(Message(sender, "public", payload))
+                    payload = f"release record={index} bits={_BIT_TEXT[kind._value_]}"
+                    send(f"controller-{holders[0]}", "public", payload)
             elif index in self.split_halves:
-                self.joint_identify(index)
+                kind = self.joint_identify(index)
             else:
                 continue
-            available[index] = decoded[index]
+            available[index] = kind
         return available
 
     def reconstruct(self) -> Recovered | Sealed:
@@ -790,8 +791,9 @@ class ProtocolRun:
         stays sealed and the register is left untouched.  Coverage, the
         eligible players and the qubits they hold, is the policy's
         (:meth:`AccessPolicy.coverage`), computed once per set of available
-        records; each correction is read off the record's value.
-        """
+        records.  The corrections, read off the records' values, are owed
+        in index order in one call (:meth:`~cqss.qubits.QuantumRegister.apply_paulis`):
+        exact sign flips of the phase, in the order one by one gives."""
         if self._outcome is not None:
             return self._outcome
         if not self.distribution_complete:
@@ -807,12 +809,11 @@ class ProtocolRun:
                 f"players (threshold {k})"
             )
             return self._outcome
-        share_ids = [self.slot_qubits[self._slot_of_secret[i]] for i in covered]
-        corrections = self.transcript.corrections
-        for index, qubit in zip(covered, share_ids):
-            op = _CORRECTIONS[available[index]._value_]
-            self.register.apply_pauli(qubit, op)
-            corrections.append((qubit, op))
+        slot_qubits, slot_of = self.slot_qubits, self._slot_of_secret
+        share_ids = [slot_qubits[slot_of[i]] for i in covered]
+        ops = [_CORRECTIONS[available[i]._value_] for i in covered]
+        self.register.apply_paulis(share_ids, ops)
+        self.transcript.corrections += zip(share_ids, ops)
         # The corrected qubits are live, so with all of them covered the
         # register holds exactly the secret's qubits iff it holds N.
         if len(covered) == self.register.num_qubits == self.secret_width:
@@ -948,43 +949,38 @@ class ProtocolRun:
             raise IncompleteRun("distribution incomplete")
         width = self.secret_width
         decoded, halves = self.decoded, self.split_halves
-        missing = [
-            i for i in range(1, width + 1) if i not in decoded and i not in halves
-        ]
-        if missing:
+        # Each record is decoded or held in halves, never both.
+        if len(decoded) + len(halves) != width:
+            missing = [
+                i for i in range(1, width + 1) if i not in decoded and i not in halves
+            ]
             raise IncompleteRun(f"records not transported yet: {missing}")
         decoys = self.decoy_plan.count
-        t = self.transcript
         n_classical, n_split = self.policy.record_counts
-        expectations = {
-            "epr_player": (t.epr_player, width + decoys),
-            "epr_controller": (t.epr_controller, 2 * width),
-            "dealer_distribution_measurements": (
-                t.dealer_distribution_measurements,
-                width + decoys,
-            ),
-            "dealer_transport_measurements": (
-                t.dealer_transport_measurements,
-                n_classical + 2 * n_split,
-            ),
-            "controller_measurements": (t.controller_measurements, len(self.decoded)),
-        }
-        bad = [
-            f"{name}: counted {got}, expected {want}"
-            for name, (got, want) in expectations.items()
-            if got != want
-        ]
-        if bad:
-            raise ResourceAccountingError("; ".join(bad))
-        return ResourceReport(
-            decoys=decoys,
-            epr_player=t.epr_player,
-            epr_controller=t.epr_controller,
-            dealer_measurements=t.dealer_measurements,
-            controller_measurements=t.controller_measurements,
-            dealer_distribution_measurements=t.dealer_distribution_measurements,
-            dealer_transport_measurements=t.dealer_transport_measurements,
+        counted = _COUNTED(self.transcript)
+        expected = (
+            width + decoys, 2 * width, width + decoys, n_classical + 2 * n_split,
+            len(decoded),
         )
+        if counted != expected:
+            raise ResourceAccountingError("; ".join(
+                f"{name}: counted {got}, expected {want}"
+                for name, got, want in zip(_COUNTERS, counted, expected)
+                if got != want
+            ))
+        player, links, distribution, transport, controller = counted
+        return ResourceReport(
+            decoys, player, links, distribution + transport, controller,
+            distribution, transport,
+        )
+
+
+# The counters that ``resource_report`` checks, in its order, read in one call.
+_COUNTERS = (
+    "epr_player", "epr_controller", "dealer_distribution_measurements",
+    "dealer_transport_measurements", "controller_measurements",
+)
+_COUNTED = operator.attrgetter(*_COUNTERS)
 
 
 def _swap_kraus() -> tuple[dict[BellKind, np.ndarray], dict[BellKind, np.ndarray]]:

@@ -148,6 +148,8 @@ class BellKind(Enum):
 # Indexed by value; a tuple index is cheaper than BellKind(k).
 _BELL_KINDS = tuple(BellKind)
 _BELL_BITS = tuple((k >> 1, k & 1) for k in range(4))
+# The same pairs as a transcript writes them.
+_BIT_TEXT = ("00", "01", "10", "11")
 _BELL_LABELS = ("phi-", "phi+", "varphi-", "varphi+")
 
 # Row k = state vector of BellKind(k).
@@ -296,22 +298,31 @@ class RandomSource:
     def random(self) -> float:
         return self._gen.random()
 
+    def uniforms(self, k: int) -> list[float]:
+        """The next ``k`` draws of :meth:`random`, taken in one call."""
+        return self._gen.random(k).tolist()
+
     def ahead(self, k: int) -> "_Ahead":
         """The next ``k`` draws of :meth:`random`, taken now in one call,
         served in order by the returned source's ``random``; its ``done``
         checks that exactly ``k`` were served."""
-        return _Ahead(self._gen.random(k).tolist())
+        return _Ahead(self.uniforms(k))
 
     def integers(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         return int(self._gen.integers(n))
 
+    def integer_draws(self, n: int, count: int) -> list[int]:
+        """The next ``count`` draws of :meth:`integers`, in one call: numpy
+        reads the same half-words of the stream for both."""
+        return self._gen.integers(n, size=count).tolist()
+
     def sample_positions(self, total: int, count: int) -> tuple[int, ...]:
         """Uniform sample of ``count`` distinct 1-based positions, ascending."""
         if count > total:
             raise ValueError(f"cannot sample {count} positions from {total}")
-        picked = self._gen.choice(total, size=count, replace=False)
-        return tuple(sorted(int(p) + 1 for p in picked))
+        picked = self._gen.choice(total, size=count, replace=False).tolist()
+        return tuple([p + 1 for p in sorted(picked)])
 
     def complex_normals(self, n: int) -> np.ndarray:
         """``a + 1j * b`` for ``n`` draws of ``a`` and then of ``b``."""
@@ -386,8 +397,10 @@ def born_sample(probs: Sequence[float] | np.ndarray, rng: RandomSource) -> int:
     return born_draw(born_cdf(probs), rng)
 
 
-# Teleporting over a fresh singlet draws from four exact quarters.
+# Teleporting over a fresh singlet draws from four exact quarters, each
+# outcome forced by the draw at which its quarter starts.
 _TELEPORT_CDF = born_cdf((0.25, 0.25, 0.25, 0.25))
+_TELEPORT_FORCED = (0.0, *_TELEPORT_CDF[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -554,7 +567,7 @@ class QuantumRegister:
         out here, and transposed unless they are in ``order`` already."""
         if order is None:
             order = self.live_qubits()
-        elif len(order) != len(self._block_of) or set(order) != set(self._block_of):
+        elif len(order) != len(self._block_of) or self._block_of.keys() != set(order):
             raise UnknownQubit(f"order {order} is not a permutation of live qubits")
         amps, qubits = _product(dict.fromkeys(self._block_of.values()))
         amps = self._phase * amps  # a new array, never a block's own
@@ -620,22 +633,28 @@ class QuantumRegister:
     # -- unitaries ------------------------------------------------------------
 
     def apply_pauli(self, q: QubitId, op: Pauli) -> None:
-        """Owe ``op`` on ``q``: its block's frame takes on ``op``'s bits
-        (:meth:`_owe`), and no array is touched."""
-        block, p = self._locate(q)
-        if type(op) is not Pauli:
-            raise ValueError(f"not a Pauli: {op!r}")
-        self._owe(block, p, *_PAULI_FRAME[op._value_])
+        """:meth:`apply_paulis` of the one qubit ``q``."""
+        self.apply_paulis((q,), (op,))
 
-    def _owe(self, block: _Block, p: int, z: int, x: int) -> None:
-        """Compose ``Z^z X^x`` onto the frame of ``block``'s position ``p``.
-        Over a pending ``Z^a X^b`` it gives ``(-1)^(x a) Z^(z xor a)
-        X^(x xor b)``; the sign negates the phase, as applying the Paulis
-        one by one would negate the block."""
-        if x and block.zmask >> p & 1:
-            self._phase = -self._phase
-        block.xmask ^= x << p
-        block.zmask ^= z << p
+    def apply_paulis(self, qubits: Iterable[QubitId], ops: Iterable[Pauli]) -> None:
+        """Owe each op on its qubit in turn, in one pass, touching no array:
+        ``Z^z X^x`` over a pending ``Z^a X^b`` in the block's frame gives
+        ``(-1)^(x a) Z^(z xor a) X^(x xor b)``, the sign negating the phase
+        as applying the Paulis one by one would negate the block."""
+        block_of, frame, phase = self._block_of, _PAULI_FRAME, self._phase
+        try:
+            for q, op in zip(qubits, ops, strict=True):
+                block = block_of.get(q) or self._locate(q)[0]
+                if type(op) is not Pauli:
+                    raise ValueError(f"not a Pauli: {op!r}")
+                p = block.qubits.index(q)
+                z, x = frame[op._value_]
+                if x and block.zmask >> p & 1:
+                    phase = -phase
+                block.xmask ^= x << p
+                block.zmask ^= z << p
+        finally:
+            self._phase = phase
 
     # -- Bell-basis measurement -------------------------------------------------
 
@@ -675,30 +694,53 @@ class QuantumRegister:
 
         The same collapse as ``mu, nu = alloc_bell_pair(PHI_MINUS)`` then
         ``project_bell(q, mu, kind)``, with the same two ids spent, in
-        closed form: the twist of ``_TWIST`` joins the frame of ``q``'s own
-        tensor position, which ``nu`` takes over, and its sign folds into
-        the phase.  No block is allocated, merged, renormalized or read (a
-        signed permutation keeps the norm exactly), so no array is touched
-        and ``peak_block_qubits`` does not move.
+        closed form: :meth:`teleport_all` on the draw at which ``kind``'s
+        quarter starts.  The twist of ``_TWIST`` joins the frame of ``q``'s
+        own tensor position, which ``nu`` takes over, and its sign folds
+        into the phase.  No block is allocated, merged, renormalized or read
+        (a signed permutation keeps the norm exactly), so no array is
+        touched and ``peak_block_qubits`` does not move.
         """
-        return self._teleport(q, *self._locate(q), kind._value_), 0.25
+        ((nu, _),) = self.teleport_all((q,), (_TELEPORT_FORCED[kind._value_],))
+        return nu, 0.25
 
     def teleport(self, q: QubitId, rng: RandomSource) -> tuple[QubitId, BellKind]:
-        """The collapse of :meth:`project_teleport` onto an outcome that
-        :func:`born_draw` draws from four exact quarters; returns the far
-        half and the outcome.  ``q`` is located once, before the draw."""
-        block, p = self._locate(q)
-        k = born_draw(_TELEPORT_CDF, rng)
-        return self._teleport(q, block, p, k), _BELL_KINDS[k]
+        """:meth:`teleport_all` of the one qubit ``q`` on one draw of
+        ``rng``, taken once ``q`` is found live."""
+        if q not in self._block_of:
+            self._locate(q)  # raises before the draw
+        return self.teleport_all((q,), (rng.random(),))[0]
 
-    def _teleport(self, q: QubitId, block: _Block, p: int, k: int) -> QubitId:
-        """Outcome ``k`` of teleporting ``q`` from position ``p`` of
-        ``block``; the far half takes over that position and its frame,
-        ``_TWIST[k]`` included.  No array is read or written."""
-        z, x, sign = _TWIST[k]
-        self._owe(block, p, z, x)
-        self._phase *= sign
-        return self._hand_over(q, block, p)
+    def teleport_all(self, qubits: Iterable[QubitId], draws: Iterable[float]) -> list:
+        """Teleport each qubit in turn, in one pass, onto the outcome k that
+        :func:`born_draw` reads off its draw (below 1, so never past the
+        last quarter); return each far half and outcome.  ``_TWIST[k]``
+        joins the frame of the qubit's position, its sign folds into the
+        phase and the far half takes over the position, as
+        :meth:`_hand_over` does.  No array is touched, and the phase's sign
+        flips in the order of one teleport after another: no float moves."""
+        block_of, cdf, twist, kinds = self._block_of, _TELEPORT_CDF, _TWIST, _BELL_KINDS
+        phase, nu = self._phase, self._next_id - 1
+        moved = []
+        try:
+            for q, r in zip(qubits, draws, strict=True):
+                block = block_of.get(q) or self._locate(q)[0]
+                p = block.qubits.index(q)
+                k = bisect.bisect_right(cdf, r)
+                z, x, sign = twist[k]
+                if x and block.zmask >> p & 1:
+                    phase = -phase
+                block.xmask ^= x << p
+                block.zmask ^= z << p
+                phase *= sign
+                nu += 2
+                block.qubits[p] = nu
+                del block_of[q]
+                block_of[nu] = block
+                moved.append((nu, kinds[k]))
+        finally:
+            self._phase, self._next_id = phase, nu + 1
+        return moved
 
     def _hand_over(self, q: QubitId, block: _Block, p: int) -> QubitId:
         """Spend a singlet link's two ids, as allocating it would, and put

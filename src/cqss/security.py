@@ -24,6 +24,7 @@ from .qubits import (
     BASIS_X,
     BASIS_Z,
     _BASIS_MATRIX,
+    _BIT_TEXT,
     _CORRECTIONS,
     RandomSource,
 )
@@ -118,7 +119,7 @@ class DecoyPlan:
         if count == 0:
             return cls()
         slots = rng.sample_positions(secret_width + count, count)
-        states = tuple(_DECOY_STATES[rng.integers(4)] for _ in slots)
+        states = tuple([_DECOY_STATES[k] for k in rng.integer_draws(4, count)])
         return cls(slots, states)
 
 
@@ -167,6 +168,10 @@ class DetectionReport:
         return self.mismatches == 0
 
 
+# The report of a plan with no decoys: a value, so every run shares it.
+_NO_DECOYS = DetectionReport(0, 0)
+
+
 def eve_tap(model: EveModel | None, rng: RandomSource) -> str | None:
     """Whether the attacker taps the next in-flight qubit: the basis she
     measures it in, or None.
@@ -209,28 +214,25 @@ def verify_decoys(run: "ProtocolRun", plan: DecoyPlan) -> DetectionReport:
         raise IncompleteRun("decoy verification requires a completed distribution")
     if run.detection is not None:
         raise ProtocolError("decoys already verified")
-    if plan != run.decoy_plan:
+    if plan is not run.decoy_plan and plan != run.decoy_plan:
         raise PolicyError("plan does not match the one used at setup")
     if plan.count == 0:
-        report = DetectionReport(0, 0)
-        run.detection = report
-        return report
+        run.detection = _NO_DECOYS
+        return _NO_DECOYS
 
-    from .protocol import _BIT_TEXT, Message  # protocol imports this module
-
-    log = run.transcript.messages.append
+    send = run.transcript.send
     slots = ",".join(str(s) for s in plan.placements)
-    log(Message("dealer", "public", f"decoy-positions slots={slots}"))
+    send("dealer", "public", f"decoy-positions slots={slots}")
     mismatches = 0
     for slot, state in zip(plan.placements, plan.states):
         value = run.transcript.decoy_record[slot]._value_
         opened = f"decoy-open slot={slot} bits={_BIT_TEXT[value]} basis={state.basis}"
-        log(Message("dealer", "public", opened))
+        send("dealer", "public", opened)
         qubit = run.slot_qubits[slot]
         player = run.decoy_receiver[slot]
         run.register.apply_pauli(qubit, _CORRECTIONS[value])
         bit = run.register.measure_single(qubit, state.basis, run.rng)
-        log(Message(f"player-{player}", "dealer", f"decoy-report slot={slot} bit={bit}"))
+        send(f"player-{player}", "dealer", f"decoy-report slot={slot} bit={bit}")
         if bit != state.expected_bit:
             mismatches += 1
     report = DetectionReport(plan.count, mismatches)

@@ -172,9 +172,47 @@ def test_audit_child_runs_at_least_three_sweeps(monkeypatch):
     assert out["sweep"] > out["all"] > 0 and out["none"] > 0 and out["1"] > 0
 
 
+def test_a_checkout_paired_with_itself_reports_every_phase():
+    # Both sides run the same code, imported twice, so only the shape and
+    # the round count are checked; the rounds won are counts of those.
+    out = child("paired", str(ROOT), "--rate-seconds", "0")
+    assert set(out) == {str(n) for n in bench.PHASE_WIDTHS}
+    for width in out.values():
+        assert width["rounds"] == bench.PAIRED_ROUNDS
+        assert width["trials"] >= bench.PAIRED_ROUNDS * bench.MIN_CALLS
+        assert set(width["phases"]) == {*bench.PHASES, "per_record"}
+        for phase in width["phases"].values():
+            assert set(phase) == {"base_us", "this_us", "won"}
+            assert phase["base_us"] > 0 and phase["this_us"] > 0
+            assert 0 <= phase["won"] <= bench.PAIRED_ROUNDS
+        per_record = width["phases"]["per_record"]
+        assert per_record["this_us"] >= width["phases"]["distribute_all"]["this_us"]
+
+
+def test_paired_imports_the_other_checkout_beside_this_one(tmp_path):
+    # The other checkout's package loads from its own files, under its own
+    # name, and this checkout's cqss stays the one imported.
+    import cqss
+
+    other = tmp_path / "other"
+    (other / "src").mkdir(parents=True)
+    (other / "src" / "cqss").symlink_to(ROOT / "src" / "cqss")
+    module = bench.import_checkout(other, "cqss_other")
+    try:
+        assert module.__name__ == "cqss_other"
+        assert module.harness.__name__ == "cqss_other.harness"
+        assert module.harness.__file__.startswith(str(other))
+        assert module.harness.run_trial is not harness.run_trial
+        assert sys.modules["cqss"] is cqss
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == "cqss_other"]:
+            del sys.modules[name]
+
+
 def test_every_child_mode_is_run_here():
     tested = {
-        "scenario", "eve", "trial", "primitives", "audit", "decoy", "pair", "phase"
+        "scenario", "eve", "trial", "primitives", "audit", "decoy", "pair", "phase",
+        "paired",
     }
     assert set(bench.CHILDREN) == tested | {"eve-curve"}
 

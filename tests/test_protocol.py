@@ -463,10 +463,8 @@ def simulated_send_bits(run, index, value, rng):
     x, y = value >> 1, value & 1
     xp, yp = dealer_draw.bits
     announced = (x ^ xp, y ^ yp)
-    run.transcript.messages.append(
-        Message(
-            "dealer", "public", f"announce record={index} bits={announced[0]}{announced[1]}"
-        )
+    run.transcript.send(
+        "dealer", "public", f"announce record={index} bits={announced[0]}{announced[1]}"
     )
     xc, yc = controller_draw.bits
     run.decoded[index] = qubits._BELL_KINDS[(announced[0] ^ xc) << 1 | (announced[1] ^ yc)]
@@ -1944,6 +1942,83 @@ class TestTranscript:
         run = fresh_run(seed=64)
         run.distribute_all()
         assert len(run.transcript.bell_record) == 3
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda p: p.stem)
+    def test_messages_are_the_lines_of_the_text(self, path):
+        # Each message is written once, as its line; the read-only view
+        # gives back exactly the text's message lines, in order.
+        cfg = load_scenario(path)
+        for trial in range(20):
+            run = complete(build_run(cfg, (cfg.master_seed, trial)))
+            verify_decoys(run, run.decoy_plan)
+            run.reconstruct()
+            messages = run.transcript.messages
+            head, lines = run.transcript.to_text().split("\nmessages:\n")
+            assert all(type(m) is Message for m in messages)
+            assert [f"  {m.line()}" for m in messages] == lines.splitlines()
+            assert len(messages) == len(lines.splitlines()) > 0
+            with pytest.raises(AttributeError):
+                messages.append(messages[0])
+
+
+@st.composite
+def stepped_layouts(draw):
+    """A decoy-free run's seed, policy and eavesdropper: records classical
+    or split between two controllers, either of which may withhold, and
+    every slot tapped, none, or some."""
+    width = draw(st.integers(1, 5))
+    n = draw(st.integers(1, width))
+    holders = draw(st.lists(
+        st.sampled_from([(1,), (2,), (1, 2), (2, 1)]), min_size=width, max_size=width
+    ))
+    if {c for h in holders for c in h} != {1, 2}:
+        holders[0] = (2, 1)
+    policy = replace(
+        AccessPolicy.round_robin(n, 2, width, threshold_k=draw(st.integers(1, n))),
+        record_to_controller=dict(enumerate(holders, start=1)),
+        release={1: draw(st.booleans()), 2: draw(st.booleans())},
+    )
+    p = draw(st.sampled_from([None, 0.0, 0.5, 1.0]))
+    eve = None if p is None else EveModel("intercept-resend", p)
+    return draw(st.integers(0, 2**32 - 1)), policy, eve
+
+
+class TestPhasesAsSteps:
+    """Each phase is one pass over its records, and its single-record
+    method the same pass over one: a whole phase leaves the run that its
+    records stepped one by one, in index order, leave."""
+
+    @given(stepped_layouts())
+    def test_a_phase_is_its_records_in_turn(self, layout):
+        seed, policy, eve = layout
+        n, width = len(policy.players), len(policy.qubit_to_player)
+        phased, stepped = (
+            setup(n, 2, width, haar(width, seed), policy, RandomSource(seed), eve=eve)
+            for _ in range(2)
+        )
+        phased.distribute_all()
+        for i in range(1, width + 1):
+            stepped.distribute_qubit(i)
+        assert_same_run(phased, stepped)
+        phased.transport_all()
+        for i in range(1, width + 1):
+            stepped.transport_record(i)
+        assert_same_run(phased, stepped)
+        outcomes = phased.reconstruct(), stepped.reconstruct()
+        assert_same_run(phased, stepped)
+        assert phased.transcript.corrections == stepped.transcript.corrections
+        assert type(outcomes[0]) is type(outcomes[1])
+        if isinstance(outcomes[0], Sealed):
+            assert outcomes[0] == outcomes[1]
+        else:
+            got, want = outcomes
+            assert (got.covered_qubits, got.players) == (want.covered_qubits, want.players)
+            if want.state_vector is None:
+                assert got.state_vector is None
+            else:
+                assert got.state_vector.tobytes() == want.state_vector.tobytes()
+        assert phased.resource_report() == stepped.resource_report()
+        assert phased.rng.random() == stepped.rng.random()
 
 
 class TestPartyNames:

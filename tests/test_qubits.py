@@ -439,6 +439,36 @@ class TestClosedFormTeleport:
         with pytest.raises(AssertionError):
             check_teleport(2, 5)
 
+    @given(st.integers(1, 4), st.integers(1, 4), st.data(), st.integers(0, 2**32 - 1))
+    def test_batches_are_the_one_qubit_calls_in_turn(self, n_a, n_b, data, seed):
+        # teleport_all and apply_paulis over qubits of two blocks, some
+        # twice, against teleport and apply_pauli one by one: the same
+        # outcomes, ids, frames and phase, bit for bit.
+        reg, ids = two_blocks(n_a, n_b, seed)
+        one = reg.copy()
+        picks = data.draw(st.lists(st.sampled_from(ids), max_size=8), label="picks")
+        ops = data.draw(
+            st.lists(st.sampled_from(list(Pauli)), min_size=len(picks), max_size=len(picks))
+        )
+        reg.apply_paulis(picks, ops)
+        for q, op in zip(picks, ops):
+            one.apply_pauli(q, op)
+        assert_same_register(reg.copy(), one.copy())
+        rng, draws = RandomSource(seed), RandomSource(seed)
+        moved = reg.teleport_all(ids, draws.uniforms(len(ids)))
+        assert moved == [one.teleport(q, rng) for q in ids]
+        assert rng.random() == draws.random()
+        assert reg.alloc_qubit(0) == one.alloc_qubit(0)
+        assert_same_register(reg, one)
+
+    def test_batches_of_unequal_lengths_raise(self):
+        reg = QuantumRegister()
+        ids = reg.alloc_state(random_state(2, 3))
+        with pytest.raises(ValueError):
+            reg.apply_paulis(ids, [Pauli.X])
+        with pytest.raises(ValueError):
+            reg.teleport_all(ids[:1], [0.1, 0.2])
+
     def test_unknown_qubit_spends_nothing(self):
         reg = QuantumRegister()
         reg.alloc_qubit(0)
@@ -1994,6 +2024,21 @@ _OTHER_DRAWS = st.one_of(
 )
 
 
+def draw_states(rng, program, batched):
+    """Run ``program`` on ``rng`` as :func:`draw_program` does, a step
+    ``("states", m)`` taking m draws of ``integers(4)``, in one
+    ``integer_draws`` call if ``batched``, else one at a time."""
+    out = []
+    for name, arg in program:
+        if name != "states":
+            out += draw_program(rng, [(name, arg)], ahead=False)
+        elif batched:
+            out.append(rng.integer_draws(4, arg))
+        else:
+            out.append([rng.integers(4) for _ in range(arg)])
+    return out
+
+
 class TestDrawsAhead:
     """``RandomSource.ahead(k)`` serves the doubles k calls of ``random()``
     would, so a phase that draws ahead leaves the stream, and every draw
@@ -2022,6 +2067,29 @@ class TestDrawsAhead:
         program = [("integers", 2), *program, ("random", 3), ("integers", 2)]
         want = draw_program(RandomSource(seed), program, ahead=False)
         assert draw_program(RandomSource(seed), program, ahead=True) == want
+
+    def test_integer_draws_are_the_scalar_draws(self):
+        # A decoy plan's M states in one call: the same values, and the
+        # same half-word kept for the next integers(2).
+        for m in range(65):
+            rng, want = RandomSource((m, 33)), RandomSource((m, 33))
+            got = rng.integer_draws(4, m)
+            assert got == [want.integers(4) for _ in range(m)], m
+            assert all(type(v) is int for v in got)
+            assert rng.integers(2) == want.integers(2), m
+            assert rng.random() == want.random(), m
+
+    @given(
+        st.lists(
+            st.one_of(st.tuples(st.just("states"), st.integers(0, 64)), _OTHER_DRAWS),
+            max_size=12,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_integer_draws_interleaved_with_every_other_draw(self, program, seed):
+        program = [("integers", 2), *program, ("states", 3), ("integers", 2)]
+        want = draw_states(RandomSource(seed), program, batched=False)
+        assert draw_states(RandomSource(seed), program, batched=True) == want
 
     @pytest.mark.parametrize("k", [0, 1, 5, 64])
     def test_one_draw_fewer_or_more_raises(self, k):

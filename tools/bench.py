@@ -60,6 +60,10 @@ script.  The output holds:
   ``scenarios/full_release_demo.scn``, N = 12 the shape of the
   ``wide_release`` workload (N = n = m = 12, classical, Haar secret).
 
+``--child paired OTHER`` instead times ``PHASES`` here against the checkout
+at ``OTHER``, both imported in one interpreter (:func:`paired`), and prints
+each phase's two medians and the rounds this checkout won.
+
 Each rate runs for ``--rate-seconds`` (and at least ``MIN_CALLS`` times) in
 a fresh interpreter, after one untimed warm-up call.  Timings are wall clock
 on this host, not scaled to reference speed, except where ``cqssbench``
@@ -70,6 +74,7 @@ the same machine.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -99,6 +104,10 @@ PHASES = (
     "resource_report",
     "to_text",
 )
+# The phases that cost per record of a trial: all but build_run's two parts.
+PER_RECORD = PHASES[2:]
+# Rounds of a paired run, the first to run switching each round.
+PAIRED_ROUNDS = 20
 # Run each primitive for about this long per width, set-up included, and
 # at least MIN_CALLS times; a sweep at least SWEEP_CALLS times (one takes
 # seconds at N = 10).
@@ -372,16 +381,14 @@ def audits(width: int) -> dict:
     return out
 
 
-def phases(width: int, seconds: float) -> dict:
-    """Median µs of each of ``PHASES`` in a full-release trial at ``width``."""
-    from cqss import harness
-    from cqss.scenario import load_scenario, parse_scenario_text
-    from cqss.security import verify_decoys
-
+def phase_timer(cqss, width: int):
+    """``trial(i)``: the microseconds of each of ``PHASES`` in full-release
+    trial ``i`` at ``width``, run by the imported package ``cqss``."""
+    harness, verify_decoys = cqss.harness, cqss.security.verify_decoys
     if width == 3:
-        cfg = load_scenario(ROOT / "scenarios" / "full_release_demo.scn")
+        cfg = cqss.scenario.load_scenario(ROOT / "scenarios" / "full_release_demo.scn")
     else:
-        cfg = parse_scenario_text(full_release_text(width))
+        cfg = cqss.scenario.parse_scenario_text(full_release_text(width))
 
     def trial(i: int) -> list[float]:
         # build_run(cfg, (cfg.master_seed, i)) in its two parts.
@@ -403,17 +410,97 @@ def phases(width: int, seconds: float) -> dict:
             times.append(time.perf_counter() - start)
         if run.reconstruct().state_vector is None:
             raise SystemExit(f"N = {width}: trial {i} did not recover the secret")
-        return times
+        return [1e6 * t for t in times]
 
+    return trial
+
+
+def phases(width: int, seconds: float) -> dict:
+    """Median µs of each of ``PHASES`` in a full-release trial at ``width``."""
+    import cqss
+
+    trial = phase_timer(cqss, width)
     trial(0)
     samples = []
     start = time.perf_counter()
     while len(samples) < MIN_CALLS or time.perf_counter() - start < seconds:
         samples.append(trial(len(samples) + 1))
     return {
-        name: 1e6 * statistics.median(column)
-        for name, column in zip(PHASES, zip(*samples))
+        name: statistics.median(column) for name, column in zip(PHASES, zip(*samples))
     }
+
+
+def import_checkout(root: Path, name: str):
+    """The ``cqss`` package of the checkout at ``root``, imported under
+    ``name``, beside any ``cqss`` already imported: its modules import one
+    another relatively, so they load from that checkout's ``src/cqss``."""
+    init = root / "src" / "cqss" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"{root} holds no src/cqss package")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def paired(other: str, seconds: float) -> dict:
+    """Each of ``PHASES``, and ``per_record``, the sum of ``PER_RECORD``,
+    timed in this checkout and in the one at ``other``, both imported in
+    this interpreter (:func:`import_checkout`), at each of ``PHASE_WIDTHS``.
+
+    The two alternate in ``PAIRED_ROUNDS`` rounds, the first to run
+    switching each round.  In a round the first runs full-release trials
+    for ``seconds / PAIRED_ROUNDS`` / 2 (and at least ``MIN_CALLS``) and
+    the second the same trial indices.  Per phase the report gives both
+    medians over every trial (``base_us`` at ``other``, ``this_us`` here)
+    and ``won``, the rounds whose median this checkout beat."""
+    import cqss
+
+    base = import_checkout(Path(other).resolve(), "cqss_base")
+    names = (*PHASES, "per_record")
+    report = {}
+    for width in PHASE_WIDTHS:
+        timers = {"base": phase_timer(base, width), "this": phase_timer(cqss, width)}
+        samples: dict[str, list[list[float]]] = {side: [] for side in timers}
+        medians: dict[str, list[list[float]]] = {side: [] for side in timers}
+        for trial in timers.values():
+            trial(0)
+        first = 1
+        for r in range(PAIRED_ROUNDS):
+            order = ("this", "base") if r % 2 == 0 else ("base", "this")
+            count, slice_s = MIN_CALLS, seconds / PAIRED_ROUNDS / 2
+            for side in order:
+                trial, rows = timers[side], []
+                start = time.perf_counter()
+                while len(rows) < count or (
+                    side == order[0] and time.perf_counter() - start < slice_s
+                ):
+                    times = trial(first + len(rows))
+                    rows.append(times + [sum(times[-len(PER_RECORD):])])
+                count = len(rows)
+                samples[side] += rows
+                medians[side].append([statistics.median(c) for c in zip(*rows)])
+            first += count
+        columns = {side: list(zip(*rows)) for side, rows in samples.items()}
+        report[str(width)] = {
+            "rounds": PAIRED_ROUNDS,
+            "trials": len(samples["this"]),
+            "phases": {
+                name: {
+                    "base_us": statistics.median(columns["base"][j]),
+                    "this_us": statistics.median(columns["this"][j]),
+                    "won": sum(
+                        this[j] < base[j]
+                        for this, base in zip(medians["this"], medians["base"])
+                    ),
+                }
+                for j, name in enumerate(names)
+            },
+        }
+    return report
 
 
 # Each child mode, ``--child KIND [ARG]``: how its ARG is read (None: it
@@ -429,6 +516,7 @@ CHILDREN = {
     "decoy": (None, lambda seconds: decoys()),
     "pair": (None, lambda seconds: pairs()),
     "phase": (int, phases),
+    "paired": (str, paired),
 }
 
 
