@@ -58,7 +58,6 @@ from .qubits import (
     QubitId,
     RandomSource,
     _channel,
-    _expanded,
     born_cdf,
     born_draw,
     check_array_qubits,
@@ -841,83 +840,21 @@ class ProtocolRun:
         uncorrected branches (``_WITHHELD``); every other slot gets the
         single branch actually recorded, followed by its correction
         (``_CORRECTED``), so a wrong correction table shows up here.  Both
-        are built, their forms decided, at import (:func:`_swap_channel`).
-        No sampling is involved.  When the withheld channel seals, the
-        model is built as its block with every withheld position at 0, each
-        withheld slot folded as it comes, so each fold quarters the matrix
-        that later slots touch (:meth:`_folded_model`).  It is returned as
-        I (x) that block over the withheld positions
-        (:func:`~cqss.qubits._expanded`, the expansion step of
-        :func:`~cqss.qubits._seal`): the same bytes as the whole model.
+        are built at import (:func:`_swap_channel`).  No sampling is
+        involved: the model is one loop, each slot's channel applied once,
+        in index order, to the read-only :attr:`secret_projector` with
+        :func:`~cqss.qubits._channel`, then divided by its trace, the total
+        probability of the forced branches.  It is the dense 4^N oracle that
+        the tests check the audit's certificate against.  A non-integer
+        index raises ``ProtocolError`` before an incomplete run raises
+        ``IncompleteRun``, as in the audit.
         """
-        if not self.distribution_complete:  # before the indices are read
-            raise IncompleteRun("distribution must complete first")
-        block, folded = self._folded_model(_record_indices(withheld_indices))
-        return DensityMatrix(
-            _expanded(block, folded), tuple(range(1, self.secret_width + 1))
-        )
-
-    def _folded_model(self, withheld: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
-        """The normalized :meth:`withheld_state` of the sorted record indices
-        ``withheld`` as a block, and the tensor positions folded out of it:
-        every withheld one if ``_WITHHELD`` seals (as it is at the call),
-        else none.  The whole state is I (x) the block over them.
-
-        It starts from the read-only :attr:`secret_projector`.  A released
-        slot is one multiply by its real scalar c, the first into a new
-        array.  Each run of them then gets one ``+= 0.0``: multiplying by c
-        keeps every nonzero entry's value whatever the signs of the zeros
-        beside it and every zero a zero, and the add turns -0.0 into the
-        product's +0.0.  A withheld slot that seals is folded: its output is
-        I (x) row 0 of the ``superop @ t.reshape(4, -1)`` product that
-        :func:`~cqss.qubits._channel` runs, so only row 0 is kept, at the
-        position shifted by the folds so far.  A one-column product would
-        run as a matrix-vector product, which rounds differently, so it
-        runs on two copies of the column, except at N = 1, where the whole
-        model's product is one column too.  Any other slot is
-        :func:`~cqss.qubits._channel` at its shifted position.  The trace,
-        the total probability of the forced branches, is the sum of the
-        block's diagonal expanded to the whole model's 2^N entries, in
-        index order.
-        """
-        channels = self._swap_channels(withheld)
-        projector = rho = self.secret_projector
-        folded: list[int] = []
-        multiplied = False  # since the last += 0.0
-        for index, (held, channel) in enumerate(channels, 1):
-            scalar = channel.scalar
-            if scalar is not None:
-                if rho is projector:
-                    rho = rho * scalar
-                else:
-                    rho *= scalar
-                multiplied = True
-                continue
-            if multiplied:
-                rho += 0.0
-                multiplied = False
-            position = index - 1 - len(folded)
-            if not (held and channel.seals):
-                rho = _channel(rho, position, channel.superop)
-                continue
-            side = rho.shape[0]
-            left = 2**position
-            right = side // (2 * left)
-            t = rho.reshape(left, 2, right, left, 2, right)
-            t = t.transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
-            if t.shape[1] == 1 and folded:
-                t = np.repeat(t, 2, axis=1)
-            half = side // 2
-            rho = (channel.superop @ t)[0, : half * half].reshape(half, half)
-            folded.append(index - 1)
-        if multiplied:
-            rho += 0.0
-        diagonal = rho.diagonal()
-        for p in folded:  # every qubit below p is in place
-            rows = diagonal.reshape(2**p, -1)
-            diagonal = np.concatenate((rows, rows), axis=1).reshape(-1)
-        rho /= diagonal.sum().real
-        return rho, folded
+        channels = self._swap_channels(_record_indices(withheld_indices))
+        rho = self.secret_projector
+        for position, (_, channel) in enumerate(channels):
+            rho = _channel(rho, position, channel.superop)
+        rho /= float(np.real(np.trace(rho)))
+        return DensityMatrix(rho, tuple(range(1, self.secret_width + 1)))
 
     def _swap_channels(
         self, withheld: tuple[int, ...]
@@ -1022,8 +959,6 @@ def _superoperator(kraus: Iterable[np.ndarray]) -> np.ndarray:
 
 class _SwapChannel(NamedTuple):
     superop: np.ndarray  # read-only, 4x4
-    scalar: float | None  # c when the entries are exactly c * I4, c real
-    seals: bool  # every output a multiple of the identity
     off_identity: float  # diamond-norm bound: normalized map vs the identity
     off_depolarizer: float  # the same vs the depolarizer (a sealed slot)
 
@@ -1033,24 +968,19 @@ _DEPOLARIZER = np.outer([1.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 0.5])
 
 
 def _swap_channel(superop: np.ndarray) -> _SwapChannel:
-    """A read-only complex copy of the 4x4 ``superop``, its form decided
-    once: it seals when rows 1 and 2 (the output's off-diagonal entries)
-    are zero and rows 0 and 3 (its diagonal) the same bytes.
+    """A read-only complex copy of the 4x4 ``superop`` and its two
+    deviations, decided once.
 
-    Its two deviations are decided here too.  Rows 0 plus 3 are the map's
-    trace functional, c * (1, 0, 0, 1) for c times a trace-preserving map,
-    and c is read as the mean of its entries 0 and 3.  A = superop / c is
-    compared with P, the identity and the depolarizer: 2 ||A - P||_F bounds
-    their diamond distance, since for a one-qubit map that is at most the
-    trace norm of the Choi matrix, a reshuffle of the superoperator, and
-    that at most twice its Frobenius norm (Watrous, *The Theory of Quantum
-    Information*, 2018, ch. 3).  A scale that is not real and positive
-    gives inf for both."""
+    Rows 0 plus 3 are the map's trace functional, c * (1, 0, 0, 1) for c
+    times a trace-preserving map, and c is read as the mean of its entries
+    0 and 3.  A = superop / c is compared with P, the identity and the
+    depolarizer: 2 ||A - P||_F bounds their diamond distance, since for a
+    one-qubit map that is at most the trace norm of the Choi matrix, a
+    reshuffle of the superoperator, and that at most twice its Frobenius
+    norm (Watrous, *The Theory of Quantum Information*, 2018, ch. 3).  A
+    scale that is not real and positive gives inf for both."""
     superop = np.array(superop, dtype=complex)
     superop.setflags(write=False)
-    c = complex(superop[0, 0])
-    scalar = c.real if (superop == c * np.eye(4)).all() and not c.imag else None
-    seals = not superop[1:3].any() and superop[0].tobytes() == superop[3].tobytes()
     trace = superop[0] + superop[3]
     scale = (trace[0] + trace[3]) / 2
     if scale.real > 0 and not scale.imag:
@@ -1060,7 +990,7 @@ def _swap_channel(superop: np.ndarray) -> _SwapChannel:
         ]
     else:
         off = [math.inf, math.inf]
-    return _SwapChannel(superop, scalar, seals, *off)
+    return _SwapChannel(superop, *off)
 
 
 def _swap_superoperators() -> tuple[_SwapChannel, Mapping[BellKind, _SwapChannel]]:

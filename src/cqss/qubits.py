@@ -1167,12 +1167,14 @@ def sealed_mixture(psi: np.ndarray, positions: Iterable[int]) -> np.ndarray:
     return _seal(pure_density(vec), positions)
 
 
-def _sealed_block(rho: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """The one rule of the sealed state: the contiguous square ``rho``
-    with each ascending, unchecked tensor position in turn reduced to half
-    the sum of its two diagonal blocks, on the (L, 2, R L, 2, R) view of
-    the block so far, into a new array.  ``rho`` is never written; with no
-    positions it is the block."""
+def _seal(rho: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """The one rule of the sealed state: ``rho`` with a maximally mixed
+    qubit at each ascending, unchecked tensor position, tensored with the
+    partial trace over them, in new arrays (``rho`` itself, never written,
+    with no positions).  Each position in turn is reduced to half the sum
+    of its two diagonal blocks, on the (L, 2, R L, 2, R) view of the block
+    so far; the block is then put on the diagonal of each position in
+    turn, +0.0 elsewhere."""
     block = rho
     for gone, p in enumerate(positions):
         side = block.shape[0]
@@ -1182,23 +1184,6 @@ def _sealed_block(rho: np.ndarray, positions: Sequence[int]) -> np.ndarray:
         block = t[:, 0, :, 0] + t[:, 1, :, 1]
         block *= 0.5
         block = block.reshape(side // 2, side // 2)
-    return block
-
-
-def _seal(rho: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """``rho`` with a maximally mixed qubit at each ascending, unchecked
-    tensor position, tensored with the partial trace over them: the
-    :func:`_sealed_block` expanded, in new arrays (``rho`` itself with no
-    positions).  The expansion step, :func:`_expanded`, also turns the
-    model that ``ProtocolRun.withheld_state`` builds with each withheld
-    position folded into the whole 2^N-square state."""
-    return _expanded(_sealed_block(rho, positions), positions)
-
-
-def _expanded(block: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """I (x) ``block`` over the ascending, unchecked tensor ``positions``:
-    the block on the diagonal of each position in turn, +0.0 elsewhere, in
-    new arrays (``block`` itself with no positions)."""
     for p in positions:  # every qubit below p is in place
         side = 2 * block.shape[0]
         out = np.zeros((side, side), dtype=complex)

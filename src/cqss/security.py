@@ -115,7 +115,15 @@ class DecoyPlan:
 
     @classmethod
     def random(cls, secret_width: int, count: int, rng: RandomSource) -> "DecoyPlan":
-        """Uniform placements without replacement over the extended width."""
+        """Uniform placements without replacement over the extended width.
+        A count that ``operator.index`` rejects, or a negative one, raises
+        ``PolicyError`` before anything is drawn."""
+        try:
+            count = operator.index(count)
+        except TypeError as exc:
+            raise PolicyError(f"decoy count must be an integer: {exc}") from None
+        if count < 0:
+            raise PolicyError(f"decoy count must be non-negative, got {count}")
         if count == 0:
             return cls()
         slots = rng.sample_positions(secret_width + count, count)

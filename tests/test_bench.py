@@ -23,6 +23,7 @@ bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
 RATE_KEYS = {"per_s", "calls", "seconds"}
+AUDIT_KEYS = {"none", "1", "all", "sweep", "model_none", "model_1", "model_all"}
 
 
 def child(*args):
@@ -53,7 +54,7 @@ def test_a_child_finds_cqss_without_pythonpath(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout.strip().splitlines()[-1])
-    assert set(out) == {"none", "1", "all", "sweep"}
+    assert set(out) == AUDIT_KEYS
 
 
 def test_scenarios_are_the_eve_free_bundled_ones():
@@ -76,7 +77,7 @@ def test_scenarios_are_the_eve_free_bundled_ones():
             {"apply_pauli", "teleport", "state_vector", "reduced_density",
              "measure_single", "bell_measure"},
         ),
-        (["audit", str(bench.AUDIT_WIDTHS[0])], {"none", "1", "all", "sweep"}),
+        (["audit", str(bench.AUDIT_WIDTHS[0])], AUDIT_KEYS),
         (["decoy"], {"measure_single", "tapped_teleport"}),
         (["pair"], {"joint_identify", "general_path"}),
         (

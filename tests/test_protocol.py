@@ -50,6 +50,7 @@ from cqss.security import (
     DecoyState,
     EveModel,
     no_information_audit,
+    noinfo_sweep,
     verify_decoys,
 )
 from test_qubits import (
@@ -1364,9 +1365,12 @@ def brute_force_withheld_state(run, withheld):
 
 
 def general_withheld_state(run, withheld):
-    """Reference for ``withheld_state`` as it was before released slots
-    became one multiply: the secret's projector rebuilt on every call, and
-    every slot's superoperator applied as the matrix product."""
+    """Bytes reference for ``withheld_state``, the library's one loop spelled
+    out: the secret's projector rebuilt on every call, every slot's
+    superoperator applied as the matrix product in index order, then the
+    trace divided out.  It shares that loop's rule, so ``WITHHELD_DIGESTS``
+    pins its bytes from before the loop was the model's only path, and
+    ``brute_force_withheld_state`` checks its values independently."""
     rho = pure_density(run.secret)
     for index in range(1, run.secret_width + 1):
         if index in withheld:
@@ -1384,11 +1388,11 @@ _DEMO_AMPLITUDES = [(0.6, 0.8), (0.6, -0.8), (-0.6, 0.8j), (-0.6, -0.8j), (0.8j,
 
 
 @st.composite
-def audited_runs(draw):
-    """A distributed and transported run: a Haar or demo secret of 1 to 6
-    qubits, up to two decoys, some records split between two controllers,
-    and taps on none, some or all slots."""
-    width = draw(st.integers(1, 6))
+def audited_runs(draw, max_width=6):
+    """A distributed and transported run: a Haar or demo secret of 1 to
+    ``max_width`` qubits, up to two decoys, some records split between two
+    controllers, and taps on none, some or all slots."""
+    width = draw(st.integers(1, max_width))
     seed = draw(st.integers(0, 2**32 - 1))
     demo = draw(st.sampled_from(_DEMO_AMPLITUDES)) if width > 1 and draw(
         st.booleans()) else None
@@ -1400,6 +1404,44 @@ def audited_runs(draw):
     eve = EveModel("intercept-resend", draw(st.sampled_from([0.0, 0.5, 1.0])))
     run = setup(width, width, width, secret, policy, rng, decoy_plan=plan, eve=eve)
     return complete(run), draw(st.sets(st.integers(1, width)))
+
+
+def subset_run(width, secret):
+    """A completed run with two decoys, the even records split and taps at
+    0.5: a Haar seed or demo amplitudes as its ``width``-qubit secret."""
+    if isinstance(secret, int):
+        vector = haar(width, secret)
+    else:
+        vector = harness.demo_encode(secret, width)
+    split = set(range(2, width + 1, 2))
+    rng = RandomSource(100 + width)
+    plan = DecoyPlan.random(width, 2, rng)
+    eve = EveModel("intercept-resend", 0.5)
+    return complete(setup(width, width, width, vector, split_records_policy(
+        width, split), rng, decoy_plan=plan, eve=eve))
+
+
+# sha256 of ``withheld_state(W).entries.tobytes()`` for each set W of the
+# noinfo sweep on two ``subset_run``s, taken while the model still folded
+# each withheld slot and multiplied each released one by its scalar.  The
+# demo secret's projector holds zeros of both signs.
+WITHHELD_DIGESTS = {
+    (4, 3): {
+        (): "1948ae3f3d5b049b6f4c97996583a539a01466a559286e46bb686a31e4a6d6e3",
+        (1,): "d076461ea5f947af2e6bd3357ad112a73d4c2a9920404cfd9474ecd1195fdd63",
+        (2,): "9cf8c60bcb2c51c7107fbc18325b5b408e1860856e85da630cf327862a9e1988",
+        (3,): "9dab6b36212c302bef330011e50c0bcfd068d75773c9ccfe5c5add0dc45e8ebf",
+        (4,): "ca0fea58f5400b2206be7784d55d6ad7e2619943d5e1981c1486c5c14f1c3165",
+        (1, 2, 3, 4): "9bbb7a24df1effd25644c91278fc71bf0b73a3c7fa49f05a4b84c972f69f8f76",
+    },
+    (3, (0.6, -0.8)): {
+        (): "f8ca5371f3e39cf3ee833a1c3f424e51134da929146bd6e1b95a9c5198ee7e9f",
+        (1,): "64de2da004f841080fc0d59fdc031bedfabbafac0cd208570df427008c62a8df",
+        (2,): "6a081ae1285e1d7b753b3f4a8d75ec6125395c9a03a3e7dc8a83a62a1e308c3d",
+        (3,): "f22de6ca6e536483cabb46f4c00615d5eec09df44b70413d8734159c5ecc1c27",
+        (1, 2, 3): "a929c69c8464b7208cac28b6de4b0466652f2b9608739427a43c32b151f7bd40",
+    },
+}
 
 
 def factor_rule(r, s, positions):
@@ -1416,8 +1458,8 @@ def factor_rule(r, s, positions):
 class TestWithheldState:
     @given(audited_runs())
     def test_same_bytes_as_the_general_path(self, case):
-        # Released slots as one multiply and the projector built once per
-        # run change no float: the entries keep their bytes, signed zeros
+        # The projector built once per run and each slot's channel applied
+        # once change no float: the entries keep their bytes, signed zeros
         # included.  With records withheld the factor rule on the same two
         # matrices is within 1e-12 of the dense distance.  The audit's
         # certificate is exactly 0.0 on the import-time tables, and it
@@ -1444,23 +1486,13 @@ class TestWithheldState:
         (width, secret) for width in (1, 2, 3, 4)
         for secret in ([3, 92, *_DEMO_AMPLITUDES] if width > 1 else [3, 92])])
     def test_every_withheld_subset_keeps_the_general_bytes(self, width, secret):
-        # Each withheld slot is folded as the model is built, between the
-        # released slots' multiplies, so every subset orders folds and
-        # multiplies differently: the entries keep the general path's
-        # bytes, signed zeros included.  The audit's certificate is exactly
-        # 0.0 on the import-time tables, and it bounds the dense distance
-        # of the general path's matrix.  A secret is a Haar seed or demo
+        # Every subset mixes withheld and released channels in its own
+        # order: the entries keep the general path's bytes, signed zeros
+        # included.  The audit's certificate is exactly 0.0 on the
+        # import-time tables, and it bounds the dense distance of the
+        # general path's matrix.  A secret is a Haar seed or demo
         # amplitudes.
-        if isinstance(secret, int):
-            vector = haar(width, secret)
-        else:
-            vector = harness.demo_encode(secret, width)
-        split = set(range(2, width + 1, 2))
-        rng = RandomSource(100 + width)
-        plan = DecoyPlan.random(width, 2, rng)
-        eve = EveModel("intercept-resend", 0.5)
-        run = complete(setup(width, width, width, vector, split_records_policy(
-            width, split), rng, decoy_plan=plan, eve=eve))
+        run = subset_run(width, secret)
         for r in range(width + 1):
             for withheld in itertools.combinations(range(1, width + 1), r):
                 reference = general_withheld_state(run, withheld)
@@ -1471,6 +1503,41 @@ class TestWithheldState:
                 audit = no_information_audit(run, withheld)
                 assert audit.distance == 0.0, withheld
                 assert audit.distance + 1e-12 >= trace_distance(reference, expected)
+
+    @pytest.mark.parametrize("shape", list(WITHHELD_DIGESTS), ids=["haar-4", "demo-3"])
+    def test_entries_keep_their_pinned_bytes(self, shape):
+        # The general path above spells the model's own loop, so the bytes
+        # are also pinned as they were before the loop was the only path.
+        run = subset_run(*shape)
+        digests = WITHHELD_DIGESTS[shape]
+        assert list(digests) == noinfo_sweep(run.secret_width)
+        for withheld, digest in digests.items():
+            entries = run.withheld_state(withheld).entries
+            assert hashlib.sha256(entries.tobytes()).hexdigest() == digest, withheld
+
+    @given(audited_runs(max_width=3))
+    def test_the_model_matches_rebuilt_registers(self, case):
+        # Rebuilt registers are an oracle that shares no code with the
+        # model's loop, on runs with split records, decoys and taps.  Taps
+        # are ignored on both sides: the model reads the recorded swap
+        # outcomes alone, and the rebuilt registers have no eavesdropper.
+        run, drawn = case
+        for withheld in [*noinfo_sweep(run.secret_width), tuple(sorted(drawn))]:
+            got = run.withheld_state(withheld)
+            want = brute_force_withheld_state(run, withheld)
+            assert trace_distance(got.entries, want) <= 1e-12, withheld
+
+    @pytest.mark.parametrize("withheld, error", [([1.5], ProtocolError),
+                                                 ({1}, IncompleteRun)])
+    def test_model_and_audit_check_in_one_order(self, withheld, error):
+        # Before distribution, a non-integer index is refused as such, and
+        # a good one as too early, by the model and the audit alike, before
+        # the projector is built.
+        run = fresh_run(seed=49)
+        for entry in (run.withheld_state, partial(no_information_audit, run)):
+            with pytest.raises(error):
+                entry(withheld)
+        assert "secret_projector" not in vars(run)
 
     def test_a_sweep_builds_the_projector_once(self, monkeypatch):
         # The run's secret and its projector are read-only; the audit reads
@@ -1562,24 +1629,28 @@ class TestWithheldState:
             run.withheld_state([index])
 
     def test_swap_superoperators_are_read_only_constants(self):
-        # Each channel's form is decided where it is built: a released
-        # slot's is c * I4 with c real, a withheld slot's seals.
+        # Each channel's deviations are decided where it is built: a
+        # released slot's superoperator is c * I4 with c real, so it is
+        # exactly the identity once scaled, and a withheld slot's is
+        # exactly the depolarizer.
         uncorrected, corrected = protocol._swap_kraus()
         withheld = protocol._WITHHELD
         assert not withheld.superop.flags.writeable
         np.testing.assert_array_equal(
             withheld.superop, sum(np.kron(k, k.conj()) for k in uncorrected.values())
         )
-        assert withheld.scalar is None and withheld.seals
+        assert withheld.off_depolarizer == 0.0
         assert set(protocol._CORRECTED) == set(BellKind)
         for kind, k in corrected.items():
             channel = protocol._CORRECTED[kind]
             assert not channel.superop.flags.writeable
             np.testing.assert_array_equal(channel.superop, np.kron(k, k.conj()))
-            assert type(channel.scalar) is float and not channel.seals
-            np.testing.assert_array_equal(channel.superop, channel.scalar * np.eye(4))
+            assert channel.off_identity == 0.0
+            c = channel.superop[0, 0]
+            assert c.real > 0 and not c.imag
+            np.testing.assert_array_equal(channel.superop, c.real * np.eye(4))
         with pytest.raises(AttributeError):
-            withheld.seals = False
+            withheld.off_depolarizer = 1.0
 
     def test_import_time_tables_match_the_eager_register(self, monkeypatch):
         # Rebuilt on a register that applies each Pauli at once, the swap

@@ -78,6 +78,13 @@ class TestDecoyPlan:
         plan = DecoyPlan.random(4, 0, RandomSource(1))
         assert plan.count == 0 and plan.record == {}
 
+    @pytest.mark.parametrize("count", [-1, 1.5, "2", None])
+    def test_a_bad_count_is_refused_before_any_draw(self, count):
+        rng = RandomSource(5)
+        with pytest.raises(PolicyError, match="decoy count"):
+            DecoyPlan.random(3, count, rng)
+        assert rng.random() == RandomSource(5).random()
+
     def test_malformed_plan_rejected(self):
         with pytest.raises(PolicyError):
             DecoyPlan((1, 1), (DecoyState.ZERO, DecoyState.ONE)).validate(2)
@@ -613,12 +620,12 @@ class TestNoInformationAudit:
         # rows 0 and 3 not equal).  Neither is the depolarizer, so the
         # certificate sees the leak, and it bounds the dense distance.
         run = self.run_for_audit(seed=90)
-        assert protocol._WITHHELD.seals
+        assert protocol._WITHHELD.off_depolarizer == 0.0
         if channel == "one branch":
             withheld = protocol._CORRECTED[run.transcript.bell_record[1]]
         else:
             withheld = protocol._swap_channel(np.diag([1.0, 0.0, 0.0, 1.0]))
-        assert not withheld.seals
+        assert withheld.off_depolarizer > AUDIT_TOLERANCE
         monkeypatch.setattr(protocol, "_WITHHELD", withheld)
         audits = [no_information_audit(run, {i}) for i in (1, 2, 3)]
         for audit in audits:
@@ -633,29 +640,28 @@ class TestNoInformationAudit:
         # was built: a sweep builds neither the model nor the projector,
         # seals nothing and eigensolves nothing, and each distance is 0.0.
         run = self.run_for_audit(width=4, seed=91)
-        sealed = []
-        monkeypatch.setattr(qubits, "_sealed_block", lambda *args: sealed.append(args))
-        monkeypatch.setattr(protocol.ProtocolRun, "_folded_model", None)
+
+        def refuse(*args):
+            raise AssertionError("the audit built a matrix")
+
+        monkeypatch.setattr(qubits, "_seal", refuse)
+        monkeypatch.setattr(protocol.ProtocolRun, "withheld_state", refuse)
         sides = eigvalsh_sides(monkeypatch)
         for withheld in noinfo_sweep(run.secret_width):
             assert no_information_audit(run, withheld).distance == 0.0, withheld
-        assert not sealed and not sides and "secret_projector" not in vars(run)
+        assert not sides and "secret_projector" not in vars(run)
 
-    @pytest.mark.parametrize("seals", [True, False])
-    def test_a_sealing_channel_is_folded_never_applied(self, monkeypatch, seals):
-        # With the import-time tables each withheld slot is folded as the
-        # model is built and each released slot is one multiply, so a sweep
-        # over a run with split records, decoys and taps never applies a
-        # channel through _channel.  A withheld channel that does not seal
-        # (dephasing) is applied to the whole model on every withheld slot.
+    def test_the_model_applies_each_channel_once(self, monkeypatch):
+        # On a run with split records, decoys and taps, a sweep of audits
+        # applies no channel through _channel, and the model applies
+        # exactly one per slot, on the whole 2^N-square matrix, for every
+        # set: on the import-time tables and with a dephasing withheld
+        # channel alike.
         width = 4
         rng = RandomSource(92)
         plan = DecoyPlan.random(width, 2, rng)
         run = complete(setup(width, width, width, haar(width, 93), split_records_policy(
             width, {1, 3}), rng, decoy_plan=plan, eve=EveModel("intercept-resend", 1.0)))
-        if not seals:
-            dephasing = protocol._swap_channel(np.diag([1.0, 0.0, 0.0, 1.0]))
-            monkeypatch.setattr(protocol, "_WITHHELD", dephasing)
         sides = []
         real = protocol._channel
 
@@ -664,12 +670,17 @@ class TestNoInformationAudit:
             return real(rho, position, superop)
 
         monkeypatch.setattr(protocol, "_channel", spy)
-        for withheld in noinfo_sweep(width):
-            run.withheld_state(withheld)
-            no_information_audit(run, withheld)
-        # The sweep withholds 2 * width slots in all, each modelled once:
-        # the audit builds no model.
-        assert sides == ([] if seals else [2**width] * 2 * width)
+        dephasing = protocol._swap_channel(np.diag([1.0, 0.0, 0.0, 1.0]))
+        sweep = noinfo_sweep(width)
+        for withheld_table in (protocol._WITHHELD, dephasing):
+            monkeypatch.setattr(protocol, "_WITHHELD", withheld_table)
+            sides.clear()
+            for withheld in sweep:
+                no_information_audit(run, withheld)
+            assert sides == []
+            for withheld in sweep:
+                run.withheld_state(withheld)
+            assert sides == [2**width] * width * len(sweep)
 
     @given(sealed_runs())
     def test_the_difference_is_identity_on_the_withheld_slots(self, case):

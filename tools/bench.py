@@ -48,7 +48,10 @@ script.  The output holds:
   full-release run at each width in ``AUDIT_WIDTHS``, each width in a
   fresh interpreter.  The sweep runs at least ``SWEEP_CALLS`` times, and
   again until ``PRIMITIVE_S`` has passed, after one untimed audit; each
-  audit is timed inside it;
+  audit is timed inside it.  ``model_none``, ``model_1`` and ``model_all``
+  are the median microseconds of ``withheld_state``, the dense model the
+  tests check the audit against, on the same run and the same three sets,
+  timed after the sweeps by the same rule;
 * ``phase_us``: the median microseconds of each phase of a full-release
   trial as ``harness.run_trial`` runs it (``PHASES``: ``build_run`` as its
   two parts, the secret draw ``secret_for_trial`` and the staging of the
@@ -353,7 +356,8 @@ def pairs() -> dict:
 
 def audits(width: int) -> dict:
     """µs per sweep of ``cqss noinfo``'s sets in turn at ``width``, and per
-    audit of its sets with none, the first and every record withheld."""
+    audit and per ``withheld_state`` of its sets with none, the first and
+    every record withheld."""
     from cqss import harness
     from cqss.scenario import parse_scenario_text
     from cqss.security import no_information_audit, noinfo_sweep
@@ -363,21 +367,32 @@ def audits(width: int) -> dict:
     run.transport_all()
     no_information_audit(run, ())
     sweep = noinfo_sweep(width)
-    sweeps: list[list[float]] = []
-    start = time.perf_counter()
-    while len(sweeps) < SWEEP_CALLS or time.perf_counter() - start < PRIMITIVE_S:
-        times = []
-        for withheld in sweep:
-            t0 = time.perf_counter()
-            no_information_audit(run, withheld)
-            times.append(time.perf_counter() - t0)
-        sweeps.append(times)
+    labels, picks = ("none", "1", "all"), (0, 1, -1)
+
+    def repeated(call, sets) -> list[list[float]]:
+        """Rows of the seconds of ``call(run, withheld)`` for each set in
+        ``sets``: at least ``SWEEP_CALLS`` rows, and more until
+        ``PRIMITIVE_S`` has passed."""
+        rows: list[list[float]] = []
+        start = time.perf_counter()
+        while len(rows) < SWEEP_CALLS or time.perf_counter() - start < PRIMITIVE_S:
+            row = []
+            for withheld in sets:
+                t0 = time.perf_counter()
+                call(run, withheld)
+                row.append(time.perf_counter() - t0)
+            rows.append(row)
+        return rows
+
+    sweeps = repeated(no_information_audit, sweep)
+    models = repeated(type(run).withheld_state, [sweep[i] for i in picks])
     columns = list(zip(*sweeps))
     out = {
-        label: 1e6 * statistics.median(columns[i])
-        for label, i in (("none", 0), ("1", 1), ("all", -1))
+        label: 1e6 * statistics.median(columns[i]) for label, i in zip(labels, picks)
     }
     out["sweep"] = 1e6 * statistics.median(map(sum, sweeps))
+    for label, column in zip(labels, zip(*models)):
+        out[f"model_{label}"] = 1e6 * statistics.median(column)
     return out
 
 
