@@ -62,9 +62,12 @@ def demo_decode(state: np.ndarray) -> tuple[complex, complex]:
 
 
 def haar_random_state(width: int, rng: RandomSource) -> np.ndarray:
-    """Uniformly random pure state: normalized complex-Gaussian vector."""
+    """Uniformly random pure state: normalized complex-Gaussian vector.
+    The norm is ``np.linalg.norm``'s formula for a complex vector, spelled
+    out without its wrapper, so its bits are the same."""
     vec = rng.complex_normals(2**width)
-    vec *= 1.0 / np.linalg.norm(vec)
+    re, im = vec.real, vec.imag
+    vec *= 1.0 / math.sqrt(re.dot(re) + im.dot(im))
     return vec
 
 

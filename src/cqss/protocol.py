@@ -849,31 +849,35 @@ class ProtocolRun:
         index raises ``ProtocolError`` before an incomplete run raises
         ``IncompleteRun``, as in the audit.
         """
-        channels = self._swap_channels(_record_indices(withheld_indices))
+        channels, _ = self._swap_channels(_record_indices(withheld_indices))
         rho = self.secret_projector
-        for position, (_, channel) in enumerate(channels):
+        for position, channel in enumerate(channels):
             rho = _channel(rho, position, channel.superop)
         rho /= float(np.real(np.trace(rho)))
         return DensityMatrix(rho, tuple(range(1, self.secret_width + 1)))
 
     def _swap_channels(
         self, withheld: tuple[int, ...]
-    ) -> list[tuple[bool, _SwapChannel]]:
-        """Each record's swap channel, in index order, and whether it is in
-        ``withheld``: ``_WITHHELD`` if so, else ``_CORRECTED`` of its
-        recorded outcome (both tables as they are at the call).  The model
-        and the sealing audit read the slots from here alone."""
-        if not self.distribution_complete:
+    ) -> tuple[list[_SwapChannel], list[float]]:
+        """Each record's swap channel, in index order, and its deviation
+        from its prediction: for a record in ``withheld``, ``_WITHHELD`` and
+        its ``off_depolarizer``, else ``_CORRECTED`` of its recorded outcome
+        and its ``off_identity`` (both tables as they are at the call).  The
+        model and the sealing audit read the slots from here alone."""
+        if self._undistributed:
             raise IncompleteRun("distribution must complete first")
         width = self.secret_width
         for i in withheld:
             if not 1 <= i <= width:
                 raise ProtocolError(f"withheld index {i} outside 1..{width}")
-        record = self.transcript.bell_record
-        return [
-            (True, _WITHHELD) if i in withheld else (False, _CORRECTED[record[i]])
-            for i in range(1, width + 1)
+        record, corrected, held = self.transcript.bell_record, _CORRECTED, _WITHHELD
+        channels = [
+            held if i in withheld else corrected[record[i]] for i in range(1, width + 1)
         ]
+        deviations = [channel.off_identity for channel in channels]
+        for i in withheld:
+            deviations[i - 1] = held.off_depolarizer
+        return channels, deviations
 
     # -- accounting ---------------------------------------------------------------------
 

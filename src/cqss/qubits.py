@@ -122,12 +122,18 @@ class BellKind(Enum):
     Each kind doubles as a two-bit classical value: the enum value is the
     integer ``(x << 1) | y`` of its bit pair, so the kind <-> bits mapping is
     a fixed bijection (00, 01, 10, 11 in declaration order).
+
+    A kind hashes by identity, in C: members are singletons and compare by
+    identity, and ``Enum.__hash__`` is Python code.  The hash differs from
+    process to process, so nothing iterates a set of kinds into output.
     """
 
     PHI_MINUS = 0
     PHI_PLUS = 1
     VARPHI_MINUS = 2
     VARPHI_PLUS = 3
+
+    __hash__ = object.__hash__
 
     # These read ``_value_``: the ``value`` property costs ten times as much.
 
@@ -273,6 +279,27 @@ def _as_state(vector: np.ndarray) -> tuple[np.ndarray, int]:
     return vec, n
 
 
+def _entropy_words(seed: object) -> object:
+    """``seed`` as the ``uint32`` words that ``SeedSequence`` builds from it:
+    each non-negative int's 32-bit words, least significant first (0 as
+    one word), a tuple's entries one after another.  NEP 19 fixes that
+    coercion and the mixing after it, so the stream keeps its bytes, and
+    numpy's own coercion runs in Python, at more than the cost of the rest
+    of ``SeedSequence``.  Anything else (a negative int, a bool, a numpy
+    integer, a float, a list) is returned unchanged, for numpy to read or
+    refuse as it does."""
+    words: list[int] = []
+    for value in seed if type(seed) is tuple else (seed,):
+        if type(value) is not int or value < 0:
+            return seed
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        while value:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+    return np.array(words, dtype=np.uint32)
+
+
 class RandomSource:
     """Deterministic uniform stream used for all Born-rule sampling.
 
@@ -293,7 +320,8 @@ class RandomSource:
     """
 
     def __init__(self, seed: int | tuple[int, ...]):
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        entropy = _entropy_words(seed)
+        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
     def random(self) -> float:
         return self._gen.random()

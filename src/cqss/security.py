@@ -288,10 +288,8 @@ def no_information_audit(run: "ProtocolRun", withheld: Iterable[int]) -> AuditRe
     distance, is exactly 0.0.  A non-integer index raises ``ProtocolError``
     before an incomplete run raises ``IncompleteRun``."""
     indices = _record_indices(withheld)
-    excess = math.expm1(math.fsum(
-        math.log1p(channel.off_depolarizer if held else channel.off_identity)
-        for held, channel in run._swap_channels(indices)
-    ))
+    _, deviations = run._swap_channels(indices)
+    excess = math.expm1(math.fsum(map(math.log1p, deviations)))
     distance = excess / (1.0 - excess) if excess < 1.0 else math.inf
     return AuditReport(indices, distance, AUDIT_TOLERANCE)
 

@@ -175,19 +175,23 @@ def test_audit_child_runs_at_least_three_sweeps(monkeypatch):
 
 def test_a_checkout_paired_with_itself_reports_every_phase():
     # Both sides run the same code, imported twice, so only the shape and
-    # the round count are checked; the rounds won are counts of those.
+    # the round count are checked; the rounds won are counts of those.  The
+    # sealing_audit op is one more series of one row.
     out = child("paired", str(ROOT), "--rate-seconds", "0")
-    assert set(out) == {str(n) for n in bench.PHASE_WIDTHS}
-    for width in out.values():
-        assert width["rounds"] == bench.PAIRED_ROUNDS
-        assert width["trials"] >= bench.PAIRED_ROUNDS * bench.MIN_CALLS
-        assert set(width["phases"]) == {*bench.PHASES, "per_record"}
-        for phase in width["phases"].values():
+    widths = {str(n) for n in bench.PHASE_WIDTHS}
+    assert set(out) == widths | {"sealing_audit"}
+    for key, series in out.items():
+        assert series["rounds"] == bench.PAIRED_ROUNDS
+        assert series["trials"] >= bench.PAIRED_ROUNDS * bench.MIN_CALLS
+        rows = {*bench.PHASES, "per_record"} if key in widths else {"sealing_audit"}
+        assert set(series["phases"]) == rows
+        for phase in series["phases"].values():
             assert set(phase) == {"base_us", "this_us", "won"}
             assert phase["base_us"] > 0 and phase["this_us"] > 0
             assert 0 <= phase["won"] <= bench.PAIRED_ROUNDS
-        per_record = width["phases"]["per_record"]
-        assert per_record["this_us"] >= width["phases"]["distribute_all"]["this_us"]
+    for width in widths:
+        phases = out[width]["phases"]
+        assert phases["per_record"]["this_us"] >= phases["distribute_all"]["this_us"]
 
 
 def test_paired_imports_the_other_checkout_beside_this_one(tmp_path):

@@ -2,7 +2,9 @@
 
 import bisect
 import contextlib
+import copy
 import itertools
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -247,6 +249,21 @@ class TestBellBits:
         for kind in BellKind:
             x, y = kind.bits
             assert qubits._BELL_KINDS[(x << 1) | y] is kind
+
+    def test_identity_hash_keeps_every_member(self):
+        # A kind hashes by identity and nothing else changes: the same four
+        # members and values, pickle and deepcopy give the member back, and
+        # the swap and correction tables look up by member, a copied one too.
+        assert BellKind.__hash__ is object.__hash__
+        assert [(k.name, k.value) for k in BellKind] == [
+            ("PHI_MINUS", 0), ("PHI_PLUS", 1), ("VARPHI_MINUS", 2), ("VARPHI_PLUS", 3)]
+        for kind in BellKind:
+            assert hash(kind) == object.__hash__(kind)
+            for copied in (pickle.loads(pickle.dumps(kind)), copy.deepcopy(kind)):
+                assert copied is kind
+                assert protocol._CORRECTED[copied] is protocol._CORRECTED[kind]
+                assert CORRECTION_FOR_OUTCOME[copied] is CORRECTION_FOR_OUTCOME[kind]
+        assert set(protocol._CORRECTED) == set(CORRECTION_FOR_OUTCOME) == set(BellKind)
 
 
 # -- Bell measurement ---------------------------------------------------------------
@@ -2232,6 +2249,15 @@ class TestReciprocalScaling:
             np.testing.assert_array_equal(scaled, want)
 
 
+# Seeds on and around the 32-bit word boundaries numpy splits an int at.
+_WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**100]
+
+
+def numpy_seeded(entropy):
+    """numpy's own generator for ``entropy``: ``SeedSequence`` reads it."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
 class TestRandomSource:
     def test_same_seed_same_stream(self):
         a = RandomSource(987)
@@ -2256,6 +2282,34 @@ class TestRandomSource:
         draws = [source.random() for _ in range(200)]
         assert all(type(d) is float for d in draws)
         assert draws == [bare.random() for _ in range(200)]
+
+    @given(st.one_of(
+        st.sampled_from(_WORD_EDGES),
+        st.lists(st.sampled_from(_WORD_EDGES), min_size=1, max_size=6).map(tuple),
+    ))
+    def test_words_seed_as_numpy_reads_the_entropy(self, entropy):
+        # The words RandomSource builds give the very state SeedSequence
+        # builds from the int or tuple itself, and so the same draws.
+        rng, want = RandomSource(entropy), numpy_seeded(entropy)
+        assert rng._gen.bit_generator.state == want.bit_generator.state
+        assert [rng.random() for _ in range(4)] == want.random(4).tolist()
+        assert rng.integer_draws(4, 5) == want.integers(4, size=5).tolist()
+
+    @pytest.mark.parametrize("entropy", [
+        -1, (3, -1), 1.5, (1, 2.0), True, (True, 7), np.int64(5), np.uint64(2**64 - 1),
+        (np.uint32(3), 1), [1, 2**40], (), "7",
+    ], ids=repr)
+    def test_other_entropy_is_read_as_numpy_reads_it(self, entropy):
+        # Anything but non-negative ints (and tuples of them) is numpy's to
+        # read or refuse: the same error type, or the same state, as
+        # SeedSequence gives it.
+        try:
+            want = numpy_seeded(entropy).bit_generator.state
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                RandomSource(entropy)
+        else:
+            assert RandomSource(entropy)._gen.bit_generator.state == want
 
 
 class TestDensityMatrixValidation:

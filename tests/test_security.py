@@ -635,6 +635,53 @@ class TestNoInformationAudit:
             dense = trace_distance(run.withheld_state({i}), expected)
             assert audit.distance + 1e-12 >= dense, audit
 
+    # ``repr`` of each certificate of ``noinfo_sweep(4)`` on
+    # ``run_for_audit(4, 95)`` (records varphi-, varphi+, phi-, phi+) under
+    # three faults, recorded before the audit read its deviations as one list.
+    PINNED_CERTIFICATES = {
+        "wrong correction": ["inf", "0.0", "inf", "inf", "inf", "0.0"],
+        "dephasing": ["0.0", "inf", "inf", "inf", "inf", "inf"],
+        "slightly wrong": [
+            "0.008170631518527892", "0.0076121231411706205", "0.008017285689551965",
+            "0.0024598763093199314", "0.006458068811647168", "8.00088009281781e-05",
+        ],
+    }
+
+    @pytest.mark.parametrize("fault", sorted(PINNED_CERTIFICATES))
+    def test_certificates_off_zero_keep_their_bits(self, monkeypatch, fault):
+        # On the import-time tables every certificate is 0.0, so these pin
+        # how the deviations are read and summed where they are not: slot
+        # 1's outcome corrected by a wrong Pauli; the dephasing withheld
+        # channel; and every table a little wrong (each outcome's wrong
+        # Pauli mixed in at its own weight, dephasing mixed into the
+        # withheld channel), which gives finite sums of distinct terms.
+        run = self.run_for_audit(width=4, seed=95)
+        uncorrected, _ = protocol._swap_kraus()
+        channel = protocol._swap_channel
+
+        def wrong_superop(kind):
+            wrong = next(p for p in Pauli if p is not CORRECTION_FOR_OUTCOME[kind])
+            k = wrong.matrix @ uncorrected[kind]
+            return np.kron(k, k.conj())
+
+        dephasing = np.diag([1.0, 0.0, 0.0, 1.0])
+        withheld, corrected = protocol._WITHHELD, dict(protocol._CORRECTED)
+        if fault == "wrong correction":
+            kind = run.transcript.bell_record[1]
+            corrected[kind] = channel(wrong_superop(kind))
+        elif fault == "dephasing":
+            withheld = channel(dephasing)
+        else:
+            withheld = channel((1 - 1e-5) * withheld.superop + 1e-5 * dephasing)
+            corrected = {
+                kind: channel((1 - p) * corrected[kind].superop + p * wrong_superop(kind))
+                for kind, p in zip(BellKind, (1e-3, 3e-4, 1e-4, 3e-5))
+            }
+        monkeypatch.setattr(protocol, "_WITHHELD", withheld)
+        monkeypatch.setattr(protocol, "_CORRECTED", corrected)
+        got = [repr(no_information_audit(run, w).distance) for w in noinfo_sweep(4)]
+        assert got == self.PINNED_CERTIFICATES[fault]
+
     def test_a_sealing_audit_builds_no_matrix(self, monkeypatch):
         # The audit reads each slot's deviations, decided when its channel
         # was built: a sweep builds neither the model nor the projector,
@@ -712,7 +759,7 @@ class TestNoInformationAudit:
         run, drawn = case
         fault, withheld_table, corrected_table = tables
         sets = [*noinfo_sweep(run.secret_width), tuple(sorted(drawn))]
-        honest = [run._swap_channels(withheld) for withheld in sets]
+        honest = [run._swap_channels(withheld)[0] for withheld in sets]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(protocol, "_WITHHELD", withheld_table)
             patch.setattr(protocol, "_CORRECTED", corrected_table)
@@ -725,7 +772,7 @@ class TestNoInformationAudit:
                     assert audit.distance == 0.0, withheld
                 touched = any(
                     now is not before
-                    for (_, now), (_, before) in zip(run._swap_channels(withheld), channels)
+                    for now, before in zip(run._swap_channels(withheld)[0], channels)
                 )
                 if touched and fault != "noise":
                     assert audit.distance > AUDIT_TOLERANCE, (fault, withheld)

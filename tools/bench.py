@@ -64,8 +64,10 @@ script.  The output holds:
   ``wide_release`` workload (N = n = m = 12, classical, Haar secret).
 
 ``--child paired OTHER`` instead times ``PHASES`` here against the checkout
-at ``OTHER``, both imported in one interpreter (:func:`paired`), and prints
-each phase's two medians and the rounds this checkout won.
+at ``OTHER``, both imported in one interpreter (:func:`paired`), and the
+``sealing_audit`` op as one more row (``sealing_audit``: a Haar full release
+at N = 5 and the N + 2 audits of its ``cqss noinfo`` sweep), and prints each
+row's two medians and the rounds this checkout won.
 
 Each rate runs for ``--rate-seconds`` (and at least ``MIN_CALLS`` times) in
 a fresh interpreter, after one untimed warm-up call.  Timings are wall clock
@@ -77,6 +79,7 @@ the same machine.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
@@ -109,6 +112,8 @@ PHASES = (
 )
 # The phases that cost per record of a trial: all but build_run's two parts.
 PER_RECORD = PHASES[2:]
+# The width of the sealing_audit op that the paired mode times.
+AUDIT_OP_WIDTH = 5
 # Rounds of a paired run, the first to run switching each round.
 PAIRED_ROUNDS = 20
 # Run each primitive for about this long per width, set-up included, and
@@ -461,60 +466,112 @@ def import_checkout(root: Path, name: str):
     return module
 
 
-def paired(other: str, seconds: float) -> dict:
-    """Each of ``PHASES``, and ``per_record``, the sum of ``PER_RECORD``,
-    timed in this checkout and in the one at ``other``, both imported in
-    this interpreter (:func:`import_checkout`), at each of ``PHASE_WIDTHS``.
+def audit_op_timer(cqss):
+    """``op(i)``: the microseconds of one ``sealing_audit``-shaped op, run
+    by the imported package ``cqss``: a Haar full release at
+    ``AUDIT_OP_WIDTH``, trial ``i``, through ``build_run``,
+    ``distribute_all``, ``transport_all`` and ``verify_decoys``, then each
+    audit of ``noinfo_sweep``."""
+    harness, security = cqss.harness, cqss.security
+    cfg = cqss.scenario.parse_scenario_text(full_release_text(AUDIT_OP_WIDTH))
+    sweep = security.noinfo_sweep(AUDIT_OP_WIDTH)
+
+    def op(i: int) -> list[float]:
+        start = time.perf_counter()
+        run = harness.build_run(cfg, (cfg.master_seed, i))
+        run.distribute_all()
+        run.transport_all()
+        security.verify_decoys(run, run.decoy_plan)
+        audits = [security.no_information_audit(run, w) for w in sweep]
+        elapsed = time.perf_counter() - start
+        if not all(audit.passed for audit in audits):
+            raise SystemExit(f"trial {i}: a sealing audit failed")
+        return [1e6 * elapsed]
+
+    return op
+
+
+def alternated(timers: dict, names: tuple[str, ...], seconds: float) -> dict:
+    """Time ``timers["base"]`` against ``timers["this"]``: each is a call
+    ``(i) -> [µs of each of names]``, run once untimed at index 0.
 
     The two alternate in ``PAIRED_ROUNDS`` rounds, the first to run
-    switching each round.  In a round the first runs full-release trials
-    for ``seconds / PAIRED_ROUNDS`` / 2 (and at least ``MIN_CALLS``) and
-    the second the same trial indices.  Per phase the report gives both
-    medians over every trial (``base_us`` at ``other``, ``this_us`` here)
-    and ``won``, the rounds whose median this checkout beat."""
+    switching each round, each side's slice starting from a full garbage
+    collection, so neither pays for the other's garbage.  In a round the
+    first runs indices for ``seconds / PAIRED_ROUNDS`` / 2 (and at least
+    ``MIN_CALLS``) and the second the same indices.  Per name the report
+    gives both medians over every index (``base_us`` and ``this_us``) and
+    ``won``, the rounds whose median ``this`` beat."""
+    samples: dict[str, list[list[float]]] = {side: [] for side in timers}
+    medians: dict[str, list[list[float]]] = {side: [] for side in timers}
+    for call in timers.values():
+        call(0)
+    first = 1
+    for r in range(PAIRED_ROUNDS):
+        order = ("this", "base") if r % 2 == 0 else ("base", "this")
+        count, slice_s = MIN_CALLS, seconds / PAIRED_ROUNDS / 2
+        for side in order:
+            call, rows = timers[side], []
+            gc.collect()
+            start = time.perf_counter()
+            while len(rows) < count or (
+                side == order[0] and time.perf_counter() - start < slice_s
+            ):
+                rows.append(call(first + len(rows)))
+            count = len(rows)
+            samples[side] += rows
+            medians[side].append([statistics.median(c) for c in zip(*rows)])
+        first += count
+    columns = {side: list(zip(*rows)) for side, rows in samples.items()}
+    return {
+        "rounds": PAIRED_ROUNDS,
+        "trials": len(samples["this"]),
+        "phases": {
+            name: {
+                "base_us": statistics.median(columns["base"][j]),
+                "this_us": statistics.median(columns["this"][j]),
+                "won": sum(
+                    this[j] < base[j]
+                    for this, base in zip(medians["this"], medians["base"])
+                ),
+            }
+            for j, name in enumerate(names)
+        },
+    }
+
+
+def paired(other: str, seconds: float) -> dict:
+    """Each of ``PHASES``, and ``per_record``, the sum of ``PER_RECORD``,
+    at each of ``PHASE_WIDTHS``, and the ``sealing_audit`` op
+    (:func:`audit_op_timer`), timed in this checkout and in the one at
+    ``other``, both imported in this interpreter (:func:`import_checkout`),
+    by :func:`alternated` for ``seconds`` each."""
     import cqss
 
     base = import_checkout(Path(other).resolve(), "cqss_base")
-    names = (*PHASES, "per_record")
-    report = {}
-    for width in PHASE_WIDTHS:
-        timers = {"base": phase_timer(base, width), "this": phase_timer(cqss, width)}
-        samples: dict[str, list[list[float]]] = {side: [] for side in timers}
-        medians: dict[str, list[list[float]]] = {side: [] for side in timers}
-        for trial in timers.values():
-            trial(0)
-        first = 1
-        for r in range(PAIRED_ROUNDS):
-            order = ("this", "base") if r % 2 == 0 else ("base", "this")
-            count, slice_s = MIN_CALLS, seconds / PAIRED_ROUNDS / 2
-            for side in order:
-                trial, rows = timers[side], []
-                start = time.perf_counter()
-                while len(rows) < count or (
-                    side == order[0] and time.perf_counter() - start < slice_s
-                ):
-                    times = trial(first + len(rows))
-                    rows.append(times + [sum(times[-len(PER_RECORD):])])
-                count = len(rows)
-                samples[side] += rows
-                medians[side].append([statistics.median(c) for c in zip(*rows)])
-            first += count
-        columns = {side: list(zip(*rows)) for side, rows in samples.items()}
-        report[str(width)] = {
-            "rounds": PAIRED_ROUNDS,
-            "trials": len(samples["this"]),
-            "phases": {
-                name: {
-                    "base_us": statistics.median(columns["base"][j]),
-                    "this_us": statistics.median(columns["this"][j]),
-                    "won": sum(
-                        this[j] < base[j]
-                        for this, base in zip(medians["this"], medians["base"])
-                    ),
-                }
-                for j, name in enumerate(names)
-            },
-        }
+
+    def phase_rows(package, width: int):
+        trial = phase_timer(package, width)
+
+        def call(i: int) -> list[float]:
+            times = trial(i)
+            return times + [sum(times[-len(PER_RECORD):])]
+
+        return call
+
+    report = {
+        str(width): alternated(
+            {"base": phase_rows(base, width), "this": phase_rows(cqss, width)},
+            (*PHASES, "per_record"),
+            seconds,
+        )
+        for width in PHASE_WIDTHS
+    }
+    report["sealing_audit"] = alternated(
+        {"base": audit_op_timer(base), "this": audit_op_timer(cqss)},
+        ("sealing_audit",),
+        seconds,
+    )
     return report
 
 
