@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from types import MappingProxyType
@@ -314,11 +313,6 @@ class Transcript:
 
     bell_record: dict[int, BellKind] = field(default_factory=dict)
     decoy_record: dict[int, BellKind] = field(default_factory=dict)
-    epr_player: int = 0
-    epr_controller: int = 0
-    dealer_distribution_measurements: int = 0
-    dealer_transport_measurements: int = 0
-    controller_measurements: int = 0
     corrections: list[tuple[QubitId, Pauli]] = field(default_factory=list)
     _lines: list[str] = field(default_factory=list, repr=False)
 
@@ -332,12 +326,19 @@ class Transcript:
         split = (line.split(" -> ", 1) for line in self._lines)
         return tuple(Message(sender, *rest.split(": ", 1)) for sender, rest in split)
 
-    @property
-    def dealer_measurements(self) -> int:
-        return (
-            self.dealer_distribution_measurements
-            + self.dealer_transport_measurements
-        )
+    def counts(self) -> tuple[int, int, int, int, int]:
+        """Player links, controller links, the dealer's distribution and
+        transport measurements and the controllers' measurements, read off
+        the records and messages: a slot's record is a link and a dealer
+        measurement, an ``announce`` (a pad) two links and a measurement on
+        each side, a ``correction`` (a split half's teleport) a link and a
+        dealer measurement, and an ``identify`` a controller measurement."""
+        text = "\n".join(self._lines)
+        pads = text.count(": announce ")
+        halves = text.count(": correction ")
+        identified = text.count(": identify ")
+        slots = len(self.bell_record) + len(self.decoy_record)
+        return slots, 2 * pads + halves, slots, pads + halves, pads + identified
 
     def to_text(self) -> str:
         bell = _record_text(self.bell_record)
@@ -345,14 +346,14 @@ class Transcript:
         if self.decoy_record:
             decoys = f"decoy-record: {_record_text(self.decoy_record)}\n"
         corrections = " ".join([f"q{q}:{op._value_}" for q, op in self.corrections])
+        player, links, distribution, transport, controller = self.counts()
         head = (
             f"transcript v1\nbell-record: {bell}\n{decoys}"
-            f"epr-player: {self.epr_player}\n"
-            f"epr-controller: {self.epr_controller}\n"
-            f"dealer-measurements: {self.dealer_measurements} "
-            f"(distribution {self.dealer_distribution_measurements}, "
-            f"transport {self.dealer_transport_measurements})\n"
-            f"controller-measurements: {self.controller_measurements}\n"
+            f"epr-player: {player}\n"
+            f"epr-controller: {links}\n"
+            f"dealer-measurements: {distribution + transport} "
+            f"(distribution {distribution}, transport {transport})\n"
+            f"controller-measurements: {controller}\n"
             f"corrections: {corrections}\nmessages:"
         )
         # Each message line, indented under the heading.
@@ -585,8 +586,6 @@ class ProtocolRun:
             else:
                 t.decoy_record[slot] = kind
             qubits[slot] = nu
-        t.epr_player += len(slots)
-        t.dealer_distribution_measurements += len(slots)
         self._undistributed.difference_update(slots)
         return moved
 
@@ -622,16 +621,12 @@ class ProtocolRun:
         from ``rng``.  Each draw is a Bell kind's value, which is its bit
         pair, so the pad XORs values."""
         dealer_cdf, controller_cdfs, scalars = _PAD
-        t = self.transcript
-        t.epr_controller += 2
         k = born_draw(dealer_cdf, rng)
-        t.dealer_transport_measurements += 1
         c = born_draw(controller_cdfs[k], rng)
-        t.controller_measurements += 1
         # The two links' four qubits, measured out whole.
         self.register.fold_measured_out(4, scalars[k])
-        announced = _BIT_TEXT[value ^ k]
-        t.send("dealer", "public", f"announce record={index} bits={announced}")
+        payload = f"announce record={index} bits={_BIT_TEXT[value ^ k]}"
+        self.transcript.send("dealer", "public", payload)
         self.decoded[index] = _BELL_KINDS[value ^ k ^ c]
 
     def _check_transport(self, index: int) -> tuple[int, ...]:
@@ -713,8 +708,6 @@ class ProtocolRun:
         halves = []
         for half, controller in zip(pair, holders):
             beta, outcome = register.teleport(half, rng)
-            t.epr_controller += 1
-            t.dealer_transport_measurements += 1
             correction = _CORRECTIONS[outcome._value_]
             payload = f"correction record={index} pauli={correction._value_}"
             t.send("dealer", f"controller-{controller}", payload)
@@ -751,7 +744,6 @@ class ProtocolRun:
             )
         qa, qb = self.split_halves.pop(record_index)
         kind = self.register.bell_measure(qa, qb, self.rng)
-        self.transcript.controller_measurements += 1
         self.decoded[record_index] = kind
         self.transcript.send(
             "+".join(f"controller-{c}" for c in holders),
@@ -760,10 +752,12 @@ class ProtocolRun:
         )
         return kind
 
-    def available_records(self) -> dict[int, BellKind]:
+    def _release(self) -> dict[int, BellKind]:
         """Transported records whose holders have all released, as the
         players see them.  A classical record's controller announces its
-        decoded bits; a split record not yet identified is identified now."""
+        decoded bits; a split record not yet identified is identified now.
+        Each call sends its messages again, so only :meth:`reconstruct`,
+        which caches its outcome, calls it: once per run."""
         available: dict[int, BellKind] = {}
         holders_of = self.policy.record_to_controller
         decoded, send = self.decoded, self.transcript.send
@@ -799,7 +793,7 @@ class ProtocolRun:
             raise IncompleteRun("reconstruction requires a completed distribution")
         if not self.decoys_verified:
             raise IncompleteRun("decoy verification is still pending")
-        available = self.available_records()
+        available = self._release()
         k = self.policy.threshold_k
         eligible, covered = self.policy.coverage(available)
         if len(eligible) < k:
@@ -882,10 +876,13 @@ class ProtocolRun:
     # -- accounting ---------------------------------------------------------------------
 
     def resource_report(self) -> ResourceReport:
-        """Resource counts, checked against the closed-form expectations:
-        N + M player links, 2N controller links, N + M distribution
-        measurements, and one or two transport measurements per record for
-        classical or split delivery respectively."""
+        """:meth:`Transcript.counts`, checked against the closed forms (N + M
+        player links and distribution measurements, 2N controller links, one
+        or two transport measurements per classical or split record, one
+        controller measurement per record read), and the register's spent
+        qubit ids against the counts: every id past the secret's and the
+        decoys' is half of a Bell pair, a link's or a split record's.
+        ``ResourceAccountingError`` names each count at fault."""
         if not self.distribution_complete:
             raise IncompleteRun("distribution incomplete")
         width = self.secret_width
@@ -898,30 +895,31 @@ class ProtocolRun:
             raise IncompleteRun(f"records not transported yet: {missing}")
         decoys = self.decoy_plan.count
         n_classical, n_split = self.policy.record_counts
-        counted = _COUNTED(self.transcript)
+        counts = self.transcript.counts()
+        player, links, distribution, transport, controller = counts
+        allocated = width + decoys
+        counted = (*counts, self.register._next_id)
         expected = (
-            width + decoys, 2 * width, width + decoys, n_classical + 2 * n_split,
-            len(decoded),
+            allocated, 2 * width, allocated, n_classical + 2 * n_split, len(decoded),
+            allocated + 2 * (player + links + n_split),
         )
         if counted != expected:
             raise ResourceAccountingError("; ".join(
                 f"{name}: counted {got}, expected {want}"
-                for name, got, want in zip(_COUNTERS, counted, expected)
+                for name, got, want in zip(_CHECKED, counted, expected)
                 if got != want
             ))
-        player, links, distribution, transport, controller = counted
         return ResourceReport(
             decoys, player, links, distribution + transport, controller,
             distribution, transport,
         )
 
 
-# The counters that ``resource_report`` checks, in its order, read in one call.
-_COUNTERS = (
+# What ``resource_report`` checks, in its order: the counts, then the ids.
+_CHECKED = (
     "epr_player", "epr_controller", "dealer_distribution_measurements",
-    "dealer_transport_measurements", "controller_measurements",
+    "dealer_transport_measurements", "controller_measurements", "qubit_ids",
 )
-_COUNTED = operator.attrgetter(*_COUNTERS)
 
 
 def _swap_kraus() -> tuple[dict[BellKind, np.ndarray], dict[BellKind, np.ndarray]]:

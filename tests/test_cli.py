@@ -168,6 +168,20 @@ class TestBundledScenarios:
         assert "epr_controller=6" in out
         assert "dealer_measurements=6" in out
 
+    def test_resources_mismatch_exits_1(self, capsys, monkeypatch):
+        # A pad that spends one link's qubit ids, not two: the register's
+        # count disagrees with the transcript's and the check names it.
+        from cqss.qubits import QuantumRegister
+
+        fold = QuantumRegister.fold_measured_out
+        monkeypatch.setattr(
+            QuantumRegister, "fold_measured_out",
+            lambda reg, count, scalar: fold(reg, count // 2, scalar),
+        )
+        code, out, err = invoke(capsys, "resources", SCENARIOS / "full_release_demo.scn")
+        assert code == 1 and out == ""
+        assert err == "error: qubit_ids: counted 15, expected 21\n"
+
     def test_mstar_on_demo_scenario(self, capsys):
         code, out, _ = invoke(capsys, "mstar", SCENARIOS / "full_release_demo.scn")
         assert code == 0

@@ -21,12 +21,14 @@ from cqss.errors import (
     IncompleteRun,
     PolicyError,
     ProtocolError,
+    ResourceAccountingError,
 )
 from cqss import harness, protocol, qubits
 from cqss.harness import build_run
 from cqss.protocol import (
     AccessPolicy,
     Message,
+    ProtocolRun,
     Recovered,
     Sealed,
     peak_block_qubits,
@@ -90,7 +92,7 @@ class TestSetup:
         run = fresh_run()
         t = run.transcript
         assert not t.bell_record and not t.messages
-        assert t.dealer_measurements == t.controller_measurements == 0
+        assert t.counts() == (0, 0, 0, 0, 0)
 
     def test_more_players_than_qubits_rejected(self):
         policy = AccessPolicy.round_robin(3, 3, 3)
@@ -266,9 +268,8 @@ class TestDistribution:
         seen = []
         for index in (1, 2, 3):
             run.distribute_qubit(index)
-            t = run.transcript
-            seen.append((t.epr_player, t.dealer_measurements))
-        assert seen == [(1, 1), (2, 2), (3, 3)]
+            seen.append(run.transcript.counts())
+        assert seen == [(1, 0, 1, 0, 0), (2, 0, 2, 0, 0), (3, 0, 3, 0, 0)]
 
 
 def random_full_release_policy(width, rng):
@@ -401,7 +402,7 @@ class TestClassicalTransport:
         run.distribute_all()
         with pytest.raises(ProtocolError, match=r"record index 5 outside 1\.\.2"):
             run.transport_record(5)
-        assert run.decoded == {} and run.transcript.epr_controller == 0
+        assert run.decoded == {} and run.transcript.counts()[1] == 0
         run.transport_record(1)
         assert run.decoded[1] is run.transcript.bell_record[1]
 
@@ -419,7 +420,7 @@ class TestClassicalTransport:
             r.distribute_qubit(3)
         with pytest.raises(IncompleteRun, match="record 2 has not been produced"):
             run.transport_all()
-        assert run.transcript.epr_controller == 0
+        assert run.transcript.counts()[1] == 0
         assert run.register.copy().alloc_qubit(0) == twin.register.copy().alloc_qubit(0)
         assert_same_protocol_state(run, twin)
 
@@ -452,15 +453,13 @@ def simulated_send_bits(run, index, value, rng):
     """The classical pad as two simulated singlet links and two Bell
     measurements, as ``ProtocolRun._send_bits`` once ran it, kept as the
     closed form's reference; the bits come as the value ``(x << 1) | y``
-    and the draws from ``rng``."""
+    and the draws from ``rng``.  Its ``announce`` message carries its
+    counts (``Transcript.counts``)."""
     reg = run.register
     a1, b1 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
     a2, b2 = reg.alloc_bell_pair(BellKind.PHI_MINUS)
-    run.transcript.epr_controller += 2
     dealer_draw = reg.bell_measure(a1, a2, rng)
-    run.transcript.dealer_transport_measurements += 1
     controller_draw = reg.bell_measure(b1, b2, rng)
-    run.transcript.controller_measurements += 1
     x, y = value >> 1, value & 1
     xp, yp = dealer_draw.bits
     announced = (x ^ xp, y ^ yp)
@@ -487,20 +486,23 @@ def assert_same_run(run, ref):
 _PAD_BITS = [None, (0, 0), (0, 1), (1, 0), (1, 1)]  # None: the recorded bits
 
 
-def check_pad_against_reference(seed, holders, steps, bits):
-    """Run the same program with the closed-form pad and with the simulated
-    one, comparing after every step.  ``steps`` lists each record index
-    twice: its first occurrence distributes it, its second transports it,
-    with ``bits[i]`` if record i is classical and ``bits[i]`` is not None."""
+def pad_program_run(seed, holders):
+    """A run of ``len(holders)`` qubits, players and records, each record
+    held by its entry of ``holders`` (controllers 1 and 2), all released."""
     width = len(holders)
     policy = replace(
         AccessPolicy.round_robin(width, 2, width),
         record_to_controller=dict(enumerate(holders, start=1)),
     )
-    run, ref = (
-        setup(width, 2, width, haar(width, seed), policy, RandomSource(seed))
-        for _ in range(2)
-    )
+    return setup(width, 2, width, haar(width, seed), policy, RandomSource(seed))
+
+
+def check_pad_against_reference(seed, holders, steps, bits):
+    """Run the same program with the closed-form pad and with the simulated
+    one, comparing after every step.  ``steps`` lists each record index
+    twice: its first occurrence distributes it, its second transports it,
+    with ``bits[i]`` if record i is classical and ``bits[i]`` is not None."""
+    run, ref = pad_program_run(seed, holders), pad_program_run(seed, holders)
     ref._send_bits = partial(simulated_send_bits, ref)
     seen = set()
     for i in steps:
@@ -889,6 +891,23 @@ class TestReconstruct:
         run = complete(fresh_run(seed=31))
         first = run.reconstruct()
         assert run.reconstruct() is first
+
+    @pytest.mark.parametrize(
+        "name, released, identified",
+        [("full_release_demo", 3, 0), ("split_share", 0, 2)],
+    )
+    def test_records_are_released_once(self, name, released, identified):
+        # A second reconstruct sends nothing: one release line per released
+        # classical record and one identify line per split record.
+        cfg = load_scenario(SCENARIOS / f"{name}.scn")
+        run = complete(build_run(cfg, (cfg.master_seed, 0)))
+        verify_decoys(run, run.decoy_plan)
+        run.reconstruct()
+        run.reconstruct()
+        kinds = [m.payload.split(" ", 1)[0] for m in run.transcript.messages]
+        assert (kinds.count("release"), kinds.count("identify")) == (
+            released, identified
+        )
 
 
 # -- coverage against a brute-force reference ----------------------------------------------
@@ -1916,16 +1935,38 @@ def report_counts(report):
     )
 
 
-def assert_ids_spent(run):
-    """After transport the register has spent one qubit id per secret
-    qubit and decoy, two per link (counted or not built) and two per split
-    record's Bell pair."""
-    t = run.transcript
-    n_split = sum(1 for h in run.policy.record_to_controller.values() if len(h) == 2)
-    assert run.register._next_id == (
-        run.secret_width + run.decoy_plan.count
-        + 2 * (t.epr_player + t.epr_controller) + 2 * n_split
-    )
+# What each step spends, in ``Transcript.counts`` order: player links,
+# controller links, dealer distribution and transport measurements, and
+# controller measurements.
+_SPENT = {
+    "distribute": (1, 0, 1, 0, 0),
+    "pad": (0, 2, 0, 1, 1),
+    "split": (0, 2, 0, 2, 0),
+    "identify": (0, 0, 0, 0, 1),
+}
+
+
+def bundled_trial(name):
+    """Trial 0 of a bundled scenario, as ``cqss resources`` runs it."""
+    return harness.run_trial(load_scenario(SCENARIOS / f"{name}.scn"), 0)
+
+
+def teleport_spending_one_id(teleport_all):
+    """``teleport_all`` mutated to spend one qubit id per link, not two: the
+    far halves are renamed to consecutive ids from the first it spent."""
+
+    def mutated(reg, qubits, draws):
+        start = reg._next_id
+        moved = []
+        for new, (nu, kind) in enumerate(teleport_all(reg, qubits, draws), start):
+            block = reg._block_of.pop(nu)
+            block.qubits[block.qubits.index(nu)] = new
+            reg._block_of[new] = block
+            moved.append((new, kind))
+        reg._next_id = start + len(moved)
+        return moved
+
+    return mutated
 
 
 class TestResources:
@@ -1961,14 +2002,94 @@ class TestResources:
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.scn")))
     def test_register_spends_the_ids_the_counts_say(self, name):
+        # resource_report checks the register's spent ids against the
+        # counts, after transport and again once the records are read.
         cfg = load_scenario(SCENARIOS / f"{name}.scn")
         for trial in range(20):
-            assert_ids_spent(complete(build_run(cfg, (cfg.master_seed, trial))))
+            run = complete(build_run(cfg, (cfg.master_seed, trial)))
+            run.resource_report()
+            verify_decoys(run, run.decoy_plan)
+            run.reconstruct()
+            run.resource_report()
 
     @given(audited_runs())
     def test_register_spends_the_ids_the_counts_say_on_drawn_layouts(self, case):
         run, _ = case
-        assert_ids_spent(run)
+        run.resource_report()
+        verify_decoys(run, run.decoy_plan)
+        run.reconstruct()
+        run.resource_report()
+
+    @given(pad_programs())
+    def test_counts_follow_the_steps_taken(self, program):
+        # The counts read off the messages, after every step, against a
+        # tally kept here from the steps the program takes.
+        seed, holders, steps, bits = program
+        run = pad_program_run(seed, holders)
+        tally, seen = (0,) * 5, set()
+        for i in steps:
+            split = len(holders[i - 1]) == 2
+            if i not in seen:
+                run.distribute_qubit(i)
+                step = "distribute"
+            elif split or bits[i - 1] is None:
+                run.transport_record(i)
+                step = "split" if split else "pad"
+            else:
+                run.send_bits_classical(i, bits[i - 1])
+                step = "pad"
+            seen.add(i)
+            tally = tuple(map(sum, zip(tally, _SPENT[step])))
+            assert run.transcript.counts() == tally
+        run.reconstruct()  # every split record is identified
+        for h in holders:
+            if len(h) == 2:
+                tally = tuple(map(sum, zip(tally, _SPENT["identify"])))
+        assert run.transcript.counts() == tally
+        run.resource_report()
+
+    def test_a_pad_spending_one_link_fails_the_check(self, monkeypatch):
+        fold = QuantumRegister.fold_measured_out
+        monkeypatch.setattr(
+            QuantumRegister, "fold_measured_out",
+            lambda reg, count, scalar: fold(reg, count // 2, scalar),
+        )
+        with pytest.raises(
+            ResourceAccountingError, match=r"^qubit_ids: counted 15, expected 21$"
+        ):
+            bundled_trial("full_release_demo")
+
+    @pytest.mark.parametrize("name, counted, expected", [
+        ("full_release_demo", 18, 21), ("split_share", 16, 24),
+        ("veto_controller", 18, 21),
+    ])
+    def test_a_teleport_spending_one_id_fails_the_check(
+        self, monkeypatch, name, counted, expected
+    ):
+        monkeypatch.setattr(
+            QuantumRegister, "teleport_all",
+            teleport_spending_one_id(QuantumRegister.teleport_all),
+        )
+        with pytest.raises(
+            ResourceAccountingError,
+            match=rf"^qubit_ids: counted {counted}, expected {expected}$",
+        ):
+            bundled_trial(name)
+
+    def test_an_identification_reported_twice_fails_the_check(self, monkeypatch):
+        identify = ProtocolRun.joint_identify
+
+        def identify_twice(run, record_index):
+            kind = identify(run, record_index)
+            run.transcript.send(*run.transcript.messages[-1])
+            return kind
+
+        monkeypatch.setattr(ProtocolRun, "joint_identify", identify_twice)
+        with pytest.raises(
+            ResourceAccountingError,
+            match=r"^controller_measurements: counted 4, expected 2$",
+        ):
+            bundled_trial("split_share")
 
     def test_incomplete_run_rejected(self):
         run = fresh_run(seed=56)
