@@ -64,6 +64,7 @@ from .qubits import (
 )
 from .security import (
     _DECOY_VECTORS,
+    _NO_PLAN,
     DecoyPlan,
     DetectionReport,
     EveModel,
@@ -315,6 +316,8 @@ class Transcript:
     decoy_record: dict[int, BellKind] = field(default_factory=dict)
     corrections: list[tuple[QubitId, Pauli]] = field(default_factory=list)
     _lines: list[str] = field(default_factory=list, repr=False)
+    # The last counts and the three lengths they were read at.
+    _counted: tuple = field(default=((), ()), repr=False, compare=False)
 
     def send(self, sender: str, receiver: str, payload: str) -> None:
         """Write one message: the one place a line's format is kept."""
@@ -332,13 +335,20 @@ class Transcript:
         the records and messages: a slot's record is a link and a dealer
         measurement, an ``announce`` (a pad) two links and a measurement on
         each side, a ``correction`` (a split half's teleport) a link and a
-        dealer measurement, and an ``identify`` a controller measurement."""
+        dealer measurement, and an ``identify`` a controller measurement.
+        :meth:`send` only appends, so while the number of lines and of
+        records is unchanged the last counts are returned again."""
+        key = (len(self._lines), len(self.bell_record), len(self.decoy_record))
+        if self._counted[0] == key:
+            return self._counted[1]
         text = "\n".join(self._lines)
         pads = text.count(": announce ")
         halves = text.count(": correction ")
         identified = text.count(": identify ")
-        slots = len(self.bell_record) + len(self.decoy_record)
-        return slots, 2 * pads + halves, slots, pads + halves, pads + identified
+        slots = key[1] + key[2]
+        counts = slots, 2 * pads + halves, slots, pads + halves, pads + identified
+        self._counted = key, counts
+        return counts
 
     def to_text(self) -> str:
         bell = _record_text(self.bell_record)
@@ -452,7 +462,7 @@ class ProtocolRun:
             raise PolicyError(
                 f"secret has {secret.size} amplitudes, expected {2 ** secret_width}"
             )
-        plan = decoy_plan if decoy_plan is not None else DecoyPlan()
+        plan = decoy_plan if decoy_plan is not None else _NO_PLAN
         total = secret_width + plan.count
 
         self.secret_width = secret_width

@@ -88,6 +88,7 @@ import bisect
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Sequence
@@ -300,6 +301,43 @@ def _entropy_words(seed: object) -> object:
     return np.array(words, dtype=np.uint32)
 
 
+def __getattr__(name: str) -> type:
+    """``_PoolSeedSequence``, defined at its first use (PEP 562): a class
+    statement at import would import ``numpy.random``, which importing
+    this module does not.  Unpickling a source finds the class here."""
+    if name != "_PoolSeedSequence":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # NEP 19's output hash: word i is pool[i % 4] ^ X[i], times M[i], then
+    # xor its high half shifted down, X[i] = 0x8B51F9DD * 0x58F38DED**i and
+    # M[i] = X[i + 1] (mod 2**32).
+    hashes = [0x8B51F9DD * 0x58F38DED**i % 2**32 for i in range(9)]
+
+    class _PoolSeedSequence(np.random.SeedSequence):
+        """``SeedSequence`` whose one call from ``PCG64``, four 64-bit
+        words of a four-word pool on a little-endian host, is hashed in
+        four array operations; numpy answers every other call."""
+
+        __qualname__ = name  # what pickle looks up in this module
+        __slots__ = ()
+        _FAST = sys.byteorder == "little"
+        _TWICE = np.arange(8) % 4
+        _X = np.array(hashes[:8], dtype=np.uint32)
+        _M = np.array(hashes[1:], dtype=np.uint32)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (dtype is np.uint64 and type(n_words) is int and n_words == 4
+                    and self.pool_size == 4 and self._FAST):
+                v = self.pool[self._TWICE]
+                v ^= self._X
+                v *= self._M
+                v ^= v >> 16
+                return v.view(np.uint64)
+            return super().generate_state(n_words, dtype)
+
+    # One class, should two threads build their first sources at once.
+    return globals().setdefault(name, _PoolSeedSequence)
+
+
 class RandomSource:
     """Deterministic uniform stream used for all Born-rule sampling.
 
@@ -307,6 +345,17 @@ class RandomSource:
     Per-trial sources are derived from ``(master_seed, trial_index)`` so a
     batch of trials gives the same per-trial results whether executed
     serially or in parallel.
+
+    The generator is numpy's ``PCG64``, seeded from ``SeedSequence`` with
+    :func:`_entropy_words`.  ``PCG64`` asks its seed sequence for one
+    thing, four 64-bit state words, and ``_PoolSeedSequence`` computes them
+    from the mixed pool with uint32 array arithmetic instead of numpy's
+    per-word loop.  NEP 19 fixes that hash (constants ``0x8B51F9DD`` and
+    ``0x58F38DED``), so every state, and every stream, keeps its bytes.
+    Any other request, a pool of another size and any request on a
+    big-endian host go to numpy.  The class is defined when the first
+    source is built (the module's ``__getattr__``), so importing cqss
+    still does not import ``numpy.random``.
 
     A phase whose every draw is a :meth:`random` may take them all at once
     with :meth:`ahead`: for PCG64, ``Generator.random(k)`` fills its k
@@ -321,7 +370,11 @@ class RandomSource:
 
     def __init__(self, seed: int | tuple[int, ...]):
         entropy = _entropy_words(seed)
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        try:
+            seq = _PoolSeedSequence(entropy)
+        except NameError:  # the first source defines the class
+            seq = __getattr__("_PoolSeedSequence")(entropy)
+        self._gen = np.random.Generator(np.random.PCG64(seq))
 
     def random(self) -> float:
         return self._gen.random()

@@ -117,7 +117,8 @@ class DecoyPlan:
     def random(cls, secret_width: int, count: int, rng: RandomSource) -> "DecoyPlan":
         """Uniform placements without replacement over the extended width.
         A count that ``operator.index`` rejects, or a negative one, raises
-        ``PolicyError`` before anything is drawn."""
+        ``PolicyError`` before anything is drawn; a count of 0 draws nothing
+        and returns the one shared empty plan."""
         try:
             count = operator.index(count)
         except TypeError as exc:
@@ -125,10 +126,14 @@ class DecoyPlan:
         if count < 0:
             raise PolicyError(f"decoy count must be non-negative, got {count}")
         if count == 0:
-            return cls()
+            return _NO_PLAN
         slots = rng.sample_positions(secret_width + count, count)
         states = tuple([_DECOY_STATES[k] for k in rng.integer_draws(4, count)])
         return cls(slots, states)
+
+
+# The plan with no decoys: a frozen value, so every decoy-free run shares it.
+_NO_PLAN = DecoyPlan()
 
 
 _EVE_STRATEGIES = ("none", "intercept-resend")

@@ -176,14 +176,15 @@ def test_audit_child_runs_at_least_three_sweeps(monkeypatch):
 def test_a_checkout_paired_with_itself_reports_every_phase():
     # Both sides run the same code, imported twice, so only the shape and
     # the round count are checked; the rounds won are counts of those.  The
-    # sealing_audit op is one more series of one row.
+    # sealing_audit op and the building of a trial's generator are two more
+    # series of one row each.
     out = child("paired", str(ROOT), "--rate-seconds", "0")
     widths = {str(n) for n in bench.PHASE_WIDTHS}
-    assert set(out) == widths | {"sealing_audit"}
+    assert set(out) == widths | {"sealing_audit", "random_source"}
     for key, series in out.items():
         assert series["rounds"] == bench.PAIRED_ROUNDS
         assert series["trials"] >= bench.PAIRED_ROUNDS * bench.MIN_CALLS
-        rows = {*bench.PHASES, "per_record"} if key in widths else {"sealing_audit"}
+        rows = {*bench.PHASES, "per_record"} if key in widths else {key}
         assert set(series["phases"]) == rows
         for phase in series["phases"].values():
             assert set(phase) == {"base_us", "this_us", "won"}

@@ -2012,6 +2012,40 @@ class TestResources:
             run.reconstruct()
             run.resource_report()
 
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.scn")))
+    def test_counts_read_again_are_a_fresh_scan(self, name, monkeypatch):
+        # counts() returns its last result while the lines and records keep
+        # their lengths: after every message of 20 trials, before each phase
+        # (distribution writes records and no message) and at the end, read
+        # twice, it is what a transcript with no counts yet reads off the
+        # same lines and records, and the text is the same.
+        def fresh(t):
+            return protocol.Transcript(t.bell_record, t.decoy_record, t.corrections, t._lines)
+
+        send = protocol.Transcript.send
+
+        def checked_send(t, *message):
+            send(t, *message)
+            counts = t.counts()
+            assert counts == fresh(t).counts() and t.counts() == counts
+
+        monkeypatch.setattr(protocol.Transcript, "send", checked_send)
+        cfg = load_scenario(SCENARIOS / f"{name}.scn")
+        for trial in range(20):
+            run = build_run(cfg, (cfg.master_seed, trial))
+            t = run.transcript
+            for step in (
+                run.distribute_all,
+                run.transport_all,
+                lambda: verify_decoys(run, run.decoy_plan),
+                run.reconstruct,
+            ):
+                assert t.counts() == fresh(t).counts()
+                step()
+            assert t.counts() == fresh(t).counts() and t.counts() == fresh(t).counts()
+            run.resource_report()
+            assert t.to_text() == fresh(t).to_text()
+
     @given(audited_runs())
     def test_register_spends_the_ids_the_counts_say_on_drawn_layouts(self, case):
         run, _ = case

@@ -4,7 +4,11 @@ import bisect
 import contextlib
 import copy
 import itertools
+import json
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -2253,6 +2257,10 @@ class TestReciprocalScaling:
 _WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**100]
 
 
+# uint32 words on and around the bit boundaries of the pool hash.
+_POOL_EDGES = [0, 1, 2**16 - 1, 2**16, 2**31 - 1, 2**31, 2**32 - 1]
+
+
 def numpy_seeded(entropy):
     """numpy's own generator for ``entropy``: ``SeedSequence`` reads it."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
@@ -2310,6 +2318,57 @@ class TestRandomSource:
                 RandomSource(entropy)
         else:
             assert RandomSource(entropy)._gen.bit_generator.state == want
+
+    @given(
+        st.lists(st.sampled_from(_POOL_EDGES), min_size=1, max_size=12),
+        st.sampled_from([4, 5, 8]),
+    )
+    def test_the_pool_hash_is_numpys(self, words, pool_size):
+        # 1 to 12 words, more than a pool of 4 holds, on word boundaries:
+        # every request, the one hashed here (4 uint64 words of a 4-word
+        # pool) and each that numpy answers, gives numpy's words.
+        entropy = np.array(words, dtype=np.uint32)
+        ours = qubits._PoolSeedSequence(entropy, pool_size=pool_size)
+        theirs = np.random.SeedSequence(entropy, pool_size=pool_size)
+        np.testing.assert_array_equal(ours.pool, theirs.pool)
+        for n, dtype in itertools.product(range(1, 9), (np.uint32, np.uint64)):
+            got, want = ours.generate_state(n, dtype), theirs.generate_state(n, dtype)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert np.random.PCG64(ours).state == np.random.PCG64(theirs).state
+
+    def test_a_source_copies_into_a_process_that_built_none(self):
+        # Importing cqss leaves numpy.random unimported, so it is first
+        # imported by a source, outside a benchmark's set-up.  A source
+        # still pickles: a fresh process that has built none reads it back
+        # (the module defines the seed sequence's class on that lookup),
+        # deep-copies it, and both go on with the original's draws.
+        source = RandomSource((7, 11))
+        source.random()
+        blob = pickle.dumps(source)
+        child = (
+            "import copy, json, pickle, sys\n"
+            "import cqss, cqss.harness\n"
+            "unimported = 'numpy.random' not in sys.modules\n"
+            "source = pickle.loads(sys.stdin.buffer.read())\n"
+            "twin = copy.deepcopy(source)\n"
+            "print(json.dumps([unimported,\n"
+            "    type(source._gen.bit_generator.seed_seq).__qualname__,\n"
+            "    [source.random() for _ in range(3)], twin.uniforms(3)]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            input=blob,
+            capture_output=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(qubits.__file__).parents[1])},
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        unimported, name, draws, twin_draws = json.loads(done.stdout)
+        assert unimported and name == "_PoolSeedSequence"
+        want = source.uniforms(3)
+        assert draws == want and twin_draws == want
+        assert copy.deepcopy(source).uniforms(5) == source.uniforms(5)
 
 
 class TestDensityMatrixValidation:

@@ -78,6 +78,17 @@ class TestDecoyPlan:
         plan = DecoyPlan.random(4, 0, RandomSource(1))
         assert plan.count == 0 and plan.record == {}
 
+    def test_every_empty_plan_is_one_shared_value(self):
+        # No decoys draw nothing, and every decoy-free run, drawn or given
+        # no plan, holds the same frozen plan.
+        rng = RandomSource(1)
+        plan = DecoyPlan.random(4, 0, rng)
+        assert plan is DecoyPlan.random(2, 0, RandomSource(2)) and plan == DecoyPlan()
+        assert rng.random() == RandomSource(1).random()
+        policy = AccessPolicy.round_robin(3, 3, 3)
+        run = setup(3, 3, 3, np.eye(8)[5], policy, RandomSource(3))
+        assert run.decoy_plan is plan
+
     @pytest.mark.parametrize("count", [-1, 1.5, "2", None])
     def test_a_bad_count_is_refused_before_any_draw(self, count):
         rng = RandomSource(5)

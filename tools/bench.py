@@ -66,8 +66,10 @@ script.  The output holds:
 ``--child paired OTHER`` instead times ``PHASES`` here against the checkout
 at ``OTHER``, both imported in one interpreter (:func:`paired`), and the
 ``sealing_audit`` op as one more row (``sealing_audit``: a Haar full release
-at N = 5 and the N + 2 audits of its ``cqss noinfo`` sweep), and prints each
-row's two medians and the rounds this checkout won.
+at N = 5 and the N + 2 audits of its ``cqss noinfo`` sweep), and the
+building of one trial's generator, ``RandomSource((SOURCE_SEED, i))``, as
+another (``random_source``), and prints each row's two medians and the
+rounds this checkout won.
 
 Each rate runs for ``--rate-seconds`` (and at least ``MIN_CALLS`` times) in
 a fresh interpreter, after one untimed warm-up call.  Timings are wall clock
@@ -114,6 +116,8 @@ PHASES = (
 PER_RECORD = PHASES[2:]
 # The width of the sealing_audit op that the paired mode times.
 AUDIT_OP_WIDTH = 5
+# The master seed of the generators that the paired mode builds.
+SOURCE_SEED = 20260801
 # Rounds of a paired run, the first to run switching each round.
 PAIRED_ROUNDS = 20
 # Run each primitive for about this long per width, set-up included, and
@@ -491,6 +495,20 @@ def audit_op_timer(cqss):
     return op
 
 
+def source_timer(cqss):
+    """``build(i)``: the microseconds of building the generator of trial
+    ``i``, ``RandomSource((SOURCE_SEED, i))``, in the imported package
+    ``cqss``."""
+    random_source = cqss.qubits.RandomSource
+
+    def build(i: int) -> list[float]:
+        start = time.perf_counter()
+        random_source((SOURCE_SEED, i))
+        return [1e6 * (time.perf_counter() - start)]
+
+    return build
+
+
 def alternated(timers: dict, names: tuple[str, ...], seconds: float) -> dict:
     """Time ``timers["base"]`` against ``timers["this"]``: each is a call
     ``(i) -> [µs of each of names]``, run once untimed at index 0.
@@ -542,8 +560,9 @@ def alternated(timers: dict, names: tuple[str, ...], seconds: float) -> dict:
 
 def paired(other: str, seconds: float) -> dict:
     """Each of ``PHASES``, and ``per_record``, the sum of ``PER_RECORD``,
-    at each of ``PHASE_WIDTHS``, and the ``sealing_audit`` op
-    (:func:`audit_op_timer`), timed in this checkout and in the one at
+    at each of ``PHASE_WIDTHS``, the ``sealing_audit`` op
+    (:func:`audit_op_timer`) and a trial's generator
+    (:func:`source_timer`), timed in this checkout and in the one at
     ``other``, both imported in this interpreter (:func:`import_checkout`),
     by :func:`alternated` for ``seconds`` each."""
     import cqss
@@ -570,6 +589,11 @@ def paired(other: str, seconds: float) -> dict:
     report["sealing_audit"] = alternated(
         {"base": audit_op_timer(base), "this": audit_op_timer(cqss)},
         ("sealing_audit",),
+        seconds,
+    )
+    report["random_source"] = alternated(
+        {"base": source_timer(base), "this": source_timer(cqss)},
+        ("random_source",),
         seconds,
     )
     return report
